@@ -53,6 +53,14 @@
 #                         which exits non-zero on orphan spans — the
 #                         stage additionally asserts zero warnings on
 #                         stderr and a non-empty critical-path table)
+#   10. load_bench       (the measured end-to-end benchmark, as a
+#                         correctness gate, not a timing gate: its own
+#                         unit tests; `--self-test`, which corrupts one
+#                         oracle reference and must see the run fail; and
+#                         one 3 s mlp_tcp_bulk run — real TCP front, real
+#                         mesh, every reply checked against the oracle —
+#                         that must exit 0. load_bench is a package of its
+#                         own, so nothing above builds or tests it)
 #
 # Opt-in stage (not part of the default gate):
 #   ./ci.sh tsan         runs the fault-tolerance, chaos-soak and
@@ -114,3 +122,9 @@ echo "$assemble_out" | grep -q '^  all' || {
     echo "$assemble_out" >&2
     exit 1
 }
+cargo test -q --release --offline --manifest-path load_bench/Cargo.toml
+# The self-test's inner run is *meant* to fail: its `error: failed_share`
+# line on stderr is followed by the verdict line on stdout.
+cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- --self-test
+cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
+    --workload mlp_tcp_bulk --seed 1 --seconds 3 --trace 0 >/dev/null

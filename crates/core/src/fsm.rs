@@ -30,7 +30,7 @@ use crate::recover::{
 use crate::runtime::{decode_result_set, WorkerStats, TAG_INPUT, TAG_RESULT};
 use crate::team::TeamPrediction;
 use std::collections::BTreeMap;
-use teamnet_net::{Envelope, NetError, PayloadKind, Tag};
+use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, Tag};
 
 /// A message a transition function wants sent. The shell owns the actual
 /// transport (and its retries/backoff); a model checker just moves the
@@ -56,7 +56,7 @@ impl OutboundMsg {
     /// causality at the send site, which `cargo xtask audit`'s
     /// `trace-propagation` rule enforces.
     pub fn encode_traced(&self, ctx: teamnet_net::TraceContext) -> Vec<u8> {
-        self.env.clone().with_trace(ctx).encode()
+        self.env.encode_traced(ctx)
     }
 }
 
@@ -318,7 +318,10 @@ impl WorkerFsm {
         bytes: &[u8],
         hooks: &mut dyn WorkerHooks,
     ) -> Result<Vec<OutboundMsg>, NetError> {
-        let env = match Envelope::decode(bytes) {
+        // Borrowing decode: the payload (a whole input batch, for
+        // `Input`) is checksummed in place and handed to the hooks as a
+        // slice of the received frame.
+        let env = match EnvelopeRef::decode(bytes) {
             Ok(env) => env,
             Err(NetError::Corrupt { .. } | NetError::Malformed(_)) => {
                 self.stats.malformed_skipped += 1;
@@ -335,7 +338,7 @@ impl WorkerFsm {
                     env: Envelope::new(env.round, PayloadKind::ProbeAck, Vec::new()),
                 })
             }
-            PayloadKind::Input => match hooks.forward(&env.payload) {
+            PayloadKind::Input => match hooks.forward(env.payload) {
                 Ok(payload) => {
                     self.stats.rounds_served += 1;
                     Some(OutboundMsg {
@@ -349,7 +352,7 @@ impl WorkerFsm {
                     None
                 }
             },
-            PayloadKind::LoadExpert => match LoadExpertMsg::decode(&env.payload) {
+            PayloadKind::LoadExpert => match LoadExpertMsg::decode(env.payload) {
                 Ok(LoadExpertMsg::Offer {
                     expert: id,
                     manifest,
@@ -494,7 +497,7 @@ impl WorkerFsm {
                     None
                 }
             },
-            PayloadKind::LoadChunk => match LoadChunkMsg::decode(&env.payload) {
+            PayloadKind::LoadChunk => match LoadChunkMsg::decode(env.payload) {
                 Ok(msg) => {
                     self.stats.chunks_received += 1;
                     let ack = if self.attempt_is_dead(msg.expert, env.round) {
@@ -672,7 +675,7 @@ impl GatherFsm {
     /// for a well-formed current-round result set, folds it into the
     /// running argmin.
     pub fn step(&mut self, peer: usize, bytes: &[u8]) -> GatherVerdict {
-        let env = match Envelope::decode(bytes) {
+        let env = match EnvelopeRef::decode(bytes) {
             Ok(env) => env,
             Err(e @ NetError::Corrupt { .. }) => {
                 return if self.strict {
@@ -703,7 +706,7 @@ impl GatherFsm {
                 // A peer hosting migrated experts replies with a result
                 // *set*; a legacy single-matrix reply is attributed to
                 // the peer's own expert.
-                let sets = match decode_result_set(&env.payload, peer) {
+                let sets = match decode_result_set(env.payload, peer) {
                     Ok(sets) => sets,
                     Err(e) => {
                         return if self.strict {

@@ -120,6 +120,7 @@ impl LoadExpertMsg {
                 out.extend_from_slice(&expert.to_le_bytes());
                 let spec = serde_json::to_vec(&manifest.spec).unwrap_or_default();
                 assert!(spec.len() <= u32::MAX as usize, "spec json length");
+                // In range by the assert above. lint: allow(cast-truncate)
                 out.extend_from_slice(&(spec.len() as u32).to_le_bytes());
                 out.extend_from_slice(&spec);
                 out.extend_from_slice(&manifest.num_chunks.to_le_bytes());

@@ -35,10 +35,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::{decode_f32s, encode_f32s, encode_f32s_into};
 use teamnet_net::{
-    derive_trace_id, peek_trace, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy,
-    SystemClock, Tag, Transport, TRACE_EXT_LEN,
+    derive_trace_id, peek_trace, Backoff, Clock, Envelope, EnvelopeRef, NetError, PayloadKind,
+    RetryPolicy, SystemClock, Tag, Transport, ENVELOPE_HEADER_LEN, TRACE_EXT_LEN,
 };
 use teamnet_nn::{Layer, Mode, Sequential};
 use teamnet_obs::{AllocMeters, Counter, Obs};
@@ -417,7 +417,10 @@ pub fn serve_worker_with_config(
     expert: &mut Sequential,
     config: WorkerConfig,
 ) -> Result<WorkerStats, NetError> {
-    const POLL: Duration = Duration::from_millis(50);
+    /// How long an idle worker parks before re-arming its wait. Nothing
+    /// is timed by it: input, shutdown and transport close each wake the
+    /// wait directly.
+    const IDLE: Duration = Duration::from_secs(60);
     let obs = &config.obs;
     let me = transport.node_id();
     let c_rounds = obs.metrics.counter("worker.rounds_served");
@@ -427,9 +430,9 @@ pub fn serve_worker_with_config(
     let c_refused = obs.metrics.counter("worker.loads_refused");
     let m_alloc = AllocMeters::register(&obs.metrics, &format!("expert.{me}"));
     // All protocol decisions live in the pure state machine (DESIGN.md
-    // §15); this shell owns the transport, the shutdown poll, the model
-    // forwards/installs behind [`fsm::WorkerHooks`], and mirrors the
-    // FSM's counters into the live registry.
+    // §15); this shell owns the transport, the model forwards/installs
+    // behind [`fsm::WorkerHooks`], and mirrors the FSM's counters into
+    // the live registry.
     let mut machine = fsm::WorkerFsm::new(master, config.budget);
     let mut hooks = ServeHooks {
         me,
@@ -439,15 +442,12 @@ pub fn serve_worker_with_config(
         m_alloc: &m_alloc,
     };
     loop {
-        // Check for shutdown first so it cannot starve behind inputs.
-        match transport.recv(master, TAG_SHUTDOWN, Duration::from_millis(1)) {
-            Ok(_) => return Ok(machine.stats()),
-            Err(NetError::Timeout { .. }) => {}
-            Err(NetError::Closed) => return Ok(machine.stats()),
-            Err(e) => return Err(e),
-        }
-        let bytes = match transport.recv(master, TAG_INPUT, POLL) {
-            Ok(bytes) => bytes,
+        // One blocking wait covers both tags, so a round never pays a
+        // poll interval. Shutdown is listed first: whenever both are
+        // queued it wins, so it cannot starve behind inputs.
+        let bytes = match transport.recv_tags(master, &[TAG_SHUTDOWN, TAG_INPUT], IDLE) {
+            Ok((TAG_SHUTDOWN, _)) => return Ok(machine.stats()),
+            Ok((_, bytes)) => bytes,
             Err(NetError::Timeout { .. }) => continue,
             Err(NetError::Closed) => return Ok(machine.stats()),
             Err(e) => return Err(e),
@@ -798,19 +798,18 @@ impl InferenceSession {
         let mut plans: Vec<ContactPlan> = vec![ContactPlan::Skip; num_nodes];
         let mut sent: Vec<bool> = vec![false; num_nodes];
         // Untraced runs share one pre-encoded frame per kind —
-        // byte-identical to wire v1 and to the certified cost model.
-        // Traced runs re-encode per peer so each frame carries a
-        // [`TraceContext`] parented on that peer's `round.send` span
-        // (`with_trace`), making the worker's handling span a causal
+        // byte-identical to wire v1 and to the certified cost model. The
+        // batch goes from `f32`s to that frame in one pass (no
+        // intermediate payload buffer), and the transport writes it
+        // uncopied. Traced runs re-encode per peer, from a borrow of the
+        // shared frame's payload, so each frame carries a
+        // [`teamnet_net::TraceContext`] parented on that peer's
+        // `round.send` span, making the worker's handling span a causal
         // child of this round in the assembled cross-node DAG.
-        let input_env = Envelope::new(
-            round,
-            PayloadKind::Input,
-            encode_f32s(images.dims(), images.data()),
-        );
-        let probe_env = Envelope::new(round, PayloadKind::Probe, Vec::new());
-        let input_payload = input_env.encode();
-        let probe_payload = probe_env.encode();
+        let input_frame = Envelope::encode_with(round, PayloadKind::Input, None, |buf| {
+            encode_f32s_into(images.dims(), images.data(), buf);
+        });
+        let probe_frame = Envelope::new(round, PayloadKind::Probe, Vec::new()).encode();
         let t_broadcast = obs.tracer.now_ns();
         {
             let _broadcast_span = obs.span("round.broadcast", &[]);
@@ -819,9 +818,9 @@ impl InferenceSession {
                     continue;
                 }
                 let plan = self.detector.plan(peer);
-                let (env, shared, kind_name) = match plan {
-                    ContactPlan::Full => (&input_env, &input_payload, "input"),
-                    ContactPlan::Probe => (&probe_env, &probe_payload, "probe"),
+                let (shared, kind, kind_name) = match plan {
+                    ContactPlan::Full => (&input_frame, PayloadKind::Input, "input"),
+                    ContactPlan::Probe => (&probe_frame, PayloadKind::Probe, "probe"),
                     ContactPlan::Skip => {
                         if let Some(p) = plans.get_mut(peer) {
                             *p = plan;
@@ -838,7 +837,13 @@ impl InferenceSession {
                         ],
                     );
                     let ctx = obs.tracer.current_ctx(trace_id);
-                    let payload = env.clone().with_trace(ctx).encode();
+                    let payload = EnvelopeRef {
+                        round,
+                        kind,
+                        payload: shared.get(ENVELOPE_HEADER_LEN..).unwrap_or_default(),
+                        trace: Some(ctx),
+                    }
+                    .encode();
                     let (ok, retry_ns) =
                         self.send_retrying(transport, peer, &payload, round, send_deadline)?;
                     attr_retry_ns = attr_retry_ns.saturating_add(retry_ns);
@@ -1722,5 +1727,67 @@ mod tests {
             assert_eq!(stats.probes_answered, 1);
         })
         .unwrap();
+    }
+
+    #[test]
+    fn shutdown_preempts_already_queued_inputs() {
+        // Inputs are queued first and the shutdown last, all before the
+        // serve loop takes its first message: shutdown must still win.
+        let nodes = ChannelTransport::mesh(2);
+        let images = Tensor::full([1, 1, 28, 28], 0.5);
+        for round in 0..3 {
+            let input = Envelope::new(
+                round,
+                PayloadKind::Input,
+                encode_f32s(images.dims(), images.data()),
+            );
+            nodes[0].send(1, TAG_INPUT, &input.encode()).unwrap();
+        }
+        shutdown_workers(&nodes[0]).unwrap();
+        let mut worker_expert = expert(1);
+        let stats = serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+        assert_eq!(
+            stats,
+            WorkerStats::default(),
+            "an input ran before shutdown"
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_worker_without_a_poll_interval() {
+        // The worker parks in one wait on {shutdown, input}; a shutdown
+        // wakes it directly rather than at the end of a poll interval.
+        // Median of several workers, so one descheduled thread on a busy
+        // host does not decide the test.
+        let mut waits: Vec<Duration> = (0..9)
+            .map(|_| {
+                let nodes = ChannelTransport::mesh(2);
+                thread::scope(|scope| {
+                    let worker = scope.spawn(|_| {
+                        let mut worker_expert = expert(1);
+                        serve_worker(&nodes[1], 0, &mut worker_expert).unwrap()
+                    });
+                    // A served probe proves the loop is up; it goes back
+                    // to its wait right after replying.
+                    let probe = Envelope::new(1, PayloadKind::Probe, Vec::new());
+                    nodes[0].send(1, TAG_INPUT, &probe.encode()).unwrap();
+                    nodes[0]
+                        .recv(1, TAG_RESULT, Duration::from_secs(5))
+                        .unwrap();
+                    std::thread::sleep(Duration::from_millis(2));
+                    let begin = Instant::now();
+                    shutdown_workers(&nodes[0]).unwrap();
+                    let stats = worker.join().unwrap();
+                    assert_eq!(stats.probes_answered, 1);
+                    begin.elapsed()
+                })
+                .unwrap()
+            })
+            .collect();
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < Duration::from_millis(5),
+            "blocked workers took {waits:?} to see a shutdown"
+        );
     }
 }

@@ -7,8 +7,7 @@
 
 use crate::error::NetError;
 use crate::transport::{NodeId, Tag};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::Read;
+use std::io::{IoSlice, Read, Write};
 
 /// Upper bound on a single frame payload (guards against malformed length
 /// headers taking down a node).
@@ -18,34 +17,121 @@ pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
 pub const FRAME_HEADER_LEN: usize = 12;
 
 /// A decoded frame: `(source node, tag, payload)`.
-pub type Frame = (NodeId, Tag, Bytes);
+pub type Frame = (NodeId, Tag, Vec<u8>);
 
-/// Encodes a frame into a fresh buffer.
+/// Most a frame reader allocates on the strength of a length header
+/// alone: a header may *claim* [`MAX_FRAME_LEN`], but beyond this first
+/// chunk the buffer only grows as payload actually arrives, so a
+/// length-prefix bomb followed by silence or EOF costs 1 MiB, not
+/// 256 MiB. Sized so every frame the protocol sends in practice (a
+/// 64-row batch is ≈ 200 KB) is still read into one exact allocation.
+pub const READ_CHUNK: usize = 1024 * 1024;
+
+/// Writes `head` then `body` as one logical write: a single vectored
+/// syscall in the common case (so a header never leaves in its own TCP
+/// segment ahead of its payload), looping only on a short write.
+///
+/// # Errors
+///
+/// Propagates the writer's error; a writer that accepts zero bytes is
+/// [`std::io::ErrorKind::WriteZero`].
+pub fn write_all_vectored(
+    writer: &mut (impl Write + ?Sized),
+    mut head: &[u8],
+    mut body: &[u8],
+) -> std::io::Result<()> {
+    while !head.is_empty() || !body.is_empty() {
+        let n = match writer.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let from_head = n.min(head.len());
+        head = head.get(from_head..).unwrap_or_default();
+        body = body.get(n - from_head..).unwrap_or_default();
+    }
+    Ok(())
+}
+
+/// Reads exactly `len` bytes, growing the buffer with the bytes received
+/// (starting from at most [`READ_CHUNK`]) instead of trusting `len` with
+/// an up-front allocation. Also skips the zero-fill `vec![0; len]` pays.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::UnexpectedEof`] when the stream ends first.
+pub fn read_exact_bounded(
+    reader: &mut (impl Read + ?Sized),
+    len: usize,
+) -> std::io::Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    fill_bounded(reader, len, &mut buf)?;
+    Ok(buf)
+}
+
+/// [`read_exact_bounded`] into a caller-visible buffer, so the allocation
+/// bound can be asserted on the failure path too.
+fn fill_bounded(
+    reader: &mut (impl Read + ?Sized),
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    buf.reserve_exact(len.min(READ_CHUNK));
+    // `read_to_end` on a `Take` reads into spare capacity, grows the
+    // buffer only once it is full, and stops at the limit. usize → u64 is
+    // widening on every supported target.
+    let got = Read::take(&mut *reader, len as u64).read_to_end(buf)?;
+    if got < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
+}
+
+/// The 12-byte frame header `src | tag | len`.
 ///
 /// # Panics
 ///
-/// Panics if `src` does not fit the `u32` header field or the payload
-/// exceeds [`MAX_FRAME_LEN`] — both are sender-side programming errors
-/// that would otherwise truncate on the wire and mis-frame every byte
-/// that follows.
-pub fn encode_frame(src: NodeId, tag: Tag, payload: &[u8]) -> BytesMut {
+/// Panics if `src` does not fit the `u32` header field or `len` exceeds
+/// [`MAX_FRAME_LEN`] — both are sender-side programming errors that would
+/// otherwise truncate on the wire and mis-frame every byte that follows.
+pub fn frame_header(src: NodeId, tag: Tag, len: usize) -> [u8; FRAME_HEADER_LEN] {
     assert!(
         u32::try_from(src).is_ok(),
         "node id {src} does not fit the u32 frame header"
     );
     assert!(
-        payload.len() <= MAX_FRAME_LEN,
-        "payload of {} bytes exceeds MAX_FRAME_LEN",
-        payload.len()
+        len <= MAX_FRAME_LEN,
+        "payload of {len} bytes exceeds MAX_FRAME_LEN"
     );
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + payload.len());
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    let (src_field, rest) = header.split_at_mut(4);
+    let (tag_field, len_field) = rest.split_at_mut(4);
     // In range by the asserts above. lint: allow(cast-truncate)
-    buf.put_u32_le(src as u32);
-    buf.put_u32_le(tag.0);
+    src_field.copy_from_slice(&(src as u32).to_le_bytes());
+    tag_field.copy_from_slice(&tag.0.to_le_bytes());
     // MAX_FRAME_LEN < u32::MAX, asserted above. lint: allow(cast-truncate)
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload);
-    buf
+    len_field.copy_from_slice(&(len as u32).to_le_bytes());
+    header
+}
+
+/// Writes one frame — header plus the caller's payload, uncopied — as a
+/// single vectored write.
+///
+/// # Errors
+///
+/// Propagates the writer's error.
+///
+/// # Panics
+///
+/// As [`frame_header`].
+pub fn write_frame(
+    writer: &mut impl Write,
+    src: NodeId,
+    tag: Tag,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    write_all_vectored(writer, &frame_header(src, tag, payload.len()), payload)
 }
 
 /// Reads exactly one frame from a blocking reader.
@@ -74,25 +160,22 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, NetError> {
         }
         filled += n;
     }
-    let mut cursor = header.as_slice();
-    let src = cursor.get_u32_le() as NodeId;
-    let tag = Tag(cursor.get_u32_le());
-    let len = cursor.get_u32_le() as usize;
+    let [s0, s1, s2, s3, t0, t1, t2, t3, l0, l1, l2, l3] = header;
+    let src = u32::from_le_bytes([s0, s1, s2, s3]) as NodeId;
+    let tag = Tag(u32::from_le_bytes([t0, t1, t2, t3]));
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_LEN {
         return Err(NetError::Malformed(format!(
             "frame length {len} exceeds cap {MAX_FRAME_LEN}"
         )));
     }
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => {
-                NetError::Malformed(format!("eof inside {len}-byte payload"))
-            }
-            _ => NetError::Io(e),
-        })?;
-    Ok((src, tag, Bytes::from(payload)))
+    let payload = read_exact_bounded(reader, len).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => {
+            NetError::Malformed(format!("eof inside {len}-byte payload"))
+        }
+        _ => NetError::Io(e),
+    })?;
+    Ok((src, tag, payload))
 }
 
 /// Encodes a shaped `f32` buffer: `rank: u32 | dims: u32×rank | data`.
@@ -104,10 +187,24 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, NetError> {
 /// `u32` header field — each would otherwise truncate in the header and
 /// decode as a different shape.
 pub fn encode_f32s(dims: &[usize], data: &[f32]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_f32s_into(dims, data, &mut buf);
+    buf
+}
+
+/// [`encode_f32s`] appending to `buf` — lets a caller lay the tensor down
+/// directly behind a header it already wrote
+/// ([`crate::Envelope::encode_with`]) instead of encoding into a
+/// temporary and copying that.
+///
+/// # Panics
+///
+/// As [`encode_f32s`].
+pub fn encode_f32s_into(dims: &[usize], data: &[f32], buf: &mut Vec<u8>) {
     let volume: usize = dims.iter().product();
     assert_eq!(volume, data.len(), "data length must match dims volume");
     assert!(dims.len() <= 8, "rank {} exceeds decoder cap 8", dims.len());
-    let mut buf = Vec::with_capacity(4 + dims.len() * 4 + data.len() * 4);
+    buf.reserve(4 + dims.len() * 4 + data.len() * 4);
     // Rank ≤ 8, asserted above. lint: allow(cast-truncate)
     buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
     for &d in dims {
@@ -121,7 +218,6 @@ pub fn encode_f32s(dims: &[usize], data: &[f32]) -> Vec<u8> {
     for &x in data {
         buf.extend_from_slice(&x.to_le_bytes());
     }
-    buf
 }
 
 /// Decodes a buffer produced by [`encode_f32s`] into `(dims, data)`.
@@ -171,9 +267,16 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn frame(src: NodeId, tag: Tag, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, src, tag, payload).unwrap();
+        buf
+    }
+
     #[test]
     fn frame_roundtrip() {
-        let buf = encode_frame(3, Tag(99), b"payload");
+        let buf = frame(3, Tag(99), b"payload");
+        assert_eq!(buf.len(), FRAME_HEADER_LEN + 7);
         let (src, tag, payload) = read_frame(&mut Cursor::new(&buf[..])).unwrap();
         assert_eq!(src, 3);
         assert_eq!(tag, Tag(99));
@@ -181,32 +284,40 @@ mod tests {
     }
 
     #[test]
+    fn frame_wire_bytes_are_pinned() {
+        assert_eq!(
+            frame(3, Tag(0x7EA0_0001), b"hi"),
+            [3, 0, 0, 0, 0x01, 0x00, 0xA0, 0x7E, 2, 0, 0, 0, b'h', b'i']
+        );
+    }
+
+    #[test]
     fn consecutive_frames_parse_in_order() {
-        let mut buf = encode_frame(0, Tag(1), b"a");
-        buf.extend_from_slice(&encode_frame(1, Tag(2), b"bb"));
+        let mut buf = frame(0, Tag(1), b"a");
+        buf.extend_from_slice(&frame(1, Tag(2), b"bb"));
         let mut cursor = Cursor::new(&buf[..]);
-        assert_eq!(read_frame(&mut cursor).unwrap().2.as_ref(), b"a");
-        assert_eq!(read_frame(&mut cursor).unwrap().2.as_ref(), b"bb");
+        assert_eq!(read_frame(&mut cursor).unwrap().2, b"a");
+        assert_eq!(read_frame(&mut cursor).unwrap().2, b"bb");
         assert!(matches!(read_frame(&mut cursor), Err(NetError::Closed)));
     }
 
     #[test]
     fn truncated_header_is_malformed() {
-        let buf = encode_frame(0, Tag(1), b"abc");
+        let buf = frame(0, Tag(1), b"abc");
         let res = read_frame(&mut Cursor::new(&buf[..5]));
         assert!(matches!(res, Err(NetError::Malformed(_))), "{res:?}");
     }
 
     #[test]
     fn truncated_payload_is_malformed() {
-        let buf = encode_frame(0, Tag(1), b"abcdef");
+        let buf = frame(0, Tag(1), b"abcdef");
         let res = read_frame(&mut Cursor::new(&buf[..buf.len() - 2]));
         assert!(matches!(res, Err(NetError::Malformed(_))), "{res:?}");
     }
 
     #[test]
     fn oversized_length_rejected() {
-        let mut buf = encode_frame(0, Tag(1), b"");
+        let mut buf = frame(0, Tag(1), b"");
         // Overwrite the length field with a huge value.
         buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let res = read_frame(&mut Cursor::new(&buf[..]));
@@ -214,8 +325,83 @@ mod tests {
     }
 
     #[test]
+    fn length_prefix_bomb_is_a_typed_error_and_allocates_one_chunk() {
+        // A header claiming the maximum, then a few bytes, then EOF.
+        let mut wire = frame_header(0, Tag(1), MAX_FRAME_LEN).to_vec();
+        wire.extend_from_slice(&[0xAB; 100]);
+        let res = read_frame(&mut Cursor::new(&wire[..]));
+        assert!(matches!(res, Err(NetError::Malformed(_))), "{res:?}");
+        // The same read with the buffer visible: what it reserved on the
+        // header's word is one chunk, not the 256 MiB claimed.
+        let mut buf = Vec::new();
+        let err = fill_bounded(
+            &mut Cursor::new(&[0xABu8; 100][..]),
+            MAX_FRAME_LEN,
+            &mut buf,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf.len(), 100);
+        assert!(buf.capacity() <= READ_CHUNK, "reserved {}", buf.capacity());
+    }
+
+    #[test]
+    fn frames_larger_than_one_chunk_still_read_whole() {
+        let big: Vec<u8> = (0..2 * READ_CHUNK + 17).map(|i| (i % 251) as u8).collect();
+        let wire = frame(1, Tag(2), &big);
+        let (_, _, payload) = read_frame(&mut Cursor::new(&wire[..])).unwrap();
+        assert_eq!(payload, big);
+    }
+
+    /// Accepts at most `cap` bytes per call and counts the calls.
+    struct Dribble {
+        got: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl std::io::Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.cap);
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_write_survives_short_writes_at_every_boundary() {
+        let head = [1u8, 2, 3, 4, 5];
+        let body = [6u8, 7, 8, 9, 10, 11, 12];
+        for cap in 1..=13 {
+            let mut sink = Dribble {
+                got: Vec::new(),
+                cap,
+                calls: 0,
+            };
+            write_all_vectored(&mut sink, &head, &body).unwrap();
+            assert_eq!(
+                sink.got,
+                [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+                "cap {cap}"
+            );
+        }
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = Dribble {
+            got: Vec::new(),
+            cap: 0,
+            calls: 0,
+        };
+        let err = write_all_vectored(&mut stuck, &head, &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
     fn empty_payload_frame() {
-        let buf = encode_frame(1, Tag(0), b"");
+        let buf = frame(1, Tag(0), b"");
         let (_, _, payload) = read_frame(&mut Cursor::new(&buf[..])).unwrap();
         assert!(payload.is_empty());
     }
@@ -287,7 +473,7 @@ mod tests {
             let enveloped =
                 crate::envelope::Envelope::new(3, crate::envelope::PayloadKind::Input, payload)
                     .encode();
-            let framed = encode_frame(1, Tag(4), &enveloped);
+            let framed = frame(1, Tag(4), &enveloped);
             assert_eq!(
                 framed.len(),
                 12 + 16 + 4 + 4 * dims.len() + 4 * volume,

@@ -461,8 +461,13 @@ mod tests {
             }
             self.inner.send(to, tag, payload)
         }
-        fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
-            self.inner.recv(from, tag, timeout)
+        fn recv_tags(
+            &self,
+            from: NodeId,
+            tags: &[Tag],
+            timeout: Duration,
+        ) -> Result<(Tag, Vec<u8>), NetError> {
+            self.inner.recv_tags(from, tags, timeout)
         }
         fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
             self.inner.recv_any(tag, timeout)

@@ -23,6 +23,7 @@
 //! model (DESIGN.md §13) stays honest for untraced traffic. Unknown flag
 //! bits are rejected on decode — they are this header's versioning lane.
 
+use crate::crc::crc32;
 use crate::error::NetError;
 
 /// Current envelope wire version. Bumped on incompatible layout changes;
@@ -31,6 +32,9 @@ pub const ENVELOPE_VERSION: u16 = 1;
 
 /// Size of the fixed envelope header in bytes.
 pub const ENVELOPE_HEADER_LEN: usize = 16;
+
+/// Offset of the CRC field inside the header (it is the last field).
+const CRC_OFFSET: usize = ENVELOPE_HEADER_LEN - 4;
 
 /// Flags-byte bit marking the presence of a [`TraceContext`] extension
 /// between the header and the payload.
@@ -68,11 +72,12 @@ impl TraceContext {
         out
     }
 
-    fn from_wire(bytes: &[u8]) -> Option<Self> {
-        Some(TraceContext {
-            trace_id: u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?),
-            parent_span: u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?),
-        })
+    fn from_wire(bytes: &[u8; TRACE_EXT_LEN]) -> Self {
+        let [t0, t1, t2, t3, t4, t5, t6, t7, s0, s1, s2, s3, s4, s5, s6, s7] = *bytes;
+        TraceContext {
+            trace_id: u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]),
+            parent_span: u64::from_le_bytes([s0, s1, s2, s3, s4, s5, s6, s7]),
+        }
     }
 }
 
@@ -86,7 +91,8 @@ pub fn peek_trace(bytes: &[u8]) -> Option<TraceContext> {
     if version != ENVELOPE_VERSION || header.get(3)? & FLAG_TRACE == 0 {
         return None;
     }
-    TraceContext::from_wire(bytes.get(ENVELOPE_HEADER_LEN..ENVELOPE_HEADER_LEN + TRACE_EXT_LEN)?)
+    let ext = bytes.get(ENVELOPE_HEADER_LEN..)?.first_chunk()?;
+    Some(TraceContext::from_wire(ext))
 }
 
 /// Derives a trace id from a session seed and a session-local round
@@ -172,43 +178,97 @@ pub struct Envelope {
     pub trace: Option<TraceContext>,
 }
 
-impl Envelope {
-    /// Builds an envelope around `payload` for `round`.
-    pub fn new(round: u64, kind: PayloadKind, payload: Vec<u8>) -> Self {
-        Envelope {
+/// An [`Envelope`] whose payload borrows the received frame: what the
+/// protocol handlers parse, so a 200 KB input batch is checksummed in
+/// place and handed to the tensor decoder without an intermediate copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EnvelopeRef<'a> {
+    /// See [`Envelope::round`].
+    pub round: u64,
+    /// See [`Envelope::kind`].
+    pub kind: PayloadKind,
+    /// The checksum-verified payload, borrowed from the frame.
+    pub payload: &'a [u8],
+    /// See [`Envelope::trace`].
+    pub trace: Option<TraceContext>,
+}
+
+impl<'a> EnvelopeRef<'a> {
+    /// Parses and integrity-checks an envelope without copying its
+    /// payload. This is the only envelope parser; [`Envelope::decode`] is
+    /// this plus [`EnvelopeRef::to_owned`].
+    ///
+    /// # Errors
+    ///
+    /// * [`NetError::Malformed`] for a truncated header, an unknown
+    ///   version, an unknown payload kind, an unknown flag bit, or a
+    ///   flagged trace extension the frame is too short to carry;
+    /// * [`NetError::Corrupt`] when the CRC disagrees with the header (a
+    ///   flipped bit anywhere in the extension or payload).
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, NetError> {
+        let Some((header, body)) = bytes.split_first_chunk::<ENVELOPE_HEADER_LEN>() else {
+            return Err(NetError::Malformed(format!(
+                "envelope shorter than header: {} bytes",
+                bytes.len()
+            )));
+        };
+        let [v0, v1, kind, flags, r0, r1, r2, r3, r4, r5, r6, r7, c0, c1, c2, c3] = *header;
+        let version = u16::from_le_bytes([v0, v1]);
+        if version != ENVELOPE_VERSION {
+            return Err(NetError::Malformed(format!(
+                "envelope version {version}, this node speaks {ENVELOPE_VERSION}"
+            )));
+        }
+        let kind = PayloadKind::from_wire(kind)?;
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(NetError::Malformed(format!(
+                "envelope carries unknown flag bits {:#04x}",
+                flags & !KNOWN_FLAGS
+            )));
+        }
+        let round = u64::from_le_bytes([r0, r1, r2, r3, r4, r5, r6, r7]);
+        let expected = u32::from_le_bytes([c0, c1, c2, c3]);
+        // The CRC covers everything after the header — extension included
+        // — so corruption is caught before the extension is interpreted.
+        let got = crc32(body);
+        if got != expected {
+            return Err(NetError::Corrupt { expected, got });
+        }
+        let (trace, payload) = if flags & FLAG_TRACE != 0 {
+            let Some((ext, payload)) = body.split_first_chunk::<TRACE_EXT_LEN>() else {
+                return Err(NetError::Malformed(format!(
+                    "envelope flags a trace extension but carries {} body bytes",
+                    body.len()
+                )));
+            };
+            (Some(TraceContext::from_wire(ext)), payload)
+        } else {
+            (None, body)
+        };
+        Ok(EnvelopeRef {
             round,
             kind,
             payload,
-            trace: None,
-        }
+            trace,
+        })
     }
 
-    /// Attaches a trace context, consuming and returning the envelope so
-    /// send sites can stamp inline: `Envelope::new(..).with_trace(ctx)`.
-    #[must_use]
-    pub fn with_trace(mut self, ctx: TraceContext) -> Self {
-        self.trace = Some(ctx);
-        self
-    }
-
-    /// Serializes the envelope into a fresh buffer.
+    /// Serializes the envelope into a fresh buffer (one copy of the
+    /// payload).
     pub fn encode(&self) -> Vec<u8> {
-        let ext = self.trace.map(TraceContext::to_wire);
-        let ext_bytes = ext.as_ref().map(|e| e.as_slice()).unwrap_or_default();
-        let mut buf =
-            Vec::with_capacity(ENVELOPE_HEADER_LEN + ext_bytes.len() + self.payload.len());
-        buf.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-        buf.push(self.kind.to_wire());
-        buf.push(if ext.is_some() { FLAG_TRACE } else { 0 });
-        buf.extend_from_slice(&self.round.to_le_bytes());
-        let mut crc: u32 = !0;
-        for &b in ext_bytes.iter().chain(&self.payload) {
-            crc = crc32_step(crc, b);
+        Envelope::encode_with(self.round, self.kind, self.trace, |buf| {
+            buf.extend_from_slice(self.payload);
+        })
+    }
+
+    /// Copies the payload out into an owned [`Envelope`].
+    pub fn to_owned(&self) -> Envelope {
+        Envelope {
+            round: self.round,
+            kind: self.kind,
+            payload: self.payload.to_vec(),
+            trace: self.trace,
         }
-        buf.extend_from_slice(&(!crc).to_le_bytes());
-        buf.extend_from_slice(ext_bytes);
-        buf.extend_from_slice(&self.payload);
-        buf
     }
 
     /// Checks that this envelope belongs to the round the receiver is
@@ -229,101 +289,101 @@ impl Envelope {
             })
         }
     }
+}
 
-    /// Parses and integrity-checks an envelope.
+impl Envelope {
+    /// Builds an envelope around `payload` for `round`.
+    pub fn new(round: u64, kind: PayloadKind, payload: Vec<u8>) -> Self {
+        Envelope {
+            round,
+            kind,
+            payload,
+            trace: None,
+        }
+    }
+
+    /// The borrowed form of this envelope.
+    fn view(&self) -> EnvelopeRef<'_> {
+        EnvelopeRef {
+            round: self.round,
+            kind: self.kind,
+            payload: &self.payload,
+            trace: self.trace,
+        }
+    }
+
+    /// Serializes the envelope into a fresh buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
+    }
+
+    /// Serializes the envelope stamped with `ctx` (in place of whatever
+    /// [`Envelope::trace`] holds) straight from the borrow — the per-peer
+    /// traced broadcast encodes one batch K−1 times and must not clone it
+    /// K−1 times first.
+    pub fn encode_traced(&self, ctx: TraceContext) -> Vec<u8> {
+        EnvelopeRef {
+            trace: Some(ctx),
+            ..self.view()
+        }
+        .encode()
+    }
+
+    /// Serializes an envelope whose payload is produced in place: `fill`
+    /// appends the payload bytes directly behind the header (and trace
+    /// extension), then the CRC over what it wrote is patched into the
+    /// header. This is how a tensor goes from `f32`s to a sendable frame
+    /// in one pass ([`crate::codec::encode_f32s_into`]) instead of being
+    /// encoded into a payload buffer and copied into the envelope.
+    ///
+    /// # Panics
+    ///
+    /// If `fill` shortens the buffer it is handed: it may only append.
+    pub fn encode_with(
+        round: u64,
+        kind: PayloadKind,
+        trace: Option<TraceContext>,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(ENVELOPE_HEADER_LEN + TRACE_EXT_LEN);
+        buf.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
+        buf.push(kind.to_wire());
+        buf.push(if trace.is_some() { FLAG_TRACE } else { 0 });
+        buf.extend_from_slice(&round.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 4]); // CRC slot, patched below
+        if let Some(ctx) = trace {
+            buf.extend_from_slice(&ctx.to_wire());
+        }
+        let body_start = buf.len();
+        fill(&mut buf);
+        assert!(buf.len() >= body_start, "fill may only append");
+        let crc = crc32(buf.get(ENVELOPE_HEADER_LEN..).unwrap_or_default());
+        if let Some(slot) = buf.get_mut(CRC_OFFSET..ENVELOPE_HEADER_LEN) {
+            slot.copy_from_slice(&crc.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Parses and integrity-checks an envelope into an owned value; see
+    /// [`EnvelopeRef::decode`] for the error contract.
     ///
     /// # Errors
     ///
-    /// * [`NetError::Malformed`] for a truncated header, an unknown
-    ///   version, an unknown payload kind, an unknown flag bit, or a
-    ///   flagged trace extension the frame is too short to carry;
-    /// * [`NetError::Corrupt`] when the CRC disagrees with the header (a
-    ///   flipped bit anywhere in the extension or payload).
+    /// As [`EnvelopeRef::decode`].
     pub fn decode(bytes: &[u8]) -> Result<Envelope, NetError> {
-        let header = bytes.get(..ENVELOPE_HEADER_LEN).ok_or_else(|| {
-            NetError::Malformed(format!(
-                "envelope shorter than header: {} bytes",
-                bytes.len()
-            ))
-        })?;
-        let take = |at: usize, len: usize| header.get(at..at + len).unwrap_or_default();
-        let version = u16::from_le_bytes(take(0, 2).try_into().unwrap_or_default());
-        if version != ENVELOPE_VERSION {
-            return Err(NetError::Malformed(format!(
-                "envelope version {version}, this node speaks {ENVELOPE_VERSION}"
-            )));
-        }
-        let kind = PayloadKind::from_wire(header.get(2).copied().unwrap_or_default())?;
-        let flags = header.get(3).copied().unwrap_or_default();
-        if flags & !KNOWN_FLAGS != 0 {
-            return Err(NetError::Malformed(format!(
-                "envelope carries unknown flag bits {:#04x}",
-                flags & !KNOWN_FLAGS
-            )));
-        }
-        let round = u64::from_le_bytes(take(4, 8).try_into().unwrap_or_default());
-        let expected = u32::from_le_bytes(take(12, 4).try_into().unwrap_or_default());
-        // The CRC covers everything after the header — extension included
-        // — so corruption is caught before the extension is interpreted.
-        let body = bytes.get(ENVELOPE_HEADER_LEN..).unwrap_or_default();
-        let got = crc32(body);
-        if got != expected {
-            return Err(NetError::Corrupt { expected, got });
-        }
-        let (trace, payload) = if flags & FLAG_TRACE != 0 {
-            let ctx = body.get(..TRACE_EXT_LEN).and_then(TraceContext::from_wire);
-            match ctx {
-                Some(ctx) => (Some(ctx), body.get(TRACE_EXT_LEN..).unwrap_or_default()),
-                None => {
-                    return Err(NetError::Malformed(format!(
-                        "envelope flags a trace extension but carries {} body bytes",
-                        body.len()
-                    )))
-                }
-            }
-        } else {
-            (None, body)
-        };
-        Ok(Envelope {
-            round,
-            kind,
-            payload: payload.to_vec(),
-            trace,
-        })
+        EnvelopeRef::decode(bytes).map(|env| env.to_owned())
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the same
-/// checksum Ethernet and zlib use. Bitwise implementation: the payloads
-/// here are small enough that a lookup table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc = crc32_step(crc, b);
-    }
-    !crc
-}
-
-/// One byte of the CRC-32 state machine, for callers hashing
-/// non-contiguous regions without concatenating them first.
-fn crc32_step(mut crc: u32, b: u8) -> u32 {
-    crc ^= u32::from(b);
-    for _ in 0..8 {
-        let mask = (crc & 1).wrapping_neg();
-        crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-    }
-    crc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn traced(env: Envelope, ctx: TraceContext) -> Envelope {
+        Envelope {
+            trace: Some(ctx),
+            ..env
+        }
     }
 
     #[test]
@@ -379,7 +439,12 @@ mod tests {
 
     #[test]
     fn expect_round_rejects_other_rounds() {
-        let env = Envelope::new(41, PayloadKind::Result, Vec::new());
+        let env = EnvelopeRef {
+            round: 41,
+            kind: PayloadKind::Result,
+            payload: &[],
+            trace: None,
+        };
         assert!(env.expect_round(41).is_ok());
         let err = env.expect_round(42).unwrap_err();
         assert!(
@@ -433,12 +498,94 @@ mod tests {
     }
 
     #[test]
+    fn golden_wire_bytes_are_pinned() {
+        // Produced by an independent implementation (zlib's CRC-32 over
+        // the documented layout): the checksum routine and the encoder
+        // may be rewritten, the bytes on the wire may not move.
+        let untraced = Envelope::new(42, PayloadKind::Result, vec![1, 2, 3, 255]);
+        assert_eq!(
+            untraced.encode(),
+            [
+                0x01, 0x00, 0x01, 0x00, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0xD0,
+                0x53, 0x9C, 0x01, 0x02, 0x03, 0xFF
+            ]
+        );
+        let ctx = TraceContext {
+            trace_id: 0xDEAD_BEEF_CAFE_F00D,
+            parent_span: 31,
+        };
+        let traced = Envelope::new(9, PayloadKind::Input, vec![7; 3]);
+        assert_eq!(
+            traced.encode_traced(ctx),
+            [
+                0x01, 0x00, 0x00, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x27, 0x32,
+                0xD2, 0x20, 0x0D, 0xF0, 0xFE, 0xCA, 0xEF, 0xBE, 0xAD, 0xDE, 0x1F, 0x00, 0x00, 0x00,
+                0x00, 0x00, 0x00, 0x00, 0x07, 0x07, 0x07
+            ]
+        );
+    }
+
+    #[test]
+    fn every_encoder_produces_the_same_bytes() {
+        let ctx = TraceContext {
+            trace_id: 77,
+            parent_span: 5,
+        };
+        let env = Envelope::new(11, PayloadKind::Input, (0..=200u8).collect());
+        let stamped = Envelope {
+            trace: Some(ctx),
+            ..env.clone()
+        };
+        assert_eq!(env.encode_traced(ctx), stamped.encode());
+        // A stamp passed as an argument overrides one already attached.
+        let other = TraceContext {
+            trace_id: 1,
+            parent_span: 2,
+        };
+        assert_eq!(
+            stamped.encode_traced(other),
+            Envelope {
+                trace: Some(other),
+                ..env.clone()
+            }
+            .encode()
+        );
+        for trace in [None, Some(ctx)] {
+            let in_place = Envelope::encode_with(11, PayloadKind::Input, trace, |buf| {
+                buf.extend(0..=200u8);
+            });
+            let whole = Envelope {
+                trace,
+                ..env.clone()
+            };
+            assert_eq!(in_place, whole.encode());
+        }
+    }
+
+    #[test]
+    fn borrowing_decode_points_into_the_frame() {
+        let bytes = Envelope::new(3, PayloadKind::Input, vec![9; 64]).encode();
+        let env = EnvelopeRef::decode(&bytes).unwrap();
+        assert!(std::ptr::eq(
+            env.payload.as_ptr(),
+            bytes[ENVELOPE_HEADER_LEN..].as_ptr()
+        ));
+        assert_eq!(env.to_owned(), Envelope::decode(&bytes).unwrap());
+        assert_eq!(env.encode(), bytes);
+        assert!(env.expect_round(3).is_ok());
+        assert!(matches!(
+            env.expect_round(4),
+            Err(NetError::Stale { got: 3, current: 4 })
+        ));
+    }
+
+    #[test]
     fn traced_roundtrip() {
         let ctx = TraceContext {
             trace_id: 0xDEAD_BEEF_CAFE_F00D,
             parent_span: 31,
         };
-        let env = Envelope::new(9, PayloadKind::Input, vec![7; 11]).with_trace(ctx);
+        let env = traced(Envelope::new(9, PayloadKind::Input, vec![7; 11]), ctx);
         let bytes = env.encode();
         assert_eq!(bytes.len(), ENVELOPE_HEADER_LEN + TRACE_EXT_LEN + 11);
         let back = Envelope::decode(&bytes).unwrap();
@@ -453,7 +600,7 @@ mod tests {
             trace_id: 1,
             parent_span: 0,
         };
-        let env = Envelope::new(3, PayloadKind::Probe, Vec::new()).with_trace(ctx);
+        let env = traced(Envelope::new(3, PayloadKind::Probe, Vec::new()), ctx);
         assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
     }
 
@@ -473,9 +620,7 @@ mod tests {
             trace_id: 55,
             parent_span: 8,
         };
-        let mut bytes = Envelope::new(2, PayloadKind::Result, vec![4; 6])
-            .with_trace(ctx)
-            .encode();
+        let mut bytes = Envelope::new(2, PayloadKind::Result, vec![4; 6]).encode_traced(ctx);
         // Flip a bit inside the extension region, not the payload.
         bytes[ENVELOPE_HEADER_LEN + 2] ^= 0x01;
         assert!(matches!(
@@ -509,7 +654,7 @@ mod tests {
             trace_id: 12,
             parent_span: 34,
         };
-        let traced = Envelope::new(1, PayloadKind::Input, vec![5]).with_trace(ctx);
+        let traced = traced(Envelope::new(1, PayloadKind::Input, vec![5]), ctx);
         assert_eq!(peek_trace(&traced.encode()), Some(ctx));
         let plain = Envelope::new(1, PayloadKind::Input, vec![5]);
         assert_eq!(peek_trace(&plain.encode()), None);

@@ -44,6 +44,7 @@
 mod clock;
 pub mod codec;
 mod collective;
+mod crc;
 mod envelope;
 mod error;
 mod faults;
@@ -55,9 +56,10 @@ mod transport;
 
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use collective::{Communicator, COLLECTIVE_TAG_BASE};
+pub use crc::{crc32, Crc32};
 pub use envelope::{
-    crc32, derive_trace_id, peek_trace, Envelope, PayloadKind, TraceContext, ENVELOPE_HEADER_LEN,
-    ENVELOPE_VERSION, FLAG_TRACE, TRACE_EXT_LEN,
+    derive_trace_id, peek_trace, Envelope, EnvelopeRef, PayloadKind, TraceContext,
+    ENVELOPE_HEADER_LEN, ENVELOPE_VERSION, FLAG_TRACE, TRACE_EXT_LEN,
 };
 pub use error::NetError;
 pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate, LossyTransport};

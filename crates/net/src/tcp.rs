@@ -9,7 +9,7 @@
 //! deployments construct endpoints from explicit peer addresses with
 //! [`TcpTransport::connect_mesh`].
 
-use crate::codec::{encode_frame, read_frame};
+use crate::codec::{read_frame, write_frame};
 use crate::error::NetError;
 use crate::mailbox::Mailbox;
 use crate::transport::{NodeId, Tag, Transport, TransportStats};
@@ -46,7 +46,7 @@ fn spawn_reader(peer: NodeId, stream: TcpStream, mailbox: Arc<Mailbox>) -> Resul
                             // drop the connection.
                             break;
                         }
-                        mailbox.deliver(src, tag, payload.to_vec());
+                        mailbox.deliver(src, tag, payload);
                     }
                     Err(NetError::Closed) => break,
                     Err(_) => break, // malformed or I/O failure: drop the link
@@ -237,21 +237,27 @@ impl Transport for TcpTransport {
             self.mailbox.deliver(self.node_id, tag, payload.to_vec());
             return Ok(());
         }
-        let frame = encode_frame(self.node_id, tag, payload);
         let writer = self
             .writers
             .get(to)
             .and_then(Option::as_ref)
             .ok_or(NetError::UnknownPeer(to))?;
-        writer.lock().write_all(&frame)?;
+        // Header and the caller's payload leave as one vectored write:
+        // no per-peer copy of the payload into a frame buffer.
+        write_frame(&mut *writer.lock(), self.node_id, tag, payload)?;
         Ok(())
     }
 
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn recv_tags(
+        &self,
+        from: NodeId,
+        tags: &[Tag],
+        timeout: Duration,
+    ) -> Result<(Tag, Vec<u8>), NetError> {
         if from >= self.num_nodes {
             return Err(NetError::UnknownPeer(from));
         }
-        self.mailbox.recv(from, tag, timeout)
+        self.mailbox.recv_tags(from, tags, timeout)
     }
 
     fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {

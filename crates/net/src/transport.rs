@@ -61,14 +61,32 @@ pub trait Transport: Send + Sync {
     /// specific I/O errors otherwise.
     fn send(&self, to: NodeId, tag: Tag, payload: &[u8]) -> Result<(), NetError>;
 
-    /// Receives the next message from `from` under `tag`, waiting up to
-    /// `timeout`.
+    /// Receives the next message from `from` under **any** of `tags`,
+    /// waiting up to `timeout` in a single blocking wait, and returns it
+    /// with the tag it arrived under. When several tags have a message
+    /// queued the one listed first wins, so callers order `tags` by
+    /// priority (a worker lists its shutdown tag ahead of its input tag).
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] on deadline, [`NetError::Closed`] after
     /// shutdown.
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError>;
+    fn recv_tags(
+        &self,
+        from: NodeId,
+        tags: &[Tag],
+        timeout: Duration,
+    ) -> Result<(Tag, Vec<u8>), NetError>;
+
+    /// Receives the next message from `from` under `tag`: the one-tag
+    /// case of [`Transport::recv_tags`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv_tags`].
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.recv_tags(from, &[tag], timeout).map(|(_, msg)| msg)
+    }
 
     /// Receives the next message under `tag` from any sender.
     ///
@@ -163,11 +181,16 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn recv_tags(
+        &self,
+        from: NodeId,
+        tags: &[Tag],
+        timeout: Duration,
+    ) -> Result<(Tag, Vec<u8>), NetError> {
         if from >= self.num_nodes() {
             return Err(NetError::UnknownPeer(from));
         }
-        self.own_mailbox().recv(from, tag, timeout)
+        self.own_mailbox().recv_tags(from, tags, timeout)
     }
 
     fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {

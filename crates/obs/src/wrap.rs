@@ -70,7 +70,7 @@ impl<T: Transport> TracedTransport<T> {
         self.inner
     }
 
-    fn note_recv(&self, result: &Result<Vec<u8>, NetError>) {
+    fn note_recv<M>(&self, result: &Result<M, NetError>) {
         match result {
             Ok(_) => self.recv_messages.inc(),
             Err(NetError::Timeout { .. }) => self.recv_timeouts.inc(),
@@ -101,9 +101,14 @@ impl<T: Transport> Transport for TracedTransport<T> {
         result
     }
 
-    fn recv(&self, from: usize, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn recv_tags(
+        &self,
+        from: usize,
+        tags: &[Tag],
+        timeout: Duration,
+    ) -> Result<(Tag, Vec<u8>), NetError> {
         let _span = self.obs.span("net.recv", &[("peer", from as u64)]);
-        let result = self.inner.recv(from, tag, timeout);
+        let result = self.inner.recv_tags(from, tags, timeout);
         self.note_recv(&result);
         result
     }
@@ -111,11 +116,7 @@ impl<T: Transport> Transport for TracedTransport<T> {
     fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(usize, Vec<u8>), NetError> {
         let _span = self.obs.span("net.recv_any", &[]);
         let result = self.inner.recv_any(tag, timeout);
-        match &result {
-            Ok(_) => self.recv_messages.inc(),
-            Err(NetError::Timeout { .. }) => self.recv_timeouts.inc(),
-            Err(_) => self.recv_errors.inc(),
-        }
+        self.note_recv(&result);
         result
     }
 

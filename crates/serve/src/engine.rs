@@ -188,7 +188,28 @@ impl ServeHandle {
     /// [`ServeError::Overloaded`] when admission control refuses it,
     /// [`ServeError::Closed`] after shutdown.
     pub fn submit(&self, input: &Tensor) -> Result<Ticket, ServeError> {
-        let dims = input.dims();
+        self.admit(input.dims(), || input.data().to_vec())
+    }
+
+    /// [`ServeHandle::submit`] for a caller that is done with the tensor
+    /// (the TCP front, which decoded it off the wire for this one call):
+    /// the rows move into the queue instead of being copied into it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeHandle::submit`].
+    pub fn submit_owned(&self, input: Tensor) -> Result<Ticket, ServeError> {
+        let dims = input.dims().to_vec();
+        self.admit(&dims, || input.into_vec())
+    }
+
+    /// Validates and admits one request; `rows_data` is only called — and
+    /// so the rows are only copied or moved — once admission has passed.
+    fn admit(
+        &self,
+        dims: &[usize],
+        rows_data: impl FnOnce() -> Vec<f32>,
+    ) -> Result<Ticket, ServeError> {
         let (rows, features) = match dims.split_first() {
             Some((&rows, features)) => (rows, features),
             None => return Err(ServeError::Malformed("rank-0 request tensor".into())),
@@ -236,7 +257,7 @@ impl ServeHandle {
         st.requests.insert(
             id,
             QueuedRequest {
-                data: input.data().to_vec(),
+                data: rows_data(),
                 ticket: ticket.clone(),
             },
         );

@@ -17,7 +17,7 @@ use crate::wire::{
     write_serve_frame, write_serve_frame_traced, ServeMsgKind,
 };
 use parking_lot::Mutex;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,21 +25,33 @@ use std::time::Duration;
 use teamnet_core::TeamPrediction;
 use teamnet_net::codec::{decode_f32s, encode_f32s};
 use teamnet_net::{derive_trace_id, TraceContext};
+use teamnet_obs::Obs;
 use teamnet_tensor::Tensor;
 
-/// How often the non-blocking accept loop polls for the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Bound on one wake-up connection attempt in shutdown; loopback either
+/// connects or refuses in microseconds, so this only caps a pathology.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A running TCP listener feeding a [`ServeHandle`].
 ///
-/// Dropping (or [`TcpServeFront::shutdown`]) stops accepting, joins the
-/// accept thread, force-closes every accepted socket, then joins the
-/// connection threads. The force-close matters: a connection thread
-/// blocks in a frame read between requests, so without it shutdown
-/// would wait forever on any client that is connected but idle.
+/// The accept thread blocks in `accept` — a first connection is served
+/// the moment it arrives, not at the next tick of a poll. Dropping (or
+/// [`TcpServeFront::shutdown`]) sets the stop flag and wakes that thread
+/// with a throwaway connection to the front's own address, joins it,
+/// force-closes every accepted socket, then joins the connection
+/// threads. The force-close matters: a connection thread blocks in a
+/// frame read between requests, so without it shutdown would wait
+/// forever on any client that is connected but idle.
+///
+/// Should the wake-up connection fail, shutdown retries it once its own
+/// sockets are closed (descriptor exhaustion is the one plausible
+/// cause). If that fails too the accept thread is left parked rather
+/// than joined — it exits, releasing the port, on the next connection —
+/// and the `serve.front.accept_leaked` counter records it.
 #[derive(Debug)]
 pub struct TcpServeFront {
     addr: SocketAddr,
+    obs: Obs,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -59,9 +71,7 @@ impl TcpServeFront {
         let local = listener
             .local_addr()
             .map_err(|e| ServeError::Net(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Net(format!("set_nonblocking: {e}")))?;
+        let obs = handle.obs().clone();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let socks: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -70,29 +80,27 @@ impl TcpServeFront {
             let conns = Arc::clone(&conns);
             let socks = Arc::clone(&socks);
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            // Keep a duplicate handle so shutdown can
-                            // force-close the socket under a blocked read.
-                            if let Ok(dup) = stream.try_clone() {
-                                socks.lock().push(dup);
-                            }
-                            let handle = handle.clone();
-                            let worker =
-                                std::thread::spawn(move || handle_connection(stream, &handle));
-                            conns.lock().push(worker);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => break,
+                while let Ok((stream, _peer)) = listener.accept() {
+                    if stop.load(Ordering::SeqCst) {
+                        break; // the wake-up connection, or a client racing it
                     }
+                    // Replies are single small writes a client is blocked
+                    // on: never hold one back for Nagle coalescing.
+                    let _ = stream.set_nodelay(true);
+                    // Keep a duplicate handle so shutdown can force-close
+                    // the socket under a blocked read.
+                    if let Ok(dup) = stream.try_clone() {
+                        socks.lock().push(dup);
+                    }
+                    let handle = handle.clone();
+                    let worker = std::thread::spawn(move || handle_connection(stream, &handle));
+                    conns.lock().push(worker);
                 }
             })
         };
         Ok(TcpServeFront {
             addr: local,
+            obs,
             stop,
             accept: Some(accept),
             conns,
@@ -111,19 +119,47 @@ impl TcpServeFront {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        self.stop.store(true, Ordering::SeqCst);
+        let mut accept = self.accept.take();
+        // Normally one pass. The second is the retry of a failed wake-up,
+        // after the first pass has given this front's descriptors back.
+        for _ in 0..2 {
+            if let Some(thread) = accept.take() {
+                if self.wake_accept() {
+                    let _ = thread.join();
+                } else {
+                    accept = Some(thread);
+                }
+            }
+            // Unblock connection threads parked in a frame read: an idle
+            // client that never says goodbye must not wedge shutdown.
+            for sock in std::mem::take(&mut *self.socks.lock()) {
+                let _ = sock.shutdown(Shutdown::Both);
+            }
+            let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock());
+            for conn in conns {
+                let _ = conn.join();
+            }
+            if accept.is_none() {
+                return;
+            }
         }
-        // Unblock connection threads parked in a frame read: an idle
-        // client that never says goodbye must not wedge shutdown.
-        for sock in std::mem::take(&mut *self.socks.lock()) {
-            let _ = sock.shutdown(Shutdown::Both);
+        // Joining a thread that nothing will wake would hang shutdown.
+        self.obs.metrics.counter("serve.front.accept_leaked").inc();
+    }
+
+    /// The accept thread is parked in `accept`; a connection to our own
+    /// address is what wakes it to see the stop flag. A wildcard bind
+    /// listens on loopback too, so it is reached through that.
+    fn wake_accept(&self) -> bool {
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock());
-        for conn in conns {
-            let _ = conn.join();
-        }
+        TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok()
     }
 }
 
@@ -199,7 +235,7 @@ fn process_request(
         decode_f32s(payload).map_err(|e| ServeError::Malformed(format!("request tensor: {e}")))?;
     let tensor = Tensor::from_vec(data, dims)
         .map_err(|e| ServeError::Malformed(format!("request tensor: {e}")))?;
-    handle.submit(&tensor)?.wait()
+    handle.submit_owned(tensor)?.wait()
 }
 
 /// A blocking client for the framed TCP serving protocol: the quickstart
@@ -220,6 +256,11 @@ impl ServeClient {
     pub fn connect(addr: &SocketAddr) -> Result<ServeClient, ServeError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServeError::Net(format!("connect {addr}: {e}")))?;
+        // A request is one write the client then blocks on: Nagle has
+        // nothing to coalesce it with and must not delay it.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| ServeError::Net(format!("set_nodelay: {e}")))?;
         Ok(ServeClient {
             stream,
             next_id: 1,
@@ -289,6 +330,7 @@ mod tests {
     use super::*;
     use crate::batcher::BatcherConfig;
     use crate::engine::{ServeConfig, ServeEngine};
+    use std::time::Instant;
     use teamnet_core::runtime::{serve_worker, shutdown_workers, MasterConfig};
     use teamnet_net::ChannelTransport;
     use teamnet_nn::{ModelSpec, Sequential};
@@ -401,6 +443,99 @@ mod tests {
             shutdown_workers(&nodes[0]).unwrap();
         })
         .unwrap();
+    }
+
+    /// The accept thread blocks in `accept`; with no client ever
+    /// connecting, only shutdown's own wake-up connection can release it.
+    #[test]
+    fn shutdown_with_zero_clients_returns_promptly() {
+        let nodes = ChannelTransport::mesh(1);
+        let config = ServeConfig {
+            batch: BatcherConfig::default(),
+            input_dims: vec![1, 28, 28],
+            master: MasterConfig::default(),
+        };
+        let engine = ServeEngine::new(&nodes[0], expert(0), config);
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let front = TcpServeFront::bind(bind, engine.handle()).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let shutter = std::thread::spawn(move || {
+                let begin = Instant::now();
+                front.shutdown();
+                let _ = tx.send(begin.elapsed());
+            });
+            let took = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("shutdown of an idle front on {bind} wedged"));
+            shutter.join().unwrap();
+            assert!(took < Duration::from_secs(1), "{bind}: took {took:?}");
+        }
+        // Drop takes the same path.
+        drop(TcpServeFront::bind("127.0.0.1:0", engine.handle()).unwrap());
+    }
+
+    /// The wake-up connection failing must not hang shutdown or leak the
+    /// listener for good: shutdown returns, the counter says so, and the
+    /// parked accept thread releases the port on the next connection.
+    #[test]
+    fn shutdown_survives_a_failed_wake_up() {
+        let nodes = ChannelTransport::mesh(1);
+        let config = ServeConfig {
+            batch: BatcherConfig::default(),
+            input_dims: vec![1, 28, 28],
+            master: MasterConfig::default(),
+        };
+        let engine = ServeEngine::new(&nodes[0], expert(0), config);
+        let handle = engine.handle();
+        let mut front = TcpServeFront::bind("127.0.0.1:0", handle.clone()).unwrap();
+        let real = front.local_addr();
+        // Point the wake-up at a port nothing listens on (bound, read
+        // back, and released), so it is refused.
+        front.addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let leaked = handle.obs().metrics.counter("serve.front.accept_leaked");
+        let begin = Instant::now();
+        front.shutdown();
+        assert!(begin.elapsed() < Duration::from_secs(1));
+        assert_eq!(leaked.get(), 1);
+        // The next connection is what the parked thread wakes on: it sees
+        // the stop flag, drops the stream and the listener with it.
+        let mut stray = TcpStream::connect(real).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(std::io::Read::read(&mut stray, &mut byte).unwrap_or(0), 0);
+        let freed = (0..100).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            TcpListener::bind(real).is_ok()
+        });
+        assert!(freed, "accept thread still holds {real}");
+    }
+
+    /// A first connection is accepted when it arrives, not on the next
+    /// tick of an accept poll, and both ends of it run without Nagle.
+    #[test]
+    fn connections_are_nodelay_on_both_ends() {
+        let nodes = ChannelTransport::mesh(1);
+        let config = ServeConfig {
+            batch: BatcherConfig::default(),
+            input_dims: vec![1, 28, 28],
+            master: MasterConfig::default(),
+        };
+        let engine = ServeEngine::new(&nodes[0], expert(0), config);
+        let front = TcpServeFront::bind("127.0.0.1:0", engine.handle()).unwrap();
+        let client = ServeClient::connect(&front.local_addr()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+        // The accepted end is registered (with its option set) before the
+        // connection thread starts; wait for the registration.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while front.socks.lock().is_empty() {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            std::thread::yield_now();
+        }
+        assert!(front.socks.lock()[0].nodelay().unwrap());
+        drop(client);
+        front.shutdown();
     }
 
     #[test]

@@ -13,7 +13,8 @@
 use crate::error::ServeError;
 use std::io::{Read, Write};
 use teamnet_core::TeamPrediction;
-use teamnet_net::{crc32, TraceContext};
+use teamnet_net::codec::{read_exact_bounded, write_all_vectored};
+use teamnet_net::{Crc32, TraceContext};
 
 /// Frame magic: `b"TSRV"` little-endian, so a stray connection speaking
 /// the wrong protocol fails fast instead of mis-decoding.
@@ -73,14 +74,6 @@ impl ServeMsgKind {
     }
 }
 
-/// The trace extension bytes for `ctx`.
-fn trace_ext(ctx: TraceContext) -> [u8; SERVE_TRACE_EXT_LEN] {
-    let mut ext = [0u8; SERVE_TRACE_EXT_LEN];
-    ext[..8].copy_from_slice(&ctx.trace_id.to_le_bytes());
-    ext[8..].copy_from_slice(&ctx.parent_span.to_le_bytes());
-    ext
-}
-
 /// One decoded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeFrame {
@@ -93,6 +86,36 @@ pub struct ServeFrame {
     pub trace: Option<TraceContext>,
     /// Kind-specific payload bytes.
     pub payload: Vec<u8>,
+}
+
+/// Everything of a frame that precedes the payload — the 21-byte header
+/// and, when `trace` is given, the 16-byte extension — as one stack
+/// buffer plus its used length. Both the buffer-building encoder and the
+/// vectored writer start from this, so the layout exists once.
+fn frame_head(
+    kind: ServeMsgKind,
+    req_id: u64,
+    trace: Option<TraceContext>,
+    payload: &[u8],
+) -> ([u8; SERVE_HEADER_LEN + SERVE_TRACE_EXT_LEN], usize) {
+    let mut head = [0u8; SERVE_HEADER_LEN + SERVE_TRACE_EXT_LEN];
+    let mut used = SERVE_HEADER_LEN;
+    if let Some(ctx) = trace {
+        head[used..used + 8].copy_from_slice(&ctx.trace_id.to_le_bytes());
+        head[used + 8..used + 16].copy_from_slice(&ctx.parent_span.to_le_bytes());
+        used += SERVE_TRACE_EXT_LEN;
+    }
+    // The CRC covers the extension and the payload, hashed in place.
+    let crc = Crc32::new()
+        .update(&head[SERVE_HEADER_LEN..used])
+        .update(payload)
+        .finish();
+    head[..4].copy_from_slice(&SERVE_MAGIC.to_le_bytes());
+    head[4] = kind.to_byte() | if trace.is_some() { SERVE_TRACE_FLAG } else { 0 };
+    head[5..13].copy_from_slice(&req_id.to_le_bytes());
+    head[13..17].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[17..21].copy_from_slice(&crc.to_le_bytes());
+    (head, used)
 }
 
 /// Encodes one untraced frame (byte-identical to the pre-tracing
@@ -109,30 +132,9 @@ pub fn encode_serve_frame_traced(
     trace: Option<TraceContext>,
     payload: &[u8],
 ) -> Vec<u8> {
-    let ext = trace.map(trace_ext);
-    let ext_bytes = if ext.is_some() {
-        SERVE_TRACE_EXT_LEN
-    } else {
-        0
-    };
-    let mut out = Vec::with_capacity(SERVE_HEADER_LEN + ext_bytes + payload.len());
-    out.extend_from_slice(&SERVE_MAGIC.to_le_bytes());
-    out.push(kind.to_byte() | if ext.is_some() { SERVE_TRACE_FLAG } else { 0 });
-    out.extend_from_slice(&req_id.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = match &ext {
-        Some(ext) => {
-            let mut body = Vec::with_capacity(ext.len() + payload.len());
-            body.extend_from_slice(ext);
-            body.extend_from_slice(payload);
-            crc32(&body)
-        }
-        None => crc32(payload),
-    };
-    out.extend_from_slice(&crc.to_le_bytes());
-    if let Some(ext) = &ext {
-        out.extend_from_slice(ext);
-    }
+    let (head, used) = frame_head(kind, req_id, trace, payload);
+    let mut out = Vec::with_capacity(used + payload.len());
+    out.extend_from_slice(&head[..used]);
     out.extend_from_slice(payload);
     out
 }
@@ -152,6 +154,10 @@ pub fn write_serve_frame(
 }
 
 /// Writes one frame, stamping the trace extension when `trace` is given.
+/// Header and payload leave as a single vectored write: the payload is
+/// not copied into a frame buffer, and the header never travels in a
+/// segment of its own (which, on a socket without `TCP_NODELAY`, would
+/// park the payload behind the peer's delayed ACK).
 ///
 /// # Errors
 ///
@@ -163,15 +169,16 @@ pub fn write_serve_frame_traced(
     trace: Option<TraceContext>,
     payload: &[u8],
 ) -> Result<(), ServeError> {
-    let bytes = encode_serve_frame_traced(kind, req_id, trace, payload);
-    writer
-        .write_all(&bytes)
+    let (head, used) = frame_head(kind, req_id, trace, payload);
+    write_all_vectored(writer, &head[..used], payload)
         .and_then(|()| writer.flush())
         .map_err(|_| ServeError::Closed)
 }
 
 /// Reads one frame from a byte stream, validating magic, length bound
-/// and CRC before handing the payload out.
+/// and CRC before handing the payload out. The payload buffer grows with
+/// the bytes received ([`read_exact_bounded`]), so a header that merely
+/// *claims* [`MAX_SERVE_PAYLOAD`] costs one chunk of memory, not 16 MiB.
 ///
 /// # Errors
 ///
@@ -183,55 +190,37 @@ pub fn read_serve_frame(reader: &mut dyn Read) -> Result<ServeFrame, ServeError>
     reader
         .read_exact(&mut header)
         .map_err(|_| ServeError::Closed)?;
-    let word = |at: usize| -> u32 {
-        header
-            .get(at..at + 4)
-            .and_then(|b| b.try_into().ok())
-            .map(u32::from_le_bytes)
-            .unwrap_or(0)
-    };
-    if word(0) != SERVE_MAGIC {
+    let [m0, m1, m2, m3, raw_kind, i0, i1, i2, i3, i4, i5, i6, i7, l0, l1, l2, l3, c0, c1, c2, c3] =
+        header;
+    if u32::from_le_bytes([m0, m1, m2, m3]) != SERVE_MAGIC {
         return Err(ServeError::Malformed("bad frame magic".into()));
     }
-    let raw_kind = header.get(4).copied().unwrap_or(0);
     let traced = raw_kind & SERVE_TRACE_FLAG != 0;
     let kind = ServeMsgKind::from_byte(raw_kind & !SERVE_TRACE_FLAG)?;
-    let req_id = header
-        .get(5..13)
-        .and_then(|b| b.try_into().ok())
-        .map(u64::from_le_bytes)
-        .unwrap_or(0);
-    let len = word(13) as usize;
-    let crc = word(17);
+    let req_id = u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if len > MAX_SERVE_PAYLOAD {
         return Err(ServeError::Malformed(format!(
             "frame payload of {len} bytes exceeds the {MAX_SERVE_PAYLOAD}-byte bound"
         )));
     }
-    let mut ext = [0u8; SERVE_TRACE_EXT_LEN];
-    if traced {
+    let mut ext_buf = [0u8; SERVE_TRACE_EXT_LEN];
+    let ext: &[u8] = if traced {
         reader
-            .read_exact(&mut ext)
+            .read_exact(&mut ext_buf)
             .map_err(|_| ServeError::Closed)?;
-    }
-    let mut payload = vec![0u8; len];
-    reader
-        .read_exact(&mut payload)
-        .map_err(|_| ServeError::Closed)?;
-    let actual = if traced {
-        let mut body = Vec::with_capacity(SERVE_TRACE_EXT_LEN + len);
-        body.extend_from_slice(&ext);
-        body.extend_from_slice(&payload);
-        crc32(&body)
+        &ext_buf
     } else {
-        crc32(&payload)
+        &[]
     };
-    if actual != crc {
+    let payload = read_exact_bounded(reader, len).map_err(|_| ServeError::Closed)?;
+    if Crc32::new().update(ext).update(&payload).finish() != crc {
         return Err(ServeError::Malformed("frame crc mismatch".into()));
     }
-    let trace = traced.then(|| TraceContext {
-        trace_id: u64::from_le_bytes(ext[..8].try_into().unwrap_or_default()),
-        parent_span: u64::from_le_bytes(ext[8..].try_into().unwrap_or_default()),
+    let trace = ext.split_first_chunk::<8>().map(|(id, span)| TraceContext {
+        trace_id: u64::from_le_bytes(*id),
+        parent_span: u64::from_le_bytes(span.try_into().unwrap_or_default()),
     });
     Ok(ServeFrame {
         kind,
@@ -344,6 +333,62 @@ mod tests {
             encode_serve_frame_traced(ServeMsgKind::Request, 7, None, b"xyz"),
             encode_serve_frame(ServeMsgKind::Request, 7, b"xyz"),
         );
+    }
+
+    #[test]
+    fn golden_wire_bytes_are_pinned() {
+        // From an independent implementation (zlib's CRC-32 over the
+        // documented layout): encoder and checksum may be rewritten, the
+        // bytes a deployed client sends may not move.
+        let untraced = [
+            0x54, 0x53, 0x52, 0x56, 0x01, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,
+            0x00, 0x00, 0x00, 0x15, 0x6A, 0x2C, 0x42, 0x70, 0x61, 0x79, 0x6C, 0x6F, 0x61, 0x64,
+        ];
+        assert_eq!(
+            encode_serve_frame(ServeMsgKind::Request, 42, b"payload"),
+            untraced
+        );
+        let ctx = TraceContext {
+            trace_id: 0xDEAD_BEEF_0123_4567,
+            parent_span: 99,
+        };
+        let traced = [
+            0x54, 0x53, 0x52, 0x56, 0x82, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+            0x00, 0x00, 0x00, 0x41, 0xC2, 0xDF, 0xF1, 0x67, 0x45, 0x23, 0x01, 0xEF, 0xBE, 0xAD,
+            0xDE, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x78, 0x79, 0x7A,
+        ];
+        assert_eq!(
+            encode_serve_frame_traced(ServeMsgKind::Reply, 7, Some(ctx), b"xyz"),
+            traced
+        );
+        // The vectored writer puts the same bytes on a stream.
+        let mut stream = Vec::new();
+        write_serve_frame(&mut stream, ServeMsgKind::Request, 42, b"payload").unwrap();
+        assert_eq!(stream, untraced);
+        let mut stream = Vec::new();
+        write_serve_frame_traced(&mut stream, ServeMsgKind::Reply, 7, Some(ctx), b"xyz").unwrap();
+        assert_eq!(stream, traced);
+    }
+
+    #[test]
+    fn length_prefix_bomb_followed_by_eof_is_a_typed_error() {
+        // A header claiming the largest legal payload, then nothing: the
+        // reader must fail typed without having allocated 16 MiB on the
+        // header's word (the bound itself is asserted where the shared
+        // reader lives, `teamnet_net::codec`).
+        let mut bytes = encode_serve_frame(ServeMsgKind::Request, 1, b"");
+        bytes[13..17].copy_from_slice(&(MAX_SERVE_PAYLOAD as u32).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 64]);
+        assert!(matches!(
+            read_serve_frame(&mut bytes.as_slice()),
+            Err(ServeError::Closed)
+        ));
+        // One past the bound is rejected before any payload read.
+        bytes[13..17].copy_from_slice(&(MAX_SERVE_PAYLOAD as u32 + 1).to_le_bytes());
+        assert!(matches!(
+            read_serve_frame(&mut bytes.as_slice()),
+            Err(ServeError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! lines: a function that sends protocol frames
 //! (`transport.send(...)`, `write_serve_frame(...)`,
 //! `encode_serve_frame(...)`) must show evidence of trace attachment
-//! somewhere in its body — `with_trace(`, `encode_traced(`, a `_traced(`
+//! somewhere in its body — `encode_traced(`, a `_traced(`
 //! variant, `send_ctx(`, `current_ctx(` or `send_event(`.
 //!
 //! | exempt                       | why                                    |
@@ -32,8 +32,7 @@ const ANCHORS: [&str; 3] = [
 ];
 
 /// Evidence that the enclosing function attaches a trace context.
-const EVIDENCE: [&str; 6] = [
-    "with_trace(",
+const EVIDENCE: [&str; 5] = [
     "encode_traced(",
     "_traced(",
     "send_ctx(",
@@ -83,7 +82,7 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
                 rule: RULE,
                 message: format!(
                     "protocol frame sent without attaching a trace context; stamp it \
-                     (`with_trace` / `encode_traced` / a `_traced` frame writer) so the \
+                     (`encode_traced` / a `_traced` frame writer) so the \
                      receiver's spans stay connected in the assembled cross-node DAG: `{}`",
                     line.trim()
                 ),
@@ -129,7 +128,7 @@ mod tests {
         let diags = run(&[(
             "core",
             "crates/core/src/runtime.rs",
-            "fn shell(t: &dyn Transport) {\n    let ctx = obs.tracer.current_ctx(trace_id);\n    let payload = env.clone().with_trace(ctx).encode();\n    transport.send(peer, TAG_INPUT, &payload).unwrap();\n}\n",
+            "fn shell(t: &dyn Transport) {\n    let ctx = obs.tracer.current_ctx(trace_id);\n    let payload = env.encode_traced(ctx);\n    transport.send(peer, TAG_INPUT, &payload).unwrap();\n}\n",
         )]);
         assert!(diags.is_empty(), "{diags:?}");
     }

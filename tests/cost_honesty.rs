@@ -17,7 +17,7 @@
 //! counts the certificate prices must equal what `teamnet-net`'s real
 //! codec actually puts on the wire.
 
-use teamnet_net::codec::{encode_f32s, encode_frame};
+use teamnet_net::codec::{encode_f32s, write_frame};
 use teamnet_net::{Envelope, PayloadKind, Tag};
 use teamnet_nn::{expert_cost, ExpertCost, Layer, Mode, ModelSpec, WireModel};
 use teamnet_tensor::{force_sequential_scope, MemScope, Tensor};
@@ -102,6 +102,13 @@ fn certificates_are_byte_stable_across_recomputation() {
     let second = render(&paper_grid());
     assert!(!first.is_empty());
     assert_eq!(first, second);
+}
+
+/// What the TCP transport puts on the wire for one send.
+fn encode_frame(src: usize, tag: Tag, payload: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, src, tag, payload).expect("writing to a Vec cannot fail");
+    wire
 }
 
 #[test]
