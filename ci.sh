@@ -25,7 +25,9 @@
 #                         the pool determinism contract says both runs
 #                         must see bit-identical numerics
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
-#                         kernel, plus the JSON artifact plumbing)
+#                         kernel — the conv rows include an out-channel
+#                         block tail and a tile-column tail — plus the
+#                         JSON artifact plumbing)
 #   7b. serve-bench smoke (the serving front-end's batching win: the
 #                         binary itself asserts that sustained req/s at
 #                         the fixed p99 target is non-decreasing in the
@@ -57,10 +59,13 @@
 #                         correctness gate, not a timing gate: its own
 #                         unit tests; `--self-test`, which corrupts one
 #                         oracle reference and must see the run fail; and
-#                         one 3 s mlp_tcp_bulk run — real TCP front, real
-#                         mesh, every reply checked against the oracle —
-#                         that must exit 0. load_bench is a package of its
-#                         own, so nothing above builds or tests it)
+#                         two 3 s runs that must exit 0 with every reply
+#                         checked bit for bit against the oracle —
+#                         mlp_tcp_bulk (real TCP front, real mesh) and
+#                         cnn_round (SS-14 experts, so the conv tile
+#                         kernel is checked through a real round).
+#                         load_bench is a package of its own, so nothing
+#                         above builds or tests it)
 #
 # Opt-in stage (not part of the default gate):
 #   ./ci.sh tsan         runs the fault-tolerance, chaos-soak and
@@ -126,5 +131,7 @@ cargo test -q --release --offline --manifest-path load_bench/Cargo.toml
 # The self-test's inner run is *meant* to fail: its `error: failed_share`
 # line on stderr is followed by the verdict line on stdout.
 cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- --self-test
-cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
-    --workload mlp_tcp_bulk --seed 1 --seconds 3 --trace 0 >/dev/null
+for workload in mlp_tcp_bulk cnn_round; do
+    cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 >/dev/null
+done

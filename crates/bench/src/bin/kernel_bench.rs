@@ -5,8 +5,10 @@
 //! ```
 //!
 //! Times the three parallelized kernels — matmul (64³/256³/512³), conv2d
-//! forward + backward on Shake-Shake CIFAR shapes, and the per-expert
-//! team-forward fan-out at K=2/4 — at 1, 2 and 4 threads, and verifies
+//! forward + backward on Shake-Shake CIFAR shapes (two 8-image training
+//! batches, then SS-14's five distinct 3×3 convs at batch 1 — the traffic
+//! of one inference round), and the per-expert team-forward fan-out at
+//! K=2/4 — at 1, 2 and 4 threads, and verifies
 //! on every configuration that the parallel result is **bit-identical**
 //! to the sequential one (the determinism contract of
 //! `teamnet_tensor::pool`).
@@ -54,10 +56,13 @@ struct MatmulRow {
 struct ConvRow {
     input: Vec<usize>,
     weight: Vec<usize>,
+    stride: usize,
     threads: usize,
     iters: u32,
     timed: bool,
     forward_ms: Option<f64>,
+    /// Forward multiply–adds × 2 over `forward_ms`.
+    forward_gflops: Option<f64>,
     backward_ms: Option<f64>,
     bit_identical_to_seq: bool,
     forward_ns: Option<HistogramSnapshot>,
@@ -188,21 +193,26 @@ fn bench_matmul(
     rows
 }
 
+/// One conv workload: input dims, weight dims, stride (3×3 kernels,
+/// padding 1 throughout — the Shake-Shake branch convs).
+type ConvShape = (Vec<usize>, Vec<usize>, usize);
+
 fn bench_conv(
-    shapes: &[(Vec<usize>, Vec<usize>)],
+    shapes: &[ConvShape],
     iters: u32,
     time_cap: usize,
     metrics: &MetricsRegistry,
 ) -> Vec<ConvRow> {
-    let spec = Conv2dSpec::new(3, 1, 1);
     let mut rows = Vec::new();
-    for (in_dims, w_dims) in shapes {
+    for (in_dims, w_dims, stride) in shapes {
+        let spec = Conv2dSpec::new(3, *stride, 1);
         let mut rng = StdRng::seed_from_u64(in_dims.iter().sum::<usize>() as u64);
         let input = Tensor::randn(in_dims.clone(), 0.0, 1.0, &mut rng);
         let weight = Tensor::randn(w_dims.clone(), 0.0, 0.1, &mut rng);
         let bias = Tensor::randn([w_dims[0]], 0.0, 0.1, &mut rng);
         let seq = ParallelConfig::sequential();
         let fwd_ref = conv2d_with(&input, &weight, &bias, spec, seq);
+        let flops = 2.0 * (fwd_ref.len() * w_dims[1..].iter().product::<usize>()) as f64;
         let grad_out = Tensor::randn(fwd_ref.dims().to_vec(), 0.0, 1.0, &mut rng);
         let bwd_ref = conv2d_backward_with(&input, &weight, &grad_out, spec, seq);
         for threads in THREAD_COUNTS {
@@ -215,15 +225,17 @@ fn bench_conv(
                 && bits(&bwd.2) == bits(&bwd_ref.2);
             if threads > time_cap {
                 println!(
-                    "conv2d {in_dims:?} * {w_dims:?}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
+                    "conv2d {in_dims:?} * {w_dims:?} s{stride}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
                 );
                 rows.push(ConvRow {
                     input: in_dims.clone(),
                     weight: w_dims.clone(),
+                    stride: *stride,
                     threads,
                     iters: 0,
                     timed: false,
                     forward_ms: None,
+                    forward_gflops: None,
                     backward_ms: None,
                     bit_identical_to_seq: identical,
                     forward_ns: None,
@@ -231,7 +243,7 @@ fn bench_conv(
                 });
                 continue;
             }
-            let key = dims_key(in_dims);
+            let key = format!("{}.{}s{stride}", dims_key(in_dims), dims_key(w_dims));
             let fwd_hist = metrics.histogram(&format!("bench.conv2d.fwd.{key}.t{threads}.ns"));
             let bwd_hist = metrics.histogram(&format!("bench.conv2d.bwd.{key}.t{threads}.ns"));
             let forward_ms = time_iters(iters, &fwd_hist, || {
@@ -240,16 +252,19 @@ fn bench_conv(
             let backward_ms = time_iters(iters, &bwd_hist, || {
                 let _ = conv2d_backward_with(&input, &weight, &grad_out, spec, cfg);
             });
+            let forward_gflops = flops / (forward_ms * 1e6);
             println!(
-                "conv2d {in_dims:?} * {w_dims:?}  threads={threads}  fwd {forward_ms:8.3} ms  bwd {backward_ms:8.3} ms  bit-identical={identical}"
+                "conv2d {in_dims:?} * {w_dims:?} s{stride}  threads={threads}  fwd {forward_ms:8.3} ms ({forward_gflops:6.2} GFLOP/s)  bwd {backward_ms:8.3} ms  bit-identical={identical}"
             );
             rows.push(ConvRow {
                 input: in_dims.clone(),
                 weight: w_dims.clone(),
+                stride: *stride,
                 threads,
                 iters,
                 timed: true,
                 forward_ms: Some(forward_ms),
+                forward_gflops: Some(forward_gflops),
                 backward_ms: Some(backward_ms),
                 bit_identical_to_seq: identical,
                 forward_ns: Some(fwd_hist.snapshot()),
@@ -351,24 +366,44 @@ fn main() {
     }
     println!();
 
-    // Shake-Shake residual-branch shapes on CIFAR 32x32: the 16-channel
-    // full-resolution stage and the 32-channel half-resolution stage.
+    // Shake-Shake residual-branch shapes on CIFAR 32x32. Two 8-image
+    // batches (the 16-channel full-resolution stage and the 32-channel
+    // half-resolution stage), then the five distinct 3×3 convs of SS-14 at
+    // batch 1: what one image of an inference round runs through. The
+    // smoke shapes keep one row-block tail (`oc` odd) and one column tail
+    // (`oh·ow` not a multiple of the tile width) in the bit-identity check.
+    let conv = |input: [usize; 4], weight: [usize; 4], stride| -> ConvShape {
+        (input.to_vec(), weight.to_vec(), stride)
+    };
     let (matmul_sizes, conv_shapes, team_batch, team_iters): (Vec<usize>, Vec<_>, usize, u32) =
         if smoke {
-            (vec![64], vec![(vec![2, 8, 8, 8], vec![8, 8, 3, 3])], 4, 2)
+            (
+                vec![64],
+                vec![
+                    conv([2, 8, 8, 8], [8, 8, 3, 3], 1),
+                    conv([1, 3, 9, 9], [5, 3, 3, 3], 2),
+                ],
+                4,
+                2,
+            )
         } else {
             (
                 vec![64, 256, 512],
                 vec![
-                    (vec![8, 16, 32, 32], vec![16, 16, 3, 3]),
-                    (vec![8, 32, 16, 16], vec![32, 32, 3, 3]),
+                    conv([8, 16, 32, 32], [16, 16, 3, 3], 1),
+                    conv([8, 32, 16, 16], [32, 32, 3, 3], 1),
+                    conv([1, 3, 32, 32], [16, 3, 3, 3], 1),
+                    conv([1, 16, 32, 32], [16, 16, 3, 3], 1),
+                    conv([1, 16, 32, 32], [32, 16, 3, 3], 2),
+                    conv([1, 32, 16, 16], [32, 32, 3, 3], 1),
+                    conv([1, 64, 8, 8], [64, 64, 3, 3], 1),
                 ],
                 64,
                 10,
             )
         };
     let matmul_iters = if smoke { 2 } else { 5 };
-    let conv_iters = if smoke { 2 } else { 5 };
+    let conv_iters = if smoke { 2 } else { 20 };
 
     let null_span_ns_per_call = measure_null_span_overhead();
     println!("disabled span() overhead: {null_span_ns_per_call:.2} ns/call\n");

@@ -93,12 +93,7 @@ impl Layer for BatchNorm2d {
             self.channels,
             "BatchNorm2d channel mismatch"
         );
-        let (n, c, h, w) = (
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        );
+        let (c, hw) = (input.dims()[1], input.dims()[2] * input.dims()[3]);
 
         let (mean, var) = match mode {
             Mode::Train => {
@@ -113,37 +108,41 @@ impl Layer for BatchNorm2d {
             }
             Mode::Eval => (self.running_mean.clone(), self.running_var.clone()),
         };
-
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
-        // The x̂ buffer only exists to serve backward(): eval-mode forward
-        // skips it so inference matches the static cost model's allocation
-        // schedule (DESIGN.md §13).
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+
+        // One pass over per-(sample, channel) planes with the channel's
+        // four scalars hoisted. The x̂ buffer only exists to serve
+        // backward(): eval-mode forward neither allocates nor writes it, so
+        // inference matches the static cost model's allocation schedule
+        // (DESIGN.md §13). Both modes evaluate the same two expressions per
+        // element, so they round identically.
+        let mut out = Vec::with_capacity(input.len());
         let mut normalized = match mode {
-            Mode::Train => Some(input.clone()),
-            Mode::Eval => None,
+            Mode::Train => Vec::with_capacity(input.len()),
+            Mode::Eval => Vec::new(),
         };
-        let mut out = input.clone();
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * h * w;
-                let (m, is) = (mean[ch], inv_std[ch]);
-                let (g, b) = (self.gamma.value.data()[ch], self.beta.value.data()[ch]);
-                for i in base..base + h * w {
-                    let xn = (input.data()[i] - m) * is;
-                    if let Some(normalized) = normalized.as_mut() {
-                        normalized.data_mut()[i] = xn;
-                    }
-                    out.data_mut()[i] = g * xn + b;
+        for (plane, x) in input.data().chunks_exact(hw.max(1)).enumerate() {
+            let ch = plane % c;
+            let (m, is, g, b) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+            match mode {
+                Mode::Train => {
+                    normalized.extend(x.iter().map(|&v| (v - m) * is));
+                    out.extend(normalized[plane * hw..].iter().map(|&xn| g * xn + b));
                 }
+                Mode::Eval => out.extend(x.iter().map(|&v| g * ((v - m) * is) + b)),
             }
         }
-        if let Some(normalized) = normalized {
+        if mode == Mode::Train {
+            // One x̂ per input element. lint: allow(no-expect)
+            let normalized = Tensor::from_vec(normalized, input.shape().clone()).expect("x̂ volume");
             self.cache = Some(BnCache {
                 normalized,
                 inv_std,
             });
         }
-        out
+        // One output per input element. lint: allow(no-expect)
+        Tensor::from_vec(out, input.shape().clone()).expect("output volume")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

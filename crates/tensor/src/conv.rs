@@ -4,14 +4,17 @@
 //! These are free functions rather than `Tensor` methods because they take
 //! several configuration parameters; the [`Conv2dSpec`] struct groups them.
 //!
-//! The convolution forward pass partitions its output by (sample ×
-//! out-channel) tiles across scoped threads, and the backward pass
-//! computes per-sample partial gradients in parallel then merges them on
-//! the calling thread in sample order. Both follow the determinism
-//! contract of [`crate::pool`]: results are bit-identical at every
-//! thread count.
+//! The convolution forward pass unfolds one sample at a time into an
+//! im2col matrix `[ic·k², oh·ow]` (row-span copies, see `unfold_into`)
+//! and multiplies the weight matrix into it through the register-tiled
+//! micro-kernel of the `gemm` module, one `MR`-row block of out-channels
+//! at a time; (sample × out-channel block) units are what it hands out
+//! to scoped threads. The backward pass computes per-sample partial
+//! gradients in parallel then merges them on the calling thread in
+//! sample order. Both follow the determinism contract of [`crate::pool`]:
+//! results are bit-identical at every thread count.
 
-use crate::linalg::matmul_rows;
+use crate::gemm::{rows_times_matrix, MR};
 use crate::pool::{self, ParallelConfig, PAR_MIN_WORK};
 use crate::tensor::Tensor;
 
@@ -60,34 +63,69 @@ impl Conv2dSpec {
     }
 }
 
-/// Unfolds one `[c, h, w]` image into an im2col matrix
-/// `[c*k*k, oh*ow]` so convolution becomes a matmul.
-fn im2col(img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Tensor {
+/// The output positions `lo..hi` along one axis whose input coordinate
+/// `o·stride + offset − padding` falls inside `0..input`; every other
+/// position reads the zero padding.
+fn in_bounds_span(
+    outputs: usize,
+    input: usize,
+    offset: usize,
+    spec: Conv2dSpec,
+) -> std::ops::Range<usize> {
+    let lo = spec.padding.saturating_sub(offset).div_ceil(spec.stride);
+    let hi = (input + spec.padding)
+        .saturating_sub(offset)
+        .div_ceil(spec.stride)
+        .min(outputs);
+    lo.min(hi)..hi
+}
+
+/// Unfolds one `[c, h, w]` image into `cols`, an im2col matrix
+/// `[c*k*k, oh*ow]`, so convolution becomes a matmul.
+///
+/// Each (matrix row, output row) pair is one contiguous span of an input
+/// row: a `copy_from_slice` at stride 1, a strided gather otherwise, with
+/// no per-element bounds test. Only in-bounds positions are written, and
+/// which positions those are depends on the geometry alone — so `cols`
+/// must come in with zeros at the padding positions, and a buffer that
+/// started as all zeros can be refilled for the next sample as is.
+fn unfold_into(cols: &mut [f32], img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) {
     let (oh, ow) = (spec.out_size(h), spec.out_size(w));
     let k = spec.kernel;
-    let mut cols = vec![0.0f32; c * k * k * oh * ow];
-    let col_w = oh * ow;
+    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
     for ch in 0..c {
         for ky in 0..k {
+            let ys = in_bounds_span(oh, h, ky, spec);
             for kx in 0..k {
+                let xs = in_bounds_span(ow, w, kx, spec);
+                if xs.is_empty() {
+                    continue;
+                }
                 let row = (ch * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            img[(ch * h + iy as usize) * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        cols[row * col_w + oy * ow + ox] = v;
+                let ix0 = xs.start * spec.stride + kx - spec.padding;
+                for oy in ys.clone() {
+                    let iy = oy * spec.stride + ky - spec.padding;
+                    let src = &img[(ch * h + iy) * w + ix0..(ch * h + iy + 1) * w];
+                    let dst = &mut cols[(row * oh + oy) * ow..][xs.clone()];
+                    if spec.stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(spec.stride)) {
+                            *d = v;
+                        }
                     }
                 }
             }
         }
     }
-    // `cols` was allocated as c*k*k * col_w zeros. lint: allow(no-expect)
-    Tensor::from_vec(cols, [c * k * k, col_w]).expect("im2col volume by construction")
+}
+
+/// [`unfold_into`] a fresh `[c*k*k, oh*ow]` tensor.
+fn im2col(img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Tensor {
+    let k = spec.kernel;
+    let mut cols = Tensor::zeros([c * k * k, spec.out_size(h) * spec.out_size(w)]);
+    unfold_into(cols.data_mut(), img, c, h, w, spec);
+    cols
 }
 
 /// Inverse scatter of [`im2col`]: accumulates a `[c*k*k, oh*ow]` gradient
@@ -129,7 +167,7 @@ fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Vec<
 /// * `bias`: `[oc]`
 ///
 /// Returns `[n, oc, oh, ow]`. Large convolutions are partitioned by
-/// (sample × out-channel) tiles across the process default
+/// (sample × out-channel block) units across the process default
 /// [`ParallelConfig`]; outputs are bit-identical at every thread count.
 ///
 /// # Panics
@@ -141,7 +179,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: Conv2dSpec) 
         weight,
         bias,
         spec,
-        default_conv_config(input, weight),
+        default_conv_config(input, weight, spec),
     )
 }
 
@@ -181,52 +219,59 @@ pub fn conv2d_with(
     let in_data = input.data();
     let img_len = ic * h * w;
 
-    // Each (sample, out-channel) tile is a contiguous `oh*ow` block of the
-    // output; a worker unfolds a sample's im2col matrix once (tiles are
-    // handed out in order, so consecutive tiles usually share a sample)
-    // and runs the shared row kernel for its channel, matching the
-    // sequential `w_mat × cols` element order exactly.
+    // A unit is one sample's block of up to MR consecutive out-channels: a
+    // contiguous `rows·oh·ow` stretch of the output, short when it is the
+    // `oc % MR` tail. Block boundaries never depend on the thread count,
+    // so an output element is always computed by the same tile or edge
+    // path. A worker allocates one im2col workspace — which is what the
+    // static cost model certifies — and refills it whenever its units move
+    // on to the next sample.
+    let blocks = oc.div_ceil(MR);
+    let block_rows = |u: usize| {
+        let ch = u % blocks * MR;
+        ch..(ch + MR).min(oc)
+    };
     let mut out = vec![0.0f32; n * oc * tile];
-    pool::partitioned(&mut out, n * oc, cfg.threads(), |range, block| {
-        let mut cached: Option<(usize, Tensor, bool)> = None;
-        for (bi, u) in range.enumerate() {
-            let (s, ch) = (u / oc, u % oc);
-            if cached.as_ref().map(|c| c.0) != Some(s) {
-                // Release the previous sample's unfold before building the
-                // next: at most one im2col matrix is live per worker, which
-                // is what the static cost model certifies.
-                drop(cached.take());
-                let cols = im2col(&in_data[s * img_len..(s + 1) * img_len], ic, h, w, spec);
-                let finite = cols.data().iter().all(|x| x.is_finite());
-                cached = Some((s, cols, finite));
+    pool::partitioned_by(
+        &mut out,
+        n * blocks,
+        |u| block_rows(u).len() * tile,
+        cfg.threads(),
+        |range, mut block| {
+            if range.is_empty() {
+                return;
             }
-            let Some((_, cols, cols_finite)) = cached.as_ref() else {
-                unreachable!()
-            };
-            let tile_out = &mut block[bi * tile..(bi + 1) * tile];
-            matmul_rows(
-                w_data,
-                cols.data(),
-                ckk,
-                tile,
-                *cols_finite,
-                ch..ch + 1,
-                tile_out,
-            );
-            let b = b_data[ch];
-            for o in tile_out {
-                *o += b;
+            let mut cols = Tensor::zeros([ckk, tile]);
+            let mut unfolded = None;
+            for u in range {
+                let (s, rows) = (u / blocks, block_rows(u));
+                if unfolded != Some(s) {
+                    let img = &in_data[s * img_len..(s + 1) * img_len];
+                    unfold_into(cols.data_mut(), img, ic, h, w, spec);
+                    unfolded = Some(s);
+                }
+                let (unit_out, rest) = std::mem::take(&mut block).split_at_mut(rows.len() * tile);
+                block = rest;
+                rows_times_matrix(
+                    &w_data[rows.start * ckk..rows.end * ckk],
+                    cols.data(),
+                    ckk,
+                    tile,
+                    &b_data[rows],
+                    unit_out,
+                );
             }
-        }
-    });
+        },
+    );
     Tensor::from_parts([n, oc, oh, ow], out)
 }
 
 /// The default thread configuration for a convolution: parallel only when
-/// the multiply–add count clears the [`PAR_MIN_WORK`] threshold.
-fn default_conv_config(input: &Tensor, weight: &Tensor) -> ParallelConfig {
-    if input.rank() == 4 && weight.rank() == 4 {
-        let work = input.len() * weight.dims()[0] * weight.dims()[2] * weight.dims()[3];
+/// the multiply–add count `n·oc·oh·ow·ic·k²` clears the [`PAR_MIN_WORK`]
+/// threshold.
+fn default_conv_config(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> ParallelConfig {
+    if let (&[n, _, h, w], &[oc, ic, kh, kw]) = (input.dims(), weight.dims()) {
+        let work = n * oc * spec.out_size(h) * spec.out_size(w) * ic * kh * kw;
         if work >= PAR_MIN_WORK {
             return ParallelConfig::default();
         }
@@ -256,7 +301,7 @@ pub fn conv2d_backward(
         weight,
         grad_out,
         spec,
-        default_conv_config(input, weight),
+        default_conv_config(input, weight, spec),
     )
 }
 
@@ -369,21 +414,21 @@ pub fn avg_pool2d(input: &Tensor, window: usize) -> Tensor {
     assert_eq!(w % window, 0, "width {w} not divisible by window {window}");
     let (oh, ow) = (h / window, w / window);
     let scale = 1.0 / (window * window) as f32;
+    // One (sample, channel) plane at a time; within a window the rows are
+    // added top to bottom and left to right.
     let mut out = vec![0.0f32; n * c * oh * ow];
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            let obase = (s * c + ch) * oh * ow;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for dy in 0..window {
-                        for dx in 0..window {
-                            acc += input.data()[base + (oy * window + dy) * w + ox * window + dx];
-                        }
+    let planes = input.data().chunks_exact((h * w).max(1));
+    for (plane, out_plane) in planes.zip(out.chunks_exact_mut((oh * ow).max(1))) {
+        for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            let rows = &plane[oy * window * w..(oy + 1) * window * w];
+            for (ox, o) in out_row.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for row in rows.chunks_exact(w) {
+                    for &v in &row[ox * window..(ox + 1) * window] {
+                        acc += v;
                     }
-                    out[obase + oy * ow + ox] = acc * scale;
                 }
+                *o = acc * scale;
             }
         }
     }
@@ -452,14 +497,11 @@ pub fn global_avg_pool(input: &Tensor) -> Tensor {
         input.dims()[3],
     );
     let scale = 1.0 / (h * w) as f32;
-    let mut out = Vec::with_capacity(n * c);
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * h * w;
-            out.push(input.data()[base..base + h * w].iter().sum::<f32>() * scale);
-        }
-    }
-    // The loop pushes exactly n * c means. lint: allow(no-expect)
+    let (data, hw) = (input.data(), h * w);
+    let out: Vec<f32> = (0..n * c)
+        .map(|plane| data[plane * hw..(plane + 1) * hw].iter().sum::<f32>() * scale)
+        .collect();
+    // One mean per (sample, channel) plane. lint: allow(no-expect)
     Tensor::from_vec(out, [n, c]).expect("global_avg_pool volume")
 }
 
@@ -483,6 +525,228 @@ pub fn global_avg_pool_backward(grad_out: &Tensor, h: usize, w: usize) -> Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::matmul_rows;
+    use proptest::prelude::*;
+
+    /// The unfold [`unfold_into`] replaced: a coordinate computation, two
+    /// bounds tests and a select per element. Kept as the oracle.
+    fn im2col_per_element(img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Vec<f32> {
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let k = spec.kernel;
+        let mut cols = vec![0.0f32; c * k * k * oh * ow];
+        let col_w = oh * ow;
+        for ch in 0..c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (ch * k + ky) * k + kx;
+                    for oy in 0..oh {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                            let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                img[(ch * h + iy as usize) * w + ix as usize]
+                            } else {
+                                0.0
+                            };
+                            cols[row * col_w + oy * ow + ox] = v;
+                        }
+                    }
+                }
+            }
+        }
+        cols
+    }
+
+    /// The forward kernel the tile kernel replaced, kept as the oracle of
+    /// the differential test: per-element unfold, a finiteness scan to arm
+    /// the zero-skip, one `matmul_rows` call per out-channel, then a bias
+    /// pass.
+    fn conv2d_per_channel(
+        input: &Tensor,
+        weight: &Tensor,
+        bias: &Tensor,
+        spec: Conv2dSpec,
+    ) -> Tensor {
+        let &[n, ic, h, w] = input.dims() else {
+            unreachable!()
+        };
+        let oc = weight.dims()[0];
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let (ckk, tile, img_len) = (ic * spec.kernel * spec.kernel, oh * ow, ic * h * w);
+        let mut out = vec![0.0f32; n * oc * tile];
+        for s in 0..n {
+            let img = &input.data()[s * img_len..(s + 1) * img_len];
+            let cols = im2col_per_element(img, ic, h, w, spec);
+            let finite = cols.iter().all(|x| x.is_finite());
+            for ch in 0..oc {
+                let tile_out = &mut out[(s * oc + ch) * tile..(s * oc + ch + 1) * tile];
+                matmul_rows(
+                    weight.data(),
+                    &cols,
+                    ckk,
+                    tile,
+                    finite,
+                    ch..ch + 1,
+                    tile_out,
+                );
+                for o in tile_out {
+                    *o += bias.data()[ch];
+                }
+            }
+        }
+        Tensor::from_parts([n, oc, oh, ow], out)
+    }
+
+    /// Bit patterns, with every NaN mapped to one pattern: which of two
+    /// NaN operands an addition propagates (sign and payload) is left to
+    /// the implementation by IEEE-754 and to the code generator by Rust,
+    /// so it may differ between two kernels that round identically.
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Seeded values with the IEEE specials — `0.0`, `−0.0`, a subnormal,
+    /// NaN, `±∞` — salted in: often enough that the zero-skip and the
+    /// non-finite paths of the old kernel are both taken.
+    fn salted(dims: &[usize], seed: u64) -> Tensor {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = Tensor::rand_uniform(dims.to_vec(), -2.0, 2.0, &mut rng);
+        // Half the seeds stay finite, so the old kernel's skip is armed.
+        let specials = seed % 2 == 1;
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match (i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 23 {
+                0 | 1 => *v = 0.0,
+                2 => *v = -0.0,
+                3 => *v = 1e-41,
+                4 if specials => *v = f32::NAN,
+                5 if specials => *v = f32::INFINITY,
+                6 if specials => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The tile kernel against the kernel it replaced, bit for bit, on
+        /// every geometry class and tail case (`oc < MR`, `oc % MR ≠ 0`,
+        /// `oh·ow < NR`, `oh·ow % NR ≠ 0`), at every thread count.
+        #[test]
+        fn tile_forward_is_bit_identical_to_the_per_channel_kernel(
+            (ki, stride, padding) in (0usize..4, 1usize..4, 0usize..3),
+            (n, ic, oc) in (0usize..4, 1usize..4, 1usize..6),
+            (h, w) in (1usize..10, 1usize..10),
+            seed in 0u64..100_000,
+        ) {
+            let kernel = [1, 2, 3, 5][ki];
+            let spec = Conv2dSpec::new(kernel, stride, padding);
+            let fit = kernel.saturating_sub(2 * padding).max(1);
+            let (h, w) = (h.max(fit), w.max(fit));
+            let input = salted(&[n, ic, h, w], seed);
+            let weight = salted(&[oc, ic, kernel, kernel], seed.wrapping_add(1));
+            let bias = salted(&[oc], seed.wrapping_add(2));
+
+            let want = conv2d_per_channel(&input, &weight, &bias, spec);
+            for threads in [1, 2, 3, 4, 8] {
+                let got = conv2d_with(&input, &weight, &bias, spec, ParallelConfig::with_threads(threads));
+                prop_assert_eq!(got.dims(), want.dims());
+                prop_assert!(bits(&got) == bits(&want), "threads={threads}: {got:?} vs {want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_forward_matches_on_the_shake_shake_shapes() {
+        // (ic, oc, hw, kernel, stride, padding): every distinct conv of
+        // SS-14, shortcuts included. Finite data, so no NaN is mapped.
+        for (ic, oc, hw, kernel, stride, padding) in [
+            (3, 16, 32, 3, 1, 1),
+            (16, 16, 32, 3, 1, 1),
+            (16, 32, 32, 3, 2, 1),
+            (16, 32, 32, 1, 2, 0),
+            (32, 32, 16, 3, 1, 1),
+            (32, 64, 16, 3, 2, 1),
+            (32, 64, 16, 1, 2, 0),
+            (64, 64, 8, 3, 1, 1),
+        ] {
+            use rand::{rngs::StdRng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(hw as u64 + oc as u64);
+            let spec = Conv2dSpec::new(kernel, stride, padding);
+            let input = Tensor::randn([1, ic, hw, hw], 0.0, 1.0, &mut rng);
+            let weight = Tensor::randn([oc, ic, kernel, kernel], 0.0, 0.2, &mut rng);
+            let bias = Tensor::randn([oc], 0.0, 0.2, &mut rng);
+            let want = conv2d_per_channel(&input, &weight, &bias, spec);
+            for threads in [1, 2] {
+                let got = conv2d_with(
+                    &input,
+                    &weight,
+                    &bias,
+                    spec,
+                    ParallelConfig::with_threads(threads),
+                );
+                let raw = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    raw(&got),
+                    raw(&want),
+                    "{ic}->{oc} @{hw} k{kernel} s{stride}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn span_unfold_equals_the_per_element_unfold() {
+        for kernel in [1, 2, 3, 5] {
+            for stride in 1..=3 {
+                for padding in 0..=2 {
+                    let spec = Conv2dSpec::new(kernel, stride, padding);
+                    let fit = kernel.saturating_sub(2 * padding).max(1);
+                    for (c, h, w) in [(1, fit, fit), (2, fit + 1, fit + 4), (3, 7, 5), (1, 9, 9)] {
+                        let (h, w) = (h.max(fit), w.max(fit));
+                        // No zero in the image: a padding position that got
+                        // written, or an in-bounds one that did not, shows.
+                        let img: Vec<f32> = (0..c * h * w).map(|i| 1.0 + i as f32).collect();
+                        let got = im2col(&img, c, h, w, spec);
+                        let want = im2col_per_element(&img, c, h, w, spec);
+                        assert_eq!(
+                            got.data(),
+                            &want[..],
+                            "k{kernel} s{stride} p{padding} {c}x{h}x{w}"
+                        );
+                        // Refilling a used workspace leaves no stale cell.
+                        let mut again = got.clone();
+                        let next: Vec<f32> = img.iter().map(|v| -v).collect();
+                        unfold_into(again.data_mut(), &next, c, h, w, spec);
+                        assert_eq!(again.data(), &im2col_per_element(&next, c, h, w, spec)[..]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_config_counts_the_multiply_adds_a_strided_conv_performs() {
+        // Needs a parallel default to tell the two sides apart.
+        if ParallelConfig::default().is_sequential() {
+            return;
+        }
+        let spec = Conv2dSpec::new(3, 2, 1);
+        let weight = Tensor::zeros([8, 4, 3, 3]);
+        // n·oc·oh·ow·ic·k² = 8·oh·ow·36: 16×16 → 8×8 outputs is 18 432
+        // multiply–adds (the old input-sized count read 73 728 and fanned
+        // out); 30×30 → 15×15 is 64 800, one step under the threshold;
+        // 32×32 → 16×16 is 73 728, over it.
+        for (hw, parallel) in [(16, false), (30, false), (32, true)] {
+            let cfg = default_conv_config(&Tensor::zeros([1, 4, hw, hw]), &weight, spec);
+            assert_eq!(!cfg.is_sequential(), parallel, "hw={hw}");
+        }
+    }
 
     #[test]
     fn out_size_formula() {

@@ -29,6 +29,7 @@
 mod autograd;
 pub mod conv;
 mod error;
+mod gemm;
 mod init;
 mod linalg;
 mod memtrack;

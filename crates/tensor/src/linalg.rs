@@ -8,6 +8,14 @@
 //! thread count, so results are bit-identical at every `TEAMNET_THREADS`
 //! setting.
 //!
+//! `matmul` keeps the plain row kernel ([`matmul_rows`]) and its
+//! zero-skip on purpose: its inference traffic is single-row products
+//! (no second row to tile over) and sparse left operands — MNIST pixels,
+//! one-hot gates — where skipping a whole row of the right operand pays.
+//! The convolution forward, whose weights are dense, goes through the
+//! register-tiled kernel in [`crate::gemm`] instead; both produce the
+//! same bits for the same operands.
+//!
 //! Every operation comes in two forms: a `try_*` entry point returning
 //! `Result<_, TensorError>` for callers that validate untrusted shapes,
 //! and a thin panicking wrapper for the hot internal paths where a shape
@@ -41,8 +49,8 @@ fn shape_mismatch(op: &'static str, left: &Tensor, right: &Tensor) -> TensorErro
 }
 
 /// The row-block matmul kernel shared by the sequential and parallel
-/// paths: computes output rows `rows` of `a × b` into `out` (which holds
-/// exactly those rows). `rhs_finite` gates the `aik == 0.0` sparsity
+/// paths: accumulates output rows `rows` of `a × b` into `out` (which
+/// holds exactly those rows and comes in zeroed). `rhs_finite` gates the `aik == 0.0` sparsity
 /// skip: skipping a zero row is only sound when every element of `b` is
 /// finite, because IEEE-754 defines `0.0 × NaN` and `0.0 × ∞` as NaN —
 /// a non-finite right operand must poison the accumulator, not vanish.

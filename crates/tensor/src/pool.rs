@@ -1,13 +1,14 @@
 //! Deterministic scoped-thread parallelism for the numeric kernels.
 //!
 //! Every helper here follows one **determinism contract**: work is split
-//! into *units* (matrix rows, conv tiles, experts), each worker owns a
-//! disjoint, contiguous block of units, and the per-element instruction
-//! sequence inside a unit is byte-for-byte the one the sequential kernel
-//! executes. Partitioning therefore never changes *what* is computed —
-//! only *who* computes it — and outputs are bit-identical at every thread
-//! count. Cross-unit reductions (e.g. conv weight gradients) are merged
-//! on the calling thread in unit order for the same reason.
+//! into *units* (matrix rows, conv out-channel blocks, experts), each
+//! worker owns a disjoint, contiguous block of units, and the per-element
+//! instruction sequence inside a unit is byte-for-byte the one the
+//! sequential kernel executes. Partitioning therefore never changes
+//! *what* is computed — only *who* computes it — and outputs are
+//! bit-identical at every thread count. Cross-unit reductions (e.g. conv
+//! weight gradients) are merged on the calling thread in unit order for
+//! the same reason.
 //!
 //! Thread count comes from a [`ParallelConfig`]: the `TEAMNET_THREADS`
 //! environment variable when set, otherwise
@@ -145,9 +146,9 @@ impl Default for ParallelConfig {
 /// `threads > 1`.
 ///
 /// `out.len()` must be a multiple of `units`; each unit is
-/// `out.len() / units` consecutive elements (a matrix row, a conv tile).
-/// With `threads <= 1`, zero-length units, or fewer than two units, this
-/// is exactly `f(0..units, out)` on the calling thread — the sequential
+/// `out.len() / units` consecutive elements (a matrix row). With
+/// `threads <= 1`, zero-length units, or fewer than two units, this is
+/// exactly `f(0..units, out)` on the calling thread — the sequential
 /// code path. Workers receive contiguous unit ranges in order, so the
 /// element at unit `u` is always written by the same per-unit code
 /// regardless of thread count.
@@ -157,14 +158,29 @@ pub fn partitioned(
     threads: usize,
     f: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
+    debug_assert!(
+        units == 0 || out.len() % units == 0,
+        "out length must divide into units"
+    );
+    let unit_len = out.len().checked_div(units).unwrap_or(0);
+    partitioned_by(out, units, |_| unit_len, threads, f);
+}
+
+/// [`partitioned`] for units of unequal length: unit `u` owns the next
+/// `unit_len(u)` elements of `out`, and the lengths must sum to
+/// `out.len()` (the conv forward's out-channel blocks, whose last block
+/// per sample is short when the channel count is not a multiple of the
+/// block height). Same contract otherwise: each worker gets a contiguous
+/// range of whole units and the slice that holds exactly those units.
+pub fn partitioned_by(
+    out: &mut [f32],
+    units: usize,
+    unit_len: impl Fn(usize) -> usize,
+    threads: usize,
+    f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
     let threads = threads.min(units).max(1);
-    if units == 0 || threads <= 1 {
-        f(0..units, out);
-        return;
-    }
-    debug_assert_eq!(out.len() % units, 0, "out length must divide into units");
-    let unit_len = out.len() / units;
-    if unit_len == 0 {
+    if threads <= 1 || out.is_empty() {
         f(0..units, out);
         return;
     }
@@ -173,15 +189,17 @@ pub fn partitioned(
     // scratch tensors stay visible to allocation accounting.
     let collectors = memtrack::collector_stack();
     std::thread::scope(|s| {
-        for (ci, block) in out.chunks_mut(per * unit_len).enumerate() {
+        let mut rest = out;
+        for start in (0..units).step_by(per) {
+            let range = start..(start + per).min(units);
+            let len: usize = range.clone().map(&unit_len).sum();
+            let (block, tail) = rest.split_at_mut(len);
+            rest = tail;
             let f = &f;
-            let start = ci * per;
-            let n_units = block.len() / unit_len;
             let collectors = collectors.clone();
-            s.spawn(move || {
-                memtrack::with_collector_stack(collectors, || f(start..start + n_units, block))
-            });
+            s.spawn(move || memtrack::with_collector_stack(collectors, || f(range, block)));
         }
+        debug_assert!(rest.is_empty(), "unit lengths must sum to out.len()");
     });
 }
 
@@ -291,6 +309,32 @@ mod tests {
             });
             let expect: Vec<f32> = (0..units)
                 .flat_map(|u| std::iter::repeat_n(1.0 + u as f32, unit_len))
+                .collect();
+            assert_eq!(out, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn partitioned_by_hands_each_worker_exactly_its_ragged_units() {
+        // Unit u owns u % 3 elements (so every third unit is empty).
+        let unit_len = |u: usize| u % 3;
+        let units = 11;
+        let total: usize = (0..units).map(unit_len).sum();
+        for threads in [1, 2, 3, 4, 7, 16] {
+            let mut out = vec![0.0f32; total];
+            partitioned_by(&mut out, units, unit_len, threads, |range, block| {
+                let want: usize = range.clone().map(unit_len).sum();
+                assert_eq!(block.len(), want, "block holds exactly its units");
+                let mut at = 0;
+                for u in range {
+                    for x in &mut block[at..at + unit_len(u)] {
+                        *x += 1.0 + u as f32;
+                    }
+                    at += unit_len(u);
+                }
+            });
+            let expect: Vec<f32> = (0..units)
+                .flat_map(|u| std::iter::repeat_n(1.0 + u as f32, unit_len(u)))
                 .collect();
             assert_eq!(out, expect, "threads={threads}");
         }

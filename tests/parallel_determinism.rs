@@ -152,3 +152,50 @@ fn zero_times_nan_poisons_output_at_every_thread_count() {
         assert_eq!(c.at(&[1, 1]), 7.0, "finite column is unaffected");
     }
 }
+
+/// The conv forward hands out blocks of two consecutive out-channels and
+/// runs 16-column register tiles inside them. Five out-channels over a
+/// 9×7 output (63 columns) leave a one-channel block and a 15-column
+/// edge in every sample, the 3-image batch makes worker boundaries fall
+/// inside a sample at 2, 3 and 4 threads, and the operands carry zeros,
+/// NaN and ±∞. An output element is computed by the same tile or edge
+/// code wherever the boundaries fall, so even the NaN bit patterns must
+/// agree.
+#[test]
+fn conv2d_with_ragged_blocks_is_bit_identical_across_thread_counts() {
+    let spec = Conv2dSpec::new(3, 2, 1);
+    // Sparse specials: dense enough to reach every tile and edge path,
+    // sparse enough that most receptive fields stay finite.
+    let salted = |dims: [usize; 4], seed: u64| {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut t = Tensor::rand_uniform(dims, -2.0, 2.0, &mut StdRng::seed_from_u64(seed));
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match i % 211 {
+                0 | 97 => *v = 0.0,
+                13 => *v = f32::NAN,
+                101 => *v = f32::INFINITY,
+                173 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        t
+    };
+    let input = salted([3, 4, 17, 13], 7);
+    let weight = salted([5, 4, 3, 3], 8);
+    let bias = Tensor::from_vec(vec![0.5, -0.0, 1.0, f32::NAN, -2.0], [5]).expect("volume");
+
+    let reference = conv2d_with(&input, &weight, &bias, spec, ParallelConfig::sequential());
+    assert_eq!(reference.dims(), &[3, 5, 9, 7]);
+    assert!(reference.data().iter().any(|x| x.is_nan()));
+    assert!(reference.data().iter().any(|x| x.is_finite()));
+    for threads in [2, 3, 4, 8, 16] {
+        let out = conv2d_with(
+            &input,
+            &weight,
+            &bias,
+            spec,
+            ParallelConfig::with_threads(threads),
+        );
+        assert_eq!(bits(&out), bits(&reference), "threads={threads}");
+    }
+}
