@@ -30,6 +30,14 @@ fn expert(seed: u64) -> Sequential {
     build_expert(&ModelSpec::mlp(2, 16), seed)
 }
 
+/// FNV-1a-64: pins a transcript across *builds*, where comparing two runs
+/// of one build only pins it across runs.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Runs a short traced 3-node soak and returns `(jsonl_trace,
 /// metrics_summary, report_summaries)`.
 ///
@@ -103,6 +111,29 @@ fn identical_seeded_soaks_emit_byte_identical_traces_and_metrics() {
     assert_eq!(trace_a, trace_b, "seeded trace diverged between runs");
     assert_eq!(metrics_a, metrics_b, "seeded metrics diverged between runs");
     assert_eq!(reports_a, reports_b, "report summaries diverged");
+
+    // Pinned across builds too. The allocation meters are left out: what
+    // a forward allocates depends on the kernel thread count.
+    let metrics_pinned: String = metrics_a
+        .lines()
+        .filter(|l| !(l.contains(" expert.") && l.contains(".alloc_")))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert_eq!(
+        fnv1a64(&trace_a),
+        0x8CBF_BF94_FB85_8BB0,
+        "trace JSONL moved"
+    );
+    assert_eq!(
+        fnv1a64(&metrics_pinned),
+        0xB617_4476_57C6_FCB5,
+        "metrics summary moved"
+    );
+    assert_eq!(
+        fnv1a64(&reports_a),
+        0xF8AD_3E38_5E28_8EDC,
+        "report transcript moved"
+    );
 
     // The trace actually covers the protocol: every structural span the
     // runtime emits shows up, 12 rounds' worth.

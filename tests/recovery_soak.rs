@@ -39,6 +39,14 @@ fn expert(seed: u64) -> Sequential {
     build_expert(&ModelSpec::mlp(2, 16), seed)
 }
 
+/// FNV-1a-64: pins the transcript across *builds*, where comparing two
+/// runs of one build only pins it across runs.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 fn chaos(node_seed: u64) -> ChaosConfig {
     // No reorder-delays: with drops, corruption and duplicates the retry
     // and staleness paths are all exercised while outcomes stay purely
@@ -207,4 +215,9 @@ fn identical_seeds_replay_the_migration_byte_for_byte() {
     assert!(first.contains("recovery: migrations=1"), "{first}");
     assert!(first.contains("final:"), "{first}");
     assert_eq!(first, second, "seeded recovery soak diverged between runs");
+    assert_eq!(
+        fnv1a64(&first),
+        0x7648_44F9_2AB9_B0D4,
+        "recovery transcript moved"
+    );
 }

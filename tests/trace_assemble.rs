@@ -31,6 +31,14 @@ fn expert(seed: u64) -> Sequential {
     build_expert(&ModelSpec::mlp(2, 16), seed)
 }
 
+/// FNV-1a-64: pins the per-node traces across *builds*, where comparing
+/// two runs of one build only pins them across runs.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Runs a clean (chaos-free) 3-node soak where *every* node records its
 /// own trace over a pinned ManualClock; returns the three JSONL texts.
 fn traced_cluster() -> Vec<(u64, String)> {
@@ -149,6 +157,16 @@ fn identical_seeds_assemble_byte_identically() {
             "node {node_a} trace diverged between identical seeded runs"
         );
     }
+    let digests: Vec<u64> = a.iter().map(|(_, text)| fnv1a64(text)).collect();
+    assert_eq!(
+        digests,
+        [
+            0x9844_C08D_BB4A_541D,
+            0x6C54_E748_6D0A_9A01,
+            0x7B03_E967_A6F7_7837
+        ],
+        "per-node trace JSONL moved"
+    );
     let asm_a = assemble(&a).unwrap();
     let asm_b = assemble(&b).unwrap();
     assert_eq!(asm_a.render_dag(), asm_b.render_dag());
