@@ -59,13 +59,15 @@
 #                         correctness gate, not a timing gate: its own
 #                         unit tests; `--self-test`, which corrupts one
 #                         oracle reference and must see the run fail; and
-#                         two 3 s runs that must exit 0 with every reply
-#                         checked bit for bit against the oracle —
-#                         mlp_tcp_bulk (real TCP front, real mesh) and
-#                         cnn_round (SS-14 experts, so the conv tile
-#                         kernel is checked through a real round).
-#                         load_bench is a package of its own, so nothing
-#                         above builds or tests it)
+#                         one 3 s run of each of the four workloads, which
+#                         must exit 0 with every reply checked bit for bit
+#                         against the oracle — mlp_tcp_trickle (the
+#                         deadline trigger), mlp_open_3200 (the in-process
+#                         front), mlp_tcp_bulk (the size trigger over the
+#                         real TCP front) and cnn_round (SS-14 experts, so
+#                         the conv tile kernel is checked through a real
+#                         round). load_bench is a package of its own, so
+#                         nothing above builds or tests it)
 #
 # Opt-in stage (not part of the default gate):
 #   ./ci.sh tsan         runs the fault-tolerance, chaos-soak and
@@ -131,7 +133,7 @@ cargo test -q --release --offline --manifest-path load_bench/Cargo.toml
 # The self-test's inner run is *meant* to fail: its `error: failed_share`
 # line on stderr is followed by the verdict line on stdout.
 cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- --self-test
-for workload in mlp_tcp_bulk cnn_round; do
+for workload in mlp_tcp_trickle mlp_open_3200 mlp_tcp_bulk cnn_round; do
     cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 3 --trace 0 >/dev/null
 done

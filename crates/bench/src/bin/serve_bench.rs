@@ -131,7 +131,9 @@ struct Report {
 /// should sit in the same decade as `wire + wait` here.
 fn measure_round_attribution(rounds: usize) -> RoundAttribution {
     use teamnet_core::build_expert;
-    use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
+    use teamnet_core::runtime::{
+        serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+    };
     use teamnet_nn::ModelSpec;
     use teamnet_tensor::Tensor;
 
@@ -156,7 +158,8 @@ fn measure_round_attribution(rounds: usize) -> RoundAttribution {
             let spec = spec.clone();
             scope.spawn(move |_| {
                 let mut expert = build_expert(&spec, i as u64 + 1);
-                serve_worker(node, 0, &mut expert).expect("worker");
+                serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default())
+                    .expect("worker");
             });
         }
         let mut session = InferenceSession::new(&master, config);

@@ -6,7 +6,8 @@
 //! The production shells — [`serve_worker_with_config`], the gather leg
 //! of [`InferenceSession::infer`], and
 //! [`RecoveryManager`]'s transfer driver — own the transports, deadlines
-//! and backoff; the *decisions* (what a frame means, what state changes,
+//! and backoff, and reach the wire through one shared IO shell
+//! (`shell.rs`); the *decisions* (what a frame means, what state changes,
 //! what goes back on the wire) are all made by the types in this module.
 //!
 //! That split is what makes the protocol model-checkable: `cargo xtask mc`
@@ -30,7 +31,7 @@ use crate::recover::{
 use crate::runtime::{decode_result_set, WorkerStats, TAG_INPUT, TAG_RESULT};
 use crate::team::TeamPrediction;
 use std::collections::BTreeMap;
-use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, Tag};
+use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, Tag, TraceContext};
 
 /// A message a transition function wants sent. The shell owns the actual
 /// transport (and its retries/backoff); a model checker just moves the
@@ -46,17 +47,15 @@ pub struct OutboundMsg {
 }
 
 impl OutboundMsg {
-    /// Encodes the envelope for the wire.
-    pub fn encode(&self) -> Vec<u8> {
-        self.env.encode()
-    }
-
-    /// Encodes the envelope stamped with a trace context. The FSM itself
-    /// stays trace-free (pure protocol state); the IO shell attaches
-    /// causality at the send site, which `cargo xtask audit`'s
-    /// `trace-propagation` rule enforces.
-    pub fn encode_traced(&self, ctx: teamnet_net::TraceContext) -> Vec<u8> {
-        self.env.encode_traced(ctx)
+    /// Encodes the envelope for the wire, stamped with `trace` when one is
+    /// given. The FSM itself stays trace-free (pure protocol state): the
+    /// IO shell passes the stamp in at the send site, which `cargo xtask
+    /// audit`'s `trace-propagation` rule enforces.
+    pub fn encode(&self, trace: Option<TraceContext>) -> Vec<u8> {
+        let env = &self.env;
+        Envelope::encode_with(env.round, env.kind, trace, |buf| {
+            buf.extend_from_slice(&env.payload)
+        })
     }
 }
 
@@ -130,7 +129,7 @@ pub enum FsmMutation {
     /// The production transition function.
     #[default]
     None,
-    /// Reverts the pre-§15 handler behavior: a chunk or offer for an
+    /// Arms a handler defect: a chunk or offer for an
     /// already-resident expert answers [`AckStatus::Failed`] / restarts
     /// the transfer instead of re-acking [`AckStatus::Done`], and aborts
     /// ignore round stamps and never evict residents. Under a dropped
@@ -143,9 +142,8 @@ pub enum FsmMutation {
 
 /// The worker side of the protocol as one pure state machine: answers
 /// probes and input broadcasts, admits / reassembles / releases migrated
-/// experts, and re-acknowledges duplicates idempotently. Extracted from
-/// (and driven by) [`serve_worker_with_config`]; also driven exhaustively
-/// by `cargo xtask mc`.
+/// experts, and re-acknowledges duplicates idempotently. Driven by
+/// [`serve_worker_with_config`], and exhaustively by `cargo xtask mc`.
 ///
 /// [`serve_worker_with_config`]: crate::runtime::serve_worker_with_config
 #[derive(Debug, Clone)]
@@ -311,8 +309,7 @@ impl WorkerFsm {
     ///
     /// Only transport-level decode failures other than
     /// [`NetError::Corrupt`] / [`NetError::Malformed`] propagate (the
-    /// serve shell treats those as fatal, exactly as before the
-    /// extraction).
+    /// serve shell treats those as fatal).
     pub fn step(
         &mut self,
         bytes: &[u8],
@@ -483,7 +480,7 @@ impl WorkerFsm {
                             }
                         }
                         FsmMutation::StrandOnLostFinalAck => {
-                            // Pre-§15 behavior: clear any matching partial
+                            // The defect: clear any matching partial
                             // regardless of round, never evict residents.
                             if self.partial.as_ref().is_some_and(|p| p.load.expert() == id) {
                                 self.partial = None;
@@ -624,8 +621,8 @@ pub enum GatherVerdict {
 /// The master's gather-leg state machine: classifies each frame received
 /// from a worker (stale / corrupt / malformed / probe ack / results) and
 /// folds accepted result sets into the paper's Figure-4 running
-/// arg-min-entropy. Extracted from [`InferenceSession::infer`]; also
-/// driven exhaustively by `cargo xtask mc`.
+/// arg-min-entropy. Driven by the gather phase of
+/// [`InferenceSession::infer`], and exhaustively by `cargo xtask mc`.
 ///
 /// [`InferenceSession::infer`]: crate::runtime::InferenceSession::infer
 #[derive(Debug, Clone)]
@@ -704,8 +701,8 @@ impl GatherFsm {
         match env.kind {
             PayloadKind::Result => {
                 // A peer hosting migrated experts replies with a result
-                // *set*; a legacy single-matrix reply is attributed to
-                // the peer's own expert.
+                // *set*; a single-matrix reply is attributed to the
+                // peer's own expert.
                 let sets = match decode_result_set(env.payload, peer) {
                     Ok(sets) => sets,
                     Err(e) => {
@@ -871,8 +868,8 @@ impl TransferFsm {
     }
 
     /// Backoff-jitter salt for the in-flight exchange (0 for the offer,
-    /// `index + 1` for chunk `index`), mirroring the pre-§15 seeding so
-    /// retry schedules replay identically.
+    /// `index + 1` for chunk `index`): part of the retry schedule the
+    /// seeded soaks replay, so it may not move.
     pub fn exchange_salt(&self) -> u64 {
         match self.phase {
             TransferPhase::Offering => 0,
@@ -1080,7 +1077,7 @@ mod tests {
     }
 
     fn deliver(fsm: &mut WorkerFsm, hooks: &mut MockHooks, msg: &OutboundMsg) -> Vec<OutboundMsg> {
-        fsm.step(&msg.encode(), hooks).expect("step")
+        fsm.step(&msg.encode(None), hooks).expect("step")
     }
 
     fn ack_of(replies: &[OutboundMsg]) -> LoadAckMsg {
@@ -1216,7 +1213,7 @@ mod tests {
             );
         }
         // Done ack lost; the master resends the final chunk: the mutant
-        // answers Failed (the pre-§15 bug) …
+        // answers Failed (the armed defect) …
         let mut retry = TransferFsm::new(7, 1, 90, manifest.num_chunks);
         retry.on_ack(LoadAckMsg {
             expert: 7,

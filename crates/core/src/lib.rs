@@ -59,6 +59,7 @@ pub mod health;
 pub mod persist;
 pub mod recover;
 pub mod runtime;
+mod shell;
 mod team;
 mod train;
 

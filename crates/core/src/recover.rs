@@ -31,7 +31,13 @@
 //! session, and concentrating more state on it would turn the one
 //! unrecoverable node into an even larger single point of failure.
 //!
-//! Everything is deadline-budgeted through the existing
+//! Every frame leaves and every ack arrives through the IO shell the
+//! inference round uses (`shell.rs`): each transfer attempt and each
+//! hand-back opens its own registered round, so an ack a sibling gather
+//! pulls off the shared mailbox is parked for the transfer, and a
+//! sibling's result the ack wait pulls is parked for its round.
+//!
+//! Everything is deadline-budgeted through the
 //! [`RetryPolicy`]/[`Backoff`] machinery on an injected [`Clock`], so the
 //! whole quarantine → re-place → hand-back flow is deterministic under a
 //! [`teamnet_net::ManualClock`] and seeded chaos (`tests/recovery_soak.rs`
@@ -40,16 +46,13 @@
 use crate::expert::build_expert;
 use crate::fsm;
 use crate::health::PeerHealth;
-use crate::runtime::{next_round, TAG_INPUT, TAG_RESULT};
+use crate::shell::{self, ResultWait, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
-use teamnet_net::{
-    crc32, peek_trace, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, TraceContext,
-    Transport,
-};
+use teamnet_net::{crc32, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, Transport};
 use teamnet_nn::{load_state, state_from_bytes, state_to_bytes, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
@@ -617,11 +620,12 @@ pub struct RecoveryManager {
     migrations: u64,
     backtracks: u64,
     handbacks: u64,
-    /// Trace id of the round whose tick is currently running
-    /// ([`tick_traced`](Self::tick_traced)): recovery frames sent during
-    /// the tick carry it, so transfer spans stay causal children of the
-    /// triggering round in the assembled cross-node DAG.
+    /// Trace id of the round whose [`tick`](Self::tick) is currently
+    /// running: recovery frames sent during the tick carry it, so transfer
+    /// spans stay causal children of the triggering round in the
+    /// assembled cross-node DAG.
     trace: Option<u64>,
+    wait: ResultWait,
     c_migrations: Counter,
     c_backtracks: Counter,
     c_handbacks: Counter,
@@ -635,6 +639,7 @@ impl RecoveryManager {
         let c_backtracks = config.obs.metrics.counter("recovery.backtracks");
         let c_handbacks = config.obs.metrics.counter("recovery.handbacks");
         let h_bytes = config.obs.metrics.histogram("recovery.bytes_migrated");
+        let wait = ResultWait::new(&config.obs, &config.clock);
         RecoveryManager {
             config,
             experts: BTreeMap::new(),
@@ -644,6 +649,7 @@ impl RecoveryManager {
             backtracks: 0,
             handbacks: 0,
             trace: None,
+            wait,
             c_migrations,
             c_backtracks,
             c_handbacks,
@@ -721,15 +727,12 @@ impl RecoveryManager {
     /// inside the pass (refusals, dead candidates, exhausted deadlines)
     /// are backtracked or deferred to the next round — a recovery pass
     /// never fails the inference round that triggered it.
-    pub fn tick(&mut self, transport: &dyn Transport, me: usize, health: &[PeerHealth]) {
-        self.tick_traced(transport, me, health, None);
-    }
-
-    /// [`tick`](Self::tick) with the triggering round's trace id: every
-    /// frame the pass sends is stamped with a [`TraceContext`] parented on
-    /// the recovery span open at send time, so `trace-assemble` grafts
+    ///
+    /// `trace` is the triggering round's trace id, when it is traced:
+    /// every frame the pass sends is then stamped with a context parented
+    /// on the recovery span open at send time, so `trace-assemble` grafts
     /// the transfer under the master's round (DESIGN.md §17).
-    pub fn tick_traced(
+    pub fn tick(
         &mut self,
         transport: &dyn Transport,
         me: usize,
@@ -765,13 +768,6 @@ impl RecoveryManager {
         for expert in orphans {
             self.replace(transport, me, health, expert);
         }
-    }
-
-    /// Wire context for a frame sent during the current tick: the
-    /// triggering round's trace id (if any) parented on whatever recovery
-    /// span is open at the send site.
-    fn send_ctx(&self) -> Option<TraceContext> {
-        self.trace.map(|t| self.config.obs.tracer.current_ctx(t))
     }
 
     /// Surviving workers able to host `required` bytes, best first:
@@ -856,18 +852,11 @@ impl RecoveryManager {
             "recovery.handback",
             &[("expert", expert as u64), ("from", surrogate as u64)],
         );
-        let round = next_round();
-        let frame = fsm::release_frame(surrogate, round, expert as u32);
-        let ctx = self.send_ctx();
-        let bytes = match ctx {
-            Some(c) => frame.encode_traced(c),
-            None => frame.encode(),
-        };
-        if transport.send(frame.to, frame.tag, &bytes).is_ok() {
-            if let Some(c) = ctx {
-                obs.tracer
-                    .send_event("input", frame.to as u64, c, bytes.len() as u64);
-            }
+        let registration = RoundRegistration::open();
+        let round = registration.round;
+        let msg = fsm::release_frame(surrogate, round, expert as u32);
+        let frame = msg.encode(shell::stamp(&obs, self.trace));
+        if shell::send(transport, &obs, "input", msg.to, msg.tag, &frame).is_ok() {
             let deadline = self.config.clock.now() + self.config.ack_timeout;
             let _ = self.await_ack(transport, surrogate, round, expert as u32, deadline);
         }
@@ -909,11 +898,12 @@ impl RecoveryManager {
             state_crc: crc32(&record.state),
             required_resident_bytes: record.required_resident_bytes,
         };
-        let round = next_round();
-        let clock = Arc::clone(&self.config.clock);
-        let deadline = clock.now() + self.config.transfer_timeout;
-        let obs = self.config.obs.clone();
-        let _span = obs.span(
+        // Registered for the whole transfer, so a sibling wait that pulls
+        // one of its acks parks it instead of discarding it.
+        let registration = RoundRegistration::open();
+        let round = registration.round;
+        let deadline = self.config.clock.now() + self.config.transfer_timeout;
+        let _span = self.config.obs.span(
             "recovery.transfer",
             &[
                 ("expert", expert as u64),
@@ -957,21 +947,8 @@ impl RecoveryManager {
                     "transfer of expert {expert} concluded without a frame"
                 )));
             };
-            let ctx = self.send_ctx();
-            let bytes = match ctx {
-                Some(c) => frame.encode_traced(c),
-                None => frame.encode(),
-            };
-            let ack = match self.exchange(
-                transport,
-                target,
-                &bytes,
-                ctx,
-                round,
-                expert as u32,
-                deadline,
-                machine.exchange_salt(),
-            ) {
+            let salt = machine.exchange_salt();
+            let ack = match self.exchange(transport, &frame, round, expert as u32, deadline, salt) {
                 Ok(ack) => ack,
                 Err(e) => {
                     // An exchange that dies may still have delivered its
@@ -986,53 +963,39 @@ impl RecoveryManager {
         }
     }
 
-    /// Sends `frame` to `target` and waits for a matching ack, resending
-    /// under the per-exchange retry budget. `salt` keeps the jitter
-    /// stream of each chunk's backoff distinct.
-    #[allow(clippy::too_many_arguments)]
+    /// Sends `msg` to its target and waits for a matching ack, resending
+    /// the same stamped frame under the per-exchange retry budget. `salt`
+    /// keeps the jitter stream of each chunk's backoff distinct.
     fn exchange(
         &self,
         transport: &dyn Transport,
-        target: usize,
-        frame: &[u8],
-        ctx: Option<TraceContext>,
+        msg: &fsm::OutboundMsg,
         round: u64,
         expert: u32,
         deadline: std::time::Instant,
         salt: u64,
     ) -> Result<LoadAckMsg, NetError> {
-        let clock = Arc::clone(&self.config.clock);
+        let obs = &self.config.obs;
+        let target = msg.to;
+        let frame = msg.encode(shell::stamp(obs, self.trace));
         let mut backoff = Backoff::with_clock(
             self.config.transfer_retry.clone(),
             round ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             deadline,
-            Arc::clone(&clock),
+            Arc::clone(&self.config.clock),
         );
         loop {
-            let sent = match transport.send(target, TAG_INPUT, frame) {
-                Ok(()) => {
-                    if let Some(c) = ctx {
-                        self.config.obs.tracer.send_event(
-                            "input",
-                            target as u64,
-                            c,
-                            frame.len() as u64,
-                        );
-                    }
-                    true
-                }
-                Err(e @ (NetError::UnknownPeer(_) | NetError::Closed)) => return Err(e),
-                Err(_) => false,
-            };
-            if sent {
-                match self.await_ack(transport, target, round, expert, deadline) {
+            match shell::send(transport, obs, "input", target, msg.tag, &frame) {
+                Ok(()) => match self.await_ack(transport, target, round, expert, deadline) {
                     Ok(ack) => return Ok(ack),
                     Err(NetError::Timeout { .. }) => {}
                     Err(e) => return Err(e),
-                }
+                },
+                Err(e @ (NetError::UnknownPeer(_) | NetError::Closed)) => return Err(e),
+                Err(_) => {}
             }
             match backoff.next_delay() {
-                Some(delay) => clock.sleep(delay),
+                Some(delay) => self.config.clock.sleep(delay),
                 None => {
                     return Err(NetError::Timeout {
                         waiting_for: format!("load ack from node {target}"),
@@ -1043,9 +1006,11 @@ impl RecoveryManager {
     }
 
     /// Waits up to `ack_timeout` (clamped by the transfer deadline) for a
-    /// [`PayloadKind::LoadAck`] stamped with this transfer's round.
-    /// Stale gather leftovers and undecodable traffic on the result tag
-    /// are discarded, not failed on.
+    /// [`PayloadKind::LoadAck`] stamped with this transfer's round. The
+    /// wait is the same one a gather uses: a frame that belongs to a
+    /// sibling's registered round is parked for it; stale gather
+    /// leftovers and undecodable traffic on the result tag are discarded,
+    /// not failed on.
     fn await_ack(
         &self,
         transport: &dyn Transport,
@@ -1054,54 +1019,32 @@ impl RecoveryManager {
         expert: u32,
         deadline: std::time::Instant,
     ) -> Result<LoadAckMsg, NetError> {
-        let clock = &self.config.clock;
-        let attempt_deadline = (clock.now() + self.config.ack_timeout).min(deadline);
-        loop {
-            let now = clock.now();
-            if now >= attempt_deadline {
-                return Err(NetError::Timeout {
-                    waiting_for: format!("load ack from node {target}"),
-                });
-            }
-            let bytes = transport.recv(target, TAG_RESULT, attempt_deadline - now)?;
-            if let Some(c) = peek_trace(&bytes) {
-                self.config
-                    .obs
-                    .tracer
-                    .recv_event("result", target as u64, c, bytes.len() as u64);
-            }
-            let Ok(env) = Envelope::decode(&bytes) else {
-                continue;
-            };
-            if let Some(ack) = fsm::match_load_ack(&env, round, expert) {
+        let attempt_deadline = (self.config.clock.now() + self.config.ack_timeout).min(deadline);
+        while let Some(bytes) = self.wait.recv(transport, round, target, attempt_deadline)? {
+            let ack = Envelope::decode(&bytes)
+                .ok()
+                .and_then(|env| fsm::match_load_ack(&env, round, expert));
+            if let Some(ack) = ack {
                 return Ok(ack);
             }
         }
+        Err(NetError::Timeout {
+            waiting_for: format!("load ack from node {target}"),
+        })
     }
 
     /// Best-effort abort so the target frees its partial state. Stamped
     /// with the *transfer's* round so only that attempt is undone — a
     /// stale abort can never clear a newer transfer's progress.
     fn abort(&self, transport: &dyn Transport, round: u64, expert: u32, target: usize) {
-        let frame = fsm::abort_frame(target, round, expert);
-        let ctx = self.send_ctx();
-        let bytes = match ctx {
-            Some(c) => frame.encode_traced(c),
-            None => frame.encode(),
-        };
-        if transport.send(frame.to, frame.tag, &bytes).is_ok() {
-            if let Some(c) = ctx {
-                self.config
-                    .obs
-                    .tracer
-                    .send_event("input", frame.to as u64, c, bytes.len() as u64);
-            }
-        }
+        let obs = &self.config.obs;
+        let msg = fsm::abort_frame(target, round, expert);
+        let frame = msg.encode(shell::stamp(obs, self.trace));
+        let _ = shell::send(transport, obs, "input", msg.to, msg.tag, &frame);
     }
 }
 
-/// Maps a concluded [`fsm::TransferFault`] to the transfer's error,
-/// preserving the exact pre-§15 diagnostics.
+/// Maps a concluded [`fsm::TransferFault`] to the transfer's error.
 fn fault_error(fault: fsm::TransferFault, expert: usize, target: usize) -> NetError {
     match fault {
         fsm::TransferFault::RefusedOffer { spare } => NetError::Remote(format!(

@@ -8,6 +8,13 @@
 //! exactly twice per inference (one broadcast out, one gather back), which
 //! is the entire reason TeamNet beats MPI-style model parallelism on WiFi.
 //!
+//! There is one of each thing: [`serve_worker_with_config`] is the worker
+//! loop, and [`InferenceSession::infer`] runs a round as four phases —
+//! broadcast, local forward, gather, settle — over one record per peer.
+//! Frames go on and come off the wire through the IO shell
+//! (`shell.rs`); what they mean is decided by the pure state machines of
+//! [`crate::fsm`].
+//!
 //! Robustness (see DESIGN.md §9): every message crosses the wire inside a
 //! versioned, round-stamped, CRC-checked [`Envelope`], so the master
 //! discards late replies from earlier rounds instead of mis-scoring them
@@ -29,19 +36,18 @@ use crate::health::{
     ContactPlan, FailureDetector, FailureDetectorConfig, InferenceReport, PeerHealth, PeerReport,
 };
 use crate::recover::{HostBudget, RecoveryManager, TransferManifest};
+use crate::shell::{self, ResultWait, RoundRegistration};
 use crate::team::TeamPrediction;
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use teamnet_net::codec::{decode_f32s, encode_f32s, encode_f32s_into};
 use teamnet_net::{
-    derive_trace_id, peek_trace, Backoff, Clock, Envelope, EnvelopeRef, NetError, PayloadKind,
-    RetryPolicy, SystemClock, Tag, Transport, ENVELOPE_HEADER_LEN, TRACE_EXT_LEN,
+    derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy, SystemClock,
+    Tag, Transport, TRACE_EXT_LEN,
 };
 use teamnet_nn::{Layer, Mode, Sequential};
-use teamnet_obs::{AllocMeters, Counter, Obs};
+use teamnet_obs::{AllocMeters, Counter, Histogram, Obs};
 use teamnet_tensor::{MemScope, Tensor};
 
 /// Tag carrying broadcast input batches and probes (master → workers).
@@ -52,100 +58,6 @@ pub const TAG_RESULT: Tag = Tag(0x7EA0_0002);
 /// Tag asking workers to exit their serve loop (sent raw, no envelope: a
 /// shutdown is not attributable to a round).
 pub const TAG_SHUTDOWN: Tag = Tag(0x7EA0_0003);
-
-/// Process-wide round allocator: every inference round in this process
-/// gets a unique stamp, so a late reply can never alias a later round even
-/// across [`InferenceSession`] instances sharing a transport.
-static NEXT_ROUND: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn next_round() -> u64 {
-    NEXT_ROUND.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Largest number of frames parked per `(round, peer)` key: bounds what a
-/// duplicate storm can make the router retain.
-const MAX_PARKED_PER_KEY: usize = 1024;
-
-/// Cross-session frame router.
-///
-/// Round stamps are process-unique, but a transport's receive mailbox is
-/// keyed `(peer, tag)` only — so when two [`InferenceSession`]s gather
-/// concurrently over one shared endpoint, session A's blocking `recv` can
-/// consume the frame stamped with session B's round. Before this router,
-/// A discarded that frame as stale and B starved until its deadline: a
-/// collision *misattribution*, the serving front-end's first casualty.
-///
-/// Every in-flight gather registers its round here ([`RoundRegistration`]
-/// is the RAII handle). A gather that pulls a frame stamped for another
-/// **registered** round parks it under `(round, sender)`; the owning
-/// session polls [`take_parked`] before each blocking wait and once more
-/// after a timeout, so a mis-delivered reply reaches its round instead of
-/// the floor. Frames stamped for unregistered rounds remain genuine stale
-/// traffic and are dropped as before.
-#[derive(Debug)]
-struct RoundRouter {
-    /// Rounds with a gather currently in flight.
-    active: BTreeSet<u64>,
-    /// Mis-delivered frames awaiting their owner, FIFO per key.
-    parked: BTreeMap<(u64, usize), VecDeque<Vec<u8>>>,
-}
-
-static ROUND_ROUTER: Mutex<RoundRouter> = Mutex::new(RoundRouter {
-    active: BTreeSet::new(),
-    parked: BTreeMap::new(),
-});
-
-/// RAII registration of an in-flight round with the [`RoundRouter`]:
-/// dropping it (on any exit path from `infer`, including errors)
-/// unregisters the round and frees whatever is still parked for it.
-#[derive(Debug)]
-struct RoundRegistration {
-    round: u64,
-}
-
-impl RoundRegistration {
-    fn new(round: u64) -> Self {
-        ROUND_ROUTER.lock().active.insert(round);
-        RoundRegistration { round }
-    }
-}
-
-impl Drop for RoundRegistration {
-    fn drop(&mut self) {
-        let round = self.round;
-        let mut router = ROUND_ROUTER.lock();
-        router.active.remove(&round);
-        router.parked.retain(|&(r, _), _| r != round);
-    }
-}
-
-/// Parks a frame from `peer` stamped for `seen` if that round has a
-/// registered gather in flight. Returns whether the frame was parked
-/// (false means it is genuine stale traffic, or the park bound is hit).
-fn park_for_round(seen: u64, peer: usize, bytes: Vec<u8>) -> bool {
-    let mut router = ROUND_ROUTER.lock();
-    if !router.active.contains(&seen) {
-        return false;
-    }
-    let queue = router.parked.entry((seen, peer)).or_default();
-    if queue.len() >= MAX_PARKED_PER_KEY {
-        return false;
-    }
-    queue.push_back(bytes);
-    true
-}
-
-/// Takes the oldest frame a sibling session parked for (`round`, `peer`),
-/// if any.
-fn take_parked(round: u64, peer: usize) -> Option<Vec<u8>> {
-    let mut router = ROUND_ROUTER.lock();
-    let queue = router.parked.get_mut(&(round, peer))?;
-    let bytes = queue.pop_front();
-    if queue.is_empty() {
-        router.parked.remove(&(round, peer));
-    }
-    bytes
-}
 
 /// Master-side inference policy.
 #[derive(Debug, Clone)]
@@ -244,18 +156,17 @@ pub fn decode_results(bytes: &[u8]) -> Result<Vec<(usize, f32)>, NetError> {
 }
 
 /// Marker opening a multi-expert result set on the wire. Unambiguous
-/// against the legacy single-matrix encoding, whose leading `u32` is a
-/// tensor rank and therefore always tiny.
+/// against the single-matrix encoding, whose leading `u32` is a tensor
+/// rank and therefore always tiny.
 const RESULT_SET_SENTINEL: u32 = 0xFFFF_FFFF;
 
 /// Encodes results from several experts hosted on one node:
 /// `sentinel: u32 | count: u32 | per expert (expert_id: u32 | len: u32 |`
 /// [`encode_results`] bytes`)`.
 ///
-/// Workers hosting only their own expert keep sending the legacy
-/// [`encode_results`] matrix byte-for-byte — the certified
-/// `wire_result_bytes` of DESIGN.md §13 stays honest, and a recovery-free
-/// session is wire-identical to the pre-recovery protocol.
+/// A worker hosting only its own expert sends the plain
+/// [`encode_results`] matrix instead — byte for byte the certified
+/// `wire_result_bytes` of DESIGN.md §13.
 pub fn encode_result_set(set: &[(u32, Vec<(usize, f32)>)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&RESULT_SET_SENTINEL.to_le_bytes());
@@ -269,7 +180,7 @@ pub fn encode_result_set(set: &[(u32, Vec<(usize, f32)>)]) -> Vec<u8> {
     out
 }
 
-/// Decodes a result payload into per-expert result matrices. A legacy
+/// Decodes a result payload into per-expert result matrices. A
 /// single-matrix payload (no sentinel) is attributed to `sender` — the
 /// worker's own expert.
 ///
@@ -341,7 +252,11 @@ pub struct WorkerStats {
 /// Worker-side policy for [`serve_worker_with_config`].
 #[derive(Debug, Clone, Default)]
 pub struct WorkerConfig {
-    /// Observability handle (defaults to [`Obs::disabled`]).
+    /// Observability handle (defaults to [`Obs::disabled`]): mirrors every
+    /// [`WorkerStats`] counter into the registry live (`worker.*`) and
+    /// traces each served batch as a `worker.forward` span, so worker-side
+    /// telemetry flows through the same snapshot machinery as the
+    /// master's.
     pub obs: Obs,
     /// Memory honesty check for hosting migrated experts: an offer whose
     /// certified `required_resident_bytes` exceeds this budget's spare is
@@ -350,63 +265,21 @@ pub struct WorkerConfig {
     pub budget: HostBudget,
 }
 
-/// Serves a worker node: waits for input broadcasts from `master`, runs
-/// the local `expert`, returns round-stamped results, until a shutdown
-/// message arrives. Probes are acknowledged immediately; corrupt or
-/// malformed batches are counted and skipped — one bad frame must not
-/// take a worker out of the team.
+/// Serves a worker node — the only worker loop: waits for input
+/// broadcasts from `master`, runs the local `expert`, returns
+/// round-stamped results, until a shutdown message arrives. Probes are
+/// acknowledged immediately; corrupt or malformed batches are counted and
+/// skipped — one bad frame must not take a worker out of the team.
+/// [`WorkerConfig::default`] serves with observability off and an
+/// unlimited hosting budget.
 ///
-/// Equivalent to [`serve_worker_with_obs`] with [`Obs::disabled`]: the
-/// returned [`WorkerStats`] carry the counters either way.
-///
-/// # Errors
-///
-/// Returns transport failures other than a clean shutdown/close.
-pub fn serve_worker(
-    transport: &dyn Transport,
-    master: usize,
-    expert: &mut Sequential,
-) -> Result<WorkerStats, NetError> {
-    serve_worker_with_obs(transport, master, expert, &Obs::disabled())
-}
-
-/// [`serve_worker`] with an observability handle: mirrors every
-/// [`WorkerStats`] counter into the registry live
-/// (`worker.rounds_served`, `worker.probes_answered`,
-/// `worker.malformed_skipped`) and traces each served batch as a
-/// `worker.forward` span — so worker-side telemetry flows through the
-/// same snapshot machinery as the master's instead of living in a
-/// parallel ad-hoc struct.
-///
-/// # Errors
-///
-/// Returns transport failures other than a clean shutdown/close.
-pub fn serve_worker_with_obs(
-    transport: &dyn Transport,
-    master: usize,
-    expert: &mut Sequential,
-    obs: &Obs,
-) -> Result<WorkerStats, NetError> {
-    serve_worker_with_config(
-        transport,
-        master,
-        expert,
-        WorkerConfig {
-            obs: obs.clone(),
-            budget: HostBudget::unlimited(),
-        },
-    )
-}
-
-/// [`serve_worker`] with full policy control, including multi-expert
-/// hosting for the recovery protocol (DESIGN.md §14): besides answering
-/// input broadcasts with its own expert, the worker admits
+/// For the recovery protocol (DESIGN.md §14) the worker also admits
 /// [`PayloadKind::LoadExpert`] offers against its [`HostBudget`],
 /// reassembles chunked transfers (resumably — the in-flight
-/// [`PartialLoad`] survives across loop iterations), and once an expert is
-/// resident fans every input through it too, returning a demuxable
-/// per-expert result set so the master's argmin-entropy still sees the
-/// full team.
+/// [`PartialLoad`](crate::recover::PartialLoad) survives across loop
+/// iterations), and once an expert is resident fans every input through
+/// it too, returning a demuxable per-expert result set so the master's
+/// argmin-entropy still sees the full team.
 ///
 /// # Errors
 ///
@@ -456,13 +329,9 @@ pub fn serve_worker_with_config(
         // master's sending span: the `worker.handle` enter event carries
         // the remote parent (`trace`/`rpeer`/`rparent`), which is what
         // `trace-assemble` uses to graft this node's spans into the
-        // master's round (DESIGN.md §17). Untraced frames take the
-        // wire-identical legacy path.
-        let in_ctx = peek_trace(&bytes);
-        if let Some(ctx) = in_ctx {
-            obs.tracer
-                .recv_event("input", master as u64, ctx, bytes.len() as u64);
-        }
+        // master's round (DESIGN.md §17). Replies to an untraced frame
+        // leave unstamped, wire-identical to v1.
+        let in_ctx = shell::received(obs, "input", master, &bytes);
         let _handle_span = in_ctx.map(|ctx| {
             obs.span(
                 "worker.handle",
@@ -482,20 +351,9 @@ pub fn serve_worker_with_config(
         c_loads.add(after.loads_accepted - before.loads_accepted);
         c_refused.add(after.loads_refused - before.loads_refused);
         for msg in replies {
-            let (payload, reply_ctx) = match in_ctx {
-                Some(ctx) => {
-                    let reply_ctx = obs.tracer.current_ctx(ctx.trace_id);
-                    (msg.encode_traced(reply_ctx), Some(reply_ctx))
-                }
-                None => (msg.encode(), None),
-            };
-            match transport.send(msg.to, msg.tag, &payload) {
-                Ok(()) => {
-                    if let Some(ctx) = reply_ctx {
-                        obs.tracer
-                            .send_event("result", msg.to as u64, ctx, payload.len() as u64);
-                    }
-                }
+            let frame = msg.encode(shell::stamp(obs, in_ctx.map(|ctx| ctx.trace_id)));
+            match shell::send(transport, obs, "result", msg.to, msg.tag, &frame) {
+                Ok(()) => {}
                 Err(NetError::Closed) => return Ok(machine.stats()),
                 Err(e) => return Err(e),
             }
@@ -530,8 +388,7 @@ impl fsm::WorkerHooks for ServeHooks<'_> {
         let mem = MemScope::begin();
         let results = local_results(self.expert, &images);
         let payload = if self.hosted.is_empty() {
-            // Wire-identical to the pre-recovery protocol — and to the
-            // certified `wire_result_bytes`.
+            // Byte for byte the certified `wire_result_bytes`.
             encode_results(&results)
         } else {
             // Fan the batch through every hosted expert; the master
@@ -564,35 +421,115 @@ impl fsm::WorkerHooks for ServeHooks<'_> {
     }
 }
 
-/// A multi-round master-side inference session: owns the round counter and
-/// the [`FailureDetector`], so peer health carries across rounds.
-///
-/// One-shot callers can use [`master_infer`]; anything serving a stream of
-/// inferences should hold a session so that a dead worker stops costing a
-/// full timeout on every single round.
+/// One round in flight: its identity, and what its phases have measured
+/// so far (the tallies its [`InferenceReport`] carries and the raw times
+/// its latency attribution is computed from).
+#[derive(Debug, Default)]
+struct Round {
+    /// Process-unique stamp every frame of the round carries.
+    stamp: u64,
+    /// Session-local index: unlike the stamp it is identical across
+    /// identical runs, so it is what trace spans carry.
+    index: u64,
+    /// The round's trace id when the session is traced: deterministic in
+    /// (seed, session round), so identical seeded runs stamp identical
+    /// ids (DESIGN.md §17).
+    trace: Option<u64>,
+    me: usize,
+    rows: usize,
+    started_ns: u64,
+    broadcast_ns: u64,
+    compute_ns: u64,
+    retry_ns: u64,
+    stale: u64,
+    corrupt: u64,
+    malformed: u64,
+}
+
+/// The session's attribution bookkeeper: the protocol counters a round
+/// ticks in the registry (the two `round.cross_session_*` ones through
+/// the wait that routes frames) and the round's local latency split
+/// (DESIGN.md §17) — the same compute / wire / wait / retry attribution
+/// `trace-assemble` derives from the cross-node DAG, measured on one node
+/// so it is available even without per-node sinks.
 #[derive(Debug)]
-pub struct InferenceSession {
-    config: MasterConfig,
-    detector: FailureDetector,
-    /// Session-local round index: unlike the process-global stamp it is
-    /// identical across identical runs, so it is what trace spans carry.
-    rounds: u64,
+struct Attribution {
     c_send_retries: Counter,
     c_stale: Counter,
     c_corrupt: Counter,
     c_malformed: Counter,
-    c_parked: Counter,
-    c_rescued: Counter,
+    wait: ResultWait,
+    /// `round.attr.{compute,wire,wait,retry}.ns`, in that order.
+    h_attr: [Arc<Histogram>; 4],
+}
+
+impl Attribution {
+    fn register(obs: &Obs, clock: &Arc<dyn Clock>) -> Self {
+        let attr = |part: &str| obs.metrics.histogram(&format!("round.attr.{part}.ns"));
+        Attribution {
+            c_send_retries: obs.metrics.counter("round.send.retries"),
+            c_stale: obs.metrics.counter("round.stale_discarded"),
+            c_corrupt: obs.metrics.counter("round.corrupt_discarded"),
+            c_malformed: obs.metrics.counter("round.malformed_discarded"),
+            wait: ResultWait::new(obs, clock),
+            h_attr: ["compute", "wire", "wait", "retry"].map(attr),
+        }
+    }
+
+    /// Counts one discarded gather frame, for the round and the registry.
+    fn discard(&self, round: &mut Round, why: fsm::GatherDiscard) {
+        let (tally, counter) = match why {
+            fsm::GatherDiscard::Stale { .. } => (&mut round.stale, &self.c_stale),
+            fsm::GatherDiscard::Corrupt => (&mut round.corrupt, &self.c_corrupt),
+            fsm::GatherDiscard::Malformed => (&mut round.malformed, &self.c_malformed),
+        };
+        *tally += 1;
+        counter.inc();
+    }
+
+    /// Closes the round at `now_ns`: wire = broadcast minus backoff
+    /// sleeps, compute = the local forward, wait = everything else
+    /// (dominated by the gather leg). Only traced sessions feed the
+    /// histograms: a disabled tracer falls back to wall time, which would
+    /// poison deterministic metric pins.
+    fn close(&self, round: &Round, now_ns: u64) {
+        if round.trace.is_none() {
+            return;
+        }
+        let wall_ns = now_ns.saturating_sub(round.started_ns);
+        let wire_ns = round.broadcast_ns.saturating_sub(round.retry_ns);
+        let busy_ns = round.broadcast_ns.saturating_add(round.compute_ns);
+        let wait_ns = wall_ns.saturating_sub(busy_ns);
+        let split = [round.compute_ns, wire_ns, wait_ns, round.retry_ns];
+        for (histogram, ns) in self.h_attr.iter().zip(split) {
+            histogram.observe(ns);
+        }
+    }
+}
+
+/// One peer's part in one round: how the detector planned to engage it,
+/// whether the broadcast reached the wire, whether a reply was accepted.
+#[derive(Debug, Clone, Copy)]
+struct PeerRound {
+    peer: usize,
+    plan: ContactPlan,
+    sent: bool,
+    answered: bool,
+}
+
+/// A multi-round master-side inference session — the only way to run a
+/// round: owns the round counter and the [`FailureDetector`], so peer
+/// health carries across rounds and a dead worker stops costing a full
+/// timeout on every single round.
+#[derive(Debug)]
+pub struct InferenceSession {
+    config: MasterConfig,
+    detector: FailureDetector,
+    /// Rounds run so far (the next round's session-local index).
+    rounds: u64,
+    books: Attribution,
     m_alloc: AllocMeters,
     recovery: Option<RecoveryManager>,
-    /// Per-round latency attribution (DESIGN.md §17): the same
-    /// compute / wire / wait / retry split `trace-assemble` derives from
-    /// the cross-node DAG, measured locally so it is available even
-    /// without per-node sinks.
-    h_attr_compute: Arc<teamnet_obs::Histogram>,
-    h_attr_wire: Arc<teamnet_obs::Histogram>,
-    h_attr_wait: Arc<teamnet_obs::Histogram>,
-    h_attr_retry: Arc<teamnet_obs::Histogram>,
 }
 
 impl InferenceSession {
@@ -604,36 +541,18 @@ impl InferenceSession {
             Arc::clone(&config.clock),
         );
         detector.set_transition_counter(config.obs.metrics.counter("detector.transitions"));
-        let c_send_retries = config.obs.metrics.counter("round.send.retries");
-        let c_stale = config.obs.metrics.counter("round.stale_discarded");
-        let c_corrupt = config.obs.metrics.counter("round.corrupt_discarded");
-        let c_malformed = config.obs.metrics.counter("round.malformed_discarded");
-        let c_parked = config.obs.metrics.counter("round.cross_session_parked");
-        let c_rescued = config.obs.metrics.counter("round.cross_session_rescued");
+        let books = Attribution::register(&config.obs, &config.clock);
         let m_alloc = AllocMeters::register(
             &config.obs.metrics,
             &format!("expert.{}", transport.node_id()),
         );
-        let h_attr_compute = config.obs.metrics.histogram("round.attr.compute.ns");
-        let h_attr_wire = config.obs.metrics.histogram("round.attr.wire.ns");
-        let h_attr_wait = config.obs.metrics.histogram("round.attr.wait.ns");
-        let h_attr_retry = config.obs.metrics.histogram("round.attr.retry.ns");
         InferenceSession {
             config,
             detector,
             rounds: 0,
-            c_send_retries,
-            c_stale,
-            c_corrupt,
-            c_malformed,
-            c_parked,
-            c_rescued,
+            books,
             m_alloc,
             recovery: None,
-            h_attr_compute,
-            h_attr_wire,
-            h_attr_wait,
-            h_attr_retry,
         }
     }
 
@@ -656,66 +575,6 @@ impl InferenceSession {
         self.recovery.as_ref()
     }
 
-    /// Sends `payload` to `peer` with bounded retries + backoff inside
-    /// `deadline`. Returns `(delivered, retry_ns)` — whether the send
-    /// ever succeeded plus the nanoseconds spent in backoff sleeps, so
-    /// the round can attribute that time to `retry` rather than `wire`.
-    fn send_retrying(
-        &self,
-        transport: &dyn Transport,
-        peer: usize,
-        payload: &[u8],
-        round: u64,
-        deadline: Instant,
-    ) -> Result<(bool, u64), NetError> {
-        let seed = round ^ ((peer as u64) << 48);
-        let mut backoff = Backoff::with_clock(
-            self.config.send_retry.clone(),
-            seed,
-            deadline,
-            Arc::clone(&self.config.clock),
-        );
-        let mut retry_ns = 0u64;
-        loop {
-            // Pass-through: `payload` arrives pre-stamped by the caller
-            // (the broadcast loop attaches the round's trace context).
-            // lint: allow(trace-propagation)
-            match transport.send(peer, TAG_INPUT, payload) {
-                Ok(()) => return Ok((true, retry_ns)),
-                Err(e @ (NetError::UnknownPeer(_) | NetError::Closed)) => {
-                    if self.config.require_all_workers {
-                        return Err(e);
-                    }
-                    return Ok((false, retry_ns));
-                }
-                Err(e) => match backoff.next_delay() {
-                    Some(delay) => {
-                        self.c_send_retries.inc();
-                        // The backoff sleep gets its own span so the
-                        // assembled critical path can blame retries, not
-                        // the wire, for the stall.
-                        let _retry_span = self
-                            .config
-                            .obs
-                            .span("retry.backoff", &[("peer", peer as u64)]);
-                        // Measure on the tracer clock so attribution stays
-                        // deterministic when the tracer runs virtual time.
-                        let before = self.config.obs.tracer.now_ns();
-                        self.config.clock.sleep(delay);
-                        let slept = self.config.obs.tracer.now_ns().saturating_sub(before);
-                        retry_ns = retry_ns.saturating_add(slept);
-                    }
-                    None => {
-                        if self.config.require_all_workers {
-                            return Err(e);
-                        }
-                        return Ok((false, retry_ns));
-                    }
-                },
-            }
-        }
-    }
-
     /// One fault-tolerant collaborative inference round.
     ///
     /// Broadcasts `images` to every live peer, probes quarantined peers
@@ -736,7 +595,7 @@ impl InferenceSession {
         expert: &mut Sequential,
         images: &Tensor,
     ) -> Result<InferenceReport, NetError> {
-        let result = self.infer_inner(transport, expert, images);
+        let result = self.run_round(transport, expert, images);
         if result.is_err() {
             // Round failed: dump the flight-recorder ring (if armed) with
             // the failure as its final event, so the last N trace events
@@ -750,131 +609,164 @@ impl InferenceSession {
         result
     }
 
-    fn infer_inner(
+    /// Opens a round and sequences its four phases.
+    fn run_round(
         &mut self,
         transport: &dyn Transport,
         expert: &mut Sequential,
         images: &Tensor,
     ) -> Result<InferenceReport, NetError> {
-        let me = transport.node_id();
-        let num_nodes = transport.num_nodes();
-        let n = images.dims().first().copied().unwrap_or(0);
-        let round = next_round();
-        // Register with the cross-session router before any send: once the
-        // broadcast is out, a reply can race back — possibly into a
-        // concurrent sibling session's recv. The RAII guard unregisters on
-        // every exit path.
-        let _registration = RoundRegistration::new(round);
-        // Spans carry the session-local index, not the process-global
-        // stamp: two identical seeded sessions must emit identical traces
-        // even when other sessions in the process consumed stamps first.
-        let session_round = self.rounds;
-        self.rounds += 1;
         let obs = self.config.obs.clone();
-        // Trace id for the round: deterministic in (seed, session round),
-        // so identical seeded runs stamp identical ids (DESIGN.md §17).
-        let traced = obs.enabled();
-        let trace_id = derive_trace_id(self.config.trace_seed, session_round);
+        // Registered with the cross-wait router before any send, and
+        // unregistered when the gather ends (on any path).
+        let registration = RoundRegistration::open();
+        let trace_id = derive_trace_id(self.config.trace_seed, self.rounds);
         // Attribution reads the *tracer's* clock, never `config.clock`:
         // the two may differ (deterministic soaks pin the tracer to a
         // ManualClock), and a wall-clock read here would make the traced
         // metrics diverge between identical seeded runs.
-        let t_round = obs.tracer.now_ns();
-        let mut attr_retry_ns = 0u64;
+        let mut round = Round {
+            stamp: registration.round,
+            index: self.rounds,
+            trace: obs.enabled().then_some(trace_id),
+            me: transport.node_id(),
+            rows: images.dims().first().copied().unwrap_or(0),
+            started_ns: obs.tracer.now_ns(),
+            ..Round::default()
+        };
+        self.rounds += 1;
         // The `trace` field on the round span is what the assembler's
         // critical-path sweep keys cross-node membership on.
         let _round_span = obs.span(
             "round",
             &[
-                ("round_idx", session_round),
-                ("rows", n as u64),
+                ("round_idx", round.index),
+                ("rows", round.rows as u64),
                 ("trace", trace_id),
             ],
         );
+        let mut peers = self.broadcast(transport, &mut round, images)?;
+        let local = self.forward(&mut round, expert, images);
+        let predictions = self.gather(transport, &mut round, local, &mut peers)?;
+        drop(registration);
+        Ok(self.settle(transport, &round, &peers, predictions))
+    }
 
-        // Plan and broadcast. Quarantined peers are skipped outright;
-        // probe-due peers get a 16-byte probe instead of the full batch.
-        let send_deadline = self.config.clock.now() + self.config.worker_timeout;
-        let mut plans: Vec<ContactPlan> = vec![ContactPlan::Skip; num_nodes];
-        let mut sent: Vec<bool> = vec![false; num_nodes];
-        // Untraced runs share one pre-encoded frame per kind —
-        // byte-identical to wire v1 and to the certified cost model. The
-        // batch goes from `f32`s to that frame in one pass (no
-        // intermediate payload buffer), and the transport writes it
-        // uncopied. Traced runs re-encode per peer, from a borrow of the
-        // shared frame's payload, so each frame carries a
-        // [`teamnet_net::TraceContext`] parented on that peer's
-        // `round.send` span, making the worker's handling span a causal
-        // child of this round in the assembled cross-node DAG.
-        let input_frame = Envelope::encode_with(round, PayloadKind::Input, None, |buf| {
+    /// Sends `frame` to `peer` with bounded retries + backoff inside
+    /// `deadline`. Returns whether the send ever succeeded; the time spent
+    /// in backoff sleeps goes to the round's books, so it is attributed
+    /// to `retry` rather than `wire`.
+    fn send_retrying(
+        &self,
+        transport: &dyn Transport,
+        round: &mut Round,
+        peer: usize,
+        label: &str,
+        frame: &[u8],
+        deadline: Instant,
+    ) -> Result<bool, NetError> {
+        let obs = &self.config.obs;
+        let seed = round.stamp ^ ((peer as u64) << 48);
+        let mut backoff = Backoff::with_clock(
+            self.config.send_retry.clone(),
+            seed,
+            deadline,
+            Arc::clone(&self.config.clock),
+        );
+        loop {
+            let err = match shell::send(transport, obs, label, peer, TAG_INPUT, frame) {
+                Ok(()) => return Ok(true),
+                Err(e) => e,
+            };
+            let retry_in = match err {
+                NetError::UnknownPeer(_) | NetError::Closed => None,
+                _ => backoff.next_delay(),
+            };
+            let Some(delay) = retry_in else {
+                return if self.config.require_all_workers {
+                    Err(err)
+                } else {
+                    Ok(false)
+                };
+            };
+            self.books.c_send_retries.inc();
+            // The backoff sleep gets its own span so the assembled
+            // critical path can blame retries, not the wire, for the
+            // stall.
+            let _retry_span = obs.span("retry.backoff", &[("peer", peer as u64)]);
+            let before = obs.tracer.now_ns();
+            self.config.clock.sleep(delay);
+            let slept = obs.tracer.now_ns().saturating_sub(before);
+            round.retry_ns = round.retry_ns.saturating_add(slept);
+        }
+    }
+
+    /// Phase 1: plans every peer and puts the round on the wire.
+    /// Quarantined peers are skipped outright; probe-due peers get a
+    /// 16-byte probe instead of the full batch.
+    fn broadcast(
+        &mut self,
+        transport: &dyn Transport,
+        round: &mut Round,
+        images: &Tensor,
+    ) -> Result<Vec<PeerRound>, NetError> {
+        let obs = &self.config.obs;
+        let deadline = self.config.clock.now() + self.config.worker_timeout;
+        // One frame per kind, shared by every peer: the batch goes from
+        // `f32`s to a sendable frame in one pass (no intermediate payload
+        // buffer), is checksummed once, and an untraced round sends those
+        // very bytes to each peer — byte-identical to wire v1 and to the
+        // certified cost model. A traced round stamps each peer's copy
+        // with a context parented on that peer's `round.send` span.
+        let input_frame = Envelope::encode_with(round.stamp, PayloadKind::Input, None, |buf| {
             encode_f32s_into(images.dims(), images.data(), buf);
         });
-        let probe_frame = Envelope::new(round, PayloadKind::Probe, Vec::new()).encode();
+        let probe_frame = Envelope::new(round.stamp, PayloadKind::Probe, Vec::new()).encode();
+        let stamp_len = round.trace.map_or(0, |_| TRACE_EXT_LEN);
+        let me = round.me;
         let t_broadcast = obs.tracer.now_ns();
+        let mut peers = Vec::new();
         {
             let _broadcast_span = obs.span("round.broadcast", &[]);
-            for peer in 0..num_nodes {
-                if peer == me {
-                    continue;
-                }
+            for peer in (0..transport.num_nodes()).filter(|&p| p != me) {
                 let plan = self.detector.plan(peer);
-                let (shared, kind, kind_name) = match plan {
-                    ContactPlan::Full => (&input_frame, PayloadKind::Input, "input"),
-                    ContactPlan::Probe => (&probe_frame, PayloadKind::Probe, "probe"),
-                    ContactPlan::Skip => {
-                        if let Some(p) = plans.get_mut(peer) {
-                            *p = plan;
-                        }
-                        continue;
-                    }
+                let mut sent = false;
+                let shared = match plan {
+                    ContactPlan::Full => Some((&input_frame, PayloadKind::Input, "input")),
+                    ContactPlan::Probe => Some((&probe_frame, PayloadKind::Probe, "probe")),
+                    ContactPlan::Skip => None,
                 };
-                let ok = if traced {
-                    let _send_span = obs.span(
-                        "round.send",
-                        &[
-                            ("peer", peer as u64),
-                            ("bytes", (shared.len() + TRACE_EXT_LEN) as u64),
-                        ],
-                    );
-                    let ctx = obs.tracer.current_ctx(trace_id);
-                    let payload = EnvelopeRef {
-                        round,
-                        kind,
-                        payload: shared.get(ENVELOPE_HEADER_LEN..).unwrap_or_default(),
-                        trace: Some(ctx),
-                    }
-                    .encode();
-                    let (ok, retry_ns) =
-                        self.send_retrying(transport, peer, &payload, round, send_deadline)?;
-                    attr_retry_ns = attr_retry_ns.saturating_add(retry_ns);
-                    if ok {
-                        obs.tracer
-                            .send_event(kind_name, peer as u64, ctx, payload.len() as u64);
-                    }
-                    ok
-                } else {
-                    let _send_span = obs.span(
-                        "round.send",
-                        &[("peer", peer as u64), ("bytes", shared.len() as u64)],
-                    );
-                    let (ok, retry_ns) =
-                        self.send_retrying(transport, peer, shared, round, send_deadline)?;
-                    attr_retry_ns = attr_retry_ns.saturating_add(retry_ns);
-                    ok
-                };
-                if let (Some(p), Some(s)) = (plans.get_mut(peer), sent.get_mut(peer)) {
-                    *p = plan;
-                    *s = ok;
+                if let Some((shared, kind, label)) = shared {
+                    let wire_len = (shared.len() + stamp_len) as u64;
+                    let _send_span =
+                        obs.span("round.send", &[("peer", peer as u64), ("bytes", wire_len)]);
+                    let ctx = shell::stamp(obs, round.trace);
+                    let frame = shell::stamped(shared, round.stamp, kind, ctx);
+                    sent = self.send_retrying(transport, round, peer, label, &frame, deadline)?;
                 }
+                peers.push(PeerRound {
+                    peer,
+                    plan,
+                    sent,
+                    answered: false,
+                });
             }
         }
-        let broadcast_ns = obs.tracer.now_ns().saturating_sub(t_broadcast);
+        round.broadcast_ns = obs.tracer.now_ns().saturating_sub(t_broadcast);
+        Ok(peers)
+    }
 
-        // Local expert runs while the workers compute. Selection compares
-        // δ*-weighted entropies; reported entropy stays raw.
+    /// Phase 2: the local expert runs while the workers compute.
+    fn forward(
+        &self,
+        round: &mut Round,
+        expert: &mut Sequential,
+        images: &Tensor,
+    ) -> Vec<(usize, f32)> {
+        let obs = &self.config.obs;
         let t_forward = obs.tracer.now_ns();
         let local = {
-            let _forward_span = obs.span("expert.forward", &[("rows", n as u64)]);
+            let _forward_span = obs.span("expert.forward", &[("rows", round.rows as u64)]);
             // Honesty check against the static certificate: count what the
             // local expert's forward actually allocates (DESIGN.md §13).
             let mem = MemScope::begin();
@@ -883,86 +775,45 @@ impl InferenceSession {
             self.m_alloc.record(stats.allocated_bytes, stats.peak_bytes);
             local
         };
-        let compute_ns = obs.tracer.now_ns().saturating_sub(t_forward);
-        // Frame classification and the running argmin fold live in the
-        // pure gather state machine (DESIGN.md §15); this shell owns the
-        // transport waits, the deadline budget and the counters.
-        let mut gather = fsm::GatherFsm::new(
-            round,
-            me,
-            n,
+        round.compute_ns = obs.tracer.now_ns().saturating_sub(t_forward);
+        local
+    }
+
+    /// Phase 3: collects the replies of every peer the broadcast reached,
+    /// under one deadline budget shared by every wait — including the
+    /// re-waits after discarding stale, corrupt or malformed traffic.
+    /// Frame classification and the running argmin fold (selection
+    /// compares δ*-weighted entropies; reported entropy stays raw) live in
+    /// the pure gather state machine (DESIGN.md §15); this shell owns the
+    /// waits, the deadline and the counters.
+    fn gather(
+        &self,
+        transport: &dyn Transport,
+        round: &mut Round,
+        local: Vec<(usize, f32)>,
+        peers: &mut [PeerRound],
+    ) -> Result<Vec<TeamPrediction>, NetError> {
+        let obs = &self.config.obs;
+        let mut fold = fsm::GatherFsm::new(
+            round.stamp,
+            round.me,
+            round.rows,
             local,
             self.config.calibration.clone(),
             self.config.require_all_workers,
         );
-
-        // Gather leg: one deadline budget shared by every wait, including
-        // re-waits after discarding stale/corrupt/malformed traffic.
         let deadline = self.config.clock.now() + self.config.worker_timeout;
-        let mut responded: Vec<bool> = vec![false; num_nodes];
-        let mut stale_discarded = 0u64;
-        let mut corrupt_discarded = 0u64;
-        let mut malformed_discarded = 0u64;
+        let wait = &self.books.wait;
         let _gather_span = obs.span("round.gather", &[]);
-        for peer in 0..num_nodes {
-            let plan = plans.get(peer).copied().unwrap_or(ContactPlan::Skip);
-            if peer == me || plan == ContactPlan::Skip {
-                continue;
-            }
-            if !sent.get(peer).copied().unwrap_or(false) {
-                continue; // send never went out: counts as a miss below
-            }
+        // A peer whose send never went out is not waited for: it counts
+        // as a miss when the round settles.
+        for record in peers.iter_mut().filter(|p| p.sent) {
+            let peer = record.peer;
             let _await_span = obs.span("gather.await", &[("peer", peer as u64)]);
-            let got = loop {
-                // A sibling session may already have consumed this peer's
-                // reply and parked it for us; the router is checked before
-                // every blocking wait and once more after a timeout.
-                let bytes = match take_parked(round, peer) {
-                    Some(bytes) => {
-                        self.c_rescued.inc();
-                        bytes
-                    }
-                    None => {
-                        let remaining = deadline.saturating_duration_since(self.config.clock.now());
-                        match transport.recv(peer, TAG_RESULT, remaining) {
-                            Ok(bytes) => bytes,
-                            Err(NetError::Timeout { .. }) => match take_parked(round, peer) {
-                                Some(bytes) => {
-                                    self.c_rescued.inc();
-                                    bytes
-                                }
-                                None => break false,
-                            },
-                            Err(e) => return Err(e),
-                        }
-                    }
-                };
-                // A traced reply carries the worker's sending span; the
-                // recv event is the receive half of the wire edge.
-                if let Some(ctx) = peek_trace(&bytes) {
-                    obs.tracer
-                        .recv_event("result", peer as u64, ctx, bytes.len() as u64);
-                }
-                match gather.step(peer, &bytes) {
+            while let Some(bytes) = wait.recv(transport, round.stamp, peer, deadline)? {
+                match fold.step(peer, &bytes) {
                     fsm::GatherVerdict::Fatal(e) => return Err(e),
-                    fsm::GatherVerdict::Discarded(fsm::GatherDiscard::Stale { seen }) => {
-                        // Stamped for a concurrent sibling session's round?
-                        // Route it there instead of dropping it.
-                        if park_for_round(seen, peer, bytes) {
-                            self.c_parked.inc();
-                        } else {
-                            stale_discarded += 1;
-                            self.c_stale.inc();
-                        }
-                    }
-                    fsm::GatherVerdict::Discarded(fsm::GatherDiscard::Corrupt) => {
-                        corrupt_discarded += 1;
-                        self.c_corrupt.inc();
-                    }
-                    fsm::GatherVerdict::Discarded(fsm::GatherDiscard::Malformed) => {
-                        malformed_discarded += 1;
-                        self.c_malformed.inc();
-                    }
+                    fsm::GatherVerdict::Discarded(why) => self.books.discard(round, why),
                     fsm::GatherVerdict::Accepted { folded } => {
                         if folded {
                             // The argmin fold ran inside the pure state
@@ -970,90 +821,91 @@ impl InferenceSession {
                             // the per-peer fold event.
                             let _argmin_span = obs.span("entropy.argmin", &[("peer", peer as u64)]);
                         }
-                        break true;
+                        record.answered = true;
+                        break;
                     }
                 }
-            };
-            if let Some(r) = responded.get_mut(peer) {
-                *r = got;
             }
-            if !got && self.config.require_all_workers {
+            if !record.answered && self.config.require_all_workers {
                 return Err(NetError::Timeout {
-                    waiting_for: format!("results from worker {peer} (round {round})"),
+                    waiting_for: format!("results from worker {peer} (round {})", round.stamp),
                 });
             }
         }
         drop(_gather_span);
-        let best = gather.into_predictions();
+        Ok(fold.into_predictions())
+    }
 
-        // Fold the round's evidence into the detector.
-        for peer in 0..num_nodes {
-            let plan = plans.get(peer).copied().unwrap_or(ContactPlan::Skip);
-            let contacted = peer != me && plan != ContactPlan::Skip;
-            let answered = responded.get(peer).copied().unwrap_or(false);
-            if contacted {
-                if answered {
-                    self.detector.record_success(peer);
-                } else {
-                    let before = self.detector.health(peer);
-                    self.detector.record_miss(peer);
-                    if before != PeerHealth::Quarantined
-                        && self.detector.health(peer) == PeerHealth::Quarantined
-                    {
-                        // A peer just crossed into quarantine: dump the
-                        // flight-recorder ring (if armed) with this
-                        // transition as its final event.
-                        let _ = obs.flight_dump(
-                            "flight.quarantine",
-                            &[("peer", peer as u64), ("round_idx", session_round)],
-                        );
-                    }
-                }
+    /// Phase 4: folds the round's evidence into the detector, runs the
+    /// recovery pass, and writes the report and the round's attribution.
+    fn settle(
+        &mut self,
+        transport: &dyn Transport,
+        round: &Round,
+        peers: &[PeerRound],
+        predictions: Vec<TeamPrediction>,
+    ) -> InferenceReport {
+        let obs = &self.config.obs;
+        for record in peers.iter().filter(|p| p.plan != ContactPlan::Skip) {
+            let peer = record.peer;
+            if record.answered {
+                self.detector.record_success(peer);
+                continue;
+            }
+            let before = self.detector.health(peer);
+            self.detector.record_miss(peer);
+            if before != PeerHealth::Quarantined
+                && self.detector.health(peer) == PeerHealth::Quarantined
+            {
+                // A peer just crossed into quarantine: dump the
+                // flight-recorder ring (if armed) with this transition as
+                // its final event.
+                let _ = obs.flight_dump(
+                    "flight.quarantine",
+                    &[("peer", peer as u64), ("round_idx", round.index)],
+                );
             }
         }
 
+        // Every node's health; the detector never hears about the master
+        // itself, so its own entry stays `Live`.
+        let health: Vec<PeerHealth> = (0..transport.num_nodes())
+            .map(|p| self.detector.health(p))
+            .collect();
         // Recovery pass (DESIGN.md §14): with the round's quarantine
         // decisions made, hand experts back to readmitted homes and
         // re-place orphans of quarantined hosts, so the *next* round's
-        // gather already sees full team coverage.
-        let health: Vec<PeerHealth> = (0..num_nodes)
-            .map(|p| {
-                if p == me {
-                    PeerHealth::Live
-                } else {
-                    self.detector.health(p)
-                }
-            })
-            .collect();
+        // gather already sees full team coverage. Transfers inherit the
+        // round's trace id, so their frames (and the worker spans
+        // handling them) stay causal children of this round in the
+        // assembled DAG.
         if let Some(recovery) = self.recovery.as_mut() {
-            // Recovery transfers inherit the round's trace id, so their
-            // frames (and the worker spans handling them) stay causal
-            // children of this round in the assembled DAG.
-            recovery.tick_traced(transport, me, &health, traced.then_some(trace_id));
+            recovery.tick(transport, round.me, &health, round.trace);
         }
-        let expert_hosts = self
-            .recovery
-            .as_ref()
+        let recovery = self.recovery.as_ref();
+        let expert_hosts = recovery
             .map(RecoveryManager::expert_hosts)
             .unwrap_or_default();
-        let migrations = self
-            .recovery
-            .as_ref()
-            .map_or(0, RecoveryManager::migrations);
+        let migrations = recovery.map_or(0, RecoveryManager::migrations);
 
-        // Snapshot per-peer health for the report.
-        let mut peers = BTreeMap::new();
-        for peer in 0..num_nodes {
-            let plan = plans.get(peer).copied().unwrap_or(ContactPlan::Skip);
-            let contacted = peer != me && plan != ContactPlan::Skip;
-            let answered = responded.get(peer).copied().unwrap_or(false);
-            peers.insert(
+        // The master's own line of the report reads as a peer that was
+        // contacted and answered.
+        let own = PeerRound {
+            peer: round.me,
+            plan: ContactPlan::Full,
+            sent: true,
+            answered: true,
+        };
+        let mut report_peers = BTreeMap::new();
+        for record in peers.iter().chain([&own]) {
+            let peer = record.peer;
+            report_peers.insert(
                 peer,
                 PeerReport {
                     health: health.get(peer).copied().unwrap_or(PeerHealth::Quarantined),
-                    contacted: contacted || peer == me,
-                    probed: plan == ContactPlan::Probe,
-                    responded: answered || peer == me,
+                    contacted: record.plan != ContactPlan::Skip,
+                    probed: record.plan == ContactPlan::Probe,
+                    responded: record.answered,
                     consecutive_misses: self.detector.misses(peer),
                     hosted_experts: expert_hosts
                         .iter()
@@ -1063,66 +915,22 @@ impl InferenceSession {
                 },
             );
         }
+        self.books.close(round, obs.tracer.now_ns());
 
-        // Local latency attribution for the round (the cheap, single-node
-        // counterpart of `trace-assemble`'s cross-node critical path):
-        // wire = broadcast minus backoff sleeps, compute = the local
-        // forward, wait = everything else (dominated by the gather leg).
-        let wall_ns = obs.tracer.now_ns().saturating_sub(t_round);
-        let wire_ns = broadcast_ns.saturating_sub(attr_retry_ns);
-        let wait_ns = wall_ns
-            .saturating_sub(broadcast_ns)
-            .saturating_sub(compute_ns);
-        // Only traced sessions feed these: a disabled tracer falls back
-        // to wall time, which would poison deterministic metric pins.
-        if traced {
-            self.h_attr_compute.observe(compute_ns);
-            self.h_attr_wire.observe(wire_ns);
-            self.h_attr_wait.observe(wait_ns);
-            self.h_attr_retry.observe(attr_retry_ns);
-        }
-
-        Ok(InferenceReport {
-            round,
-            predictions: best,
-            peers,
-            stale_discarded,
-            corrupt_discarded,
-            malformed_discarded,
+        InferenceReport {
+            round: round.stamp,
+            predictions,
+            peers: report_peers,
+            stale_discarded: round.stale,
+            corrupt_discarded: round.corrupt,
+            malformed_discarded: round.malformed,
             expert_hosts,
             migrations,
-        })
+        }
     }
 }
 
-/// One-shot master-side collaborative inference over an input batch.
-///
-/// Creates a throwaway [`InferenceSession`] (every peer starts live) and
-/// runs a single round; the round stamp is still globally unique, so even
-/// repeated one-shot calls over the same transport can never consume a
-/// previous call's late reply. Hold an [`InferenceSession`] instead when
-/// serving many rounds — it remembers which peers are dead.
-///
-/// # Errors
-///
-/// * [`NetError::Timeout`] if a worker misses the deadline and
-///   `require_all_workers` is set;
-/// * [`NetError::Malformed`] / [`NetError::Corrupt`] for undecodable
-///   worker responses in strict mode;
-/// * transport failures otherwise.
-pub fn master_infer(
-    transport: &dyn Transport,
-    expert: &mut Sequential,
-    images: &Tensor,
-    config: &MasterConfig,
-) -> Result<Vec<TeamPrediction>, NetError> {
-    let mut session = InferenceSession::new(transport, config.clone());
-    session
-        .infer(transport, expert, images)
-        .map(|report| report.predictions)
-}
-
-/// Asks every worker served by [`serve_worker`] to exit.
+/// Asks every worker served by [`serve_worker_with_config`] to exit.
 ///
 /// # Errors
 ///
@@ -1150,19 +958,29 @@ mod tests {
         build_expert(&ModelSpec::mlp(2, 16), seed)
     }
 
+    /// Serves `node` with the default worker policy until shutdown.
+    fn serve(node: &dyn Transport, expert: &mut Sequential) -> WorkerStats {
+        serve_worker_with_config(node, 0, expert, WorkerConfig::default()).unwrap()
+    }
+
+    /// One round on a fresh session (every peer starts live).
+    fn one_round(
+        transport: &dyn Transport,
+        expert: &mut Sequential,
+        images: &Tensor,
+        config: &MasterConfig,
+    ) -> Result<Vec<TeamPrediction>, NetError> {
+        InferenceSession::new(transport, config.clone())
+            .infer(transport, expert, images)
+            .map(|report| report.predictions)
+    }
+
     #[test]
     fn results_codec_roundtrip() {
         let results = vec![(3usize, 0.5f32), (9, 1.25)];
         let decoded = decode_results(&encode_results(&results)).unwrap();
         assert_eq!(decoded, results);
         assert!(decode_results(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn round_stamps_are_process_unique() {
-        let a = next_round();
-        let b = next_round();
-        assert!(b > a);
     }
 
     #[test]
@@ -1186,10 +1004,10 @@ mod tests {
         let got = thread::scope(|scope| {
             for (i, node) in nodes.iter().enumerate().skip(1) {
                 let mut worker_expert = expert(i as u64);
-                scope.spawn(move |_| serve_worker(node, 0, &mut worker_expert).unwrap());
+                scope.spawn(move |_| serve(node, &mut worker_expert));
             }
             let mut master_expert = expert(0);
-            let preds = master_infer(
+            let preds = one_round(
                 &nodes[0],
                 &mut master_expert,
                 &images,
@@ -1227,14 +1045,14 @@ mod tests {
         let got = thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+                serve(&nodes[1], &mut worker_expert);
             });
             let mut master_expert = expert(0);
             let config = MasterConfig {
                 calibration: Some(weights),
                 ..MasterConfig::default()
             };
-            let preds = master_infer(&nodes[0], &mut master_expert, &images, &config).unwrap();
+            let preds = one_round(&nodes[0], &mut master_expert, &images, &config).unwrap();
             shutdown_workers(&nodes[0]).unwrap();
             preds
         })
@@ -1256,7 +1074,7 @@ mod tests {
             require_all_workers: true,
             ..MasterConfig::default()
         };
-        let res = master_infer(&nodes[0], &mut master_expert, &images, &config);
+        let res = one_round(&nodes[0], &mut master_expert, &images, &config);
         assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
     }
 
@@ -1270,7 +1088,7 @@ mod tests {
             require_all_workers: false,
             ..MasterConfig::default()
         };
-        let preds = master_infer(&nodes[0], &mut master_expert, &images, &config).unwrap();
+        let preds = one_round(&nodes[0], &mut master_expert, &images, &config).unwrap();
         assert_eq!(preds.len(), 2);
         // All predictions fall back to the master's own expert.
         assert!(preds.iter().all(|p| p.expert == 0));
@@ -1288,10 +1106,10 @@ mod tests {
         thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+                serve(&nodes[1], &mut worker_expert);
             });
             let mut master_expert = expert(0);
-            let preds = master_infer(
+            let preds = one_round(
                 &nodes[0],
                 &mut master_expert,
                 &images,
@@ -1310,14 +1128,14 @@ mod tests {
         thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                let stats = serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+                let stats = serve(&nodes[1], &mut worker_expert);
                 assert_eq!(stats.rounds_served, 5);
                 assert_eq!(stats.malformed_skipped, 0);
             });
             let mut master_expert = expert(0);
             for round in 0..5 {
                 let images = Tensor::full([1, 1, 28, 28], round as f32 * 0.1);
-                let preds = master_infer(
+                let preds = one_round(
                     &nodes[0],
                     &mut master_expert,
                     &images,
@@ -1338,7 +1156,7 @@ mod tests {
         thread::scope(|scope| {
             let worker = scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                serve_worker(&nodes[1], 0, &mut worker_expert).unwrap()
+                serve(&nodes[1], &mut worker_expert)
             });
             // Garbage that fails envelope decoding entirely.
             nodes[0].send(1, TAG_INPUT, b"not an envelope").unwrap();
@@ -1347,7 +1165,7 @@ mod tests {
             nodes[0].send(1, TAG_INPUT, &bad_tensor).unwrap();
             // A healthy round must still be answered after both.
             let mut master_expert = expert(0);
-            let preds = master_infer(
+            let preds = one_round(
                 &nodes[0],
                 &mut master_expert,
                 &images,
@@ -1370,7 +1188,7 @@ mod tests {
         thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+                serve(&nodes[1], &mut worker_expert);
             });
             let config = MasterConfig {
                 require_all_workers: false,
@@ -1464,7 +1282,7 @@ mod tests {
         thread::scope(|scope| {
             let worker1 = scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap()
+                serve(&nodes[1], &mut e)
             });
             let worker2 = scope.spawn(|_| {
                 let mut e = expert(2);
@@ -1513,7 +1331,7 @@ mod tests {
             // so the same round's recovery pass hands the expert back.
             let respawned = scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap()
+                serve(&nodes[1], &mut e)
             });
             let r3 = session
                 .infer(&nodes[0], &mut master_expert, &images)
@@ -1712,7 +1530,7 @@ mod tests {
         thread::scope(|scope| {
             let worker = scope.spawn(|_| {
                 let mut worker_expert = expert(1);
-                serve_worker(&nodes[1], 0, &mut worker_expert).unwrap()
+                serve(&nodes[1], &mut worker_expert)
             });
             let probe = Envelope::new(123, PayloadKind::Probe, Vec::new());
             nodes[0].send(1, TAG_INPUT, &probe.encode()).unwrap();
@@ -1745,7 +1563,7 @@ mod tests {
         }
         shutdown_workers(&nodes[0]).unwrap();
         let mut worker_expert = expert(1);
-        let stats = serve_worker(&nodes[1], 0, &mut worker_expert).unwrap();
+        let stats = serve(&nodes[1], &mut worker_expert);
         assert_eq!(
             stats,
             WorkerStats::default(),
@@ -1765,7 +1583,7 @@ mod tests {
                 thread::scope(|scope| {
                     let worker = scope.spawn(|_| {
                         let mut worker_expert = expert(1);
-                        serve_worker(&nodes[1], 0, &mut worker_expert).unwrap()
+                        serve(&nodes[1], &mut worker_expert)
                     });
                     // A served probe proves the loop is up; it goes back
                     // to its wait right after replying.

@@ -64,7 +64,9 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    fn to_wire(self) -> [u8; TRACE_EXT_LEN] {
+    /// The 16-byte wire extension: `trace_id: u64 | parent_span: u64`,
+    /// little-endian. Envelopes and serve frames carry the same bytes.
+    pub fn to_wire(self) -> [u8; TRACE_EXT_LEN] {
         let mut out = [0u8; TRACE_EXT_LEN];
         let (id_half, span_half) = out.split_at_mut(8);
         id_half.copy_from_slice(&self.trace_id.to_le_bytes());
@@ -72,7 +74,8 @@ impl TraceContext {
         out
     }
 
-    fn from_wire(bytes: &[u8; TRACE_EXT_LEN]) -> Self {
+    /// Parses the wire extension written by [`TraceContext::to_wire`].
+    pub fn from_wire(bytes: &[u8; TRACE_EXT_LEN]) -> Self {
         let [t0, t1, t2, t3, t4, t5, t6, t7, s0, s1, s2, s3, s4, s5, s6, s7] = *bytes;
         TraceContext {
             trace_id: u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]),
@@ -93,6 +96,16 @@ pub fn peek_trace(bytes: &[u8]) -> Option<TraceContext> {
     }
     let ext = bytes.get(ENVELOPE_HEADER_LEN..)?.first_chunk()?;
     Some(TraceContext::from_wire(ext))
+}
+
+/// Reads the round stamp off an encoded envelope without a full decode,
+/// for IO shells routing a frame to the wait that owns its round. `None`
+/// when the bytes are too short or not this version's envelope.
+pub fn peek_round(bytes: &[u8]) -> Option<u64> {
+    let [v0, v1, _, _, r0, r1, r2, r3, r4, r5, r6, r7, ..] =
+        *bytes.first_chunk::<ENVELOPE_HEADER_LEN>()?;
+    (u16::from_le_bytes([v0, v1]) == ENVELOPE_VERSION)
+        .then(|| u64::from_le_bytes([r0, r1, r2, r3, r4, r5, r6, r7]))
 }
 
 /// Derives a trace id from a session seed and a session-local round

@@ -38,8 +38,6 @@ pub enum NetError {
         /// Round the receiver is collecting.
         current: u64,
     },
-    /// A constructor or configuration value was rejected before any I/O.
-    InvalidConfig(String),
 }
 
 impl fmt::Display for NetError {
@@ -63,7 +61,6 @@ impl fmt::Display for NetError {
                     "stale message: stamped round {got}, collecting round {current}"
                 )
             }
-            NetError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }

@@ -3,10 +3,7 @@
 //! Edge deployments lose packets, delay them, replay them and flip their
 //! bits; [`ChaosTransport`] decorates a real transport with **seeded,
 //! deterministic** versions of all four faults plus explicit per-peer
-//! black-holing, so resilience tests replay identically run-to-run. The
-//! historical [`LossyTransport`] name is an alias — the old drop-only
-//! wrapper's API (`new`, `dropping_every`, `blackhole`, `heal`) is a
-//! subset of the chaos API.
+//! black-holing, so resilience tests replay identically run-to-run.
 //!
 //! Faults apply to the *send* side only: a wrapped endpoint mistreats its
 //! own outgoing traffic, which composes cleanly when every node of a mesh
@@ -59,11 +56,10 @@ impl Default for ChaosConfig {
 ///
 /// This is the *model* of [`ChaosTransport`]'s per-send decision, exported
 /// so that offline tools (the `cargo xtask mc` fault adversary) can prove
-/// their fault semantics match the runtime byte-for-byte. Blackholing and
-/// the legacy periodic `drop_every` fault are **not** part of the
-/// probabilistic plan: they short-circuit before any RNG draw and consume
-/// no randomness, which is exactly why [`plan_fates`] can replay the RNG
-/// stream from the seed alone.
+/// their fault semantics match the runtime byte-for-byte. Blackholing is
+/// **not** part of the probabilistic plan: it short-circuits before any
+/// RNG draw and consumes no randomness, which is exactly why
+/// [`plan_fates`] can replay the RNG stream from the seed alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultFate {
     /// Delivered unchanged.
@@ -108,8 +104,7 @@ fn next_fate(rng: &mut DetRng, config: &ChaosConfig, payload_len: usize) -> Faul
 /// messages (identified only by their payload lengths, which gate the
 /// corrupt draw) and returns the fate of each. A [`ChaosTransport`] built
 /// from the same `config` assigns exactly these fates to its first
-/// `payload_lens.len()` sends, provided no blackhole or `drop_every`
-/// fault preempts the draw.
+/// `payload_lens.len()` sends, provided no blackhole preempts the draw.
 pub fn plan_fates(config: &ChaosConfig, payload_lens: &[usize]) -> Vec<FaultFate> {
     let mut rng = DetRng::new(config.seed);
     payload_lens
@@ -148,18 +143,11 @@ struct ChaosState {
 pub struct ChaosTransport<T: Transport> {
     inner: T,
     config: ChaosConfig,
-    /// Drop every `drop_every`-th message (0 = disabled); the legacy
-    /// deterministic-periodic fault, still useful for exact-count tests.
-    drop_every: u64,
     /// Ordered set: membership tests only today, but the `det-map` audit
     /// rule keeps unordered collections out of protocol paths wholesale.
     blackholed: Mutex<BTreeSet<NodeId>>,
     state: Mutex<ChaosState>,
 }
-
-/// Backwards-compatible name for the drop-only fault wrapper: the chaos
-/// layer with no probabilistic faults configured.
-pub type LossyTransport<T> = ChaosTransport<T>;
 
 impl<T: Transport> ChaosTransport<T> {
     /// Wraps `inner` with no faults configured (blackhole/heal still work).
@@ -173,7 +161,6 @@ impl<T: Transport> ChaosTransport<T> {
         ChaosTransport {
             inner,
             config,
-            drop_every: 0,
             blackholed: Mutex::new(BTreeSet::new()),
             state: Mutex::new(ChaosState {
                 rng: DetRng::new(seed),
@@ -182,23 +169,6 @@ impl<T: Transport> ChaosTransport<T> {
                 counters: FaultCounters::default(),
             }),
         }
-    }
-
-    /// Drops every `n`-th outgoing message (1 = drop everything).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidConfig`] if `n == 0`; use
-    /// [`ChaosTransport::new`] for a fault-free wrapper.
-    pub fn dropping_every(inner: T, n: u64) -> Result<Self, NetError> {
-        if n == 0 {
-            return Err(NetError::InvalidConfig(
-                "drop_every must be positive (every 0th message is meaningless)".into(),
-            ));
-        }
-        let mut wrapper = Self::new(inner);
-        wrapper.drop_every = n;
-        Ok(wrapper)
     }
 
     /// Starts black-holing all traffic towards `peer` (simulates the peer
@@ -257,10 +227,9 @@ impl<T: Transport> std::fmt::Debug for ChaosTransport<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ChaosTransport(node {}, seed {}, drop_every {})",
+            "ChaosTransport(node {}, seed {})",
             self.inner.node_id(),
-            self.config.seed,
-            self.drop_every
+            self.config.seed
         )
     }
 }
@@ -279,11 +248,9 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             let mut state = self.state.lock();
             state.offered += 1;
             let offered = state.offered;
-            // Blackhole / periodic drops preempt the probabilistic plan
-            // without consuming an RNG draw (see `FaultFate` docs).
+            // A blackhole preempts the probabilistic plan without
+            // consuming an RNG draw (see `FaultFate` docs).
             let fate = if self.blackholed.lock().contains(&to) {
-                FaultFate::Drop
-            } else if self.drop_every > 0 && offered.is_multiple_of(self.drop_every) {
                 FaultFate::Drop
             } else {
                 next_fate(&mut state.rng, &self.config, payload.len())
@@ -361,7 +328,7 @@ mod tests {
     fn blackhole_drops_and_heal_restores() {
         let mut nodes = ChannelTransport::mesh(2);
         let receiver = nodes.pop().unwrap();
-        let lossy = LossyTransport::new(nodes.pop().unwrap());
+        let lossy = ChaosTransport::new(nodes.pop().unwrap());
 
         lossy.blackhole(1);
         lossy.send(1, TAG, b"lost").unwrap();
@@ -377,35 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn periodic_drops() {
-        let mut nodes = ChannelTransport::mesh(2);
-        let receiver = nodes.pop().unwrap();
-        let lossy = LossyTransport::dropping_every(nodes.pop().unwrap(), 2).unwrap();
-        for i in 0..4u8 {
-            lossy.send(1, TAG, &[i]).unwrap();
-        }
-        // Messages 2 and 4 (1-indexed) were dropped.
-        assert_eq!(receiver.recv(0, TAG, SHORT).unwrap(), vec![0]);
-        assert_eq!(receiver.recv(0, TAG, SHORT).unwrap(), vec![2]);
-        assert!(matches!(
-            receiver.recv(0, TAG, SHORT),
-            Err(NetError::Timeout { .. })
-        ));
-        assert_eq!(lossy.stats().messages_dropped, 2);
-    }
-
-    #[test]
-    fn dropping_every_zero_is_invalid_config() {
-        let mut nodes = ChannelTransport::mesh(1);
-        let res = LossyTransport::dropping_every(nodes.pop().unwrap(), 0);
-        assert!(matches!(res, Err(NetError::InvalidConfig(_))));
-    }
-
-    #[test]
     fn passthrough_when_no_faults() {
         let mut nodes = ChannelTransport::mesh(2);
         let receiver = nodes.pop().unwrap();
-        let lossy = LossyTransport::new(nodes.pop().unwrap());
+        let lossy = ChaosTransport::new(nodes.pop().unwrap());
         lossy.send(1, TAG, b"clean").unwrap();
         assert_eq!(receiver.recv(0, TAG, SHORT).unwrap(), b"clean");
         assert_eq!(lossy.node_id(), 0);

@@ -14,7 +14,7 @@
 //! * [`rpc`] — a minimal unary RPC layer (the gRPC stand-in);
 //! * [`ChaosTransport`] — seeded, deterministic fault injection (drop /
 //!   delay / corruption / duplication / black-holing) for resilience
-//!   tests; [`LossyTransport`] is its backwards-compatible alias;
+//!   tests;
 //! * [`Envelope`] — versioned, round-stamped, CRC-checked message
 //!   envelopes for the fault-tolerant inference protocol;
 //! * [`RetryPolicy`] / [`Backoff`] — bounded retries with exponential
@@ -58,11 +58,11 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use collective::{Communicator, COLLECTIVE_TAG_BASE};
 pub use crc::{crc32, Crc32};
 pub use envelope::{
-    derive_trace_id, peek_trace, Envelope, EnvelopeRef, PayloadKind, TraceContext,
+    derive_trace_id, peek_round, peek_trace, Envelope, EnvelopeRef, PayloadKind, TraceContext,
     ENVELOPE_HEADER_LEN, ENVELOPE_VERSION, FLAG_TRACE, TRACE_EXT_LEN,
 };
 pub use error::NetError;
-pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate, LossyTransport};
+pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate};
 pub use mailbox::Mailbox;
 pub use retry::{Backoff, DetRng, RetryPolicy};
 pub use tcp::TcpTransport;

@@ -502,7 +502,7 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teamnet_core::runtime::{serve_worker, shutdown_workers};
+    use teamnet_core::runtime::{serve_worker_with_config, shutdown_workers, WorkerConfig};
     use teamnet_net::{ChannelTransport, ManualClock};
     use teamnet_nn::ModelSpec;
 
@@ -533,7 +533,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
             let handle = engine.handle();
@@ -559,7 +559,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
             let handle = engine.handle();
@@ -616,7 +616,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
             let handle = engine.handle();

@@ -34,7 +34,9 @@
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use teamnet_core::runtime::{serve_worker, shutdown_workers, MasterConfig};
+//! use teamnet_core::runtime::{
+//!     serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig,
+//! };
 //! use teamnet_net::{ChannelTransport, ManualClock};
 //! use teamnet_nn::ModelSpec;
 //! use teamnet_serve::{BatcherConfig, ServeConfig, ServeEngine};
@@ -46,7 +48,7 @@
 //! crossbeam::thread::scope(|scope| {
 //!     scope.spawn(|_| {
 //!         let mut expert = teamnet_core::build_expert(&ModelSpec::mlp(2, 16), 1);
-//!         serve_worker(&nodes[1], 0, &mut expert).unwrap();
+//!         serve_worker_with_config(&nodes[1], 0, &mut expert, WorkerConfig::default()).unwrap();
 //!     });
 //!     let config = ServeConfig {
 //!         batch: BatcherConfig::default(),

@@ -14,7 +14,7 @@ use crate::engine::ServeHandle;
 use crate::error::ServeError;
 use crate::wire::{
     decode_predictions, decode_reject, encode_predictions, encode_reject, read_serve_frame,
-    write_serve_frame, write_serve_frame_traced, ServeMsgKind,
+    write_serve_frame, ServeMsgKind,
 };
 use parking_lot::Mutex;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -179,7 +179,8 @@ fn handle_connection(mut stream: TcpStream, handle: &ServeHandle) {
             Err(e @ ServeError::Malformed(_)) => {
                 // The stream may be desynchronized after a bad frame:
                 // reject and hang up rather than mis-parse what follows.
-                let _ = write_serve_frame(&mut stream, ServeMsgKind::Reject, 0, &encode_reject(&e));
+                let reject = encode_reject(&e);
+                let _ = write_serve_frame(&mut stream, ServeMsgKind::Reject, 0, None, &reject);
                 return;
             }
             Err(_) => return, // EOF / closed
@@ -204,8 +205,7 @@ fn handle_connection(mut stream: TcpStream, handle: &ServeHandle) {
                 };
                 let reply_ctx = frame.trace.map(|ctx| obs.tracer.current_ctx(ctx.trace_id));
                 drop(req_span);
-                if write_serve_frame_traced(&mut stream, kind, frame.req_id, reply_ctx, &payload)
-                    .is_err()
+                if write_serve_frame(&mut stream, kind, frame.req_id, reply_ctx, &payload).is_err()
                 {
                     return;
                 }
@@ -217,6 +217,7 @@ fn handle_connection(mut stream: TcpStream, handle: &ServeHandle) {
                     &mut stream,
                     ServeMsgKind::Reject,
                     frame.req_id,
+                    None,
                     &encode_reject(&err),
                 );
                 return;
@@ -292,7 +293,7 @@ impl ServeClient {
             trace_id: derive_trace_id(seed, id),
             parent_span: 0,
         });
-        write_serve_frame_traced(
+        write_serve_frame(
             &mut self.stream,
             ServeMsgKind::Request,
             id,
@@ -321,7 +322,7 @@ impl ServeClient {
 impl Drop for ServeClient {
     fn drop(&mut self) {
         // Best-effort clean goodbye so the server thread exits promptly.
-        let _ = write_serve_frame(&mut self.stream, ServeMsgKind::Goodbye, 0, &[]);
+        let _ = write_serve_frame(&mut self.stream, ServeMsgKind::Goodbye, 0, None, &[]);
     }
 }
 
@@ -331,7 +332,9 @@ mod tests {
     use crate::batcher::BatcherConfig;
     use crate::engine::{ServeConfig, ServeEngine};
     use std::time::Instant;
-    use teamnet_core::runtime::{serve_worker, shutdown_workers, MasterConfig};
+    use teamnet_core::runtime::{
+        serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig,
+    };
     use teamnet_net::ChannelTransport;
     use teamnet_nn::{ModelSpec, Sequential};
 
@@ -345,7 +348,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let config = ServeConfig {
                 batch: BatcherConfig {
@@ -398,7 +401,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let config = ServeConfig {
                 batch: BatcherConfig {
@@ -544,7 +547,7 @@ mod tests {
         crossbeam::thread::scope(|scope| {
             scope.spawn(|_| {
                 let mut e = expert(1);
-                serve_worker(&nodes[1], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
             });
             let config = ServeConfig {
                 batch: BatcherConfig {

@@ -14,7 +14,7 @@ use crate::error::ServeError;
 use std::io::{Read, Write};
 use teamnet_core::TeamPrediction;
 use teamnet_net::codec::{read_exact_bounded, write_all_vectored};
-use teamnet_net::{Crc32, TraceContext};
+use teamnet_net::{Crc32, TraceContext, TRACE_EXT_LEN};
 
 /// Frame magic: `b"TSRV"` little-endian, so a stray connection speaking
 /// the wrong protocol fails fast instead of mis-decoding.
@@ -23,14 +23,11 @@ pub const SERVE_MAGIC: u32 = 0x5652_5354;
 /// Frame header length: magic(4) | kind(1) | req_id(8) | len(4) | crc(4).
 pub const SERVE_HEADER_LEN: usize = 21;
 
-/// High bit of the kind byte: the header is followed by a 16-byte trace
-/// extension (`trace_id: u64 | parent_span: u64`, little-endian), covered
+/// High bit of the kind byte: the header is followed by the 16-byte trace
+/// extension an envelope carries too ([`TraceContext::to_wire`]), covered
 /// by the frame CRC together with the payload. Untraced frames stay
 /// byte-identical to the pre-tracing protocol (DESIGN.md §17).
 pub const SERVE_TRACE_FLAG: u8 = 0x80;
-
-/// Length of the optional trace extension.
-pub const SERVE_TRACE_EXT_LEN: usize = 16;
 
 /// Largest accepted payload: a 64-row batch of 28×28 images is ~200 KiB;
 /// 16 MiB leaves room for generous feature dims while bounding what a
@@ -97,13 +94,12 @@ fn frame_head(
     req_id: u64,
     trace: Option<TraceContext>,
     payload: &[u8],
-) -> ([u8; SERVE_HEADER_LEN + SERVE_TRACE_EXT_LEN], usize) {
-    let mut head = [0u8; SERVE_HEADER_LEN + SERVE_TRACE_EXT_LEN];
+) -> ([u8; SERVE_HEADER_LEN + TRACE_EXT_LEN], usize) {
+    let mut head = [0u8; SERVE_HEADER_LEN + TRACE_EXT_LEN];
     let mut used = SERVE_HEADER_LEN;
     if let Some(ctx) = trace {
-        head[used..used + 8].copy_from_slice(&ctx.trace_id.to_le_bytes());
-        head[used + 8..used + 16].copy_from_slice(&ctx.parent_span.to_le_bytes());
-        used += SERVE_TRACE_EXT_LEN;
+        head[used..].copy_from_slice(&ctx.to_wire());
+        used += TRACE_EXT_LEN;
     }
     // The CRC covers the extension and the payload, hashed in place.
     let crc = Crc32::new()
@@ -139,30 +135,16 @@ pub fn encode_serve_frame_traced(
     out
 }
 
-/// Writes one untraced frame to a byte stream.
+/// Writes one frame to a byte stream, stamping the trace extension when
+/// `trace` is given. Header and payload leave as a single vectored write:
+/// the payload is not copied into a frame buffer, and the header never
+/// travels in a segment of its own (which, on a socket without
+/// `TCP_NODELAY`, would park the payload behind the peer's delayed ACK).
 ///
 /// # Errors
 ///
 /// [`ServeError::Closed`] when the stream is gone.
 pub fn write_serve_frame(
-    writer: &mut dyn Write,
-    kind: ServeMsgKind,
-    req_id: u64,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    write_serve_frame_traced(writer, kind, req_id, None, payload)
-}
-
-/// Writes one frame, stamping the trace extension when `trace` is given.
-/// Header and payload leave as a single vectored write: the payload is
-/// not copied into a frame buffer, and the header never travels in a
-/// segment of its own (which, on a socket without `TCP_NODELAY`, would
-/// park the payload behind the peer's delayed ACK).
-///
-/// # Errors
-///
-/// [`ServeError::Closed`] when the stream is gone.
-pub fn write_serve_frame_traced(
     writer: &mut dyn Write,
     kind: ServeMsgKind,
     req_id: u64,
@@ -205,23 +187,18 @@ pub fn read_serve_frame(reader: &mut dyn Read) -> Result<ServeFrame, ServeError>
             "frame payload of {len} bytes exceeds the {MAX_SERVE_PAYLOAD}-byte bound"
         )));
     }
-    let mut ext_buf = [0u8; SERVE_TRACE_EXT_LEN];
-    let ext: &[u8] = if traced {
+    let mut ext = [0u8; TRACE_EXT_LEN];
+    if traced {
         reader
-            .read_exact(&mut ext_buf)
+            .read_exact(&mut ext)
             .map_err(|_| ServeError::Closed)?;
-        &ext_buf
-    } else {
-        &[]
-    };
+    }
+    let covered: &[u8] = if traced { &ext } else { &[] };
     let payload = read_exact_bounded(reader, len).map_err(|_| ServeError::Closed)?;
-    if Crc32::new().update(ext).update(&payload).finish() != crc {
+    if Crc32::new().update(covered).update(&payload).finish() != crc {
         return Err(ServeError::Malformed("frame crc mismatch".into()));
     }
-    let trace = ext.split_first_chunk::<8>().map(|(id, span)| TraceContext {
-        trace_id: u64::from_le_bytes(*id),
-        parent_span: u64::from_le_bytes(span.try_into().unwrap_or_default()),
-    });
+    let trace = traced.then(|| TraceContext::from_wire(&ext));
     Ok(ServeFrame {
         kind,
         req_id,
@@ -322,7 +299,7 @@ mod tests {
             parent_span: 99,
         };
         let bytes = encode_serve_frame_traced(ServeMsgKind::Request, 7, Some(ctx), b"xyz");
-        assert_eq!(bytes.len(), SERVE_HEADER_LEN + SERVE_TRACE_EXT_LEN + 3);
+        assert_eq!(bytes.len(), SERVE_HEADER_LEN + TRACE_EXT_LEN + 3);
         let frame = read_serve_frame(&mut bytes.as_slice()).unwrap();
         assert_eq!(frame.kind, ServeMsgKind::Request);
         assert_eq!(frame.req_id, 7);
@@ -363,10 +340,10 @@ mod tests {
         );
         // The vectored writer puts the same bytes on a stream.
         let mut stream = Vec::new();
-        write_serve_frame(&mut stream, ServeMsgKind::Request, 42, b"payload").unwrap();
+        write_serve_frame(&mut stream, ServeMsgKind::Request, 42, None, b"payload").unwrap();
         assert_eq!(stream, untraced);
         let mut stream = Vec::new();
-        write_serve_frame_traced(&mut stream, ServeMsgKind::Reply, 7, Some(ctx), b"xyz").unwrap();
+        write_serve_frame(&mut stream, ServeMsgKind::Reply, 7, Some(ctx), b"xyz").unwrap();
         assert_eq!(stream, traced);
     }
 

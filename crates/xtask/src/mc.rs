@@ -365,7 +365,7 @@ fn deliver_to_worker(
         net.push(Frame {
             to: reply.to,
             from: node,
-            bytes: reply.encode(),
+            bytes: reply.encode(None),
         });
     }
     None
@@ -439,7 +439,7 @@ impl Recovery {
             net.push(Frame {
                 to: frame.to,
                 from: MASTER,
-                bytes: frame.encode(),
+                bytes: frame.encode(None),
             });
         }
         master.fsm = Some(fsm);
@@ -477,7 +477,7 @@ impl Recovery {
                     net.push(Frame {
                         to: frame.to,
                         from: MASTER,
-                        bytes: frame.encode(),
+                        bytes: frame.encode(None),
                     });
                 }
                 master.fsm = Some(fsm);
@@ -491,7 +491,7 @@ impl Recovery {
                     net.push(Frame {
                         to: abort.to,
                         from: MASTER,
-                        bytes: abort.encode(),
+                        bytes: abort.encode(None),
                     });
                 }
                 self.backtrack(master, net);
@@ -507,7 +507,7 @@ impl Recovery {
             net.push(Frame {
                 to: abort.to,
                 from: MASTER,
-                bytes: abort.encode(),
+                bytes: abort.encode(None),
             });
         }
         self.backtrack(master, net);
@@ -710,7 +710,7 @@ impl Scenario for Recovery {
                     let net_frame = Frame {
                         to: frame.to,
                         from: MASTER,
-                        bytes: frame.encode(),
+                        bytes: frame.encode(None),
                     };
                     let label = format!("RESEND {}", frame_label(&net_frame));
                     let row = msc_message(n, MASTER, net_frame.to, &label, b'>');

@@ -40,6 +40,9 @@ const ROOT_FILES: &[&str] = &[
     "crates/net/src/codec.rs",
     "crates/core/src/entropy.rs",
     "crates/core/src/runtime.rs",
+    // The IO shell both of them send and receive through: its router and
+    // its receive wait sit on every round's path.
+    "crates/core/src/shell.rs",
     // The recovery subsystem must re-place experts identically across
     // identical seeds: a wall-clock or hasher here would break the
     // byte-identical transcripts of `tests/recovery_soak.rs`.

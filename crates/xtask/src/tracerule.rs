@@ -3,25 +3,36 @@
 //!
 //! Cross-node causal tracing only works if *every* hop stamps the frame:
 //! one untraced send site and the receiver's spans fall out of the
-//! assembled DAG as orphans. The rule is function-scoped over **non-test**
-//! lines: a function that sends protocol frames
-//! (`transport.send(...)`, `write_serve_frame(...)`,
-//! `encode_serve_frame(...)`) must show evidence of trace attachment
-//! somewhere in its body — `encode_traced(`, a `_traced(`
-//! variant, `send_ctx(`, `current_ctx(` or `send_event(`.
+//! assembled DAG as orphans. Over **non-test** lines:
+//!
+//! * in `core`, an enveloped `transport.send(...)` may appear in exactly
+//!   one place — `fn send` of the IO shell (`crates/core/src/shell.rs`),
+//!   which every master and worker send goes through and which records
+//!   the stamp it finds on the frame. Any other site is a diagnostic;
+//! * in `serve`, a function that writes or encodes a frame
+//!   (`write_serve_frame(...)`, `encode_serve_frame(...)`) must show
+//!   where the context it passes comes from.
+//!
+//! Evidence of trace attachment in a function body is a context derived
+//! from the open span (`current_ctx(`), a fresh trace id
+//! (`derive_trace_id(`) or the recorded send half of the edge
+//! (`send_event(`).
 //!
 //! | exempt                       | why                                    |
 //! |------------------------------|----------------------------------------|
 //! | `crates/core/src/fsm.rs`     | pure FSMs are trace-free by design     |
-//! |                              | (§15); their IO shells attach contexts |
+//! |                              | (§15); the IO shell attaches contexts  |
 //! | sends of a literal `&[]`     | raw unenveloped frames (shutdown)      |
-//! | `// lint: allow(trace-propagation)` | pass-through helpers whose      |
-//! |                              | callers pre-stamp the payload          |
+//! | `// lint: allow(trace-propagation)` | a reasoned, statement-scoped    |
+//! |                              | exception                              |
 
 use crate::symbols::Model;
 use crate::Diagnostic;
 
 const FSM_FILE: &str = "crates/core/src/fsm.rs";
+/// The one core file — and function — allowed to call `transport.send(`.
+const SHELL_FILE: &str = "crates/core/src/shell.rs";
+const SHELL_SEND_FN: &str = "send";
 const RULE: &str = "trace-propagation";
 
 /// Send-site anchors: calls that put a protocol frame on the wire.
@@ -32,13 +43,7 @@ const ANCHORS: [&str; 3] = [
 ];
 
 /// Evidence that the enclosing function attaches a trace context.
-const EVIDENCE: [&str; 5] = [
-    "encode_traced(",
-    "_traced(",
-    "send_ctx(",
-    "current_ctx(",
-    "send_event(",
-];
+const EVIDENCE: [&str; 3] = ["current_ctx(", "derive_trace_id(", "send_event("];
 
 /// Runs the rule over the `core` and `serve` crates. Returns the number
 /// of send sites audited, for the summary line.
@@ -51,15 +56,16 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
         let Some(file) = model.files.get(f.file) else {
             continue;
         };
-        let in_scope =
-            (file.crate_name == "core" && file.rel_path != FSM_FILE) || file.crate_name == "serve";
-        if !in_scope {
+        let in_core = file.crate_name == "core" && file.rel_path != FSM_FILE;
+        if !in_core && file.crate_name != "serve" {
             continue;
         }
         let Some((start, end)) = f.body else { continue };
         let end = end.min(file.masked.lines.len().saturating_sub(1));
         let body = &file.masked.lines[start..=end];
         let has_evidence = body.iter().any(|l| EVIDENCE.iter().any(|e| l.contains(e)));
+        // In core only the shell's send function may touch the wire.
+        let is_sanctioned = !in_core || (file.rel_path == SHELL_FILE && f.name == SHELL_SEND_FN);
         for (j, line) in body.iter().enumerate() {
             let idx = start + j;
             if file.test_mask.get(idx).copied().unwrap_or(false) {
@@ -73,27 +79,37 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
             if line.contains("&[]") {
                 continue;
             }
-            if has_evidence || file.masked.is_allowed(idx + 1, RULE) {
+            if (is_sanctioned && has_evidence) || file.masked.is_allowed(idx + 1, RULE) {
                 continue;
             }
+            let message = if is_sanctioned {
+                format!(
+                    "protocol frame sent without attaching a trace context; pass one derived \
+                     from the open span (`current_ctx`) so the receiver's spans stay connected \
+                     in the assembled cross-node DAG: `{}`",
+                    line.trim()
+                )
+            } else {
+                format!(
+                    "envelope sent around the IO shell; call `shell::send` (the one audited \
+                     `transport.send` in core), which records the frame's trace stamp: `{}`",
+                    line.trim()
+                )
+            };
             diags.push(Diagnostic {
                 path: file.rel_path.clone(),
                 line: idx + 1,
                 rule: RULE,
-                message: format!(
-                    "protocol frame sent without attaching a trace context; stamp it \
-                     (`encode_traced` / a `_traced` frame writer) so the \
-                     receiver's spans stay connected in the assembled cross-node DAG: `{}`",
-                    line.trim()
-                ),
+                message,
             });
         }
     }
     audited
 }
 
-/// Whether `line` calls `anchor` itself (not a `_traced` superset of it):
-/// the match must not be immediately preceded by an identifier character
+/// Whether `line` calls `anchor` itself (not a longer name ending in it,
+/// and not the anchor's own `fn` definition): the match must not be
+/// immediately preceded by an identifier character or the `fn` keyword,
 /// and the anchor text itself must end at the `(`.
 fn anchors_call(line: &str, anchor: &str) -> bool {
     let mut from = 0usize;
@@ -104,7 +120,7 @@ fn anchors_call(line: &str, anchor: &str) -> bool {
                 .chars()
                 .next_back()
                 .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !preceded {
+        if !preceded && !line[..at].ends_with("fn ") {
             return true;
         }
         from = at + anchor.len();
@@ -124,13 +140,26 @@ mod tests {
     }
 
     #[test]
-    fn traced_send_sites_pass() {
+    fn the_shell_send_function_passes() {
         let diags = run(&[(
             "core",
-            "crates/core/src/runtime.rs",
-            "fn shell(t: &dyn Transport) {\n    let ctx = obs.tracer.current_ctx(trace_id);\n    let payload = env.encode_traced(ctx);\n    transport.send(peer, TAG_INPUT, &payload).unwrap();\n}\n",
+            "crates/core/src/shell.rs",
+            "fn send(t: &dyn Transport, frame: &[u8]) {\n    transport.send(to, tag, frame).unwrap();\n    if let Some(ctx) = peek_trace(frame) {\n        obs.tracer.send_event(label, to, ctx, len);\n    }\n}\n",
         )]);
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn a_second_send_site_is_caught_even_in_the_shell_file() {
+        // Stamped or not: only `fn send` of the shell touches the wire.
+        let diags = run(&[(
+            "core",
+            "crates/core/src/shell.rs",
+            "fn sneak(t: &dyn Transport) {\n    let ctx = obs.tracer.current_ctx(trace_id);\n    transport.send(peer, TAG_INPUT, &msg.encode(Some(ctx))).unwrap();\n}\n",
+        )]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].line, 3);
+        assert!(diags[0].message.contains("shell::send"), "{diags:?}");
     }
 
     #[test]
@@ -152,7 +181,7 @@ mod tests {
         let diags = run(&[(
             "serve",
             "crates/serve/src/rogue.rs",
-            "fn reply(w: &mut dyn Write) {\n    write_serve_frame(w, ServeMsgKind::Reply, id, &payload).unwrap();\n}\nfn reply_traced(w: &mut dyn Write) {\n    write_serve_frame_traced(w, ServeMsgKind::Reply, id, ctx, &payload).unwrap();\n}\n",
+            "fn reply(w: &mut dyn Write) {\n    write_serve_frame(w, ServeMsgKind::Reply, id, None, &payload).unwrap();\n}\nfn reply_traced(w: &mut dyn Write) {\n    let ctx = frame.trace.map(|c| obs.tracer.current_ctx(c.trace_id));\n    write_serve_frame(w, ServeMsgKind::Reply, id, ctx, &payload).unwrap();\n}\npub fn write_serve_frame(w: &mut dyn Write) {\n    write_all_vectored(w, &head, payload).unwrap();\n}\n",
         )]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 2);
@@ -165,7 +194,7 @@ mod tests {
             (
                 "core",
                 "crates/core/src/fsm.rs",
-                "fn emit(t: &dyn Transport) {\n    transport.send(peer, TAG_INPUT, &frame.encode()).unwrap();\n}\n",
+                "fn emit(t: &dyn Transport) {\n    transport.send(peer, TAG_INPUT, &frame.encode(None)).unwrap();\n}\n",
             ),
             // A raw `&[]` frame (shutdown) has no envelope to stamp.
             (
@@ -173,7 +202,7 @@ mod tests {
                 "crates/core/src/runtime.rs",
                 "fn shutdown(t: &dyn Transport) {\n    transport.send(peer, TAG_SHUTDOWN, &[]).unwrap();\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        transport.send(0, TAG_INPUT, &payload).unwrap();\n    }\n}\n",
             ),
-            // Pass-through helper whose caller pre-stamps the payload.
+            // A reasoned, statement-scoped exception.
             (
                 "core",
                 "crates/core/src/retry.rs",

@@ -10,7 +10,9 @@
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::{Duration, Instant};
 use teamnet_core::build_expert;
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_moe::{
     infer_p2p, infer_rpc, serve_expert_p2p, serve_expert_rpc, shutdown_experts_p2p, SgMoe,
     SgMoeConfig,
@@ -53,12 +55,12 @@ fn main() {
             let spec = expert_spec.clone();
             scope.spawn(move |_| {
                 let mut expert = build_expert(&spec, 1);
-                serve_worker(node1, 0, &mut expert).unwrap();
+                serve_worker_with_config(node1, 0, &mut expert, WorkerConfig::default()).unwrap();
             });
             let mut master = build_expert(&expert_spec, 0);
-            let config = MasterConfig::default();
+            let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
             let t = time_per_round(|| {
-                master_infer(&nodes[0], &mut master, &image, &config).unwrap();
+                session.infer(&nodes[0], &mut master, &image).unwrap();
             });
             println!("{:<28} {:>12?}", "TeamNet x2 (broadcast+gather)", t);
             shutdown_workers(&nodes[0]).unwrap();

@@ -13,7 +13,9 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::{Duration, Instant};
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, TrainConfig, Trainer};
 use teamnet_data::synth_digits;
 use teamnet_net::TcpTransport;
@@ -50,7 +52,8 @@ fn main() {
             scope.spawn(move |_| {
                 let mut expert = build_expert(&spec, 0);
                 load_state(&mut expert, &state);
-                serve_worker(node, 0, &mut expert).expect("worker loop");
+                serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default())
+                    .expect("worker loop");
                 println!("worker {i}: shut down cleanly");
             });
         }
@@ -58,7 +61,7 @@ fn main() {
         // Node 0 is the master with its own expert.
         let mut master_expert = build_expert(&spec, 0);
         load_state(&mut master_expert, &states[0]);
-        let config = MasterConfig::default();
+        let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
 
         // Serve 200 "sensor events" and measure wall-clock + accuracy.
         let mut correct = 0usize;
@@ -66,9 +69,10 @@ fn main() {
         let start = Instant::now();
         for i in 0..rounds {
             let image = test.images().select_rows(&[i]);
-            let preds = master_infer(&nodes[0], &mut master_expert, &image, &config)
+            let report = session
+                .infer(&nodes[0], &mut master_expert, &image)
                 .expect("collaborative inference");
-            if preds[0].label == test.labels()[i] {
+            if report.predictions[0].label == test.labels()[i] {
                 correct += 1;
             }
         }
@@ -87,8 +91,10 @@ fn main() {
         shutdown_workers(&nodes[0]).expect("shutdown broadcast");
         std::thread::sleep(Duration::from_millis(100)); // let workers exit
         let image = test.images().select_rows(&[0]);
-        let preds = master_infer(&nodes[0], &mut master_expert, &image, &degraded)
-            .expect("degraded inference");
+        let preds = InferenceSession::new(&nodes[0], degraded)
+            .infer(&nodes[0], &mut master_expert, &image)
+            .expect("degraded inference")
+            .predictions;
         println!(
             "after all workers left: master alone predicts {} (expert {})",
             preds[0].label, preds[0].expert

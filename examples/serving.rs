@@ -19,7 +19,9 @@
 
 use std::time::Duration;
 use teamnet_core::build_expert;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig,
+};
 use teamnet_net::ChannelTransport;
 use teamnet_nn::ModelSpec;
 use teamnet_serve::{BatcherConfig, ServeClient, ServeConfig, ServeEngine, TcpServeFront};
@@ -38,7 +40,8 @@ fn main() {
             let spec = spec.clone();
             scope.spawn(move |_| {
                 let mut expert = build_expert(&spec, i as u64);
-                serve_worker(node, 0, &mut expert).expect("worker loop");
+                serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default())
+                    .expect("worker loop");
             });
         }
 

@@ -10,7 +10,9 @@
 //! identically.
 
 use std::time::Duration;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, FailureDetectorConfig, PeerHealth};
 use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, Transport};
 use teamnet_nn::{ModelSpec, Sequential};
@@ -62,7 +64,8 @@ fn fifty_rounds_under_chaos_complete_with_live_predictions() {
         for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
             scope.spawn(move |_| {
                 let mut worker_expert = expert(i as u64 + 1);
-                serve_worker(node, 0, &mut worker_expert).unwrap();
+                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
+                    .unwrap();
             });
         }
 
@@ -155,7 +158,8 @@ fn mini_soak_summaries(rounds: usize) -> String {
         for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
             scope.spawn(move |_| {
                 let mut worker_expert = expert(i as u64 + 1);
-                serve_worker(node, 0, &mut worker_expert).unwrap();
+                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
+                    .unwrap();
             });
         }
 

@@ -15,7 +15,9 @@
 
 use std::time::Duration;
 use teamnet_core::build_expert;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport};
 use teamnet_nn::{ModelSpec, Sequential};
 use teamnet_tensor::Tensor;
@@ -51,11 +53,11 @@ fn two_concurrent_sessions_share_a_transport_without_starving() {
     crossbeam::thread::scope(|scope| {
         scope.spawn(|_| {
             let mut e = expert(1);
-            serve_worker(&worker1_node, 0, &mut e).unwrap();
+            serve_worker_with_config(&worker1_node, 0, &mut e, WorkerConfig::default()).unwrap();
         });
         scope.spawn(|_| {
             let mut e = expert(2);
-            serve_worker(&worker2_node, 0, &mut e).unwrap();
+            serve_worker_with_config(&worker2_node, 0, &mut e, WorkerConfig::default()).unwrap();
         });
 
         // Two sessions gather concurrently over the *same* master

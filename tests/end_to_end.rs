@@ -4,10 +4,12 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
-use teamnet_core::runtime::{master_infer, serve_worker, shutdown_workers, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, TrainConfig, Trainer};
 use teamnet_data::synth_digits;
-use teamnet_net::{LossyTransport, TcpTransport, Transport};
+use teamnet_net::{ChaosTransport, TcpTransport, Transport};
 use teamnet_nn::{load_state, state_vec, ModelSpec};
 
 fn quick_train(k: usize) -> (teamnet_core::TeamNet, teamnet_data::Dataset) {
@@ -48,19 +50,15 @@ fn train_deploy_infer_over_tcp_matches_local() {
         scope.spawn(move |_| {
             let mut expert = build_expert(&spec_w, 0);
             load_state(&mut expert, &state_w);
-            serve_worker(node1, 0, &mut expert).unwrap();
+            serve_worker_with_config(node1, 0, &mut expert, WorkerConfig::default()).unwrap();
         });
         let mut master = build_expert(&spec, 0);
         load_state(&mut master, &states[0]);
-        let preds = master_infer(
-            &nodes[0],
-            &mut master,
-            sample.images(),
-            &MasterConfig::default(),
-        )
-        .unwrap();
+        let report = InferenceSession::new(&nodes[0], MasterConfig::default())
+            .infer(&nodes[0], &mut master, sample.images())
+            .unwrap();
         shutdown_workers(&nodes[0]).unwrap();
-        preds
+        report.predictions
     })
     .unwrap();
 
@@ -84,7 +82,7 @@ fn inference_survives_a_blackholed_worker() {
     // is black-holed mid-service: degraded mode must still answer.
     let mut mesh = teamnet_net::ChannelTransport::mesh(2);
     let _worker_side = mesh.pop().unwrap(); // worker never runs: dead node
-    let lossy = LossyTransport::new(mesh.pop().unwrap());
+    let lossy = ChaosTransport::new(mesh.pop().unwrap());
     lossy.blackhole(1);
 
     let mut master = build_expert(&spec, 0);
@@ -95,7 +93,10 @@ fn inference_survives_a_blackholed_worker() {
         ..MasterConfig::default()
     };
     let sample = test.subset(&[0, 1, 2]);
-    let preds = master_infer(&lossy, &mut master, sample.images(), &config).unwrap();
+    let preds = InferenceSession::new(&lossy, config)
+        .infer(&lossy, &mut master, sample.images())
+        .unwrap()
+        .predictions;
     assert_eq!(preds.len(), 3);
     assert!(preds.iter().all(|p| p.expert == lossy.node_id()));
 }
@@ -114,7 +115,8 @@ fn strict_mode_reports_timeout_for_dead_worker() {
         ..MasterConfig::default()
     };
     let sample = test.subset(&[0]);
-    let res = master_infer(&nodes[0], &mut master, sample.images(), &config);
+    let res =
+        InferenceSession::new(&nodes[0], config).infer(&nodes[0], &mut master, sample.images());
     assert!(
         matches!(res, Err(teamnet_net::NetError::Timeout { .. })),
         "{res:?}"

@@ -8,7 +8,8 @@
 
 use std::time::Duration;
 use teamnet_core::runtime::{
-    encode_results, serve_worker, InferenceSession, MasterConfig, TAG_INPUT, TAG_RESULT,
+    encode_results, serve_worker_with_config, InferenceSession, MasterConfig, WorkerConfig,
+    TAG_INPUT, TAG_RESULT,
 };
 use teamnet_core::{build_expert, ContactPlan, FailureDetectorConfig, PeerHealth};
 use teamnet_net::{
@@ -106,7 +107,7 @@ fn quarantine_config() -> MasterConfig {
     }
 }
 
-/// Drives a full outage/recovery cycle against a live `serve_worker` on
+/// Drives a full outage/recovery cycle against a live worker loop on
 /// node 1, with the master's outbound traffic chaos-wrapped so the worker
 /// can be black-holed and healed on demand.
 fn quarantine_readmission_cycle<T: Transport>(master_node: T, worker_node: &T) {
@@ -116,7 +117,8 @@ fn quarantine_readmission_cycle<T: Transport>(master_node: T, worker_node: &T) {
     crossbeam::thread::scope(|scope| {
         scope.spawn(move |_| {
             let mut worker_expert = expert(1);
-            serve_worker(worker_node, 0, &mut worker_expert).unwrap();
+            serve_worker_with_config(worker_node, 0, &mut worker_expert, WorkerConfig::default())
+                .unwrap();
         });
 
         let mut session = InferenceSession::new(&chaos, quarantine_config());

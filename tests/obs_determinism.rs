@@ -15,7 +15,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, FailureDetectorConfig};
 use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock, Transport};
 use teamnet_nn::{ModelSpec, Sequential};
@@ -79,7 +81,8 @@ fn traced_soak(rounds: usize) -> (String, String, String) {
         for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
             scope.spawn(move |_| {
                 let mut worker_expert = expert(i as u64 + 1);
-                serve_worker(node, 0, &mut worker_expert).unwrap();
+                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
+                    .unwrap();
             });
         }
 
@@ -205,7 +208,8 @@ fn tracing_does_not_perturb_protocol_outcomes() {
         for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
             scope.spawn(move |_| {
                 let mut worker_expert = expert(i as u64 + 1);
-                serve_worker(node, 0, &mut worker_expert).unwrap();
+                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
+                    .unwrap();
             });
         }
         let mut session = InferenceSession::new(&master, config);

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use teamnet_core::health::InferenceReport;
 use teamnet_core::runtime::{
-    serve_worker, serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig,
-    WorkerConfig,
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
 };
 use teamnet_core::{
     build_expert, FailureDetectorConfig, HostBudget, RecoveryConfig, RecoveryManager,
@@ -105,7 +104,7 @@ fn run_soak() -> (Vec<InferenceReport>, String) {
     crossbeam::thread::scope(|scope| {
         scope.spawn(|_| {
             let mut e = expert(1);
-            serve_worker(&worker1, 0, &mut e).unwrap();
+            serve_worker_with_config(&worker1, 0, &mut e, WorkerConfig::default()).unwrap();
         });
         for (node, seed) in [(&worker2, 2u64), (&worker3, 3u64)] {
             scope.spawn(move |_| {

@@ -18,7 +18,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, InferenceSession, MasterConfig};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, FailureDetectorConfig, TeamPrediction};
 use teamnet_net::{ChannelTransport, ManualClock};
 use teamnet_nn::{ModelSpec, Sequential};
@@ -66,12 +68,12 @@ fn batched_rows(splits: &[usize], fills: &[f32], dead_worker: bool) -> Vec<(usiz
     crossbeam::thread::scope(|scope| {
         scope.spawn(|_| {
             let mut e = expert(1);
-            serve_worker(&nodes[1], 0, &mut e).unwrap();
+            serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
         });
         if !dead_worker {
             scope.spawn(|_| {
                 let mut e = expert(2);
-                serve_worker(&nodes[2], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[2], 0, &mut e, WorkerConfig::default()).unwrap();
             });
         }
         let config = ServeConfig {
@@ -117,12 +119,12 @@ fn solo_rows(splits: &[usize], fills: &[f32], dead_worker: bool) -> Vec<(usize, 
     crossbeam::thread::scope(|scope| {
         scope.spawn(|_| {
             let mut e = expert(1);
-            serve_worker(&nodes[1], 0, &mut e).unwrap();
+            serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
         });
         if !dead_worker {
             scope.spawn(|_| {
                 let mut e = expert(2);
-                serve_worker(&nodes[2], 0, &mut e).unwrap();
+                serve_worker_with_config(&nodes[2], 0, &mut e, WorkerConfig::default()).unwrap();
             });
         }
         let mut session = InferenceSession::new(&nodes[0], master_config(Arc::clone(&clock)));

@@ -14,7 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use teamnet_core::build_expert;
 use teamnet_core::health::PeerHealth;
-use teamnet_core::runtime::{serve_worker, shutdown_workers, MasterConfig, TAG_SHUTDOWN};
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig, TAG_SHUTDOWN,
+};
 use teamnet_core::FailureDetectorConfig;
 use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock, Transport};
 use teamnet_nn::{ModelSpec, Sequential};
@@ -102,11 +104,11 @@ fn serve_soak() -> (String, String, String) {
     crossbeam::thread::scope(|scope| {
         scope.spawn(|_| {
             let mut e = expert(1);
-            serve_worker(&worker1, 0, &mut e).unwrap();
+            serve_worker_with_config(&worker1, 0, &mut e, WorkerConfig::default()).unwrap();
         });
         let mut w2 = Some(scope.spawn(|_| {
             let mut e = expert(2);
-            serve_worker(&worker2, 0, &mut e).unwrap();
+            serve_worker_with_config(&worker2, 0, &mut e, WorkerConfig::default()).unwrap();
         }));
 
         let mut engine = ServeEngine::new(&master, expert(0), config);
