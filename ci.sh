@@ -56,18 +56,24 @@
 #                         stage additionally asserts zero warnings on
 #                         stderr and a non-empty critical-path table)
 #   10. load_bench       (the measured end-to-end benchmark, as a
-#                         correctness gate, not a timing gate: its own
-#                         unit tests; `--self-test`, which corrupts one
-#                         oracle reference and must see the run fail; and
-#                         one 3 s run of each of the four workloads, which
-#                         must exit 0 with every reply checked bit for bit
-#                         against the oracle — mlp_tcp_trickle (the
-#                         deadline trigger), mlp_open_3200 (the in-process
-#                         front), mlp_tcp_bulk (the size trigger over the
-#                         real TCP front) and cnn_round (SS-14 experts, so
-#                         the conv tile kernel is checked through a real
-#                         round). load_bench is a package of its own, so
-#                         nothing above builds or tests it)
+#                         correctness gate: its own unit tests;
+#                         `--self-test`, which corrupts one oracle
+#                         reference and must see the run fail; and one 3 s
+#                         run of each of the four workloads, which must
+#                         exit 0 with every reply checked bit for bit
+#                         against the oracle — mlp_tcp_trickle (a lone
+#                         request through an idle engine), mlp_open_3200
+#                         (the in-process front), mlp_tcp_bulk (cap-sized
+#                         batches over the real TCP front) and cnn_round
+#                         (SS-14 experts, so the conv tile kernel is
+#                         checked through a real round). One timing gate:
+#                         the trickle run's latency_p50_ms must stay under
+#                         4 ms — about 7 x the measured 0.5-0.6 ms and half
+#                         of the fixed 8 ms hold the engine once had, so it
+#                         trips on an idle wait put back on the request
+#                         path and on nothing a noisy host does. load_bench
+#                         is a package of its own, so nothing above builds
+#                         or tests it)
 #
 # Opt-in stage (not part of the default gate):
 #   ./ci.sh tsan         runs the fault-tolerance, chaos-soak and
@@ -135,5 +141,13 @@ cargo test -q --release --offline --manifest-path load_bench/Cargo.toml
 cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- --self-test
 for workload in mlp_tcp_trickle mlp_open_3200 mlp_tcp_bulk cnn_round; do
     cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 3 --trace 0 >/dev/null
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 >"/tmp/ci_load_$workload.out"
 done
+# The last stdout line of a run is its result JSON.
+trickle_p50="$(tail -n 1 /tmp/ci_load_mlp_tcp_trickle.out |
+    sed -n 's/.*"latency_p50_ms":{"value":\([0-9.eE+-]*\).*/\1/p')"
+awk -v p50="$trickle_p50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 4.0) }' || {
+    echo "mlp_tcp_trickle latency_p50_ms is '$trickle_p50', gate is < 4.0:" \
+        "a 1-row request is waiting on something other than its round" >&2
+    exit 1
+}

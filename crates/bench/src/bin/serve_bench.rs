@@ -6,11 +6,13 @@
 //! ```
 //!
 //! Drives the *real* admission/batching state machine
-//! ([`teamnet_serve::Batcher`], dual trigger: 8 ms deadline or the batch
-//! cap) in virtual time with Poisson arrivals from
+//! ([`teamnet_serve::Batcher`]) under the engine's self-clocking rule — a
+//! batch leaves the moment the server is free and anything is pending —
+//! in virtual time with Poisson arrivals from
 //! [`teamnet_simnet::poisson_schedule`], against a modeled collaborative
 //! round: a fixed per-round overhead (broadcast + gather + argmin fold)
-//! plus a per-row forward cost. The model isolates what batching itself
+//! plus a per-row forward cost, both fitted to `load_bench`'s measured
+//! loopback rounds. The model isolates what batching itself
 //! buys — amortizing the round overhead across coalesced rows — from
 //! hardware noise, so the numbers are deterministic per seed and the
 //! "throughput at fixed p99 rises with the batch cap" claim is checkable
@@ -26,18 +28,24 @@ use teamnet_obs::{HistogramSnapshot, Obs, RingSink, SystemClock};
 use teamnet_serve::{Batcher, BatcherConfig};
 use teamnet_simnet::poisson_schedule;
 
+/// Measured p50 of a 1-row and of a 64-row collaborative round on a K=3
+/// MLP-4 loopback TCP cluster: `core.round_tcp_b1_us` and
+/// `core.round_tcp_b64_us` of the `load_bench` run [`MODEL_SOURCE`]
+/// names. The service model is the line through these two points.
+const MEASURED_ROUND_B1_NS: u64 = 339_000;
+const MEASURED_ROUND_B64_NS: u64 = 3_011_000;
+const MODEL_SOURCE: &str = "load_bench --workload mlp_tcp_bulk --seed 150929 --seconds 24 \
+                            --trace 1 at PR 15 on a 2-core host: core.round_tcp_b1_us 339.3, \
+                            core.round_tcp_b64_us 3010.5";
+/// Modeled incremental cost per batched row (per-row forward + encode).
+const PER_ROW_NS: u64 = (MEASURED_ROUND_B64_NS - MEASURED_ROUND_B1_NS) / 63;
 /// Modeled cost of one collaborative inference round regardless of batch
 /// size: input broadcast, worker forwards kicked off, result gather and
-/// the argmin-entropy fold. Matches the low-milliseconds rounds the
-/// chaos soaks observe on loopback channel transports.
-const ROUND_OVERHEAD_NS: u64 = 2_000_000;
-/// Modeled incremental cost per batched row (per-row forward + encode).
-const PER_ROW_NS: u64 = 200_000;
+/// the argmin-entropy fold.
+const ROUND_OVERHEAD_NS: u64 = MEASURED_ROUND_B1_NS - PER_ROW_NS;
 /// A served request is "within SLO" when its end-to-end latency (queue
 /// wait + round) stays under this p99 target.
 const FIXED_P99_NS: u64 = 25_000_000;
-/// The engine's dual-trigger deadline (mirrors `BatcherConfig::default`).
-const MAX_DELAY_NS: u64 = 8_000_000;
 /// Admission window in rows, identical across caps so only the batch cap
 /// varies between sweeps.
 const QUEUE_CAP_ROWS: usize = 256;
@@ -69,7 +77,6 @@ struct CapSweep {
 struct ServiceModel {
     round_overhead_ns: u64,
     per_row_ns: u64,
-    max_delay_ns: u64,
     queue_cap_rows: usize,
 }
 
@@ -120,7 +127,7 @@ struct Report {
     requests_per_point: usize,
     fixed_p99_ns: u64,
     service_model: ServiceModel,
-    caveat: &'static str,
+    caveat: String,
     caps: Vec<CapSweep>,
     round_attribution: RoundAttribution,
 }
@@ -200,7 +207,6 @@ fn simulate_point(cap: usize, rate_hz: f64, requests: usize, seed: u64) -> LoadR
 
     let mut batcher = Batcher::new(BatcherConfig {
         max_batch_rows: cap,
-        max_delay_ns: MAX_DELAY_NS,
         queue_cap_rows: QUEUE_CAP_ROWS,
     });
     let mut now = 0u64;
@@ -211,18 +217,12 @@ fn simulate_point(cap: usize, rate_hz: f64, requests: usize, seed: u64) -> LoadR
     let mut last_done = 0u64;
 
     while next < schedule.len() || !batcher.is_empty() {
-        // When would the current pending set flush? Size trigger: as soon
-        // as the server frees up. Deadline trigger: oldest + max_delay,
-        // or when the server frees up, whichever is later.
+        // When would the current pending set flush? The engine's
+        // self-clocking rule: the moment the server is free.
         let flush_at = if batcher.is_empty() {
             u64::MAX
         } else {
-            let trigger = if batcher.ready(now) {
-                now
-            } else {
-                batcher.due_at().unwrap_or(now)
-            };
-            trigger.max(server_free).max(now)
+            now.max(server_free)
         };
         if next < schedule.len() && schedule[next] <= flush_at {
             now = schedule[next];
@@ -280,7 +280,12 @@ fn main() {
     let seed = 0x5E21_BE4C;
     let requests = if smoke { 2_000 } else { 20_000 };
     let caps = [1usize, 8, 64];
-    let offered: Vec<f64> = vec![100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0];
+    // Up to past the 64-row cap's modeled capacity (64 rows per
+    // overhead + 64 rows of service), so every cap's sweep brackets the
+    // load it saturates at.
+    let offered: Vec<f64> = vec![
+        100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0, 25600.0,
+    ];
 
     println!("serve bench — smoke={smoke} requests/point={requests}\n");
     let mut sweeps = Vec::new();
@@ -349,15 +354,17 @@ fn main() {
         service_model: ServiceModel {
             round_overhead_ns: ROUND_OVERHEAD_NS,
             per_row_ns: PER_ROW_NS,
-            max_delay_ns: MAX_DELAY_NS,
             queue_cap_rows: QUEUE_CAP_ROWS,
         },
-        caveat: "Virtual-time simulation: the admission and dual-trigger batching logic is \
-                 the production teamnet-serve Batcher, the collaborative round is modeled \
-                 as round_overhead_ns + rows * per_row_ns. Numbers isolate the batching \
-                 win (round overhead amortized across coalesced rows) and are \
-                 deterministic per seed; they are not wall-clock measurements of a \
-                 particular host.",
+        caveat: format!(
+            "Virtual-time simulation: admission and batch cutting are the production \
+             teamnet-serve Batcher under the engine's self-clocking rule (a batch leaves \
+             the moment the server is free and anything is pending), the collaborative \
+             round is modeled as round_overhead_ns + rows * per_row_ns, the line through \
+             two measured rounds ({MODEL_SOURCE}). Numbers isolate the batching win (round \
+             overhead amortized across coalesced rows) and are deterministic per seed; \
+             they are not wall-clock measurements of a particular host."
+        ),
         caps: sweeps,
         round_attribution,
     };

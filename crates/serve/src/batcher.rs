@@ -1,17 +1,13 @@
-//! Pure dual-trigger request coalescing with admission control.
+//! Pure FIFO request coalescing with admission control.
 //!
 //! The batcher is the deterministic heart of the serving front-end: a
 //! clock-free state machine over `(request id, row count, enqueue time)`
-//! triples. Time enters only as `u64` nanosecond offsets supplied by the
-//! caller (the engine reads them off the injected [`teamnet_net::Clock`]),
-//! so every decision — admit, reject, flush — replays bit-identically
-//! under a `ManualClock` and is unit-testable without sleeping.
-//!
-//! Two triggers close a batch (DESIGN.md §16):
-//!
-//! * **size** — pending rows reach `max_batch_rows` (default 64);
-//! * **deadline** — the *oldest* pending request has waited
-//!   `max_delay_ns` (default 8 ms).
+//! triples. It decides *who* gets in ([`Batcher::admit`]) and *what* the
+//! next batch holds ([`Batcher::take_batch`]: whole requests, oldest
+//! first, up to `max_batch_rows`), never *when*: the engine takes a batch
+//! whenever it is free and anything is pending, so requests coalesce for
+//! exactly as long as the round before them is in flight (DESIGN.md
+//! §16.2). The enqueue time is only carried, for the latency histogram.
 //!
 //! Admission control bounds the pending queue at `window` rows. The
 //! window starts at `queue_cap_rows` and shrinks proportionally when the
@@ -25,13 +21,10 @@ use std::collections::VecDeque;
 /// Policy knobs for [`Batcher`].
 #[derive(Debug, Clone)]
 pub struct BatcherConfig {
-    /// Size trigger: flush as soon as this many rows are pending; no
-    /// single flush carries more rows than this. Requests larger than
-    /// this are rejected as malformed at submission.
+    /// No single flush carries more rows than this: it bounds the
+    /// batched tensor of one round, hence the round's time and memory.
+    /// Requests larger than this are rejected as malformed at submission.
     pub max_batch_rows: usize,
-    /// Deadline trigger: flush once the oldest pending request has
-    /// waited this long, even if the batch is not full.
-    pub max_delay_ns: u64,
     /// Admission cap at full health, in rows. The live window shrinks
     /// below this while workers are quarantined.
     pub queue_cap_rows: usize,
@@ -41,7 +34,6 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         BatcherConfig {
             max_batch_rows: 64,
-            max_delay_ns: 8_000_000, // 8 ms
             queue_cap_rows: 256,
         }
     }
@@ -58,7 +50,7 @@ pub struct PendingRequest {
     pub enqueued_ns: u64,
 }
 
-/// The dual-trigger coalescing queue. Pure state: no clock, no IO.
+/// The coalescing queue. Pure state: no clock, no IO.
 #[derive(Debug)]
 pub struct Batcher {
     config: BatcherConfig,
@@ -144,29 +136,10 @@ impl Batcher {
         };
     }
 
-    /// When the deadline trigger for the oldest pending request fires,
-    /// as nanoseconds on the engine's clock. `None` when idle.
-    pub fn due_at(&self) -> Option<u64> {
-        self.pending
-            .front()
-            .map(|p| p.enqueued_ns.saturating_add(self.config.max_delay_ns))
-    }
-
-    /// Whether a flush is due at `now_ns`: the size trigger (a full
-    /// batch is pending) or the deadline trigger (the oldest request has
-    /// waited out `max_delay_ns`).
-    pub fn ready(&self, now_ns: u64) -> bool {
-        if self.depth_rows >= self.config.max_batch_rows {
-            return true;
-        }
-        self.due_at().is_some_and(|due| now_ns >= due)
-    }
-
     /// Pops the next flush: whole requests, oldest first, while their
     /// rows fit in `max_batch_rows` (always at least one — admission
     /// guarantees every pending request fits alone). Returns an empty
-    /// vec when idle. Callers decide *when* via [`Batcher::ready`]; this
-    /// method only decides *what*.
+    /// vec when idle.
     pub fn take_batch(&mut self) -> Vec<PendingRequest> {
         let mut batch = Vec::new();
         let mut rows = 0usize;
@@ -192,27 +165,29 @@ mod tests {
     fn batcher(max_rows: usize, cap: usize) -> Batcher {
         Batcher::new(BatcherConfig {
             max_batch_rows: max_rows,
-            max_delay_ns: 8_000_000,
             queue_cap_rows: cap,
         })
     }
 
+    /// The batcher holds nothing back: whatever is pending leaves on the
+    /// next take, however little and however recent, up to the cap.
     #[test]
-    fn size_trigger_fires_at_full_batch() {
+    fn a_take_never_waits_for_rows_or_age() {
         let mut b = batcher(4, 64);
-        b.admit(1, 2, 0).unwrap();
-        assert!(!b.ready(0));
-        b.admit(2, 2, 0).unwrap();
-        assert!(b.ready(0), "4 of 4 rows pending must be ready");
-    }
-
-    #[test]
-    fn deadline_trigger_fires_on_oldest_age() {
-        let mut b = batcher(64, 64);
         b.admit(1, 1, 1_000).unwrap();
-        assert!(!b.ready(8_000_999));
-        assert!(b.ready(8_001_000), "oldest is 8 ms old");
-        assert_eq!(b.due_at(), Some(8_001_000));
+        let lone = b.take_batch();
+        assert_eq!(lone.iter().map(|p| p.id).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(lone.first().map(|p| p.enqueued_ns), Some(1_000));
+        for id in 2..=7 {
+            b.admit(id, 1, 1_000).unwrap();
+        }
+        let full = b.take_batch();
+        assert_eq!(
+            full.iter().map(|p| p.id).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5],
+            "6 rows pending, 4-row cap"
+        );
+        assert_eq!(b.depth_rows(), 2);
     }
 
     #[test]

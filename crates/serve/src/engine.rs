@@ -2,25 +2,25 @@
 //! demux.
 //!
 //! Many concurrent clients [`ServeHandle::submit`] row-batched tensors;
-//! the engine coalesces whatever is pending under the [`Batcher`]'s dual
-//! trigger into one batched tensor, runs it through a single
-//! [`InferenceSession::infer`] round (broadcast to the whole team, argmin
-//! entropy per row), and demuxes each request's rows back to its
-//! [`Ticket`]. Because expert forwards are row-independent, every request
-//! receives byte-for-byte the predictions a solo `infer` of its own
-//! tensor would have produced — `tests/serve_props.rs` pins that
+//! the engine is self-clocked: whenever it is free and anything is
+//! pending it takes a batch from the [`Batcher`] at once, so requests
+//! coalesce only while the round before them is in flight. The batch runs
+//! as one tensor through a single [`InferenceSession::infer`] round
+//! (broadcast to the whole team, argmin entropy per row) and is demuxed
+//! to each request's [`Ticket`]. Expert forwards are row-independent, so
+//! a request receives byte-for-byte the predictions a solo `infer` of its
+//! own tensor would have produced — `tests/serve_props.rs` pins that
 //! bijection property.
 //!
 //! Time is read exclusively from the injected [`Clock`] as nanosecond
 //! offsets from the engine's construction instant, so a `ManualClock`
-//! makes every admission decision, flush trigger and latency observation
-//! deterministic (the serve soak asserts byte-identical trace + metrics
-//! transcripts across identical seeds).
+//! makes every admission decision and latency observation deterministic
+//! (the serve soak asserts byte-identical trace + metrics transcripts
+//! across identical seeds).
 //!
 //! Threading model: [`ServeEngine::pump_now`] is the deterministic
-//! single-threaded driver (tests, soaks); [`ServeEngine::run`] wraps it
-//! in a condvar loop for the TCP front-end, flushing when the deadline
-//! trigger fires or a submission fills the batch.
+//! single-threaded driver (tests, soaks); [`ServeEngine::run`] pumps for
+//! as long as anything is pending and sleeps, untimed, otherwise.
 
 use crate::batcher::{Batcher, BatcherConfig, PendingRequest};
 use crate::error::ServeError;
@@ -40,7 +40,7 @@ use teamnet_tensor::Tensor;
 /// inference policy of the underlying session.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Dual-trigger batching and admission policy.
+    /// Batch cap and admission policy.
     pub batch: BatcherConfig,
     /// Required per-row feature dims: a submitted tensor must be shaped
     /// `[rows, input_dims...]`. Mis-shaped requests are rejected as
@@ -49,7 +49,7 @@ pub struct ServeConfig {
     pub input_dims: Vec<usize>,
     /// Policy for the collaborative rounds underneath; its `clock` and
     /// `obs` also drive the serving front-end, so spans, metrics and
-    /// batching deadlines share one timeline.
+    /// enqueue times share one timeline.
     pub master: MasterConfig,
 }
 
@@ -127,6 +127,14 @@ impl Ticket {
 struct QueuedRequest {
     data: Vec<f32>,
     ticket: Ticket,
+}
+
+/// Every admitted request resolves: one let go unanswered (its engine
+/// dropped, its round unwound) is `Closed`, not a stranded waiter.
+impl Drop for QueuedRequest {
+    fn drop(&mut self) {
+        self.ticket.fill(Err(ServeError::Closed));
+    }
 }
 
 /// Consecutive [`ServeError::Overloaded`] rejections (with no admission
@@ -360,16 +368,14 @@ impl ServeEngine {
         &self.session
     }
 
-    /// Flushes one batch *if a trigger is due now* (size, deadline, or
-    /// close-drain); returns the number of requests completed. This is
-    /// the deterministic driver: tests advance a `ManualClock`, submit,
-    /// and call this — no engine thread, no real sleeping.
+    /// Flushes one batch iff requests are pending — the oldest, up to
+    /// `max_batch_rows` — and returns the number of requests completed.
+    /// This is the deterministic driver: tests submit and call this — no
+    /// engine thread, no clock motion, no real sleeping.
     pub fn pump_now(&mut self, transport: &dyn Transport) -> usize {
-        let now_ns = self.front.now_ns();
         let flush: Vec<(PendingRequest, QueuedRequest)> = {
             let mut st = self.front.state.lock();
-            let due = st.batcher.ready(now_ns) || (st.closed && !st.batcher.is_empty());
-            if !due {
+            if st.batcher.is_empty() {
                 return 0;
             }
             let _coalesce_span = self.front.obs.span(
@@ -389,9 +395,6 @@ impl ServeEngine {
                 })
                 .collect()
         };
-        if flush.is_empty() {
-            return 0;
-        }
         let rows_total: usize = flush.iter().map(|(p, _)| p.rows).sum();
         let mut data =
             Vec::with_capacity(rows_total * self.front.input_dims.iter().product::<usize>());
@@ -468,30 +471,16 @@ impl ServeEngine {
 
     /// Runs the engine until [`ServeHandle::close`] is called and the
     /// queue has drained: the threaded driver behind the TCP front-end.
-    /// Sleeps on the front-door condvar between flushes, waking early
-    /// when a submission arrives (it may have filled the batch).
+    /// Sleeps, untimed, on the front-door condvar while nothing is pending.
     pub fn run(&mut self, transport: &dyn Transport) {
         loop {
             {
                 let mut st = self.front.state.lock();
-                loop {
+                while st.batcher.is_empty() {
                     if st.closed {
-                        break;
+                        return;
                     }
-                    let now_ns = self.front.now_ns();
-                    if st.batcher.ready(now_ns) {
-                        break;
-                    }
-                    match st.batcher.due_at() {
-                        None => self.front.wake.wait(&mut st),
-                        Some(due) => {
-                            let timeout = Duration::from_nanos(due.saturating_sub(now_ns));
-                            let _ = self.front.wake.wait_for(&mut st, timeout);
-                        }
-                    }
-                }
-                if st.closed && st.batcher.is_empty() {
-                    return;
+                    self.front.wake.wait(&mut st);
                 }
             }
             self.pump_now(transport);
@@ -499,91 +488,154 @@ impl ServeEngine {
     }
 }
 
+/// Nobody pumps a front whose engine is gone: close it, let its queue go.
+impl Drop for ServeEngine {
+    fn drop(&mut self) {
+        let mut st = self.front.state.lock();
+        st.closed = true;
+        st.requests.clear();
+        while !st.batcher.take_batch().is_empty() {}
+        self.front.g_depth.set(0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teamnet_core::runtime::{serve_worker_with_config, shutdown_workers, WorkerConfig};
-    use teamnet_net::{ChannelTransport, ManualClock};
-    use teamnet_nn::ModelSpec;
+    use crate::test_support::{expert, request, with_worker};
+    use teamnet_net::{ChannelTransport, ManualClock, NetError, NodeId, Tag, TransportStats};
 
-    fn expert(seed: u64) -> Sequential {
-        teamnet_core::build_expert(&ModelSpec::mlp(2, 16), seed)
-    }
-
-    fn config(clock: Arc<ManualClock>) -> ServeConfig {
+    /// A 4-row batch cap under a 16-row admission window, on a clock no
+    /// test here ever advances: nothing the engine decides waits for time.
+    fn config() -> ServeConfig {
         ServeConfig {
             batch: BatcherConfig {
                 max_batch_rows: 4,
-                max_delay_ns: 8_000_000,
                 queue_cap_rows: 16,
             },
             input_dims: vec![1, 28, 28],
             master: MasterConfig {
                 worker_timeout: Duration::from_millis(500),
-                clock,
+                clock: Arc::new(ManualClock::new()),
                 ..MasterConfig::default()
             },
         }
     }
 
-    #[test]
-    fn submit_pump_demux_round_trip() {
-        let nodes = ChannelTransport::mesh(2);
-        let clock = Arc::new(ManualClock::new());
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
-            let handle = engine.handle();
-            let t1 = handle.submit(&Tensor::full([1, 1, 28, 28], 0.2)).unwrap();
-            let t2 = handle.submit(&Tensor::full([2, 1, 28, 28], 0.7)).unwrap();
-            // Not due yet: neither trigger has fired.
-            assert_eq!(engine.pump_now(&nodes[0]), 0);
-            assert!(t1.try_take().is_none());
-            // The 8 ms deadline fires on the virtual clock.
-            clock.advance(Duration::from_millis(8));
-            assert_eq!(engine.pump_now(&nodes[0]), 2);
-            assert_eq!(t1.wait().unwrap().len(), 1);
-            assert_eq!(t2.wait().unwrap().len(), 2);
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+    /// The master endpoint, with one scripted step that runs when the
+    /// first gather receive starts: the round is in flight (its input is
+    /// broadcast, its result not yet taken) for as long as the step runs.
+    struct MidRound<'a> {
+        inner: &'a ChannelTransport,
+        step: Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>,
+    }
+
+    impl Transport for MidRound<'_> {
+        fn node_id(&self) -> NodeId {
+            self.inner.node_id()
+        }
+
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+
+        fn send(&self, to: NodeId, tag: Tag, payload: &[u8]) -> Result<(), NetError> {
+            self.inner.send(to, tag, payload)
+        }
+
+        fn recv_tags(
+            &self,
+            from: NodeId,
+            tags: &[Tag],
+            timeout: Duration,
+        ) -> Result<(Tag, Vec<u8>), NetError> {
+            let step = self.step.lock().take();
+            if let Some(step) = step {
+                step();
+            }
+            self.inner.recv_tags(from, tags, timeout)
+        }
+
+        fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
+            self.inner.recv_any(tag, timeout)
+        }
+
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
     }
 
     #[test]
-    fn size_trigger_flushes_without_clock_motion() {
-        let nodes = ChannelTransport::mesh(2);
-        let clock = Arc::new(ManualClock::new());
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
+    fn a_lone_request_is_flushed_at_once() {
+        with_worker(|master| {
+            let mut engine = ServeEngine::new(master, expert(0), config());
+            let ticket = engine.handle().submit(&request(1, 0.2)).unwrap();
+            // The engine is free and one request is pending: it goes now,
+            // alone. Nothing holds it back for company.
+            assert_eq!(engine.pump_now(master), 1);
+            assert_eq!(ticket.try_take().unwrap().unwrap().len(), 1);
+            assert_eq!(engine.pump_now(master), 0, "idle: nothing to flush");
+        });
+    }
+
+    #[test]
+    fn pending_requests_leave_as_one_batch_and_demux() {
+        with_worker(|master| {
+            let mut engine = ServeEngine::new(master, expert(0), config());
             let handle = engine.handle();
-            let tickets: Vec<Ticket> = (0..4)
-                .map(|i| {
-                    handle
-                        .submit(&Tensor::full([1, 1, 28, 28], 0.1 * i as f32))
-                        .unwrap()
-                })
-                .collect();
-            assert_eq!(engine.pump_now(&nodes[0]), 4, "4 of 4 rows: size trigger");
-            for t in tickets {
-                assert_eq!(t.wait().unwrap().len(), 1);
+            let t1 = handle.submit(&request(1, 0.2)).unwrap();
+            let t2 = handle.submit(&request(2, 0.7)).unwrap();
+            assert_eq!(engine.pump_now(master), 2);
+            assert_eq!(t1.wait().unwrap().len(), 1);
+            assert_eq!(t2.wait().unwrap().len(), 2);
+            let rows = &handle.obs().metrics.snapshot().histograms["serve.batch.rows"];
+            assert_eq!((rows.count, rows.sum), (1, 3), "one 3-row round");
+        });
+    }
+
+    /// The self-clocking rule: what arrives while a round is in flight
+    /// coalesces, and leaves together — oldest first, up to the batch
+    /// cap — on the pump after that round returns.
+    #[test]
+    fn arrivals_during_a_round_leave_together_when_it_returns() {
+        with_worker(|inner| {
+            let mut engine = ServeEngine::new(inner, expert(0), config());
+            let handle = engine.handle();
+            let late: Mutex<Vec<Ticket>> = Mutex::new(Vec::new());
+            let master = MidRound {
+                inner,
+                step: Mutex::new(Some(Box::new(|| {
+                    for (rows, fill) in [(1, 0.1), (2, 0.3), (1, 0.5), (1, 0.9)] {
+                        late.lock()
+                            .push(handle.submit(&request(rows, fill)).unwrap());
+                    }
+                }))),
+            };
+            let first = handle.submit(&request(1, 0.2)).unwrap();
+            assert_eq!(engine.pump_now(&master), 1, "the first request rides alone");
+            assert_eq!(first.try_take().unwrap().unwrap().len(), 1);
+            let late = late.lock();
+            assert_eq!(late.len(), 4, "the step ran inside the first round");
+            assert!(late.iter().all(|t| t.try_take().is_none()));
+            assert_eq!(handle.queue_depth(), 5);
+
+            assert_eq!(engine.pump_now(&master), 3, "1 + 2 + 1 rows fill the cap");
+            for (ticket, rows) in late.iter().zip([1, 2, 1]) {
+                assert_eq!(ticket.try_take().unwrap().unwrap().len(), rows);
             }
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+            assert!(late[3].try_take().is_none(), "over the cap: next round");
+            assert_eq!(engine.pump_now(&master), 1, "the remainder");
+            assert_eq!(late[3].try_take().unwrap().unwrap().len(), 1);
+            assert_eq!(engine.pump_now(&master), 0);
+            let rows = &handle.obs().metrics.snapshot().histograms["serve.batch.rows"];
+            assert_eq!((rows.count, rows.sum, rows.max), (3, 6, 4));
+        });
     }
 
     #[test]
     fn malformed_and_overload_rejected_typed() {
         let nodes = ChannelTransport::mesh(1);
-        let clock = Arc::new(ManualClock::new());
-        let engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
+        let engine = ServeEngine::new(&nodes[0], expert(0), config());
         let handle = engine.handle();
         // Wrong feature dims.
         assert!(matches!(
@@ -592,16 +644,16 @@ mod tests {
         ));
         // Over the 4-row batch cap.
         assert!(matches!(
-            handle.submit(&Tensor::full([5, 1, 28, 28], 0.0)),
+            handle.submit(&request(5, 0.0)),
             Err(ServeError::Malformed(_))
         ));
         // Fill the 16-row admission window with 4-row requests, then
         // overflow it.
         for _ in 0..4 {
-            handle.submit(&Tensor::full([4, 1, 28, 28], 0.0)).unwrap();
+            handle.submit(&request(4, 0.0)).unwrap();
         }
         assert!(matches!(
-            handle.submit(&Tensor::full([1, 1, 28, 28], 0.0)),
+            handle.submit(&request(1, 0.0)),
             Err(ServeError::Overloaded {
                 depth: 16,
                 window: 16
@@ -611,26 +663,39 @@ mod tests {
 
     #[test]
     fn close_drains_then_rejects() {
-        let nodes = ChannelTransport::mesh(2);
-        let clock = Arc::new(ManualClock::new());
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config(Arc::clone(&clock)));
+        with_worker(|master| {
+            let mut engine = ServeEngine::new(master, expert(0), config());
             let handle = engine.handle();
-            let ticket = handle.submit(&Tensor::full([1, 1, 28, 28], 0.4)).unwrap();
+            let ticket = handle.submit(&request(1, 0.4)).unwrap();
             handle.close();
             // Close-drain: the pending request still completes.
-            assert_eq!(engine.pump_now(&nodes[0]), 1);
+            assert_eq!(engine.pump_now(master), 1);
             assert!(ticket.wait().is_ok());
             assert!(matches!(
-                handle.submit(&Tensor::full([1, 1, 28, 28], 0.4)),
+                handle.submit(&request(1, 0.4)),
                 Err(ServeError::Closed)
             ));
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+        });
+    }
+
+    /// Nobody will ever pump a dropped engine's queue: its tickets must
+    /// resolve, or every waiter — a TCP connection thread, and through it
+    /// `TcpServeFront::shutdown` — blocks forever.
+    #[test]
+    fn dropping_the_engine_resolves_queued_tickets_as_closed() {
+        let nodes = ChannelTransport::mesh(1);
+        let engine = ServeEngine::new(&nodes[0], expert(0), config());
+        let handle = engine.handle();
+        let ticket = handle.submit(&request(2, 0.4)).unwrap();
+        drop(engine);
+        assert_eq!(
+            ticket.wait_timeout(Duration::from_secs(2)),
+            Some(Err(ServeError::Closed))
+        );
+        assert_eq!(handle.queue_depth(), 0);
+        assert!(matches!(
+            handle.submit(&request(1, 0.4)),
+            Err(ServeError::Closed)
+        ));
     }
 }

@@ -10,13 +10,15 @@
 //! This crate multiplexes many concurrent client streams onto that
 //! single-batch primitive:
 //!
-//! * [`Batcher`] — pure dual-trigger coalescing: flush at 64 pending
-//!   rows or when the oldest request is 8 ms old (both configurable),
-//!   with bounded-queue admission control and a window that narrows
-//!   while workers are quarantined;
-//! * [`ServeEngine`] / [`ServeHandle`] / [`Ticket`] — the engine: admit →
-//!   coalesce → one fault-tolerant collaborative round → demux each
-//!   request's argmin-entropy rows back to its caller. The in-process
+//! * [`Batcher`] — pure FIFO coalescing: whole requests, oldest first,
+//!   up to 64 rows a batch, with bounded-queue admission control and a
+//!   window that narrows while workers are quarantined;
+//! * [`ServeEngine`] / [`ServeHandle`] / [`Ticket`] — the self-clocked
+//!   engine: admit → coalesce → one fault-tolerant collaborative round →
+//!   demux each request's argmin-entropy rows back to its caller. It
+//!   takes a batch the moment it is free and anything is pending, so
+//!   requests coalesce only while a round is in flight: a lone request
+//!   pays one round, a loaded engine fills its batches. The in-process
 //!   handle doubles as the test client;
 //! * [`TcpServeFront`] / [`ServeClient`] — the framed TCP protocol
 //!   ([`wire`]) for external clients;
@@ -32,19 +34,16 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
-//! use std::time::Duration;
 //! use teamnet_core::runtime::{
 //!     serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig,
 //! };
-//! use teamnet_net::{ChannelTransport, ManualClock};
+//! use teamnet_net::ChannelTransport;
 //! use teamnet_nn::ModelSpec;
 //! use teamnet_serve::{BatcherConfig, ServeConfig, ServeEngine};
 //! use teamnet_tensor::Tensor;
 //!
 //! // A 2-node cluster; the worker serves in a background thread.
 //! let nodes = ChannelTransport::mesh(2);
-//! let clock = Arc::new(ManualClock::new());
 //! crossbeam::thread::scope(|scope| {
 //!     scope.spawn(|_| {
 //!         let mut expert = teamnet_core::build_expert(&ModelSpec::mlp(2, 16), 1);
@@ -53,17 +52,16 @@
 //!     let config = ServeConfig {
 //!         batch: BatcherConfig::default(),
 //!         input_dims: vec![1, 28, 28],
-//!         master: MasterConfig { clock: Arc::clone(&clock) as Arc<_>, ..MasterConfig::default() },
+//!         master: MasterConfig::default(),
 //!     };
 //!     let master_expert = teamnet_core::build_expert(&ModelSpec::mlp(2, 16), 0);
 //!     let mut engine = ServeEngine::new(&nodes[0], master_expert, config);
 //!     let handle = engine.handle();
-//!     // Two tenants submit; the 8 ms deadline trigger flushes them as
-//!     // one collaborative round.
+//!     // Two tenants submit while the engine is busy elsewhere; its next
+//!     // pump takes both as one collaborative round.
 //!     let a = handle.submit(&Tensor::full([1, 1, 28, 28], 0.2)).unwrap();
 //!     let b = handle.submit(&Tensor::full([3, 1, 28, 28], 0.8)).unwrap();
-//!     clock.advance(Duration::from_millis(8));
-//!     engine.pump_now(&nodes[0]);
+//!     assert_eq!(engine.pump_now(&nodes[0]), 2);
 //!     assert_eq!(a.wait().unwrap().len(), 1);
 //!     assert_eq!(b.wait().unwrap().len(), 3);
 //!     shutdown_workers(&nodes[0]).unwrap();
@@ -80,6 +78,8 @@ pub mod batcher;
 pub mod engine;
 pub mod error;
 pub mod tcp;
+#[cfg(test)]
+mod test_support;
 pub mod wire;
 
 pub use batcher::{Batcher, BatcherConfig, PendingRequest};

@@ -17,6 +17,7 @@ use crate::wire::{
     write_serve_frame, ServeMsgKind,
 };
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,6 +44,11 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// frame read between requests, so without it shutdown would wait
 /// forever on any client that is connected but idle.
 ///
+/// The front tracks live connections only: a connection thread gives
+/// back its socket's duplicate when it returns, and each accept drops
+/// the handles of threads that have finished — a front that has served
+/// a million short connections holds the descriptors of the open ones.
+///
 /// Should the wake-up connection fail, shutdown retries it once its own
 /// sockets are closed (descriptor exhaustion is the one plausible
 /// cause). If that fails too the accept thread is left parked rather
@@ -55,7 +61,8 @@ pub struct TcpServeFront {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    socks: Arc<Mutex<Vec<TcpStream>>>,
+    /// A duplicate of each live connection's socket, by accept order.
+    socks: Arc<Mutex<BTreeMap<u64, TcpStream>>>,
 }
 
 impl TcpServeFront {
@@ -74,12 +81,13 @@ impl TcpServeFront {
         let obs = handle.obs().clone();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let socks: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let socks: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let accept = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let socks = Arc::clone(&socks);
             std::thread::spawn(move || {
+                let mut next_id = 0u64;
                 while let Ok((stream, _peer)) = listener.accept() {
                     if stop.load(Ordering::SeqCst) {
                         break; // the wake-up connection, or a client racing it
@@ -88,13 +96,22 @@ impl TcpServeFront {
                     // on: never hold one back for Nagle coalescing.
                     let _ = stream.set_nodelay(true);
                     // Keep a duplicate handle so shutdown can force-close
-                    // the socket under a blocked read.
+                    // the socket under a blocked read; the connection
+                    // thread closes it when it returns.
+                    let id = next_id;
+                    next_id = next_id.wrapping_add(1);
                     if let Ok(dup) = stream.try_clone() {
-                        socks.lock().push(dup);
+                        socks.lock().insert(id, dup);
                     }
                     let handle = handle.clone();
-                    let worker = std::thread::spawn(move || handle_connection(stream, &handle));
-                    conns.lock().push(worker);
+                    let socks = Arc::clone(&socks);
+                    let worker = std::thread::spawn(move || {
+                        handle_connection(stream, &handle);
+                        socks.lock().remove(&id);
+                    });
+                    let mut conns = conns.lock();
+                    conns.retain(|conn| !conn.is_finished());
+                    conns.push(worker);
                 }
             })
         };
@@ -133,7 +150,7 @@ impl TcpServeFront {
             }
             // Unblock connection threads parked in a frame read: an idle
             // client that never says goodbye must not wedge shutdown.
-            for sock in std::mem::take(&mut *self.socks.lock()) {
+            for sock in std::mem::take(&mut *self.socks.lock()).into_values() {
                 let _ = sock.shutdown(Shutdown::Both);
             }
             let conns: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conns.lock());
@@ -331,64 +348,61 @@ mod tests {
     use super::*;
     use crate::batcher::BatcherConfig;
     use crate::engine::{ServeConfig, ServeEngine};
+    use crate::test_support::{expert, request, with_worker, CloseEngine};
     use std::time::Instant;
-    use teamnet_core::runtime::{
-        serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig,
-    };
+    use teamnet_core::runtime::MasterConfig;
     use teamnet_net::ChannelTransport;
-    use teamnet_nn::{ModelSpec, Sequential};
 
-    fn expert(seed: u64) -> Sequential {
-        teamnet_core::build_expert(&ModelSpec::mlp(2, 16), seed)
-    }
-
-    #[test]
-    fn tcp_round_trip_reply_and_reject() {
-        let nodes = ChannelTransport::mesh(2);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
+    /// Runs `body` against a front over a live 2-node cluster, its engine
+    /// running on its own thread, then tears down in order: engine closed
+    /// and drained, front shut down, workers stopped. Whatever `body`
+    /// returns — connections it leaves open — is held across the
+    /// shutdown, which must not wedge on it.
+    fn with_front<R: Send>(body: impl FnOnce(&TcpServeFront) -> R) {
+        with_worker(|master| {
             let config = ServeConfig {
                 batch: BatcherConfig {
                     max_batch_rows: 8,
-                    max_delay_ns: 2_000_000, // 2 ms: keep the test quick
                     queue_cap_rows: 32,
                 },
                 input_dims: vec![1, 28, 28],
                 master: MasterConfig::default(),
             };
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config);
+            let mut engine = ServeEngine::new(master, expert(0), config);
             let handle = engine.handle();
             let front = TcpServeFront::bind("127.0.0.1:0", handle.clone()).unwrap();
-            let addr = front.local_addr();
-            let master_node = &nodes[0];
-            let engine_thread = scope.spawn(move |_| engine.run(master_node));
+            std::thread::scope(|scope| {
+                let _close = CloseEngine(handle.clone());
+                let engine_thread = scope.spawn(move || engine.run(master));
 
-            let mut client = ServeClient::connect(&addr).unwrap();
-            let preds = client
-                .infer(&teamnet_tensor::Tensor::full([2, 1, 28, 28], 0.3))
-                .unwrap();
-            assert_eq!(preds.len(), 2);
+                let still_open = body(&front);
+
+                handle.close();
+                engine_thread.join().unwrap();
+                let (tx, rx) = std::sync::mpsc::channel();
+                let shutter = scope.spawn(move || {
+                    front.shutdown();
+                    let _ = tx.send(());
+                });
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("shutdown wedged on open connections");
+                shutter.join().unwrap();
+                drop(still_open);
+            });
+        });
+    }
+
+    #[test]
+    fn tcp_round_trip_reply_and_reject() {
+        with_front(|front| {
+            let mut client = ServeClient::connect(&front.local_addr()).unwrap();
+            assert_eq!(client.infer(&request(2, 0.3)).unwrap().len(), 2);
             // A mis-shaped tensor comes back as a typed rejection, not a
             // dead connection: the same client keeps working after.
-            let err = client
-                .infer(&teamnet_tensor::Tensor::full([1, 9, 9], 0.3))
-                .unwrap_err();
+            let err = client.infer(&Tensor::full([1, 9, 9], 0.3)).unwrap_err();
             assert!(matches!(err, ServeError::Malformed(_)), "{err:?}");
-            let preds = client
-                .infer(&teamnet_tensor::Tensor::full([1, 1, 28, 28], 0.9))
-                .unwrap();
-            assert_eq!(preds.len(), 1);
-
-            drop(client); // goodbye
-            handle.close();
-            engine_thread.join().unwrap();
-            front.shutdown();
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+            assert_eq!(client.infer(&request(1, 0.9)).unwrap().len(), 1);
+        });
     }
 
     /// Regression: `shutdown()` used to join connection threads that
@@ -397,55 +411,61 @@ mod tests {
     /// Shutdown now force-closes accepted sockets first.
     #[test]
     fn shutdown_unblocks_idle_connections() {
-        let nodes = ChannelTransport::mesh(2);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
-            let config = ServeConfig {
-                batch: BatcherConfig {
-                    max_batch_rows: 8,
-                    max_delay_ns: 2_000_000,
-                    queue_cap_rows: 32,
-                },
-                input_dims: vec![1, 28, 28],
-                master: MasterConfig::default(),
-            };
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config);
-            let handle = engine.handle();
-            let front = TcpServeFront::bind("127.0.0.1:0", handle.clone()).unwrap();
-            let addr = front.local_addr();
-            let master_node = &nodes[0];
-            let engine_thread = scope.spawn(move |_| engine.run(master_node));
-
+        with_front(|front| {
             // One client completes a request then idles mid-connection;
             // another connects and never sends a single frame. Neither
             // says goodbye before shutdown.
-            let mut chatty = ServeClient::connect(&addr).unwrap();
-            let preds = chatty
-                .infer(&teamnet_tensor::Tensor::full([1, 1, 28, 28], 0.4))
-                .unwrap();
-            assert_eq!(preds.len(), 1);
+            let mut chatty = ServeClient::connect(&front.local_addr()).unwrap();
+            assert_eq!(chatty.infer(&request(1, 0.4)).unwrap().len(), 1);
+            let idle = ServeClient::connect(&front.local_addr()).unwrap();
+            (chatty, idle)
+        });
+    }
+
+    /// Regression: the front used to keep a duplicate socket and a
+    /// thread handle for every connection it had ever accepted, so one
+    /// serving short-lived connections ran out of descriptors.
+    #[test]
+    fn finished_connections_give_back_their_socket_and_handle() {
+        with_front(|front| {
+            let addr = front.local_addr();
+            let open_fds = || std::fs::read_dir("/proc/self/fd").map(Iterator::count).ok();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let settle = |live: usize| {
+                while front.socks.lock().len() != live {
+                    assert!(Instant::now() < deadline, "sockets still tracked");
+                    std::thread::yield_now();
+                }
+            };
+            let mut fds_after_first = None;
+            for cycle in 0..300 {
+                let mut client = ServeClient::connect(&addr).unwrap();
+                assert_eq!(client.infer(&request(1, 0.3)).unwrap().len(), 1);
+                drop(client); // goodbye
+                settle(0);
+                if cycle == 0 {
+                    fds_after_first = open_fds();
+                }
+            }
+            // Other tests of this process open sockets of their own, so
+            // the bound is loose; a leak is one descriptor per cycle.
+            if let (Some(first), Some(last)) = (fds_after_first, open_fds()) {
+                assert!(last < first + 100, "open fds grew {first} -> {last}");
+            }
+            // Each accept drops the handles of finished threads: what
+            // stays tracked is the live connection and the last accepted.
             let idle = ServeClient::connect(&addr).unwrap();
-
-            handle.close();
-            engine_thread.join().unwrap();
-
-            let (tx, rx) = std::sync::mpsc::channel();
-            let shutter = scope.spawn(move |_| {
-                front.shutdown();
-                let _ = tx.send(());
-            });
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("shutdown wedged on idle connections");
-            shutter.join().unwrap();
-
-            drop(chatty); // goodbye onto a closed socket: best-effort, ignored
-            drop(idle);
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+            loop {
+                drop(ServeClient::connect(&addr).unwrap());
+                settle(1);
+                let tracked = front.conns.lock().len();
+                if tracked == 2 {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{tracked} handles tracked");
+            }
+            idle
+        });
     }
 
     /// The accept thread blocks in `accept`; with no client ever
@@ -536,58 +556,26 @@ mod tests {
             assert!(Instant::now() < deadline, "connection never accepted");
             std::thread::yield_now();
         }
-        assert!(front.socks.lock()[0].nodelay().unwrap());
+        assert!(front.socks.lock()[&0].nodelay().unwrap());
         drop(client);
         front.shutdown();
     }
 
     #[test]
     fn concurrent_clients_share_batches() {
-        let nodes = ChannelTransport::mesh(2);
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut e = expert(1);
-                serve_worker_with_config(&nodes[1], 0, &mut e, WorkerConfig::default()).unwrap();
-            });
-            let config = ServeConfig {
-                batch: BatcherConfig {
-                    max_batch_rows: 16,
-                    max_delay_ns: 4_000_000,
-                    queue_cap_rows: 64,
-                },
-                input_dims: vec![1, 28, 28],
-                master: MasterConfig::default(),
-            };
-            let mut engine = ServeEngine::new(&nodes[0], expert(0), config);
-            let handle = engine.handle();
-            let front = TcpServeFront::bind("127.0.0.1:0", handle.clone()).unwrap();
+        with_front(|front| {
             let addr = front.local_addr();
-            let master_node = &nodes[0];
-            let engine_thread = scope.spawn(move |_| engine.run(master_node));
-
-            let clients: Vec<_> = (0..4)
-                .map(|i| {
-                    scope.spawn(move |_| {
+            std::thread::scope(|scope| {
+                for i in 0..4 {
+                    scope.spawn(move || {
                         let mut client = ServeClient::connect(&addr).unwrap();
                         for r in 0..3 {
-                            let x = teamnet_tensor::Tensor::full(
-                                [1, 1, 28, 28],
-                                (i as f32) * 0.2 + (r as f32) * 0.05,
-                            );
-                            let preds = client.infer(&x).unwrap();
-                            assert_eq!(preds.len(), 1);
+                            let x = request(1, (i as f32) * 0.2 + (r as f32) * 0.05);
+                            assert_eq!(client.infer(&x).unwrap().len(), 1);
                         }
-                    })
-                })
-                .collect();
-            for c in clients {
-                c.join().unwrap();
-            }
-            handle.close();
-            engine_thread.join().unwrap();
-            front.shutdown();
-            shutdown_workers(&nodes[0]).unwrap();
-        })
-        .unwrap();
+                    });
+                }
+            });
+        });
     }
 }

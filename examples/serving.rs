@@ -6,11 +6,12 @@
 //! ```
 //!
 //! A 3-node TeamNet cluster sits behind a [`ServeEngine`]: concurrent
-//! tenants submit row-batched tensors, the engine coalesces whatever is
-//! pending under the dual trigger (8 ms deadline or 64 rows) into one
-//! batched tensor, runs a single fault-tolerant collaborative round, and
-//! demuxes each tenant's argmin-entropy rows back to its caller. Two
-//! client flavours are shown:
+//! tenants submit row-batched tensors, the engine takes whatever is
+//! pending (up to 64 rows) the moment it is free, runs it as one batched
+//! tensor through a single fault-tolerant collaborative round, and
+//! demuxes each tenant's argmin-entropy rows back to its caller. What
+//! arrives during a round coalesces and leaves with the next one, so
+//! load, not a timer, sets the batch size. Two client flavours are shown:
 //!
 //! * in-process: [`ServeHandle::submit`] + [`Ticket::wait`];
 //! * over the network: [`TcpServeFront`] + [`ServeClient`] speaking the
@@ -45,10 +46,10 @@ fn main() {
             });
         }
 
-        // The master-side engine: admission + dual-trigger batching over
+        // The master-side engine: admission + self-clocked batching over
         // one persistent InferenceSession.
         let config = ServeConfig {
-            batch: BatcherConfig::default(), // 64 rows or 8 ms
+            batch: BatcherConfig::default(), // ≤ 64 rows a round, 256 queued
             input_dims: vec![1, 28, 28],
             master: MasterConfig {
                 worker_timeout: Duration::from_millis(500),
@@ -64,8 +65,8 @@ fn main() {
         let addr = front.local_addr();
         println!("serving on {addr}");
 
-        // The engine thread: flushes a coalesced batch whenever the
-        // deadline fires or a submission fills the batch.
+        // The engine thread: sleeps while nothing is pending, otherwise
+        // runs round after round on whatever gathered during the last.
         let master_node = &nodes[0];
         let engine_thread = scope.spawn(move |_| engine.run(master_node));
 

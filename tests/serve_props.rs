@@ -79,7 +79,6 @@ fn batched_rows(splits: &[usize], fills: &[f32], dead_worker: bool) -> Vec<(usiz
         let config = ServeConfig {
             batch: BatcherConfig {
                 max_batch_rows: 64,
-                max_delay_ns: 8_000_000,
                 queue_cap_rows: 128,
             },
             input_dims: vec![1, 28, 28],
@@ -92,7 +91,8 @@ fn batched_rows(splits: &[usize], fills: &[f32], dead_worker: bool) -> Vec<(usiz
             .zip(fills)
             .map(|(&r, &fill)| handle.submit(&request_tensor(r, fill)).unwrap())
             .collect();
-        // One deadline-triggered flush coalesces every pending request.
+        // One flush coalesces every pending request: the engine was not
+        // pumped while they arrived (the advance only gives them an age).
         clock.advance(Duration::from_millis(8));
         assert_eq!(engine.pump_now(&nodes[0]), splits.len());
         for (i, t) in tickets.iter().enumerate() {

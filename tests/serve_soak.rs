@@ -4,8 +4,8 @@
 //! Two runs with identical seeds — same chaos schedule, same virtual
 //! arrival schedule on a [`ManualClock`], same mid-run worker blackhole —
 //! must emit **byte-identical** span traces, metrics summaries and
-//! per-request prediction transcripts. Every admission decision, dual-
-//! trigger flush, quarantine transition and backpressure window change is
+//! per-request prediction transcripts. Every admission decision, batch
+//! cut, quarantine transition and backpressure window change is
 //! thereby pinned: a wall-clock read or iteration-order leak anywhere in
 //! the serve path would flake this test (and `cargo xtask audit` rejects
 //! such reads statically — `crates/serve/src/` is a taint root).
@@ -26,6 +26,8 @@ use teamnet_tensor::Tensor;
 
 const SOAK_SEED: u64 = 0x5EA7_1E55;
 const QUEUE_CAP_ROWS: usize = 32;
+/// Virtual time a round is taken to be in flight for.
+const ROUND_GAP_MS: u64 = 4;
 
 fn expert(seed: u64) -> Sequential {
     build_expert(&ModelSpec::mlp(2, 16), seed)
@@ -33,8 +35,11 @@ fn expert(seed: u64) -> Sequential {
 
 /// A deterministic offered-load schedule: (virtual ms gap before this
 /// arrival, rows). Derived from the seed by a fixed congruence so both
-/// runs replay it exactly; covers single-row, multi-row and
-/// deadline-vs-size trigger interleavings.
+/// runs replay it exactly. The engine is pumped only before an arrival
+/// whose gap is long enough for a round to have returned
+/// ([`ROUND_GAP_MS`]); arrivals closer together than that fall inside
+/// the round in flight and coalesce behind it, so the schedule covers
+/// lone requests, multi-request batches and batches cut at the row cap.
 fn arrival_schedule(seed: u64, n: usize) -> Vec<(u64, usize)> {
     let mut state = seed | 1;
     (0..n)
@@ -76,8 +81,7 @@ fn serve_soak() -> (String, String, String) {
 
     let config = ServeConfig {
         batch: BatcherConfig {
-            max_batch_rows: 8,
-            max_delay_ns: 8_000_000,
+            max_batch_rows: 4,
             queue_cap_rows: QUEUE_CAP_ROWS,
         },
         input_dims: vec![1, 28, 28],
@@ -127,19 +131,32 @@ fn serve_soak() -> (String, String, String) {
                 }
             }
             clock.advance(Duration::from_millis(gap_ms));
-            engine.pump_now(&master);
+            if gap_ms >= ROUND_GAP_MS {
+                engine.pump_now(&master);
+            }
             let fill = 0.05 + (i % 9) as f32 * 0.1;
             let ticket = handle
                 .submit(&Tensor::full(vec![rows, 1, 28, 28], fill))
                 .unwrap_or_else(|e| panic!("arrival {i} rejected: {e}"));
             tickets.push((i, ticket));
-            engine.pump_now(&master);
         }
-        // Drain: let the last deadline fire, then close-flush the rest.
-        clock.advance(Duration::from_millis(8));
-        engine.pump_now(&master);
+        // Close-drain: what is still queued flushes after the close.
+        clock.advance(Duration::from_millis(ROUND_GAP_MS));
         handle.close();
-        while engine.pump_now(&master) > 0 {}
+        let mut drained = 0;
+        loop {
+            match engine.pump_now(&master) {
+                0 => break,
+                n => drained += n,
+            }
+        }
+        assert!(drained > 0, "nothing was left for the close-drain");
+        let rounds = obs.metrics.snapshot().histograms["serve.batch.rows"].count;
+        assert!(
+            (rounds as usize) < schedule.len(),
+            "no two of the {} requests shared a round",
+            schedule.len()
+        );
 
         for (i, ticket) in tickets {
             let preds = ticket
