@@ -25,9 +25,13 @@
 #                         the pool determinism contract says both runs
 #                         must see bit-identical numerics
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
-#                         kernel — the conv rows include an out-channel
-#                         block tail and a tile-column tail — plus the
-#                         JSON artifact plumbing)
+#                         kernel — the matmul rows are the shapes traffic
+#                         runs, 10- and 4-column tails included, the conv
+#                         rows include an out-channel block tail and a
+#                         tile-column tail — plus the JSON artifact
+#                         plumbing and one host-independent timing guard:
+#                         a lone 1x784x128 row may cost at most 2.5 rows
+#                         of 64x784x128)
 #   7b. serve-bench smoke (the serving front-end's batching win: the
 #                         binary itself asserts that sustained req/s at
 #                         the fixed p99 target is non-decreasing in the
@@ -66,12 +70,15 @@
 #                         (the in-process front), mlp_tcp_bulk (cap-sized
 #                         batches over the real TCP front) and cnn_round
 #                         (SS-14 experts, so the conv tile kernel is
-#                         checked through a real round). One timing gate:
-#                         the trickle run's latency_p50_ms must stay under
-#                         4 ms — about 7 x the measured 0.5-0.6 ms and half
-#                         of the fixed 8 ms hold the engine once had, so it
-#                         trips on an idle wait put back on the request
-#                         path and on nothing a noisy host does. load_bench
+#                         checked through a real round). One timing gate
+#                         per workload, each about 7 x off its measured
+#                         value so it trips on a mechanism coming back and
+#                         on nothing a noisy host does: trickle and
+#                         open-loop latency_p50_ms (an idle wait on the
+#                         request path; a queue that stops draining), bulk
+#                         throughput_rows_s (coalescing or the byte path
+#                         lost) and cnn_round latency_p50_ms (the forward
+#                         off the tile kernel). load_bench
 #                         is a package of its own, so nothing above builds
 #                         or tests it)
 #
@@ -143,11 +150,36 @@ for workload in mlp_tcp_trickle mlp_open_3200 mlp_tcp_bulk cnn_round; do
     cargo run -q --release --offline --manifest-path load_bench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 3 --trace 0 >"/tmp/ci_load_$workload.out"
 done
-# The last stdout line of a run is its result JSON.
-trickle_p50="$(tail -n 1 /tmp/ci_load_mlp_tcp_trickle.out |
-    sed -n 's/.*"latency_p50_ms":{"value":\([0-9.eE+-]*\).*/\1/p')"
-awk -v p50="$trickle_p50" 'BEGIN { exit !(p50 != "" && p50 + 0 < 4.0) }' || {
-    echo "mlp_tcp_trickle latency_p50_ms is '$trickle_p50', gate is < 4.0:" \
-        "a 1-row request is waiting on something other than its round" >&2
-    exit 1
+# The last stdout line of a run is its result JSON. One timing gate per
+# workload, each about 7 x away from the value measured at PR 16 on the
+# 2-core host (EXPERIMENTS.md): far enough that host drift (up to 2 x) does
+# not trip it, close enough that the mechanism named beside it does.
+gate() { # workload metric '<'|'>' bound what-tripping-means
+    value="$(tail -n 1 "/tmp/ci_load_$1.out" |
+        sed -n "s/.*\"$2\":{\"value\":\([0-9.eE+-]*\).*/\1/p")"
+    awk -v v="$value" -v b="$4" "BEGIN { exit !(v != \"\" && v + 0 $3 b) }" || {
+        echo "$1 $2 is '$value', gate is $3 $4: $5" >&2
+        exit 1
+    }
 }
+# 0.29 ms measured. An idle wait on the request path: the fixed 8 ms
+# coalesce hold the engine had before PR 15, or a millisecond poll floor
+# under two of the request's thread hand-offs.
+gate mlp_tcp_trickle latency_p50_ms '<' 2.0 \
+    "a 1-row request is waiting on something other than its round"
+# 0.44 ms measured. The 8 ms coalesce hold (this row read 8.2 ms with
+# it), or capacity falling under the 3 200 req/s schedule: the open
+# loop's queue then grows for the whole run and the median reads tens of
+# milliseconds.
+gate mlp_open_3200 latency_p50_ms '<' 3.0 \
+    "the open-loop queue is not draining at 3 200 req/s"
+# 23 k rows/s measured. Rows leaving one per round (the 64-row size
+# trigger lost, so 64 round overheads where there was one), or a per-byte
+# path an order slower than the table-driven CRC and copy-once framing.
+gate mlp_tcp_bulk throughput_rows_s '>' 3300 \
+    "cap-sized batches are not being coalesced, or the byte path is per-byte again"
+# 5.0 ms measured. The conv forward off the register tile and back on a
+# per-element scalar loop (1-2 GFLOP/s against 20-25), or a thread scope
+# opened per out-channel block.
+gate cnn_round latency_p50_ms '<' 35 \
+    "an SS-14 forward is running far off the tile kernel's speed"

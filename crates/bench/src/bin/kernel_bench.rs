@@ -4,7 +4,9 @@
 //! kernel_bench [--smoke] [--out PATH] [--force-oversubscribed]
 //! ```
 //!
-//! Times the three parallelized kernels — matmul (64³/256³/512³), conv2d
+//! Times the three parallelized kernels — matmul (64³/256³/512³ and the
+//! shapes inference traffic runs: MLP-4's Dense layers at batch 1/32/64,
+//! the 10-column classifier, a 4-column gate head), conv2d
 //! forward + backward on Shake-Shake CIFAR shapes (two 8-image training
 //! batches, then SS-14's five distinct 3×3 convs at batch 1 — the traffic
 //! of one inference round), and the per-expert team-forward fan-out at
@@ -22,8 +24,20 @@
 //! scheduler-overhead studies; the per-row `timed` flag says which
 //! regime produced the numbers.
 //!
+//! `default_entry` times `Tensor::matmul` and `conv2d` — the entry points
+//! that go parallel only past `PAR_MIN_WORK` — as this process runs them
+//! against the same call pinned sequential: the rows the threshold is set
+//! from.
+//!
 //! `--smoke` shrinks every problem so CI can run the full matrix in
 //! seconds while still exercising the bit-identity checks.
+//!
+//! Besides bit-identity, every run fails when one row of 1×784×128 costs
+//! more than [`SINGLE_ROW_COST_LIMIT`] × a row of 64×784×128 (fastest
+//! iteration of each, one thread): a ratio of two timings from one host,
+//! so it trips on a store-bound single-row path coming back — the retired
+//! row kernel read 3.2–4.6 ×, the tile 0.6–1.3 × — and not on a slow
+//! machine.
 
 use std::time::Instant;
 
@@ -33,14 +47,21 @@ use serde::Serialize;
 use teamnet_core::{build_expert, TeamNet};
 use teamnet_nn::ModelSpec;
 use teamnet_obs::{Histogram, HistogramSnapshot, MetricsRegistry, Obs};
-use teamnet_tensor::conv::{conv2d_backward_with, conv2d_with, Conv2dSpec};
-use teamnet_tensor::{ParallelConfig, Tensor};
+use teamnet_tensor::conv::{conv2d, conv2d_backward_with, conv2d_with, Conv2dSpec};
+use teamnet_tensor::{force_sequential_scope, ParallelConfig, Tensor};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// Most a lone row of the MLP-4 input layer may cost, in rows of the same
+/// product at batch 64 (see the module docs).
+const SINGLE_ROW_COST_LIMIT: f64 = 2.5;
+
 #[derive(Serialize)]
 struct MatmulRow {
-    size: usize,
+    /// `[m, k] × [k, n]`.
+    m: usize,
+    k: usize,
+    n: usize,
     threads: usize,
     iters: u32,
     /// False when the host could not run this thread count in parallel
@@ -81,6 +102,22 @@ struct TeamRow {
     latency_ns: Option<HistogramSnapshot>,
 }
 
+/// A default entry point (`Tensor::matmul`, `conv2d`: parallel only past
+/// the `PAR_MIN_WORK` threshold) timed as the process runs it and pinned
+/// sequential, alternating. The row that says whether the threshold is
+/// set right: `default_ms` should not be the larger by more than two
+/// timings of the same code differ.
+#[derive(Serialize)]
+struct DefaultEntryRow {
+    kernel: String,
+    /// Threads the default entry resolves to in this process
+    /// (`TEAMNET_THREADS`, else the host's parallelism).
+    default_threads: usize,
+    iters: u32,
+    sequential_ms: f64,
+    default_ms: f64,
+}
+
 #[derive(Serialize)]
 struct Report {
     host_threads: usize,
@@ -88,12 +125,16 @@ struct Report {
     /// Thread counts above this were not timed (their timing fields are
     /// `null`): equal to `host_threads` unless `--force-oversubscribed`.
     timing_thread_cap: usize,
+    /// Fastest 1×784×128 iteration over the per-row time of the fastest
+    /// 64×784×128 iteration, one thread; gated at [`SINGLE_ROW_COST_LIMIT`].
+    single_row_cost_ratio: f64,
     caveat: &'static str,
     /// Cost of one disabled `Obs::span()` call (the NullSink path), in
     /// nanoseconds — the overhead the runtime pays when tracing is off.
     null_span_ns_per_call: f64,
     matmul: Vec<MatmulRow>,
     conv2d: Vec<ConvRow>,
+    default_entry: Vec<DefaultEntryRow>,
     team_forward: Vec<TeamRow>,
 }
 
@@ -137,29 +178,39 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
 
+/// One matmul workload: `[m, k] × [k, n]`.
+type MatmulShape = (usize, usize, usize);
+
 fn bench_matmul(
-    sizes: &[usize],
-    iters: u32,
+    shapes: &[MatmulShape],
+    smoke: bool,
     time_cap: usize,
     metrics: &MetricsRegistry,
 ) -> Vec<MatmulRow> {
     let mut rows = Vec::new();
-    for &size in sizes {
-        let mut rng = StdRng::seed_from_u64(size as u64);
-        let a = Tensor::randn([size, size], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn([size, size], 0.0, 1.0, &mut rng);
+    for &(m, k, n) in shapes {
+        let mut rng = StdRng::seed_from_u64((m * k + n) as u64);
+        let a = Tensor::randn([m, k], 0.0, 1.0, &mut rng);
+        let b = Tensor::randn([k, n], 0.0, 1.0, &mut rng);
         let reference = a
             .try_matmul_with(&b, ParallelConfig::sequential())
-            .expect("square matmul");
+            .expect("inner dimensions agree");
+        let flops = 2.0 * (m * k * n) as f64;
+        // About 40 ms of arithmetic per row at a nominal 10 GFLOP/s (4 ms
+        // in smoke), so a microsecond-sized product is not timed from
+        // five samples.
+        let budget = if smoke { 4e7 } else { 4e8 };
+        let iters = ((budget / flops) as u32).clamp(5, 20_000);
         for threads in THREAD_COUNTS {
             let cfg = ParallelConfig::with_threads(threads);
-            let out = a.try_matmul_with(&b, cfg).expect("square matmul");
+            let out = a.try_matmul_with(&b, cfg).expect("inner dimensions agree");
             let identical = bits(&out) == bits(&reference);
-            let flops = 2.0 * (size as f64).powi(3);
             if threads > time_cap {
-                println!("matmul {size:>3}^3  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}");
+                println!("matmul {m:>3}x{k:>3}x{n:>3}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}");
                 rows.push(MatmulRow {
-                    size,
+                    m,
+                    k,
+                    n,
                     threads,
                     iters: 0,
                     timed: false,
@@ -170,12 +221,14 @@ fn bench_matmul(
                 });
                 continue;
             }
-            let hist = metrics.histogram(&format!("bench.matmul.n{size}.t{threads}.ns"));
+            let hist = metrics.histogram(&format!("bench.matmul.{m}x{k}x{n}.t{threads}.ns"));
             let ms = time_iters(iters, &hist, || {
-                let _ = a.try_matmul_with(&b, cfg).expect("square matmul");
+                let _ = a.try_matmul_with(&b, cfg).expect("inner dimensions agree");
             });
             rows.push(MatmulRow {
-                size,
+                m,
+                k,
+                n,
                 threads,
                 iters,
                 timed: true,
@@ -185,7 +238,7 @@ fn bench_matmul(
                 latency_ns: Some(hist.snapshot()),
             });
             println!(
-                "matmul {size:>3}^3  threads={threads}  {ms:8.3} ms  ({:6.2} GFLOP/s)  bit-identical={identical}",
+                "matmul {m:>3}x{k:>3}x{n:>3}  threads={threads}  {ms:9.4} ms  ({:6.2} GFLOP/s)  bit-identical={identical}",
                 flops / (ms * 1e6)
             );
         }
@@ -273,6 +326,70 @@ fn bench_conv(
         }
     }
     rows
+}
+
+/// Times `f` — a call of a default entry point — under
+/// [`force_sequential_scope`] and as is, alternating so host drift lands
+/// on both, and keeps each side's fastest repetition.
+fn bench_default_entry(kernel: String, iters: u32, f: impl Fn()) -> DefaultEntryRow {
+    let run = || {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e3 / f64::from(iters)
+    };
+    let (mut sequential_ms, mut default_ms) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        sequential_ms = sequential_ms.min(force_sequential_scope(run));
+        default_ms = default_ms.min(run());
+    }
+    println!(
+        "default entry {kernel}  sequential {sequential_ms:9.4} ms  default {default_ms:9.4} ms"
+    );
+    DefaultEntryRow {
+        kernel,
+        default_threads: ParallelConfig::default().threads(),
+        iters,
+        sequential_ms,
+        default_ms,
+    }
+}
+
+/// One [`bench_default_entry`] row per matmul and conv shape.
+fn bench_default_entries(
+    matmul_shapes: &[MatmulShape],
+    conv_shapes: &[ConvShape],
+    smoke: bool,
+) -> Vec<DefaultEntryRow> {
+    let iters_for = |flops: f64| ((if smoke { 1e7 } else { 1e8 } / flops) as u32).clamp(3, 5_000);
+    let mut default_entry = Vec::new();
+    for &(m, k, n) in matmul_shapes {
+        let a = Tensor::ones([m, k]);
+        let b = Tensor::ones([k, n]);
+        default_entry.push(bench_default_entry(
+            format!("matmul {m}x{k}x{n}"),
+            iters_for(2.0 * (m * k * n) as f64),
+            || drop(a.matmul(&b)),
+        ));
+    }
+    for (in_dims, w_dims, stride) in conv_shapes {
+        let spec = Conv2dSpec::new(3, *stride, 1);
+        let input = Tensor::ones(in_dims.clone());
+        let weight = Tensor::ones(w_dims.clone());
+        let bias = Tensor::ones([w_dims[0]]);
+        let out_len = conv2d(&input, &weight, &bias, spec).len();
+        default_entry.push(bench_default_entry(
+            format!(
+                "conv2d {} * {} s{stride}",
+                dims_key(in_dims),
+                dims_key(w_dims)
+            ),
+            iters_for(2.0 * (out_len * w_dims[1..].iter().product::<usize>()) as f64),
+            || drop(conv2d(&input, &weight, &bias, spec)),
+        ));
+    }
+    default_entry
 }
 
 fn bench_team(
@@ -375,43 +492,58 @@ fn main() {
     let conv = |input: [usize; 4], weight: [usize; 4], stride| -> ConvShape {
         (input.to_vec(), weight.to_vec(), stride)
     };
-    let (matmul_sizes, conv_shapes, team_batch, team_iters): (Vec<usize>, Vec<_>, usize, u32) =
-        if smoke {
-            (
-                vec![64],
-                vec![
-                    conv([2, 8, 8, 8], [8, 8, 3, 3], 1),
-                    conv([1, 3, 9, 9], [5, 3, 3, 3], 2),
-                ],
-                4,
-                2,
-            )
-        } else {
-            (
-                vec![64, 256, 512],
-                vec![
-                    conv([8, 16, 32, 32], [16, 16, 3, 3], 1),
-                    conv([8, 32, 16, 16], [32, 32, 3, 3], 1),
-                    conv([1, 3, 32, 32], [16, 3, 3, 3], 1),
-                    conv([1, 16, 32, 32], [16, 16, 3, 3], 1),
-                    conv([1, 16, 32, 32], [32, 16, 3, 3], 2),
-                    conv([1, 32, 16, 16], [32, 32, 3, 3], 1),
-                    conv([1, 64, 8, 8], [64, 64, 3, 3], 1),
-                ],
-                64,
-                10,
-            )
-        };
-    let matmul_iters = if smoke { 2 } else { 5 };
+    // The shapes inference traffic runs: MLP-4's three Dense layers at the
+    // batch sizes the serve layer produces (1, 32, 64), whose 10-column
+    // classifier is all `n % 16` tail, and an MoE gate head (`n` = K = 4).
+    let traffic: [MatmulShape; 7] = [
+        (1, 784, 128),
+        (32, 784, 128),
+        (64, 784, 128),
+        (1, 128, 128),
+        (1, 128, 10),
+        (64, 128, 10),
+        (64, 784, 4),
+    ];
+    let mut matmul_shapes: Vec<MatmulShape> = vec![(64, 64, 64)];
+    if !smoke {
+        matmul_shapes.extend([(256, 256, 256), (512, 512, 512)]);
+    }
+    matmul_shapes.extend(traffic);
+    let (conv_shapes, team_batch, team_iters): (Vec<_>, usize, u32) = if smoke {
+        (
+            vec![
+                conv([2, 8, 8, 8], [8, 8, 3, 3], 1),
+                conv([1, 3, 9, 9], [5, 3, 3, 3], 2),
+            ],
+            4,
+            2,
+        )
+    } else {
+        (
+            vec![
+                conv([8, 16, 32, 32], [16, 16, 3, 3], 1),
+                conv([8, 32, 16, 16], [32, 32, 3, 3], 1),
+                conv([1, 3, 32, 32], [16, 3, 3, 3], 1),
+                conv([1, 16, 32, 32], [16, 16, 3, 3], 1),
+                conv([1, 16, 32, 32], [32, 16, 3, 3], 2),
+                conv([1, 32, 16, 16], [32, 32, 3, 3], 1),
+                conv([1, 64, 8, 8], [64, 64, 3, 3], 1),
+            ],
+            64,
+            10,
+        )
+    };
     let conv_iters = if smoke { 2 } else { 20 };
 
     let null_span_ns_per_call = measure_null_span_overhead();
     println!("disabled span() overhead: {null_span_ns_per_call:.2} ns/call\n");
 
     let metrics = MetricsRegistry::new();
-    let matmul = bench_matmul(&matmul_sizes, matmul_iters, time_cap, &metrics);
+    let matmul = bench_matmul(&matmul_shapes, smoke, time_cap, &metrics);
     println!();
     let conv2d = bench_conv(&conv_shapes, conv_iters, time_cap, &metrics);
+    println!();
+    let default_entry = bench_default_entries(&matmul_shapes, &conv_shapes, smoke);
     println!();
     let team_forward = bench_team(&[2, 4], team_batch, 3, 32, team_iters, time_cap, &metrics);
     println!("\n{}", metrics.snapshot().summary());
@@ -420,22 +552,40 @@ fn main() {
         && conv2d.iter().all(|r| r.bit_identical_to_seq)
         && team_forward.iter().all(|r| r.bit_identical_to_seq);
 
+    let fastest_ns = |m: usize| {
+        let row = matmul
+            .iter()
+            .find(|r| (r.m, r.k, r.n, r.threads) == (m, 784, 128, 1))
+            .and_then(|r| r.latency_ns.as_ref());
+        row.map_or(f64::NAN, |h| h.min as f64)
+    };
+    let single_row_cost_ratio = fastest_ns(1) / (fastest_ns(64) / 64.0);
+    println!(
+        "\nsingle-row cost ratio (1x784x128 vs a row of 64x784x128): {single_row_cost_ratio:.2}"
+    );
+
     let report = Report {
         host_threads,
         smoke,
         timing_thread_cap: time_cap.min(*THREAD_COUNTS.iter().max().unwrap_or(&1)),
+        single_row_cost_ratio,
         caveat: "Timings are from this host. Rows with timed=false exceeded the host's \
                  parallelism and were NOT timed (fields are null): on an oversubscribed \
                  host they would measure scheduling overhead, not speedup. The \
                  bit_identical_to_seq flags are hardware-independent and checked at every \
                  thread count regardless. Per-row *_ns fields are teamnet-obs log2-bucket \
                  histogram snapshots (quantiles are bucket upper bounds, honest to within \
-                 2x). null_span_ns_per_call is the cost of a span against a disabled \
+                 2x). default_entry rows time Tensor::matmul / conv2d as the process \
+                 runs them (default_ms) against the same call pinned sequential \
+                 (sequential_ms), fastest of five alternating repetitions; \
+                 single_row_cost_ratio is the fastest 1x784x128 iteration over a row of \
+                 the fastest 64x784x128 iteration. null_span_ns_per_call is the cost of a span against a disabled \
                  tracer — single-digit nanoseconds, i.e. no measurable overhead on kernels \
                  that run for microseconds or more.",
         null_span_ns_per_call,
         matmul,
         conv2d,
+        default_entry,
         team_forward,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -447,5 +597,10 @@ fn main() {
     assert!(
         all_identical,
         "determinism contract violated: some configuration was not bit-identical"
+    );
+    assert!(
+        single_row_cost_ratio <= SINGLE_ROW_COST_LIMIT,
+        "a lone 1x784x128 row costs {single_row_cost_ratio:.2} rows of 64x784x128 \
+         (limit {SINGLE_ROW_COST_LIMIT}): the single-row matmul path is store-bound again"
     );
 }

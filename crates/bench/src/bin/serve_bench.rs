@@ -32,11 +32,12 @@ use teamnet_simnet::poisson_schedule;
 /// MLP-4 loopback TCP cluster: `core.round_tcp_b1_us` and
 /// `core.round_tcp_b64_us` of the `load_bench` run [`MODEL_SOURCE`]
 /// names. The service model is the line through these two points.
-const MEASURED_ROUND_B1_NS: u64 = 339_000;
-const MEASURED_ROUND_B64_NS: u64 = 3_011_000;
-const MODEL_SOURCE: &str = "load_bench --workload mlp_tcp_bulk --seed 150929 --seconds 24 \
-                            --trace 1 at PR 15 on a 2-core host: core.round_tcp_b1_us 339.3, \
-                            core.round_tcp_b64_us 3010.5";
+const MEASURED_ROUND_B1_NS: u64 = 156_000;
+const MEASURED_ROUND_B64_NS: u64 = 1_949_000;
+const MODEL_SOURCE: &str = "load_bench --workload mlp_tcp_trickle --seed 160929 --seconds 24 \
+                            --trace 1 at PR 16 on a 2-core host: core.round_tcp_b1_us 156.0, \
+                            core.round_tcp_b64_us 1948.6 (five traced runs of that commit read \
+                            79-262 and 1874-2890; this one is the median 1-row round)";
 /// Modeled incremental cost per batched row (per-row forward + encode).
 const PER_ROW_NS: u64 = (MEASURED_ROUND_B64_NS - MEASURED_ROUND_B1_NS) / 63;
 /// Modeled cost of one collaborative inference round regardless of batch
@@ -284,7 +285,7 @@ fn main() {
     // overhead + 64 rows of service), so every cap's sweep brackets the
     // load it saturates at.
     let offered: Vec<f64> = vec![
-        100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0, 25600.0,
+        100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0, 25600.0, 51200.0,
     ];
 
     println!("serve bench — smoke={smoke} requests/point={requests}\n");

@@ -525,7 +525,7 @@ pub fn global_avg_pool_backward(grad_out: &Tensor, h: usize, w: usize) -> Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::matmul_rows;
+    use crate::gemm::oracle::{bits, matmul_rows, salted};
     use proptest::prelude::*;
 
     /// The unfold [`unfold_into`] replaced: a coordinate computation, two
@@ -558,9 +558,8 @@ mod tests {
     }
 
     /// The forward kernel the tile kernel replaced, kept as the oracle of
-    /// the differential test: per-element unfold, a finiteness scan to arm
-    /// the zero-skip, one `matmul_rows` call per out-channel, then a bias
-    /// pass.
+    /// the differential test: per-element unfold, one `matmul_rows` call
+    /// (finiteness scan, zero-skip) per out-channel, then a bias pass.
     fn conv2d_per_channel(
         input: &Tensor,
         weight: &Tensor,
@@ -577,58 +576,15 @@ mod tests {
         for s in 0..n {
             let img = &input.data()[s * img_len..(s + 1) * img_len];
             let cols = im2col_per_element(img, ic, h, w, spec);
-            let finite = cols.iter().all(|x| x.is_finite());
             for ch in 0..oc {
                 let tile_out = &mut out[(s * oc + ch) * tile..(s * oc + ch + 1) * tile];
-                matmul_rows(
-                    weight.data(),
-                    &cols,
-                    ckk,
-                    tile,
-                    finite,
-                    ch..ch + 1,
-                    tile_out,
-                );
+                matmul_rows(weight.data(), &cols, ckk, tile, ch..ch + 1, tile_out);
                 for o in tile_out {
                     *o += bias.data()[ch];
                 }
             }
         }
         Tensor::from_parts([n, oc, oh, ow], out)
-    }
-
-    /// Bit patterns, with every NaN mapped to one pattern: which of two
-    /// NaN operands an addition propagates (sign and payload) is left to
-    /// the implementation by IEEE-754 and to the code generator by Rust,
-    /// so it may differ between two kernels that round identically.
-    fn bits(t: &Tensor) -> Vec<u32> {
-        t.data()
-            .iter()
-            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
-            .collect()
-    }
-
-    /// Seeded values with the IEEE specials — `0.0`, `−0.0`, a subnormal,
-    /// NaN, `±∞` — salted in: often enough that the zero-skip and the
-    /// non-finite paths of the old kernel are both taken.
-    fn salted(dims: &[usize], seed: u64) -> Tensor {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = Tensor::rand_uniform(dims.to_vec(), -2.0, 2.0, &mut rng);
-        // Half the seeds stay finite, so the old kernel's skip is armed.
-        let specials = seed % 2 == 1;
-        for (i, v) in t.data_mut().iter_mut().enumerate() {
-            match (i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 23 {
-                0 | 1 => *v = 0.0,
-                2 => *v = -0.0,
-                3 => *v = 1e-41,
-                4 if specials => *v = f32::NAN,
-                5 if specials => *v = f32::INFINITY,
-                6 if specials => *v = f32::NEG_INFINITY,
-                _ => {}
-            }
-        }
-        t
     }
 
     proptest! {
@@ -738,13 +694,13 @@ mod tests {
         }
         let spec = Conv2dSpec::new(3, 2, 1);
         let weight = Tensor::zeros([8, 4, 3, 3]);
-        // n·oc·oh·ow·ic·k² = 8·oh·ow·36: 16×16 → 8×8 outputs is 18 432
-        // multiply–adds (the old input-sized count read 73 728 and fanned
-        // out); 30×30 → 15×15 is 64 800, one step under the threshold;
-        // 32×32 → 16×16 is 73 728, over it.
-        for (hw, parallel) in [(16, false), (30, false), (32, true)] {
-            let cfg = default_conv_config(&Tensor::zeros([1, 4, hw, hw]), &weight, spec);
-            assert_eq!(!cfg.is_sequential(), parallel, "hw={hw}");
+        // n·oc·oh·ow·ic·k² = n·8·16·16·36 = n·73 728 multiply–adds for a
+        // 32×32 → 16×16 strided conv. 29 images is 2.1 M (the old
+        // input-sized count read four times that, 8.6 M, and fanned out);
+        // 113 is one step under the 2²³ threshold, 114 over it.
+        for (n, parallel) in [(29, false), (113, false), (114, true)] {
+            let cfg = default_conv_config(&Tensor::zeros([n, 4, 32, 32]), &weight, spec);
+            assert_eq!(!cfg.is_sequential(), parallel, "n={n}");
         }
     }
 

@@ -1,9 +1,10 @@
-//! The register-tiled micro-kernel behind the convolution forward pass
-//! (DESIGN.md §11, "The conv tile kernel").
+//! The register-tiled micro-kernel behind both dense products of the
+//! crate — [`crate::Tensor::matmul`] and the convolution forward pass
+//! (DESIGN.md §11, "The tile kernel").
 //!
 //! [`rows_times_matrix`] computes `out = a × b + bias` for a block of at
-//! most [`MR`] rows of `a`. The work is cut into `MR × NR` output tiles
-//! whose accumulators live in a fixed-size `[[f32; NR]; MR]`: with the
+//! most [`MR`] rows of `a`. The work is cut into `M × N` output tiles
+//! whose accumulators live in a fixed-size `[[f32; N]; M]`: with the
 //! trip counts known at compile time LLVM keeps all of them in vector
 //! registers (on baseline x86-64, eight 4-lane registers for the 2 × 16
 //! tile, leaving room for the four `b` vectors and the broadcast `a`
@@ -14,23 +15,30 @@
 //! ascending, a product is rounded before it is added (Rust never
 //! contracts `a * b + c` into a fused multiply–add), and the bias is
 //! added last. Every output element therefore sees the rounding sequence
-//! `((0.0 + a₀·b₀) + a₁·b₁) + … + bias` — the one the plain row kernel
-//! [`crate::linalg::matmul_rows`] followed by a bias pass produces — no
-//! matter which tile, edge path or worker computes it.
+//! `((0.0 + a₀·b₀) + a₁·b₁) + … + bias` — the one a plain ikj row loop
+//! followed by a bias pass produces (the `#[cfg(test)]` `oracle` below)
+//! — no matter which tile shape, which neighbouring rows or which worker
+//! computes it.
 //!
-//! **No zero-skip.** `matmul_rows` skips `a == 0.0` terms when `b` is
-//! finite. Here that would put a branch in the tile, and dropping it
-//! changes no bit: with a finite `b` the skipped product is `±0`, and an
-//! accumulator that starts at `+0.0` is never `−0.0` (under
-//! round-to-nearest a sum is `−0` only when both addends are), so
-//! `acc + ±0 == acc` exactly; with a non-finite `b` the row kernel does
-//! not skip either. It also means no finiteness scan of `b` is needed.
+//! **No zero-skip.** The row kernel this replaced skipped `a == 0.0`
+//! terms when `b` was finite. Here that would put a branch in the tile,
+//! and dropping it changes no bit: with a finite `b` the skipped product
+//! is `±0`, and an accumulator that starts at `+0.0` is never `−0.0`
+//! (under round-to-nearest a sum is `−0` only when both addends are), so
+//! `acc + ±0 == acc` exactly; with a non-finite `b` the row kernel did
+//! not skip either. It also means no finiteness scan of `b` is needed,
+//! and a zero bias (`Tensor::matmul`) is exact for the same reason.
 
 /// Rows of `a` per register tile (and per parallel work unit of the conv
 /// forward).
 pub(crate) const MR: usize = 2;
-/// Columns of `b` per register tile.
-pub(crate) const NR: usize = 16;
+/// Columns of `b` per `MR`-row register tile.
+const NR: usize = 16;
+/// Columns per tile of a lone row: the same eight accumulator registers,
+/// so eight independent add chains where 1 × `NR` would have four.
+const NR1: usize = MR * NR;
+/// Columns per tile in the column tail: one vector register.
+const NV: usize = 4;
 
 /// `out[r, j] = Σₖ a[r, k]·b[k, j] + bias[r]` for the `bias.len() ≤ MR`
 /// rows of `a: [rows, k]`, with `b: [k, n]` and `out: [rows, n]`, all
@@ -49,11 +57,11 @@ pub(crate) fn rows_times_matrix(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), rows * n);
     if rows == MR {
-        block::<MR>(a, b, k, n, bias, out);
+        block::<MR, NR>(a, b, k, n, bias, out);
     } else {
-        // The `oc % MR` tail: one row at a time through the 1 × NR tile.
+        // The `rows % MR` tail: one row at a time through 1-row tiles.
         for r in 0..rows {
-            block::<1>(
+            block::<1, NR1>(
                 &a[r * k..(r + 1) * k],
                 b,
                 k,
@@ -65,30 +73,46 @@ pub(crate) fn rows_times_matrix(
     }
 }
 
-/// An `M`-row block: full `NR`-column panels through the register tile,
-/// the `n % NR` tail columns through the scalar edge path.
-fn block<const M: usize>(a: &[f32], b: &[f32], k: usize, n: usize, bias: &[f32], out: &mut [f32]) {
-    let full = n - n % NR;
-    for j0 in (0..full).step_by(NR) {
-        tile::<M>(a, b, k, n, j0, bias, out);
-    }
-    for r in 0..M {
-        let a_row = &a[r * k..(r + 1) * k];
-        for j in full..n {
-            let mut acc = 0.0f32;
-            for (kk, &x) in a_row.iter().enumerate() {
-                acc += x * b[kk * n + j];
-            }
-            out[r * n + j] = acc + bias[r];
-        }
-    }
+/// An `M`-row block: `W`-column panels through the widest tile the
+/// registers hold for `M` rows, then the `n % W` tail in `NR`-column,
+/// vector-width and last single-column steps.
+fn block<const M: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let j = panels::<M, W>(a, b, k, n, 0, bias, out);
+    let j = panels::<M, NR>(a, b, k, n, j, bias, out);
+    let j = panels::<M, NV>(a, b, k, n, j, bias, out);
+    panels::<M, 1>(a, b, k, n, j, bias, out);
 }
 
-/// The `M × NR` output tile at columns `j0..j0 + NR` of `b` and `out`
+/// Every whole `N`-column panel from column `j0` on; returns the first
+/// column left over.
+fn panels<const M: usize, const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) -> usize {
+    let end = n - (n - j0) % N;
+    for j in (j0..end).step_by(N) {
+        tile::<M, N>(a, b, k, n, j, bias, out);
+    }
+    end
+}
+
+/// The `M × N` output tile at columns `j0..j0 + N` of `b` and `out`
 /// (both of row length `n`). Never inlined, so the code LLVM generates
 /// for it does not depend on the call site.
 #[inline(never)]
-fn tile<const M: usize>(
+fn tile<const M: usize, const N: usize>(
     a: &[f32],
     b: &[f32],
     k: usize,
@@ -98,9 +122,9 @@ fn tile<const M: usize>(
     out: &mut [f32],
 ) {
     let a_rows: [&[f32]; M] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-    let mut acc = [[0.0f32; NR]; M];
+    let mut acc = [[0.0f32; N]; M];
     for kk in 0..k {
-        let b_row = &b[kk * n + j0..][..NR];
+        let b_row = &b[kk * n + j0..][..N];
         for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
             let x = a_row[kk];
             for (s, &bv) in acc_row.iter_mut().zip(b_row) {
@@ -110,23 +134,94 @@ fn tile<const M: usize>(
     }
     for (r, acc_row) in acc.iter().enumerate() {
         let bv = bias[r];
-        for (o, &s) in out[r * n + j0..][..NR].iter_mut().zip(acc_row) {
+        for (o, &s) in out[r * n + j0..][..N].iter_mut().zip(acc_row) {
             *o = s + bv;
         }
     }
 }
 
+/// What the differential tests of this module, `linalg.rs` and `conv.rs`
+/// share: the retired kernel and operands that reach its every branch.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::tensor::Tensor;
+
+    /// The plain ikj row kernel `Tensor::matmul` ran before the tile,
+    /// with its finiteness scan and zero-skip: accumulates rows `rows` of
+    /// `a × b` into the zeroed `out`. Kept as the oracle every
+    /// differential test measures the tile against.
+    pub(crate) fn matmul_rows(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        rows: std::ops::Range<usize>,
+        out: &mut [f32],
+    ) {
+        // Skipping a zero is only sound when every element of `b` is
+        // finite: `0.0 × NaN` and `0.0 × ∞` are NaN and must poison the
+        // accumulator.
+        let rhs_finite = b.iter().all(|x| x.is_finite());
+        for (bi, i) in rows.enumerate() {
+            let out_row = &mut out[bi * n..(bi + 1) * n];
+            for kk in 0..k {
+                let aik = a[i * k + kk];
+                if aik == 0.0 && rhs_finite {
+                    continue;
+                }
+                let b_row = &b[kk * n..(kk + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                    *o += aik * bv;
+                }
+            }
+        }
+    }
+
+    /// Bit patterns, with every NaN mapped to one pattern: which of two
+    /// NaN operands an addition propagates (sign and payload) is left to
+    /// the implementation by IEEE-754 and to the code generator by Rust,
+    /// so it may differ between two kernels that round identically.
+    pub(crate) fn bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Seeded values with the IEEE specials — `0.0`, `−0.0`, a subnormal,
+    /// NaN, `±∞` — salted in: often enough that the zero-skip and the
+    /// non-finite paths of the old kernel are both taken.
+    pub(crate) fn salted(dims: &[usize], seed: u64) -> Tensor {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = Tensor::rand_uniform(dims.to_vec(), -2.0, 2.0, &mut rng);
+        // Half the seeds stay finite, so the old kernel's skip is armed.
+        let specials = seed % 2 == 1;
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            match (i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 23 {
+                0 | 1 => *v = 0.0,
+                2 => *v = -0.0,
+                3 => *v = 1e-41,
+                4 if specials => *v = f32::NAN,
+                5 if specials => *v = f32::INFINITY,
+                6 if specials => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::matmul_rows;
     use super::*;
-    use crate::linalg::matmul_rows;
 
     /// The row kernel plus a bias pass: what the tile must reproduce.
     fn reference(a: &[f32], b: &[f32], k: usize, n: usize, bias: &[f32]) -> Vec<f32> {
         let rows = bias.len();
         let mut out = vec![0.0f32; rows * n];
-        let finite = b.iter().all(|x| x.is_finite());
-        matmul_rows(a, b, k, n, finite, 0..rows, &mut out);
+        matmul_rows(a, b, k, n, 0..rows, &mut out);
         for (row, &bv) in out.chunks_mut(n.max(1)).zip(bias) {
             for o in row {
                 *o += bv;

@@ -1,20 +1,15 @@
 //! Dense linear algebra: matrix multiplication and transposition.
 //!
-//! The kernels are BLAS-free but cache-aware (ikj loop order with a
-//! restructured inner loop) — fast enough to train every model in the
-//! reproduction on a laptop CPU. `matmul` additionally partitions its
-//! output by row blocks across scoped threads (see [`crate::pool`]);
-//! the per-element reduction order inside each row never depends on the
-//! thread count, so results are bit-identical at every `TEAMNET_THREADS`
-//! setting.
-//!
-//! `matmul` keeps the plain row kernel ([`matmul_rows`]) and its
-//! zero-skip on purpose: its inference traffic is single-row products
-//! (no second row to tile over) and sparse left operands — MNIST pixels,
-//! one-hot gates — where skipping a whole row of the right operand pays.
-//! The convolution forward, whose weights are dense, goes through the
-//! register-tiled kernel in [`crate::gemm`] instead; both produce the
-//! same bits for the same operands.
+//! `matmul` is BLAS-free: every product runs through the register-tiled
+//! micro-kernel in [`crate::gemm`] — the same one the convolution forward
+//! uses — in [`MR`]-row steps, with its output partitioned by row blocks
+//! across scoped threads (see [`crate::pool`]). The per-element reduction
+//! order (`k` ascending, each product rounded before it is added) depends
+//! neither on the thread count nor on which rows share a tile, so results
+//! are bit-identical at every `TEAMNET_THREADS` setting and a row of a
+//! batched product equals the same row multiplied alone. Nothing is
+//! skipped: a zero on the left still multiplies its NaN or ∞ on the
+//! right, as IEEE-754 requires.
 //!
 //! Every operation comes in two forms: a `try_*` entry point returning
 //! `Result<_, TensorError>` for callers that validate untrusted shapes,
@@ -22,11 +17,9 @@
 //! mismatch is a programming error.
 
 use crate::error::TensorError;
-use crate::pool::{self, ParallelConfig};
+use crate::gemm::{rows_times_matrix, MR};
+use crate::pool::{self, ParallelConfig, PAR_MIN_WORK};
 use crate::tensor::Tensor;
-use std::ops::Range;
-
-use crate::pool::PAR_MIN_WORK;
 
 fn require_rank(t: &Tensor, expected: usize, op: &'static str) -> Result<(), TensorError> {
     if t.rank() == expected {
@@ -45,37 +38,6 @@ fn shape_mismatch(op: &'static str, left: &Tensor, right: &Tensor) -> TensorErro
         left: left.shape().to_string(),
         right: right.shape().to_string(),
         op,
-    }
-}
-
-/// The row-block matmul kernel shared by the sequential and parallel
-/// paths: accumulates output rows `rows` of `a × b` into `out` (which
-/// holds exactly those rows and comes in zeroed). `rhs_finite` gates the `aik == 0.0` sparsity
-/// skip: skipping a zero row is only sound when every element of `b` is
-/// finite, because IEEE-754 defines `0.0 × NaN` and `0.0 × ∞` as NaN —
-/// a non-finite right operand must poison the accumulator, not vanish.
-pub(crate) fn matmul_rows(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    rhs_finite: bool,
-    rows: Range<usize>,
-    out: &mut [f32],
-) {
-    // ikj order: the inner loop walks both `b` and `out` contiguously.
-    for (bi, i) in rows.enumerate() {
-        let out_row = &mut out[bi * n..(bi + 1) * n];
-        for kk in 0..k {
-            let aik = a[i * k + kk];
-            if aik == 0.0 && rhs_finite {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bv;
-            }
-        }
     }
 }
 
@@ -127,13 +89,21 @@ impl Tensor {
         }
         let a = self.data();
         let b = rhs.data();
-        // One O(k·n) scan decides whether the zero-skip is sound for the
-        // whole product; the skip is worth keeping because one-hot and
-        // masked matrices are common on the gating path.
-        let rhs_finite = b.iter().all(|x| x.is_finite());
         let mut out = vec![0.0f32; m * n];
         pool::partitioned(&mut out, m, cfg.threads(), |rows, block| {
-            matmul_rows(a, b, k, n, rhs_finite, rows, block);
+            // A row's bits do not depend on which row shares its tile, so
+            // each worker pairs rows from the start of its own block.
+            for r0 in rows.clone().step_by(MR) {
+                let r1 = (r0 + MR).min(rows.end);
+                rows_times_matrix(
+                    &a[r0 * k..r1 * k],
+                    b,
+                    k,
+                    n,
+                    &[0.0; MR][..r1 - r0],
+                    &mut block[(r0 - rows.start) * n..(r1 - rows.start) * n],
+                );
+            }
         });
         Ok(Tensor::from_parts([m, n], out))
     }
@@ -296,9 +266,63 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::oracle::{bits, matmul_rows, salted};
+    use proptest::prelude::*;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
+    }
+
+    /// Inner and column sizes of the differential tests: empty, one, and
+    /// either side of the 4-, 16- and 32-column tile widths.
+    const KS: [usize; 5] = [0, 1, 3, 27, 40];
+    const NS: [usize; 6] = [0, 1, 15, 16, 17, 53];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// `matmul` against the row kernel it retired, bit for bit: every
+        /// tile shape and column tail, odd row counts, empty operands,
+        /// every thread count, with zeros, `−0`, subnormals, NaN and `±∞`
+        /// on both sides.
+        #[test]
+        fn matmul_is_bit_identical_to_the_row_kernel(
+            m in 0usize..6,
+            (ki, ni) in (0usize..5, 0usize..6),
+            seed in 0u64..100_000,
+        ) {
+            let (k, n) = (KS[ki], NS[ni]);
+            let a = salted(&[m, k], seed);
+            let b = salted(&[k, n], seed.wrapping_add(1));
+            let mut want = vec![0.0f32; m * n];
+            matmul_rows(a.data(), b.data(), k, n, 0..m, &mut want);
+            let want = Tensor::from_parts([m, n], want);
+            for threads in [1, 2, 3, 4, 8] {
+                let got = a.try_matmul_with(&b, ParallelConfig::with_threads(threads)).unwrap();
+                prop_assert_eq!(got.dims(), want.dims());
+                prop_assert!(bits(&got) == bits(&want), "threads={threads}: {got:?} vs {want:?}");
+            }
+        }
+
+        /// The serving bijection at kernel level: a row of a batched
+        /// product is the same row multiplied alone, whichever rows it
+        /// shared a tile with.
+        #[test]
+        fn each_row_of_a_product_equals_that_row_multiplied_alone(
+            m in 1usize..6,
+            (ki, ni) in (0usize..5, 0usize..6),
+            seed in 0u64..100_000,
+        ) {
+            let (k, n) = (KS[ki], NS[ni]);
+            let a = salted(&[m, k], seed);
+            let b = salted(&[k, n], seed.wrapping_add(1));
+            let batched = a.matmul(&b);
+            for r in 0..m {
+                let solo = Tensor::from_parts([1, k], a.row(r).to_vec()).matmul(&b);
+                let row = Tensor::from_parts([1, n], batched.row(r).to_vec());
+                prop_assert!(bits(&row) == bits(&solo), "row {r} of {m}: {row:?} vs {solo:?}");
+            }
+        }
     }
 
     #[test]

@@ -32,9 +32,13 @@ pub const THREADS_ENV: &str = "TEAMNET_THREADS";
 
 /// Below this many inner multiply–adds the default kernel entry points
 /// stay sequential: spawning scoped threads costs more than the
-/// arithmetic saves. Explicit `*_with` calls bypass the threshold so
-/// tests can exercise the parallel path on tiny shapes.
-pub(crate) const PAR_MIN_WORK: usize = 1 << 16;
+/// arithmetic saves. Set from `kernel_bench`'s `default_entry` rows (tile
+/// kernels, 12–15 G multiply–adds/s a thread, a two-thread scope ≈ 65 µs
+/// to open and join): 64×784×128 (6.4 M) is where two threads stop
+/// losing to one, so the threshold is the next power of two. Explicit
+/// `*_with` calls bypass it so tests can exercise the parallel path on
+/// tiny shapes.
+pub(crate) const PAR_MIN_WORK: usize = 1 << 23;
 
 /// Process-wide default, resolved once on first use so hot kernels never
 /// re-read the environment.
