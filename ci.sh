@@ -37,6 +37,18 @@
 #                         the fixed p99 target is non-decreasing in the
 #                         batch cap and strictly better than no
 #                         batching, so a batching regression fails here)
+#   7c. strategy parity  (baseline_showdown --smoke: TeamNet, MPI-Matrix /
+#                         -Kernel / -Branch and SG-MoE each run a real
+#                         2-node inference on the one round; fails on an
+#                         output that is not its local reference bit for
+#                         bit, or when any strategy's time per remote
+#                         exchange exceeds 4 x the TeamNet K=2 round — a
+#                         ratio, so it trips on a private loop's poll
+#                         floor coming back (9-12 x before PR 18) and not
+#                         on a slow host)
+#   7d. benches build    (cargo build --benches: the per-table Criterion
+#                         targets call the strategies' real paths, and no
+#                         other stage compiles them)
 #   8. chaos soak        (50 seeded fault-injected inference rounds)
 #   8b. recovery soak    (seeded session that permanently black-holes one
 #                         worker mid-run: its expert must migrate to a
@@ -119,6 +131,8 @@ TEAMNET_THREADS=1 cargo test -q --workspace
 TEAMNET_THREADS=4 cargo test -q --workspace
 cargo run -q --release -p teamnet-bench --bin kernel_bench -- --smoke --out /tmp/BENCH_kernels_smoke.json
 cargo run -q --release -p teamnet-bench --bin serve_bench -- --smoke --out /tmp/BENCH_serve_smoke.json
+cargo run -q --release --example baseline_showdown -- --smoke
+cargo build -q --release --benches -p teamnet-bench
 cargo test -q --release --test chaos_soak
 cargo test -q --release --test recovery_soak
 cargo test -q --release --test serve_soak

@@ -11,9 +11,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teamnet_bench::suites::{mnist_baseline_spec, mnist_expert_spec, Scale};
 use teamnet_bench::tables::mnist_workload;
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, TeamNet};
 use teamnet_moe::{SgMoe, SgMoeConfig};
-use teamnet_net::{ChannelTransport, Communicator};
+use teamnet_net::ChannelTransport;
 use teamnet_nn::{state_vec, Layer, Mode};
 use teamnet_partition::{mpi_matrix_forward, shard_mlp, simulate, Strategy};
 use teamnet_simnet::{ComputeUnit, DeviceProfile, SimCluster};
@@ -62,30 +65,33 @@ fn bench_real_paths(c: &mut Criterion) {
         });
     }
 
-    // MPI-Matrix over an in-process 2-node mesh (worker on a real thread).
+    // MPI-Matrix over an in-process 2-node mesh: the worker serves its
+    // shards on a real thread, the row times one forward (a round per
+    // layer on the session every strategy runs on).
     {
         let spec = mnist_baseline_spec(&scale);
         let mut model = build_expert(&spec, 0);
         // Strip the Flatten front end: shards operate on the raw MLP state.
         let state = state_vec(&mut model);
         let flat = image.reshape([1, 28 * 28]).expect("flatten");
-        group.bench_function("mpi_matrix_2node_forward", |b| {
-            b.iter(|| {
-                let mesh = ChannelTransport::mesh(2);
-                crossbeam::thread::scope(|scope| {
-                    let shards1 = shard_mlp(&spec, &state, 1, 2);
-                    let node1 = &mesh[1];
-                    scope.spawn(move |_| {
-                        let comm = Communicator::new(node1);
-                        mpi_matrix_forward(&comm, &shards1, None).unwrap();
-                    });
-                    let shards0 = shard_mlp(&spec, &state, 0, 2);
-                    let comm = Communicator::new(&mesh[0]);
-                    black_box(mpi_matrix_forward(&comm, &shards0, Some(&flat)).unwrap());
+        let mesh = ChannelTransport::mesh(2);
+        crossbeam::thread::scope(|scope| {
+            let mut shards1 = shard_mlp(&spec, &state, 1, 2);
+            let node1 = &mesh[1];
+            scope.spawn(move |_| {
+                serve_worker_with_config(node1, 0, &mut shards1, WorkerConfig::default()).unwrap();
+            });
+            let mut shards0 = shard_mlp(&spec, &state, 0, 2);
+            let mut session = InferenceSession::new(&mesh[0], MasterConfig::default());
+            group.bench_function("mpi_matrix_2node_forward", |b| {
+                b.iter(|| {
+                    let out = mpi_matrix_forward(&mut session, &mesh[0], &mut shards0, &flat);
+                    black_box(out.unwrap())
                 })
-                .unwrap();
-            })
-        });
+            });
+            shutdown_workers(&mesh[0]).unwrap();
+        })
+        .unwrap();
     }
     group.finish();
 }

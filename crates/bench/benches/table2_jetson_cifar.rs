@@ -7,12 +7,13 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teamnet_bench::suites::{cifar_baseline_spec, cifar_expert_spec, Scale};
 use teamnet_bench::tables::cifar_workload;
+use teamnet_core::runtime::{
+    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+};
 use teamnet_core::{build_expert, TeamNet};
 use teamnet_net::ChannelTransport;
 use teamnet_nn::{Layer, Mode, ShakeShakeBlock};
-use teamnet_partition::{
-    branch_parallel_forward, serve_branch_worker, shutdown_branch_worker, simulate, Strategy,
-};
+use teamnet_partition::{branch_parallel_forward, simulate, Steps, Strategy};
 use teamnet_simnet::{ComputeUnit, DeviceProfile, SimCluster};
 use teamnet_tensor::Tensor;
 
@@ -47,35 +48,33 @@ fn bench_model_forwards(c: &mut Criterion) {
     }
 
     // MPI-Branch primitive: branch-parallel evaluation of one block over an
-    // in-process 2-node mesh, per iteration.
-    group.bench_function("mpi_branch_block_roundtrip", |b| {
-        b.iter(|| {
-            let mesh = ChannelTransport::mesh(2);
-            let make = || {
-                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
-                ShakeShakeBlock::new(3, 4, 1, &mut rng)
-            };
-            crossbeam::thread::scope(|scope| {
-                let node1 = &mesh[1];
-                scope.spawn(move |_| {
-                    let mut block = make();
-                    serve_branch_worker(node1, 0, &mut block).unwrap();
-                });
-                let mut block = make();
-                let out = branch_parallel_forward(
-                    &mesh[0],
-                    1,
-                    &mut block,
-                    &cifar_image(),
-                    std::time::Duration::from_secs(5),
-                )
-                .unwrap();
-                shutdown_branch_worker(&mesh[0], 1).unwrap();
-                black_box(out);
-            })
-            .unwrap();
+    // in-process 2-node mesh — the worker serves its copy of the block on a
+    // real thread, the row times one round.
+    {
+        let make = || {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+            ShakeShakeBlock::new(3, 4, 1, &mut rng)
+        };
+        let mesh = ChannelTransport::mesh(2);
+        crossbeam::thread::scope(|scope| {
+            let node1 = &mesh[1];
+            scope.spawn(move |_| {
+                let mut blocks = Steps(vec![make()]);
+                serve_worker_with_config(node1, 0, &mut blocks, WorkerConfig::default()).unwrap();
+            });
+            let mut block = make();
+            let mut session = InferenceSession::new(&mesh[0], MasterConfig::default());
+            group.bench_function("mpi_branch_block_roundtrip", |b| {
+                b.iter(|| {
+                    let out =
+                        branch_parallel_forward(&mut session, &mesh[0], 1, 0, &mut block, &image);
+                    black_box(out.unwrap())
+                })
+            });
+            shutdown_workers(&mesh[0]).unwrap();
         })
-    });
+        .unwrap();
+    }
     group.finish();
 }
 

@@ -4,7 +4,7 @@
 //! **pure transition function**: `step(state, event) -> (state',
 //! outbound messages)`, with clocks, RNG and IO injected by the caller.
 //! The production shells — [`serve_worker_with_config`], the gather leg
-//! of [`InferenceSession::infer`], and
+//! of [`InferenceSession::round`], and
 //! [`RecoveryManager`]'s transfer driver — own the transports, deadlines
 //! and backoff, and reach the wire through one shared IO shell
 //! (`shell.rs`); the *decisions* (what a frame means, what state changes,
@@ -21,7 +21,7 @@
 //! state machines.
 //!
 //! [`serve_worker_with_config`]: crate::runtime::serve_worker_with_config
-//! [`InferenceSession::infer`]: crate::runtime::InferenceSession::infer
+//! [`InferenceSession::round`]: crate::runtime::InferenceSession::round
 //! [`RecoveryManager`]: crate::recover::RecoveryManager
 
 use crate::recover::{
@@ -620,74 +620,46 @@ pub enum GatherVerdict {
 
 /// The master's gather-leg state machine: classifies each frame received
 /// from a worker (stale / corrupt / malformed / probe ack / results) and
-/// folds accepted result sets into the paper's Figure-4 running
-/// arg-min-entropy. Driven by the gather phase of
-/// [`InferenceSession::infer`], and exhaustively by `cargo xtask mc`.
+/// hands the payload of a verified current-round `Result` to the round's
+/// fold — for TeamNet, [`TeamFold`]. Driven by the gather phase of
+/// [`InferenceSession::round`], and exhaustively by `cargo xtask mc`.
 ///
-/// [`InferenceSession::infer`]: crate::runtime::InferenceSession::infer
-#[derive(Debug, Clone)]
+/// [`InferenceSession::round`]: crate::runtime::InferenceSession::round
+#[derive(Debug, Clone, Copy)]
 pub struct GatherFsm {
     round: u64,
-    rows: usize,
     strict: bool,
-    calibration: Option<Vec<f32>>,
-    best: Vec<TeamPrediction>,
-    best_weighted: Vec<f32>,
 }
 
 impl GatherFsm {
-    /// Opens the gather for `round` over an `rows`-row batch, seeded with
-    /// the master's own `local` results (node `me`). `strict` mirrors
-    /// `require_all_workers`: undecodable replies fail the round instead
-    /// of being discarded.
-    pub fn new(
-        round: u64,
-        me: usize,
-        rows: usize,
-        local: Vec<(usize, f32)>,
-        calibration: Option<Vec<f32>>,
-        strict: bool,
-    ) -> Self {
-        let me_weight = weight_of(&calibration, me);
-        let best: Vec<TeamPrediction> = local
-            .into_iter()
-            .map(|(label, h)| TeamPrediction {
-                label,
-                expert: me,
-                entropy: h,
-            })
-            .collect();
-        let best_weighted: Vec<f32> = best.iter().map(|p| p.entropy * me_weight).collect();
-        GatherFsm {
-            round,
-            rows,
-            strict,
-            calibration,
-            best,
-            best_weighted,
-        }
+    /// Opens the gather for `round`; `strict` (`require_all_workers`)
+    /// fails the round on an undecodable reply instead of discarding it.
+    pub fn new(round: u64, strict: bool) -> Self {
+        GatherFsm { round, strict }
     }
 
-    /// Classifies one frame received from `peer` on the result tag and,
-    /// for a well-formed current-round result set, folds it into the
-    /// running argmin.
-    pub fn step(&mut self, peer: usize, bytes: &[u8]) -> GatherVerdict {
+    /// An undecodable reply: fatal in strict mode, discarded otherwise.
+    fn reject(&self, e: NetError) -> GatherVerdict {
+        if self.strict {
+            return GatherVerdict::Fatal(e);
+        }
+        GatherVerdict::Discarded(match e {
+            NetError::Corrupt { .. } => GatherDiscard::Corrupt,
+            _ => GatherDiscard::Malformed,
+        })
+    }
+
+    /// Classifies one frame received on the result tag and, for a
+    /// well-formed current-round result, runs `fold` over its payload; a
+    /// payload the fold refuses is an undecodable reply.
+    pub fn step(
+        &self,
+        bytes: &[u8],
+        fold: impl FnOnce(&[u8]) -> Result<(), NetError>,
+    ) -> GatherVerdict {
         let env = match EnvelopeRef::decode(bytes) {
             Ok(env) => env,
-            Err(e @ NetError::Corrupt { .. }) => {
-                return if self.strict {
-                    GatherVerdict::Fatal(e)
-                } else {
-                    GatherVerdict::Discarded(GatherDiscard::Corrupt)
-                };
-            }
-            Err(e) => {
-                return if self.strict {
-                    GatherVerdict::Fatal(e)
-                } else {
-                    GatherVerdict::Discarded(GatherDiscard::Malformed)
-                };
-            }
+            Err(e) => return self.reject(e),
         };
         if let Err(NetError::Stale { .. }) = env.expect_round(self.round) {
             // A reply stamped for some other round (late, duplicated, or
@@ -699,55 +671,10 @@ impl GatherFsm {
             return GatherVerdict::Discarded(GatherDiscard::Stale { seen: env.round });
         }
         match env.kind {
-            PayloadKind::Result => {
-                // A peer hosting migrated experts replies with a result
-                // *set*; a single-matrix reply is attributed to the
-                // peer's own expert.
-                let sets = match decode_result_set(env.payload, peer) {
-                    Ok(sets) => sets,
-                    Err(e) => {
-                        return if self.strict {
-                            GatherVerdict::Fatal(e)
-                        } else {
-                            GatherVerdict::Discarded(GatherDiscard::Malformed)
-                        };
-                    }
-                };
-                if let Some((expert_id, results)) = sets.iter().find(|(_, r)| r.len() != self.rows)
-                {
-                    let e = NetError::Malformed(format!(
-                        "worker {peer} returned {} rows for expert {expert_id} \
-                         on a {}-row batch",
-                        results.len(),
-                        self.rows
-                    ));
-                    return if self.strict {
-                        GatherVerdict::Fatal(e)
-                    } else {
-                        GatherVerdict::Discarded(GatherDiscard::Malformed)
-                    };
-                }
-                // The paper's Figure 4 arg-min: keep the
-                // lowest-weighted-entropy answer per row. Each expert
-                // keeps its own identity and calibration weight,
-                // whichever node computed it.
-                for (expert_id, results) in sets {
-                    let weight = weight_of(&self.calibration, expert_id);
-                    let slots = self.best_weighted.iter_mut().zip(self.best.iter_mut());
-                    for ((label, h), (current, winner)) in results.into_iter().zip(slots) {
-                        let weighted = h * weight;
-                        if weighted < *current {
-                            *current = weighted;
-                            *winner = TeamPrediction {
-                                label,
-                                expert: expert_id,
-                                entropy: h,
-                            };
-                        }
-                    }
-                }
-                GatherVerdict::Accepted { folded: true }
-            }
+            PayloadKind::Result => match fold(env.payload) {
+                Ok(()) => GatherVerdict::Accepted { folded: true },
+                Err(e) => self.reject(e),
+            },
             // A probe ack proves liveness; it carries no rows.
             PayloadKind::ProbeAck => GatherVerdict::Accepted { folded: false },
             // Stray transfer-protocol traffic (a duplicate LoadAck from a
@@ -763,6 +690,78 @@ impl GatherFsm {
             PayloadKind::Input => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Probe => GatherVerdict::Discarded(GatherDiscard::Malformed),
         }
+    }
+}
+
+/// TeamNet's fold: the paper's Figure-4 running arg-min-entropy. Selection
+/// compares δ*-weighted entropies; the reported entropy stays raw.
+#[derive(Debug, Clone)]
+pub struct TeamFold {
+    calibration: Option<Vec<f32>>,
+    best: Vec<TeamPrediction>,
+    best_weighted: Vec<f32>,
+}
+
+impl TeamFold {
+    /// An unseeded fold weighing expert `i` by `calibration[i]` (or 1).
+    pub fn new(calibration: Option<Vec<f32>>) -> Self {
+        TeamFold {
+            calibration,
+            best: Vec::new(),
+            best_weighted: Vec::new(),
+        }
+    }
+
+    /// Seeds every row with the master's own (node `me`) `local` result.
+    pub fn seed(&mut self, me: usize, local: Vec<(usize, f32)>) {
+        let me_weight = weight_of(&self.calibration, me);
+        self.best = local
+            .into_iter()
+            .map(|(label, h)| TeamPrediction {
+                label,
+                expert: me,
+                entropy: h,
+            })
+            .collect();
+        self.best_weighted = self.best.iter().map(|p| p.entropy * me_weight).collect();
+    }
+
+    /// Folds `peer`'s `Result` payload into the running argmin.
+    ///
+    /// # Errors
+    ///
+    /// An undecodable payload, or a result matrix of another row count
+    /// than the batch's; nothing is folded.
+    pub fn fold(&mut self, peer: usize, payload: &[u8]) -> Result<(), NetError> {
+        // A peer hosting migrated experts replies with a result *set*; a
+        // single-matrix reply is attributed to the peer's own expert.
+        let sets = decode_result_set(payload, peer)?;
+        let rows = self.best.len();
+        if let Some((expert_id, results)) = sets.iter().find(|(_, r)| r.len() != rows) {
+            return Err(NetError::Malformed(format!(
+                "worker {peer} returned {} rows for expert {expert_id} on a {rows}-row batch",
+                results.len()
+            )));
+        }
+        // The paper's Figure 4 arg-min: keep the lowest-weighted-entropy
+        // answer per row. Each expert keeps its own identity and
+        // calibration weight, whichever node computed it.
+        for (expert_id, results) in sets {
+            let weight = weight_of(&self.calibration, expert_id);
+            let slots = self.best_weighted.iter_mut().zip(self.best.iter_mut());
+            for ((label, h), (current, winner)) in results.into_iter().zip(slots) {
+                let weighted = h * weight;
+                if weighted < *current {
+                    *current = weighted;
+                    *winner = TeamPrediction {
+                        label,
+                        expert: expert_id,
+                        entropy: h,
+                    };
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The final per-row winners after all peers have been gathered.
@@ -1244,68 +1243,66 @@ mod tests {
         assert_eq!(w.stats().malformed_skipped, 3);
     }
 
+    /// A gather over a 1-row batch the master answered `(4, 0.9)`.
+    fn gather(round: u64, strict: bool, calibration: Option<Vec<f32>>) -> (GatherFsm, TeamFold) {
+        let mut fold = TeamFold::new(calibration);
+        fold.seed(0, vec![(4, 0.9)]);
+        (GatherFsm::new(round, strict), fold)
+    }
+
+    fn result_frame(round: u64, results: &[(usize, f32)]) -> Vec<u8> {
+        let payload = crate::runtime::encode_results(results);
+        Envelope::new(round, PayloadKind::Result, payload).encode()
+    }
+
     #[test]
     fn gather_folds_argmin_and_discards_stale() {
-        let mut g = GatherFsm::new(100, 0, 1, vec![(4, 0.9)], None, false);
+        let (g, mut fold) = gather(100, false, None);
         // Stale frame from an earlier round.
-        let stale = Envelope::new(
-            99,
-            PayloadKind::Result,
-            crate::runtime::encode_results(&[(1, 0.1)]),
-        )
-        .encode();
         assert!(matches!(
-            g.step(1, &stale),
+            g.step(&result_frame(99, &[(1, 0.1)]), |p| fold.fold(1, p)),
             GatherVerdict::Discarded(GatherDiscard::Stale { seen: 99 })
         ));
         // Fresh results win the row.
-        let fresh = Envelope::new(
-            100,
-            PayloadKind::Result,
-            crate::runtime::encode_results(&[(2, 0.2)]),
-        )
-        .encode();
         assert!(matches!(
-            g.step(1, &fresh),
+            g.step(&result_frame(100, &[(2, 0.2)]), |p| fold.fold(1, p)),
             GatherVerdict::Accepted { folded: true }
         ));
-        let preds = g.into_predictions();
+        // A reply with the wrong row count is refused by the fold.
+        assert!(matches!(
+            g.step(&result_frame(100, &[(3, 0.0), (3, 0.0)]), |p| fold
+                .fold(1, p)),
+            GatherVerdict::Discarded(GatherDiscard::Malformed)
+        ));
+        let preds = fold.into_predictions();
         assert_eq!(preds.first().map(|p| (p.label, p.expert)), Some((2, 1)));
     }
 
     #[test]
     fn gather_strict_mode_fails_on_corrupt() {
-        let mut strictg = GatherFsm::new(100, 0, 1, vec![(4, 0.9)], None, true);
-        let mut frame = Envelope::new(
-            100,
-            PayloadKind::Result,
-            crate::runtime::encode_results(&[(2, 0.2)]),
-        )
-        .encode();
+        let mut frame = result_frame(100, &[(2, 0.2)]);
         if let Some(b) = frame.last_mut() {
             *b ^= 0x40;
         }
-        assert!(matches!(strictg.step(1, &frame), GatherVerdict::Fatal(_)));
-        let mut lax = GatherFsm::new(100, 0, 1, vec![(4, 0.9)], None, false);
+        let (strictg, mut fold) = gather(100, true, None);
         assert!(matches!(
-            lax.step(1, &frame),
+            strictg.step(&frame, |p| fold.fold(1, p)),
+            GatherVerdict::Fatal(_)
+        ));
+        let (lax, mut fold) = gather(100, false, None);
+        assert!(matches!(
+            lax.step(&frame, |p| fold.fold(1, p)),
             GatherVerdict::Discarded(GatherDiscard::Corrupt)
         ));
     }
 
     #[test]
     fn gather_respects_calibration_weights() {
-        // Raw entropies favor peer 1 (0.3 < 0.4·1.0), but peer 1's δ*
-        // weight of 2.0 flips the comparison.
-        let mut g = GatherFsm::new(7, 0, 1, vec![(9, 0.4)], Some(vec![1.0, 2.0]), false);
-        let frame = Envelope::new(
-            7,
-            PayloadKind::Result,
-            crate::runtime::encode_results(&[(3, 0.3)]),
-        )
-        .encode();
-        g.step(1, &frame);
-        let preds = g.into_predictions();
+        // Raw entropies favor peer 1 (0.3 < 0.9·1.0), but peer 1's δ*
+        // weight of 4.0 flips the comparison.
+        let (g, mut fold) = gather(7, false, Some(vec![1.0, 4.0]));
+        g.step(&result_frame(7, &[(3, 0.3)]), |p| fold.fold(1, p));
+        let preds = fold.into_predictions();
         assert_eq!(preds.first().map(|p| p.expert), Some(0));
     }
 

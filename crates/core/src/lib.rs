@@ -21,7 +21,8 @@
 //!   the specialization analysis of Figure 9;
 //! * [`runtime`] — Figure 1(d): the master/worker broadcast–compute–gather
 //!   protocol over in-process channels or real TCP, hardened with
-//!   round-stamped envelopes and bounded retries;
+//!   round-stamped envelopes and bounded retries — and, through the
+//!   [`exchange`] seam, the round every baseline strategy runs on too;
 //! * [`health`] — the heartbeat failure detector that quarantines
 //!   unresponsive peers and probes them for readmission;
 //! * [`recover`] — failure-backtracking expert re-placement: quarantined
@@ -52,6 +53,7 @@
 
 pub mod convergence;
 mod entropy;
+pub mod exchange;
 mod expert;
 pub mod fsm;
 mod gate;
@@ -66,6 +68,7 @@ mod train;
 pub use entropy::{
     entropy, entropy_matrix, entropy_rows, normalized_deviation, EntropyError, PROB_SUM_TOLERANCE,
 };
+pub use exchange::{Exchange, PeerCompute};
 pub use expert::{build_expert, expert_rng, ExpertEnsemble};
 pub use gate::{
     assignment_shares, weighted_argmin, DynamicGate, GateConfig, GateConfigError, GateDecision,

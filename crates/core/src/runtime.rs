@@ -9,11 +9,12 @@
 //! is the entire reason TeamNet beats MPI-style model parallelism on WiFi.
 //!
 //! There is one of each thing: [`serve_worker_with_config`] is the worker
-//! loop, and [`InferenceSession::infer`] runs a round as four phases —
+//! loop, and [`InferenceSession::round`] runs a round as four phases —
 //! broadcast, local forward, gather, settle — over one record per peer.
 //! Frames go on and come off the wire through the IO shell
 //! (`shell.rs`); what they mean is decided by the pure state machines of
-//! [`crate::fsm`].
+//! [`crate::fsm`]; what a strategy sends, computes and reduces is its
+//! [`Exchange`] ([`InferenceSession::infer`] is `round` with TeamNet's).
 //!
 //! Robustness (see DESIGN.md §9): every message crosses the wire inside a
 //! versioned, round-stamped, CRC-checked [`Envelope`], so the master
@@ -31,17 +32,17 @@
 //! TCP for deployments.
 
 use crate::entropy::entropy;
+use crate::exchange::{decode_tensor, Exchange, PeerCompute, TeamExchange};
 use crate::fsm;
 use crate::health::{
     ContactPlan, FailureDetector, FailureDetectorConfig, InferenceReport, PeerHealth, PeerReport,
 };
 use crate::recover::{HostBudget, RecoveryManager, TransferManifest};
 use crate::shell::{self, ResultWait, RoundRegistration};
-use crate::team::TeamPrediction;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teamnet_net::codec::{decode_f32s, encode_f32s, encode_f32s_into};
+use teamnet_net::codec::{decode_f32s, encode_f32s};
 use teamnet_net::{
     derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy, SystemClock,
     Tag, Transport, TRACE_EXT_LEN,
@@ -265,9 +266,10 @@ pub struct WorkerConfig {
     pub budget: HostBudget,
 }
 
-/// Serves a worker node — the only worker loop: waits for input
-/// broadcasts from `master`, runs the local `expert`, returns
-/// round-stamped results, until a shutdown message arrives. Probes are
+/// Serves a worker node — the only worker loop, whatever the strategy:
+/// waits for round inputs from `master`, runs them through `peer` (a
+/// TeamNet expert, or a baseline's shards), returns round-stamped
+/// results, until a shutdown message arrives. Probes are
 /// acknowledged immediately; corrupt or malformed batches are counted and
 /// skipped — one bad frame must not take a worker out of the team.
 /// [`WorkerConfig::default`] serves with observability off and an
@@ -287,7 +289,7 @@ pub struct WorkerConfig {
 pub fn serve_worker_with_config(
     transport: &dyn Transport,
     master: usize,
-    expert: &mut Sequential,
+    peer: &mut impl PeerCompute,
     config: WorkerConfig,
 ) -> Result<WorkerStats, NetError> {
     /// How long an idle worker parks before re-arming its wait. Nothing
@@ -309,7 +311,7 @@ pub fn serve_worker_with_config(
     let mut machine = fsm::WorkerFsm::new(master, config.budget);
     let mut hooks = ServeHooks {
         me,
-        expert,
+        peer,
         hosted: BTreeMap::new(),
         obs,
         m_alloc: &m_alloc,
@@ -361,13 +363,25 @@ pub fn serve_worker_with_config(
     }
 }
 
+/// Rows of the batch tensor a request opens with (its `rank | dims…`
+/// header): labels the `worker.forward` span without decoding the batch.
+fn request_rows(request: &[u8]) -> u64 {
+    let Some(&[r0, r1, r2, r3, d0, d1, d2, d3]) = request.first_chunk() else {
+        return 0;
+    };
+    match u32::from_le_bytes([r0, r1, r2, r3]) {
+        0 => 0,
+        _rank => u64::from(u32::from_le_bytes([d0, d1, d2, d3])),
+    }
+}
+
 /// The IO side of the worker serve loop, injected into
 /// [`fsm::WorkerFsm::step`]: runs the real forward passes and
 /// materializes hosted experts, while every protocol decision stays in
 /// the state machine.
-struct ServeHooks<'a> {
+struct ServeHooks<'a, P> {
     me: usize,
-    expert: &'a mut Sequential,
+    peer: &'a mut P,
     /// Migrated experts resident on this node, keyed by expert id (the
     /// FSM tracks their budget charges).
     hosted: BTreeMap<u32, Sequential>,
@@ -375,30 +389,24 @@ struct ServeHooks<'a> {
     m_alloc: &'a AllocMeters,
 }
 
-impl fsm::WorkerHooks for ServeHooks<'_> {
+impl<P: PeerCompute> fsm::WorkerHooks for ServeHooks<'_, P> {
     fn forward(&mut self, input_payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        let images = decode_f32s(input_payload).and_then(|(dims, data)| {
-            Tensor::from_vec(data, dims)
-                .map_err(|e| NetError::Malformed(format!("input tensor: {e}")))
-        })?;
-        let rows = images.dims().first().copied().unwrap_or(0);
-        let _forward_span = self.obs.span("worker.forward", &[("rows", rows as u64)]);
+        let rows = request_rows(input_payload);
+        let _forward_span = self.obs.span("worker.forward", &[("rows", rows)]);
         // Honesty check against the static certificate: count what this
         // forward actually allocates (DESIGN.md §13).
         let mem = MemScope::begin();
-        let results = local_results(self.expert, &images);
-        let payload = if self.hosted.is_empty() {
-            // Byte for byte the certified `wire_result_bytes`.
-            encode_results(&results)
-        } else {
-            // Fan the batch through every hosted expert; the master
-            // demuxes by expert id.
-            let mut set: Vec<(u32, Vec<(usize, f32)>)> = vec![(self.me as u32, results)];
+        let mut payload = self.peer.respond(input_payload)?;
+        if !self.hosted.is_empty() {
+            // TeamNet only (no other master migrates experts): fan the
+            // batch through every hosted expert; the master demuxes by id.
+            let images = decode_tensor(input_payload)?;
+            let mut set = vec![(self.me as u32, decode_results(&payload)?)];
             for (&id, model) in self.hosted.iter_mut() {
                 set.push((id, local_results(model, &images)));
             }
-            encode_result_set(&set)
-        };
+            payload = encode_result_set(&set);
+        }
         let mem_stats = mem.stats();
         self.m_alloc
             .record(mem_stats.allocated_bytes, mem_stats.peak_bytes);
@@ -575,27 +583,49 @@ impl InferenceSession {
         self.recovery.as_ref()
     }
 
-    /// One fault-tolerant collaborative inference round.
-    ///
-    /// Broadcasts `images` to every live peer, probes quarantined peers
-    /// whose probe is due, evaluates the local `expert` while workers
-    /// compute, gathers round-stamped replies under one deadline budget
-    /// (discarding stale and corrupt traffic), folds the evidence into the
-    /// failure detector, and returns predictions plus per-peer health.
+    /// One collaborative inference round: [`InferenceSession::round`] with
+    /// TeamNet's exchange — the batch to every live peer, the local
+    /// `expert` meanwhile, the least-uncertain answer kept per row.
     ///
     /// # Errors
     ///
-    /// With `require_all_workers` set: [`NetError::Timeout`] when a
-    /// contacted worker misses the deadline, [`NetError::Malformed`] /
-    /// [`NetError::Corrupt`] when a reply is undecodable, and send
-    /// failures. In degraded mode those all demote the peer instead.
+    /// As [`InferenceSession::round`].
     pub fn infer(
         &mut self,
         transport: &dyn Transport,
         expert: &mut Sequential,
         images: &Tensor,
     ) -> Result<InferenceReport, NetError> {
-        let result = self.run_round(transport, expert, images);
+        let exchange = TeamExchange {
+            me: transport.node_id(),
+            expert,
+            images,
+            fold: fsm::TeamFold::new(self.config.calibration.clone()),
+        };
+        self.round(transport, exchange)
+    }
+
+    /// One fault-tolerant round of any strategy: sends every live peer
+    /// what `exchange` has for it, probes quarantined peers whose probe is
+    /// due, runs the exchange's local share while the peers compute,
+    /// gathers round-stamped replies under one deadline budget
+    /// (discarding stale and corrupt traffic) into the exchange's fold,
+    /// feeds the evidence to the failure detector, and hands the round's
+    /// report to the exchange's `finish`.
+    ///
+    /// # Errors
+    ///
+    /// With `require_all_workers` set: [`NetError::Timeout`] when a
+    /// contacted worker misses the deadline, [`NetError::Malformed`] /
+    /// [`NetError::Corrupt`] when a reply is undecodable, and send
+    /// failures. In degraded mode those all demote the peer instead, and
+    /// the round fails only if [`Exchange::finish`] does.
+    pub fn round<E: Exchange>(
+        &mut self,
+        transport: &dyn Transport,
+        exchange: E,
+    ) -> Result<E::Output, NetError> {
+        let result = self.run_round(transport, exchange);
         if result.is_err() {
             // Round failed: dump the flight-recorder ring (if armed) with
             // the failure as its final event, so the last N trace events
@@ -610,12 +640,11 @@ impl InferenceSession {
     }
 
     /// Opens a round and sequences its four phases.
-    fn run_round(
+    fn run_round<E: Exchange>(
         &mut self,
         transport: &dyn Transport,
-        expert: &mut Sequential,
-        images: &Tensor,
-    ) -> Result<InferenceReport, NetError> {
+        mut exchange: E,
+    ) -> Result<E::Output, NetError> {
         let obs = self.config.obs.clone();
         // Registered with the cross-wait router before any send, and
         // unregistered when the gather ends (on any path).
@@ -630,7 +659,7 @@ impl InferenceSession {
             index: self.rounds,
             trace: obs.enabled().then_some(trace_id),
             me: transport.node_id(),
-            rows: images.dims().first().copied().unwrap_or(0),
+            rows: exchange.rows(),
             started_ns: obs.tracer.now_ns(),
             ..Round::default()
         };
@@ -645,11 +674,11 @@ impl InferenceSession {
                 ("trace", trace_id),
             ],
         );
-        let mut peers = self.broadcast(transport, &mut round, images)?;
-        let local = self.forward(&mut round, expert, images);
-        let predictions = self.gather(transport, &mut round, local, &mut peers)?;
+        let mut peers = self.broadcast(transport, &mut round, &exchange)?;
+        self.forward(&mut round, &mut exchange);
+        self.gather(transport, &mut round, &mut exchange, &mut peers)?;
         drop(registration);
-        Ok(self.settle(transport, &round, &peers, predictions))
+        exchange.finish(self.settle(transport, &round, &peers))
     }
 
     /// Sends `frame` to `peer` with bounded retries + backoff inside
@@ -703,23 +732,24 @@ impl InferenceSession {
 
     /// Phase 1: plans every peer and puts the round on the wire.
     /// Quarantined peers are skipped outright; probe-due peers get a
-    /// 16-byte probe instead of the full batch.
-    fn broadcast(
+    /// 16-byte probe instead of their request.
+    fn broadcast<E: Exchange>(
         &mut self,
         transport: &dyn Transport,
         round: &mut Round,
-        images: &Tensor,
+        exchange: &E,
     ) -> Result<Vec<PeerRound>, NetError> {
         let obs = &self.config.obs;
         let deadline = self.config.clock.now() + self.config.worker_timeout;
-        // One frame per kind, shared by every peer: the batch goes from
-        // `f32`s to a sendable frame in one pass (no intermediate payload
-        // buffer), is checksummed once, and an untraced round sends those
+        // One frame per kind, shared by every peer: a shared request goes
+        // from `f32`s to a sendable frame in one pass (no intermediate
+        // payload), is checksummed once, and an untraced round sends those
         // very bytes to each peer — byte-identical to wire v1 and to the
         // certified cost model. A traced round stamps each peer's copy
         // with a context parented on that peer's `round.send` span.
+        let mut shared = false;
         let input_frame = Envelope::encode_with(round.stamp, PayloadKind::Input, None, |buf| {
-            encode_f32s_into(images.dims(), images.data(), buf);
+            shared = exchange.request(None, buf);
         });
         let probe_frame = Envelope::new(round.stamp, PayloadKind::Probe, Vec::new()).encode();
         let stamp_len = round.trace.map_or(0, |_| TRACE_EXT_LEN);
@@ -729,19 +759,30 @@ impl InferenceSession {
         {
             let _broadcast_span = obs.span("round.broadcast", &[]);
             for peer in (0..transport.num_nodes()).filter(|&p| p != me) {
-                let plan = self.detector.plan(peer);
+                let mut plan = self.detector.plan(peer);
                 let mut sent = false;
-                let shared = match plan {
-                    ContactPlan::Full => Some((&input_frame, PayloadKind::Input, "input")),
+                // Without a shared request, this peer's own — or none, and
+                // it sits the round out like a skipped one.
+                let mut own = Vec::new();
+                if plan == ContactPlan::Full && !shared {
+                    own = Envelope::encode_with(round.stamp, PayloadKind::Input, None, |buf| {
+                        if !exchange.request(Some(peer), buf) {
+                            plan = ContactPlan::Skip;
+                        }
+                    });
+                }
+                let input = if shared { &input_frame } else { &own };
+                let frame = match plan {
+                    ContactPlan::Full => Some((input, PayloadKind::Input, "input")),
                     ContactPlan::Probe => Some((&probe_frame, PayloadKind::Probe, "probe")),
                     ContactPlan::Skip => None,
                 };
-                if let Some((shared, kind, label)) = shared {
-                    let wire_len = (shared.len() + stamp_len) as u64;
+                if let Some((unstamped, kind, label)) = frame {
+                    let wire_len = (unstamped.len() + stamp_len) as u64;
                     let _send_span =
                         obs.span("round.send", &[("peer", peer as u64), ("bytes", wire_len)]);
                     let ctx = shell::stamp(obs, round.trace);
-                    let frame = shell::stamped(shared, round.stamp, kind, ctx);
+                    let frame = shell::stamped(unstamped, round.stamp, kind, ctx);
                     sent = self.send_retrying(transport, round, peer, label, &frame, deadline)?;
                 }
                 peers.push(PeerRound {
@@ -756,52 +797,37 @@ impl InferenceSession {
         Ok(peers)
     }
 
-    /// Phase 2: the local expert runs while the workers compute.
-    fn forward(
-        &self,
-        round: &mut Round,
-        expert: &mut Sequential,
-        images: &Tensor,
-    ) -> Vec<(usize, f32)> {
+    /// Phase 2: the master's own share runs while the workers compute.
+    fn forward<E: Exchange>(&self, round: &mut Round, exchange: &mut E) {
         let obs = &self.config.obs;
         let t_forward = obs.tracer.now_ns();
-        let local = {
+        {
             let _forward_span = obs.span("expert.forward", &[("rows", round.rows as u64)]);
             // Honesty check against the static certificate: count what the
-            // local expert's forward actually allocates (DESIGN.md §13).
+            // local forward actually allocates (DESIGN.md §13).
             let mem = MemScope::begin();
-            let local = local_results(expert, images);
+            exchange.local();
             let stats = mem.stats();
             self.m_alloc.record(stats.allocated_bytes, stats.peak_bytes);
-            local
-        };
+        }
         round.compute_ns = obs.tracer.now_ns().saturating_sub(t_forward);
-        local
     }
 
     /// Phase 3: collects the replies of every peer the broadcast reached,
     /// under one deadline budget shared by every wait — including the
     /// re-waits after discarding stale, corrupt or malformed traffic.
-    /// Frame classification and the running argmin fold (selection
-    /// compares δ*-weighted entropies; reported entropy stays raw) live in
-    /// the pure gather state machine (DESIGN.md §15); this shell owns the
-    /// waits, the deadline and the counters.
-    fn gather(
+    /// Frame classification lives in the pure gather state machine
+    /// (DESIGN.md §15) and the reduction in the exchange's fold; this
+    /// shell owns the waits, the deadline and the counters.
+    fn gather<E: Exchange>(
         &self,
         transport: &dyn Transport,
         round: &mut Round,
-        local: Vec<(usize, f32)>,
+        exchange: &mut E,
         peers: &mut [PeerRound],
-    ) -> Result<Vec<TeamPrediction>, NetError> {
+    ) -> Result<(), NetError> {
         let obs = &self.config.obs;
-        let mut fold = fsm::GatherFsm::new(
-            round.stamp,
-            round.me,
-            round.rows,
-            local,
-            self.config.calibration.clone(),
-            self.config.require_all_workers,
-        );
+        let classify = fsm::GatherFsm::new(round.stamp, self.config.require_all_workers);
         let deadline = self.config.clock.now() + self.config.worker_timeout;
         let wait = &self.books.wait;
         let _gather_span = obs.span("round.gather", &[]);
@@ -811,14 +837,14 @@ impl InferenceSession {
             let peer = record.peer;
             let _await_span = obs.span("gather.await", &[("peer", peer as u64)]);
             while let Some(bytes) = wait.recv(transport, round.stamp, peer, deadline)? {
-                match fold.step(peer, &bytes) {
+                match classify.step(&bytes, |reply| exchange.fold(peer, reply)) {
                     fsm::GatherVerdict::Fatal(e) => return Err(e),
                     fsm::GatherVerdict::Discarded(why) => self.books.discard(round, why),
                     fsm::GatherVerdict::Accepted { folded } => {
                         if folded {
-                            // The argmin fold ran inside the pure state
-                            // machine; emit the span here so traces keep
-                            // the per-peer fold event.
+                            // The fold ran inside the state machine's
+                            // step; emit the span here so traces keep the
+                            // per-peer fold event.
                             let _argmin_span = obs.span("entropy.argmin", &[("peer", peer as u64)]);
                         }
                         record.answered = true;
@@ -832,8 +858,7 @@ impl InferenceSession {
                 });
             }
         }
-        drop(_gather_span);
-        Ok(fold.into_predictions())
+        Ok(())
     }
 
     /// Phase 4: folds the round's evidence into the detector, runs the
@@ -843,7 +868,6 @@ impl InferenceSession {
         transport: &dyn Transport,
         round: &Round,
         peers: &[PeerRound],
-        predictions: Vec<TeamPrediction>,
     ) -> InferenceReport {
         let obs = &self.config.obs;
         for record in peers.iter().filter(|p| p.plan != ContactPlan::Skip) {
@@ -919,7 +943,7 @@ impl InferenceSession {
 
         InferenceReport {
             round: round.stamp,
-            predictions,
+            predictions: Vec::new(),
             peers: report_peers,
             stale_discarded: round.stale,
             corrupt_discarded: round.corrupt,
@@ -950,6 +974,7 @@ mod tests {
     use super::*;
     use crate::expert::build_expert;
     use crate::recover::{AckStatus, LoadAckMsg, LoadChunkMsg, LoadExpertMsg};
+    use crate::team::TeamPrediction;
     use crossbeam::thread;
     use teamnet_net::ChannelTransport;
     use teamnet_nn::ModelSpec;
@@ -1092,6 +1117,95 @@ mod tests {
         assert_eq!(preds.len(), 2);
         // All predictions fall back to the master's own expert.
         assert!(preds.iter().all(|p| p.expert == 0));
+    }
+
+    /// A transport whose sends fail transiently for the first `failures`
+    /// attempts — exercises the round's retry + backoff path.
+    struct FlakySends {
+        inner: ChannelTransport,
+        failures: std::sync::atomic::AtomicU32,
+    }
+
+    impl Transport for FlakySends {
+        fn node_id(&self) -> usize {
+            self.inner.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn send(&self, to: usize, tag: Tag, payload: &[u8]) -> Result<(), NetError> {
+            use std::sync::atomic::Ordering;
+            if self.failures.load(Ordering::SeqCst) > 0 {
+                self.failures.fetch_sub(1, Ordering::SeqCst);
+                return Err(NetError::Io(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionReset,
+                    "transient",
+                )));
+            }
+            self.inner.send(to, tag, payload)
+        }
+        fn recv_tags(
+            &self,
+            from: usize,
+            tags: &[Tag],
+            timeout: Duration,
+        ) -> Result<(Tag, Vec<u8>), NetError> {
+            self.inner.recv_tags(from, tags, timeout)
+        }
+        fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(usize, Vec<u8>), NetError> {
+            self.inner.recv_any(tag, timeout)
+        }
+        fn stats(&self) -> teamnet_net::TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn sends_retry_through_transient_failures_and_stop_at_the_policy() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let images = Tensor::full([1, 1, 28, 28], 0.2);
+        let retries = |config: &MasterConfig| config.obs.metrics.counter("round.send.retries");
+
+        // The default policy allows 3 attempts: two transient failures
+        // recover, and the worker answers the frame that got through.
+        let mut nodes = ChannelTransport::mesh(2);
+        let worker_node = nodes.pop().unwrap();
+        let flaky = FlakySends {
+            inner: nodes.pop().unwrap(),
+            failures: AtomicU32::new(2),
+        };
+        let config = MasterConfig::default();
+        thread::scope(|scope| {
+            scope.spawn(|_| serve(&worker_node, &mut expert(1)));
+            let report = InferenceSession::new(&flaky, config.clone())
+                .infer(&flaky, &mut expert(0), &images)
+                .unwrap();
+            assert!(report.peers[&1].responded);
+            worker_node.shutdown();
+        })
+        .unwrap();
+        assert_eq!(retries(&config).get(), 2);
+
+        // Two attempts allowed: the round fails with the send error after
+        // consuming exactly two of the hundred failures.
+        let mut nodes = ChannelTransport::mesh(2);
+        let _worker_node = nodes.pop().unwrap();
+        let flaky = FlakySends {
+            inner: nodes.pop().unwrap(),
+            failures: AtomicU32::new(100),
+        };
+        let config = MasterConfig {
+            send_retry: RetryPolicy {
+                max_attempts: 2,
+                base_delay: Duration::from_millis(1),
+                max_delay: Duration::from_millis(2),
+            },
+            ..MasterConfig::default()
+        };
+        let res = one_round(&flaky, &mut expert(0), &images, &config);
+        assert!(matches!(res, Err(NetError::Io(_))), "{res:?}");
+        assert_eq!(flaky.failures.load(Ordering::SeqCst), 98);
+        assert_eq!(retries(&config).get(), 1);
     }
 
     #[test]

@@ -1,287 +1,128 @@
 //! Distributed SG-MoE inference: the paper's SG-MoE-G (gRPC) and SG-MoE-M
 //! (MPI) deployments.
 //!
-//! Expert i runs on node i; the gate lives on node 0 (co-located with
-//! expert 0, as in the paper: "the gate is placed on one of the edge
-//! nodes"). Per inference the gateway computes the top-k routing, ships
-//! the input to each selected remote expert, and combines the returned
-//! logits with the gate weights.
-//!
-//! Two transports for the expert hop:
-//!
-//! * [`infer_rpc`] — unary request/response calls (the gRPC stand-in);
-//! * [`infer_p2p`] — raw tagged point-to-point sends and receives (the
-//!   MPI stand-in).
-//!
-//! Either way the per-inference message count is `2·top_k`, versus
-//! TeamNet's `2·(K−1)` one-shot broadcast/gather — but SG-MoE must also
-//! run its gate before any expert can start, serializing the pipeline.
+//! Expert i runs on node i; the gate lives on the gateway, co-located
+//! with its own expert ("the gate is placed on one of the edge nodes").
+//! Per inference the gateway computes the top-k routing, then runs one
+//! round of the session every strategy runs on: each selected remote
+//! expert is sent the rows routed to it, the co-located expert runs
+//! meanwhile, and the returned logits are combined with the gate weights
+//! — two messages per selected remote expert against TeamNet's
+//! `2·(K−1)`, but only after the gate has run. The two deployments differ
+//! in their stacks' per-call overhead, which `teamnet-partition`'s cost
+//! model prices; there is one real path.
 
 use crate::gating::GatingOutput;
 use crate::model::SgMoe;
-use std::time::Duration;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
-use teamnet_net::rpc::{serve, RpcClient, ServerControl};
-use teamnet_net::{NetError, Tag, Transport};
+use teamnet_core::exchange::decode_tensor;
+use teamnet_core::runtime::InferenceSession;
+use teamnet_core::{Exchange, InferenceReport, PeerCompute};
+use teamnet_net::codec::{encode_f32s, encode_f32s_into};
+use teamnet_net::{NetError, Transport};
 use teamnet_nn::{Layer, Mode, Sequential};
 use teamnet_tensor::Tensor;
 
-/// RPC method id: forward a batch through the local expert.
-pub const METHOD_FORWARD: u32 = 1;
-/// Point-to-point tag carrying expert inputs.
-pub const TAG_EXPERT_INPUT: Tag = Tag(0x30E0_0001);
-/// Point-to-point tag carrying expert logits.
-pub const TAG_EXPERT_LOGITS: Tag = Tag(0x30E0_0002);
-/// Point-to-point tag asking an expert server to exit.
-pub const TAG_EXPERT_SHUTDOWN: Tag = Tag(0x30E0_0003);
+/// An SG-MoE expert node, served by `teamnet-core`'s worker loop: the
+/// rows routed to it in, their logits out.
+pub struct ExpertPeer(pub Sequential);
 
-fn forward_bytes(expert: &mut Sequential, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-    let (dims, data) = decode_f32s(payload)?;
-    let images = Tensor::from_vec(data, dims)
-        .map_err(|e| NetError::Malformed(format!("expert input: {e}")))?;
-    let logits = expert.forward(&images, Mode::Eval);
-    Ok(encode_f32s(logits.dims(), logits.data()))
-}
-
-/// Serves one expert over RPC (the SG-MoE-G expert process) until
-/// `control.stop()`.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn serve_expert_rpc(
-    transport: &dyn Transport,
-    control: &ServerControl,
-    expert: &mut Sequential,
-) -> Result<(), NetError> {
-    serve(transport, control, |_, method, payload| {
-        if method != METHOD_FORWARD {
-            return Err(format!("unknown method {method}"));
-        }
-        forward_bytes(expert, payload).map_err(|e| e.to_string())
-    })
-}
-
-/// Serves one expert over raw point-to-point messages (the SG-MoE-M expert
-/// process) until a shutdown message arrives.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn serve_expert_p2p(
-    transport: &dyn Transport,
-    gateway: usize,
-    expert: &mut Sequential,
-) -> Result<(), NetError> {
-    const POLL: Duration = Duration::from_millis(50);
-    loop {
-        match transport.recv(gateway, TAG_EXPERT_SHUTDOWN, Duration::from_millis(1)) {
-            Ok(_) => return Ok(()),
-            Err(NetError::Timeout { .. }) => {}
-            Err(NetError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-        match transport.recv(gateway, TAG_EXPERT_INPUT, POLL) {
-            Ok(payload) => {
-                let reply = forward_bytes(expert, &payload)?;
-                transport.send(gateway, TAG_EXPERT_LOGITS, &reply)?;
-            }
-            Err(NetError::Timeout { .. }) => continue,
-            Err(NetError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        }
+impl PeerCompute for ExpertPeer {
+    fn respond(&mut self, request: &[u8]) -> Result<Vec<u8>, NetError> {
+        let logits = self.0.forward(&decode_tensor(request)?, Mode::Eval);
+        Ok(encode_f32s(logits.dims(), logits.data()))
     }
 }
 
-/// Asks every p2p expert server to exit.
-///
-/// # Errors
-///
-/// Propagates transport send failures.
-pub fn shutdown_experts_p2p(transport: &dyn Transport) -> Result<(), NetError> {
-    for peer in 0..transport.num_nodes() {
-        if peer != transport.node_id() {
-            transport.send(peer, TAG_EXPERT_SHUTDOWN, &[])?;
-        }
-    }
-    Ok(())
+/// One gated inference as a round: routed rows out to the selected remote
+/// experts, the co-located expert meanwhile, the logits gate-weighted.
+struct MoeRound<'a> {
+    moe: &'a mut SgMoe,
+    gating: GatingOutput,
+    /// This node: the gateway, and the index of its co-located expert.
+    me: usize,
+    expert_rows: Vec<Vec<usize>>,
+    /// The rows routed to each expert; `None` where there are none.
+    routed: Vec<Option<Tensor>>,
+    /// Logits by expert; `None` until they are in.
+    logits: Vec<Option<Tensor>>,
 }
 
-fn decode_logits(bytes: &[u8], n: usize, classes: usize) -> Result<Tensor, NetError> {
-    let (dims, data) = decode_f32s(bytes)?;
-    if dims != [n, classes] {
-        return Err(NetError::Malformed(format!("expert logits dims {dims:?}")));
-    }
-    Tensor::from_vec(data, dims).map_err(|e| NetError::Malformed(e.to_string()))
-}
+impl Exchange for MoeRound<'_> {
+    type Output = Tensor;
 
-fn combine(
-    moe: &mut SgMoe,
-    gating: &GatingOutput,
-    images: &Tensor,
-    mut remote_forward: impl FnMut(usize, &[u8]) -> Result<Vec<u8>, NetError>,
-) -> Result<Tensor, NetError> {
-    let n = images.dims()[0];
-    let classes = moe.spec().classes();
-    let k = moe.k();
-    let mut expert_rows: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for r in 0..n {
-        for &i in &gating.top_indices[r] {
-            expert_rows[i].push(r);
-        }
+    fn rows(&self) -> usize {
+        self.gating.top_indices.len()
     }
-    let mut combined = Tensor::zeros([n, classes]);
-    for (i, rows) in expert_rows.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        let sub = images.select_rows(rows);
-        let logits = if i == 0 {
-            // Expert 0 is co-located with the gateway.
-            moe.expert_mut(0).forward(&sub, Mode::Eval)
-        } else {
-            let payload = encode_f32s(sub.dims(), sub.data());
-            let reply = remote_forward(i, &payload)?;
-            decode_logits(&reply, rows.len(), classes)?
+
+    fn request(&self, to: Option<usize>, buf: &mut Vec<u8>) -> bool {
+        let Some(Some(sub)) = to.and_then(|peer| self.routed.get(peer)) else {
+            return false;
         };
-        for (pos, &r) in rows.iter().enumerate() {
-            let g = gating.gates.at(&[r, i]);
-            for c in 0..classes {
-                let v = combined.at(&[r, c]) + g * logits.at(&[pos, c]);
-                combined.set(&[r, c], v);
-            }
+        encode_f32s_into(sub.dims(), sub.data(), buf);
+        true
+    }
+
+    fn local(&mut self) {
+        if let Some(Some(sub)) = self.routed.get(self.me) {
+            self.logits[self.me] = Some(self.moe.expert_mut(self.me).forward(sub, Mode::Eval));
         }
     }
-    Ok(combined.softmax_rows())
-}
 
-/// Gateway-side SG-MoE-G inference: routes via RPC calls to expert nodes.
-///
-/// # Errors
-///
-/// Propagates RPC failures (including [`NetError::Timeout`] for dead
-/// experts).
-pub fn infer_rpc(
-    transport: &dyn Transport,
-    moe: &mut SgMoe,
-    images: &Tensor,
-    timeout: Duration,
-) -> Result<Tensor, NetError> {
-    let gating = moe.gate(images);
-    let client = RpcClient::with_timeout(transport, timeout);
-    combine(moe, &gating, images, |node, payload| {
-        client.call(node, METHOD_FORWARD, payload)
-    })
-}
-
-/// Gateway-side SG-MoE-M inference: routes via tagged point-to-point
-/// messages.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn infer_p2p(
-    transport: &dyn Transport,
-    moe: &mut SgMoe,
-    images: &Tensor,
-    timeout: Duration,
-) -> Result<Tensor, NetError> {
-    let gating = moe.gate(images);
-    combine(moe, &gating, images, |node, payload| {
-        transport.send(node, TAG_EXPERT_INPUT, payload)?;
-        transport.recv(node, TAG_EXPERT_LOGITS, timeout)
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::model::SgMoeConfig;
-    use crossbeam::thread;
-    use teamnet_core::build_expert;
-    use teamnet_net::ChannelTransport;
-    use teamnet_nn::ModelSpec;
-
-    const TIMEOUT: Duration = Duration::from_secs(5);
-
-    fn moe_with_k(k: usize) -> SgMoe {
-        SgMoe::new(
-            ModelSpec::mlp(2, 16),
-            k,
-            SgMoeConfig {
-                top_k: 2,
-                ..SgMoeConfig::default()
-            },
-        )
+    fn fold(&mut self, peer: usize, reply: &[u8]) -> Result<(), NetError> {
+        let logits = decode_tensor(reply)?;
+        let routed = self.expert_rows.get(peer).map_or(0, Vec::len);
+        if logits.dims() != [routed, self.moe.spec().classes()] {
+            let dims = logits.dims();
+            return Err(NetError::Malformed(format!(
+                "expert {peer} logits {dims:?}"
+            )));
+        }
+        let slot = self.logits.get_mut(peer);
+        *slot.ok_or(NetError::UnknownPeer(peer))? = Some(logits);
+        Ok(())
     }
 
-    /// Remote inference must produce exactly the gateway-local result.
-    #[test]
-    fn rpc_inference_matches_local() {
-        let nodes = ChannelTransport::mesh(3);
-        let mut moe = moe_with_k(3);
-        let images = Tensor::rand_uniform(
-            [4, 1, 28, 28],
-            0.0,
-            1.0,
-            &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4),
-        );
-        let expected = moe.predict_proba(&images);
-
-        let control = ServerControl::new();
-        let got = thread::scope(|scope| {
-            for (i, node) in nodes.iter().enumerate().take(3).skip(1) {
-                let ctrl = control.clone();
-                let seed = SgMoeConfig::default().seed.wrapping_add(0xB0B + i as u64);
-                scope.spawn(move |_| {
-                    let mut expert = build_expert(&ModelSpec::mlp(2, 16), seed);
-                    serve_expert_rpc(node, &ctrl, &mut expert).unwrap();
-                });
-            }
-            let out = infer_rpc(&nodes[0], &mut moe, &images, TIMEOUT).unwrap();
-            control.stop();
-            out
-        })
-        .unwrap();
-
-        // The gate in predict_proba and infer_rpc consumes RNG identically
-        // (no noise at eval), so results must agree to fp tolerance.
-        assert!(got.max_abs_diff(&expected) < 1e-5);
-    }
-
-    #[test]
-    fn p2p_inference_matches_local() {
-        let nodes = ChannelTransport::mesh(2);
-        let mut moe = moe_with_k(2);
-        let images = Tensor::rand_uniform(
-            [3, 1, 28, 28],
-            0.0,
-            1.0,
-            &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5),
-        );
-        let expected = moe.predict_proba(&images);
-
-        let got = thread::scope(|scope| {
-            scope.spawn(|_| {
-                let seed = SgMoeConfig::default().seed.wrapping_add(0xB0B + 1);
-                let mut expert = build_expert(&ModelSpec::mlp(2, 16), seed);
-                serve_expert_p2p(&nodes[1], 0, &mut expert).unwrap();
+    fn finish(self, _: InferenceReport) -> Result<Tensor, NetError> {
+        let mut answers = self.routed.iter().zip(&self.logits);
+        if let Some(i) = answers.position(|(sub, logits)| sub.is_some() && logits.is_none()) {
+            return Err(NetError::Timeout {
+                waiting_for: format!("logits of expert {i}"),
             });
-            let out = infer_p2p(&nodes[0], &mut moe, &images, TIMEOUT).unwrap();
-            shutdown_experts_p2p(&nodes[0]).unwrap();
-            out
-        })
-        .unwrap();
-
-        assert!(got.max_abs_diff(&expected) < 1e-5);
+        }
+        let classes = self.moe.spec().classes();
+        let combined = self
+            .gating
+            .weighted_sum(&self.expert_rows, &self.logits, classes);
+        Ok(combined.softmax_rows())
     }
+}
 
-    #[test]
-    fn dead_expert_times_out() {
-        let nodes = ChannelTransport::mesh(2);
-        let mut moe = moe_with_k(2);
-        let images = Tensor::ones([1, 1, 28, 28]);
-        let res = infer_p2p(&nodes[0], &mut moe, &images, Duration::from_millis(50));
-        assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
-    }
+/// Gateway-side distributed SG-MoE inference: gates `images`, then one
+/// round routing each selected remote expert its rows. Returns the
+/// combined class probabilities `[n, classes]`, bit for bit
+/// [`SgMoe::predict_proba`]'s.
+///
+/// # Errors
+///
+/// As [`InferenceSession::round`]: a silent expert is a [`NetError::Timeout`].
+pub fn infer_distributed(
+    session: &mut InferenceSession,
+    transport: &dyn Transport,
+    moe: &mut SgMoe,
+    images: &Tensor,
+) -> Result<Tensor, NetError> {
+    let gating = moe.gate(images);
+    let expert_rows = gating.expert_rows(moe.k());
+    let routed = expert_rows.iter();
+    let round = MoeRound {
+        routed: routed
+            .map(|rows| (!rows.is_empty()).then(|| images.select_rows(rows)))
+            .collect(),
+        logits: vec![None; moe.k()],
+        me: transport.node_id(),
+        moe,
+        gating,
+        expert_rows,
+    };
+    session.round(transport, round)
 }

@@ -21,6 +21,43 @@ pub struct GatingOutput {
     pub top_indices: Vec<Vec<usize>>,
 }
 
+impl GatingOutput {
+    /// The rows routed to each of `k` experts, ascending.
+    pub fn expert_rows(&self, k: usize) -> Vec<Vec<usize>> {
+        let mut expert_rows: Vec<Vec<usize>> = vec![Vec::new(); k];
+        for (r, kept) in self.top_indices.iter().enumerate() {
+            for &i in kept {
+                expert_rows[i].push(r);
+            }
+        }
+        expert_rows
+    }
+
+    /// Combined logits `[n, classes]`: the gate-weighted sum of the
+    /// experts' logits, accumulated in expert order. `logits[i]` holds
+    /// expert `i`'s logits over `expert_rows[i]`, in that order (`None`
+    /// where it was routed nothing).
+    pub fn weighted_sum(
+        &self,
+        expert_rows: &[Vec<usize>],
+        logits: &[Option<Tensor>],
+        classes: usize,
+    ) -> Tensor {
+        let mut combined = Tensor::zeros([self.top_indices.len(), classes]);
+        for (i, (rows, logits)) in expert_rows.iter().zip(logits).enumerate() {
+            let Some(logits) = logits else { continue };
+            for (pos, &r) in rows.iter().enumerate() {
+                let g = self.gates.at(&[r, i]);
+                for c in 0..classes {
+                    let v = combined.at(&[r, c]) + g * logits.at(&[pos, c]);
+                    combined.set(&[r, c], v);
+                }
+            }
+        }
+        combined
+    }
+}
+
 /// Numerically stable `softplus(x) = ln(1 + eˣ)`.
 pub fn softplus(x: f32) -> f32 {
     if x > 20.0 {

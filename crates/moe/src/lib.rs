@@ -3,9 +3,11 @@
 //! The Sparsely-Gated Mixture-of-Experts baseline (Shazeer et al., 2017)
 //! that the TeamNet paper compares against: K expert networks jointly
 //! trained with a linear noisy-top-k gate and an importance
-//! load-balancing loss, plus the two distributed deployments the paper
-//! benchmarks — SG-MoE-G (RPC transport, the gRPC stand-in) and SG-MoE-M
-//! (point-to-point messages, the MPI stand-in).
+//! load-balancing loss, plus its distributed deployment —
+//! [`infer_distributed`] on the gateway, an [`ExpertPeer`] on every other
+//! node — over the round every strategy here runs on. The paper's two
+//! stacks under it, SG-MoE-G (gRPC) and SG-MoE-M (MPI), differ by a
+//! per-call overhead that `teamnet-partition`'s cost model prices.
 //!
 //! # Examples
 //!
@@ -30,9 +32,6 @@ mod distributed;
 mod gating;
 mod model;
 
-pub use distributed::{
-    infer_p2p, infer_rpc, serve_expert_p2p, serve_expert_rpc, shutdown_experts_p2p, METHOD_FORWARD,
-    TAG_EXPERT_INPUT, TAG_EXPERT_LOGITS, TAG_EXPERT_SHUTDOWN,
-};
+pub use distributed::{infer_distributed, ExpertPeer};
 pub use gating::{gate_logit_grad, importance_loss, noisy_top_k, softplus, GatingOutput};
 pub use model::{SgMoe, SgMoeConfig};

@@ -135,7 +135,6 @@ impl SgMoe {
 
     /// One joint training step; returns `(task loss, importance loss)`.
     pub fn train_batch(&mut self, images: &Tensor, labels: &[usize]) -> (f32, f32) {
-        let n = images.dims()[0];
         let classes = self.spec.classes();
         let x = self.flatten(images);
 
@@ -146,29 +145,9 @@ impl SgMoe {
 
         // Run each expert on its routed rows; cache logits and row maps.
         let k = self.k();
-        let mut expert_rows: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for r in 0..n {
-            for &i in &gating.top_indices[r] {
-                expert_rows[i].push(r);
-            }
-        }
-        let mut expert_logits: Vec<Option<Tensor>> = vec![None; k];
-        let mut combined = Tensor::zeros([n, classes]);
-        for i in 0..k {
-            if expert_rows[i].is_empty() {
-                continue;
-            }
-            let sub = images.select_rows(&expert_rows[i]);
-            let logits = self.experts[i].forward(&sub, Mode::Train);
-            for (pos, &r) in expert_rows[i].iter().enumerate() {
-                let g = gating.gates.at(&[r, i]);
-                for c in 0..classes {
-                    let v = combined.at(&[r, c]) + g * logits.at(&[pos, c]);
-                    combined.set(&[r, c], v);
-                }
-            }
-            expert_logits[i] = Some(logits);
-        }
+        let expert_rows = gating.expert_rows(k);
+        let expert_logits = self.expert_logits(images, &expert_rows, Mode::Train);
+        let combined = gating.weighted_sum(&expert_rows, &expert_logits, classes);
 
         // Task loss on the combined logits, plus the importance loss.
         let out = softmax_cross_entropy(&combined, labels);
@@ -241,33 +220,26 @@ impl SgMoe {
         epoch_losses
     }
 
+    /// Each expert's logits over the rows routed to it (`None` where
+    /// there are none), experts run in order.
+    fn expert_logits(
+        &mut self,
+        images: &Tensor,
+        expert_rows: &[Vec<usize>],
+        mode: Mode,
+    ) -> Vec<Option<Tensor>> {
+        let routed = expert_rows.iter().zip(&mut self.experts);
+        routed
+            .map(|(rows, e)| (!rows.is_empty()).then(|| e.forward(&images.select_rows(rows), mode)))
+            .collect()
+    }
+
     /// Evaluation-mode combined class probabilities, `[n, classes]`.
     pub fn predict_proba(&mut self, images: &Tensor) -> Tensor {
-        let n = images.dims()[0];
-        let classes = self.spec.classes();
         let gating = self.gate(images);
-        let k = self.k();
-        let mut expert_rows: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for r in 0..n {
-            for &i in &gating.top_indices[r] {
-                expert_rows[i].push(r);
-            }
-        }
-        let mut combined = Tensor::zeros([n, classes]);
-        for (i, rows) in expert_rows.iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let sub = images.select_rows(rows);
-            let logits = self.experts[i].forward(&sub, Mode::Eval);
-            for (pos, &r) in rows.iter().enumerate() {
-                let g = gating.gates.at(&[r, i]);
-                for c in 0..classes {
-                    let v = combined.at(&[r, c]) + g * logits.at(&[pos, c]);
-                    combined.set(&[r, c], v);
-                }
-            }
-        }
+        let expert_rows = gating.expert_rows(self.k());
+        let logits = self.expert_logits(images, &expert_rows, Mode::Eval);
+        let combined = gating.weighted_sum(&expert_rows, &logits, self.spec.classes());
         combined.softmax_rows()
     }
 

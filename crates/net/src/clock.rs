@@ -1,6 +1,6 @@
 //! Injectable time source for every protocol-layer deadline and backoff.
 //!
-//! Wall-clock reads scattered through retry, collective and inference code
+//! Wall-clock reads scattered through retry and inference code
 //! make two things impossible: replaying a seeded chaos run bit-for-bit,
 //! and testing timeout logic without actually sleeping. The [`Clock`]
 //! trait funnels every `now()` read and every backoff sleep through one

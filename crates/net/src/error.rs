@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error produced by transports, collectives and RPC.
+/// Error produced by transports and the protocols over them.
 #[derive(Debug)]
 pub enum NetError {
     /// Underlying socket/file error.

@@ -1,17 +1,16 @@
 //! # teamnet-net
 //!
-//! The message-passing substrate of the TeamNet (ICDCS 2019) reproduction:
-//! the stand-in for the paper's three communication stacks — raw TCP
-//! sockets (TeamNet itself), MPI (the model-parallel baselines) and gRPC
-//! (SG-MoE-G).
+//! The message-passing substrate of the TeamNet (ICDCS 2019) reproduction.
+//! The paper runs three communication stacks — raw TCP sockets (TeamNet
+//! itself), MPI (the model-parallel baselines) and gRPC (SG-MoE-G); here
+//! every strategy runs the one enveloped round of `teamnet-core` over a
+//! [`Transport`], so what a comparison measures is the strategy's message
+//! pattern, not a second stack (DESIGN.md §2).
 //!
 //! * [`Transport`] — `(source, tag)`-matched point-to-point messaging with
 //!   two implementations: [`ChannelTransport`] (in-process, used by the
 //!   simulator and tests) and [`TcpTransport`] (framed sockets over real
 //!   TCP, loopback or multi-host);
-//! * [`Communicator`] — MPI-style collectives (broadcast / scatter /
-//!   gather / all-gather / all-reduce / barrier);
-//! * [`rpc`] — a minimal unary RPC layer (the gRPC stand-in);
 //! * [`ChaosTransport`] — seeded, deterministic fault injection (drop /
 //!   delay / corruption / duplication / black-holing) for resilience
 //!   tests;
@@ -25,17 +24,17 @@
 //! # Examples
 //!
 //! ```
-//! use teamnet_net::{ChannelTransport, Communicator};
+//! use std::time::Duration;
+//! use teamnet_net::{ChannelTransport, Envelope, PayloadKind, Tag, Transport};
 //!
-//! // A 2-node in-process cluster: rank 0 broadcasts to rank 1.
+//! // A 2-node in-process cluster: node 0 sends node 1 a round-stamped,
+//! // CRC-checked frame.
 //! let nodes = ChannelTransport::mesh(2);
-//! let result = crossbeam::thread::scope(|scope| {
-//!     scope.spawn(|_| {
-//!         Communicator::new(&nodes[1]).broadcast(0, None).unwrap()
-//!     });
-//!     Communicator::new(&nodes[0]).broadcast(0, Some(b"sensor data")).unwrap()
-//! });
-//! assert_eq!(result.unwrap(), b"sensor data");
+//! let frame = Envelope::new(7, PayloadKind::Input, b"sensor data".to_vec()).encode();
+//! nodes[0].send(1, Tag(1), &frame).unwrap();
+//! let got = nodes[1].recv(0, Tag(1), Duration::from_secs(1)).unwrap();
+//! let env = Envelope::decode(&got).unwrap();
+//! assert_eq!((env.round, env.payload.as_slice()), (7, &b"sensor data"[..]));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,19 +42,16 @@
 
 mod clock;
 pub mod codec;
-mod collective;
 mod crc;
 mod envelope;
 mod error;
 mod faults;
 mod mailbox;
 mod retry;
-pub mod rpc;
 mod tcp;
 mod transport;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use collective::{Communicator, COLLECTIVE_TAG_BASE};
 pub use crc::{crc32, Crc32};
 pub use envelope::{
     derive_trace_id, peek_round, peek_trace, Envelope, EnvelopeRef, PayloadKind, TraceContext,

@@ -1,8 +1,8 @@
 //! Bounded retries with exponential backoff + deterministic jitter, and a
 //! tiny seedable PRNG shared with the fault-injection layer.
 //!
-//! Edge WiFi drops sends transiently; the collectives and the inference
-//! runtime retry them a bounded number of times inside a **deadline
+//! Edge WiFi drops sends transiently; the inference and recovery
+//! runtimes retry them a bounded number of times inside a **deadline
 //! budget** — the caller allots one wall-clock budget to the whole
 //! operation and every retry (and its backoff sleep) draws from it, rather
 //! than each attempt carrying an independent timeout that can stack up

@@ -5,217 +5,60 @@
 //! block, so the paper parallelizes inference by giving each branch to a
 //! device: per block, the master ships the block input to the worker,
 //! both compute their branch, the worker returns its output, and the
-//! master merges (`α = ½` at evaluation) — one round trip per block.
+//! master merges (`α = ½` at evaluation) — one round per block.
 
-use std::time::Duration;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
-use teamnet_net::{NetError, Tag, Transport};
+use crate::step::{step_round, Shard};
+use teamnet_core::runtime::InferenceSession;
+use teamnet_net::{NetError, Transport};
 use teamnet_nn::{Layer, Mode, ShakeShakeBlock};
 use teamnet_tensor::Tensor;
 
-/// Tag carrying block inputs (master → branch worker).
-pub const TAG_BRANCH_INPUT: Tag = Tag(0xB4A0_0001);
-/// Tag carrying branch outputs (worker → master).
-pub const TAG_BRANCH_OUTPUT: Tag = Tag(0xB4A0_0002);
-/// Tag asking the branch worker to exit.
-pub const TAG_BRANCH_SHUTDOWN: Tag = Tag(0xB4A0_0003);
-
-fn tensor_from(bytes: &[u8]) -> Result<Tensor, NetError> {
-    let (dims, data) = decode_f32s(bytes)?;
-    Tensor::from_vec(data, dims).map_err(|e| NetError::Malformed(e.to_string()))
+/// The branch worker's share of a block is its branch 2: the worker
+/// serves its copy of the model's blocks as
+/// [`Steps<ShakeShakeBlock>`](crate::Steps).
+impl Shard for ShakeShakeBlock {
+    fn apply(&mut self, input: &Tensor) -> Tensor {
+        self.branches_mut().1.forward(input, Mode::Eval)
+    }
 }
 
-/// Master-side branch-parallel evaluation of one block: ships `input` to
-/// `worker`, computes branch 1 and the shortcut locally, merges with the
-/// worker's branch 2.
+/// Master-side branch-parallel evaluation of the model's `step`-th
+/// block: ships `input` to `worker`, computes branch 1 and the shortcut
+/// locally meanwhile, merges with the worker's branch 2.
 ///
 /// # Errors
 ///
-/// Propagates transport failures and worker timeouts.
+/// As [`InferenceSession::round`]: a silent worker is a [`NetError::Timeout`].
 pub fn branch_parallel_forward(
+    session: &mut InferenceSession,
     transport: &dyn Transport,
     worker: usize,
+    step: usize,
     block: &mut ShakeShakeBlock,
     input: &Tensor,
-    timeout: Duration,
 ) -> Result<Tensor, NetError> {
-    transport.send(
-        worker,
-        TAG_BRANCH_INPUT,
-        &encode_f32s(input.dims(), input.data()),
-    )?;
-    // Local work overlaps the worker's: branch 1 plus the shortcut.
-    let local_branch = {
-        let (branch1, _) = block.branches_mut();
-        branch1.forward(input, Mode::Eval)
+    let mut mine = None;
+    let local = || {
+        let branch1 = block.branches_mut().0.forward(input, Mode::Eval);
+        let shortcut = match block.skip_mut() {
+            Some(skip) => skip.forward(input, Mode::Eval),
+            None => input.clone(),
+        };
+        mine = Some((shortcut, branch1));
     };
-    let shortcut = match block.skip_mut() {
-        Some(skip) => skip.forward(input, Mode::Eval),
-        None => input.clone(),
+    let mut replies = step_round(session, transport, step, Some(worker), input, local)?;
+    let branch2 = replies.get_mut(worker).and_then(Option::take);
+    let (Some((shortcut, branch1)), Some(branch2)) = (mine, branch2) else {
+        return Err(NetError::Timeout {
+            waiting_for: format!("branch 2 from worker {worker}"),
+        });
     };
-    let remote = tensor_from(&transport.recv(worker, TAG_BRANCH_OUTPUT, timeout)?)?;
-    if !remote.shape().same_as(local_branch.shape()) {
+    if !branch2.shape().same_as(branch1.shape()) {
         return Err(NetError::Malformed(format!(
             "worker branch output {} does not match local {}",
-            remote.shape(),
-            local_branch.shape()
+            branch2.shape(),
+            branch1.shape()
         )));
     }
-    Ok(ShakeShakeBlock::merge_eval(
-        &shortcut,
-        &local_branch,
-        &remote,
-    ))
-}
-
-/// Worker loop for branch-parallel blocks: evaluates branch 2 of `block`
-/// on every received input until shut down.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn serve_branch_worker(
-    transport: &dyn Transport,
-    master: usize,
-    block: &mut ShakeShakeBlock,
-) -> Result<(), NetError> {
-    const POLL: Duration = Duration::from_millis(50);
-    loop {
-        match transport.recv(master, TAG_BRANCH_SHUTDOWN, Duration::from_millis(1)) {
-            Ok(_) => return Ok(()),
-            Err(NetError::Timeout { .. }) => {}
-            Err(NetError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-        match transport.recv(master, TAG_BRANCH_INPUT, POLL) {
-            Ok(bytes) => {
-                let input = tensor_from(&bytes)?;
-                let out = {
-                    let (_, branch2) = block.branches_mut();
-                    branch2.forward(&input, Mode::Eval)
-                };
-                transport.send(
-                    master,
-                    TAG_BRANCH_OUTPUT,
-                    &encode_f32s(out.dims(), out.data()),
-                )?;
-            }
-            Err(NetError::Timeout { .. }) => continue,
-            Err(NetError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Asks a branch worker to exit.
-///
-/// # Errors
-///
-/// Propagates transport send failures.
-pub fn shutdown_branch_worker(transport: &dyn Transport, worker: usize) -> Result<(), NetError> {
-    transport.send(worker, TAG_BRANCH_SHUTDOWN, &[])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crossbeam::thread;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use teamnet_net::ChannelTransport;
-
-    const TIMEOUT: Duration = Duration::from_secs(5);
-
-    fn block(seed: u64) -> ShakeShakeBlock {
-        let mut rng = StdRng::seed_from_u64(seed);
-        ShakeShakeBlock::new(3, 6, 2, &mut rng)
-    }
-
-    #[test]
-    fn branch_parallel_matches_local_eval() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let input = Tensor::randn([2, 3, 8, 8], 0.0, 1.0, &mut rng);
-
-        // Local reference: the same block evaluated in-process.
-        let mut reference = block(42);
-        let expected = reference.forward(&input, Mode::Eval);
-
-        let mesh = ChannelTransport::mesh(2);
-        let got = thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut worker_block = block(42);
-                serve_branch_worker(&mesh[1], 0, &mut worker_block).unwrap();
-            });
-            let mut master_block = block(42);
-            let out =
-                branch_parallel_forward(&mesh[0], 1, &mut master_block, &input, TIMEOUT).unwrap();
-            shutdown_branch_worker(&mesh[0], 1).unwrap();
-            out
-        })
-        .unwrap();
-
-        assert!(got.max_abs_diff(&expected) < 1e-5);
-    }
-
-    #[test]
-    fn identity_skip_block_also_matches() {
-        let make = || {
-            let mut rng = StdRng::seed_from_u64(9);
-            ShakeShakeBlock::new(4, 4, 1, &mut rng)
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        let input = Tensor::randn([1, 4, 6, 6], 0.0, 1.0, &mut rng);
-        let expected = make().forward(&input, Mode::Eval);
-
-        let mesh = ChannelTransport::mesh(2);
-        let got = thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut worker_block = make();
-                serve_branch_worker(&mesh[1], 0, &mut worker_block).unwrap();
-            });
-            let mut master_block = make();
-            let out =
-                branch_parallel_forward(&mesh[0], 1, &mut master_block, &input, TIMEOUT).unwrap();
-            shutdown_branch_worker(&mesh[0], 1).unwrap();
-            out
-        })
-        .unwrap();
-        assert!(got.max_abs_diff(&expected) < 1e-5);
-    }
-
-    #[test]
-    fn dead_worker_times_out() {
-        let mesh = ChannelTransport::mesh(2);
-        let mut master_block = block(0);
-        let input = Tensor::zeros([1, 3, 8, 8]);
-        let res = branch_parallel_forward(
-            &mesh[0],
-            1,
-            &mut master_block,
-            &input,
-            Duration::from_millis(50),
-        );
-        assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
-    }
-
-    #[test]
-    fn worker_handles_multiple_blocks_in_sequence() {
-        let mesh = ChannelTransport::mesh(2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let input = Tensor::randn([1, 3, 8, 8], 0.0, 1.0, &mut rng);
-        thread::scope(|scope| {
-            scope.spawn(|_| {
-                let mut worker_block = block(5);
-                serve_branch_worker(&mesh[1], 0, &mut worker_block).unwrap();
-            });
-            let mut master_block = block(5);
-            for _ in 0..3 {
-                let out = branch_parallel_forward(&mesh[0], 1, &mut master_block, &input, TIMEOUT)
-                    .unwrap();
-                assert_eq!(out.dims(), &[1, 6, 4, 4]);
-            }
-            shutdown_branch_worker(&mesh[0], 1).unwrap();
-        })
-        .unwrap();
-    }
+    Ok(ShakeShakeBlock::merge_eval(&shortcut, &branch1, &branch2))
 }

@@ -2,17 +2,19 @@
 //! edge nodes.
 //!
 //! Each node holds a slice of every conv layer's output channels. Per
-//! layer, the input activation is broadcast, every node convolves with its
-//! kernel slice, and the root gathers and concatenates the channel slices
-//! — one broadcast + one gather per convolution.
+//! layer, the input activation goes to every node, every node convolves
+//! with its kernel slice, and the root concatenates the channel slices —
+//! one round per convolution.
 
 use crate::matrix::split_range;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
-use teamnet_net::{Communicator, NetError};
+use crate::step::{slice_step, Shard};
+use teamnet_core::runtime::InferenceSession;
+use teamnet_net::{NetError, Transport};
 use teamnet_tensor::conv::{conv2d, Conv2dSpec};
 use teamnet_tensor::Tensor;
 
-/// One node's slice of a conv layer: output channels `[start, end)`.
+/// One node's slice of a conv layer: output channels `[start, end)`. A
+/// non-root node serves [`Steps`](crate::Steps) of them, one per conv.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvShard {
     weight: Tensor,
@@ -26,7 +28,8 @@ impl ConvShard {
     ///
     /// # Panics
     ///
-    /// Panics on rank/shape mismatch or `node >= nodes`.
+    /// Panics on rank/shape mismatch, `node >= nodes`, or more nodes
+    /// than output channels (an empty slice).
     pub fn new(
         weight: &Tensor,
         bias: &Tensor,
@@ -39,6 +42,7 @@ impl ConvShard {
         let oc = weight.dims()[0];
         assert_eq!(bias.dims(), &[oc], "bias must be [oc]");
         let (start, end) = split_range(oc, nodes, node);
+        assert!(end > start, "empty conv shard: more nodes than channels");
         let rows: Vec<usize> = (start..end).collect();
         ConvShard {
             weight: weight.select_rows(&rows),
@@ -53,82 +57,34 @@ impl ConvShard {
     }
 }
 
-/// Runs one kernel-parallel convolution. Rank 0 supplies the input
-/// `[n, ic, h, w]` and receives `Some(full output)`; other ranks receive
-/// `None`.
+impl Shard for ConvShard {
+    fn apply(&mut self, input: &Tensor) -> Tensor {
+        conv2d(input, &self.weight, &self.bias, self.spec)
+    }
+}
+
+/// Runs the model's `step`-th convolution kernel-parallel from the root,
+/// which holds `shard`: `input` (`[n, ic, h, w]`) out to every node, each
+/// node's channel slice back, concatenated in rank order.
 ///
 /// # Errors
 ///
-/// Propagates collective failures.
-///
-/// # Panics
-///
-/// Panics if rank 0 does not supply an input or a shard is empty.
+/// As [`InferenceSession::round`]: a silent peer is a [`NetError::Timeout`].
 pub fn kernel_parallel_conv2d(
-    comm: &Communicator<'_>,
-    shard: &ConvShard,
-    input: Option<&Tensor>,
-) -> Result<Option<Tensor>, NetError> {
-    let encoded = if comm.rank() == 0 {
-        // Documented `# Panics` contract above. lint: allow(no-expect)
-        let input = input.expect("rank 0 must supply the input");
-        comm.broadcast(0, Some(&encode_f32s(input.dims(), input.data())))?
-    } else {
-        comm.broadcast(0, None)?
-    };
-    let (dims, data) = decode_f32s(&encoded)?;
-    let x = Tensor::from_vec(data, dims).map_err(|e| NetError::Malformed(e.to_string()))?;
-
-    assert!(
-        shard.channels() > 0,
-        "empty conv shard: more nodes than channels"
-    );
-    let partial = conv2d(&x, &shard.weight, &shard.bias, shard.spec);
-    let gathered = comm.gather(0, &encode_f32s(partial.dims(), partial.data()))?;
-
-    let Some(parts) = gathered else {
-        return Ok(None);
-    };
-    // Concatenate channel slices in rank order.
-    let mut slices = Vec::with_capacity(parts.len());
-    for part in &parts {
-        let (pd, pv) = decode_f32s(part)?;
-        if pd.len() != 4 {
-            return Err(NetError::Malformed(format!("partial conv dims {pd:?}")));
-        }
-        slices.push(Tensor::from_vec(pv, pd).map_err(|e| NetError::Malformed(e.to_string()))?);
-    }
-    let (n, oh, ow) = (
-        slices[0].dims()[0],
-        slices[0].dims()[2],
-        slices[0].dims()[3],
-    );
-    let total_c: usize = slices.iter().map(|s| s.dims()[1]).sum();
-    let mut out = Tensor::zeros([n, total_c, oh, ow]);
-    let mut c_at = 0usize;
-    for slice in &slices {
-        let c = slice.dims()[1];
-        for s in 0..n {
-            for ch in 0..c {
-                for y in 0..oh {
-                    for x2 in 0..ow {
-                        out.set(&[s, c_at + ch, y, x2], slice.at(&[s, ch, y, x2]));
-                    }
-                }
-            }
-        }
-        c_at += c;
-    }
-    Ok(Some(out))
+    session: &mut InferenceSession,
+    transport: &dyn Transport,
+    step: usize,
+    shard: &mut ConvShard,
+    input: &Tensor,
+) -> Result<Tensor, NetError> {
+    slice_step(session, transport, step, shard, input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::thread;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use teamnet_net::ChannelTransport;
 
     #[test]
     fn shard_partitions_channels() {
@@ -140,68 +96,5 @@ mod tests {
             .map(|n| ConvShard::new(&weight, &bias, spec, n, 4).channels())
             .sum();
         assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn kernel_parallel_matches_local_conv() {
-        for nodes in [2usize, 3] {
-            let mut rng = StdRng::seed_from_u64(2);
-            let weight = Tensor::randn([7, 2, 3, 3], 0.0, 1.0, &mut rng);
-            let bias = Tensor::randn([7], 0.0, 0.5, &mut rng);
-            let spec = Conv2dSpec::new(3, 1, 1);
-            let input = Tensor::randn([2, 2, 6, 6], 0.0, 1.0, &mut rng);
-            let expected = conv2d(&input, &weight, &bias, spec);
-
-            let mesh = ChannelTransport::mesh(nodes);
-            let got = thread::scope(|scope| {
-                for (rank, node) in mesh.iter().enumerate().skip(1) {
-                    let shard = ConvShard::new(&weight, &bias, spec, rank, nodes);
-                    scope.spawn(move |_| {
-                        let comm = Communicator::new(node);
-                        assert!(kernel_parallel_conv2d(&comm, &shard, None)
-                            .unwrap()
-                            .is_none());
-                    });
-                }
-                let shard = ConvShard::new(&weight, &bias, spec, 0, nodes);
-                let comm = Communicator::new(&mesh[0]);
-                kernel_parallel_conv2d(&comm, &shard, Some(&input))
-                    .unwrap()
-                    .unwrap()
-            })
-            .unwrap();
-
-            assert!(
-                got.max_abs_diff(&expected) < 1e-5,
-                "{nodes}-node run diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn strided_padded_conv_also_matches() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let weight = Tensor::randn([4, 3, 3, 3], 0.0, 1.0, &mut rng);
-        let bias = Tensor::zeros([4]);
-        let spec = Conv2dSpec::new(3, 2, 1);
-        let input = Tensor::randn([1, 3, 8, 8], 0.0, 1.0, &mut rng);
-        let expected = conv2d(&input, &weight, &bias, spec);
-
-        let mesh = ChannelTransport::mesh(2);
-        let got = thread::scope(|scope| {
-            let shard1 = ConvShard::new(&weight, &bias, spec, 1, 2);
-            let node1 = &mesh[1];
-            scope.spawn(move |_| {
-                let comm = Communicator::new(node1);
-                kernel_parallel_conv2d(&comm, &shard1, None).unwrap();
-            });
-            let shard0 = ConvShard::new(&weight, &bias, spec, 0, 2);
-            let comm = Communicator::new(&mesh[0]);
-            kernel_parallel_conv2d(&comm, &shard0, Some(&input))
-                .unwrap()
-                .unwrap()
-        })
-        .unwrap();
-        assert!(got.max_abs_diff(&expected) < 1e-5);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Every dense layer's weight matrix is split column-wise over the nodes;
 //! each node computes its slice of the activations and the slices are
-//! all-gathered before the next layer. This is the classic
+//! gathered before the next layer. This is the classic
 //! matrix-multiplication parallelization the paper evaluates — and the
-//! reason it loses badly on WiFi: *every layer* pays a collective.
+//! reason it loses badly on WiFi: *every layer* pays a round.
 
-use teamnet_net::codec::{decode_f32s, encode_f32s};
-use teamnet_net::{Communicator, NetError};
+use crate::step::{slice_step, Shard, Steps};
+use teamnet_core::runtime::InferenceSession;
+use teamnet_net::{NetError, Transport};
 use teamnet_nn::ModelSpec;
 use teamnet_tensor::Tensor;
 
@@ -27,24 +28,24 @@ pub fn split_range(total: usize, parts: usize, part: usize) -> (usize, usize) {
     (start, start + sizes[part])
 }
 
-/// One node's column shards of every dense layer of an MLP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpShards {
-    layers: Vec<(Tensor, Tensor)>,
+/// One node's column block of a dense layer: `(weight, bias)` slices.
+pub type DenseShard = (Tensor, Tensor);
+
+impl Shard for DenseShard {
+    fn apply(&mut self, input: &Tensor) -> Tensor {
+        input.matmul(&self.0).add_row_broadcast(&self.1)
+    }
 }
 
-impl MlpShards {
-    /// Number of sharded dense layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
+/// One node's column shards of every dense layer of an MLP: what the
+/// root passes [`mpi_matrix_forward`] and every other node serves.
+pub type MlpShards = Steps<DenseShard>;
 
+impl MlpShards {
     /// Total parameter bytes held by this node.
     pub fn param_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|(w, b)| (w.len() + b.len()) * std::mem::size_of::<f32>())
-            .sum()
+        let floats = self.0.iter().map(|(w, b)| w.len() + b.len());
+        floats.sum::<usize>() * std::mem::size_of::<f32>()
     }
 }
 
@@ -84,73 +85,32 @@ pub fn shard_mlp(spec: &ModelSpec, state: &[Tensor], node: usize, nodes: usize) 
             (w_slice, b_slice)
         })
         .collect();
-    MlpShards { layers }
+    Steps(layers)
 }
 
-/// Runs one column-parallel forward pass. Rank 0 supplies the flattened
-/// input `[n, d]`; every node returns the full logits (they all hold them
-/// after the final all-gather).
+/// Runs one column-parallel forward pass of `input` (`[n, features]`)
+/// from the root, which holds `shards`: one round per layer — the
+/// per-layer collective that dominates MPI-Matrix's latency on WiFi.
 ///
 /// # Errors
 ///
-/// Propagates collective failures (timeouts on missing peers, transport
-/// errors).
+/// As [`InferenceSession::round`]: a silent peer is a [`NetError::Timeout`].
 ///
 /// # Panics
 ///
-/// Panics if rank 0 does not supply an input.
+/// Panics if `input` is not rank 2.
 pub fn mpi_matrix_forward(
-    comm: &Communicator<'_>,
-    shards: &MlpShards,
-    input: Option<&Tensor>,
+    session: &mut InferenceSession,
+    transport: &dyn Transport,
+    shards: &mut MlpShards,
+    input: &Tensor,
 ) -> Result<Tensor, NetError> {
-    // Broadcast the input to every node.
-    let encoded = if comm.rank() == 0 {
-        // Documented `# Panics` contract above. lint: allow(no-expect)
-        let input = input.expect("rank 0 must supply the input");
-        assert_eq!(input.rank(), 2, "MPI-Matrix input must be [n, features]");
-        comm.broadcast(0, Some(&encode_f32s(input.dims(), input.data())))?
-    } else {
-        comm.broadcast(0, None)?
-    };
-    let (dims, data) = decode_f32s(&encoded)?;
-    let mut activation =
-        Tensor::from_vec(data, dims).map_err(|e| NetError::Malformed(e.to_string()))?;
-
-    let num_layers = shards.num_layers();
-    for (l, (w_slice, b_slice)) in shards.layers.iter().enumerate() {
-        // Local partial activations for this node's columns.
-        let partial = activation.matmul(w_slice).add_row_broadcast(b_slice);
-        // All-gather the column slices — the per-layer collective that
-        // dominates MPI-Matrix's latency on WiFi.
-        let parts = comm.all_gather(&encode_f32s(partial.dims(), partial.data()))?;
-        let n = partial.dims()[0];
-        let mut columns: Vec<Tensor> = Vec::with_capacity(parts.len());
-        for part in &parts {
-            let (pd, pv) = decode_f32s(part)?;
-            if pd.len() != 2 || pd[0] != n {
-                return Err(NetError::Malformed(format!(
-                    "partial activation dims {pd:?}"
-                )));
-            }
-            columns.push(Tensor::from_vec(pv, pd).map_err(|e| NetError::Malformed(e.to_string()))?);
-        }
-        let total_cols: usize = columns.iter().map(|c| c.dims()[1]).sum();
-        let mut full = Tensor::zeros([n, total_cols]);
-        let mut at = 0usize;
-        for col in &columns {
-            for r in 0..n {
-                for j in 0..col.dims()[1] {
-                    full.set(&[r, at + j], col.at(&[r, j]));
-                }
-            }
-            at += col.dims()[1];
-        }
-        activation = if l + 1 < num_layers {
-            full.relu()
-        } else {
-            full
-        };
+    assert_eq!(input.rank(), 2, "MPI-Matrix input must be [n, features]");
+    let last = shards.0.len().saturating_sub(1);
+    let mut activation = input.clone();
+    for (step, shard) in shards.0.iter_mut().enumerate() {
+        let full = slice_step(session, transport, step, shard, &activation)?;
+        activation = if step < last { full.relu() } else { full };
     }
     Ok(activation)
 }
@@ -158,9 +118,7 @@ pub fn mpi_matrix_forward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::thread;
-    use teamnet_net::{ChannelTransport, Transport};
-    use teamnet_nn::{state_vec, Layer, Mode};
+    use teamnet_nn::{state_vec, Layer};
 
     #[test]
     fn split_math() {
@@ -179,82 +137,6 @@ mod tests {
             .map(|n| shard_mlp(&spec, &state, n, 4).param_bytes())
             .sum();
         assert_eq!(total, model.param_count() * 4);
-    }
-
-    /// The headline correctness test: a distributed column-parallel
-    /// forward must equal the local single-process forward bit-for-bit
-    /// (same adds in the same order per column).
-    #[test]
-    fn distributed_forward_matches_local() {
-        for nodes in [2usize, 4] {
-            let spec = ModelSpec::mlp(3, 17); // odd width: uneven shards
-            let mut model = spec.build(7);
-            let state = state_vec(&mut model);
-            let input = Tensor::rand_uniform(
-                [5, 784],
-                0.0,
-                1.0,
-                &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(2),
-            );
-            let expected = model.forward(&input, Mode::Eval);
-
-            let mesh = ChannelTransport::mesh(nodes);
-            let results = thread::scope(|scope| {
-                let handles: Vec<_> = mesh
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, node)| {
-                        let shards = shard_mlp(&spec, &state, rank, nodes);
-                        let input_ref = &input;
-                        scope.spawn(move |_| {
-                            let comm = Communicator::new(node);
-                            let supplied = (rank == 0).then_some(input_ref);
-                            mpi_matrix_forward(&comm, &shards, supplied).unwrap()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .unwrap();
-
-            for (rank, got) in results.iter().enumerate() {
-                assert!(
-                    got.max_abs_diff(&expected) < 1e-5,
-                    "{nodes}-node run, rank {rank} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn communication_grows_with_layers() {
-        // MPI-Matrix sends one all-gather per layer: message count on the
-        // root must scale linearly in depth.
-        let count_messages = |layers: usize| -> u64 {
-            let spec = ModelSpec::mlp(layers, 8);
-            let mut model = spec.build(0);
-            let state = state_vec(&mut model);
-            let mesh = ChannelTransport::mesh(2);
-            let input = Tensor::zeros([1, 784]);
-            thread::scope(|scope| {
-                scope.spawn(|_| {
-                    let shards = shard_mlp(&spec, &state, 1, 2);
-                    let comm = Communicator::new(&mesh[1]);
-                    mpi_matrix_forward(&comm, &shards, None).unwrap();
-                });
-                let shards = shard_mlp(&spec, &state, 0, 2);
-                let comm = Communicator::new(&mesh[0]);
-                mpi_matrix_forward(&comm, &shards, Some(&input)).unwrap();
-            })
-            .unwrap();
-            mesh[0].stats().messages_sent
-        };
-        let shallow = count_messages(2);
-        let deep = count_messages(8);
-        assert!(deep > shallow * 2, "shallow {shallow}, deep {deep}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! drives. A handler that matches on `PayloadKind` outside
 //! `crates/core/src/fsm.rs` is protocol logic the explorer never sees —
 //! exactly how checked code rots into a parallel spec. Two rules, over
-//! **non-test** lines of the `core` crate only:
+//! **non-test** lines of the `core` crate and of the strategy crates that
+//! run on its round (`partition`, `moe`):
 //!
 //! | rule           | requires                                              |
 //! |----------------|-------------------------------------------------------|
@@ -28,7 +29,7 @@ use crate::Diagnostic;
 
 const FSM_FILE: &str = "crates/core/src/fsm.rs";
 const PAYLOAD_FILE: &str = "crates/net/src/envelope.rs";
-const DISPATCH_CRATE: &str = "core";
+const DISPATCH_CRATES: [&str; 3] = ["core", "partition", "moe"];
 
 /// Runs both conformance rules. Returns `(dispatch_sites, step_fns)`
 /// audited, for the summary line.
@@ -39,12 +40,12 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> (usize, usize) {
 }
 
 /// `fsm-dispatch`: flags `PayloadKind::<Variant>` used as a dispatch
-/// pattern in non-test `core` code outside `fsm.rs`. Returns the number
+/// pattern in non-test code of [`DISPATCH_CRATES`] outside `fsm.rs`. Returns the number
 /// of `PayloadKind::` sites inspected.
 fn check_dispatch(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
     let mut inspected = 0usize;
     for file in &model.files {
-        if file.crate_name != DISPATCH_CRATE || file.rel_path == FSM_FILE {
+        if !DISPATCH_CRATES.contains(&file.crate_name.as_str()) || file.rel_path == FSM_FILE {
             continue;
         }
         for (idx, line) in file.masked.lines.iter().enumerate() {

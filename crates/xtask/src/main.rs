@@ -33,15 +33,17 @@
 //! 4. **Narrowing casts** — unchecked truncating `as` casts reachable
 //!    from the codec/envelope/cost roots (see [`cast`]; rule
 //!    `cast-truncate`).
-//! 5. **FSM conformance** — every `PayloadKind` dispatch in `core` must
+//! 5. **FSM conformance** — every `PayloadKind` dispatch in `core`,
+//!    `partition` and `moe` must
 //!    live inside the pure transition functions of `core::fsm`, and every
 //!    `step` function must handle every payload variant without a
 //!    wildcard arm (see [`conformance`]; rules `fsm-dispatch`,
 //!    `fsm-coverage`).
 //! 6. **Trace propagation** — every envelope / serve-frame send site in
 //!    `core` and `serve` must attach a trace context so cross-node traces
-//!    assemble without orphans (see [`tracerule`]; rule
-//!    `trace-propagation`).
+//!    assemble without orphans, and `partition` / `moe` may not send or
+//!    receive on a transport at all: their strategies run on core's
+//!    round (see [`tracerule`]; rule `trace-propagation`).
 //!
 //! **`cargo xtask mc [--json] [--allow-truncation]`** — bounded
 //! explicit-state model checking of the protocol FSMs: exhaustive BFS

@@ -48,8 +48,8 @@ use crate::netmodel;
 use crate::Diagnostic;
 use std::collections::{HashMap, HashSet, VecDeque};
 use teamnet_core::fsm::{
-    abort_frame, FsmMutation, GatherFsm, GatherVerdict, TransferFsm, TransferPhase, WorkerFsm,
-    WorkerHooks,
+    abort_frame, FsmMutation, GatherFsm, GatherVerdict, TeamFold, TransferFsm, TransferPhase,
+    WorkerFsm, WorkerHooks,
 };
 use teamnet_core::runtime::encode_results;
 use teamnet_core::{HostBudget, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, TransferManifest};
@@ -852,6 +852,7 @@ const WORKER_RESULTS: [(usize, f32); 2] = [(1, 0.5), (2, 0.25)];
 #[derive(Clone)]
 struct SessState {
     gather: GatherFsm,
+    fold: TeamFold,
     /// Bit `p` set when peer `p` contributed a folded result.
     responded: u8,
     workers: Vec<WorkerFsm>,
@@ -883,7 +884,8 @@ impl Scenario for Session {
     }
 
     fn initial(&self) -> SessState {
-        let gather = GatherFsm::new(SESSION_ROUND, MASTER, 1, vec![LOCAL_RESULT], None, false);
+        let mut fold = TeamFold::new(None);
+        fold.seed(MASTER, vec![LOCAL_RESULT]);
         let input = Envelope::new(SESSION_ROUND, PayloadKind::Input, Vec::new()).encode();
         // Adversarial pre-staged traffic: a stale result from the previous
         // round that would WIN the arg-min if wrongly folded, and a
@@ -928,7 +930,8 @@ impl Scenario for Session {
         ];
         net.sort();
         SessState {
-            gather,
+            gather: GatherFsm::new(SESSION_ROUND, false),
+            fold,
             responded: 0,
             workers: vec![
                 WorkerFsm::new(MASTER, HostBudget::unlimited()),
@@ -942,7 +945,7 @@ impl Scenario for Session {
 
     fn canonical(&self, s: &SessState) -> Vec<u8> {
         let mut out = Vec::new();
-        for p in s.gather.clone().into_predictions() {
+        for p in s.fold.clone().into_predictions() {
             out.extend_from_slice(&(p.label as u64).to_le_bytes());
             out.extend_from_slice(&(p.expert as u64).to_le_bytes());
             out.extend_from_slice(&p.entropy.to_bits().to_le_bytes());
@@ -976,7 +979,8 @@ impl Scenario for Session {
             let row = msc_message(n, frame.from, frame.to, &label, b'>');
             let mut violation = None;
             if frame.to == MASTER {
-                match t.gather.step(frame.from, &frame.bytes) {
+                let from = frame.from;
+                match t.gather.step(&frame.bytes, |p| t.fold.fold(from, p)) {
                     GatherVerdict::Accepted { folded } => {
                         if folded {
                             t.responded |= 1 << frame.from;
@@ -990,9 +994,9 @@ impl Scenario for Session {
                 if violation.is_none() {
                     // Idempotence: re-folding the identical frame must not
                     // change the predictions (min-fold absorbs duplicates).
-                    let before = t.gather.clone().into_predictions();
-                    let mut again = t.gather.clone();
-                    let _ = again.step(frame.from, &frame.bytes);
+                    let before = t.fold.clone().into_predictions();
+                    let mut again = t.fold.clone();
+                    let _ = t.gather.step(&frame.bytes, |p| again.fold(from, p));
                     if again.into_predictions() != before {
                         violation = Some(format!(
                             "idempotence violated: duplicate gather frame [{label}] moved the arg-min"
@@ -1059,7 +1063,7 @@ impl Scenario for Session {
         // independently over exactly the responders — stale and corrupt
         // frames must have contributed nothing.
         let (label, expert, entropy) = Session::expected_winner(s.responded);
-        let got = s.gather.clone().into_predictions();
+        let got = s.fold.clone().into_predictions();
         let Some(p) = got.first() else {
             return Some("gather lost its predictions".to_string());
         };

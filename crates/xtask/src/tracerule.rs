@@ -1,5 +1,7 @@
 //! Trace-propagation audit: every envelope / serve-frame send site in
-//! `core` and `serve` must attach a trace context (DESIGN.md §17).
+//! `core` and `serve` must attach a trace context (DESIGN.md §17), and
+//! the strategy crates (`partition`, `moe`) must not touch the wire at
+//! all.
 //!
 //! Cross-node causal tracing only works if *every* hop stamps the frame:
 //! one untraced send site and the receiver's spans fall out of the
@@ -11,7 +13,12 @@
 //!   the stamp it finds on the frame. Any other site is a diagnostic;
 //! * in `serve`, a function that writes or encodes a frame
 //!   (`write_serve_frame(...)`, `encode_serve_frame(...)`) must show
-//!   where the context it passes comes from.
+//!   where the context it passes comes from;
+//! * in `partition` and `moe`, whose strategies run on core's round
+//!   (DESIGN.md §18), any `transport.send(...)` — raw shutdown frames
+//!   included — and any transport receive (`.recv(`, `.recv_tags(`,
+//!   `.recv_any(`) is a private loop coming back: it would know nothing
+//!   of round stamps, the one deadline, health or tracing.
 //!
 //! Evidence of trace attachment in a function body is a context derived
 //! from the open span (`current_ctx(`), a fresh trace id
@@ -42,11 +49,18 @@ const ANCHORS: [&str; 3] = [
     "encode_serve_frame(",
 ];
 
+/// Crates whose strategies run on core's round and own no wire access.
+const STRATEGY_CRATES: [&str; 2] = ["partition", "moe"];
+
+/// Transport receives: legal in core's shell and worker loop, a private
+/// receive loop anywhere in a strategy crate.
+const RECV_ANCHORS: [&str; 3] = [".recv(", ".recv_tags(", ".recv_any("];
+
 /// Evidence that the enclosing function attaches a trace context.
 const EVIDENCE: [&str; 3] = ["current_ctx(", "derive_trace_id(", "send_event("];
 
-/// Runs the rule over the `core` and `serve` crates. Returns the number
-/// of send sites audited, for the summary line.
+/// Runs the rule over the `core`, `serve` and strategy crates. Returns
+/// the number of send sites audited, for the summary line.
 pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
     let mut audited = 0usize;
     for f in &model.fns {
@@ -57,7 +71,8 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
             continue;
         };
         let in_core = file.crate_name == "core" && file.rel_path != FSM_FILE;
-        if !in_core && file.crate_name != "serve" {
+        let in_strategy = STRATEGY_CRATES.contains(&file.crate_name.as_str());
+        if !in_core && !in_strategy && file.crate_name != "serve" {
             continue;
         }
         let Some((start, end)) = f.body else { continue };
@@ -71,10 +86,29 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
             if file.test_mask.get(idx).copied().unwrap_or(false) {
                 continue;
             }
-            if !ANCHORS.iter().any(|a| anchors_call(line, a)) {
+            let sends = ANCHORS.iter().any(|a| anchors_call(line, a));
+            let receives = in_strategy && RECV_ANCHORS.iter().any(|a| line.contains(a));
+            if !sends && !receives {
                 continue;
             }
             audited += 1;
+            if in_strategy {
+                if !file.masked.is_allowed(idx + 1, RULE) {
+                    diags.push(Diagnostic {
+                        path: file.rel_path.clone(),
+                        line: idx + 1,
+                        rule: RULE,
+                        message: format!(
+                            "a strategy crate touches the wire; run the step as an \
+                             `Exchange` on `InferenceSession::round` and serve the peer with \
+                             `serve_worker_with_config`, which stamp, retry, time out and \
+                             trace every frame: `{}`",
+                            line.trim()
+                        ),
+                    });
+                }
+                continue;
+            }
             // Raw unenveloped frames (shutdown pings) carry no trace.
             if line.contains("&[]") {
                 continue;
@@ -185,6 +219,21 @@ mod tests {
         )]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 2);
+    }
+
+    #[test]
+    fn a_strategy_crate_may_not_send_or_receive_at_all() {
+        // The private worker loop this rule keeps out: a raw shutdown
+        // poll, a raw input receive, an unstamped reply.
+        let diags = run(&[(
+            "partition",
+            "crates/partition/src/branch.rs",
+            "fn serve(t: &dyn Transport) {\n    let _ = transport.recv(master, TAG_STOP, POLL);\n    let x = transport.recv_tags(master, &[TAG_IN], POLL);\n    transport.send(master, TAG_OUT, &reply).unwrap();\n    transport.send(master, TAG_STOP, &[]).unwrap();\n}\nfn fine(s: &mut InferenceSession) {\n    session.round(transport, exchange).unwrap();\n}\n",
+        )]);
+        assert_eq!(diags.len(), 4, "{diags:?}");
+        assert!(diags
+            .iter()
+            .all(|d| d.rule == RULE && d.message.contains("Exchange")));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! Facade crate for the TeamNet (ICDCS 2019) reproduction: re-exports the
 //! whole workspace under one roof. See the individual crates for detail:
 //!
-//! * [`core`] — the TeamNet algorithms (gate, expert trainer, inference);
+//! * [`core`] — the TeamNet algorithms (gate, expert trainer, inference)
+//!   and the one distributed round every strategy runs on (DESIGN.md §18);
 //! * [`nn`] / [`tensor`] — the from-scratch neural-network substrate;
 //! * [`data`] — synthetic MNIST/CIFAR-like datasets and IDX loading;
-//! * [`net`] — TCP / in-process transports, collectives and RPC;
+//! * [`net`] — TCP / in-process transports, envelopes, retries, fault
+//!   injection;
 //! * [`obs`] — deterministic span tracing and metrics (DESIGN.md §12);
 //! * [`serve`] — the multi-tenant serving front-end (DESIGN.md §16);
 //! * [`simnet`] — the edge-device and WiFi cost models;
-//! * [`moe`] — the Sparsely-Gated MoE baseline;
-//! * [`partition`] — the MPI-Matrix/Branch/Kernel baselines.
+//! * [`moe`] — the Sparsely-Gated MoE baseline, an exchange on that round;
+//! * [`partition`] — the MPI-Matrix/Branch/Kernel baselines, likewise.
 //!
 //! # Examples
 //!
