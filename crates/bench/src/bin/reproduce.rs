@@ -71,11 +71,11 @@ fn measure_teamnet_tcp(scale: &Scale, k: usize, trained: &mut teamnet_core::Team
         1.0,
         &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
     );
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, node) in nodes.iter().enumerate().skip(1) {
             let spec = spec.clone();
             let state = states[i].clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut expert = build_expert(&spec, 0);
                 load_state(&mut expert, &state);
                 serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default()).ok();
@@ -101,7 +101,6 @@ fn measure_teamnet_tcp(scale: &Scale, k: usize, trained: &mut teamnet_core::Team
         shutdown_workers(&nodes[0]).ok();
         elapsed
     })
-    .expect("tcp measurement threads")
 }
 
 fn main() {

@@ -161,10 +161,10 @@ fn measure_round_attribution(rounds: usize) -> RoundAttribution {
         ..MasterConfig::default()
     };
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
             let spec = spec.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut expert = build_expert(&spec, i as u64 + 1);
                 serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default())
                     .expect("worker");
@@ -177,8 +177,7 @@ fn measure_round_attribution(rounds: usize) -> RoundAttribution {
             session.infer(&master, &mut expert, &images).expect("infer");
         }
         shutdown_workers(&master).expect("shutdown");
-    })
-    .expect("scope");
+    });
 
     let snap = obs.metrics.snapshot();
     let take = |name: &str| -> AttrHistogram {

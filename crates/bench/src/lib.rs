@@ -18,8 +18,9 @@
 //! memory / utilization columns come from the calibrated edge-device cost
 //! model in `teamnet-simnet` + `teamnet-partition`, driven by FLOP/byte
 //! profiles measured on the real models. The `reproduce` binary prints the
-//! paper-shaped tables; `cargo bench` runs Criterion microbenchmarks of
-//! the real inference paths (one bench target per table/figure).
+//! paper-shaped tables; measured numbers come from `kernel_bench` (the
+//! kernels) and the separate `load_bench` package (the serve path end to
+//! end).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

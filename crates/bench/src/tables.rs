@@ -2,7 +2,7 @@
 
 use crate::suites::{
     cifar_baseline_spec, cifar_expert_spec, mnist_baseline_spec, mnist_expert_spec, CifarSuite,
-    MnistSuite, Scale,
+    MnistSuite,
 };
 use serde::{Deserialize, Serialize};
 use teamnet_core::build_expert;
@@ -252,17 +252,6 @@ pub fn table2(suite: &CifarSuite, unit: ComputeUnit) -> Vec<TableRow> {
         ));
     }
     rows
-}
-
-/// Convenience: builds the MNIST Table I workload pair for ad-hoc
-/// simulation (used by the criterion benches).
-pub fn mnist_workload(scale: &Scale, k: usize) -> Workload {
-    workload(&mnist_baseline_spec(scale), &mnist_expert_spec(scale, k))
-}
-
-/// Convenience: builds the CIFAR Table II workload pair.
-pub fn cifar_workload(scale: &Scale, k: usize) -> Workload {
-    workload(&cifar_baseline_spec(scale), &cifar_expert_spec(scale, k))
 }
 
 #[cfg(test)]

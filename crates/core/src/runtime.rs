@@ -1152,9 +1152,6 @@ mod tests {
         ) -> Result<(Tag, Vec<u8>), NetError> {
             self.inner.recv_tags(from, tags, timeout)
         }
-        fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(usize, Vec<u8>), NetError> {
-            self.inner.recv_any(tag, timeout)
-        }
         fn stats(&self) -> teamnet_net::TransportStats {
             self.inner.stats()
         }

@@ -299,10 +299,6 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         self.inner.recv_tags(from, tags, timeout)
     }
 
-    fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-        self.inner.recv_any(tag, timeout)
-    }
-
     fn stats(&self) -> TransportStats {
         let inner = self.inner.stats();
         let state = self.state.lock();

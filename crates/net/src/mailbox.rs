@@ -12,11 +12,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Keyed by `(source, tag)`. A `BTreeMap` rather than a hash map so that
-/// [`Mailbox::recv_any`] scans candidates in a fixed (node, tag) order —
-/// with a hash map, which sender wins a `recv_any` race depended on
-/// hasher state, an unseeded source of run-to-run nondeterminism the
-/// `det-map` audit pass now rejects in protocol paths.
+/// Keyed by `(source, tag)`. Every receive is a keyed lookup, so no
+/// iteration order decides a result today; the map is a `BTreeMap`
+/// anyway because the `det-map` audit rejects hash maps in protocol
+/// paths — a scan added later (a receive from any sender) then walks
+/// senders in a fixed (node, tag) order, never in hasher order.
 #[derive(Default)]
 struct Queues {
     by_key: BTreeMap<(NodeId, Tag), VecDeque<Vec<u8>>>,
@@ -116,40 +116,6 @@ impl Mailbox {
                     _ => format!("message from node {from} under any of {} tags", tags.len()),
                 };
                 return Err(NetError::Timeout { waiting_for });
-            }
-            self.available.wait_until(&mut queues, deadline);
-        }
-    }
-
-    /// Blocks until a message with `tag` arrives from *any* sender.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Mailbox::recv_tags`].
-    pub fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-        // Wall-clock receive deadline, as in `recv_tags`. lint: allow(det-clock)
-        let deadline = Instant::now() + timeout;
-        let mut queues = self.queues.lock();
-        loop {
-            // BTreeMap order: ties between waiting senders resolve to the
-            // lowest (node, tag) key, deterministically.
-            let hit = queues
-                .by_key
-                .iter_mut()
-                .find(|((_, t), queue)| *t == tag && !queue.is_empty())
-                .and_then(|(&(from, _), queue)| queue.pop_front().map(|msg| (from, msg)));
-            if let Some(hit) = hit {
-                return Ok(hit);
-            }
-            if self.is_closed() {
-                return Err(NetError::Closed);
-            }
-            // Same wall-clock contract. lint: allow(det-clock)
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(NetError::Timeout {
-                    waiting_for: format!("any message with tag {}", tag.0),
-                });
             }
             self.available.wait_until(&mut queues, deadline);
         }
@@ -302,29 +268,6 @@ mod tests {
                 .unwrap(),
             (Tag(2), vec![9])
         );
-    }
-
-    #[test]
-    fn recv_any_tie_break_is_lowest_sender_first() {
-        // With several senders waiting, recv_any must drain them in key
-        // order — the same order every run (no hasher-dependent winner).
-        let mb = Mailbox::new();
-        for from in [9, 2, 7, 0] {
-            mb.deliver(from, TAG, vec![from as u8]);
-        }
-        let order: Vec<NodeId> = (0..4)
-            .map(|_| mb.recv_any(TAG, Duration::from_millis(10)).unwrap().0)
-            .collect();
-        assert_eq!(order, vec![0, 2, 7, 9]);
-    }
-
-    #[test]
-    fn recv_any_returns_sender() {
-        let mb = Mailbox::new();
-        mb.deliver(5, TAG, vec![7]);
-        let (from, msg) = mb.recv_any(TAG, Duration::from_millis(10)).unwrap();
-        assert_eq!(from, 5);
-        assert_eq!(msg, vec![7]);
     }
 
     #[test]

@@ -260,10 +260,6 @@ impl Transport for TcpTransport {
         self.mailbox.recv_tags(from, tags, timeout)
     }
 
-    fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-        self.mailbox.recv_any(tag, timeout)
-    }
-
     fn stats(&self) -> TransportStats {
         TransportStats {
             messages_sent: self.messages_sent.load(Ordering::Relaxed),

@@ -88,13 +88,6 @@ pub trait Transport: Send + Sync {
         self.recv_tags(from, &[tag], timeout).map(|(_, msg)| msg)
     }
 
-    /// Receives the next message under `tag` from any sender.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Transport::recv`].
-    fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError>;
-
     /// Traffic counters since creation.
     fn stats(&self) -> TransportStats;
 }
@@ -191,10 +184,6 @@ impl Transport for ChannelTransport {
             return Err(NetError::UnknownPeer(from));
         }
         self.own_mailbox().recv_tags(from, tags, timeout)
-    }
-
-    fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-        self.own_mailbox().recv_any(tag, timeout)
     }
 
     fn stats(&self) -> TransportStats {

@@ -27,12 +27,10 @@
 //! * [`report`] — the `cargo xtask trace-report` backend: ingests span
 //!   JSONL and renders a per-span count/p50/p99/total latency table from
 //!   the same histogram buckets.
-//! * [`wrap`] — decorators gluing obs onto `teamnet-net` without a
-//!   dependency cycle: [`TracedTransport`] meters send/recv on any
-//!   [`teamnet_net::Transport`], [`TracedClock`] meters every backoff
-//!   sleep taken through the injected clock, and
-//!   [`wrap::fold_transport_stats`] folds a transport's fault counters
-//!   into the registry.
+//! * [`wrap`] — [`wrap::fold_transport_stats`] folds a transport's
+//!   fault counters into the registry. The round's send/recv events come
+//!   from `teamnet_core::shell`, its backoff sleeps from the
+//!   `retry.backoff` span and `round.send.retries`.
 //!
 //! ## Determinism rules
 //!
@@ -61,7 +59,6 @@ pub use trace::{
     FlightRecorder, JsonlSink, NullSink, Obs, RingSink, SpanGuard, TeeSink, TraceSink, Tracer,
     VecSink,
 };
-pub use wrap::{TracedClock, TracedTransport};
 
 // Clock re-exports so downstream crates (simnet, benches) can build a
 // deterministic `Obs` without depending on `teamnet-net` themselves.

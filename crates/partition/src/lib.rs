@@ -30,8 +30,5 @@ mod step;
 pub use branch::branch_parallel_forward;
 pub use kernel::{kernel_parallel_conv2d, ConvShard};
 pub use matrix::{mpi_matrix_forward, shard_mlp, split_range, split_sizes, DenseShard, MlpShards};
-pub use sim::{
-    simulate, simulate_churn, ChurnEvent, LayerCost, ModelCost, RecoverySimReport, Strategy,
-    StrategyReport, Workload,
-};
+pub use sim::{simulate, LayerCost, ModelCost, Strategy, StrategyReport, Workload};
 pub use step::{Shard, Steps};

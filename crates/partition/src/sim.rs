@@ -343,180 +343,6 @@ pub fn simulate(
     }
 }
 
-/// A node-level availability change in a churn scenario, applied at the
-/// start of the given inference round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChurnEvent {
-    /// `node` stops responding from round `round` onward.
-    Fail {
-        /// Round at which the node goes dark.
-        round: u64,
-        /// Failing node index (never 0 — the master).
-        node: usize,
-    },
-    /// `node` comes back (with its original expert weights intact, as a
-    /// rebooted edge device would) at round `round`.
-    Recover {
-        /// Round at which the node is readmitted.
-        round: u64,
-        /// Recovering node index.
-        node: usize,
-    },
-}
-
-/// Outcome of [`simulate_churn`]: the priced session plus the recovery
-/// bookkeeping mirrored from `teamnet_core::recover`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RecoverySimReport {
-    /// Latency/utilization/traffic of the whole churned session.
-    pub sim: SimReport,
-    /// Successful expert migrations (quarantined host → certified
-    /// survivor).
-    pub migrations: u64,
-    /// Candidates refused for lack of certified spare memory.
-    pub backtracks: u64,
-    /// Experts handed back to readmitted homes.
-    pub handbacks: u64,
-    /// Total expert parameter bytes shipped for migrations.
-    pub bytes_migrated: u64,
-    /// Rounds answered with fewer than `k` experts (failure not yet
-    /// re-placed, or re-placement deferred for lack of capacity).
-    pub degraded_rounds: u64,
-    /// Final expert → host placement (experts at home omitted).
-    pub placements: std::collections::BTreeMap<usize, usize>,
-}
-
-/// Simulates a `rounds`-round TeamNet session on `cluster` (expert `i`
-/// homed on node `i`, node 0 the master) through a failure/recovery
-/// scenario, mirroring the master-side recovery pass of
-/// `teamnet_core::recover` at fleet scale: when a node fails, its expert
-/// is re-placed onto the surviving non-master node with the most
-/// certified spare memory that admits it (inadmissible candidates are
-/// refused and counted as backtracks; with no admissible survivor the
-/// re-placement is deferred and the round degrades), and handed back
-/// when the home recovers. The recovery pass runs *after* each round's
-/// gather, like the runtime's `tick` — so the failure round itself is
-/// degraded and every later round has full coverage again.
-///
-/// # Panics
-///
-/// Panics if an event names node 0 (the master cannot be churned) or a
-/// node outside the cluster.
-pub fn simulate_churn(
-    workload: &Workload,
-    cluster: &SimCluster,
-    unit: ComputeUnit,
-    rounds: u64,
-    events: &[ChurnEvent],
-) -> RecoverySimReport {
-    let k = cluster.len();
-    let expert = &workload.expert;
-    let required = expert.required_resident_bytes();
-    for event in events {
-        let (ChurnEvent::Fail { node, .. } | ChurnEvent::Recover { node, .. }) = *event;
-        // Scenario validation, not a runtime condition. lint: allow(no-panic)
-        assert!(node != 0, "the master (node 0) cannot be churned");
-        assert!(
-            node < k,
-            "event names node {node} outside the {k}-node cluster"
-        );
-    }
-
-    let mut run = cluster.run();
-    let mut alive = vec![true; k];
-    // Resident model bytes per node: every node starts serving its own
-    // expert. Spare is certified from the device profile minus this.
-    let mut hosted: Vec<u64> = vec![required; k];
-    let mut placements: std::collections::BTreeMap<usize, usize> = Default::default();
-    let (mut migrations, mut backtracks, mut handbacks) = (0u64, 0u64, 0u64);
-    let mut bytes_migrated = 0u64;
-    let mut degraded_rounds = 0u64;
-
-    for round in 0..rounds {
-        for event in events {
-            match *event {
-                ChurnEvent::Fail { round: r, node } if r == round => alive[node] = false,
-                ChurnEvent::Recover { round: r, node } if r == round => alive[node] = true,
-                _ => {}
-            }
-        }
-
-        // The round itself: broadcast, every live host computes each
-        // expert it holds, gather.
-        let host_of = |e: usize| placements.get(&e).copied().unwrap_or(e);
-        run.broadcast(0, workload.full.input_bytes);
-        let mut covered = 0usize;
-        for e in 0..k {
-            let host = host_of(e);
-            if alive[host] {
-                run.compute(host, expert.total_flops(), expert.depth(), unit);
-                covered += 1;
-            }
-        }
-        run.gather(0, workload.result_bytes);
-        if covered < k {
-            degraded_rounds += 1;
-        }
-
-        // Recovery pass (mirrors RecoveryManager::tick): hand-backs to
-        // readmitted homes first, then re-place orphans onto the
-        // surviving candidate with the most certified spare.
-        let ready: Vec<(usize, usize)> = placements
-            .iter()
-            .filter(|&(&e, _)| alive[e])
-            .map(|(&e, &s)| (e, s))
-            .collect();
-        for (e, surrogate) in ready {
-            run.send(0, surrogate, 16); // release message
-            hosted[surrogate] = hosted[surrogate].saturating_sub(required);
-            placements.remove(&e);
-            handbacks += 1;
-        }
-        for e in 0..k {
-            let host = placements.get(&e).copied().unwrap_or(e);
-            if alive[host] {
-                continue;
-            }
-            let mut candidates: Vec<usize> = (1..k).filter(|&n| alive[n] && n != host).collect();
-            candidates.sort_by_key(|&n| {
-                (
-                    std::cmp::Reverse(cluster.devices[n].spare_bytes(hosted[n])),
-                    n,
-                )
-            });
-            let mut placed = None;
-            for &candidate in &candidates {
-                if cluster.devices[candidate].spare_bytes(hosted[candidate]) >= required {
-                    placed = Some(candidate);
-                    break;
-                }
-                backtracks += 1; // refused: no certified spare
-            }
-            let Some(target) = placed else {
-                continue; // deferred to a later round; stays degraded
-            };
-            if let Some(&old) = placements.get(&e) {
-                hosted[old] = hosted[old].saturating_sub(required);
-            }
-            run.send(0, target, expert.param_bytes); // weight transfer
-            hosted[target] += required;
-            placements.insert(e, target);
-            migrations += 1;
-            bytes_migrated += expert.param_bytes;
-        }
-    }
-
-    RecoverySimReport {
-        sim: run.finish(None),
-        migrations,
-        backtracks,
-        handbacks,
-        bytes_migrated,
-        degraded_rounds,
-        placements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -725,68 +551,5 @@ mod tests {
     fn rejects_undersized_cluster() {
         let w = mnist_workload();
         simulate(Strategy::TeamNet { k: 4 }, &w, &jetson(2), ComputeUnit::Cpu);
-    }
-
-    /// One failure mid-session: the failure round degrades, the expert
-    /// migrates to the roomiest survivor, and recovery hands it back —
-    /// every other round has full coverage.
-    #[test]
-    fn churn_migrates_and_hands_back() {
-        let w = mnist_workload();
-        let cluster = jetson(4);
-        let events = [
-            ChurnEvent::Fail { round: 1, node: 2 },
-            ChurnEvent::Recover { round: 4, node: 2 },
-        ];
-        let report = simulate_churn(&w, &cluster, ComputeUnit::Cpu, 6, &events);
-        assert_eq!(report.migrations, 1);
-        assert_eq!(report.handbacks, 1);
-        assert_eq!(report.backtracks, 0);
-        assert_eq!(report.degraded_rounds, 1, "only the failure round");
-        assert_eq!(report.bytes_migrated, w.expert.param_bytes);
-        assert!(
-            report.placements.is_empty(),
-            "handed back: {:?}",
-            report.placements
-        );
-        // Fleet-scale determinism: the whole report is reproducible.
-        let again = simulate_churn(&w, &cluster, ComputeUnit::Cpu, 6, &events);
-        assert_eq!(report, again);
-    }
-
-    /// With no survivor holding certified spare for the orphan, every
-    /// candidate is refused (backtracked) and re-placement is deferred —
-    /// the session degrades instead of over-committing a device.
-    #[test]
-    fn churn_defers_when_no_survivor_admits() {
-        let w = mnist_workload();
-        let mut starved = DeviceProfile::jetson_tx2_cpu();
-        // Each device fits exactly its own expert and nothing more.
-        starved.memory_capacity_bytes =
-            starved.runtime_resident_bytes + w.expert.required_resident_bytes();
-        let cluster = SimCluster::homogeneous(starved, 3);
-        let events = [
-            ChurnEvent::Fail { round: 0, node: 2 },
-            ChurnEvent::Recover { round: 2, node: 2 },
-        ];
-        let report = simulate_churn(&w, &cluster, ComputeUnit::Cpu, 4, &events);
-        assert_eq!(report.migrations, 0, "nothing admitted the orphan");
-        assert!(report.backtracks >= 1, "{report:?}");
-        assert_eq!(report.degraded_rounds, 2, "rounds 0 and 1");
-        assert_eq!(report.handbacks, 0, "never migrated, nothing to return");
-        assert!(report.placements.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "master (node 0) cannot be churned")]
-    fn churn_rejects_master_failure() {
-        let w = mnist_workload();
-        simulate_churn(
-            &w,
-            &jetson(2),
-            ComputeUnit::Cpu,
-            1,
-            &[ChurnEvent::Fail { round: 0, node: 0 }],
-        );
     }
 }

@@ -556,10 +556,6 @@ mod tests {
             self.inner.recv_tags(from, tags, timeout)
         }
 
-        fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-            self.inner.recv_any(tag, timeout)
-        }
-
         fn stats(&self) -> TransportStats {
             self.inner.stats()
         }

@@ -172,16 +172,6 @@ impl DeviceProfile {
         (resident as f64 / self.memory_capacity_bytes as f64 * 100.0).min(100.0)
     }
 
-    /// Certified spare bytes left for *additional* model state once the
-    /// framework runtime and `hosted_bytes` of already-resident model
-    /// state are accounted for — the quantity the recovery subsystem
-    /// (`teamnet_core::recover`) ranks re-placement candidates by.
-    pub fn spare_bytes(&self, hosted_bytes: u64) -> u64 {
-        self.memory_capacity_bytes
-            .saturating_sub(self.runtime_resident_bytes)
-            .saturating_sub(hosted_bytes)
-    }
-
     /// Static admission check: can a model whose certificate requires
     /// `required_resident_bytes` fit on this device at all?
     ///
@@ -339,22 +329,6 @@ mod tests {
             (large - small - expected).abs() < 1e-9,
             "{large} - {small} != {expected}"
         );
-    }
-
-    #[test]
-    fn spare_bytes_tracks_hosted_state() {
-        let rpi = DeviceProfile::raspberry_pi_3b_plus();
-        let empty = rpi.spare_bytes(0);
-        assert_eq!(
-            empty,
-            rpi.memory_capacity_bytes - rpi.runtime_resident_bytes
-        );
-        assert_eq!(rpi.spare_bytes(100 << 20), empty - (100 << 20));
-        // Saturates instead of wrapping when over-committed.
-        assert_eq!(rpi.spare_bytes(u64::MAX), 0);
-        // Spare and admission agree: what fits in spare is admitted.
-        assert!(rpi.admit(rpi.spare_bytes(0)).is_ok());
-        assert!(rpi.admit(rpi.spare_bytes(0) + 1).is_err());
     }
 
     #[test]

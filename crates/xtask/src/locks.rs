@@ -4,7 +4,7 @@
 //!
 //! Rule IDs: `lock-order` (a cycle in the acquisition graph, including a
 //! re-acquisition of the same non-reentrant lock) and `lock-across-io`
-//! (`send`/`recv`/`recv_any` called with a guard live — with parking_lot
+//! (`send`/`recv`/`recv_tags` called with a guard live — with parking_lot
 //! mutexes a blocked receive wedges every other thread touching that
 //! lock).
 //!
@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const LOCK_AUDITED_CRATES: &[&str] = &["net", "core"];
 
 /// Transport calls that must not run under a lock.
-const IO_CALLS: &[&str] = &["send", "recv", "recv_any"];
+const IO_CALLS: &[&str] = &["send", "recv", "recv_tags"];
 
 /// One lock acquisition found in a function body.
 #[derive(Debug, Clone)]
@@ -481,14 +481,20 @@ fn fine(&self) {
     // lint: allow(lock-across-io)
     self.transport.send(0, tag, payload);
 }
+fn waits(&self) {
+    let g = self.state.lock();
+    self.transport.recv_tags(0, &[stop, input], timeout);
+}
 ";
         let diags = run(src);
-        assert_eq!(
-            diags.iter().filter(|d| d.rule == "lock-across-io").count(),
-            1,
-            "{diags:?}"
-        );
-        assert_eq!(diags[0].line, 3);
+        let lines: Vec<usize> = diags
+            .iter()
+            .filter(|d| d.rule == "lock-across-io")
+            .map(|d| d.line)
+            .collect();
+        // The worker loop's blocking wait is `recv_tags`: a guard held
+        // across it is the same wedge as one held across `send`.
+        assert_eq!(lines, [3, 12], "{diags:?}");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   where the context it passes comes from;
 //! * in `partition` and `moe`, whose strategies run on core's round
 //!   (DESIGN.md §18), any `transport.send(...)` — raw shutdown frames
-//!   included — and any transport receive (`.recv(`, `.recv_tags(`,
-//!   `.recv_any(`) is a private loop coming back: it would know nothing
-//!   of round stamps, the one deadline, health or tracing.
+//!   included — and any transport receive (`.recv(`, `.recv_tags(`) is
+//!   a private loop coming back: it would know nothing of round stamps,
+//!   the one deadline, health or tracing.
 //!
 //! Evidence of trace attachment in a function body is a context derived
 //! from the open span (`current_ctx(`), a fresh trace id
@@ -54,7 +54,7 @@ const STRATEGY_CRATES: [&str; 2] = ["partition", "moe"];
 
 /// Transport receives: legal in core's shell and worker loop, a private
 /// receive loop anywhere in a strategy crate.
-const RECV_ANCHORS: [&str; 3] = [".recv(", ".recv_tags(", ".recv_any("];
+const RECV_ANCHORS: [&str; 2] = [".recv(", ".recv_tags("];
 
 /// Evidence that the enclosing function attaches a trace context.
 const EVIDENCE: [&str; 3] = ["current_ctx(", "derive_trace_id(", "send_event("];

@@ -82,10 +82,6 @@ impl Transport for Interleaved<'_> {
         self.inner.recv_tags(from, tags, timeout)
     }
 
-    fn recv_any(&self, tag: Tag, timeout: Duration) -> Result<(NodeId, Vec<u8>), NetError> {
-        self.inner.recv_any(tag, timeout)
-    }
-
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }
