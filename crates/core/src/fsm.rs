@@ -28,20 +28,20 @@ use crate::recover::{
     AckStatus, ChunkOutcome, HostBudget, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, PartialLoad,
     TransferManifest,
 };
-use crate::runtime::{decode_result_set, WorkerStats, TAG_INPUT, TAG_RESULT};
+use crate::runtime::{decode_result_set, WorkerStats};
 use crate::team::TeamPrediction;
 use std::collections::BTreeMap;
-use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, Tag, TraceContext};
+use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, TraceContext};
 
 /// A message a transition function wants sent. The shell owns the actual
-/// transport (and its retries/backoff); a model checker just moves the
-/// frame into its simulated network.
+/// transport (and its retries/backoff), and the direction names the tag:
+/// a worker's replies travel on the result tag, a master's frames on the
+/// input tag. A model checker just moves the frame into its simulated
+/// network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutboundMsg {
     /// Destination node id.
     pub to: usize,
-    /// Transport tag the frame travels under.
-    pub tag: Tag,
     /// The envelope to encode onto the wire.
     pub env: Envelope,
 }
@@ -252,7 +252,6 @@ impl WorkerFsm {
     fn ack(&self, round: u64, ack: LoadAckMsg) -> OutboundMsg {
         OutboundMsg {
             to: self.master,
-            tag: TAG_RESULT,
             env: Envelope::new(round, PayloadKind::LoadAck, ack.encode()),
         }
     }
@@ -298,7 +297,8 @@ impl WorkerFsm {
     /// Corrupt or malformed traffic is counted and produces no reply; a
     /// frame kind the worker never legitimately receives (`Result`,
     /// `ProbeAck`, `LoadAck`) is an explicit typed rejection, likewise
-    /// counted.
+    /// counted, and so is a `Probe` or `Shutdown` that carries a payload
+    /// (a flipped kind bit: the CRC does not cover the header).
     ///
     /// Duplicate deliveries are idempotent on protocol state: a re-offer
     /// or re-chunk for an already-resident expert re-acks
@@ -307,7 +307,8 @@ impl WorkerFsm {
     ///
     /// # Errors
     ///
-    /// Only transport-level decode failures other than
+    /// [`NetError::Closed`] on a `Shutdown` frame: the worker is done.
+    /// Otherwise only transport-level decode failures other than
     /// [`NetError::Corrupt`] / [`NetError::Malformed`] propagate (the
     /// serve shell treats those as fatal).
     pub fn step(
@@ -327,11 +328,15 @@ impl WorkerFsm {
             Err(e) => return Err(e),
         };
         let reply = match env.kind {
+            PayloadKind::Probe | PayloadKind::Shutdown if !env.payload.is_empty() => {
+                self.stats.malformed_skipped += 1;
+                None
+            }
+            PayloadKind::Shutdown => return Err(NetError::Closed),
             PayloadKind::Probe => {
                 self.stats.probes_answered += 1;
                 Some(OutboundMsg {
                     to: self.master,
-                    tag: TAG_RESULT,
                     env: Envelope::new(env.round, PayloadKind::ProbeAck, Vec::new()),
                 })
             }
@@ -340,7 +345,6 @@ impl WorkerFsm {
                     self.stats.rounds_served += 1;
                     Some(OutboundMsg {
                         to: self.master,
-                        tag: TAG_RESULT,
                         env: Envelope::new(env.round, PayloadKind::Result, payload),
                     })
                 }
@@ -675,20 +679,27 @@ impl GatherFsm {
                 Ok(()) => GatherVerdict::Accepted { folded: true },
                 Err(e) => self.reject(e),
             },
-            // A probe ack proves liveness; it carries no rows.
-            PayloadKind::ProbeAck => GatherVerdict::Accepted { folded: false },
+            // A probe ack proves liveness; it carries no rows. One that
+            // carries bytes is a result whose kind bit flipped in flight
+            // (the CRC does not cover the header): its rows must not be
+            // counted as answered and silently left unfolded.
+            PayloadKind::ProbeAck if env.payload.is_empty() => {
+                GatherVerdict::Accepted { folded: false }
+            }
+            PayloadKind::ProbeAck => GatherVerdict::Discarded(GatherDiscard::Malformed),
             // Stray transfer-protocol traffic (a duplicate LoadAck from a
             // recovery exchange, or a reflected LoadExpert/LoadChunk) is
             // never part of a gather; discard it and keep waiting. Acks
             // to live transfers carry their own round stamps, so they are
             // caught by the staleness check above before reaching here.
-            // Input and Probe flowing worker → master are equally
-            // impossible; all five are explicit typed rejections.
+            // Input, Probe and Shutdown flowing worker → master are
+            // equally impossible; all six are explicit typed rejections.
             PayloadKind::LoadAck => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::LoadExpert => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::LoadChunk => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Input => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Probe => GatherVerdict::Discarded(GatherDiscard::Malformed),
+            PayloadKind::Shutdown => GatherVerdict::Discarded(GatherDiscard::Malformed),
         }
     }
 }
@@ -906,7 +917,6 @@ impl TransferFsm {
                 };
                 Some(OutboundMsg {
                     to: self.target,
-                    tag: TAG_INPUT,
                     env: Envelope::new(self.round, PayloadKind::LoadChunk, payload.encode()),
                 })
             }
@@ -982,7 +992,6 @@ pub fn offer_frame(
 ) -> OutboundMsg {
     OutboundMsg {
         to: target,
-        tag: TAG_INPUT,
         env: Envelope::new(
             round,
             PayloadKind::LoadExpert,
@@ -997,7 +1006,6 @@ pub fn offer_frame(
 pub fn abort_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
     OutboundMsg {
         to: target,
-        tag: TAG_INPUT,
         env: Envelope::new(
             round,
             PayloadKind::LoadExpert,
@@ -1010,7 +1018,6 @@ pub fn abort_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
 pub fn release_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
     OutboundMsg {
         to: target,
-        tag: TAG_INPUT,
         env: Envelope::new(
             round,
             PayloadKind::LoadExpert,
@@ -1241,6 +1248,44 @@ mod tests {
             assert!(replies.is_empty());
         }
         assert_eq!(w.stats().malformed_skipped, 3);
+    }
+
+    /// Flips bit 17 — byte 2 (the kind), bit 1 — which the envelope CRC
+    /// does not cover.
+    fn flip_kind_bit(mut frame: Vec<u8>) -> Vec<u8> {
+        frame[2] ^= 0x02;
+        frame
+    }
+
+    #[test]
+    fn an_input_flipped_into_a_probe_is_skipped_not_acked() {
+        let mut w = WorkerFsm::new(0, HostBudget::unlimited());
+        let mut hooks = MockHooks::default();
+        let input = Envelope::new(5, PayloadKind::Input, vec![1, 2, 3]).encode();
+        let replies = w.step(&flip_kind_bit(input), &mut hooks).expect("step");
+        assert!(replies.is_empty(), "{replies:?}");
+        assert_eq!(
+            (w.stats().probes_answered, w.stats().malformed_skipped),
+            (0, 1)
+        );
+        // A shutdown is honoured only when it arrives empty.
+        let stuffed = Envelope::new(0, PayloadKind::Shutdown, vec![9]).encode();
+        assert!(w.step(&stuffed, &mut hooks).expect("step").is_empty());
+        let shutdown = Envelope::new(0, PayloadKind::Shutdown, Vec::new()).encode();
+        assert!(matches!(
+            w.step(&shutdown, &mut hooks),
+            Err(NetError::Closed)
+        ));
+    }
+
+    #[test]
+    fn a_result_flipped_into_a_probe_ack_is_discarded_not_counted() {
+        let (g, mut fold) = gather(100, true, None);
+        let frame = flip_kind_bit(result_frame(100, &[(2, 0.2)]));
+        assert!(matches!(
+            g.step(&frame, |p| fold.fold(1, p)),
+            GatherVerdict::Discarded(GatherDiscard::Malformed)
+        ));
     }
 
     /// A gather over a 1-row batch the master answered `(4, 0.9)`.

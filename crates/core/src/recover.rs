@@ -46,6 +46,7 @@
 use crate::expert::build_expert;
 use crate::fsm;
 use crate::health::PeerHealth;
+use crate::runtime::TAG_INPUT;
 use crate::shell::{self, ResultWait, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -856,7 +857,7 @@ impl RecoveryManager {
         let round = registration.round;
         let msg = fsm::release_frame(surrogate, round, expert as u32);
         let frame = msg.encode(shell::stamp(&obs, self.trace));
-        if shell::send(transport, &obs, "input", msg.to, msg.tag, &frame).is_ok() {
+        if shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame).is_ok() {
             let deadline = self.config.clock.now() + self.config.ack_timeout;
             let _ = self.await_ack(transport, surrogate, round, expert as u32, deadline);
         }
@@ -985,7 +986,7 @@ impl RecoveryManager {
             Arc::clone(&self.config.clock),
         );
         loop {
-            match shell::send(transport, obs, "input", target, msg.tag, &frame) {
+            match shell::send(transport, obs, "input", target, TAG_INPUT, &frame) {
                 Ok(()) => match self.await_ack(transport, target, round, expert, deadline) {
                     Ok(ack) => return Ok(ack),
                     Err(NetError::Timeout { .. }) => {}
@@ -1040,7 +1041,7 @@ impl RecoveryManager {
         let obs = &self.config.obs;
         let msg = fsm::abort_frame(target, round, expert);
         let frame = msg.encode(shell::stamp(obs, self.trace));
-        let _ = shell::send(transport, obs, "input", msg.to, msg.tag, &frame);
+        let _ = shell::send(transport, obs, "input", msg.to, TAG_INPUT, &frame);
     }
 }
 

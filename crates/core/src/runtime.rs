@@ -51,14 +51,12 @@ use teamnet_nn::{Layer, Mode, Sequential};
 use teamnet_obs::{AllocMeters, Counter, Histogram, Obs};
 use teamnet_tensor::{MemScope, Tensor};
 
-/// Tag carrying broadcast input batches and probes (master → workers).
+/// Tag carrying every master → worker frame: input batches, probes,
+/// transfer frames and the shutdown.
 pub const TAG_INPUT: Tag = Tag(0x7EA0_0001);
-/// Tag carrying per-row `(label, entropy)` results and probe acks
-/// (workers → master).
+/// Tag carrying every worker → master frame: per-row `(label, entropy)`
+/// results, probe acks and transfer acks.
 pub const TAG_RESULT: Tag = Tag(0x7EA0_0002);
-/// Tag asking workers to exit their serve loop (sent raw, no envelope: a
-/// shutdown is not attributable to a round).
-pub const TAG_SHUTDOWN: Tag = Tag(0x7EA0_0003);
 
 /// Master-side inference policy.
 #[derive(Debug, Clone)]
@@ -269,7 +267,8 @@ pub struct WorkerConfig {
 /// Serves a worker node — the only worker loop, whatever the strategy:
 /// waits for round inputs from `master`, runs them through `peer` (a
 /// TeamNet expert, or a baseline's shards), returns round-stamped
-/// results, until a shutdown message arrives. Probes are
+/// results, until a [`PayloadKind::Shutdown`] frame arrives (frames queued
+/// ahead of it are served first; see [`shutdown_workers`]). Probes are
 /// acknowledged immediately; corrupt or malformed batches are counted and
 /// skipped — one bad frame must not take a worker out of the team.
 /// [`WorkerConfig::default`] serves with observability off and an
@@ -293,8 +292,8 @@ pub fn serve_worker_with_config(
     config: WorkerConfig,
 ) -> Result<WorkerStats, NetError> {
     /// How long an idle worker parks before re-arming its wait. Nothing
-    /// is timed by it: input, shutdown and transport close each wake the
-    /// wait directly.
+    /// is timed by it: every frame, the shutdown included, and a transport
+    /// close each wake the wait directly.
     const IDLE: Duration = Duration::from_secs(60);
     let obs = &config.obs;
     let me = transport.node_id();
@@ -317,12 +316,8 @@ pub fn serve_worker_with_config(
         m_alloc: &m_alloc,
     };
     loop {
-        // One blocking wait covers both tags, so a round never pays a
-        // poll interval. Shutdown is listed first: whenever both are
-        // queued it wins, so it cannot starve behind inputs.
-        let bytes = match transport.recv_tags(master, &[TAG_SHUTDOWN, TAG_INPUT], IDLE) {
-            Ok((TAG_SHUTDOWN, _)) => return Ok(machine.stats()),
-            Ok((_, bytes)) => bytes,
+        let bytes = match transport.recv(master, TAG_INPUT, IDLE) {
+            Ok(bytes) => bytes,
             Err(NetError::Timeout { .. }) => continue,
             Err(NetError::Closed) => return Ok(machine.stats()),
             Err(e) => return Err(e),
@@ -345,7 +340,12 @@ pub fn serve_worker_with_config(
             )
         });
         let before = machine.stats();
-        let replies = machine.step(&bytes, &mut hooks)?;
+        let replies = match machine.step(&bytes, &mut hooks) {
+            Ok(replies) => replies,
+            // The state machine's answer to a shutdown frame.
+            Err(NetError::Closed) => return Ok(machine.stats()),
+            Err(e) => return Err(e),
+        };
         let after = machine.stats();
         c_rounds.add(after.rounds_served - before.rounds_served);
         c_probes.add(after.probes_answered - before.probes_answered);
@@ -354,7 +354,7 @@ pub fn serve_worker_with_config(
         c_refused.add(after.loads_refused - before.loads_refused);
         for msg in replies {
             let frame = msg.encode(shell::stamp(obs, in_ctx.map(|ctx| ctx.trace_id)));
-            match shell::send(transport, obs, "result", msg.to, msg.tag, &frame) {
+            match shell::send(transport, obs, "result", msg.to, TAG_RESULT, &frame) {
                 Ok(()) => {}
                 Err(NetError::Closed) => return Ok(machine.stats()),
                 Err(e) => return Err(e),
@@ -954,17 +954,26 @@ impl InferenceSession {
     }
 }
 
-/// Asks every worker served by [`serve_worker_with_config`] to exit.
+/// Asks every worker served by [`serve_worker_with_config`] to exit: a
+/// 16-byte [`PayloadKind::Shutdown`] envelope on the input tag, stamped
+/// round 0, which no round is ever given. It queues behind whatever was
+/// sent before it, so a worker serves those frames first.
 ///
 /// # Errors
 ///
 /// Propagates transport send failures.
 pub fn shutdown_workers(transport: &dyn Transport) -> Result<(), NetError> {
     let me = transport.node_id();
-    for peer in 0..transport.num_nodes() {
-        if peer != me {
-            transport.send(peer, TAG_SHUTDOWN, &[])?;
-        }
+    let frame = Envelope::new(0, PayloadKind::Shutdown, Vec::new()).encode();
+    for peer in (0..transport.num_nodes()).filter(|&p| p != me) {
+        shell::send(
+            transport,
+            &Obs::disabled(),
+            "shutdown",
+            peer,
+            TAG_INPUT,
+            &frame,
+        )?;
     }
     Ok(())
 }
@@ -1144,13 +1153,8 @@ mod tests {
             }
             self.inner.send(to, tag, payload)
         }
-        fn recv_tags(
-            &self,
-            from: usize,
-            tags: &[Tag],
-            timeout: Duration,
-        ) -> Result<(Tag, Vec<u8>), NetError> {
-            self.inner.recv_tags(from, tags, timeout)
+        fn recv(&self, from: usize, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+            self.inner.recv(from, tag, timeout)
         }
         fn stats(&self) -> teamnet_net::TransportStats {
             self.inner.stats()
@@ -1425,7 +1429,8 @@ mod tests {
 
             // Worker 1 dies; the next round quarantines it and the
             // recovery pass migrates its expert onto worker 2.
-            nodes[0].send(1, TAG_SHUTDOWN, &[]).unwrap();
+            let shutdown = Envelope::new(0, PayloadKind::Shutdown, Vec::new());
+            nodes[0].send(1, TAG_INPUT, &shutdown.encode()).unwrap();
             worker1.join().unwrap();
             let r2 = session
                 .infer(&nodes[0], &mut master_expert, &images)
@@ -1659,9 +1664,10 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_preempts_already_queued_inputs() {
+    fn shutdown_is_served_in_order_behind_already_queued_inputs() {
         // Inputs are queued first and the shutdown last, all before the
-        // serve loop takes its first message: shutdown must still win.
+        // serve loop takes its first message: the worker handles its one
+        // queue in order, so every input is answered before it exits.
         let nodes = ChannelTransport::mesh(2);
         let images = Tensor::full([1, 1, 28, 28], 0.5);
         for round in 0..3 {
@@ -1675,16 +1681,16 @@ mod tests {
         shutdown_workers(&nodes[0]).unwrap();
         let mut worker_expert = expert(1);
         let stats = serve(&nodes[1], &mut worker_expert);
-        assert_eq!(
-            stats,
-            WorkerStats::default(),
-            "an input ran before shutdown"
-        );
+        assert_eq!(stats.rounds_served, 3, "{stats:?}");
+        for round in 0..3 {
+            let reply = nodes[0].recv(1, TAG_RESULT, Duration::ZERO).unwrap();
+            assert_eq!(Envelope::decode(&reply).unwrap().round, round);
+        }
     }
 
     #[test]
     fn shutdown_wakes_a_blocked_worker_without_a_poll_interval() {
-        // The worker parks in one wait on {shutdown, input}; a shutdown
+        // The worker parks in one wait on its input tag; a shutdown frame
         // wakes it directly rather than at the end of a poll interval.
         // Median of several workers, so one descheduled thread on a busy
         // host does not decide the test.

@@ -5,8 +5,8 @@
 //! receiver can (a) reject traffic from an incompatible protocol version,
 //! (b) attribute a message to the inference round that produced it —
 //! discarding late replies instead of mis-scoring them against the wrong
-//! batch — and (c) detect bit corruption in flight via a CRC-32 over the
-//! payload.
+//! batch — and (c) detect bit corruption in flight via a CRC-32 over
+//! everything after the header.
 //!
 //! Wire layout (little-endian), 16 bytes of header:
 //!
@@ -22,6 +22,14 @@
 //! byte-for-byte identical to a v1 frame, so the certified wire-cost
 //! model (DESIGN.md §13) stays honest for untraced traffic. Unknown flag
 //! bits are rejected on decode — they are this header's versioning lane.
+//!
+//! The CRC does not cover the header, so a flipped kind bit decodes
+//! cleanly as a neighbouring kind. Three kinds carry no payload —
+//! [`PayloadKind::Probe`], [`PayloadKind::ProbeAck`] and
+//! [`PayloadKind::Shutdown`] — and the protocol state machines discard
+//! any of them that arrives with one as malformed: a flipped kind bit
+//! cannot turn a result into a probe ack, an input into a probe, or a
+//! transfer chunk into a shutdown.
 
 use crate::crc::crc32;
 use crate::error::NetError;
@@ -144,6 +152,10 @@ pub enum PayloadKind {
     /// (worker → master): accept/refuse an offer, per-chunk progress
     /// cursor, completion, or a mid-transfer error.
     LoadAck,
+    /// Asks a worker to leave its serve loop once the frames queued ahead
+    /// of this one are handled (master → worker). Carries no payload and
+    /// is stamped round 0, which no round is ever given.
+    Shutdown,
 }
 
 impl PayloadKind {
@@ -156,6 +168,7 @@ impl PayloadKind {
             PayloadKind::LoadExpert => 4,
             PayloadKind::LoadChunk => 5,
             PayloadKind::LoadAck => 6,
+            PayloadKind::Shutdown => 7,
         }
     }
 
@@ -168,6 +181,7 @@ impl PayloadKind {
             4 => Ok(PayloadKind::LoadExpert),
             5 => Ok(PayloadKind::LoadChunk),
             6 => Ok(PayloadKind::LoadAck),
+            7 => Ok(PayloadKind::Shutdown),
             other => Err(NetError::Malformed(format!(
                 "unknown envelope payload kind {other}"
             ))),
@@ -408,8 +422,12 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrip() {
-        let env = Envelope::new(7, PayloadKind::Probe, Vec::new());
-        assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
+        for kind in [PayloadKind::Probe, PayloadKind::Shutdown] {
+            let env = Envelope::new(7, kind, Vec::new());
+            assert_eq!(Envelope::decode(&env.encode()).unwrap(), env);
+        }
+        let shutdown = Envelope::new(0, PayloadKind::Shutdown, Vec::new()).encode();
+        assert_eq!((shutdown.len(), shutdown[2]), (ENVELOPE_HEADER_LEN, 7));
     }
 
     #[test]

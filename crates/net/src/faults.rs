@@ -290,13 +290,8 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
-    fn recv_tags(
-        &self,
-        from: NodeId,
-        tags: &[Tag],
-        timeout: Duration,
-    ) -> Result<(Tag, Vec<u8>), NetError> {
-        self.inner.recv_tags(from, tags, timeout)
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.inner.recv(from, tag, timeout)
     }
 
     fn stats(&self) -> TransportStats {

@@ -77,46 +77,16 @@ impl TcpTransport {
             .iter()
             .map(|l| l.local_addr())
             .collect::<Result<_, _>>()?;
-
-        let mut endpoints: Vec<TcpTransport> = (0..n)
-            .map(|node_id| TcpTransport {
-                node_id,
-                num_nodes: n,
-                writers: (0..n).map(|_| None).collect(),
-                mailbox: Arc::new(Mailbox::new()),
-                messages_sent: AtomicU64::new(0),
-                bytes_sent: AtomicU64::new(0),
-            })
-            .collect();
-
-        // For every pair (i < j): j dials i. The listen backlog lets us do
-        // this sequentially in one thread without deadlock.
-        // Every index below satisfies i < j < n, matching the vectors built
-        // above — in bounds by construction.
-        for j in 0..n {
-            for i in 0..j {
-                let dialer = TcpStream::connect(addrs[i])?; // lint: allow(no-index)
-                dialer.set_nodelay(true)?;
-                // Identify ourselves: a single-u32 handshake.
-                (&dialer).write_all(&(j as u32).to_le_bytes())?;
-                let (accepted, _) = listeners[i].accept()?; // lint: allow(no-index)
-                accepted.set_nodelay(true)?;
-                let mut id_buf = [0u8; 4];
-                std::io::Read::read_exact(&mut (&accepted), &mut id_buf)?;
-                let claimed = u32::from_le_bytes(id_buf) as usize;
-                if claimed != j {
-                    return Err(NetError::Malformed(format!(
-                        "handshake claimed node {claimed}, expected {j}"
-                    )));
-                }
-
-                spawn_reader(i, dialer.try_clone()?, Arc::clone(&endpoints[j].mailbox))?; // lint: allow(no-index)
-                spawn_reader(j, accepted.try_clone()?, Arc::clone(&endpoints[i].mailbox))?; // lint: allow(no-index)
-                endpoints[j].writers[i] = Some(Mutex::new(dialer)); // lint: allow(no-index)
-                endpoints[i].writers[j] = Some(Mutex::new(accepted));
-            }
-        }
-        Ok(endpoints)
+        // Highest id first, on this one thread: a node's dials wait in the
+        // lower ids' listen backlogs, so by the time a node accepts, every
+        // higher id has already dialed it and named itself.
+        let mut nodes = (0..n)
+            .rev()
+            .zip(listeners.iter().rev())
+            .map(|(node_id, listener)| TcpTransport::join_mesh(node_id, listener, &addrs))
+            .collect::<Result<Vec<_>, _>>()?;
+        nodes.reverse();
+        Ok(nodes)
     }
 
     /// Builds one endpoint of a multi-host mesh: listens on `bind_addr`,
@@ -138,36 +108,44 @@ impl TcpTransport {
     ) -> Result<TcpTransport, NetError> {
         let n = peer_addrs.len();
         assert!(node_id < n, "node_id {node_id} out of range for {n} peers");
-        let listener = TcpListener::bind(bind_addr)?;
+        TcpTransport::join_mesh(node_id, &TcpListener::bind(bind_addr)?, peer_addrs)
+    }
+
+    /// The one mesh handshake, over an already-bound `listener`: dials
+    /// every lower id (retrying while it comes up) and names itself with
+    /// one little-endian `u32`, then accepts every higher id and checks
+    /// the name it gives.
+    fn join_mesh(
+        node_id: NodeId,
+        listener: &TcpListener,
+        peer_addrs: &[SocketAddr],
+    ) -> Result<TcpTransport, NetError> {
+        let n = peer_addrs.len();
         let mailbox = Arc::new(Mailbox::new());
         let mut writers: Vec<Option<Mutex<TcpStream>>> = (0..n).map(|_| None).collect();
-
-        // Dial lower ids (retrying while they come up).
+        // Every lower id is linked before the first accept, so a free
+        // slot other than our own can only be an id above ours.
+        let mut link = |peer: NodeId, stream: TcpStream| -> Result<(), NetError> {
+            let slot = writers
+                .get_mut(peer)
+                .filter(|slot| slot.is_none() && peer != node_id)
+                .ok_or_else(|| NetError::Malformed(format!("unexpected handshake id {peer}")))?;
+            stream.set_nodelay(true)?;
+            spawn_reader(peer, stream.try_clone()?, Arc::clone(&mailbox))?;
+            *slot = Some(Mutex::new(stream));
+            Ok(())
+        };
         for (peer, &addr) in peer_addrs.iter().enumerate().take(node_id) {
             let stream = retry_connect(addr, Duration::from_secs(10))?;
-            stream.set_nodelay(true)?;
             (&stream).write_all(&(node_id as u32).to_le_bytes())?;
-            spawn_reader(peer, stream.try_clone()?, Arc::clone(&mailbox))?;
-            // peer < node_id < n by the `take` above. lint: allow(no-index)
-            writers[peer] = Some(Mutex::new(stream));
+            link(peer, stream)?;
         }
-        // Accept higher ids.
         for _ in node_id + 1..n {
             let (stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
             let mut id_buf = [0u8; 4];
             std::io::Read::read_exact(&mut (&stream), &mut id_buf)?;
-            let peer = u32::from_le_bytes(id_buf) as usize;
-            if peer <= node_id || peer >= n {
-                return Err(NetError::Malformed(format!(
-                    "unexpected handshake id {peer}"
-                )));
-            }
-            spawn_reader(peer, stream.try_clone()?, Arc::clone(&mailbox))?;
-            // peer < n was just validated. lint: allow(no-index)
-            writers[peer] = Some(Mutex::new(stream));
+            link(u32::from_le_bytes(id_buf) as usize, stream)?;
         }
-
         Ok(TcpTransport {
             node_id,
             num_nodes: n,
@@ -248,16 +226,11 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn recv_tags(
-        &self,
-        from: NodeId,
-        tags: &[Tag],
-        timeout: Duration,
-    ) -> Result<(Tag, Vec<u8>), NetError> {
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
         if from >= self.num_nodes {
             return Err(NetError::UnknownPeer(from));
         }
-        self.mailbox.recv_tags(from, tags, timeout)
+        self.mailbox.recv(from, tag, timeout)
     }
 
     fn stats(&self) -> TransportStats {

@@ -61,32 +61,15 @@ pub trait Transport: Send + Sync {
     /// specific I/O errors otherwise.
     fn send(&self, to: NodeId, tag: Tag, payload: &[u8]) -> Result<(), NetError>;
 
-    /// Receives the next message from `from` under **any** of `tags`,
-    /// waiting up to `timeout` in a single blocking wait, and returns it
-    /// with the tag it arrived under. When several tags have a message
-    /// queued the one listed first wins, so callers order `tags` by
-    /// priority (a worker lists its shutdown tag ahead of its input tag).
+    /// Receives the next message from `from` under `tag`, waiting up to
+    /// `timeout` in a single blocking wait. Messages of one `(from, tag)`
+    /// pair arrive in the order they were sent.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] on deadline, [`NetError::Closed`] after
     /// shutdown.
-    fn recv_tags(
-        &self,
-        from: NodeId,
-        tags: &[Tag],
-        timeout: Duration,
-    ) -> Result<(Tag, Vec<u8>), NetError>;
-
-    /// Receives the next message from `from` under `tag`: the one-tag
-    /// case of [`Transport::recv_tags`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::recv_tags`].
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.recv_tags(from, &[tag], timeout).map(|(_, msg)| msg)
-    }
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError>;
 
     /// Traffic counters since creation.
     fn stats(&self) -> TransportStats;
@@ -174,16 +157,11 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn recv_tags(
-        &self,
-        from: NodeId,
-        tags: &[Tag],
-        timeout: Duration,
-    ) -> Result<(Tag, Vec<u8>), NetError> {
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
         if from >= self.num_nodes() {
             return Err(NetError::UnknownPeer(from));
         }
-        self.own_mailbox().recv_tags(from, tags, timeout)
+        self.own_mailbox().recv(from, tag, timeout)
     }
 
     fn stats(&self) -> TransportStats {

@@ -339,6 +339,8 @@ impl ServeClient {
 impl Drop for ServeClient {
     fn drop(&mut self) {
         // Best-effort clean goodbye so the server thread exits promptly.
+        // It ends a connection, not a request: there is no trace to carry.
+        // lint: allow(trace-propagation)
         let _ = write_serve_frame(&mut self.stream, ServeMsgKind::Goodbye, 0, None, &[]);
     }
 }

@@ -1,8 +1,8 @@
 //! # teamnet-simnet
 //!
-//! A discrete-event simulator of WiFi-connected edge devices, standing in
-//! for the physical testbed of the TeamNet (ICDCS 2019) paper (Raspberry
-//! Pi 3 Model B+ and Jetson TX2 boards on one 802.11 BSS).
+//! A simulator of WiFi-connected edge devices, standing in for the
+//! physical testbed of the TeamNet (ICDCS 2019) paper (Raspberry Pi 3
+//! Model B+ and Jetson TX2 boards on one 802.11 BSS).
 //!
 //! Three pieces compose:
 //!
@@ -16,8 +16,8 @@
 //!   distributed inference expressed as compute/send/broadcast/gather
 //!   steps, yielding latency and utilization reports.
 //!
-//! [`EventQueue`] provides the underlying deterministic event ordering for
-//! request-arrival simulations in the benchmark harness.
+//! [`simulate_serving`] adds request arrivals: a Poisson stream through
+//! one FIFO server (M/D/1), for the benchmark harness's load ablation.
 //!
 //! # Examples
 //!
@@ -39,14 +39,12 @@
 #![warn(missing_docs)]
 
 mod arrivals;
-mod des;
 mod device;
 mod link;
 mod sim;
 mod time;
 
 pub use arrivals::{poisson_schedule, simulate_serving, ServingReport};
-pub use des::EventQueue;
 pub use device::{AdmissionError, ComputeUnit, DeviceProfile};
 pub use link::WifiLink;
 pub use sim::{SimCluster, SimReport, SimRun};

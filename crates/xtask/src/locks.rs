@@ -4,9 +4,8 @@
 //!
 //! Rule IDs: `lock-order` (a cycle in the acquisition graph, including a
 //! re-acquisition of the same non-reentrant lock) and `lock-across-io`
-//! (`send`/`recv`/`recv_tags` called with a guard live — with parking_lot
-//! mutexes a blocked receive wedges every other thread touching that
-//! lock).
+//! (`send`/`recv` called with a guard live — with parking_lot mutexes a
+//! blocked receive wedges every other thread touching that lock).
 //!
 //! ## How locks are identified
 //!
@@ -42,7 +41,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const LOCK_AUDITED_CRATES: &[&str] = &["net", "core"];
 
 /// Transport calls that must not run under a lock.
-const IO_CALLS: &[&str] = &["send", "recv", "recv_tags"];
+const IO_CALLS: &[&str] = &["send", "recv"];
 
 /// One lock acquisition found in a function body.
 #[derive(Debug, Clone)]
@@ -483,7 +482,7 @@ fn fine(&self) {
 }
 fn waits(&self) {
     let g = self.state.lock();
-    self.transport.recv_tags(0, &[stop, input], timeout);
+    self.transport.recv(0, tag, timeout);
 }
 ";
         let diags = run(src);
@@ -492,8 +491,8 @@ fn waits(&self) {
             .filter(|d| d.rule == "lock-across-io")
             .map(|d| d.line)
             .collect();
-        // The worker loop's blocking wait is `recv_tags`: a guard held
-        // across it is the same wedge as one held across `send`.
+        // A guard held across a blocking receive is the same wedge as one
+        // held across `send`.
         assert_eq!(lines, [3, 12], "{diags:?}");
     }
 

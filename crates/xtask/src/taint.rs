@@ -5,8 +5,7 @@
 //! consults hasher state, the wall clock, or OS entropy. This pass walks
 //! the call graph from the **determinism roots** — envelope/codec
 //! encode/decode, entropy scoring, the master inference runtime, and the
-//! whole discrete-event simulator — and rejects, in any reachable
-//! non-test function:
+//! whole simulator — and rejects, in any reachable non-test function:
 //!
 //! | rule        | rejects                                               |
 //! |-------------|-------------------------------------------------------|

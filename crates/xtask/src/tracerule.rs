@@ -15,10 +15,9 @@
 //!   (`write_serve_frame(...)`, `encode_serve_frame(...)`) must show
 //!   where the context it passes comes from;
 //! * in `partition` and `moe`, whose strategies run on core's round
-//!   (DESIGN.md §18), any `transport.send(...)` — raw shutdown frames
-//!   included — and any transport receive (`.recv(`, `.recv_tags(`) is
-//!   a private loop coming back: it would know nothing of round stamps,
-//!   the one deadline, health or tracing.
+//!   (DESIGN.md §18), any `transport.send(...)` and any transport
+//!   receive (`.recv(`) is a private loop coming back: it would know
+//!   nothing of round stamps, the one deadline, health or tracing.
 //!
 //! Evidence of trace attachment in a function body is a context derived
 //! from the open span (`current_ctx(`), a fresh trace id
@@ -29,7 +28,6 @@
 //! |------------------------------|----------------------------------------|
 //! | `crates/core/src/fsm.rs`     | pure FSMs are trace-free by design     |
 //! |                              | (§15); the IO shell attaches contexts  |
-//! | sends of a literal `&[]`     | raw unenveloped frames (shutdown)      |
 //! | `// lint: allow(trace-propagation)` | a reasoned, statement-scoped    |
 //! |                              | exception                              |
 
@@ -52,9 +50,9 @@ const ANCHORS: [&str; 3] = [
 /// Crates whose strategies run on core's round and own no wire access.
 const STRATEGY_CRATES: [&str; 2] = ["partition", "moe"];
 
-/// Transport receives: legal in core's shell and worker loop, a private
-/// receive loop anywhere in a strategy crate.
-const RECV_ANCHORS: [&str; 2] = [".recv(", ".recv_tags("];
+/// The transport receive: legal in core's shell and worker loop, a
+/// private receive loop anywhere in a strategy crate.
+const RECV_ANCHOR: &str = ".recv(";
 
 /// Evidence that the enclosing function attaches a trace context.
 const EVIDENCE: [&str; 3] = ["current_ctx(", "derive_trace_id(", "send_event("];
@@ -87,7 +85,7 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
                 continue;
             }
             let sends = ANCHORS.iter().any(|a| anchors_call(line, a));
-            let receives = in_strategy && RECV_ANCHORS.iter().any(|a| line.contains(a));
+            let receives = in_strategy && line.contains(RECV_ANCHOR);
             if !sends && !receives {
                 continue;
             }
@@ -107,10 +105,6 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
                         ),
                     });
                 }
-                continue;
-            }
-            // Raw unenveloped frames (shutdown pings) carry no trace.
-            if line.contains("&[]") {
                 continue;
             }
             if (is_sanctioned && has_evidence) || file.masked.is_allowed(idx + 1, RULE) {
@@ -223,21 +217,34 @@ mod tests {
 
     #[test]
     fn a_strategy_crate_may_not_send_or_receive_at_all() {
-        // The private worker loop this rule keeps out: a raw shutdown
-        // poll, a raw input receive, an unstamped reply.
+        // The private worker loop this rule keeps out: a raw input
+        // receive, an unstamped reply, a raw stop frame.
         let diags = run(&[(
             "partition",
             "crates/partition/src/branch.rs",
-            "fn serve(t: &dyn Transport) {\n    let _ = transport.recv(master, TAG_STOP, POLL);\n    let x = transport.recv_tags(master, &[TAG_IN], POLL);\n    transport.send(master, TAG_OUT, &reply).unwrap();\n    transport.send(master, TAG_STOP, &[]).unwrap();\n}\nfn fine(s: &mut InferenceSession) {\n    session.round(transport, exchange).unwrap();\n}\n",
+            "fn serve(t: &dyn Transport) {\n    let x = transport.recv(master, TAG_IN, POLL);\n    transport.send(master, TAG_OUT, &reply).unwrap();\n    transport.send(master, TAG_STOP, &[]).unwrap();\n}\nfn fine(s: &mut InferenceSession) {\n    session.round(transport, exchange).unwrap();\n}\n",
         )]);
-        assert_eq!(diags.len(), 4, "{diags:?}");
+        assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags
             .iter()
             .all(|d| d.rule == RULE && d.message.contains("Exchange")));
     }
 
     #[test]
-    fn fsm_raw_frames_tests_and_allow_are_exempt() {
+    fn a_raw_empty_frame_in_core_is_caught() {
+        // No frame in core goes out unenveloped: even the shutdown is an
+        // envelope sent through the shell.
+        let diags = run(&[(
+            "core",
+            "crates/core/src/runtime.rs",
+            "fn shutdown(t: &dyn Transport) {\n    transport.send(peer, TAG_INPUT, &[]).unwrap();\n}\n",
+        )]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("shell::send"), "{diags:?}");
+    }
+
+    #[test]
+    fn fsm_tests_and_allow_are_exempt() {
         let diags = run(&[
             // Pure FSMs are out of scope entirely.
             (
@@ -245,11 +252,11 @@ mod tests {
                 "crates/core/src/fsm.rs",
                 "fn emit(t: &dyn Transport) {\n    transport.send(peer, TAG_INPUT, &frame.encode(None)).unwrap();\n}\n",
             ),
-            // A raw `&[]` frame (shutdown) has no envelope to stamp.
+            // Test code may drive the wire directly.
             (
                 "core",
                 "crates/core/src/runtime.rs",
-                "fn shutdown(t: &dyn Transport) {\n    transport.send(peer, TAG_SHUTDOWN, &[]).unwrap();\n}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        transport.send(0, TAG_INPUT, &payload).unwrap();\n    }\n}\n",
+                "#[cfg(test)]\nmod tests {\n    fn t() {\n        transport.send(0, TAG_INPUT, &payload).unwrap();\n    }\n}\n",
             ),
             // A reasoned, statement-scoped exception.
             (

@@ -118,75 +118,3 @@ fn fifty_rounds_under_chaos_complete_with_live_predictions() {
     })
     .unwrap();
 }
-
-/// Runs a short 3-node soak with the given fault schedule and returns the
-/// concatenated [`InferenceReport::summary`] of every round.
-///
-/// The summaries deliberately exclude absolute round stamps (a
-/// process-global counter), so two sessions in the same process can still
-/// compare byte-for-byte. Fault probabilities are kept low relative to
-/// the generous deadline: a live in-process worker answers in
-/// microseconds, so the only missed replies are the seeded,
-/// chaos-suppressed ones — timing never decides an outcome.
-fn mini_soak_summaries(rounds: usize) -> String {
-    let mut mesh = ChannelTransport::mesh(3);
-    let gentle = |node_seed: u64| ChaosConfig {
-        seed: SESSION_SEED ^ node_seed,
-        drop_prob: 0.06,
-        delay_prob: 0.08,
-        corrupt_prob: 0.04,
-        duplicate_prob: 0.10,
-        max_delay_msgs: 3,
-    };
-    let worker2 = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD2));
-    let worker1 = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD1));
-    let master = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD0));
-
-    let config = MasterConfig {
-        worker_timeout: Duration::from_millis(800),
-        require_all_workers: false,
-        failure: FailureDetectorConfig {
-            suspect_after: 1,
-            quarantine_after: 3,
-            probe_interval: 2,
-        },
-        ..MasterConfig::default()
-    };
-
-    let mut summaries = String::new();
-    crossbeam::thread::scope(|scope| {
-        for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
-            scope.spawn(move |_| {
-                let mut worker_expert = expert(i as u64 + 1);
-                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
-                    .unwrap();
-            });
-        }
-
-        let mut session = InferenceSession::new(&master, config);
-        let mut master_expert = expert(0);
-        for round in 0..rounds {
-            let images = Tensor::full([2, 1, 28, 28], (round % 7) as f32 * 0.1);
-            let report = session
-                .infer(&master, &mut master_expert, &images)
-                .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
-            summaries.push_str(&report.summary());
-            summaries.push('\n');
-        }
-        shutdown_workers(master.inner()).unwrap();
-    })
-    .unwrap();
-    summaries
-}
-
-/// The replayability claim, enforced: two soaks from the same session
-/// seed must report byte-identical outcomes — same winners, same entropy
-/// bits, same health transitions, same discard counts — even though the
-/// runs are separated in wall-clock time and use fresh threads.
-#[test]
-fn identical_seeds_produce_byte_identical_report_summaries() {
-    let first = mini_soak_summaries(12);
-    let second = mini_soak_summaries(12);
-    assert!(!first.is_empty());
-    assert_eq!(first, second, "seeded soak diverged between runs");
-}

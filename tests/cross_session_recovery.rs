@@ -67,19 +67,14 @@ impl Transport for Interleaved<'_> {
         self.inner.send(to, tag, payload)
     }
 
-    fn recv_tags(
-        &self,
-        from: NodeId,
-        tags: &[Tag],
-        timeout: Duration,
-    ) -> Result<(Tag, Vec<u8>), NetError> {
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
         if from == self.trigger_peer {
             let step = self.step.lock().unwrap().take();
             if let Some(step) = step {
                 step();
             }
         }
-        self.inner.recv_tags(from, tags, timeout)
+        self.inner.recv(from, tag, timeout)
     }
 
     fn stats(&self) -> TransportStats {

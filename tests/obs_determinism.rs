@@ -19,7 +19,7 @@ use teamnet_core::runtime::{
     serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
 };
 use teamnet_core::{build_expert, FailureDetectorConfig};
-use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock, Transport};
+use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock};
 use teamnet_nn::{ModelSpec, Sequential};
 use teamnet_obs::{Obs, VecSink};
 use teamnet_tensor::Tensor;
@@ -40,14 +40,17 @@ fn fnv1a64(text: &str) -> u64 {
     })
 }
 
-/// Runs a short traced 3-node soak and returns `(jsonl_trace,
-/// metrics_summary, report_summaries)`.
+/// Runs a short seeded 3-node soak with `obs` on the master session and
+/// returns the concatenated [`InferenceReport::summary`] of every round.
 ///
-/// Fault probabilities are low relative to the generous deadline (the
-/// `mini_soak` recipe of `tests/chaos_soak.rs`): live in-process workers
-/// answer in microseconds, so only seeded chaos decides outcomes — never
-/// wall-clock timing.
-fn traced_soak(rounds: usize) -> (String, String, String) {
+/// Fault probabilities are low relative to the generous deadline: live
+/// in-process workers answer in microseconds, so only seeded chaos decides
+/// outcomes — never wall-clock timing. The summaries exclude absolute
+/// round stamps (a process-global counter), so soaks in one process
+/// compare byte for byte.
+///
+/// [`InferenceReport::summary`]: teamnet_core::InferenceReport::summary
+fn seeded_soak(rounds: usize, obs: Obs) -> String {
     let mut mesh = ChannelTransport::mesh(3);
     let gentle = |node_seed: u64| ChaosConfig {
         seed: SESSION_SEED ^ node_seed,
@@ -61,9 +64,6 @@ fn traced_soak(rounds: usize) -> (String, String, String) {
     let worker1 = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD1));
     let master = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD0));
 
-    let sink = Arc::new(VecSink::new());
-    let obs = Obs::new(Arc::new(ManualClock::new()), Arc::clone(&sink) as _);
-
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(800),
         require_all_workers: false,
@@ -72,7 +72,7 @@ fn traced_soak(rounds: usize) -> (String, String, String) {
             quarantine_after: 3,
             probe_interval: 2,
         },
-        obs: obs.clone(),
+        obs,
         ..MasterConfig::default()
     };
 
@@ -99,7 +99,15 @@ fn traced_soak(rounds: usize) -> (String, String, String) {
         shutdown_workers(master.inner()).unwrap();
     })
     .unwrap();
+    summaries
+}
 
+/// [`seeded_soak`] with a tracer on a never-advanced [`ManualClock`]:
+/// returns `(jsonl_trace, metrics_summary, report_summaries)`.
+fn traced_soak(rounds: usize) -> (String, String, String) {
+    let sink = Arc::new(VecSink::new());
+    let obs = Obs::new(Arc::new(ManualClock::new()), Arc::clone(&sink) as _);
+    let summaries = seeded_soak(rounds, obs.clone());
     (sink.to_jsonl(), obs.metrics.snapshot().summary(), summaries)
 }
 
@@ -175,58 +183,17 @@ fn identical_seeded_soaks_emit_byte_identical_traces_and_metrics() {
 
 /// A traced run and an untraced run of the same seed perform the same
 /// protocol work: tracing must observe, never perturb. The report
-/// summaries (winners, health walks, discard counts) are the evidence.
+/// summaries (winners, health walks, discard counts) are the evidence:
+/// the untraced transcript must hit the pin the traced one is held to
+/// above, which also pins it across runs and builds.
 #[test]
 fn tracing_does_not_perturb_protocol_outcomes() {
-    let (_, _, traced) = traced_soak(8);
-
-    // Same soak, disabled obs (the MasterConfig default).
-    let mut mesh = ChannelTransport::mesh(3);
-    let gentle = |node_seed: u64| ChaosConfig {
-        seed: SESSION_SEED ^ node_seed,
-        drop_prob: 0.06,
-        delay_prob: 0.08,
-        corrupt_prob: 0.04,
-        duplicate_prob: 0.10,
-        max_delay_msgs: 3,
-    };
-    let worker2 = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD2));
-    let worker1 = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD1));
-    let master = ChaosTransport::with_config(mesh.pop().unwrap(), gentle(0xD0));
-    let config = MasterConfig {
-        worker_timeout: Duration::from_millis(800),
-        require_all_workers: false,
-        failure: FailureDetectorConfig {
-            suspect_after: 1,
-            quarantine_after: 3,
-            probe_interval: 2,
-        },
-        ..MasterConfig::default()
-    };
-    let mut untraced = String::new();
-    crossbeam::thread::scope(|scope| {
-        for (i, node) in [&worker1, &worker2].into_iter().enumerate() {
-            scope.spawn(move |_| {
-                let mut worker_expert = expert(i as u64 + 1);
-                serve_worker_with_config(node, 0, &mut worker_expert, WorkerConfig::default())
-                    .unwrap();
-            });
-        }
-        let mut session = InferenceSession::new(&master, config);
-        let mut master_expert = expert(0);
-        for round in 0..8 {
-            let images = Tensor::full([2, 1, 28, 28], (round % 7) as f32 * 0.1);
-            let report = session
-                .infer(&master, &mut master_expert, &images)
-                .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
-            untraced.push_str(&report.summary());
-            untraced.push('\n');
-        }
-        shutdown_workers(master.inner()).unwrap();
-    })
-    .unwrap();
-
-    assert_eq!(traced, untraced, "tracing changed protocol behaviour");
+    let untraced = seeded_soak(12, Obs::disabled());
+    assert_eq!(
+        fnv1a64(&untraced),
+        0xF8AD_3E38_5E28_8EDC,
+        "untraced report transcript moved:\n{untraced}"
+    );
 }
 
 /// Bucket-boundary spot checks at the integration level, mirroring the

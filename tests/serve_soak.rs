@@ -15,10 +15,12 @@ use std::time::Duration;
 use teamnet_core::build_expert;
 use teamnet_core::health::PeerHealth;
 use teamnet_core::runtime::{
-    serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig, TAG_SHUTDOWN,
+    serve_worker_with_config, shutdown_workers, MasterConfig, WorkerConfig, TAG_INPUT,
 };
 use teamnet_core::FailureDetectorConfig;
-use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock, Transport};
+use teamnet_net::{
+    ChannelTransport, ChaosConfig, ChaosTransport, Envelope, ManualClock, PayloadKind, Transport,
+};
 use teamnet_nn::{ModelSpec, Sequential};
 use teamnet_obs::{Obs, VecSink};
 use teamnet_serve::{BatcherConfig, ServeConfig, ServeEngine, Ticket};
@@ -125,7 +127,11 @@ fn serve_soak() -> (String, String, String) {
                 // Blackhole worker 2: a clean shutdown frame via the
                 // unchaosed inner endpoint (the *fault* we are injecting
                 // is the silence that follows, not a lost shutdown).
-                master.inner().send(2, TAG_SHUTDOWN, &[]).unwrap();
+                let shutdown = Envelope::new(0, PayloadKind::Shutdown, Vec::new());
+                master
+                    .inner()
+                    .send(2, TAG_INPUT, &shutdown.encode())
+                    .unwrap();
                 if let Some(h) = w2.take() {
                     h.join().unwrap();
                 }
