@@ -665,7 +665,7 @@ impl GatherFsm {
             Ok(env) => env,
             Err(e) => return self.reject(e),
         };
-        if let Err(NetError::Stale { .. }) = env.expect_round(self.round) {
+        if env.round != self.round {
             // A reply stamped for some other round (late, duplicated, or
             // owned by a concurrent session on the same transport): never
             // score it against this batch. Stale traffic is discarded
@@ -1196,6 +1196,24 @@ mod tests {
         assert_eq!(ack.status, AckStatus::Refuse);
         assert_eq!(ack.arg, 300);
         assert_eq!(w.stats().loads_refused, 1);
+    }
+
+    #[test]
+    fn an_offer_reserves_nothing_on_its_claimed_size() {
+        // A ~100-byte offer claiming a 1 TiB state: admission checks the
+        // resident footprint, not the transfer size, so an unlimited
+        // budget accepts it — and the reassembly buffer must not be sized
+        // on the manifest's word.
+        let mut manifest = manifest_for(&[1, 2, 3], 2, 300);
+        manifest.total_bytes = 1 << 40;
+        let mut w = WorkerFsm::new(0, HostBudget::unlimited());
+        let replies = deliver(
+            &mut w,
+            &mut MockHooks::default(),
+            &offer_frame(1, 5, 2, manifest),
+        );
+        assert_eq!(ack_of(&replies).status, AckStatus::Accept);
+        assert_eq!(w.partial(), Some((2, 0, 5)));
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! wire format — the same bytes a network deployment ships, so a file
 //! written here can be streamed to an edge node unchanged.
 
+use crate::exchange::decode_tensor;
 use crate::team::TeamNet;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::encode_f32s;
 use teamnet_nn::ModelSpec;
 use teamnet_tensor::Tensor;
 
@@ -131,11 +132,8 @@ pub fn load_team(path: impl AsRef<Path>) -> Result<TeamNet, PersistError> {
     for _ in 0..header.experts {
         let mut state = Vec::with_capacity(header.tensors_per_expert);
         for _ in 0..header.tensors_per_expert {
-            let bytes = read_chunk(&mut r)?;
-            let (dims, data) =
-                decode_f32s(&bytes).map_err(|e| PersistError::Format(e.to_string()))?;
-            let tensor =
-                Tensor::from_vec(data, dims).map_err(|e| PersistError::Format(e.to_string()))?;
+            let tensor = decode_tensor(&read_chunk(&mut r)?)
+                .map_err(|e| PersistError::Format(e.to_string()))?;
             state.push(tensor);
         }
         states.push(state);

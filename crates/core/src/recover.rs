@@ -4,8 +4,8 @@
 //! failure detector quarantines a node, its expert's subspace vanishes
 //! from the candidate set and accuracy degrades for the rest of the
 //! session. This module restores full team coverage instead: the master
-//! keeps each expert's trained parameters (pre-serialized in the
-//! `teamnet_nn::state` wire layout) together with its certified
+//! keeps each expert's trained parameters (pre-serialized as a tensor
+//! count plus one `encode_f32s` tensor each) together with its certified
 //! `required_resident_bytes` from the PR-6 resource certificate, and when
 //! a host is quarantined it
 //!
@@ -51,10 +51,11 @@ use crate::shell::{self, ResultWait, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+use teamnet_net::codec::{encode_f32s_into, Reader};
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
 use teamnet_net::{crc32, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, Transport};
-use teamnet_nn::{load_state, state_from_bytes, state_to_bytes, state_vec, ModelSpec, Sequential};
+use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
 
@@ -153,33 +154,22 @@ impl LoadExpertMsg {
     /// [`NetError::Malformed`] on truncation, trailing bytes, an unknown
     /// op code or an undecodable model spec.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let op = *take(bytes, &mut at, 1)?.first().unwrap_or(&u8::MAX);
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
+        let mut r = Reader::new(bytes);
+        let op = r.u8()?;
+        let expert = r.u32()?;
         let msg = match op {
             OP_OFFER => {
-                let spec_len =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default())
-                        as usize;
-                let spec_bytes = take(bytes, &mut at, spec_len)?;
-                let spec: ModelSpec = serde_json::from_slice(spec_bytes)
+                let spec_len = r.u32()? as usize;
+                let spec: ModelSpec = serde_json::from_slice(r.take(spec_len)?)
                     .map_err(|e| NetError::Malformed(format!("load-expert spec: {e}")))?;
-                let num_chunks =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-                let total_bytes =
-                    u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
-                let state_crc =
-                    u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-                let required_resident_bytes =
-                    u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
                 LoadExpertMsg::Offer {
                     expert,
                     manifest: TransferManifest {
                         spec,
-                        num_chunks,
-                        total_bytes,
-                        state_crc,
-                        required_resident_bytes,
+                        num_chunks: r.u32()?,
+                        total_bytes: r.u64()?,
+                        state_crc: r.u32()?,
+                        required_resident_bytes: r.u64()?,
                     },
                 }
             }
@@ -191,7 +181,7 @@ impl LoadExpertMsg {
                 )))
             }
         };
-        expect_consumed(bytes, at)?;
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -224,13 +214,11 @@ impl LoadChunkMsg {
     ///
     /// [`NetError::Malformed`] when shorter than its 8-byte header.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-        let index = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
+        let mut r = Reader::new(bytes);
         Ok(LoadChunkMsg {
-            expert,
-            index,
-            data: bytes.get(at..).unwrap_or_default().to_vec(),
+            expert: r.u32()?,
+            index: r.u32()?,
+            data: r.rest().to_vec(),
         })
     }
 }
@@ -290,9 +278,9 @@ impl LoadAckMsg {
     ///
     /// [`NetError::Malformed`] for a wrong length or unknown status code.
     pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut at = 0usize;
-        let expert = u32::from_le_bytes(take(bytes, &mut at, 4)?.try_into().unwrap_or_default());
-        let status = match *take(bytes, &mut at, 1)?.first().unwrap_or(&u8::MAX) {
+        let mut r = Reader::new(bytes);
+        let expert = r.u32()?;
+        let status = match r.u8()? {
             ST_ACCEPT => AckStatus::Accept,
             ST_REFUSE => AckStatus::Refuse,
             ST_CHUNK_OK => AckStatus::ChunkOk,
@@ -304,35 +292,13 @@ impl LoadAckMsg {
                 )))
             }
         };
-        let arg = u64::from_le_bytes(take(bytes, &mut at, 8)?.try_into().unwrap_or_default());
-        expect_consumed(bytes, at)?;
+        let arg = r.u64()?;
+        r.finish()?;
         Ok(LoadAckMsg {
             expert,
             status,
             arg,
         })
-    }
-}
-
-fn take<'a>(bytes: &'a [u8], at: &mut usize, len: usize) -> Result<&'a [u8], NetError> {
-    let end = at
-        .checked_add(len)
-        .ok_or_else(|| NetError::Malformed("recovery message length overflow".to_string()))?;
-    let slice = bytes
-        .get(*at..end)
-        .ok_or_else(|| NetError::Malformed(format!("recovery message truncated at byte {at}")))?;
-    *at = end;
-    Ok(slice)
-}
-
-fn expect_consumed(bytes: &[u8], at: usize) -> Result<(), NetError> {
-    if at == bytes.len() {
-        Ok(())
-    } else {
-        Err(NetError::Malformed(format!(
-            "{} trailing bytes in recovery message",
-            bytes.len() - at
-        )))
     }
 }
 
@@ -420,7 +386,7 @@ pub enum ChunkOutcome {
     /// More chunks expected; the contained value is the next-expected
     /// index (unchanged for a duplicate or out-of-order chunk).
     Progress(u32),
-    /// All chunks received; call [`PartialLoad::finish`].
+    /// All chunks received; call [`PartialLoad::verify`].
     Complete,
 }
 
@@ -439,12 +405,13 @@ pub struct PartialLoad {
 
 impl PartialLoad {
     /// Opens a reassembly buffer for `expert` described by `manifest`.
+    /// Nothing is reserved on the manifest's word: its `total_bytes` came
+    /// off the wire, so the buffer grows only as checked chunks land.
     pub fn begin(expert: u32, manifest: TransferManifest) -> Self {
-        let cap = usize::try_from(manifest.total_bytes).unwrap_or(0);
         PartialLoad {
             expert,
             manifest,
-            buf: Vec::with_capacity(cap),
+            buf: Vec::new(),
             next: 0,
         }
     }
@@ -490,8 +457,8 @@ impl PartialLoad {
     /// CRC-32, the *protocol-visible* checks — and surrenders the
     /// manifest plus the verified state bytes. This half is pure (no
     /// model construction), so the FSM layer can run it under the model
-    /// checker; [`PartialLoad::finish`] composes it with
-    /// [`build_from_state`] for the production path.
+    /// checker; the serve shell's install hook follows it with
+    /// [`build_from_state`].
     ///
     /// # Errors
     ///
@@ -515,28 +482,48 @@ impl PartialLoad {
         }
         Ok((self.manifest, self.buf))
     }
+}
 
-    /// Verifies the reassembled state end-to-end (length, CRC-32, codec,
-    /// spec/state shape agreement), rebuilds the expert from its spec and
-    /// loads the weights.
-    ///
-    /// Returns the resident model plus the certified bytes to charge
-    /// against the host's [`HostBudget`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Corrupt`] on a CRC mismatch, [`NetError::Malformed`]
-    /// for a length/codec/shape problem. Either way the partial state is
-    /// consumed and freed — a failed transfer never strands memory.
-    pub fn finish(self) -> Result<(Sequential, u64), NetError> {
-        let (manifest, buf) = self.verify()?;
-        build_from_state(&manifest, &buf)
+/// Serializes parameter tensors captured by [`state_vec`] for migration:
+/// `count: u32`, then each tensor as [`encode_f32s_into`] lays it down.
+///
+/// # Panics
+///
+/// As [`encode_f32s_into`], or on more than `u32::MAX` tensors.
+fn state_to_bytes(state: &[Tensor]) -> Vec<u8> {
+    assert!(u32::try_from(state.len()).is_ok(), "state tensor count");
+    // In range by the assert above. lint: allow(cast-truncate)
+    let mut out = (state.len() as u32).to_le_bytes().to_vec();
+    for t in state {
+        encode_f32s_into(t.dims(), t.data(), &mut out);
     }
+    out
+}
+
+/// Decodes a byte stream produced by [`state_to_bytes`].
+///
+/// # Errors
+///
+/// [`NetError::Malformed`] on truncation, trailing bytes, or a tensor
+/// header [`Reader::f32s`] refuses.
+fn state_from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, NetError> {
+    let mut r = Reader::new(bytes);
+    let count = r.u32()?;
+    let mut state = Vec::new();
+    for _ in 0..count {
+        let (dims, data) = r.f32s()?;
+        state.push(
+            Tensor::from_vec(data, dims)
+                .map_err(|e| NetError::Malformed(format!("state tensor: {e}")))?,
+        );
+    }
+    r.finish()?;
+    Ok(state)
 }
 
 /// Decodes verified state bytes, rebuilds the expert from its manifest
 /// spec, checks tensor shapes and loads the weights — the IO/model half
-/// of [`PartialLoad::finish`], called by the serve shell's install hook.
+/// of a completed transfer, called by the serve shell's install hook.
 ///
 /// # Errors
 ///
@@ -545,7 +532,7 @@ pub(crate) fn build_from_state(
     manifest: &TransferManifest,
     buf: &[u8],
 ) -> Result<(Sequential, u64), NetError> {
-    let state = state_from_bytes(buf).map_err(|e| NetError::Malformed(e.to_string()))?;
+    let state = state_from_bytes(buf)?;
     let mut model = build_expert(&manifest.spec, 0);
     let shapes = state_vec(&mut model);
     if shapes.len() != state.len() || shapes.iter().zip(&state).any(|(a, b)| a.dims() != b.dims()) {
@@ -597,8 +584,8 @@ impl Default for RecoveryConfig {
 #[derive(Debug, Clone)]
 struct ExpertRecord {
     spec: ModelSpec,
-    /// Pre-serialized state (the `teamnet_nn::state` wire layout), so a
-    /// migration never re-serializes under time pressure.
+    /// Pre-serialized state ([`state_to_bytes`]), so a migration never
+    /// re-serializes under time pressure.
     state: Vec<u8>,
     required_resident_bytes: u64,
     home: usize,
@@ -1184,7 +1171,8 @@ mod tests {
             p.accept_chunk(&piece(num_chunks - 1)),
             ChunkOutcome::Complete
         );
-        let (mut rebuilt, resident) = p.finish().unwrap();
+        let (manifest, verified) = p.verify().unwrap();
+        let (mut rebuilt, resident) = build_from_state(&manifest, &verified).unwrap();
         assert_eq!(resident, 1);
         use teamnet_nn::{Layer, Mode};
         let x = Tensor::ones([1, 784]);
@@ -1215,7 +1203,69 @@ mod tests {
             }),
             ChunkOutcome::Complete
         );
-        assert!(matches!(p.finish(), Err(NetError::Corrupt { .. })));
+        assert!(matches!(p.verify(), Err(NetError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn wire_codec_roundtrips_model_state() {
+        let spec = ModelSpec::mlp(3, 16);
+        let mut trained = build_expert(&spec, 11);
+        let state = state_vec(&mut trained);
+        let bytes = state_to_bytes(&state);
+        assert_eq!(bytes.len() % 4, 0);
+        let back = state_from_bytes(&bytes).unwrap();
+        assert_eq!(back, state);
+
+        // Loading the decoded state reproduces the source model exactly.
+        let mut fresh = build_expert(&spec, 0);
+        load_state(&mut fresh, &back);
+        use teamnet_nn::{Layer, Mode};
+        let x = Tensor::ones([2, 784]);
+        assert_eq!(
+            fresh.forward(&x, Mode::Eval),
+            trained.forward(&x, Mode::Eval)
+        );
+    }
+
+    #[test]
+    fn wire_codec_rejects_damage() {
+        let mut model = build_expert(&ModelSpec::mlp(2, 8), 3);
+        let bytes = state_to_bytes(&state_vec(&mut model));
+        // Truncation anywhere fails.
+        assert!(state_from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        assert!(state_from_bytes(&bytes[..3]).is_err());
+        // Trailing garbage fails.
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 4]);
+        assert!(state_from_bytes(&long).is_err());
+        // An implausible rank fails without allocating.
+        let mut bad_rank = bytes.clone();
+        bad_rank[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(state_from_bytes(&bad_rank).is_err());
+        // Empty state roundtrips.
+        assert_eq!(state_from_bytes(&state_to_bytes(&[])).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn state_bytes_are_pinned() {
+        // FNV-1a-64 of the serialized state, measured on the layout's
+        // first encoder: the bytes a migration ships may not move.
+        fn fnv1a64(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        }
+        for (spec, len, digest) in [
+            (ModelSpec::mlp(4, 64), 236_924, 0xDE1C_819D_F80B_B4FF),
+            (
+                ModelSpec::shake_shake(8, 16),
+                611_796,
+                0xFB43_D058_8034_D37C,
+            ),
+        ] {
+            let bytes = state_to_bytes(&state_vec(&mut build_expert(&spec, 5)));
+            assert_eq!((bytes.len(), fnv1a64(&bytes)), (len, digest), "{spec:?}");
+        }
     }
 
     #[test]

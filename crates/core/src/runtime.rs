@@ -42,7 +42,7 @@ use crate::shell::{self, ResultWait, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::{decode_f32s, encode_f32s, Reader};
 use teamnet_net::{
     derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy, SystemClock,
     Tag, Transport, TRACE_EXT_LEN,
@@ -147,11 +147,8 @@ pub fn decode_results(bytes: &[u8]) -> Result<Vec<(usize, f32)>, NetError> {
     if dims.len() != 2 || dims.get(1) != Some(&2) {
         return Err(NetError::Malformed(format!("result matrix dims {dims:?}")));
     }
-    Ok(data
-        .chunks_exact(2)
-        .filter_map(|p| p.first_chunk::<2>())
-        .map(|&[label, h]| (label as usize, h))
-        .collect())
+    let (rows, _) = data.as_chunks::<2>();
+    Ok(rows.iter().map(|&[label, h]| (label as usize, h)).collect())
 }
 
 /// Marker opening a multi-expert result set on the wire. Unambiguous
@@ -190,42 +187,18 @@ pub fn decode_result_set(
     bytes: &[u8],
     sender: usize,
 ) -> Result<Vec<(usize, Vec<(usize, f32)>)>, NetError> {
-    let sentinel = bytes
-        .get(..4)
-        .map(|b| u32::from_le_bytes(b.try_into().unwrap_or_default()));
-    if sentinel != Some(RESULT_SET_SENTINEL) {
+    let mut r = Reader::new(bytes);
+    if r.u32().ok() != Some(RESULT_SET_SENTINEL) {
         return Ok(vec![(sender, decode_results(bytes)?)]);
     }
-    let mut at = 4usize;
-    let take_u32 = |bytes: &[u8], at: &mut usize| -> Result<u32, NetError> {
-        let slice = bytes
-            .get(*at..*at + 4)
-            .ok_or_else(|| NetError::Malformed(format!("result set truncated at byte {at}")))?;
-        *at += 4;
-        Ok(u32::from_le_bytes(slice.try_into().unwrap_or_default()))
-    };
-    let count = take_u32(bytes, &mut at)? as usize;
-    if count > 4096 {
-        return Err(NetError::Malformed(format!(
-            "implausible result set of {count} experts"
-        )));
+    // Sized by what arrives, not by the count field.
+    let mut set = Vec::new();
+    for _ in 0..r.u32()? {
+        let expert = r.u32()? as usize;
+        let len = r.u32()? as usize;
+        set.push((expert, decode_results(r.take(len)?)?));
     }
-    let mut set = Vec::with_capacity(count);
-    for _ in 0..count {
-        let expert = take_u32(bytes, &mut at)? as usize;
-        let len = take_u32(bytes, &mut at)? as usize;
-        let body = bytes
-            .get(at..at + len)
-            .ok_or_else(|| NetError::Malformed(format!("result set truncated at byte {at}")))?;
-        at += len;
-        set.push((expert, decode_results(body)?));
-    }
-    if at != bytes.len() {
-        return Err(NetError::Malformed(format!(
-            "{} trailing bytes in result set",
-            bytes.len() - at
-        )));
-    }
+    r.finish()?;
     Ok(set)
 }
 

@@ -3,7 +3,8 @@
 //! The frame layout is `src: u32 | tag: u32 | len: u32 | payload`, all
 //! little-endian. Activations and model weights travel as raw `f32` slices
 //! with a dimension header, which is what makes the byte counts in the
-//! traffic statistics physically meaningful.
+//! traffic statistics physically meaningful. Every variable-length payload
+//! is read back through [`Reader`].
 
 use crate::error::NetError;
 use crate::transport::{NodeId, Tag};
@@ -226,40 +227,96 @@ pub fn encode_f32s_into(dims: &[usize], data: &[f32], buf: &mut Vec<u8>) {
 ///
 /// Returns [`NetError::Malformed`] for truncated or inconsistent buffers.
 pub fn decode_f32s(bytes: &[u8]) -> Result<(Vec<usize>, Vec<f32>), NetError> {
-    let take_u32 = |at: usize| -> Result<u32, NetError> {
-        bytes
-            .get(at..)
-            .and_then(|rest| rest.first_chunk::<4>())
-            .map(|b| u32::from_le_bytes(*b))
-            .ok_or_else(|| NetError::Malformed(format!("truncated f32 buffer at offset {at}")))
-    };
-    let rank = take_u32(0)? as usize;
-    if rank > 8 {
-        return Err(NetError::Malformed(format!(
-            "implausible tensor rank {rank}"
-        )));
+    let mut r = Reader::new(bytes);
+    let tensor = r.f32s()?;
+    r.finish()?;
+    Ok(tensor)
+}
+
+/// A bounds-checked cursor over a received payload — the one way a
+/// variable-length payload is read (DESIGN.md §9.4). Every read is checked
+/// against the bytes left and every length is checked arithmetic. A read
+/// the bytes cannot back, a tensor header above rank 8 or whose byte
+/// volume overflows `usize`, and a [`Reader::finish`] with bytes left over
+/// are each [`NetError::Malformed`], never a panic; nothing is allocated
+/// beyond the bytes given.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the first of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { rest: bytes }
     }
-    let mut dims = Vec::with_capacity(rank);
-    for i in 0..rank {
-        dims.push(take_u32(4 + 4 * i)? as usize);
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
+        let Some((head, tail)) = self.rest.split_at_checked(n) else {
+            return Err(NetError::Malformed(format!(
+                "{n} bytes wanted, {} left",
+                self.rest.len()
+            )));
+        };
+        self.rest = tail;
+        Ok(head)
     }
-    let volume: usize = dims.iter().product();
-    let data_start = 4 + 4 * rank;
-    let expected = data_start + 4 * volume;
-    if bytes.len() != expected {
-        return Err(NetError::Malformed(format!(
-            "expected {expected} bytes for dims {dims:?}, got {}",
-            bytes.len()
-        )));
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], NetError> {
+        let head = self.take(N)?;
+        head.try_into()
+            .map_err(|_| NetError::Malformed(format!("{N} bytes wanted")))
     }
-    let data = bytes
-        .get(data_start..)
-        .unwrap_or_default()
-        .chunks_exact(4)
-        .filter_map(|b| b.first_chunk::<4>())
-        .map(|b| f32::from_le_bytes(*b))
-        .collect();
-    Ok((dims, data))
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, NetError> {
+        self.array().map(|[b]| b)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, NetError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, NetError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next [`encode_f32s`] tensor as `(dims, data)`.
+    pub fn f32s(&mut self) -> Result<(Vec<usize>, Vec<f32>), NetError> {
+        let rank = self.u32()? as usize;
+        if rank > 8 {
+            return Err(NetError::Malformed(format!(
+                "implausible tensor rank {rank}"
+            )));
+        }
+        let mut dims = Vec::with_capacity(rank);
+        let mut len = 4usize;
+        for _ in 0..rank {
+            let d = self.u32()? as usize;
+            len = len.checked_mul(d).ok_or_else(|| {
+                NetError::Malformed(format!("tensor dims {dims:?} × {d} overflow"))
+            })?;
+            dims.push(d);
+        }
+        let (words, _) = self.take(len)?.as_chunks::<4>();
+        Ok((dims, words.iter().map(|&w| f32::from_le_bytes(w)).collect()))
+    }
+
+    /// Every byte left; the reader is then empty.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    /// Ends the read: an error if any bytes are left over.
+    pub fn finish(self) -> Result<(), NetError> {
+        match self.rest.len() {
+            0 => Ok(()),
+            n => Err(NetError::Malformed(format!("{n} trailing bytes"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -445,6 +502,45 @@ mod tests {
         let mut buf = vec![];
         buf.extend_from_slice(&100u32.to_le_bytes());
         assert!(matches!(decode_f32s(&buf), Err(NetError::Malformed(_))));
+    }
+
+    #[test]
+    fn f32_rejects_a_header_whose_volume_overflows() {
+        // 20-byte headers with no data behind them: rank 4 with every dim
+        // 2^16 overflows the element count, rank 2 with dims 2^31 the
+        // byte count.
+        for dims in [[1u32 << 16; 4].as_slice(), &[1 << 31; 2]] {
+            let mut buf = (dims.len() as u32).to_le_bytes().to_vec();
+            for d in dims {
+                buf.extend_from_slice(&d.to_le_bytes());
+            }
+            let res = decode_f32s(&buf);
+            assert!(
+                matches!(res, Err(NetError::Malformed(_))),
+                "{dims:?}: {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reader_reads_fields_in_order_and_checks_every_length() {
+        let mut bytes = vec![7u8];
+        bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&encode_f32s(&[2], &[1.5, -2.0]));
+        bytes.extend_from_slice(b"tail");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX);
+        assert_eq!(r.f32s().unwrap(), (vec![2], vec![1.5, -2.0]));
+        assert!(r.clone().finish().is_err(), "four bytes are left");
+        assert!(r.clone().take(5).is_err());
+        assert!(r.clone().take(usize::MAX).is_err());
+        assert_eq!(r.take(2).unwrap(), b"ta");
+        assert_eq!(r.rest(), b"il");
+        assert!(r.u8().is_err());
+        assert!(r.finish().is_ok());
     }
 
     #[test]

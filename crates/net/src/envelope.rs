@@ -297,25 +297,6 @@ impl<'a> EnvelopeRef<'a> {
             trace: self.trace,
         }
     }
-
-    /// Checks that this envelope belongs to the round the receiver is
-    /// currently collecting.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Stale`] when the stamp disagrees — a late reply from an
-    /// earlier round, or a duplicate of one already consumed. Receivers
-    /// discard such traffic instead of scoring it against the wrong batch.
-    pub fn expect_round(&self, current: u64) -> Result<(), NetError> {
-        if self.round == current {
-            Ok(())
-        } else {
-            Err(NetError::Stale {
-                got: self.round,
-                current,
-            })
-        }
-    }
 }
 
 impl Envelope {
@@ -469,28 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn expect_round_rejects_other_rounds() {
-        let env = EnvelopeRef {
-            round: 41,
-            kind: PayloadKind::Result,
-            payload: &[],
-            trace: None,
-        };
-        assert!(env.expect_round(41).is_ok());
-        let err = env.expect_round(42).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                NetError::Stale {
-                    got: 41,
-                    current: 42
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn recovery_kinds_roundtrip() {
         for kind in [
             PayloadKind::LoadExpert,
@@ -603,11 +562,6 @@ mod tests {
         ));
         assert_eq!(env.to_owned(), Envelope::decode(&bytes).unwrap());
         assert_eq!(env.encode(), bytes);
-        assert!(env.expect_round(3).is_ok());
-        assert!(matches!(
-            env.expect_round(4),
-            Err(NetError::Stale { got: 3, current: 4 })
-        ));
     }
 
     #[test]

@@ -29,15 +29,6 @@ pub enum NetError {
         /// CRC recomputed over the received payload.
         got: u32,
     },
-    /// A message carried a round stamp other than the one the receiver is
-    /// currently collecting (a late reply from an earlier round, or a
-    /// duplicate of an already-consumed one).
-    Stale {
-        /// Round stamped on the message.
-        got: u64,
-        /// Round the receiver is collecting.
-        current: u64,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -53,12 +44,6 @@ impl fmt::Display for NetError {
                 write!(
                     f,
                     "corrupt frame: crc {got:#010x}, header said {expected:#010x}"
-                )
-            }
-            NetError::Stale { got, current } => {
-                write!(
-                    f,
-                    "stale message: stamped round {got}, collecting round {current}"
                 )
             }
         }

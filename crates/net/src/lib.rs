@@ -19,7 +19,9 @@
 //! * [`RetryPolicy`] / [`Backoff`] — bounded retries with exponential
 //!   backoff and deterministic jitter under a deadline budget;
 //! * [`codec`] — the wire formats, including the raw-`f32` tensor payload
-//!   encoding whose byte counts drive the WiFi cost model.
+//!   encoding whose byte counts drive the WiFi cost model, and
+//!   [`codec::Reader`], the bounds-checked cursor every variable-length
+//!   payload is read through.
 //!
 //! # Examples
 //!

@@ -4,13 +4,10 @@
 //! as `(ModelSpec, Vec<Tensor>)`: the node rebuilds the architecture from
 //! the spec and then loads the trained parameters with [`load_state`].
 //!
-//! For shipping state over the wire (the recovery subsystem's expert
-//! migration, DESIGN.md §14) the parameter tensors serialize to a compact
-//! little-endian byte layout via [`state_to_bytes`] / [`state_from_bytes`]:
-//!
-//! ```text
-//! count: u32 | per tensor ( rank: u32 | dims: u32 × rank | data: f32 × Π dims )
-//! ```
+//! On the wire the tensors travel in the one tensor codec,
+//! `teamnet_net::codec::encode_f32s`: a team file holds one per
+//! parameter, and the recovery subsystem's expert migration (DESIGN.md
+//! §14) ships a `u32` count followed by one per parameter.
 
 use crate::layer::Layer;
 use teamnet_tensor::Tensor;
@@ -53,103 +50,6 @@ pub fn load_state(model: &mut dyn Layer, state: &[Tensor]) {
     );
 }
 
-/// A byte stream that failed to decode as serialized model state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateCodecError(pub String);
-
-impl std::fmt::Display for StateCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed state bytes: {}", self.0)
-    }
-}
-
-impl std::error::Error for StateCodecError {}
-
-/// Bound on tensor rank and on per-tensor dimension extents accepted by
-/// the state codec — the same defensive caps the tensor wire codec in
-/// `teamnet-net` uses, so a corrupted length field cannot trigger a
-/// multi-gigabyte allocation on a 1 GiB edge device.
-const MAX_RANK: usize = 8;
-const MAX_DIM: usize = 1 << 28;
-
-/// Serializes parameter tensors captured by [`state_vec`] into the wire
-/// layout documented at module level.
-pub fn state_to_bytes(state: &[Tensor]) -> Vec<u8> {
-    let total: usize = state.iter().map(|t| t.len()).sum();
-    let mut out = Vec::with_capacity(4 + state.len() * 8 + total * 4);
-    assert!(state.len() <= u32::MAX as usize, "state tensor count");
-    out.extend_from_slice(&(state.len() as u32).to_le_bytes()); // lint: allow(cast-truncate)
-    for t in state {
-        let dims = t.dims();
-        assert!(dims.len() <= MAX_RANK, "state tensor rank {}", dims.len());
-        out.extend_from_slice(&(dims.len() as u32).to_le_bytes()); // lint: allow(cast-truncate)
-        for &d in dims {
-            assert!(d <= MAX_DIM, "state tensor dim {d}");
-            out.extend_from_slice(&(d as u32).to_le_bytes()); // lint: allow(cast-truncate)
-        }
-        for &v in t.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Decodes a byte stream produced by [`state_to_bytes`].
-///
-/// # Errors
-///
-/// [`StateCodecError`] on truncation, trailing garbage, an implausible
-/// rank/extent, or a tensor that fails shape validation.
-pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, StateCodecError> {
-    fn take_u32(bytes: &[u8], at: &mut usize) -> Result<u32, StateCodecError> {
-        let slice = bytes
-            .get(*at..*at + 4)
-            .ok_or_else(|| StateCodecError(format!("truncated at byte {at}")))?;
-        *at += 4;
-        Ok(u32::from_le_bytes(slice.try_into().unwrap_or_default()))
-    }
-    let mut at = 0usize;
-    let count = take_u32(bytes, &mut at)? as usize;
-    let mut state = Vec::new();
-    for i in 0..count {
-        let rank = take_u32(bytes, &mut at)? as usize;
-        if rank > MAX_RANK {
-            return Err(StateCodecError(format!("tensor {i}: rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        let mut volume = 1usize;
-        for _ in 0..rank {
-            let d = take_u32(bytes, &mut at)? as usize;
-            if d > MAX_DIM {
-                return Err(StateCodecError(format!("tensor {i}: dim {d}")));
-            }
-            volume = volume.saturating_mul(d);
-            dims.push(d);
-        }
-        if volume > MAX_DIM {
-            return Err(StateCodecError(format!("tensor {i}: volume {volume}")));
-        }
-        let data_bytes = bytes
-            .get(at..at + volume * 4)
-            .ok_or_else(|| StateCodecError(format!("tensor {i}: truncated data")))?;
-        at += volume * 4;
-        let data: Vec<f32> = data_bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap_or_default()))
-            .collect();
-        let tensor = Tensor::from_vec(data, dims)
-            .map_err(|e| StateCodecError(format!("tensor {i}: {e}")))?;
-        state.push(tensor);
-    }
-    if at != bytes.len() {
-        return Err(StateCodecError(format!(
-            "{} trailing bytes after {count} tensors",
-            bytes.len() - at
-        )));
-    }
-    Ok(state)
-}
-
 /// Total number of bytes needed to serialize a model's parameters as raw
 /// `f32`s — the payload size the cost model charges for deploying a model
 /// over the network.
@@ -187,46 +87,6 @@ mod tests {
         let spec = ModelSpec::mlp(2, 8);
         let mut model = spec.build(0);
         assert_eq!(state_bytes(&mut model), model.param_count() * 4);
-    }
-
-    #[test]
-    fn wire_codec_roundtrips_model_state() {
-        let spec = ModelSpec::mlp(3, 16);
-        let mut trained = spec.build(11);
-        let state = state_vec(&mut trained);
-        let bytes = state_to_bytes(&state);
-        assert_eq!(bytes.len() % 4, 0);
-        let back = state_from_bytes(&bytes).unwrap();
-        assert_eq!(back, state);
-
-        // Loading the decoded state reproduces the source model exactly.
-        let mut fresh = spec.build(0);
-        load_state(&mut fresh, &back);
-        let x = Tensor::ones([2, 784]);
-        assert_eq!(
-            fresh.forward(&x, Mode::Eval),
-            trained.forward(&x, Mode::Eval)
-        );
-    }
-
-    #[test]
-    fn wire_codec_rejects_damage() {
-        let mut model = ModelSpec::mlp(2, 8).build(3);
-        let state = state_vec(&mut model);
-        let bytes = state_to_bytes(&state);
-        // Truncation anywhere fails.
-        assert!(state_from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        assert!(state_from_bytes(&bytes[..3]).is_err());
-        // Trailing garbage fails.
-        let mut long = bytes.clone();
-        long.extend_from_slice(&[0; 4]);
-        assert!(state_from_bytes(&long).is_err());
-        // An implausible rank fails without allocating.
-        let mut bad_rank = bytes.clone();
-        bad_rank[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(state_from_bytes(&bad_rank).is_err());
-        // Empty state roundtrips.
-        assert_eq!(state_from_bytes(&state_to_bytes(&[])).unwrap(), vec![]);
     }
 
     #[test]

@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use teamnet_core::exchange::decode_tensor;
 use teamnet_core::TeamPrediction;
-use teamnet_net::codec::{decode_f32s, encode_f32s};
+use teamnet_net::codec::encode_f32s;
 use teamnet_net::{derive_trace_id, TraceContext};
 use teamnet_obs::Obs;
 use teamnet_tensor::Tensor;
@@ -249,9 +250,7 @@ fn process_request(
     handle: &ServeHandle,
     payload: &[u8],
 ) -> Result<Vec<TeamPrediction>, ServeError> {
-    let (dims, data) =
-        decode_f32s(payload).map_err(|e| ServeError::Malformed(format!("request tensor: {e}")))?;
-    let tensor = Tensor::from_vec(data, dims)
+    let tensor = decode_tensor(payload)
         .map_err(|e| ServeError::Malformed(format!("request tensor: {e}")))?;
     handle.submit_owned(tensor)?.wait()
 }

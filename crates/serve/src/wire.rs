@@ -13,8 +13,8 @@
 use crate::error::ServeError;
 use std::io::{Read, Write};
 use teamnet_core::TeamPrediction;
-use teamnet_net::codec::{read_exact_bounded, write_all_vectored};
-use teamnet_net::{Crc32, TraceContext, TRACE_EXT_LEN};
+use teamnet_net::codec::{read_exact_bounded, write_all_vectored, Reader};
+use teamnet_net::{Crc32, NetError, TraceContext, TRACE_EXT_LEN};
 
 /// Frame magic: `b"TSRV"` little-endian, so a stray connection speaking
 /// the wrong protocol fails fast instead of mis-decoding.
@@ -226,33 +226,23 @@ pub fn encode_predictions(preds: &[TeamPrediction]) -> Vec<u8> {
 ///
 /// [`ServeError::Malformed`] for truncated or over-declared payloads.
 pub fn decode_predictions(bytes: &[u8]) -> Result<Vec<TeamPrediction>, ServeError> {
-    let count = bytes
-        .get(..4)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| ServeError::Malformed("reply payload truncated".into()))?
-        as usize;
-    let body = bytes.get(4..).unwrap_or_default();
-    if body.len() != count * 12 {
-        return Err(ServeError::Malformed(format!(
-            "reply declares {count} rows but carries {} bytes",
-            body.len()
-        )));
-    }
-    Ok(body
-        .chunks_exact(12)
-        .map(|row| {
-            let field = |at: usize| {
-                row.get(at..at + 4)
-                    .and_then(|b| b.try_into().ok())
-                    .unwrap_or([0u8; 4])
-            };
-            TeamPrediction {
-                label: u32::from_le_bytes(field(0)) as usize,
-                expert: u32::from_le_bytes(field(4)) as usize,
-                entropy: f32::from_le_bytes(field(8)),
-            }
-        })
+    let malformed = |e: NetError| ServeError::Malformed(format!("reply payload: {e}"));
+    let mut r = Reader::new(bytes);
+    let count = r.u32().map_err(malformed)? as usize;
+    let (rows, _) = r
+        .take(count.saturating_mul(12))
+        .map_err(malformed)?
+        .as_chunks::<12>();
+    r.finish().map_err(malformed)?;
+    Ok(rows
+        .iter()
+        .map(
+            |&[l0, l1, l2, l3, x0, x1, x2, x3, h0, h1, h2, h3]| TeamPrediction {
+                label: u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+                expert: u32::from_le_bytes([x0, x1, x2, x3]) as usize,
+                entropy: f32::from_le_bytes([h0, h1, h2, h3]),
+            },
+        )
         .collect())
 }
 
@@ -270,12 +260,14 @@ pub fn encode_reject(err: &ServeError) -> Vec<u8> {
 ///
 /// [`ServeError::Malformed`] for an empty payload.
 pub fn decode_reject(bytes: &[u8]) -> Result<ServeError, ServeError> {
-    let code = bytes
-        .first()
-        .copied()
-        .ok_or_else(|| ServeError::Malformed("empty reject payload".into()))?;
-    let detail = String::from_utf8_lossy(bytes.get(1..).unwrap_or_default());
-    Ok(ServeError::from_wire(code, &detail))
+    let mut r = Reader::new(bytes);
+    let code = r
+        .u8()
+        .map_err(|_| ServeError::Malformed("empty reject payload".into()))?;
+    Ok(ServeError::from_wire(
+        code,
+        &String::from_utf8_lossy(r.rest()),
+    ))
 }
 
 #[cfg(test)]

@@ -22,7 +22,6 @@
 
 use crate::symbols::Model;
 use crate::Diagnostic;
-use std::collections::BTreeSet;
 
 /// Files whose functions seed the reachability walk: everything that
 /// serializes bytes for the wire, plus the static cost model whose
@@ -40,67 +39,26 @@ const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 /// Runs the pass, appending diagnostics. Returns the number of reachable
 /// functions audited (for the summary line).
 pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
-    let roots: Vec<usize> = model
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.is_test)
-        .filter(|(_, f)| {
-            model
-                .files
-                .get(f.file)
-                .is_some_and(|sf| ROOT_FILES.contains(&sf.rel_path.as_str()))
-        })
-        .map(|(idx, _)| idx)
-        .collect();
-    let reachable = model.reachable(roots);
-
-    let mut audited_lines: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for &idx in &reachable {
-        let Some(f) = model.fns.get(idx) else {
-            continue;
-        };
-        if f.is_test {
+    let (reachable, lines) = model.reachable_lines(|sf| ROOT_FILES.contains(&sf.rel_path.as_str()));
+    for (idx, file, lineno, line) in lines {
+        if file.masked.is_allowed(lineno, "cast-truncate") {
             continue;
         }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = model.files.get(f.file) else {
-            continue;
-        };
-        for (j, line) in file
-            .masked
-            .lines
-            .iter()
-            .enumerate()
-            .take(end + 1)
-            .skip(start)
-        {
-            if file.test_mask.get(j).copied().unwrap_or(false) {
-                continue;
-            }
-            if !audited_lines.insert((f.file, j)) {
-                continue;
-            }
-            let lineno = j + 1;
-            if file.masked.is_allowed(lineno, "cast-truncate") {
-                continue;
-            }
-            for target in narrowing_casts(line) {
-                diags.push(Diagnostic {
-                    path: file.rel_path.clone(),
-                    line: lineno,
-                    rule: "cast-truncate",
-                    message: format!(
-                        "narrowing `as {target}` can silently truncate (in `{}`, reachable \
-                         from a wire/cost root); bounds-check first, then \
-                         `// lint: allow(cast-truncate)` citing the guard",
-                        model.fn_display(idx)
-                    ),
-                });
-            }
+        for target in narrowing_casts(line) {
+            diags.push(Diagnostic {
+                path: file.rel_path.clone(),
+                line: lineno,
+                rule: "cast-truncate",
+                message: format!(
+                    "narrowing `as {target}` can silently truncate (in `{}`, reachable \
+                     from a wire/cost root); bounds-check first, then \
+                     `// lint: allow(cast-truncate)` citing the guard",
+                    model.fn_display(idx)
+                ),
+            });
         }
     }
-    reachable.len()
+    reachable
 }
 
 /// The narrowing target types cast to on `line`, word-bounded on both

@@ -154,6 +154,46 @@ impl Model {
         seen
     }
 
+    /// The walk the line-matching audits share: every non-test function
+    /// in a file `is_root` accepts is a root, and each non-test body line
+    /// of everything reachable from them is listed once — even when fn
+    /// extents overlap (nested fns) or a function is reached through
+    /// several names — as `(fn index, file, 1-based line, masked text)`.
+    /// Also returns how many functions are reachable (the summary line).
+    pub fn reachable_lines(
+        &self,
+        is_root: impl Fn(&SourceFile) -> bool,
+    ) -> (usize, Vec<(usize, &SourceFile, usize, &str)>) {
+        let roots = self
+            .fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| !f.is_test && self.files.get(f.file).is_some_and(&is_root));
+        let reachable = self.reachable(roots.map(|(idx, _)| idx));
+        let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let mut out = Vec::new();
+        for &idx in &reachable {
+            let Some(f) = self.fns.get(idx) else { continue };
+            let (Some((start, end)), Some(file)) = (f.body, self.files.get(f.file)) else {
+                continue;
+            };
+            let body = file
+                .masked
+                .lines
+                .iter()
+                .enumerate()
+                .take(end + 1)
+                .skip(start);
+            for (j, line) in body {
+                let in_test = file.test_mask.get(j).copied().unwrap_or(false);
+                if !in_test && seen.insert((f.file, j)) {
+                    out.push((idx, file, j + 1, line.as_str()));
+                }
+            }
+        }
+        (reachable.len(), out)
+    }
+
     /// `path:line fn name` — the location string used in diagnostics.
     pub fn fn_display(&self, idx: usize) -> String {
         match (self.fns.get(idx), self.fns.get(idx).map(|f| f.file)) {

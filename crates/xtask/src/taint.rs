@@ -27,7 +27,6 @@
 
 use crate::symbols::Model;
 use crate::Diagnostic;
-use std::collections::BTreeSet;
 
 /// Files whose functions seed the reachability walk. Everything under
 /// `crates/simnet/src/` and `crates/obs/src/` is a root as well: the
@@ -64,66 +63,28 @@ const SERVE_PREFIX: &str = "crates/serve/src/";
 /// Runs the taint pass, appending diagnostics. Returns the number of
 /// reachable functions audited (for the summary line).
 pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
-    let roots: Vec<usize> = model
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| !f.is_test)
-        .filter(|(_, f)| {
-            model.files.get(f.file).is_some_and(|sf| {
-                ROOT_FILES.contains(&sf.rel_path.as_str())
-                    || sf.rel_path.starts_with(SIMNET_PREFIX)
-                    || sf.rel_path.starts_with(OBS_PREFIX)
-                    || sf.rel_path.starts_with(SERVE_PREFIX)
-            })
-        })
-        .map(|(idx, _)| idx)
-        .collect();
-    let reachable = model.reachable(roots);
-
-    // A function may be reached through several names; audit each body
-    // line once even when fn extents overlap (nested fns).
-    let mut audited_lines: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for &idx in &reachable {
-        let Some(f) = model.fns.get(idx) else {
-            continue;
-        };
-        if f.is_test {
-            continue;
-        }
-        let Some((start, end)) = f.body else { continue };
-        let Some(file) = model.files.get(f.file) else {
-            continue;
-        };
-        for (j, line) in file
-            .masked
-            .lines
-            .iter()
-            .enumerate()
-            .take(end + 1)
-            .skip(start)
-        {
-            if file.test_mask.get(j).copied().unwrap_or(false) {
-                continue;
-            }
-            if !audited_lines.insert((f.file, j)) {
-                continue;
-            }
-            let lineno = j + 1;
-            let site = model.fn_display(idx);
-            for (rule, pattern, why) in RULES {
-                if line.contains(pattern) && !file.masked.is_allowed(lineno, rule) {
-                    diags.push(Diagnostic {
-                        path: file.rel_path.clone(),
-                        line: lineno,
-                        rule,
-                        message: format!("{why} (in `{site}`, reachable from a determinism root)"),
-                    });
-                }
+    let (reachable, lines) = model.reachable_lines(|sf| {
+        ROOT_FILES.contains(&sf.rel_path.as_str())
+            || sf.rel_path.starts_with(SIMNET_PREFIX)
+            || sf.rel_path.starts_with(OBS_PREFIX)
+            || sf.rel_path.starts_with(SERVE_PREFIX)
+    });
+    for (idx, file, lineno, line) in lines {
+        for (rule, pattern, why) in RULES {
+            if line.contains(pattern) && !file.masked.is_allowed(lineno, rule) {
+                diags.push(Diagnostic {
+                    path: file.rel_path.clone(),
+                    line: lineno,
+                    rule,
+                    message: format!(
+                        "{why} (in `{}`, reachable from a determinism root)",
+                        model.fn_display(idx)
+                    ),
+                });
             }
         }
     }
-    reachable.len()
+    reachable
 }
 
 type Rule = (&'static str, &'static str, &'static str);
