@@ -32,11 +32,6 @@
 #                         plumbing and one host-independent timing guard:
 #                         a lone 1x784x128 row may cost at most 2.5 rows
 #                         of 64x784x128)
-#   7b. serve-bench smoke (the serving front-end's batching win: the
-#                         binary itself asserts that sustained req/s at
-#                         the fixed p99 target is non-decreasing in the
-#                         batch cap and strictly better than no
-#                         batching, so a batching regression fails here)
 #   7c. strategy parity  (baseline_showdown --smoke: TeamNet, MPI-Matrix /
 #                         -Kernel / -Branch and SG-MoE each run a real
 #                         2-node inference on the one round; fails on an
@@ -127,7 +122,6 @@ cargo xtask cost --check
 TEAMNET_THREADS=1 cargo test -q --workspace
 TEAMNET_THREADS=4 cargo test -q --workspace
 cargo run -q --release -p teamnet-bench --bin kernel_bench -- --smoke --out /tmp/BENCH_kernels_smoke.json
-cargo run -q --release -p teamnet-bench --bin serve_bench -- --smoke --out /tmp/BENCH_serve_smoke.json
 cargo run -q --release --example baseline_showdown -- --smoke
 cargo test -q --release --test chaos_soak
 cargo test -q --release --test recovery_soak

@@ -1,30 +1,23 @@
 //! Regenerates every table and figure of the TeamNet paper.
 //!
 //! ```text
-//! reproduce [--quick] [all|fig5|fig6|fig7|fig8|fig9|table1a|table1b|table2a|table2b|tcp]
+//! reproduce [--quick] [all|fig5|fig6|fig7|fig8|fig9|table1a|table1b|table2a|table2b|ablations]
 //! ```
 //!
 //! * `--quick` uses the test-scale configuration (seconds instead of
 //!   minutes; numbers are noisier).
-//! * `tcp` additionally measures *real* end-to-end wall-clock latency of
-//!   the implemented protocols over loopback TCP, as a sanity check of the
-//!   cost model's orderings.
 //!
-//! Each artifact is printed and also written as JSON under `results/`.
+//! Every latency here is simulated; measured latency comes from
+//! `load_bench` and `kernel_bench`. Each artifact is printed and also
+//! written as JSON under `results/`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use teamnet_bench::figures::{
     fig5, fig6, fig7, fig8, fig9, render_convergence, render_specialization,
 };
-use teamnet_bench::suites::{mnist_expert_spec, CifarSuite, MnistSuite, Scale};
+use teamnet_bench::suites::{CifarSuite, MnistSuite, Scale};
 use teamnet_bench::tables::{render, table1, table2};
-use teamnet_core::build_expert;
-use teamnet_core::runtime::{
-    serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
-};
-use teamnet_nn::{load_state, state_vec};
 use teamnet_simnet::ComputeUnit;
-use teamnet_tensor::Tensor;
 
 struct Lazy<T> {
     value: Option<T>,
@@ -57,50 +50,6 @@ fn write_json(name: &str, value: &impl serde::Serialize) {
             Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
         }
     }
-}
-
-/// Measures real loopback-TCP end-to-end latency of the TeamNet protocol
-/// with `k` nodes running the MNIST expert models.
-fn measure_teamnet_tcp(scale: &Scale, k: usize, trained: &mut teamnet_core::TeamNet) -> Duration {
-    let spec = mnist_expert_spec(scale, k);
-    let states: Vec<Vec<Tensor>> = (0..k).map(|i| state_vec(trained.expert_mut(i))).collect();
-    let nodes = teamnet_net::TcpTransport::mesh_localhost(k).expect("loopback mesh");
-    let image = Tensor::rand_uniform(
-        [1, 1, 28, 28],
-        0.0,
-        1.0,
-        &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1),
-    );
-    std::thread::scope(|scope| {
-        for (i, node) in nodes.iter().enumerate().skip(1) {
-            let spec = spec.clone();
-            let state = states[i].clone();
-            scope.spawn(move || {
-                let mut expert = build_expert(&spec, 0);
-                load_state(&mut expert, &state);
-                serve_worker_with_config(node, 0, &mut expert, WorkerConfig::default()).ok();
-            });
-        }
-        let mut master = build_expert(&spec, 0);
-        load_state(&mut master, &states[0]);
-        let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
-        // Warm up, then time 50 inferences.
-        for _ in 0..5 {
-            session
-                .infer(&nodes[0], &mut master, &image)
-                .expect("warmup inference");
-        }
-        let start = Instant::now();
-        const ROUNDS: u32 = 50;
-        for _ in 0..ROUNDS {
-            session
-                .infer(&nodes[0], &mut master, &image)
-                .expect("timed inference");
-        }
-        let elapsed = start.elapsed() / ROUNDS;
-        shutdown_workers(&nodes[0]).ok();
-        elapsed
-    })
 }
 
 fn main() {
@@ -339,22 +288,6 @@ fn main() {
         }
         write_json("ablation_mixed", &mixed);
         println!();
-    }
-    if want("tcp") {
-        println!("== Appendix — real loopback-TCP end-to-end latency (TeamNet protocol) ==");
-        mnist_suite(&mut mnist);
-        let suite = mnist.get_mut();
-        let t2 = measure_teamnet_tcp(&suite.scale.clone(), 2, &mut suite.team2.team);
-        println!("TeamNet x2 over TCP: {t2:?} per inference");
-        let t4 = measure_teamnet_tcp(&suite.scale.clone(), 4, &mut suite.team4.team);
-        println!("TeamNet x4 over TCP: {t4:?} per inference");
-        write_json(
-            "tcp_appendix",
-            &serde_json::json!({
-                "teamnet_x2_us": t2.as_micros() as u64,
-                "teamnet_x4_us": t4.as_micros() as u64,
-            }),
-        );
     }
     println!("done. JSON artifacts in ./results/");
 }

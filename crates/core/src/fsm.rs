@@ -1359,6 +1359,45 @@ mod tests {
         ));
     }
 
+    /// Regression: a reply of entropy −1 (or NaN, or a label that is no
+    /// class index) used to fold like any other, so one dishonest worker
+    /// won every row. Honest entropies are never below 0.
+    #[test]
+    fn a_row_no_honest_expert_sends_is_malformed_not_a_winner() {
+        for [label, h] in [
+            [7.0, -1.0],
+            [7.0, f32::NAN],
+            [7.0, f32::NEG_INFINITY],
+            [-1.0, 0.1],
+            [3.5, 0.1],
+            [16_777_216.0, 0.1],
+            [f32::NAN, 0.1],
+        ] {
+            let payload = teamnet_net::codec::encode_f32s(&[1, 2], &[label, h]);
+            let frame = Envelope::new(100, PayloadKind::Result, payload).encode();
+            let (lax, mut fold) = gather(100, false, None);
+            assert!(matches!(
+                lax.step(&frame, |p| fold.fold(1, p)),
+                GatherVerdict::Discarded(GatherDiscard::Malformed)
+            ));
+            let preds = fold.into_predictions();
+            assert_eq!(preds.first().map(|p| (p.label, p.expert)), Some((4, 0)));
+            let (strict, mut fold) = gather(100, true, None);
+            assert!(matches!(
+                strict.step(&frame, |p| fold.fold(1, p)),
+                GatherVerdict::Fatal(NetError::Malformed(_))
+            ));
+        }
+        // +∞ is an honest "this row is invalid": folded, never a winner.
+        let (lax, mut fold) = gather(100, false, None);
+        assert!(matches!(
+            lax.step(&result_frame(100, &[(2, f32::INFINITY)]), |p| fold
+                .fold(1, p)),
+            GatherVerdict::Accepted { folded: true }
+        ));
+        assert_eq!(fold.into_predictions().first().map(|p| p.expert), Some(0));
+    }
+
     #[test]
     fn gather_respects_calibration_weights() {
         // Raw entropies favor peer 1 (0.3 < 0.9·1.0), but peer 1's δ*

@@ -137,18 +137,33 @@ pub fn encode_results(results: &[(usize, f32)]) -> Vec<u8> {
     encode_f32s(&[results.len(), 2], &flat)
 }
 
+/// Labels an `f32` carries exactly: the whole numbers in `[0, 2²⁴)`.
+const LABEL_LIMIT: f32 = 16_777_216.0;
+
 /// Decodes a result matrix produced by [`encode_results`].
 ///
 /// # Errors
 ///
-/// [`NetError::Malformed`] for anything that is not an `[n, 2]` matrix.
+/// [`NetError::Malformed`] for anything that is not an `[n, 2]` matrix,
+/// or for a row no honest expert sends: a label that is not a whole
+/// number in `[0, 2²⁴)`, or a NaN or negative entropy (which would win
+/// every arg-min; [`entropy`] never goes below 0). `+∞`, an invalid row
+/// that can never win, stays legal.
 pub fn decode_results(bytes: &[u8]) -> Result<Vec<(usize, f32)>, NetError> {
     let (dims, data) = decode_f32s(bytes)?;
     if dims.len() != 2 || dims.get(1) != Some(&2) {
         return Err(NetError::Malformed(format!("result matrix dims {dims:?}")));
     }
     let (rows, _) = data.as_chunks::<2>();
-    Ok(rows.iter().map(|&[label, h]| (label as usize, h)).collect())
+    rows.iter()
+        .map(|&[label, h]| {
+            let honest = h >= 0.0 && (0.0..LABEL_LIMIT).contains(&label) && label.fract() == 0.0;
+            if !honest {
+                return Err(NetError::Malformed(format!("result row ({label}, {h})")));
+            }
+            Ok((label as usize, h))
+        })
+        .collect()
 }
 
 /// Marker opening a multi-expert result set on the wire. Unambiguous

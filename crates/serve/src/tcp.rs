@@ -318,11 +318,10 @@ impl ServeClient {
         )?;
         loop {
             let frame = read_serve_frame(&mut self.stream)?;
+            // Matched by `req_id` alone: the echoed trace is diagnostic,
+            // and bytes from another process are not ours to assert on.
             if frame.req_id != id {
                 continue; // stray frame from an abandoned request
-            }
-            if let (Some(sent), Some(echo)) = (trace, frame.trace) {
-                debug_assert_eq!(sent.trace_id, echo.trace_id);
             }
             return match frame.kind {
                 ServeMsgKind::Reply => decode_predictions(&frame.payload),
@@ -560,6 +559,44 @@ mod tests {
         assert!(front.socks.lock()[&0].nodelay().unwrap());
         drop(client);
         front.shutdown();
+    }
+
+    /// Regression: the client asserted (in debug builds) that a reply's
+    /// echoed trace matched the one it sent, so a server echoing any
+    /// other trace panicked it. The reply is matched by `req_id` alone.
+    #[test]
+    fn a_reply_echoing_another_trace_is_still_the_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let winner = TeamPrediction {
+            label: 7,
+            expert: 1,
+            entropy: 0.25,
+        };
+        let reply = encode_predictions(std::slice::from_ref(&winner));
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request = read_serve_frame(&mut stream).unwrap();
+            assert!(request.trace.is_some());
+            let foreign = TraceContext {
+                trace_id: 0xDEAD,
+                parent_span: 0,
+            };
+            write_serve_frame(
+                &mut stream,
+                ServeMsgKind::Reply,
+                request.req_id,
+                Some(foreign),
+                &reply,
+            )
+            .unwrap();
+            read_serve_frame(&mut stream).map(|bye| bye.kind)
+        });
+        let mut client = ServeClient::connect(&addr).unwrap();
+        client.set_trace_seed(7);
+        assert_eq!(client.infer(&request(1, 0.3)).unwrap(), vec![winner]);
+        drop(client);
+        assert_eq!(server.join().unwrap().unwrap(), ServeMsgKind::Goodbye);
     }
 
     #[test]

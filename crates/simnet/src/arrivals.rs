@@ -24,9 +24,9 @@ pub struct ServingReport {
 
 /// Draws `requests` Poisson arrival instants at `rate_hz` (exponential
 /// inter-arrival times), starting from time zero. This is the offered-load
-/// process shared by [`simulate_serving`] and the serving benchmark's
-/// batching simulation, so both sample the same distribution from the
-/// same seed.
+/// process of [`simulate_serving`] (ablation A4 of `reproduce`) and of
+/// `load_bench`'s open-loop `mlp_open_3200` workload, so the simulated and
+/// the measured stream sample the same distribution from the same seed.
 ///
 /// # Panics
 ///
