@@ -2,7 +2,9 @@
 # Full CI gate, in dependency order, failing fast:
 #   1. formatting        (cheap, catches accidental diffs)
 #   2. release build     (also builds the xtask binary)
-#   3. invariant audit   (lint + manifest + static shape checks)
+#   3. invariant audit   (lint + manifest + static shape checks; the
+#                         lint includes `deadline-add`, which rejects a
+#                         bare `now() + timeout` — it panics on overflow)
 #   4. concurrency audit (lock order, determinism taint, protocol
 #                         exhaustiveness, narrowing casts — symbol/
 #                         call-graph analysis)

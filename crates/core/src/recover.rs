@@ -33,9 +33,9 @@
 //!
 //! Every frame leaves and every ack arrives through the IO shell the
 //! inference round uses (`shell.rs`): each transfer attempt and each
-//! hand-back opens its own registered round, so an ack a sibling gather
-//! pulls off the shared mailbox is parked for the transfer, and a
-//! sibling's result the ack wait pulls is parked for its round.
+//! hand-back opens its own live round, so a sibling gather leaves the
+//! transfer's acks queued for it, and the ack wait leaves a sibling's
+//! result queued for its round.
 //!
 //! Everything is deadline-budgeted through the
 //! [`RetryPolicy`]/[`Backoff`] machinery on an injected [`Clock`], so the
@@ -47,14 +47,16 @@ use crate::expert::build_expert;
 use crate::fsm;
 use crate::health::PeerHealth;
 use crate::runtime::TAG_INPUT;
-use crate::shell::{self, ResultWait, RoundRegistration};
+use crate::shell::{self, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 use teamnet_net::codec::{encode_f32s_into, Reader};
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
-use teamnet_net::{crc32, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, Transport};
+use teamnet_net::{
+    crc32, deadline_after, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, Transport,
+};
 use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
@@ -613,7 +615,6 @@ pub struct RecoveryManager {
     /// spans stay causal children of the triggering round in the
     /// assembled cross-node DAG.
     trace: Option<u64>,
-    wait: ResultWait,
     c_migrations: Counter,
     c_backtracks: Counter,
     c_handbacks: Counter,
@@ -627,7 +628,6 @@ impl RecoveryManager {
         let c_backtracks = config.obs.metrics.counter("recovery.backtracks");
         let c_handbacks = config.obs.metrics.counter("recovery.handbacks");
         let h_bytes = config.obs.metrics.histogram("recovery.bytes_migrated");
-        let wait = ResultWait::new(&config.obs, &config.clock);
         RecoveryManager {
             config,
             experts: BTreeMap::new(),
@@ -637,7 +637,6 @@ impl RecoveryManager {
             backtracks: 0,
             handbacks: 0,
             trace: None,
-            wait,
             c_migrations,
             c_backtracks,
             c_handbacks,
@@ -845,7 +844,7 @@ impl RecoveryManager {
         let msg = fsm::release_frame(surrogate, round, expert as u32);
         let frame = msg.encode(shell::stamp(&obs, self.trace));
         if shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame).is_ok() {
-            let deadline = self.config.clock.now() + self.config.ack_timeout;
+            let deadline = deadline_after(self.config.clock.now(), self.config.ack_timeout);
             let _ = self.await_ack(transport, surrogate, round, expert as u32, deadline);
         }
         self.placement.remove(&expert);
@@ -886,11 +885,11 @@ impl RecoveryManager {
             state_crc: crc32(&record.state),
             required_resident_bytes: record.required_resident_bytes,
         };
-        // Registered for the whole transfer, so a sibling wait that pulls
-        // one of its acks parks it instead of discarding it.
+        // Live for the whole transfer, so a sibling wait leaves its acks
+        // queued for it instead of discarding them.
         let registration = RoundRegistration::open();
         let round = registration.round;
-        let deadline = self.config.clock.now() + self.config.transfer_timeout;
+        let deadline = deadline_after(self.config.clock.now(), self.config.transfer_timeout);
         let _span = self.config.obs.span(
             "recovery.transfer",
             &[
@@ -996,9 +995,9 @@ impl RecoveryManager {
     /// Waits up to `ack_timeout` (clamped by the transfer deadline) for a
     /// [`PayloadKind::LoadAck`] stamped with this transfer's round. The
     /// wait is the same one a gather uses: a frame that belongs to a
-    /// sibling's registered round is parked for it; stale gather
-    /// leftovers and undecodable traffic on the result tag are discarded,
-    /// not failed on.
+    /// sibling's live round stays queued for it; stale gather leftovers
+    /// and undecodable traffic on the result tag are discarded, not
+    /// failed on.
     fn await_ack(
         &self,
         transport: &dyn Transport,
@@ -1007,8 +1006,9 @@ impl RecoveryManager {
         expert: u32,
         deadline: std::time::Instant,
     ) -> Result<LoadAckMsg, NetError> {
-        let attempt_deadline = (self.config.clock.now() + self.config.ack_timeout).min(deadline);
-        while let Some(bytes) = self.wait.recv(transport, round, target, attempt_deadline)? {
+        let (obs, clock) = (&self.config.obs, &*self.config.clock);
+        let until = deadline_after(clock.now(), self.config.ack_timeout).min(deadline);
+        while let Some(bytes) = shell::recv_result(transport, obs, clock, round, target, until)? {
             let ack = Envelope::decode(&bytes)
                 .ok()
                 .and_then(|env| fsm::match_load_ack(&env, round, expert));

@@ -38,14 +38,14 @@ use crate::health::{
     ContactPlan, FailureDetector, FailureDetectorConfig, InferenceReport, PeerHealth, PeerReport,
 };
 use crate::recover::{HostBudget, RecoveryManager, TransferManifest};
-use crate::shell::{self, ResultWait, RoundRegistration};
+use crate::shell::{self, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use teamnet_net::codec::{decode_f32s, encode_f32s, Reader};
 use teamnet_net::{
-    derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy, SystemClock,
-    Tag, Transport, TRACE_EXT_LEN,
+    deadline_after, derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy,
+    SystemClock, Tag, Transport, TRACE_EXT_LEN,
 };
 use teamnet_nn::{Layer, Mode, Sequential};
 use teamnet_obs::{AllocMeters, Counter, Histogram, Obs};
@@ -443,8 +443,7 @@ struct Round {
 }
 
 /// The session's attribution bookkeeper: the protocol counters a round
-/// ticks in the registry (the two `round.cross_session_*` ones through
-/// the wait that routes frames) and the round's local latency split
+/// ticks in the registry and the round's local latency split
 /// (DESIGN.md §17) — the same compute / wire / wait / retry attribution
 /// `trace-assemble` derives from the cross-node DAG, measured on one node
 /// so it is available even without per-node sinks.
@@ -454,20 +453,18 @@ struct Attribution {
     c_stale: Counter,
     c_corrupt: Counter,
     c_malformed: Counter,
-    wait: ResultWait,
     /// `round.attr.{compute,wire,wait,retry}.ns`, in that order.
     h_attr: [Arc<Histogram>; 4],
 }
 
 impl Attribution {
-    fn register(obs: &Obs, clock: &Arc<dyn Clock>) -> Self {
+    fn register(obs: &Obs) -> Self {
         let attr = |part: &str| obs.metrics.histogram(&format!("round.attr.{part}.ns"));
         Attribution {
             c_send_retries: obs.metrics.counter("round.send.retries"),
             c_stale: obs.metrics.counter("round.stale_discarded"),
             c_corrupt: obs.metrics.counter("round.corrupt_discarded"),
             c_malformed: obs.metrics.counter("round.malformed_discarded"),
-            wait: ResultWait::new(obs, clock),
             h_attr: ["compute", "wire", "wait", "retry"].map(attr),
         }
     }
@@ -537,7 +534,7 @@ impl InferenceSession {
             Arc::clone(&config.clock),
         );
         detector.set_transition_counter(config.obs.metrics.counter("detector.transitions"));
-        let books = Attribution::register(&config.obs, &config.clock);
+        let books = Attribution::register(&config.obs);
         let m_alloc = AllocMeters::register(
             &config.obs.metrics,
             &format!("expert.{}", transport.node_id()),
@@ -634,8 +631,9 @@ impl InferenceSession {
         mut exchange: E,
     ) -> Result<E::Output, NetError> {
         let obs = self.config.obs.clone();
-        // Registered with the cross-wait router before any send, and
-        // unregistered when the gather ends (on any path).
+        // Live before any send, and stale once the gather ends (on any
+        // path): a sibling's wait leaves the round's frames queued until
+        // then.
         let registration = RoundRegistration::open();
         let trace_id = derive_trace_id(self.config.trace_seed, self.rounds);
         // Attribution reads the *tracer's* clock, never `config.clock`:
@@ -728,7 +726,7 @@ impl InferenceSession {
         exchange: &E,
     ) -> Result<Vec<PeerRound>, NetError> {
         let obs = &self.config.obs;
-        let deadline = self.config.clock.now() + self.config.worker_timeout;
+        let deadline = deadline_after(self.config.clock.now(), self.config.worker_timeout);
         // One frame per kind, shared by every peer: a shared request goes
         // from `f32`s to a sendable frame in one pass (no intermediate
         // payload), is checksummed once, and an untraced round sends those
@@ -816,15 +814,17 @@ impl InferenceSession {
     ) -> Result<(), NetError> {
         let obs = &self.config.obs;
         let classify = fsm::GatherFsm::new(round.stamp, self.config.require_all_workers);
-        let deadline = self.config.clock.now() + self.config.worker_timeout;
-        let wait = &self.books.wait;
+        let clock = &*self.config.clock;
+        let deadline = deadline_after(clock.now(), self.config.worker_timeout);
         let _gather_span = obs.span("round.gather", &[]);
         // A peer whose send never went out is not waited for: it counts
         // as a miss when the round settles.
         for record in peers.iter_mut().filter(|p| p.sent) {
             let peer = record.peer;
             let _await_span = obs.span("gather.await", &[("peer", peer as u64)]);
-            while let Some(bytes) = wait.recv(transport, round.stamp, peer, deadline)? {
+            while let Some(bytes) =
+                shell::recv_result(transport, obs, clock, round.stamp, peer, deadline)?
+            {
                 match classify.step(&bytes, |reply| exchange.fold(peer, reply)) {
                     fsm::GatherVerdict::Fatal(e) => return Err(e),
                     fsm::GatherVerdict::Discarded(why) => self.books.discard(round, why),
@@ -1087,6 +1087,30 @@ mod tests {
     }
 
     #[test]
+    fn a_round_with_no_representable_deadline_completes() {
+        /// Lets the worker go even when the round panics.
+        struct Shutdown<'a>(&'a ChannelTransport);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                let _ = shutdown_workers(self.0);
+            }
+        }
+        let nodes = ChannelTransport::mesh(2);
+        let images = Tensor::full([2, 1, 28, 28], 0.3);
+        thread::scope(|scope| {
+            scope.spawn(|_| serve(&nodes[1], &mut expert(1)));
+            let _shutdown = Shutdown(&nodes[0]);
+            let config = MasterConfig {
+                worker_timeout: Duration::MAX,
+                ..MasterConfig::default()
+            };
+            let preds = one_round(&nodes[0], &mut expert(0), &images, &config).unwrap();
+            assert_eq!(preds.len(), 2);
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn missing_worker_times_out_when_required() {
         let nodes = ChannelTransport::mesh(2);
         let mut master_expert = expert(0);
@@ -1141,8 +1165,14 @@ mod tests {
             }
             self.inner.send(to, tag, payload)
         }
-        fn recv(&self, from: usize, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
-            self.inner.recv(from, tag, timeout)
+        fn recv_where(
+            &self,
+            from: usize,
+            tag: Tag,
+            timeout: Duration,
+            accept: &dyn Fn(&[u8]) -> bool,
+        ) -> Result<Vec<u8>, NetError> {
+            self.inner.recv_where(from, tag, timeout, accept)
         }
         fn stats(&self) -> teamnet_net::TransportStats {
             self.inner.stats()

@@ -4,45 +4,43 @@
 //! The session's broadcast and gather, the recovery driver's exchanges and
 //! the worker loop's replies all stamp their envelopes with [`stamp`], put
 //! them on the wire through [`send`] and take master-bound frames off it through
-//! [`ResultWait::recv`]; what a frame *means* is decided by the pure state
+//! [`recv_result`]; what a frame *means* is decided by the pure state
 //! machines of [`crate::fsm`]. Owning both directions is what lets one
 //! rule hold for every wait on the master: a transport's mailbox is keyed
-//! `(peer, tag)` only, so a blocking receive can pull a frame stamped for
-//! some other wait's round — and every such frame is routed to the wait
-//! that owns the stamp, never dropped by whoever happened to read it.
+//! `(peer, tag)` only, so several waits can sleep on one key — and each
+//! takes only the frames stamped for its own round (or for no live round),
+//! leaving a sibling's frame queued for the sibling, whom its delivery
+//! already woke.
 
 use crate::runtime::TAG_RESULT;
 use parking_lot::Mutex;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use teamnet_net::{
     peek_round, peek_trace, Clock, Envelope, NetError, PayloadKind, Tag, TraceContext, Transport,
     ENVELOPE_HEADER_LEN,
 };
-use teamnet_obs::{Counter, Obs};
+use teamnet_obs::Obs;
 
 /// Process-wide round allocator: every round in this process — inference
 /// or recovery transfer — gets a unique stamp, so a late reply can never
 /// alias a later round even across sessions sharing a transport.
 static NEXT_ROUND: AtomicU64 = AtomicU64::new(1);
 
-/// Largest number of frames parked per `(round, peer)` key: bounds what a
-/// duplicate storm can make the router retain.
-const MAX_PARKED_PER_KEY: usize = 1024;
+/// The stamps of every round with a wait in flight. A result wait leaves
+/// a frame stamped with one of these (other than its own) queued for its
+/// owner; every other stamp is stale traffic.
+///
+/// Lock order: a mailbox's lock, then this one — [`recv_result`]'s filter
+/// reads the set under the mailbox lock, and [`RoundRegistration`] takes
+/// only this lock.
+static LIVE_ROUNDS: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::new());
 
-/// Cross-wait frame router: one entry per round with a wait in flight,
-/// holding the frames sibling waits pulled off the shared mailbox on its
-/// behalf (FIFO per sending peer). Frames stamped for unregistered rounds
-/// are genuine stale traffic and never enter it.
-static ROUND_ROUTER: Mutex<BTreeMap<u64, BTreeMap<usize, VecDeque<Vec<u8>>>>> =
-    Mutex::new(BTreeMap::new());
-
-/// A freshly stamped round, registered with the router for as long as the
-/// guard lives: dropping it (on any exit path, including errors)
-/// unregisters the round and frees whatever is still parked for it.
+/// A freshly stamped round, live for as long as the guard lives: dropping
+/// it (on any exit path, including errors) makes whatever is still queued
+/// for the round stale.
 #[derive(Debug)]
 pub(crate) struct RoundRegistration {
     /// The stamp every frame of this round carries.
@@ -50,46 +48,20 @@ pub(crate) struct RoundRegistration {
 }
 
 impl RoundRegistration {
-    /// Allocates the next round stamp and registers it. Open the round
+    /// Allocates the next round stamp and marks it live. Open the round
     /// before its first send: once a frame is out, the reply can race
-    /// back — possibly into a sibling wait's receive.
+    /// back — possibly while a sibling wait reads the same mailbox key.
     pub(crate) fn open() -> Self {
         let round = NEXT_ROUND.fetch_add(1, Ordering::Relaxed);
-        ROUND_ROUTER.lock().insert(round, BTreeMap::new());
+        LIVE_ROUNDS.lock().insert(round);
         RoundRegistration { round }
     }
 }
 
 impl Drop for RoundRegistration {
     fn drop(&mut self) {
-        ROUND_ROUTER.lock().remove(&self.round);
+        LIVE_ROUNDS.lock().remove(&self.round);
     }
-}
-
-/// Parks a frame from `peer` stamped for `seen` if that round has a
-/// registered wait in flight; hands the frame back otherwise (genuine
-/// stale traffic, or the park bound is hit).
-fn park_for_round(seen: u64, peer: usize, bytes: Vec<u8>) -> Result<(), Vec<u8>> {
-    let mut router = ROUND_ROUTER.lock();
-    let Some(parked) = router.get_mut(&seen) else {
-        return Err(bytes);
-    };
-    let queue = parked.entry(peer).or_default();
-    if queue.len() >= MAX_PARKED_PER_KEY {
-        return Err(bytes);
-    }
-    queue.push_back(bytes);
-    Ok(())
-}
-
-/// Takes the oldest frame a sibling wait parked for (`round`, `peer`), if
-/// any.
-fn take_parked(round: u64, peer: usize) -> Option<Vec<u8>> {
-    ROUND_ROUTER
-        .lock()
-        .get_mut(&round)?
-        .get_mut(&peer)?
-        .pop_front()
 }
 
 /// The stamp for a frame about to leave under `trace`: that trace id
@@ -148,75 +120,38 @@ pub(crate) fn received(obs: &Obs, label: &str, from: usize, frame: &[u8]) -> Opt
 }
 
 /// The master-side wait on the result tag, shared by a session's gather
-/// and a recovery transfer's ack wait. Its two counters are the router's:
-/// frames this wait parked for a sibling, and frames siblings parked that
-/// it took back.
-#[derive(Debug)]
-pub(crate) struct ResultWait {
-    obs: Obs,
-    clock: Arc<dyn Clock>,
-    parked: Counter,
-    rescued: Counter,
-}
-
-impl ResultWait {
-    /// A wait timed on `clock`, registering `round.cross_session_parked`
-    /// / `_rescued` in `obs`.
-    pub(crate) fn new(obs: &Obs, clock: &Arc<dyn Clock>) -> Self {
-        ResultWait {
-            obs: obs.clone(),
-            clock: Arc::clone(clock),
-            parked: obs.metrics.counter("round.cross_session_parked"),
-            rescued: obs.metrics.counter("round.cross_session_rescued"),
+/// and a recovery transfer's ack wait: the next frame from `peer` for the
+/// wait that owns `round`, or `None` once `deadline` (on `clock`) has
+/// passed with nothing taken (an expired deadline still polls once, so a
+/// reply that is already there is never left behind).
+///
+/// The wait takes a frame stamped for `round`, for no live round, or with
+/// no readable stamp — the last two are the caller's to classify (stale
+/// or malformed). A frame stamped for a sibling's live round stays queued
+/// for the sibling.
+///
+/// # Errors
+///
+/// Transport failures other than a timeout.
+pub(crate) fn recv_result(
+    transport: &dyn Transport,
+    obs: &Obs,
+    clock: &dyn Clock,
+    round: u64,
+    peer: usize,
+    deadline: Instant,
+) -> Result<Option<Vec<u8>>, NetError> {
+    let ours = |frame: &[u8]| {
+        peek_round(frame).is_none_or(|seen| seen == round || !LIVE_ROUNDS.lock().contains(&seen))
+    };
+    let remaining = deadline.saturating_duration_since(clock.now());
+    match transport.recv_where(peer, TAG_RESULT, remaining, &ours) {
+        Ok(bytes) => {
+            received(obs, "result", peer, &bytes);
+            Ok(Some(bytes))
         }
-    }
-
-    /// The next frame from `peer` for the wait that owns `round`, or
-    /// `None` once `deadline` has passed with nothing queued (an expired
-    /// deadline still polls once, so a reply that is already there is
-    /// never left behind).
-    ///
-    /// Frames a sibling wait parked for this round are taken first, and
-    /// once more after a timeout; a received frame stamped for a
-    /// sibling's registered round is parked for it and the wait goes on.
-    /// Everything else — including stale traffic nobody owns — is the
-    /// caller's to classify.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures other than a timeout.
-    pub(crate) fn recv(
-        &self,
-        transport: &dyn Transport,
-        round: u64,
-        peer: usize,
-        deadline: Instant,
-    ) -> Result<Option<Vec<u8>>, NetError> {
-        let rescue = || take_parked(round, peer).inspect(|_| self.rescued.inc());
-        loop {
-            let bytes = match rescue() {
-                Some(bytes) => bytes,
-                None => {
-                    let remaining = deadline.saturating_duration_since(self.clock.now());
-                    match transport.recv(peer, TAG_RESULT, remaining) {
-                        Ok(bytes) => bytes,
-                        Err(NetError::Timeout { .. }) => match rescue() {
-                            Some(bytes) => bytes,
-                            None => return Ok(None),
-                        },
-                        Err(e) => return Err(e),
-                    }
-                }
-            };
-            received(&self.obs, "result", peer, &bytes);
-            let Some(seen) = peek_round(&bytes).filter(|&seen| seen != round) else {
-                return Ok(Some(bytes));
-            };
-            match park_for_round(seen, peer, bytes) {
-                Ok(()) => self.parked.inc(),
-                Err(bytes) => return Ok(Some(bytes)),
-            }
-        }
+        Err(NetError::Timeout { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
@@ -233,17 +168,26 @@ mod tests {
     }
 
     #[test]
-    fn frames_park_only_for_registered_rounds_and_free_with_them() {
-        let owner = RoundRegistration::open();
-        let round = owner.round;
-        assert_eq!(park_for_round(round, 3, vec![1]), Ok(()));
-        assert_eq!(park_for_round(round, 3, vec![2]), Ok(()));
-        // FIFO per (round, peer); other peers see nothing.
-        assert_eq!(take_parked(round, 2), None);
-        assert_eq!(take_parked(round, 3), Some(vec![1]));
-        drop(owner);
-        assert_eq!(take_parked(round, 3), None, "freed with the registration");
-        assert_eq!(park_for_round(round, 3, vec![9]), Err(vec![9]));
+    fn a_result_wait_leaves_a_live_siblings_frame_queued() {
+        let nodes = teamnet_net::ChannelTransport::mesh(2);
+        let clock = teamnet_net::SystemClock;
+        let obs = Obs::disabled();
+        let mine = RoundRegistration::open();
+        let sibling = RoundRegistration::open();
+        let ended = RoundRegistration::open().round;
+        let frame = |round| Envelope::new(round, PayloadKind::Result, vec![]).encode();
+        for round in [sibling.round, ended, mine.round] {
+            nodes[1].send(0, TAG_RESULT, &frame(round)).unwrap();
+        }
+        nodes[1].send(0, TAG_RESULT, b"no stamp").unwrap();
+        let now = clock.now();
+        let take = |round| recv_result(&nodes[0], &obs, &clock, round, 1, now).unwrap();
+        // Stale, then its own, then unreadable: the sibling's stays put.
+        assert_eq!(take(mine.round), Some(frame(ended)));
+        assert_eq!(take(mine.round), Some(frame(mine.round)));
+        assert_eq!(take(mine.round), Some(b"no stamp".to_vec()));
+        assert_eq!(take(mine.round), None);
+        assert_eq!(take(sibling.round), Some(frame(sibling.round)));
     }
 
     #[test]

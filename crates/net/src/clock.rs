@@ -23,6 +23,15 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+/// The instant `timeout` after `now`. A timeout too large for `Instant`
+/// (`Duration::MAX`) means no deadline: it comes back a century out, where
+/// `now() + timeout` panics — `xtask check`'s `deadline-add` rule rejects
+/// that form, so this is the one way a deadline is built.
+pub fn deadline_after(now: Instant, timeout: Duration) -> Instant {
+    const CENTURY: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+    now.checked_add(timeout.min(CENTURY)).unwrap_or(now)
+}
+
 /// A source of monotonic time plus the ability to sleep against it.
 ///
 /// `Debug` is a supertrait so configs holding an `Arc<dyn Clock>` can keep
@@ -138,6 +147,15 @@ mod tests {
         clock.sleep(Duration::from_secs(3600)); // returns immediately
         assert_eq!(clock.elapsed(), Duration::from_secs(3600));
         assert_eq!(clock.sleeps(), 1);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_is_no_deadline() {
+        let now = SystemClock.now();
+        let t = Duration::from_millis(5);
+        assert_eq!(deadline_after(now, t), now + t);
+        let never = deadline_after(now, Duration::MAX);
+        assert!(never >= now + Duration::from_secs(99 * 365 * 24 * 3600));
     }
 
     #[test]

@@ -290,8 +290,14 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         }
     }
 
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.inner.recv(from, tag, timeout)
+    fn recv_where(
+        &self,
+        from: NodeId,
+        tag: Tag,
+        timeout: Duration,
+        accept: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<u8>, NetError> {
+        self.inner.recv_where(from, tag, timeout, accept)
     }
 
     fn stats(&self) -> TransportStats {

@@ -53,7 +53,7 @@ mod retry;
 mod tcp;
 mod transport;
 
-pub use clock::{Clock, ManualClock, SystemClock};
+pub use clock::{deadline_after, Clock, ManualClock, SystemClock};
 pub use crc::{crc32, Crc32};
 pub use envelope::{
     derive_trace_id, peek_round, peek_trace, Envelope, EnvelopeRef, PayloadKind, TraceContext,

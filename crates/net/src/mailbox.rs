@@ -5,6 +5,7 @@
 //! single queueing structure both the in-process and the TCP transports
 //! deliver into.
 
+use crate::clock::deadline_after;
 use crate::error::NetError;
 use crate::transport::{NodeId, Tag};
 use parking_lot::{Condvar, Mutex};
@@ -70,26 +71,42 @@ impl Mailbox {
     }
 
     /// Blocks until a message from `from` arrives under `tag`, up to
-    /// `timeout`: the one blocking point-to-point receive, FIFO per
-    /// `(from, tag)` key.
+    /// `timeout`: [`Mailbox::recv_where`] admitting every message, so FIFO
+    /// per `(from, tag)` key.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mailbox::recv_where`].
+    pub fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.recv_where(from, tag, timeout, &|_| true)
+    }
+
+    /// The mailbox's one wait loop: blocks up to `timeout` until a message
+    /// from `from` under `tag` that `accept` admits is queued, and takes
+    /// the oldest such one. Refused messages stay queued, in order; every
+    /// delivery wakes every waiter, so the one a message is for sees it at
+    /// once. `accept` runs under the mailbox lock.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] on deadline, [`NetError::Closed`] if the
-    /// mailbox closes while (or before) waiting with no matching message.
-    pub fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    /// mailbox closes while (or before) waiting with no admitted message.
+    pub fn recv_where(
+        &self,
+        from: NodeId,
+        tag: Tag,
+        timeout: Duration,
+        accept: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<u8>, NetError> {
         // Receive timeouts are wall-clock by design: the condvar can only
         // wait on real time, and the caller's *deadline budgeting* (the
         // deterministic part) happens upstream on an injected Clock.
         // lint: allow(det-clock)
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(Instant::now(), timeout);
         let mut queues = self.queues.lock();
         loop {
-            if let Some(msg) = queues
-                .by_key
-                .get_mut(&(from, tag))
-                .and_then(VecDeque::pop_front)
-            {
+            let queue = queues.by_key.get_mut(&(from, tag));
+            if let Some(msg) = queue.and_then(|q| q.remove(q.iter().position(|m| accept(m))?)) {
                 return Ok(msg);
             }
             if self.is_closed() {
@@ -149,6 +166,21 @@ mod tests {
         let mb = Mailbox::new();
         let err = mb.recv(0, TAG, Duration::from_millis(20)).unwrap_err();
         assert!(matches!(err, NetError::Timeout { .. }));
+    }
+
+    #[test]
+    fn a_refused_frame_stays_queued_for_another_waiter() {
+        let mb = Mailbox::new();
+        mb.deliver(1, TAG, vec![1]);
+        mb.deliver(1, TAG, vec![2]);
+        mb.deliver(1, TAG, vec![3]);
+        let odd = |msg: &[u8]| msg.first().is_some_and(|b| b % 2 == 1);
+        assert_eq!(mb.recv_where(1, TAG, SHORT, &odd).unwrap(), vec![1]);
+        assert_eq!(mb.recv_where(1, TAG, SHORT, &odd).unwrap(), vec![3]);
+        let err = mb.recv_where(1, TAG, SHORT, &odd).unwrap_err();
+        assert!(matches!(err, NetError::Timeout { .. }));
+        // The refused frame is still there, for a waiter that admits it.
+        assert_eq!(mb.recv(1, TAG, SHORT).unwrap(), vec![2]);
     }
 
     #[test]

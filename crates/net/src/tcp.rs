@@ -9,6 +9,7 @@
 //! deployments construct endpoints from explicit peer addresses with
 //! [`TcpTransport::connect_mesh`].
 
+use crate::clock::deadline_after;
 use crate::codec::{read_frame, write_frame};
 use crate::error::NetError;
 use crate::mailbox::Mailbox;
@@ -18,7 +19,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A TCP mesh endpoint.
 pub struct TcpTransport {
@@ -167,12 +168,12 @@ impl TcpTransport {
 }
 
 fn retry_connect(addr: SocketAddr, budget: Duration) -> Result<TcpStream, NetError> {
-    let deadline = std::time::Instant::now() + budget;
+    let deadline = deadline_after(Instant::now(), budget);
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
             Err(e) => {
-                if std::time::Instant::now() >= deadline {
+                if Instant::now() >= deadline {
                     return Err(NetError::Io(e));
                 }
                 std::thread::sleep(Duration::from_millis(50));
@@ -208,29 +209,37 @@ impl Transport for TcpTransport {
         if to >= self.num_nodes {
             return Err(NetError::UnknownPeer(to));
         }
+        // Counted before the frame leaves, so whoever receives it already
+        // sees it counted; a failed write is taken back out.
+        let len = payload.len() as u64;
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        if to == self.node_id {
+        self.bytes_sent.fetch_add(len, Ordering::Relaxed);
+        let Some(writer) = self.writers.get(to).and_then(Option::as_ref) else {
+            // In range, the one slot without a writer is our own.
             self.mailbox.deliver(self.node_id, tag, payload.to_vec());
             return Ok(());
-        }
-        let writer = self
-            .writers
-            .get(to)
-            .and_then(Option::as_ref)
-            .ok_or(NetError::UnknownPeer(to))?;
+        };
         // Header and the caller's payload leave as one vectored write:
         // no per-peer copy of the payload into a frame buffer.
-        write_frame(&mut *writer.lock(), self.node_id, tag, payload)?;
-        Ok(())
+        let written = write_frame(&mut *writer.lock(), self.node_id, tag, payload);
+        if written.is_err() {
+            self.messages_sent.fetch_sub(1, Ordering::Relaxed);
+            self.bytes_sent.fetch_sub(len, Ordering::Relaxed);
+        }
+        Ok(written?)
     }
 
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn recv_where(
+        &self,
+        from: NodeId,
+        tag: Tag,
+        timeout: Duration,
+        accept: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<u8>, NetError> {
         if from >= self.num_nodes {
             return Err(NetError::UnknownPeer(from));
         }
-        self.mailbox.recv(from, tag, timeout)
+        self.mailbox.recv_where(from, tag, timeout, accept)
     }
 
     fn stats(&self) -> TransportStats {
@@ -366,5 +375,21 @@ mod tests {
         nodes[0].send(1, TAG, &[0; 64]).unwrap();
         assert_eq!(nodes[0].stats().bytes_sent, 64);
         assert_eq!(nodes[0].stats().messages_sent, 1);
+    }
+
+    #[test]
+    fn stats_count_only_the_sends_that_went_out() {
+        let nodes = TcpTransport::mesh_localhost(2).unwrap();
+        nodes[1].shutdown();
+        let mut ok = 0u64;
+        for _ in 0..20 {
+            if nodes[0].send(1, TAG, &[0; 1000]).is_ok() {
+                ok += 1;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(ok < 20, "sends to a shut-down peer kept succeeding");
+        let stats = nodes[0].stats();
+        assert_eq!((stats.messages_sent, stats.bytes_sent), (ok, ok * 1000));
     }
 }

@@ -61,15 +61,33 @@ pub trait Transport: Send + Sync {
     /// specific I/O errors otherwise.
     fn send(&self, to: NodeId, tag: Tag, payload: &[u8]) -> Result<(), NetError>;
 
-    /// Receives the next message from `from` under `tag`, waiting up to
-    /// `timeout` in a single blocking wait. Messages of one `(from, tag)`
-    /// pair arrive in the order they were sent.
+    /// Receives the oldest message from `from` under `tag` that `accept`
+    /// admits, waiting up to `timeout` in a single blocking wait; refused
+    /// messages stay queued for another waiter. Messages of one
+    /// `(from, tag)` pair arrive in the order they were sent. A wrapper
+    /// forwards `accept` as given: dropping it would hand one waiter the
+    /// frames another is waiting for.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] on deadline, [`NetError::Closed`] after
     /// shutdown.
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError>;
+    fn recv_where(
+        &self,
+        from: NodeId,
+        tag: Tag,
+        timeout: Duration,
+        accept: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<u8>, NetError>;
+
+    /// [`Transport::recv_where`] admitting every message.
+    ///
+    /// # Errors
+    ///
+    /// As [`Transport::recv_where`].
+    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        self.recv_where(from, tag, timeout, &|_| true)
+    }
 
     /// Traffic counters since creation.
     fn stats(&self) -> TransportStats;
@@ -157,11 +175,17 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    fn recv_where(
+        &self,
+        from: NodeId,
+        tag: Tag,
+        timeout: Duration,
+        accept: &dyn Fn(&[u8]) -> bool,
+    ) -> Result<Vec<u8>, NetError> {
         if from >= self.num_nodes() {
             return Err(NetError::UnknownPeer(from));
         }
-        self.own_mailbox().recv(from, tag, timeout)
+        self.own_mailbox().recv_where(from, tag, timeout, accept)
     }
 
     fn stats(&self) -> TransportStats {
@@ -215,6 +239,23 @@ mod tests {
             }
         );
         assert_eq!(nodes[1].stats(), TransportStats::default());
+    }
+
+    #[test]
+    fn stats_count_only_the_sends_that_went_out() {
+        let nodes = ChannelTransport::mesh(2);
+        nodes[0].send(1, TAG, &[0u8; 10]).unwrap();
+        nodes[1].shutdown();
+        assert!(nodes[0].send(1, TAG, &[0u8; 10]).is_err());
+        let stats = nodes[0].stats();
+        assert_eq!((stats.messages_sent, stats.bytes_sent), (1, 10));
+    }
+
+    #[test]
+    fn recv_with_duration_max_returns_a_queued_frame() {
+        let nodes = ChannelTransport::mesh(2);
+        nodes[0].send(1, TAG, b"queued").unwrap();
+        assert_eq!(nodes[1].recv(0, TAG, Duration::MAX).unwrap(), b"queued");
     }
 
     #[test]

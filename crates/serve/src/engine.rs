@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use teamnet_core::health::PeerHealth;
 use teamnet_core::runtime::{InferenceSession, MasterConfig};
 use teamnet_core::TeamPrediction;
-use teamnet_net::{Clock, Transport};
+use teamnet_net::{deadline_after, Clock, Transport};
 use teamnet_nn::Sequential;
 use teamnet_obs::{Counter, Gauge, Histogram, Obs};
 use teamnet_tensor::Tensor;
@@ -109,7 +109,7 @@ impl Ticket {
     /// Blocks until the request completes or `timeout` elapses
     /// (`None` on timeout).
     pub fn wait_timeout(&self, timeout: Duration) -> Option<TicketResult> {
-        let deadline = Instant::now() + timeout; // lint: allow(det-clock)
+        let deadline = deadline_after(Instant::now(), timeout); // lint: allow(det-clock)
         let mut slot = self.slot.result.lock();
         loop {
             if let Some(result) = slot.clone() {
@@ -543,12 +543,18 @@ mod tests {
             self.inner.send(to, tag, payload)
         }
 
-        fn recv(&self, from: NodeId, tag: Tag, timeout: Duration) -> Result<Vec<u8>, NetError> {
+        fn recv_where(
+            &self,
+            from: NodeId,
+            tag: Tag,
+            timeout: Duration,
+            accept: &dyn Fn(&[u8]) -> bool,
+        ) -> Result<Vec<u8>, NetError> {
             let step = self.step.lock().take();
             if let Some(step) = step {
                 step();
             }
-            self.inner.recv(from, tag, timeout)
+            self.inner.recv_where(from, tag, timeout, accept)
         }
 
         fn stats(&self) -> TransportStats {
@@ -566,6 +572,17 @@ mod tests {
             assert_eq!(engine.pump_now(master), 1);
             assert_eq!(ticket.try_take().unwrap().unwrap().len(), 1);
             assert_eq!(engine.pump_now(master), 0, "idle: nothing to flush");
+        });
+    }
+
+    #[test]
+    fn a_wait_with_no_representable_deadline_returns_the_result() {
+        with_worker(|master| {
+            let mut engine = ServeEngine::new(master, expert(0), config());
+            let ticket = engine.handle().submit(&request(1, 0.2)).unwrap();
+            assert_eq!(engine.pump_now(master), 1);
+            let result = ticket.wait_timeout(Duration::MAX);
+            assert_eq!(result.unwrap().unwrap().len(), 1);
         });
     }
 

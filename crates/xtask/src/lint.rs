@@ -11,6 +11,7 @@
 //! | `no-todo`       | `todo!` / `unimplemented!`                           |
 //! | `no-index`      | unchecked `x[i]` indexing (net/core crates only)     |
 //! | `transport-stats` | `Transport` impls without a forwarding `stats()`   |
+//! | `deadline-add`  | `now() + t`: overflow panics; use `deadline_after`   |
 //! | `forbid-unsafe` | crate roots missing `#![forbid(unsafe_code)]`        |
 //! | `missing-docs`  | crate roots missing a `missing_docs` lint header     |
 
@@ -138,6 +139,15 @@ fn check_file(file: &SourceFile, diags: &mut Vec<Diagnostic>) -> (usize, usize) 
         }
         if contains_bang_macro(line, "todo") || contains_bang_macro(line, "unimplemented") {
             hits.push(("no-todo", "unfinished code path".into()));
+        }
+        let next = masked.lines.get(idx + 1).map_or("", String::as_str);
+        if has_deadline_add(line, next) {
+            hits.push((
+                "deadline-add",
+                "`now() + timeout` panics when the sum overflows `Instant`; \
+                 use teamnet_net::deadline_after"
+                    .into(),
+            ));
         }
         if index_checked && has_unchecked_index(line) {
             hits.push((
@@ -328,6 +338,21 @@ fn contains_bang_macro(line: &str, name: &str) -> bool {
     false
 }
 
+/// True if `line` adds to a `now()` read (`clock.now() + timeout`,
+/// `Instant::now()+t`), the `+` possibly opening the `next` line the way
+/// rustfmt wraps a long sum. `+=` is not a deadline.
+fn has_deadline_add(line: &str, next: &str) -> bool {
+    line.match_indices("now()").any(|(at, call)| {
+        let rest = line.get(at + call.len()..).unwrap_or("").trim_start();
+        let rest = if rest.is_empty() {
+            next.trim_start()
+        } else {
+            rest
+        };
+        rest.starts_with('+') && !rest.starts_with("+=")
+    })
+}
+
 /// Heuristic for unchecked index/slice expressions: `[` directly after an
 /// identifier character, `]`, or `)` is an `Index` use (`buf[i]`,
 /// `&frame[..n]`); `#[attr]`, `vec![…]`, array types and literals are not.
@@ -370,6 +395,44 @@ mod tests {
         assert!(!has_unchecked_index("#[derive(Debug)]"));
         assert!(!has_unchecked_index("let v = vec![0u8; 4];"));
         assert!(!has_unchecked_index("fn f(x: [u8; 4]) {}"));
+    }
+
+    #[test]
+    fn deadline_add_heuristic() {
+        assert!(has_deadline_add("let d = Instant::now() + timeout;", ""));
+        assert!(has_deadline_add("let d = self.clock.now()+t;", ""));
+        assert!(has_deadline_add(
+            "let d = self.clock.now()",
+            "    + timeout;"
+        ));
+        assert!(!has_deadline_add(
+            "let d = deadline_after(clock.now(), t);",
+            ""
+        ));
+        assert!(!has_deadline_add("total += clock.now() - start;", ""));
+        assert!(!has_deadline_add("let t = clock.now();", "x += 1;"));
+        assert!(!has_deadline_add("let t = clock.now()", "    += 1;"));
+    }
+
+    #[test]
+    fn deadline_add_is_flagged_outside_tests_and_honours_allow() {
+        let diags = |text: &str| {
+            let model = Model::build(&[("net", "crates/net/src/x.rs", text)]);
+            let mut diags = Vec::new();
+            check_file(&model.files[0], &mut diags);
+            diags
+        };
+        let flagged = diags("fn f(t: Duration) -> Instant {\n    Instant::now() + t\n}\n");
+        assert_eq!(flagged.len(), 1, "{flagged:?}");
+        assert_eq!((flagged[0].rule, flagged[0].line), ("deadline-add", 2));
+        let allowed = diags(
+            "fn f(t: Duration) -> Instant {\n    // lint: allow(deadline-add)\n    \
+             Instant::now() + t\n}\n",
+        );
+        assert!(allowed.is_empty(), "{allowed:?}");
+        let in_test =
+            diags("#[cfg(test)]\nmod tests {\n    fn f() { let _ = Instant::now() + T; }\n}\n");
+        assert!(in_test.is_empty(), "{in_test:?}");
     }
 
     fn transport_diags(text: &str) -> Vec<Diagnostic> {

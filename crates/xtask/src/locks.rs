@@ -4,8 +4,9 @@
 //!
 //! Rule IDs: `lock-order` (a cycle in the acquisition graph, including a
 //! re-acquisition of the same non-reentrant lock) and `lock-across-io`
-//! (`send`/`recv` called with a guard live — with parking_lot mutexes a
-//! blocked receive wedges every other thread touching that lock).
+//! (`send`/`recv`/`recv_where` called with a guard live — with
+//! parking_lot mutexes a blocked receive wedges every other thread
+//! touching that lock).
 //!
 //! ## How locks are identified
 //!
@@ -41,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const LOCK_AUDITED_CRATES: &[&str] = &["net", "core"];
 
 /// Transport calls that must not run under a lock.
-const IO_CALLS: &[&str] = &["send", "recv"];
+const IO_CALLS: &[&str] = &["send", "recv", "recv_where"];
 
 /// One lock acquisition found in a function body.
 #[derive(Debug, Clone)]
@@ -484,6 +485,10 @@ fn waits(&self) {
     let g = self.state.lock();
     self.transport.recv(0, tag, timeout);
 }
+fn filters(&self) {
+    let g = self.state.lock();
+    self.transport.recv_where(0, tag, timeout, &accept);
+}
 ";
         let diags = run(src);
         let lines: Vec<usize> = diags
@@ -493,7 +498,7 @@ fn waits(&self) {
             .collect();
         // A guard held across a blocking receive is the same wedge as one
         // held across `send`.
-        assert_eq!(lines, [3, 12], "{diags:?}");
+        assert_eq!(lines, [3, 12, 16], "{diags:?}");
     }
 
     #[test]

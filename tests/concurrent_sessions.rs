@@ -5,15 +5,18 @@
 //! never alias a later round — but the transport mailbox is keyed
 //! `(peer, tag)` only, so when two [`InferenceSession`]s gather over one
 //! shared endpoint, session A's blocking recv can consume the frame
-//! stamped with session B's round. Before the cross-session round
-//! router, A discarded that frame as stale and B starved to a timeout:
-//! with `require_all_workers` set, a spurious round failure with every
-//! worker alive and answering. The router parks mis-delivered frames for
-//! the session that owns the stamp; this test pins the fix by hammering
-//! two interleaved strict-mode sessions over a duplicate-heavy
-//! `ChaosTransport` and requiring every round to succeed.
+//! stamped with session B's round. Discarding it as stale starves B to a
+//! timeout (with `require_all_workers` set, a spurious round failure with
+//! every worker alive and answering); setting it aside for B still leaves
+//! B asleep on the mailbox until its own receive times out. So each
+//! result wait takes only the frames stamped for its own round (or for no
+//! live round) and leaves B's queued, where its delivery has already
+//! woken B. The first test hammers two interleaved strict-mode sessions
+//! over a duplicate-heavy `ChaosTransport` and requires every round to
+//! succeed; the second requires that no round of two sessions on one
+//! plain endpoint sits out its timeout.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use teamnet_core::build_expert;
 use teamnet_core::runtime::{
     serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
@@ -91,6 +94,61 @@ fn two_concurrent_sessions_share_a_transport_without_starving() {
             s.join().unwrap();
         }
         shutdown_workers(chaos.inner()).unwrap();
+    })
+    .unwrap();
+}
+
+/// Two strict sessions on one plain master endpoint, many rounds each:
+/// whenever one session's wait is asleep on the mailbox while the other's
+/// reply lands there, the reply must wake the session it is for at once.
+/// A round that sits out the full `worker_timeout` (2 s) fails the test
+/// even though it succeeds; the bound on a round is half of that.
+#[test]
+fn a_siblings_reply_never_stalls_a_round_to_its_timeout() {
+    const ROUNDS_PER_SESSION: usize = 500;
+    let nodes = ChannelTransport::mesh(4);
+    let [master, worker1, worker2, worker3] = &nodes[..] else {
+        unreachable!("a mesh of 4");
+    };
+
+    crossbeam::thread::scope(|scope| {
+        for (seed, worker) in [(1, worker1), (2, worker2), (3, worker3)] {
+            scope.spawn(move |_| {
+                let mut e = expert(seed);
+                serve_worker_with_config(worker, 0, &mut e, WorkerConfig::default()).unwrap();
+            });
+        }
+        let sessions: Vec<_> = (0..2u64)
+            .map(|tenant| {
+                scope.spawn(move |_| {
+                    let config = MasterConfig {
+                        worker_timeout: Duration::from_secs(2),
+                        require_all_workers: true,
+                        ..MasterConfig::default()
+                    };
+                    let mut session = InferenceSession::new(master, config);
+                    let mut master_expert = expert(0);
+                    let images = Tensor::full([1, 1, 28, 28], 0.1 + tenant as f32 * 0.4);
+                    let mut worst = Duration::ZERO;
+                    for round in 0..ROUNDS_PER_SESSION {
+                        let t0 = Instant::now();
+                        session
+                            .infer(master, &mut master_expert, &images)
+                            .unwrap_or_else(|e| panic!("tenant {tenant} round {round}: {e}"));
+                        worst = worst.max(t0.elapsed());
+                    }
+                    worst
+                })
+            })
+            .collect();
+        let worst: Vec<Duration> = sessions.into_iter().map(|s| s.join().unwrap()).collect();
+        shutdown_workers(master).unwrap();
+        for (tenant, worst) in worst.iter().enumerate() {
+            assert!(
+                *worst < Duration::from_secs(1),
+                "tenant {tenant}: a round took {worst:?}"
+            );
+        }
     })
     .unwrap();
 }

@@ -137,7 +137,7 @@ fn identical_seeded_soaks_emit_byte_identical_traces_and_metrics() {
     );
     assert_eq!(
         fnv1a64(&metrics_pinned),
-        0xB617_4476_57C6_FCB5,
+        0xED66_2078_71DB_74D7,
         "metrics summary moved"
     );
     assert_eq!(
