@@ -57,7 +57,7 @@
 #   9. traced smoke      (chaos_inference with TEAMNET_TRACE -> JsonlSink,
 #                         piped through `cargo xtask trace-report`, which
 #                         exits non-zero on a parse error or an empty span
-#                         table; the workspace tests in stage 5 cover the
+#                         table; the workspace tests in stage 6 cover the
 #                         default NullSink path)
 #   9b. cross-node trace (trace_soak example: every node of a 3-node
 #                         cluster records its own JSONL sink; the three
@@ -89,11 +89,13 @@
 #                         or tests it)
 #
 # Opt-in stage (not part of the default gate):
-#   ./ci.sh tsan         runs the fault-tolerance, chaos-soak and
-#                        recovery-soak suites under ThreadSanitizer. Requires a nightly
-#                        toolchain with the rust-src component; exits 0
-#                        with a notice when none is installed so the
-#                        default gate never depends on nightly.
+#   ./ci.sh tsan         runs the fault-tolerance, chaos-soak, recovery-soak,
+#                        serve-soak and concurrent-sessions suites under
+#                        ThreadSanitizer (the last covers two sessions
+#                        waiting on one master endpoint). Requires a
+#                        nightly toolchain with the rust-src component;
+#                        exits 0 with a notice when none is installed so
+#                        the default gate never depends on nightly.
 set -eu
 cd "$(dirname "$0")"
 
@@ -111,7 +113,8 @@ if [ "${1:-}" = "tsan" ]; then
     host="$(rustc -vV | sed -n 's/^host: //p')"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
-        --test fault_tolerance --test chaos_soak --test recovery_soak
+        --test fault_tolerance --test chaos_soak --test recovery_soak \
+        --test serve_soak --test concurrent_sessions
     exit 0
 fi
 

@@ -26,9 +26,6 @@ use crate::team::TeamPrediction;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use teamnet_net::{Clock, SystemClock};
 use teamnet_obs::Counter;
 
 /// Liveness classification of one peer, as seen by the master.
@@ -83,7 +80,6 @@ struct PeerState {
     health: PeerHealth,
     consecutive_misses: u32,
     rounds_since_probe: u64,
-    last_reply: Option<Instant>,
 }
 
 /// Per-peer liveness tracker owned by the master's inference session.
@@ -91,13 +87,10 @@ struct PeerState {
 /// Peers are kept in a `BTreeMap` keyed by node id so any iteration over
 /// them (diagnostics, reports) happens in id order — the `det-map` audit
 /// rule forbids hash-ordered iteration anywhere on the protocol path.
-/// Heartbeat timestamps come from an injected [`Clock`], so tests can
-/// measure idle times on a [`teamnet_net::ManualClock`] without sleeping.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     config: FailureDetectorConfig,
     peers: BTreeMap<usize, PeerState>,
-    clock: Arc<dyn Clock>,
     /// Incremented on every health-state change (Live→Suspect,
     /// Quarantined→Probing, readmissions, …) when wired via
     /// [`FailureDetector::set_transition_counter`].
@@ -105,18 +98,8 @@ pub struct FailureDetector {
 }
 
 impl FailureDetector {
-    /// Creates a detector over `num_nodes` peers, all initially live,
-    /// stamping heartbeats with the system clock.
+    /// Creates a detector over `num_nodes` peers, all initially live.
     pub fn new(num_nodes: usize, config: FailureDetectorConfig) -> Self {
-        FailureDetector::with_clock(num_nodes, config, Arc::new(SystemClock))
-    }
-
-    /// Creates a detector whose heartbeat timestamps come from `clock`.
-    pub fn with_clock(
-        num_nodes: usize,
-        config: FailureDetectorConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
         FailureDetector {
             config,
             peers: (0..num_nodes)
@@ -127,12 +110,10 @@ impl FailureDetector {
                             health: PeerHealth::Live,
                             consecutive_misses: 0,
                             rounds_since_probe: 0,
-                            last_reply: None,
                         },
                     )
                 })
                 .collect(),
-            clock,
             transitions: None,
         }
     }
@@ -161,14 +142,6 @@ impl FailureDetector {
     /// Consecutive misses recorded for `peer`.
     pub fn misses(&self, peer: usize) -> u32 {
         self.peers.get(&peer).map_or(0, |p| p.consecutive_misses)
-    }
-
-    /// How long `peer` has been silent: the time since its last recorded
-    /// reply, measured on the injected clock. `None` until the first
-    /// reply (or for an unknown peer).
-    pub fn idle_for(&self, peer: usize) -> Option<Duration> {
-        let last = self.peers.get(&peer)?.last_reply?;
-        Some(self.clock.now().saturating_duration_since(last))
     }
 
     /// Decides how to engage `peer` this round. Call exactly once per peer
@@ -201,13 +174,11 @@ impl FailureDetector {
 
     /// Records a reply (result or probe ack) from `peer`: readmission.
     pub fn record_success(&mut self, peer: usize) {
-        let now = self.clock.now();
         if let Some(state) = self.peers.get_mut(&peer) {
             let before = state.health;
             state.health = PeerHealth::Live;
             state.consecutive_misses = 0;
             state.rounds_since_probe = 0;
-            state.last_reply = Some(now);
             self.note_transition(before, PeerHealth::Live);
         }
     }
@@ -647,24 +618,5 @@ recovery: migrations=3
                 }
             }
         }
-    }
-
-    #[test]
-    fn idle_time_is_measured_on_the_injected_clock() {
-        use teamnet_net::ManualClock;
-        let clock = Arc::new(ManualClock::new());
-        let mut fd = FailureDetector::with_clock(
-            2,
-            FailureDetectorConfig::default(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        );
-        assert_eq!(fd.idle_for(1), None, "no reply yet");
-        fd.record_success(1);
-        assert_eq!(fd.idle_for(1), Some(Duration::ZERO));
-        clock.advance(Duration::from_secs(7));
-        assert_eq!(fd.idle_for(1), Some(Duration::from_secs(7)));
-        fd.record_success(1);
-        assert_eq!(fd.idle_for(1), Some(Duration::ZERO));
-        assert_eq!(fd.idle_for(9), None, "unknown peer");
     }
 }

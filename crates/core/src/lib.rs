@@ -21,7 +21,7 @@
 //!   the specialization analysis of Figure 9;
 //! * [`runtime`] — Figure 1(d): the master/worker broadcast–compute–gather
 //!   protocol over in-process channels or real TCP, hardened with
-//!   round-stamped envelopes and bounded retries — and, through the
+//!   round-stamped envelopes and one gather deadline — and, through the
 //!   [`exchange`] seam, the round every baseline strategy runs on too;
 //! * [`health`] — the heartbeat failure detector that quarantines
 //!   unresponsive peers and probes them for readmission;

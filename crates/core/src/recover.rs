@@ -951,8 +951,10 @@ impl RecoveryManager {
     }
 
     /// Sends `msg` to its target and waits for a matching ack, resending
-    /// the same stamped frame under the per-exchange retry budget. `salt`
-    /// keeps the jitter stream of each chunk's backoff distinct.
+    /// the same stamped frame after an ack timeout under the per-exchange
+    /// retry budget. A failed send ends the exchange: no transport in the
+    /// tree recovers a writer that failed once. `salt` keeps the jitter
+    /// stream of each chunk's backoff distinct.
     fn exchange(
         &self,
         transport: &dyn Transport,
@@ -972,14 +974,11 @@ impl RecoveryManager {
             Arc::clone(&self.config.clock),
         );
         loop {
-            match shell::send(transport, obs, "input", target, TAG_INPUT, &frame) {
-                Ok(()) => match self.await_ack(transport, target, round, expert, deadline) {
-                    Ok(ack) => return Ok(ack),
-                    Err(NetError::Timeout { .. }) => {}
-                    Err(e) => return Err(e),
-                },
-                Err(e @ (NetError::UnknownPeer(_) | NetError::Closed)) => return Err(e),
-                Err(_) => {}
+            shell::send(transport, obs, "input", target, TAG_INPUT, &frame)?;
+            match self.await_ack(transport, target, round, expert, deadline) {
+                Ok(ack) => return Ok(ack),
+                Err(NetError::Timeout { .. }) => {}
+                Err(e) => return Err(e),
             }
             match backoff.next_delay() {
                 Some(delay) => self.config.clock.sleep(delay),

@@ -41,11 +41,11 @@ use crate::recover::{HostBudget, RecoveryManager, TransferManifest};
 use crate::shell::{self, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use teamnet_net::codec::{decode_f32s, encode_f32s, Reader};
 use teamnet_net::{
-    deadline_after, derive_trace_id, Backoff, Clock, Envelope, NetError, PayloadKind, RetryPolicy,
-    SystemClock, Tag, Transport, TRACE_EXT_LEN,
+    deadline_after, derive_trace_id, Clock, Envelope, NetError, PayloadKind, SystemClock, Tag,
+    Transport, TRACE_EXT_LEN,
 };
 use teamnet_nn::{Layer, Mode, Sequential};
 use teamnet_obs::{AllocMeters, Counter, Histogram, Obs};
@@ -75,11 +75,9 @@ pub struct MasterConfig {
     pub calibration: Option<Vec<f32>>,
     /// Failure-detector policy (quarantine threshold, probe cadence).
     pub failure: FailureDetectorConfig,
-    /// Retry schedule for broadcast/probe sends.
-    pub send_retry: RetryPolicy,
-    /// Clock driving deadline budgets and backoff sleeps. Defaults to the
-    /// system clock; tests inject a [`teamnet_net::ManualClock`] to walk
-    /// timeouts in virtual time instead of sleeping.
+    /// Clock driving the gather's deadline budget. Defaults to the system
+    /// clock; tests inject a [`teamnet_net::ManualClock`] to walk timeouts
+    /// in virtual time instead of sleeping.
     pub clock: Arc<dyn Clock>,
     /// Observability handle. Defaults to [`Obs::disabled`]: spans cost one
     /// branch, while protocol counters (`round.*`, `detector.transitions`)
@@ -101,7 +99,6 @@ impl Default for MasterConfig {
             require_all_workers: true,
             calibration: None,
             failure: FailureDetectorConfig::default(),
-            send_retry: RetryPolicy::default(),
             clock: Arc::new(SystemClock),
             obs: Obs::disabled(),
             trace_seed: 0,
@@ -436,7 +433,6 @@ struct Round {
     started_ns: u64,
     broadcast_ns: u64,
     compute_ns: u64,
-    retry_ns: u64,
     stale: u64,
     corrupt: u64,
     malformed: u64,
@@ -444,28 +440,26 @@ struct Round {
 
 /// The session's attribution bookkeeper: the protocol counters a round
 /// ticks in the registry and the round's local latency split
-/// (DESIGN.md §17) — the same compute / wire / wait / retry attribution
+/// (DESIGN.md §17) — the same compute / wire / wait attribution
 /// `trace-assemble` derives from the cross-node DAG, measured on one node
 /// so it is available even without per-node sinks.
 #[derive(Debug)]
 struct Attribution {
-    c_send_retries: Counter,
     c_stale: Counter,
     c_corrupt: Counter,
     c_malformed: Counter,
-    /// `round.attr.{compute,wire,wait,retry}.ns`, in that order.
-    h_attr: [Arc<Histogram>; 4],
+    /// `round.attr.{compute,wire,wait}.ns`, in that order.
+    h_attr: [Arc<Histogram>; 3],
 }
 
 impl Attribution {
     fn register(obs: &Obs) -> Self {
         let attr = |part: &str| obs.metrics.histogram(&format!("round.attr.{part}.ns"));
         Attribution {
-            c_send_retries: obs.metrics.counter("round.send.retries"),
             c_stale: obs.metrics.counter("round.stale_discarded"),
             c_corrupt: obs.metrics.counter("round.corrupt_discarded"),
             c_malformed: obs.metrics.counter("round.malformed_discarded"),
-            h_attr: ["compute", "wire", "wait", "retry"].map(attr),
+            h_attr: ["compute", "wire", "wait"].map(attr),
         }
     }
 
@@ -480,20 +474,19 @@ impl Attribution {
         counter.inc();
     }
 
-    /// Closes the round at `now_ns`: wire = broadcast minus backoff
-    /// sleeps, compute = the local forward, wait = everything else
-    /// (dominated by the gather leg). Only traced sessions feed the
-    /// histograms: a disabled tracer falls back to wall time, which would
-    /// poison deterministic metric pins.
+    /// Closes the round at `now_ns`: wire = the broadcast, compute = the
+    /// local forward, wait = everything else (dominated by the gather
+    /// leg). Only traced sessions feed the histograms: a disabled tracer
+    /// falls back to wall time, which would poison deterministic metric
+    /// pins.
     fn close(&self, round: &Round, now_ns: u64) {
         if round.trace.is_none() {
             return;
         }
         let wall_ns = now_ns.saturating_sub(round.started_ns);
-        let wire_ns = round.broadcast_ns.saturating_sub(round.retry_ns);
         let busy_ns = round.broadcast_ns.saturating_add(round.compute_ns);
         let wait_ns = wall_ns.saturating_sub(busy_ns);
-        let split = [round.compute_ns, wire_ns, wait_ns, round.retry_ns];
+        let split = [round.compute_ns, round.broadcast_ns, wait_ns];
         for (histogram, ns) in self.h_attr.iter().zip(split) {
             histogram.observe(ns);
         }
@@ -528,11 +521,7 @@ pub struct InferenceSession {
 impl InferenceSession {
     /// Creates a session for the cluster behind `transport`.
     pub fn new(transport: &dyn Transport, config: MasterConfig) -> Self {
-        let mut detector = FailureDetector::with_clock(
-            transport.num_nodes(),
-            config.failure.clone(),
-            Arc::clone(&config.clock),
-        );
+        let mut detector = FailureDetector::new(transport.num_nodes(), config.failure.clone());
         detector.set_transition_counter(config.obs.metrics.counter("detector.transitions"));
         let books = Attribution::register(&config.obs);
         let m_alloc = AllocMeters::register(
@@ -667,55 +656,6 @@ impl InferenceSession {
         exchange.finish(self.settle(transport, &round, &peers))
     }
 
-    /// Sends `frame` to `peer` with bounded retries + backoff inside
-    /// `deadline`. Returns whether the send ever succeeded; the time spent
-    /// in backoff sleeps goes to the round's books, so it is attributed
-    /// to `retry` rather than `wire`.
-    fn send_retrying(
-        &self,
-        transport: &dyn Transport,
-        round: &mut Round,
-        peer: usize,
-        label: &str,
-        frame: &[u8],
-        deadline: Instant,
-    ) -> Result<bool, NetError> {
-        let obs = &self.config.obs;
-        let seed = round.stamp ^ ((peer as u64) << 48);
-        let mut backoff = Backoff::with_clock(
-            self.config.send_retry.clone(),
-            seed,
-            deadline,
-            Arc::clone(&self.config.clock),
-        );
-        loop {
-            let err = match shell::send(transport, obs, label, peer, TAG_INPUT, frame) {
-                Ok(()) => return Ok(true),
-                Err(e) => e,
-            };
-            let retry_in = match err {
-                NetError::UnknownPeer(_) | NetError::Closed => None,
-                _ => backoff.next_delay(),
-            };
-            let Some(delay) = retry_in else {
-                return if self.config.require_all_workers {
-                    Err(err)
-                } else {
-                    Ok(false)
-                };
-            };
-            self.books.c_send_retries.inc();
-            // The backoff sleep gets its own span so the assembled
-            // critical path can blame retries, not the wire, for the
-            // stall.
-            let _retry_span = obs.span("retry.backoff", &[("peer", peer as u64)]);
-            let before = obs.tracer.now_ns();
-            self.config.clock.sleep(delay);
-            let slept = obs.tracer.now_ns().saturating_sub(before);
-            round.retry_ns = round.retry_ns.saturating_add(slept);
-        }
-    }
-
     /// Phase 1: plans every peer and puts the round on the wire.
     /// Quarantined peers are skipped outright; probe-due peers get a
     /// 16-byte probe instead of their request.
@@ -726,7 +666,6 @@ impl InferenceSession {
         exchange: &E,
     ) -> Result<Vec<PeerRound>, NetError> {
         let obs = &self.config.obs;
-        let deadline = deadline_after(self.config.clock.now(), self.config.worker_timeout);
         // One frame per kind, shared by every peer: a shared request goes
         // from `f32`s to a sendable frame in one pass (no intermediate
         // payload), is checksummed once, and an untraced round sends those
@@ -769,7 +708,13 @@ impl InferenceSession {
                         obs.span("round.send", &[("peer", peer as u64), ("bytes", wire_len)]);
                     let ctx = shell::stamp(obs, round.trace);
                     let frame = shell::stamped(unstamped, round.stamp, kind, ctx);
-                    sent = self.send_retrying(transport, round, peer, label, &frame, deadline)?;
+                    // One attempt: a send that fails is a miss, or the
+                    // round's error in strict mode.
+                    sent = match shell::send(transport, obs, label, peer, TAG_INPUT, &frame) {
+                        Ok(()) => true,
+                        Err(e) if self.config.require_all_workers => return Err(e),
+                        Err(_) => false,
+                    };
                 }
                 peers.push(PeerRound {
                     peer,
@@ -973,7 +918,9 @@ mod tests {
     use crate::recover::{AckStatus, LoadAckMsg, LoadChunkMsg, LoadExpertMsg};
     use crate::team::TeamPrediction;
     use crossbeam::thread;
-    use teamnet_net::ChannelTransport;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Instant;
+    use teamnet_net::{ChannelTransport, ManualClock};
     use teamnet_nn::ModelSpec;
 
     fn expert(seed: u64) -> Sequential {
@@ -1140,14 +1087,29 @@ mod tests {
         assert!(preds.iter().all(|p| p.expert == 0));
     }
 
-    /// A transport whose sends fail transiently for the first `failures`
-    /// attempts — exercises the round's retry + backoff path.
-    struct FlakySends {
+    /// Node 0 of a `num_nodes` mesh whose sends to `dead` always fail,
+    /// counting attempts.
+    struct DeadSends {
         inner: ChannelTransport,
-        failures: std::sync::atomic::AtomicU32,
+        dead: usize,
+        attempts: AtomicU32,
     }
 
-    impl Transport for FlakySends {
+    impl DeadSends {
+        fn new(num_nodes: usize, dead: usize) -> Self {
+            DeadSends {
+                inner: ChannelTransport::mesh(num_nodes).swap_remove(0),
+                dead,
+                attempts: AtomicU32::new(0),
+            }
+        }
+
+        fn attempts(&self) -> u32 {
+            self.attempts.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Transport for DeadSends {
         fn node_id(&self) -> usize {
             self.inner.node_id()
         }
@@ -1155,15 +1117,14 @@ mod tests {
             self.inner.num_nodes()
         }
         fn send(&self, to: usize, tag: Tag, payload: &[u8]) -> Result<(), NetError> {
-            use std::sync::atomic::Ordering;
-            if self.failures.load(Ordering::SeqCst) > 0 {
-                self.failures.fetch_sub(1, Ordering::SeqCst);
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionReset,
-                    "transient",
-                )));
+            if to != self.dead {
+                return self.inner.send(to, tag, payload);
             }
-            self.inner.send(to, tag, payload)
+            self.attempts.fetch_add(1, Ordering::SeqCst);
+            Err(NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "peer gone",
+            )))
         }
         fn recv_where(
             &self,
@@ -1180,51 +1141,52 @@ mod tests {
     }
 
     #[test]
-    fn sends_retry_through_transient_failures_and_stop_at_the_policy() {
-        use std::sync::atomic::{AtomicU32, Ordering};
+    fn a_failed_send_is_one_attempt_and_no_sleep() {
         let images = Tensor::full([1, 1, 28, 28], 0.2);
-        let retries = |config: &MasterConfig| config.obs.metrics.counter("round.send.retries");
+        for strict in [false, true] {
+            let clock = Arc::new(ManualClock::new());
+            let dead = DeadSends::new(2, 1);
+            let config = MasterConfig {
+                require_all_workers: strict,
+                clock: Arc::clone(&clock) as Arc<dyn Clock>,
+                ..MasterConfig::default()
+            };
+            let res = InferenceSession::new(&dead, config).infer(&dead, &mut expert(0), &images);
+            if strict {
+                assert!(matches!(res, Err(NetError::Io(_))), "{res:?}");
+            } else {
+                // Degraded: the peer was contacted, never waited for, and
+                // the round's answer is the master's own.
+                let report = res.unwrap();
+                assert!(report.peers[&1].contacted);
+                assert!(!report.peers[&1].responded);
+                assert!(report.predictions.iter().all(|p| p.expert == 0));
+            }
+            assert_eq!(dead.attempts(), 1, "strict={strict}");
+            assert_eq!(clock.sleeps(), 0, "strict={strict}");
+        }
+    }
 
-        // The default policy allows 3 attempts: two transient failures
-        // recover, and the worker answers the frame that got through.
-        let mut nodes = ChannelTransport::mesh(2);
-        let worker_node = nodes.pop().unwrap();
-        let flaky = FlakySends {
-            inner: nodes.pop().unwrap(),
-            failures: AtomicU32::new(2),
-        };
-        let config = MasterConfig::default();
-        thread::scope(|scope| {
-            scope.spawn(|_| serve(&worker_node, &mut expert(1)));
-            let report = InferenceSession::new(&flaky, config.clone())
-                .infer(&flaky, &mut expert(0), &images)
-                .unwrap();
-            assert!(report.peers[&1].responded);
-            worker_node.shutdown();
-        })
-        .unwrap();
-        assert_eq!(retries(&config).get(), 2);
-
-        // Two attempts allowed: the round fails with the send error after
-        // consuming exactly two of the hundred failures.
-        let mut nodes = ChannelTransport::mesh(2);
-        let _worker_node = nodes.pop().unwrap();
-        let flaky = FlakySends {
-            inner: nodes.pop().unwrap(),
-            failures: AtomicU32::new(100),
-        };
-        let config = MasterConfig {
-            send_retry: RetryPolicy {
-                max_attempts: 2,
-                base_delay: Duration::from_millis(1),
-                max_delay: Duration::from_millis(2),
-            },
-            ..MasterConfig::default()
-        };
-        let res = one_round(&flaky, &mut expert(0), &images, &config);
-        assert!(matches!(res, Err(NetError::Io(_))), "{res:?}");
-        assert_eq!(flaky.failures.load(Ordering::SeqCst), 98);
-        assert_eq!(retries(&config).get(), 1);
+    #[test]
+    fn a_failed_transfer_send_is_backtracked_past_without_sleeping() {
+        // Expert 1's home is quarantined and node 2, the one candidate,
+        // cannot be written to: the offer's send error ends the transfer
+        // (one attempt, plus the best-effort abort) under the default
+        // resend budget.
+        let clock = Arc::new(ManualClock::new());
+        let dead = DeadSends::new(3, 2);
+        let mut mgr = RecoveryManager::new(crate::recover::RecoveryConfig {
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..crate::recover::RecoveryConfig::default()
+        });
+        let state = teamnet_nn::state_vec(&mut expert(1));
+        mgr.register_expert(1, 1, ModelSpec::mlp(2, 16), &state, 50_000);
+        let health = [PeerHealth::Live, PeerHealth::Quarantined, PeerHealth::Live];
+        mgr.tick(&dead, 0, &health, None);
+        assert_eq!(mgr.backtracks(), 1);
+        assert_eq!(mgr.migrations(), 0);
+        assert_eq!(dead.attempts(), 2, "the offer and the abort");
+        assert_eq!(clock.sleeps(), 0);
     }
 
     #[test]

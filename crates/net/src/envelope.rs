@@ -325,18 +325,6 @@ impl Envelope {
         self.view().encode()
     }
 
-    /// Serializes the envelope stamped with `ctx` (in place of whatever
-    /// [`Envelope::trace`] holds) straight from the borrow — the per-peer
-    /// traced broadcast encodes one batch K−1 times and must not clone it
-    /// K−1 times first.
-    pub fn encode_traced(&self, ctx: TraceContext) -> Vec<u8> {
-        EnvelopeRef {
-            trace: Some(ctx),
-            ..self.view()
-        }
-        .encode()
-    }
-
     /// Serializes an envelope whose payload is produced in place: `fill`
     /// appends the payload bytes directly behind the header (and trace
     /// extension), then the CRC over what it wrote is patched into the
@@ -504,9 +492,8 @@ mod tests {
             trace_id: 0xDEAD_BEEF_CAFE_F00D,
             parent_span: 31,
         };
-        let traced = Envelope::new(9, PayloadKind::Input, vec![7; 3]);
         assert_eq!(
-            traced.encode_traced(ctx),
+            traced(Envelope::new(9, PayloadKind::Input, vec![7; 3]), ctx).encode(),
             [
                 0x01, 0x00, 0x00, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x27, 0x32,
                 0xD2, 0x20, 0x0D, 0xF0, 0xFE, 0xCA, 0xEF, 0xBE, 0xAD, 0xDE, 0x1F, 0x00, 0x00, 0x00,
@@ -522,24 +509,6 @@ mod tests {
             parent_span: 5,
         };
         let env = Envelope::new(11, PayloadKind::Input, (0..=200u8).collect());
-        let stamped = Envelope {
-            trace: Some(ctx),
-            ..env.clone()
-        };
-        assert_eq!(env.encode_traced(ctx), stamped.encode());
-        // A stamp passed as an argument overrides one already attached.
-        let other = TraceContext {
-            trace_id: 1,
-            parent_span: 2,
-        };
-        assert_eq!(
-            stamped.encode_traced(other),
-            Envelope {
-                trace: Some(other),
-                ..env.clone()
-            }
-            .encode()
-        );
         for trace in [None, Some(ctx)] {
             let in_place = Envelope::encode_with(11, PayloadKind::Input, trace, |buf| {
                 buf.extend(0..=200u8);
@@ -605,7 +574,7 @@ mod tests {
             trace_id: 55,
             parent_span: 8,
         };
-        let mut bytes = Envelope::new(2, PayloadKind::Result, vec![4; 6]).encode_traced(ctx);
+        let mut bytes = traced(Envelope::new(2, PayloadKind::Result, vec![4; 6]), ctx).encode();
         // Flip a bit inside the extension region, not the payload.
         bytes[ENVELOPE_HEADER_LEN + 2] ^= 0x01;
         assert!(matches!(

@@ -29,9 +29,9 @@
 //!    downstream would be quietly wrong.
 //!
 //! The per-round **critical-path report** partitions each master `round`
-//! span's wall time into `compute` / `wire` / `wait` / `retry` by a
-//! priority sweep over the reconciled timeline (see [`classify_leaf`]):
-//! the four sums equal the round's wall clock exactly, by construction.
+//! span's wall time into `compute` / `wire` / `wait` by a priority sweep
+//! over the reconciled timeline (see [`classify_leaf`]): the three sums
+//! equal the round's wall clock exactly, by construction.
 
 use serde::{Number, Value};
 use std::collections::BTreeMap;
@@ -473,8 +473,8 @@ impl Assembled {
     }
 
     /// The per-round critical-path attribution: every `round` span's wall
-    /// time partitioned into compute / wire / wait / retry on the
-    /// reconciled timeline. The four columns sum to `wall` exactly.
+    /// time partitioned into compute / wire / wait on the reconciled
+    /// timeline. The three columns sum to `wall` exactly.
     pub fn critical_path(&self) -> Vec<RoundAttribution> {
         let mut rounds: Vec<RoundAttribution> = Vec::new();
         for s in self.spans.values() {
@@ -540,8 +540,8 @@ impl Assembled {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>5}  {:>20}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
-            "round", "trace", "wall(ns)", "compute(ns)", "wire(ns)", "wait(ns)", "retry(ns)"
+            "{:>5}  {:>20}  {:>12}  {:>12}  {:>12}  {:>12}",
+            "round", "trace", "wall(ns)", "compute(ns)", "wire(ns)", "wait(ns)"
         );
         let mut total = Attribution::default();
         let mut wall = 0u64;
@@ -552,29 +552,22 @@ impl Assembled {
                 .unwrap_or_else(|| "-".to_string());
             let _ = writeln!(
                 out,
-                "{idx:>5}  {:>20}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
-                r.trace,
-                r.wall_ns,
-                r.attr.compute_ns,
-                r.attr.wire_ns,
-                r.attr.wait_ns,
-                r.attr.retry_ns
+                "{idx:>5}  {:>20}  {:>12}  {:>12}  {:>12}  {:>12}",
+                r.trace, r.wall_ns, r.attr.compute_ns, r.attr.wire_ns, r.attr.wait_ns
             );
             wall += r.wall_ns;
             total.compute_ns += r.attr.compute_ns;
             total.wire_ns += r.attr.wire_ns;
             total.wait_ns += r.attr.wait_ns;
-            total.retry_ns += r.attr.retry_ns;
         }
         let _ = writeln!(
             out,
-            "{:>5}  {:>20}  {wall:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
+            "{:>5}  {:>20}  {wall:>12}  {:>12}  {:>12}  {:>12}",
             "all",
             rounds.len(),
             total.compute_ns,
             total.wire_ns,
-            total.wait_ns,
-            total.retry_ns
+            total.wait_ns
         );
         out
     }
@@ -587,18 +580,13 @@ enum Class {
     Wire = 1,
     /// Somebody is doing real work (expert forward, argmin, decode).
     Compute = 2,
-    /// Backoff sleeps before resends: pure waste, highest diagnostic
-    /// priority.
-    Retry = 3,
 }
 
 /// Classifies a leaf span for attribution; `None` means the span's time
 /// is waiting (containers like `gather.await` — time is attributed by
 /// whatever overlaps them, or `wait` if nothing does).
 fn classify_leaf(name: &str) -> Option<Class> {
-    if name.starts_with("retry.") {
-        Some(Class::Retry)
-    } else if name.ends_with(".send") {
+    if name.ends_with(".send") {
         Some(Class::Wire)
     } else if name.contains("gather") || name.contains("await") || name.contains("coalesce") {
         None
@@ -607,7 +595,7 @@ fn classify_leaf(name: &str) -> Option<Class> {
     }
 }
 
-/// The four-way split of one round's wall time.
+/// The three-way split of one round's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Attribution {
     /// Time somebody was computing.
@@ -616,8 +604,6 @@ pub struct Attribution {
     pub wire_ns: u64,
     /// Time nothing attributable was happening (straggler wait, idle).
     pub wait_ns: u64,
-    /// Time burned in retry backoff.
-    pub retry_ns: u64,
 }
 
 /// One round's attribution row.
@@ -633,7 +619,7 @@ pub struct RoundAttribution {
     pub round_idx: Option<u64>,
     /// Round wall time on the reconciled timeline.
     pub wall_ns: u64,
-    /// The four-way split; sums to `wall_ns` exactly.
+    /// The three-way split; sums to `wall_ns` exactly.
     pub attr: Attribution,
 }
 
@@ -660,7 +646,6 @@ fn sweep(t0: i128, t1: i128, intervals: &[(Class, i128, i128)]) -> Attribution {
             .map(|&(c, _, _)| c)
             .max();
         match class {
-            Some(Class::Retry) => attr.retry_ns += len,
             Some(Class::Compute) => attr.compute_ns += len,
             Some(Class::Wire) => attr.wire_ns += len,
             None => attr.wait_ns += len,
@@ -754,7 +739,7 @@ mod tests {
         assert_eq!(rounds.len(), 1);
         let r = &rounds[0];
         assert_eq!(
-            r.attr.compute_ns + r.attr.wire_ns + r.attr.wait_ns + r.attr.retry_ns,
+            r.attr.compute_ns + r.attr.wire_ns + r.attr.wait_ns,
             r.wall_ns,
             "{r:?}"
         );

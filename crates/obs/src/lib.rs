@@ -6,7 +6,7 @@
 //! `TransportStats` on transports, `WorkerStats` from serve loops,
 //! `PeerReport`s in inference reports, one-off bench JSON — but nothing
 //! explained *where a round's milliseconds went*: gate compute vs. expert
-//! forward vs. retry backoff vs. wire. This crate is the single timeline:
+//! forward vs. wire vs. waiting. This crate is the single timeline:
 //!
 //! * [`Tracer`] — span-based tracing. `tracer.span("expert.forward", &[])`
 //!   returns an RAII guard that records enter/exit events against the
@@ -29,8 +29,7 @@
 //!   the same histogram buckets.
 //! * [`wrap`] — [`wrap::fold_transport_stats`] folds a transport's
 //!   fault counters into the registry. The round's send/recv events come
-//!   from `teamnet_core::shell`, its backoff sleeps from the
-//!   `retry.backoff` span and `round.send.retries`.
+//!   from `teamnet_core::shell`.
 //!
 //! ## Determinism rules
 //!
@@ -59,11 +58,3 @@ pub use trace::{
     FlightRecorder, JsonlSink, NullSink, Obs, RingSink, SpanGuard, TeeSink, TraceSink, Tracer,
     VecSink,
 };
-
-// Clock re-exports so downstream crates (simnet, benches) can build a
-// deterministic `Obs` without depending on `teamnet-net` themselves.
-pub use teamnet_net::{Clock, ManualClock, SystemClock};
-
-// Trace-context re-exports: the id types frames carry on the wire, plus
-// the framing sizes (header + trace extension) cost models need.
-pub use teamnet_net::{derive_trace_id, TraceContext, ENVELOPE_HEADER_LEN, TRACE_EXT_LEN};

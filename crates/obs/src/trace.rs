@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use teamnet_net::{Clock, ManualClock, SystemClock, TraceContext};
+use teamnet_net::{Clock, SystemClock, TraceContext};
 
 /// Where trace events go.
 ///
@@ -427,43 +427,6 @@ impl Tracer {
         }
     }
 
-    /// Records a complete span with explicit timestamps — the simulator's
-    /// entry point, where time is virtual [`SimTime`] nanoseconds rather
-    /// than clock reads.
-    ///
-    /// [`SimTime`]: https://docs.rs/teamnet-simnet
-    pub fn record_span_at(
-        &self,
-        name: &str,
-        start_ns: u64,
-        end_ns: u64,
-        fields: &[(&'static str, u64)],
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let (seq_enter, seq_exit, span_id, parent) = {
-            let mut state = self.state.lock();
-            let span_id = state.next_span;
-            state.next_span += 1;
-            let seq = state.seq;
-            state.seq += 2;
-            (
-                seq,
-                seq + 1,
-                span_id,
-                state.stack.last().copied().unwrap_or(0),
-            )
-        };
-        self.sink.record(&render_enter(
-            seq_enter, span_id, parent, name, start_ns, fields,
-        ));
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        self.sink
-            .record(&render_exit(seq_exit, span_id, name, end_ns, dur_ns));
-        self.observe_duration(name, dur_ns);
-    }
-
     /// The innermost open span's id, or `0` when no span is open (or the
     /// tracer is disabled). This is what send sites stamp into outgoing
     /// frames as the causal parent.
@@ -666,9 +629,9 @@ impl Drop for SpanGuard<'_> {
 /// plus a shared metrics registry.
 ///
 /// [`Obs::disabled`] is the default everywhere — the tracer is inert, but
-/// the registry is live, so protocol counters (discards, retries, fault
-/// injections) accumulate even without tracing and can be read back with
-/// [`MetricsRegistry::snapshot`].
+/// the registry is live, so protocol counters (discards, detector
+/// transitions, fault injections) accumulate even without tracing and
+/// can be read back with [`MetricsRegistry::snapshot`].
 #[derive(Debug, Clone)]
 pub struct Obs {
     /// The span tracer.
@@ -730,14 +693,6 @@ impl Obs {
         let recorder = self.flight.as_ref()?;
         self.tracer.mark(reason, fields);
         recorder.dump()
-    }
-
-    /// Tracing + metrics for *simulated* time: the tracer's clock is a
-    /// [`ManualClock`] pinned at the origin, so the only meaningful
-    /// timestamps are those supplied explicitly through
-    /// [`Tracer::record_span_at`] — the shape the simnet cost models use.
-    pub fn sim(sink: Arc<dyn TraceSink>) -> Self {
-        Obs::new(Arc::new(ManualClock::new()), sink)
     }
 
     /// Whether spans are being recorded.
@@ -824,27 +779,10 @@ mod tests {
         {
             let _s = obs.span("work", &[("x", 1)]);
         }
-        obs.tracer.record_span_at("sim", 0, 10, &[]);
         assert!(obs.metrics.snapshot().histograms.is_empty());
         // Counters still work on the disabled path.
         obs.metrics.counter("c").inc();
         assert_eq!(obs.metrics.counter("c").get(), 1);
-    }
-
-    #[test]
-    fn record_span_at_uses_explicit_timestamps() {
-        let (_clock, sink, obs) = manual_obs();
-        obs.tracer
-            .record_span_at("sim.send", 1000, 1500, &[("peer", 2)]);
-        let lines = sink.lines();
-        assert_eq!(
-            lines[0],
-            r#"{"seq":0,"ev":"enter","span":1,"parent":0,"name":"sim.send","t_ns":1000,"fields":{"peer":2}}"#
-        );
-        assert_eq!(
-            lines[1],
-            r#"{"seq":1,"ev":"exit","span":1,"name":"sim.send","t_ns":1500,"dur_ns":500}"#
-        );
     }
 
     #[test]
@@ -865,7 +803,7 @@ mod tests {
     #[test]
     fn names_are_json_escaped() {
         let (_clock, sink, obs) = manual_obs();
-        obs.tracer.record_span_at("we\"ird\\name", 0, 1, &[]);
+        drop(obs.span("we\"ird\\name", &[]));
         let line = sink.lines()[0].clone();
         assert!(line.contains(r#"we\"ird\\name"#), "{line}");
         assert!(

@@ -6,8 +6,7 @@
 //! cumulative [`TransportStats`] (including the chaos fault-injection
 //! counters) into registry gauges, unifying the ad-hoc stats struct with
 //! the metrics snapshot format. The round's own send/recv events come
-//! from `teamnet_core::shell`, and its retry sleeps from the
-//! `retry.backoff` span, `round.send.retries` and `round.attr.retry.ns`.
+//! from `teamnet_core::shell`.
 
 use crate::metrics::MetricsRegistry;
 use teamnet_net::TransportStats;

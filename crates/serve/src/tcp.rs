@@ -34,10 +34,17 @@ use teamnet_tensor::Tensor;
 /// connects or refuses in microseconds, so this only caps a pathology.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Pause before accepting again after `accept` failed. Only the error
+/// path sleeps: under descriptor exhaustion the pending connection stays
+/// in the backlog, so an immediate retry would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// A running TCP listener feeding a [`ServeHandle`].
 ///
 /// The accept thread blocks in `accept` — a first connection is served
-/// the moment it arrives, not at the next tick of a poll. Dropping (or
+/// the moment it arrives, not at the next tick of a poll. A failed
+/// `accept` (descriptor exhaustion, say) is retried after a short pause,
+/// so the front outlives it. Dropping (or
 /// [`TcpServeFront::shutdown`]) sets the stop flag and wakes that thread
 /// with a throwaway connection to the front's own address, joins it,
 /// force-closes every accepted socket, then joins the connection
@@ -53,8 +60,9 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Should the wake-up connection fail, shutdown retries it once its own
 /// sockets are closed (descriptor exhaustion is the one plausible
 /// cause). If that fails too the accept thread is left parked rather
-/// than joined — it exits, releasing the port, on the next connection —
-/// and the `serve.front.accept_leaked` counter records it.
+/// than joined — it exits, releasing the port, on the next connection or
+/// failed `accept` — and the `serve.front.accept_leaked` counter records
+/// it.
 #[derive(Debug)]
 pub struct TcpServeFront {
     addr: SocketAddr,
@@ -89,10 +97,15 @@ impl TcpServeFront {
             let socks = Arc::clone(&socks);
             std::thread::spawn(move || {
                 let mut next_id = 0u64;
-                while let Ok((stream, _peer)) = listener.accept() {
+                loop {
+                    let accepted = listener.accept();
                     if stop.load(Ordering::SeqCst) {
                         break; // the wake-up connection, or a client racing it
                     }
+                    let Ok((stream, _peer)) = accepted else {
+                        std::thread::sleep(ACCEPT_RETRY);
+                        continue;
+                    };
                     // Replies are single small writes a client is blocked
                     // on: never hold one back for Nagle coalescing.
                     let _ = stream.set_nodelay(true);

@@ -11,7 +11,6 @@ use crate::device::{ComputeUnit, DeviceProfile};
 use crate::link::WifiLink;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use teamnet_obs::{Counter, Obs};
 
 /// A set of edge devices sharing one wireless medium.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,9 +67,6 @@ impl SimCluster {
 
     /// Starts a fresh simulated execution.
     pub fn run(&self) -> SimRun<'_> {
-        let obs = Obs::disabled();
-        let c_messages = obs.metrics.counter("sim.messages");
-        let c_bytes = obs.metrics.counter("sim.bytes");
         SimRun {
             cluster: self,
             node_time: vec![SimTime::ZERO; self.devices.len()],
@@ -79,9 +75,6 @@ impl SimCluster {
             medium_free_at: SimTime::ZERO,
             bytes_sent: 0,
             messages_sent: 0,
-            obs,
-            c_messages,
-            c_bytes,
         }
     }
 }
@@ -96,34 +89,15 @@ pub struct SimRun<'a> {
     medium_free_at: SimTime,
     bytes_sent: u64,
     messages_sent: u64,
-    obs: Obs,
-    c_messages: Counter,
-    c_bytes: Counter,
 }
 
 impl SimRun<'_> {
-    /// Routes sim-time spans (`sim.compute`, `sim.send`) and counters
-    /// (`sim.messages`, `sim.bytes`) into `obs`. Span timestamps are the
-    /// *simulated* clock values, not wall time, so traces of a given
-    /// scenario are byte-identical run-to-run (DESIGN.md §12).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.c_messages = obs.metrics.counter("sim.messages");
-        self.c_bytes = obs.metrics.counter("sim.bytes");
-        self.obs = obs;
-    }
     /// Runs a forward pass of `flops` FLOPs over `layers` layers on `node`,
     /// advancing its clock.
     pub fn compute(&mut self, node: usize, flops: u64, layers: usize, unit: ComputeUnit) {
         let device = &self.cluster.devices[node];
         let t = device.compute_time(flops, layers, unit);
-        let start_ns = self.node_time[node].as_nanos();
         self.node_time[node] += t;
-        self.obs.tracer.record_span_at(
-            "sim.compute",
-            start_ns,
-            self.node_time[node].as_nanos(),
-            &[("node", node as u64), ("flops", flops)],
-        );
         match unit {
             ComputeUnit::Cpu => self.cpu_busy[node] += t,
             ComputeUnit::Gpu => {
@@ -154,32 +128,6 @@ impl SimRun<'_> {
         self.node_time[to] = self.node_time[to].max(end);
         self.bytes_sent += bytes;
         self.messages_sent += 1;
-        self.c_messages.inc();
-        self.c_bytes.add(bytes);
-        self.obs.tracer.record_span_at(
-            "sim.send",
-            start.as_nanos(),
-            end.as_nanos(),
-            &[("from", from as u64), ("to", to as u64), ("bytes", bytes)],
-        );
-    }
-
-    /// [`Self::send`] of an *enveloped* payload: charges the wire for the
-    /// 16-byte envelope header, plus the 16-byte trace extension when the
-    /// run's observability handle is tracing — so scenarios can quantify
-    /// exactly what cross-node tracing costs in airtime (DESIGN.md §17:
-    /// +16 B per frame, nothing when tracing is off).
-    pub fn send_enveloped(&mut self, from: usize, to: usize, payload_bytes: u64) {
-        let ext = if self.obs.enabled() {
-            teamnet_obs::TRACE_EXT_LEN as u64
-        } else {
-            0
-        };
-        self.send(
-            from,
-            to,
-            payload_bytes + teamnet_obs::ENVELOPE_HEADER_LEN as u64 + ext,
-        );
     }
 
     /// Unicasts `bytes` from `from` to every other node in id order
@@ -345,30 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn enveloped_send_charges_trace_ext_only_when_tracing() {
-        use std::sync::Arc;
-        use teamnet_obs::{Obs, TraceSink, VecSink};
-
-        let c = cluster(2);
-        let mut untraced = c.run();
-        untraced.send_enveloped(0, 1, 1_000);
-        let untraced_bytes = untraced.finish(None).bytes_sent;
-        assert_eq!(
-            untraced_bytes,
-            1_000 + teamnet_obs::ENVELOPE_HEADER_LEN as u64
-        );
-
-        let mut traced = c.run();
-        let sink = Arc::new(VecSink::new());
-        traced.set_obs(Obs::sim(sink as Arc<dyn TraceSink>));
-        traced.send_enveloped(0, 1, 1_000);
-        assert_eq!(
-            traced.finish(None).bytes_sent,
-            untraced_bytes + teamnet_obs::TRACE_EXT_LEN as u64
-        );
-    }
-
-    #[test]
     fn broadcast_costs_k_airtimes() {
         let c = cluster(4);
         let mut run = c.run();
@@ -474,38 +398,6 @@ mod tests {
         assert_eq!(run.makespan(), SimTime::from_millis(7));
         let report = run.finish(None);
         assert_eq!(report.cpu_busy[0], SimTime::ZERO);
-    }
-
-    #[test]
-    fn sim_spans_carry_simulated_time_and_are_byte_stable() {
-        use std::sync::Arc;
-        use teamnet_obs::VecSink;
-
-        let c = cluster(2);
-        let trace_of_run = || {
-            let sink = Arc::new(VecSink::default());
-            let obs = Obs::sim(Arc::clone(&sink) as _);
-            let mut run = c.run();
-            run.set_obs(obs.clone());
-            run.broadcast(0, 10_000);
-            run.compute(1, 4_000_000, 1, ComputeUnit::Cpu);
-            run.gather(0, 50);
-            (sink.to_jsonl(), obs.metrics.snapshot().summary())
-        };
-        let (trace_a, metrics_a) = trace_of_run();
-        let (trace_b, metrics_b) = trace_of_run();
-        assert_eq!(trace_a, trace_b, "sim traces must be byte-identical");
-        assert_eq!(metrics_a, metrics_b);
-        assert!(trace_a.contains("\"name\":\"sim.send\""), "{trace_a}");
-        assert!(trace_a.contains("\"name\":\"sim.compute\""), "{trace_a}");
-        assert!(
-            metrics_a.contains("counter sim.messages = 2"),
-            "{metrics_a}"
-        );
-        assert!(
-            metrics_a.contains("counter sim.bytes = 10050"),
-            "{metrics_a}"
-        );
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //! [--dag]`** — merges per-node JSONL traces into one causal DAG
 //! (`teamnet_obs::assemble`), reconciling clocks from per-edge send/recv
 //! deltas, and prints the byte-stable per-round critical-path table
-//! attributing each round's wall time to compute / wire / wait / retry.
+//! attributing each round's wall time to compute / wire / wait.
 //! Orphan spans or malformed lines exit non-zero — the CI cross-node
 //! assembly stage relies on it.
 //!

@@ -99,8 +99,8 @@ pub fn check(model: &Model, diags: &mut Vec<Diagnostic>) -> usize {
                         message: format!(
                             "a strategy crate touches the wire; run the step as an \
                              `Exchange` on `InferenceSession::round` and serve the peer with \
-                             `serve_worker_with_config`, which stamp, retry, time out and \
-                             trace every frame: `{}`",
+                             `serve_worker_with_config`, which stamp, time out and trace \
+                             every frame: `{}`",
                             line.trim()
                         ),
                     });

@@ -16,7 +16,7 @@
 //! `cargo xtask trace-assemble` can merge the three JSONL files into a
 //! single DAG with zero orphan spans, reconcile the nodes' clocks from
 //! the send/recv edge offsets, and attribute each round's latency to
-//! compute / wire / wait / retry. CI runs exactly this pipeline and
+//! compute / wire / wait. CI runs exactly this pipeline and
 //! asserts the assembly stays orphan-free.
 
 use std::sync::Arc;

@@ -136,8 +136,11 @@ fn load_ack() {
 
 #[test]
 fn envelope() {
-    let bytes =
-        Envelope::new(9, PayloadKind::Result, vec![1, 2, 3, 255, 0, 7]).encode_traced(TRACE);
+    let bytes = Envelope {
+        trace: Some(TRACE),
+        ..Envelope::new(9, PayloadKind::Result, vec![1, 2, 3, 255, 0, 7])
+    }
+    .encode();
     sweep("EnvelopeRef::decode", &bytes, bytes.len(), |b| {
         EnvelopeRef::decode(b).map(|env| env.encode())
     });

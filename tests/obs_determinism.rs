@@ -137,7 +137,7 @@ fn identical_seeded_soaks_emit_byte_identical_traces_and_metrics() {
     );
     assert_eq!(
         fnv1a64(&metrics_pinned),
-        0xED66_2078_71DB_74D7,
+        0xD251_1DA2_2D23_DF3C,
         "metrics summary moved"
     );
     assert_eq!(

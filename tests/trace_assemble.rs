@@ -134,7 +134,7 @@ fn clean_cluster_assembles_with_zero_orphans_and_exact_attribution() {
     let rounds = assembled.critical_path();
     assert_eq!(rounds.len(), ROUNDS);
     for r in &rounds {
-        let sum = r.attr.compute_ns + r.attr.wire_ns + r.attr.wait_ns + r.attr.retry_ns;
+        let sum = r.attr.compute_ns + r.attr.wire_ns + r.attr.wait_ns;
         assert_eq!(
             sum, r.wall_ns,
             "attribution must sum exactly to round wall time"
