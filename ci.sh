@@ -26,6 +26,14 @@
 #                         TEAMNET_THREADS=4 forces the parallel paths —
 #                         the pool determinism contract says both runs
 #                         must see bit-identical numerics
+#   6b. baseline ISA     (x86_64 hosts only: the tensor crate's tests, the
+#                         cross-ISA pin test `isa_bit_identity` and
+#                         `parallel_determinism` again, built for baseline
+#                         x86-64 in a target dir of its own. The default
+#                         build targets x86-64-v3 (.cargo/config.toml), so
+#                         the tile kernel runs 8 lanes wide there and 4
+#                         wide here; the pin test's digests are equal on
+#                         both or this stage or stage 6 fails)
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
 #                         kernel — the matmul rows are the shapes traffic
 #                         runs, 10- and 4-column tails included, the conv
@@ -33,7 +41,10 @@
 #                         tile-column tail — plus the JSON artifact
 #                         plumbing and one host-independent timing guard:
 #                         a lone 1x784x128 row may cost at most 2.5 rows
-#                         of 64x784x128)
+#                         of 64x784x128; on x86_64 the artifact's
+#                         `vector_lanes` must be 8, which catches the
+#                         x86-64-v3 entry of .cargo/config.toml going
+#                         missing or being overridden)
 #   7c. strategy parity  (baseline_showdown --smoke: TeamNet, MPI-Matrix /
 #                         -Kernel / -Branch and SG-MoE each run a real
 #                         2-node inference on the one round; fails on an
@@ -126,7 +137,20 @@ cargo xtask mc
 cargo xtask cost --check
 TEAMNET_THREADS=1 cargo test -q --workspace
 TEAMNET_THREADS=4 cargo test -q --workspace
+if [ "$(uname -m)" = x86_64 ]; then
+    # A RUSTFLAGS in the environment replaces the config's rustflags.
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/baseline-isa \
+        cargo test -q --release -p teamnet-tensor
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/baseline-isa \
+        cargo test -q --release --test isa_bit_identity --test parallel_determinism
+fi
 cargo run -q --release -p teamnet-bench --bin kernel_bench -- --smoke --out /tmp/BENCH_kernels_smoke.json
+if [ "$(uname -m)" = x86_64 ] &&
+    ! grep -q '"vector_lanes": 8,' /tmp/BENCH_kernels_smoke.json; then
+    echo "kernel_bench reports $(grep '"vector_lanes"' /tmp/BENCH_kernels_smoke.json)" \
+        "on x86_64: the build is not targeting x86-64-v3 (.cargo/config.toml)" >&2
+    exit 1
+fi
 cargo run -q --release --example baseline_showdown -- --smoke
 cargo test -q --release --test chaos_soak
 cargo test -q --release --test recovery_soak

@@ -16,7 +16,10 @@
 //! `teamnet_tensor::pool`).
 //!
 //! Results are written as JSON (default `BENCH_kernels.json`). The file
-//! records `host_threads` (`std::thread::available_parallelism`). Timing
+//! records `host_threads` (`std::thread::available_parallelism`) and the
+//! vector width the binary was compiled for: `vector_lanes` and `tile_nr`
+//! (the tile kernel's lanes and columns per tile) and the enabled
+//! `target_features` they follow from. Timing
 //! a thread count the host cannot actually run in parallel measures
 //! scheduling overhead, not speedup, so those rows' timing fields are
 //! written as `null` (the bit-identity checks still run — they are
@@ -48,7 +51,7 @@ use teamnet_core::{build_expert, TeamNet};
 use teamnet_nn::ModelSpec;
 use teamnet_obs::{Histogram, HistogramSnapshot, MetricsRegistry, Obs};
 use teamnet_tensor::conv::{conv2d, conv2d_backward_with, conv2d_with, Conv2dSpec};
-use teamnet_tensor::{force_sequential_scope, ParallelConfig, Tensor};
+use teamnet_tensor::{force_sequential_scope, ParallelConfig, Tensor, TILE_NR, VECTOR_LANES};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -121,6 +124,13 @@ struct DefaultEntryRow {
 #[derive(Serialize)]
 struct Report {
     host_threads: usize,
+    /// `f32` lanes per vector register the tile kernel was compiled for.
+    vector_lanes: usize,
+    /// Columns of the tile kernel's 2-row register tile.
+    tile_nr: usize,
+    /// The vector features enabled at compile time, of those the tile
+    /// width follows from.
+    target_features: Vec<&'static str>,
     smoke: bool,
     /// Thread counts above this were not timed (their timing fields are
     /// `null`): equal to `host_threads` unless `--force-oversubscribed`.
@@ -165,6 +175,22 @@ fn measure_null_span_overhead() -> f64 {
         let _g = obs.span("bench.noop", &[]);
     }
     start.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
+}
+
+/// The vector features this binary was compiled with, of those that set
+/// the tile kernel's width (`teamnet_tensor::VECTOR_LANES`).
+fn target_features() -> Vec<&'static str> {
+    [
+        ("sse2", cfg!(target_feature = "sse2")),
+        ("avx", cfg!(target_feature = "avx")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("neon", cfg!(target_feature = "neon")),
+    ]
+    .into_iter()
+    .filter_map(|(name, enabled)| enabled.then_some(name))
+    .collect()
 }
 
 fn dims_key(dims: &[usize]) -> String {
@@ -473,7 +499,11 @@ fn main() {
     } else {
         host_threads
     };
-    println!("kernel bench — host_threads={host_threads} smoke={smoke}");
+    let target_features = target_features();
+    println!(
+        "kernel bench — host_threads={host_threads} smoke={smoke} \
+         vector_lanes={VECTOR_LANES} tile=2x{TILE_NR} target_features={target_features:?}"
+    );
     if host_threads < *THREAD_COUNTS.iter().max().unwrap_or(&1) && !force_oversubscribed {
         println!(
             "NOTE: refusing to time thread counts above {host_threads} — oversubscribed rows \
@@ -488,13 +518,14 @@ fn main() {
     // half-resolution stage), then the five distinct 3×3 convs of SS-14 at
     // batch 1: what one image of an inference round runs through. The
     // smoke shapes keep one row-block tail (`oc` odd) and one column tail
-    // (`oh·ow` not a multiple of the tile width) in the bit-identity check.
+    // in the bit-identity check: 7 × 7 = 49 output columns are a whole
+    // tile and then a tail at either width (`tile_nr` 16 or 32).
     let conv = |input: [usize; 4], weight: [usize; 4], stride| -> ConvShape {
         (input.to_vec(), weight.to_vec(), stride)
     };
     // The shapes inference traffic runs: MLP-4's three Dense layers at the
     // batch sizes the serve layer produces (1, 32, 64), whose 10-column
-    // classifier is all `n % 16` tail, and an MoE gate head (`n` = K = 4).
+    // classifier is all column tail, and an MoE gate head (`n` = K = 4).
     let traffic: [MatmulShape; 7] = [
         (1, 784, 128),
         (32, 784, 128),
@@ -513,7 +544,7 @@ fn main() {
         (
             vec![
                 conv([2, 8, 8, 8], [8, 8, 3, 3], 1),
-                conv([1, 3, 9, 9], [5, 3, 3, 3], 2),
+                conv([1, 3, 13, 13], [5, 3, 3, 3], 2),
             ],
             4,
             2,
@@ -566,6 +597,9 @@ fn main() {
 
     let report = Report {
         host_threads,
+        vector_lanes: VECTOR_LANES,
+        tile_nr: TILE_NR,
+        target_features,
         smoke,
         timing_thread_cap: time_cap.min(*THREAD_COUNTS.iter().max().unwrap_or(&1)),
         single_row_cost_ratio,

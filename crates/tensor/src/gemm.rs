@@ -6,10 +6,13 @@
 //! most [`MR`] rows of `a`. The work is cut into `M × N` output tiles
 //! whose accumulators live in a fixed-size `[[f32; N]; M]`: with the
 //! trip counts known at compile time LLVM keeps all of them in vector
-//! registers (on baseline x86-64, eight 4-lane registers for the 2 × 16
-//! tile, leaving room for the four `b` vectors and the broadcast `a`
-//! values) and turns the two innermost loops into straight-line
-//! `mulps`/`addps`. No `unsafe`, no intrinsics, no target features.
+//! registers (eight registers of [`LANES`] floats for the 2 × `NR` tile,
+//! leaving room for the four `b` vectors and the broadcast `a` values)
+//! and turns the two innermost loops into straight-line vector multiplies
+//! and adds. The tile is sized from the lanes the build targets — 8 where
+//! AVX is enabled (x86-64 builds target x86-64-v3, `.cargo/config.toml`),
+//! 4 otherwise (SSE2, NEON) — at compile time: one tile, no runtime
+//! dispatch, no `unsafe`, no intrinsics.
 //!
 //! **Reduction order.** The `k` loop is innermost per tile and strictly
 //! ascending, a product is rounded before it is added (Rust never
@@ -29,16 +32,20 @@
 //! not skip either. It also means no finiteness scan of `b` is needed,
 //! and a zero bias (`Tensor::matmul`) is exact for the same reason.
 
+/// `f32` lanes in one vector register of the build's target: 8 where AVX
+/// is enabled (x86-64-v3 and up), 4 otherwise (baseline x86-64's SSE2,
+/// aarch64's NEON).
+pub const LANES: usize = if cfg!(target_feature = "avx") { 8 } else { 4 };
 /// Rows of `a` per register tile (and per parallel work unit of the conv
 /// forward).
 pub(crate) const MR: usize = 2;
-/// Columns of `b` per `MR`-row register tile.
-const NR: usize = 16;
+/// Columns of `b` per `MR`-row register tile: four vector registers.
+pub const NR: usize = 4 * LANES;
 /// Columns per tile of a lone row: the same eight accumulator registers,
 /// so eight independent add chains where 1 × `NR` would have four.
-const NR1: usize = MR * NR;
+pub(crate) const NR1: usize = MR * NR;
 /// Columns per tile in the column tail: one vector register.
-const NV: usize = 4;
+const NV: usize = LANES;
 
 /// `out[r, j] = Σₖ a[r, k]·b[k, j] + bias[r]` for the `bias.len() ≤ MR`
 /// rows of `a: [rows, k]`, with `b: [k, n]` and `out: [rows, n]`, all
@@ -75,7 +82,9 @@ pub(crate) fn rows_times_matrix(
 
 /// An `M`-row block: `W`-column panels through the widest tile the
 /// registers hold for `M` rows, then the `n % W` tail in `NR`-column,
-/// vector-width and last single-column steps.
+/// vector-width, 4-column and last single-column steps. The 4-column rung
+/// is the vector width of a 4-lane build and keeps narrow heads (a gate's
+/// `n` = K) off single-column panels on an 8-lane one.
 fn block<const M: usize, const W: usize>(
     a: &[f32],
     b: &[f32],
@@ -87,6 +96,7 @@ fn block<const M: usize, const W: usize>(
     let j = panels::<M, W>(a, b, k, n, 0, bias, out);
     let j = panels::<M, NR>(a, b, k, n, j, bias, out);
     let j = panels::<M, NV>(a, b, k, n, j, bias, out);
+    let j = panels::<M, 4>(a, b, k, n, j, bias, out);
     panels::<M, 1>(a, b, k, n, j, bias, out);
 }
 
@@ -144,7 +154,25 @@ fn tile<const M: usize, const N: usize>(
 /// share: the retired kernel and operands that reach its every branch.
 #[cfg(test)]
 pub(crate) mod oracle {
+    use super::{LANES, NR, NR1};
     use crate::tensor::Tensor;
+
+    /// Column counts that reach every rung of the tail ladder at the
+    /// build's width: empty, one, the 4-column and vector-width rungs
+    /// alone, a classifier's 10, either side of `NR`, and one panel of
+    /// each rung below `NR` (then below the lone-row `NR1`) in a row.
+    pub(crate) const TAIL_NS: [usize; 10] = [
+        0,
+        1,
+        4,
+        10,
+        LANES,
+        NR - 1,
+        NR,
+        NR + 1,
+        NR + LANES + 4 + 1,
+        NR1 + NR + LANES + 4 + 1,
+    ];
 
     /// The plain ikj row kernel `Tensor::matmul` ran before the tile,
     /// with its finiteness scan and zero-skip: accumulates rows `rows` of
@@ -214,7 +242,7 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::matmul_rows;
+    use super::oracle::{matmul_rows, TAIL_NS};
     use super::*;
 
     /// The row kernel plus a bias pass: what the tile must reproduce.
@@ -240,7 +268,7 @@ mod tests {
     fn every_tail_shape_matches_the_row_kernel_bit_for_bit() {
         for rows in 0..=MR {
             for k in [0, 1, 3, 27] {
-                for n in [0, 1, NR - 1, NR, NR + 1, 3 * NR + 5] {
+                for n in TAIL_NS {
                     let mut a = ramp(rows * k, 1);
                     // Exact zeros in `a`: the terms the row kernel skips.
                     for x in a.iter_mut().step_by(3) {

@@ -40,6 +40,7 @@ mod tensor;
 
 pub use autograd::{Gradients, Tape, Var};
 pub use error::TensorError;
+pub use gemm::{LANES as VECTOR_LANES, NR as TILE_NR};
 pub use memtrack::{MemScope, MemStats};
 pub use ops::{argmax_slice, softmax_in_place};
 pub use pool::{force_sequential_scope, ParallelConfig};

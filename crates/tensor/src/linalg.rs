@@ -266,17 +266,17 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::oracle::{bits, matmul_rows, salted};
+    use crate::gemm::oracle::{bits, matmul_rows, salted, TAIL_NS};
     use proptest::prelude::*;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
 
-    /// Inner and column sizes of the differential tests: empty, one, and
-    /// either side of the 4-, 16- and 32-column tile widths.
+    /// Inner sizes of the differential tests; their column sizes are
+    /// `TAIL_NS`, derived from the tile constants so every rung of the
+    /// tail ladder is hit at either vector width.
     const KS: [usize; 5] = [0, 1, 3, 27, 40];
-    const NS: [usize; 6] = [0, 1, 15, 16, 17, 53];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
@@ -288,10 +288,10 @@ mod tests {
         #[test]
         fn matmul_is_bit_identical_to_the_row_kernel(
             m in 0usize..6,
-            (ki, ni) in (0usize..5, 0usize..6),
+            (ki, ni) in (0usize..KS.len(), 0usize..TAIL_NS.len()),
             seed in 0u64..100_000,
         ) {
-            let (k, n) = (KS[ki], NS[ni]);
+            let (k, n) = (KS[ki], TAIL_NS[ni]);
             let a = salted(&[m, k], seed);
             let b = salted(&[k, n], seed.wrapping_add(1));
             let mut want = vec![0.0f32; m * n];
@@ -310,10 +310,10 @@ mod tests {
         #[test]
         fn each_row_of_a_product_equals_that_row_multiplied_alone(
             m in 1usize..6,
-            (ki, ni) in (0usize..5, 0usize..6),
+            (ki, ni) in (0usize..KS.len(), 0usize..TAIL_NS.len()),
             seed in 0u64..100_000,
         ) {
-            let (k, n) = (KS[ki], NS[ni]);
+            let (k, n) = (KS[ki], TAIL_NS[ni]);
             let a = salted(&[m, k], seed);
             let b = salted(&[k, n], seed.wrapping_add(1));
             let batched = a.matmul(&b);

@@ -32,10 +32,14 @@ pub const THREADS_ENV: &str = "TEAMNET_THREADS";
 
 /// Below this many inner multiply–adds the default kernel entry points
 /// stay sequential: spawning scoped threads costs more than the
-/// arithmetic saves. Set from `kernel_bench`'s `default_entry` rows (tile
-/// kernels, 12–15 G multiply–adds/s a thread, a two-thread scope ≈ 65 µs
-/// to open and join): 64×784×128 (6.4 M) is where two threads stop
-/// losing to one, so the threshold is the next power of two. Explicit
+/// arithmetic saves. Set from `kernel_bench`'s `default_entry` rows (a
+/// two-thread scope ≈ 65 µs to open and join): 64×784×128 (6.4 M) is
+/// where two threads stop losing to one, so the threshold is the next
+/// power of two. The 8-lane tile of an x86-64-v3 build runs 15–23 G
+/// multiply–adds/s a thread (the 4-lane one ran 12–15), and its rows
+/// show no moved break-even: whenever the host gave the process two
+/// cores, every row over the threshold still gained (256³ 0.61–0.79 ×,
+/// the 8-image convs 0.57–0.86 ×), so the constant stands. Explicit
 /// `*_with` calls bypass it so tests can exercise the parallel path on
 /// tiny shapes.
 pub(crate) const PAR_MIN_WORK: usize = 1 << 23;

@@ -154,9 +154,10 @@ fn zero_times_nan_poisons_output_at_every_thread_count() {
 }
 
 /// The conv forward hands out blocks of two consecutive out-channels and
-/// runs 16-column register tiles inside them. Five out-channels over a
-/// 9×7 output (63 columns) leave a one-channel block and a 15-column
-/// edge in every sample, the 3-image batch makes worker boundaries fall
+/// runs 16- or 32-column register tiles inside them (4 or 8 vector
+/// lanes). Five out-channels over a 9×7 output (63 columns) leave a
+/// one-channel block and a 15- or 31-column edge in every sample at
+/// either width, the 3-image batch makes worker boundaries fall
 /// inside a sample at 2, 3 and 4 threads, and the operands carry zeros,
 /// NaN and ±∞. An output element is computed by the same tile or edge
 /// code wherever the boundaries fall, so even the NaN bit patterns must
