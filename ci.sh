@@ -7,7 +7,11 @@
 #                         bare `now() + timeout` — it panics on overflow)
 #   4. concurrency audit (lock order, determinism taint, protocol
 #                         exhaustiveness, narrowing casts — symbol/
-#                         call-graph analysis)
+#                         call-graph analysis; the taint pass's
+#                         `det-sleep` rule rejects `thread::sleep(`
+#                         reachable from a determinism root, so a
+#                         protocol path waits on a deadline, never a
+#                         sleep)
 #   4b. model checking   (cargo xtask mc: bounded exhaustive exploration
 #                         of the recovery-transfer and session-gather
 #                         FSMs under a drop/dup/reorder/crash/deadline

@@ -6,7 +6,7 @@
 //! The production shells — [`serve_worker_with_config`], the gather leg
 //! of [`InferenceSession::round`], and
 //! [`RecoveryManager`]'s transfer driver — own the transports, deadlines
-//! and backoff, and reach the wire through one shared IO shell
+//! and resends, and reach the wire through one shared IO shell
 //! (`shell.rs`); the *decisions* (what a frame means, what state changes,
 //! what goes back on the wire) are all made by the types in this module.
 //!
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, TraceContext};
 
 /// A message a transition function wants sent. The shell owns the actual
-/// transport (and its retries/backoff), and the direction names the tag:
+/// transport (and any resend), and the direction names the tag:
 /// a worker's replies travel on the result tag, a master's frames on the
 /// input tag. A model checker just moves the frame into its simulated
 /// network.
@@ -133,7 +133,7 @@ pub enum FsmMutation {
     /// already-resident expert answers [`AckStatus::Failed`] / restarts
     /// the transfer instead of re-acking [`AckStatus::Done`], and aborts
     /// ignore round stamps and never evict residents. Under a dropped
-    /// final Done ack the master retries, reads `Failed`, backtracks
+    /// final Done ack the master resends, reads `Failed`, backtracks
     /// without an effective abort — and the receiver's memory is
     /// stranded (hosted and budget-charged with no placement pointing at
     /// it).
@@ -834,10 +834,11 @@ pub enum TransferPhase {
 
 /// The master side of one expert transfer as a pure state machine: which
 /// frame to send next, which acks belong to this transfer, and how each
-/// ack advances (or concludes) it. The IO shell —
-/// [`RecoveryManager`](crate::recover::RecoveryManager) — owns resend
-/// backoff, deadlines and the abort/backtrack bookkeeping; `cargo xtask
-/// mc` owns them in the simulated cluster.
+/// ack advances (or concludes) it. Every ack it accepts moves the transfer
+/// forward or ends it, so a frame is resent only when its ack wait times
+/// out. The IO shell — [`RecoveryManager`](crate::recover::RecoveryManager)
+/// — owns those resends, the deadline and the abort/backtrack
+/// bookkeeping; `cargo xtask mc` owns them in the simulated cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferFsm {
     expert: u32,
@@ -877,16 +878,9 @@ impl TransferFsm {
         self.target
     }
 
-    /// Backoff-jitter salt for the in-flight exchange (0 for the offer,
-    /// `index + 1` for chunk `index`): part of the retry schedule the
-    /// seeded soaks replay, so it may not move.
-    pub fn exchange_salt(&self) -> u64 {
-        match self.phase {
-            TransferPhase::Offering => 0,
-            TransferPhase::Streaming | TransferPhase::Complete | TransferPhase::Failed(_) => {
-                u64::from(self.next.min(self.num_chunks.saturating_sub(1))) + 1
-            }
-        }
+    /// The chunk cursor: the next chunk the worker is known to expect.
+    pub fn next_chunk(&self) -> u32 {
+        self.next
     }
 
     /// The frame the master should (re)send right now: the offer while
@@ -925,9 +919,18 @@ impl TransferFsm {
     }
 
     /// Filters a received envelope down to this transfer's ack, if it is
-    /// one (right kind, right round, right expert).
+    /// one (right kind, right round, right expert) and it moves the
+    /// transfer. While streaming, a `ChunkOk` or `Accept` whose cursor
+    /// does not pass [`next_chunk`](Self::next_chunk) is a duplicate or a
+    /// stale ack: the wait goes on. Resending on one would send every later
+    /// chunk twice after a single duplicated ack — TFTP's Sorcerer's
+    /// Apprentice bug (RFC 1123 §4.2.3.1).
     pub fn accept(&self, env: &Envelope) -> Option<LoadAckMsg> {
-        match_load_ack(env, self.round, self.expert)
+        let ack = match_load_ack(env, self.round, self.expert)?;
+        let stale = self.phase == TransferPhase::Streaming
+            && matches!(ack.status, AckStatus::ChunkOk | AckStatus::Accept)
+            && ack.arg <= u64::from(self.next);
+        (!stale).then_some(ack)
     }
 
     /// Advances the transfer on one of its own acks (as returned by
@@ -949,7 +952,7 @@ impl TransferFsm {
             (TransferPhase::Offering, status @ (AckStatus::ChunkOk | AckStatus::Failed)) => {
                 TransferPhase::Failed(TransferFault::BadOfferAck(status))
             }
-            // A duplicate Accept ack reports the resume cursor too.
+            // A late Accept that passes the cursor reports it too.
             (TransferPhase::Streaming, AckStatus::ChunkOk | AckStatus::Accept) => {
                 self.next = ack.arg.min(u64::from(self.num_chunks)) as u32;
                 TransferPhase::Streaming
@@ -969,9 +972,8 @@ impl TransferFsm {
 
 /// Filters a raw envelope down to the [`LoadAckMsg`] for transfer
 /// `round` / `expert`, discarding stale gather leftovers, wrong-kind and
-/// wrong-expert traffic — the ack-matching rule shared by the production
-/// [`RecoveryManager`](crate::recover::RecoveryManager) wait loop and the
-/// model checker's master.
+/// wrong-expert traffic. [`TransferFsm::accept`] builds on it, and the
+/// hand-back's release wait uses it as is.
 pub fn match_load_ack(env: &Envelope, round: u64, expert: u32) -> Option<LoadAckMsg> {
     if env.round != round || env.kind != PayloadKind::LoadAck {
         return None;
@@ -1411,7 +1413,6 @@ mod tests {
     #[test]
     fn transfer_fsm_refusal_and_bad_ack_classification() {
         let mut t = TransferFsm::new(3, 2, 10, 4);
-        assert_eq!(t.exchange_salt(), 0);
         t.on_ack(LoadAckMsg {
             expert: 3,
             status: AckStatus::Refuse,
@@ -1434,6 +1435,40 @@ mod tests {
             t.phase(),
             TransferPhase::Failed(TransferFault::BadOfferAck(AckStatus::ChunkOk))
         ));
+    }
+
+    #[test]
+    fn streaming_accepts_only_acks_that_pass_the_cursor() {
+        let frame = |status, arg| {
+            let ack = LoadAckMsg {
+                expert: 3,
+                status,
+                arg,
+            };
+            Envelope::new(10, PayloadKind::LoadAck, ack.encode())
+        };
+        let mut t = TransferFsm::new(3, 2, 10, 4);
+        assert!(
+            t.accept(&frame(AckStatus::Accept, 0)).is_some(),
+            "the offer's verdict"
+        );
+        t.on_ack(t.accept(&frame(AckStatus::Accept, 1)).unwrap());
+        assert_eq!((t.phase(), t.next_chunk()), (TransferPhase::Streaming, 1));
+        // A duplicate of the offer's Accept, or of any earlier ChunkOk,
+        // leaves the cursor where it is: the wait goes on.
+        for (status, arg) in [
+            (AckStatus::Accept, 1),
+            (AckStatus::ChunkOk, 1),
+            (AckStatus::ChunkOk, 0),
+        ] {
+            assert_eq!(t.accept(&frame(status, arg)), None, "{status:?} {arg}");
+        }
+        t.on_ack(t.accept(&frame(AckStatus::ChunkOk, 2)).unwrap());
+        assert_eq!(t.next_chunk(), 2);
+        // Verdicts that end the transfer always get through.
+        for status in [AckStatus::Done, AckStatus::Failed, AckStatus::Refuse] {
+            assert!(t.accept(&frame(status, 0)).is_some(), "{status:?}");
+        }
     }
 
     #[test]

@@ -46,9 +46,8 @@ pub enum PeerHealth {
 /// Failure-detector policy knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureDetectorConfig {
-    /// Consecutive misses before a peer is marked [`PeerHealth::Suspect`].
-    pub suspect_after: u32,
-    /// Consecutive misses (M) before a peer is quarantined.
+    /// Consecutive misses (M) before a peer is quarantined; the first
+    /// miss short of that marks it [`PeerHealth::Suspect`].
     pub quarantine_after: u32,
     /// Rounds between readmission probes while quarantined.
     pub probe_interval: u64,
@@ -57,7 +56,6 @@ pub struct FailureDetectorConfig {
 impl Default for FailureDetectorConfig {
     fn default() -> Self {
         FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: 4,
         }
@@ -187,7 +185,6 @@ impl FailureDetector {
     /// or failed send).
     pub fn record_miss(&mut self, peer: usize) {
         let quarantine_after = self.config.quarantine_after.max(1);
-        let suspect_after = self.config.suspect_after.max(1);
         if let Some(state) = self.peers.get_mut(&peer) {
             let before = state.health;
             state.consecutive_misses = state.consecutive_misses.saturating_add(1);
@@ -199,7 +196,7 @@ impl FailureDetector {
             } else if state.consecutive_misses >= quarantine_after {
                 state.health = PeerHealth::Quarantined;
                 state.rounds_since_probe = 0;
-            } else if state.consecutive_misses >= suspect_after {
+            } else {
                 state.health = PeerHealth::Suspect;
             }
             let after = state.health;
@@ -316,7 +313,6 @@ mod tests {
 
     fn config(m: u32, probe: u64) -> FailureDetectorConfig {
         FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: m,
             probe_interval: probe,
         }
@@ -543,7 +539,6 @@ recovery: migrations=3
                 tail_plans in 1usize..12,
             ) {
                 let cfg = FailureDetectorConfig {
-                    suspect_after: 1,
                     quarantine_after: m,
                     probe_interval: probe,
                 };
@@ -572,7 +567,6 @@ recovery: migrations=3
                 probe in 1u64..6,
             ) {
                 let cfg = FailureDetectorConfig {
-                    suspect_after: 1,
                     quarantine_after: m,
                     probe_interval: probe,
                 };
@@ -596,7 +590,6 @@ recovery: migrations=3
                 probe in 1u64..6,
             ) {
                 let cfg = FailureDetectorConfig {
-                    suspect_after: 1,
                     quarantine_after: m,
                     probe_interval: probe,
                 };

@@ -37,9 +37,12 @@
 //! transfer's acks queued for it, and the ack wait leaves a sibling's
 //! result queued for its round.
 //!
-//! Everything is deadline-budgeted through the
-//! [`RetryPolicy`]/[`Backoff`] machinery on an injected [`Clock`], so the
-//! whole quarantine → re-place → hand-back flow is deterministic under a
+//! A frame is resent only when its ack wait times out, at most
+//! [`SENDS_PER_FRAME`] times and with no sleep between sends; every ack the
+//! transfer accepts moves it forward or ends it, so a transfer sends at
+//! most `SENDS_PER_FRAME × (chunks + 1)` frames, and its deadline on an
+//! injected [`Clock`] bounds the whole. The quarantine → re-place →
+//! hand-back flow is therefore deterministic under a
 //! [`teamnet_net::ManualClock`] and seeded chaos (`tests/recovery_soak.rs`
 //! asserts byte-identical transcripts across identical seeds).
 
@@ -50,16 +53,18 @@ use crate::runtime::TAG_INPUT;
 use crate::shell::{self, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use teamnet_net::codec::{encode_f32s_into, Reader};
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
-use teamnet_net::{
-    crc32, deadline_after, Backoff, Clock, Envelope, NetError, RetryPolicy, SystemClock, Transport,
-};
+use teamnet_net::{crc32, deadline_after, Clock, Envelope, NetError, SystemClock, Transport};
 use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
+
+/// Sends of one transfer frame (the offer or a chunk): the first, plus a
+/// resend after each of the first two ack waits that time out.
+pub const SENDS_PER_FRAME: u32 = 3;
 
 /// Wire op codes for [`LoadExpertMsg`].
 const OP_OFFER: u8 = 0;
@@ -553,17 +558,15 @@ pub(crate) fn build_from_state(
 pub struct RecoveryConfig {
     /// Bytes of serialized state per [`LoadChunkMsg`].
     pub chunk_bytes: usize,
-    /// Retry schedule for each offer/chunk exchange (attempt count + the
-    /// jittered backoff between resends).
-    pub transfer_retry: RetryPolicy,
-    /// How long one send waits for its ack before a resend is considered.
+    /// How long one send waits for its ack; when the wait times out the
+    /// frame is resent, up to [`SENDS_PER_FRAME`] sends in all.
     pub ack_timeout: Duration,
-    /// Wall-clock budget for one whole transfer attempt to one candidate;
-    /// on expiry the transfer aborts and the master backtracks.
+    /// Budget for one whole transfer attempt to one candidate, on
+    /// `clock`; on expiry the transfer aborts and the master backtracks.
     pub transfer_timeout: Duration,
-    /// Clock driving the deadlines and backoff sleeps. Tests inject a
-    /// [`teamnet_net::ManualClock`] so failed-transfer paths run in
-    /// virtual time.
+    /// Clock the deadlines are read on. Tests inject a
+    /// [`teamnet_net::ManualClock`] so a transfer's deadline never expires
+    /// under them and only the resend bound ends a silent transfer.
     pub clock: Arc<dyn Clock>,
     /// Observability handle for recovery spans and counters.
     pub obs: Obs,
@@ -573,7 +576,6 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             chunk_bytes: 64 * 1024,
-            transfer_retry: RetryPolicy::default(),
             ack_timeout: Duration::from_secs(2),
             transfer_timeout: Duration::from_secs(10),
             clock: Arc::new(SystemClock),
@@ -845,7 +847,10 @@ impl RecoveryManager {
         let frame = msg.encode(shell::stamp(&obs, self.trace));
         if shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame).is_ok() {
             let deadline = deadline_after(self.config.clock.now(), self.config.ack_timeout);
-            let _ = self.await_ack(transport, surrogate, round, expert as u32, deadline);
+            let expert = expert as u32;
+            let _ = self.await_ack(transport, surrogate, round, deadline, |env| {
+                fsm::match_load_ack(env, round, expert)
+            });
         }
         self.placement.remove(&expert);
         if let Some(record) = self.experts.get(&expert) {
@@ -863,7 +868,7 @@ impl RecoveryManager {
     /// # Errors
     ///
     /// [`NetError::Remote`] when the worker refuses or reports a failure,
-    /// [`NetError::Timeout`] when the deadline or retry budget runs out,
+    /// [`NetError::Timeout`] when a frame's sends or the deadline run out,
     /// and transport errors otherwise. On any error a best-effort abort is
     /// sent so the target frees its partial state.
     fn transfer(
@@ -900,14 +905,8 @@ impl RecoveryManager {
         );
 
         // The protocol decisions all live in the pure state machine; this
-        // shell owns the transport, retry backoff, deadlines and aborts.
+        // shell owns the transport, the resends, the deadline and aborts.
         let mut machine = fsm::TransferFsm::new(expert as u32, target, round, num_chunks);
-        // Stop-and-wait ARQ over the chunks. The attempt cap is a
-        // belt-and-braces bound on top of the per-exchange retry budget
-        // and the wall-clock deadline (the offer exchange is not
-        // counted against it).
-        let mut attempts_left = (u64::from(num_chunks) + 2)
-            * (self.config.transfer_retry.max_attempts.max(1) as u64 + 1);
         loop {
             match machine.phase() {
                 fsm::TransferPhase::Complete => return Ok(record.state.len() as u64),
@@ -917,16 +916,7 @@ impl RecoveryManager {
                     }
                     return Err(fault_error(fault, expert, target));
                 }
-                fsm::TransferPhase::Offering => {}
-                fsm::TransferPhase::Streaming => {
-                    if attempts_left == 0 {
-                        self.abort(transport, round, expert as u32, target);
-                        return Err(NetError::Timeout {
-                            waiting_for: format!("transfer of expert {expert} to node {target}"),
-                        });
-                    }
-                    attempts_left -= 1;
-                }
+                fsm::TransferPhase::Offering | fsm::TransferPhase::Streaming => {}
             }
             let Some(frame) = machine.current_frame(&manifest, &record.state, chunk_bytes) else {
                 // Unreachable: concluded phases returned above.
@@ -934,8 +924,7 @@ impl RecoveryManager {
                     "transfer of expert {expert} concluded without a frame"
                 )));
             };
-            let salt = machine.exchange_salt();
-            let ack = match self.exchange(transport, &frame, round, expert as u32, deadline, salt) {
+            let ack = match self.exchange(transport, &machine, &frame, deadline) {
                 Ok(ack) => ack,
                 Err(e) => {
                     // An exchange that dies may still have delivered its
@@ -950,68 +939,57 @@ impl RecoveryManager {
         }
     }
 
-    /// Sends `msg` to its target and waits for a matching ack, resending
-    /// the same stamped frame after an ack timeout under the per-exchange
-    /// retry budget. A failed send ends the exchange: no transport in the
-    /// tree recovers a writer that failed once. `salt` keeps the jitter
-    /// stream of each chunk's backoff distinct.
+    /// Sends `msg` to its target and waits for an ack `machine` accepts,
+    /// resending the same stamped frame each time a wait times out, up to
+    /// [`SENDS_PER_FRAME`] sends and never past `deadline`. A failed send
+    /// ends the exchange: no transport in the tree recovers a writer that
+    /// failed once.
     fn exchange(
         &self,
         transport: &dyn Transport,
+        machine: &fsm::TransferFsm,
         msg: &fsm::OutboundMsg,
-        round: u64,
-        expert: u32,
-        deadline: std::time::Instant,
-        salt: u64,
+        deadline: Instant,
     ) -> Result<LoadAckMsg, NetError> {
         let obs = &self.config.obs;
         let target = msg.to;
         let frame = msg.encode(shell::stamp(obs, self.trace));
-        let mut backoff = Backoff::with_clock(
-            self.config.transfer_retry.clone(),
-            round ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            deadline,
-            Arc::clone(&self.config.clock),
-        );
-        loop {
+        for _ in 0..SENDS_PER_FRAME {
+            if self.config.clock.now() >= deadline {
+                break;
+            }
             shell::send(transport, obs, "input", target, TAG_INPUT, &frame)?;
-            match self.await_ack(transport, target, round, expert, deadline) {
+            match self.await_ack(transport, target, machine.round(), deadline, |env| {
+                machine.accept(env)
+            }) {
                 Ok(ack) => return Ok(ack),
                 Err(NetError::Timeout { .. }) => {}
                 Err(e) => return Err(e),
             }
-            match backoff.next_delay() {
-                Some(delay) => self.config.clock.sleep(delay),
-                None => {
-                    return Err(NetError::Timeout {
-                        waiting_for: format!("load ack from node {target}"),
-                    })
-                }
-            }
         }
+        Err(NetError::Timeout {
+            waiting_for: format!("load ack from node {target}"),
+        })
     }
 
-    /// Waits up to `ack_timeout` (clamped by the transfer deadline) for a
-    /// [`PayloadKind::LoadAck`] stamped with this transfer's round. The
-    /// wait is the same one a gather uses: a frame that belongs to a
-    /// sibling's live round stays queued for it; stale gather leftovers
-    /// and undecodable traffic on the result tag are discarded, not
-    /// failed on.
+    /// Waits up to `ack_timeout` (clamped by `deadline`) for a
+    /// [`PayloadKind::LoadAck`] stamped with `round` that `accept` takes.
+    /// The wait is the same one a gather uses: a frame that belongs to a
+    /// sibling's live round stays queued for it; stale gather leftovers,
+    /// acks `accept` refuses and undecodable traffic on the result tag are
+    /// discarded, not failed on.
     fn await_ack(
         &self,
         transport: &dyn Transport,
         target: usize,
         round: u64,
-        expert: u32,
-        deadline: std::time::Instant,
+        deadline: Instant,
+        accept: impl Fn(&Envelope) -> Option<LoadAckMsg>,
     ) -> Result<LoadAckMsg, NetError> {
         let (obs, clock) = (&self.config.obs, &*self.config.clock);
         let until = deadline_after(clock.now(), self.config.ack_timeout).min(deadline);
         while let Some(bytes) = shell::recv_result(transport, obs, clock, round, target, until)? {
-            let ack = Envelope::decode(&bytes)
-                .ok()
-                .and_then(|env| fsm::match_load_ack(&env, round, expert));
-            if let Some(ack) = ack {
+            if let Some(ack) = Envelope::decode(&bytes).ok().as_ref().and_then(&accept) {
                 return Ok(ack);
             }
         }
@@ -1285,6 +1263,142 @@ mod tests {
         sick[2] = PeerHealth::Quarantined;
         sick[4] = PeerHealth::Probing;
         assert_eq!(mgr.ranked_candidates(5, 0, 1, &sick, 50), vec![3]);
+    }
+
+    /// The master's endpoint, keeping a copy of every frame it sends.
+    struct Recorded<'a> {
+        inner: &'a dyn Transport,
+        sent: std::sync::Mutex<Vec<Envelope>>,
+    }
+
+    impl<'a> Recorded<'a> {
+        fn new(inner: &'a dyn Transport) -> Self {
+            Recorded {
+                inner,
+                sent: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn sent(&self) -> Vec<Envelope> {
+            self.sent.lock().unwrap().clone()
+        }
+    }
+
+    impl Transport for Recorded<'_> {
+        fn node_id(&self) -> usize {
+            self.inner.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn send(&self, to: usize, tag: teamnet_net::Tag, payload: &[u8]) -> Result<(), NetError> {
+            self.sent
+                .lock()
+                .unwrap()
+                .push(Envelope::decode(payload).unwrap());
+            self.inner.send(to, tag, payload)
+        }
+        fn recv_where(
+            &self,
+            from: usize,
+            tag: teamnet_net::Tag,
+            timeout: Duration,
+            accept: &dyn Fn(&[u8]) -> bool,
+        ) -> Result<Vec<u8>, NetError> {
+            self.inner.recv_where(from, tag, timeout, accept)
+        }
+        fn stats(&self) -> teamnet_net::TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    fn load_expert_op(env: &Envelope) -> Option<LoadExpertMsg> {
+        (env.kind == teamnet_net::PayloadKind::LoadExpert)
+            .then(|| LoadExpertMsg::decode(&env.payload).unwrap())
+    }
+
+    #[test]
+    fn duplicated_acks_do_not_double_the_chunk_stream() {
+        // Every frame the worker sends arrives twice. A duplicate ack
+        // leaves the cursor where it was; resending on it would send every
+        // later chunk twice (RFC 1123 §4.2.3.1) and hit the resend bound.
+        use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport};
+        let spec = ModelSpec::mlp(2, 16);
+        let state = state_vec(&mut build_expert(&spec, 1));
+        let mut mesh = ChannelTransport::mesh(2);
+        let worker = ChaosTransport::with_config(
+            mesh.pop().unwrap(),
+            ChaosConfig {
+                seed: 4,
+                duplicate_prob: 1.0,
+                ..ChaosConfig::default()
+            },
+        );
+        let master = mesh.pop().unwrap();
+        let recorded = Recorded::new(&master);
+        let mut mgr = RecoveryManager::new(RecoveryConfig {
+            chunk_bytes: 2048,
+            ack_timeout: Duration::from_secs(5),
+            ..RecoveryConfig::default()
+        });
+        mgr.register_expert(0, 0, spec.clone(), &state, 50_000);
+        let chunks = state_to_bytes(&state).len().div_ceil(2048) as u64;
+        assert!(chunks >= 20, "{chunks} chunks");
+        let shipped = std::thread::scope(|scope| {
+            let served = scope.spawn(|| {
+                let mut own = build_expert(&spec, 2);
+                crate::runtime::serve_worker_with_config(
+                    &worker,
+                    0,
+                    &mut own,
+                    crate::runtime::WorkerConfig::default(),
+                )
+            });
+            let shipped = mgr.transfer(&recorded, 0, 1);
+            crate::runtime::shutdown_workers(&master).unwrap();
+            let stats = served.join().unwrap().unwrap();
+            assert_eq!(stats.chunks_received, chunks);
+            shipped
+        });
+        assert_eq!(shipped.unwrap(), state_to_bytes(&state).len() as u64);
+        let sent = recorded.sent();
+        assert_eq!(sent.len() as u64, 1 + chunks, "one offer, each chunk once");
+        assert!(matches!(
+            load_expert_op(&sent[0]),
+            Some(LoadExpertMsg::Offer { .. })
+        ));
+    }
+
+    #[test]
+    fn a_silent_candidate_gets_three_offers_then_one_abort_without_a_cap() {
+        // The clock never moves, so the deadline never expires: only the
+        // per-frame send bound ends the transfer, and nothing sleeps.
+        let clock = Arc::new(teamnet_net::ManualClock::new());
+        let nodes = teamnet_net::ChannelTransport::mesh(2);
+        let recorded = Recorded::new(&nodes[0]);
+        let mut mgr = RecoveryManager::new(RecoveryConfig {
+            ack_timeout: Duration::from_millis(20),
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..RecoveryConfig::default()
+        });
+        let spec = ModelSpec::mlp(2, 8);
+        mgr.register_expert(
+            0,
+            0,
+            spec.clone(),
+            &state_vec(&mut build_expert(&spec, 1)),
+            1,
+        );
+        let res = mgr.transfer(&recorded, 0, 1);
+        assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
+        let ops: Vec<_> = recorded.sent().iter().map(load_expert_op).collect();
+        assert_eq!(ops.len(), SENDS_PER_FRAME as usize + 1, "{ops:?}");
+        let (abort, offers) = ops.split_last().unwrap();
+        assert!(offers
+            .iter()
+            .all(|op| matches!(op, Some(LoadExpertMsg::Offer { .. }))));
+        assert_eq!(abort, &Some(LoadExpertMsg::Abort { expert: 0 }));
+        assert_eq!(clock.elapsed(), Duration::ZERO);
     }
 
     #[test]

@@ -1163,7 +1163,6 @@ mod tests {
                 assert!(report.predictions.iter().all(|p| p.expert == 0));
             }
             assert_eq!(dead.attempts(), 1, "strict={strict}");
-            assert_eq!(clock.sleeps(), 0, "strict={strict}");
         }
     }
 
@@ -1186,7 +1185,6 @@ mod tests {
         assert_eq!(mgr.backtracks(), 1);
         assert_eq!(mgr.migrations(), 0);
         assert_eq!(dead.attempts(), 2, "the offer and the abort");
-        assert_eq!(clock.sleeps(), 0);
     }
 
     #[test]
@@ -1351,7 +1349,6 @@ mod tests {
             worker_timeout: Duration::from_millis(300),
             require_all_workers: false,
             failure: FailureDetectorConfig {
-                suspect_after: 1,
                 quarantine_after: 1,
                 probe_interval: 1,
             },

@@ -1,26 +1,27 @@
-//! Injectable time source for every protocol-layer deadline and backoff.
+//! Injectable time source for every protocol-layer deadline.
 //!
-//! Wall-clock reads scattered through retry and inference code
-//! make two things impossible: replaying a seeded chaos run bit-for-bit,
-//! and testing timeout logic without actually sleeping. The [`Clock`]
-//! trait funnels every `now()` read and every backoff sleep through one
-//! interface with two implementations:
+//! Wall-clock reads scattered through protocol code make two things
+//! impossible: replaying a seeded chaos run bit-for-bit, and testing
+//! timeout logic without racing the wall clock. The [`Clock`] trait
+//! funnels every `now()` read through one interface with two
+//! implementations:
 //!
 //! * [`SystemClock`] — the real wall clock, used in production. This is
 //!   the **single sanctioned wall-clock read** in the workspace: the
 //!   `cargo xtask audit` determinism pass rejects any other
 //!   `Instant::now()` reachable from protocol paths.
-//! * [`ManualClock`] — a test clock that only moves when told to (or when
-//!   code under test "sleeps" on it), so backoff/deadline behaviour is
-//!   asserted in virtual time and timing tests cannot flake under load.
+//! * [`ManualClock`] — a test clock that only moves when told to, so
+//!   deadline behaviour is asserted in virtual time and timing tests
+//!   cannot flake under load.
 //!
-//! Receive timeouts handed to a blocking transport still elapse in real
-//! time (a condition variable cannot wait on virtual time); the clock
-//! governs how those deadlines are *budgeted*, which is where the
-//! nondeterminism and the test flakiness lived.
+//! Nothing on a protocol path sleeps (`cargo xtask audit`'s `det-sleep`
+//! rule rejects `thread::sleep(` there). Receive timeouts handed to a
+//! blocking transport still elapse in real time (a condition variable
+//! cannot wait on virtual time); the clock governs how those deadlines
+//! are *budgeted*, which is where the nondeterminism and the test
+//! flakiness lived.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// The instant `timeout` after `now`. A timeout too large for `Instant`
@@ -32,16 +33,13 @@ pub fn deadline_after(now: Instant, timeout: Duration) -> Instant {
     now.checked_add(timeout.min(CENTURY)).unwrap_or(now)
 }
 
-/// A source of monotonic time plus the ability to sleep against it.
+/// A source of monotonic time.
 ///
 /// `Debug` is a supertrait so configs holding an `Arc<dyn Clock>` can keep
 /// deriving `Debug`.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// The current instant on this clock.
     fn now(&self) -> Instant;
-
-    /// Blocks (or virtually advances) for `duration`.
-    fn sleep(&self, duration: Duration);
 }
 
 /// The real wall clock.
@@ -54,14 +52,9 @@ impl Clock for SystemClock {
         // else must go through a Clock. lint: allow(det-clock)
         Instant::now()
     }
-
-    fn sleep(&self, duration: Duration) {
-        std::thread::sleep(duration);
-    }
 }
 
-/// A virtual clock for tests: time stands still until [`advance`]d, and
-/// [`Clock::sleep`] advances it instantly instead of blocking.
+/// A virtual clock for tests: time stands still until [`advance`]d.
 ///
 /// [`advance`]: ManualClock::advance
 #[derive(Debug)]
@@ -70,7 +63,6 @@ pub struct ManualClock {
     /// offset from it ever changes.
     base: Instant,
     offset: Mutex<Duration>,
-    sleeps: AtomicU64,
 }
 
 impl Default for ManualClock {
@@ -87,7 +79,6 @@ impl ManualClock {
             // lint: allow(det-clock)
             base: Instant::now(),
             offset: Mutex::new(Duration::ZERO),
-            sleeps: AtomicU64::new(0),
         }
     }
 
@@ -100,22 +91,11 @@ impl ManualClock {
     pub fn elapsed(&self) -> Duration {
         *self.offset.lock()
     }
-
-    /// Number of [`Clock::sleep`] calls observed (each also advances the
-    /// clock by the requested duration).
-    pub fn sleeps(&self) -> u64 {
-        self.sleeps.load(Ordering::Relaxed)
-    }
 }
 
 impl Clock for ManualClock {
     fn now(&self) -> Instant {
         self.base + *self.offset.lock()
-    }
-
-    fn sleep(&self, duration: Duration) {
-        self.sleeps.fetch_add(1, Ordering::Relaxed);
-        self.advance(duration);
     }
 }
 
@@ -142,14 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_sleep_advances_without_blocking() {
-        let clock = ManualClock::new();
-        clock.sleep(Duration::from_secs(3600)); // returns immediately
-        assert_eq!(clock.elapsed(), Duration::from_secs(3600));
-        assert_eq!(clock.sleeps(), 1);
-    }
-
-    #[test]
     fn an_unrepresentable_deadline_is_no_deadline() {
         let now = SystemClock.now();
         let t = Duration::from_millis(5);
@@ -160,9 +132,10 @@ mod tests {
 
     #[test]
     fn works_as_trait_object() {
-        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let manual = Arc::new(ManualClock::new());
+        let clock: Arc<dyn Clock> = Arc::clone(&manual) as Arc<dyn Clock>;
         let t0 = clock.now();
-        clock.sleep(Duration::from_millis(5));
+        manual.advance(Duration::from_millis(5));
         assert_eq!(clock.now(), t0 + Duration::from_millis(5));
     }
 }

@@ -13,11 +13,54 @@
 //! reproducible.
 
 use crate::error::NetError;
-use crate::retry::DetRng;
 use crate::transport::{NodeId, Tag, Transport, TransportStats};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::time::Duration;
+
+/// Deterministic 64-bit PRNG (SplitMix64). Seeded fault injection must
+/// replay identically run-to-run, which rules out entropy from the OS;
+/// SplitMix64 passes BigCrush and is four lines long.
+#[derive(Debug, Clone)]
+struct DetRng {
+    state: u64,
+}
+
+impl DetRng {
+    /// Creates a generator from a seed; the same seed replays the same
+    /// sequence forever.
+    fn new(seed: u64) -> Self {
+        DetRng { state: seed }
+    }
+
+    /// Next raw 64-bit value.
+    fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform value in `[0, 1)`.
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Bernoulli draw: true with probability `p` (clamped to `[0, 1]`).
+    fn chance(&mut self, p: f64) -> bool {
+        self.next_f64() < p
+    }
+
+    /// Uniform integer in `[0, n)`; returns 0 when `n == 0`.
+    fn below(&mut self, n: u64) -> u64 {
+        if n == 0 {
+            0
+        } else {
+            self.next_u64() % n
+        }
+    }
+}
 
 /// Probabilistic fault plan for a [`ChaosTransport`], applied per outgoing
 /// message. At most one fault fires per message, drawn in the order drop →
@@ -320,6 +363,26 @@ mod tests {
 
     const TAG: Tag = Tag(3);
     const SHORT: Duration = Duration::from_millis(50);
+
+    #[test]
+    fn det_rng_is_deterministic() {
+        let mut a = DetRng::new(99);
+        let mut b = DetRng::new(99);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut c = DetRng::new(100);
+        assert_ne!(DetRng::new(99).next_u64(), c.next_u64());
+    }
+
+    #[test]
+    fn chance_respects_extremes() {
+        let mut rng = DetRng::new(1);
+        assert!((0..64).all(|_| !rng.chance(0.0)));
+        assert!((0..64).all(|_| rng.chance(1.1)));
+        assert_eq!(rng.below(0), 0);
+        assert!((0..64).all(|_| rng.below(5) < 5));
+    }
 
     #[test]
     fn blackhole_drops_and_heal_restores() {

@@ -16,8 +16,8 @@
 //!   tests;
 //! * [`Envelope`] — versioned, round-stamped, CRC-checked message
 //!   envelopes for the fault-tolerant inference protocol;
-//! * [`RetryPolicy`] / [`Backoff`] — bounded retries with exponential
-//!   backoff and deterministic jitter under a deadline budget;
+//! * [`Clock`] — the injectable time source every protocol deadline is
+//!   read on ([`SystemClock`] in production, [`ManualClock`] in tests);
 //! * [`codec`] — the wire formats, including the raw-`f32` tensor payload
 //!   encoding whose byte counts drive the WiFi cost model, and
 //!   [`codec::Reader`], the bounds-checked cursor every variable-length
@@ -49,7 +49,6 @@ mod envelope;
 mod error;
 mod faults;
 mod mailbox;
-mod retry;
 mod tcp;
 mod transport;
 
@@ -62,6 +61,5 @@ pub use envelope::{
 pub use error::NetError;
 pub use faults::{plan_fates, ChaosConfig, ChaosTransport, FaultFate};
 pub use mailbox::Mailbox;
-pub use retry::{Backoff, DetRng, RetryPolicy};
 pub use tcp::TcpTransport;
 pub use transport::{ChannelTransport, NodeId, Tag, Transport, TransportStats};

@@ -11,8 +11,8 @@
 //! 2. **Pair** every `send` event with its `recv` on the far side: a
 //!    send from node A stamped `(trace, span S)` matches the recv on its
 //!    destination carrying `rspan = S` from peer A, in emission order
-//!    (retries produce multiple identical sends; FIFO pairing keeps them
-//!    distinct). Unpaired events are warnings, not errors — chaos drops
+//!    (a resent frame produces multiple identical sends; FIFO pairing
+//!    keeps them distinct). Unpaired events are warnings, not errors — chaos drops
 //!    frames legitimately.
 //! 3. **Reconcile clocks.** Every node's `t_ns` is an offset from its own
 //!    tracer origin. For each node pair the minimum observed one-way
@@ -282,7 +282,7 @@ pub fn assemble(inputs: &[NodeInput]) -> Result<Assembled, AssembleError> {
     recvs.sort_by_key(|(node, p)| (*node, p.seq));
 
     // Pair sends with recvs FIFO per (sender, receiver, trace, sender
-    // span, kind) — retries send byte-identical frames, so order is the
+    // span, kind) — a resend is a byte-identical frame, so order is the
     // only thing distinguishing them.
     let mut pending: BTreeMap<(u64, u64, u64, u64, String), Vec<usize>> = BTreeMap::new();
     for (i, (node, p)) in recvs.iter().enumerate() {

@@ -103,6 +103,10 @@ impl TcpServeFront {
                         break; // the wake-up connection, or a client racing it
                     }
                     let Ok((stream, _peer)) = accepted else {
+                        // The accept thread's own error-path pause: no
+                        // admission, flush or reply waits on it, and a
+                        // socket accept has no deadline to wait on.
+                        // lint: allow(det-sleep)
                         std::thread::sleep(ACCEPT_RETRY);
                         continue;
                     };

@@ -23,10 +23,10 @@
 //! 1. **Lock order** — lock-acquisition graph across `net`/`core`; fails
 //!    on inconsistent ordering cycles and locks held across network I/O
 //!    (see [`locks`]; rules `lock-order`, `lock-across-io`).
-//! 2. **Determinism taint** — hasher/clock/entropy nondeterminism
+//! 2. **Determinism taint** — hasher/clock/entropy/sleep nondeterminism
 //!    reachable from protocol encode/decode, the inference runtime, and
 //!    the simulator (see [`taint`]; rules `det-map`, `det-clock`,
-//!    `det-rng`).
+//!    `det-rng`, `det-sleep`).
 //! 3. **Protocol exhaustiveness** — every `PayloadKind` variant built and
 //!    dispatched, every `NetError` variant produced (see [`protocol`];
 //!    rules `protocol-constructed`, `protocol-handled`, `error-produced`).

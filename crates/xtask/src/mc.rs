@@ -579,7 +579,7 @@ impl Scenario for Recovery {
                 out.push(1);
                 out.push(f.target() as u8);
                 out.extend_from_slice(&f.round().to_le_bytes());
-                out.extend_from_slice(&f.exchange_salt().to_le_bytes());
+                out.extend_from_slice(&f.next_chunk().to_le_bytes());
                 out.push(match f.phase() {
                     TransferPhase::Offering => 0,
                     TransferPhase::Streaming => 1,

@@ -14,7 +14,10 @@
 //! | `det-clock` | `Instant::now()` / `SystemTime::now()` (wall-clock    |
 //! |             | reads belong behind the injectable `Clock`)           |
 //! | `det-rng`   | `thread_rng()` / `from_entropy()` / `rand::random()`  |
-//! |             | (OS-seeded randomness; use a seeded `DetRng`/StdRng)  |
+//! |             | (OS-seeded randomness; use a seeded StdRng)           |
+//! | `det-sleep` | `thread::sleep(` (a sleep on a protocol path is time  |
+//! |             | no injected `Clock` can fake; resend on a timed-out   |
+//! |             | wait instead)                                         |
 //!
 //! Escape with a statement-scoped `// lint: allow(<rule>)` comment at the
 //! site — e.g. the single sanctioned `Instant::now()` inside
@@ -113,17 +116,22 @@ const RULES: &[Rule] = &[
     (
         "det-rng",
         "thread_rng(",
-        "OS-seeded randomness on a protocol path; use a seeded DetRng/StdRng",
+        "OS-seeded randomness on a protocol path; use a seeded StdRng",
     ),
     (
         "det-rng",
         "from_entropy(",
-        "OS-seeded randomness on a protocol path; use a seeded DetRng/StdRng",
+        "OS-seeded randomness on a protocol path; use a seeded StdRng",
     ),
     (
         "det-rng",
         "rand::random(",
-        "OS-seeded randomness on a protocol path; use a seeded DetRng/StdRng",
+        "OS-seeded randomness on a protocol path; use a seeded StdRng",
+    ),
+    (
+        "det-sleep",
+        "thread::sleep(",
+        "sleep on a protocol path; no injected Clock can fake it — wait on a deadline instead",
     ),
 ];
 
@@ -232,6 +240,22 @@ mod tests {
             diags.iter().any(|d| d.rule == "det-map" && d.line == 2),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn a_sleep_reachable_from_a_root_is_caught_and_escapable() {
+        // infer (a root file fn) calls pause, which sleeps; the escaped
+        // sleep in the same fn is let through.
+        let diags = run(&[(
+            "core",
+            "crates/core/src/recover.rs",
+            "pub fn tick() {\n    pause();\n}\n\
+             fn pause() {\n    std::thread::sleep(D);\n    \
+             // lint: allow(det-sleep)\n    std::thread::sleep(D);\n}\n",
+        )]);
+        let sleeps: Vec<_> = diags.iter().filter(|d| d.rule == "det-sleep").collect();
+        assert_eq!(sleeps.len(), 1, "{diags:?}");
+        assert_eq!(sleeps[0].line, 5);
     }
 
     #[test]

@@ -92,7 +92,6 @@ fn main() {
         worker_timeout: Duration::from_millis(150),
         require_all_workers: false,
         failure: FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 2,
             probe_interval: 3,
         },

@@ -53,7 +53,6 @@ fn fifty_rounds_under_chaos_complete_with_live_predictions() {
         worker_timeout: Duration::from_millis(150),
         require_all_workers: false,
         failure: FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: 2,
         },

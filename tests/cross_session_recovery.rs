@@ -24,8 +24,7 @@ use teamnet_core::{
     build_expert, AckStatus, LoadAckMsg, LoadExpertMsg, PeerHealth, RecoveryConfig, RecoveryManager,
 };
 use teamnet_net::{
-    ChannelTransport, Envelope, NetError, NodeId, PayloadKind, RetryPolicy, Tag, Transport,
-    TransportStats,
+    ChannelTransport, Envelope, NetError, NodeId, PayloadKind, Tag, Transport, TransportStats,
 };
 use teamnet_nn::{state_vec, ModelSpec};
 use teamnet_obs::Obs;
@@ -99,7 +98,6 @@ fn recovery_manager(obs: &Obs) -> RecoveryManager {
     let mut mgr = RecoveryManager::new(RecoveryConfig {
         ack_timeout: Duration::from_millis(60),
         transfer_timeout: Duration::from_millis(400),
-        transfer_retry: RetryPolicy::none(),
         obs: obs.clone(),
         ..RecoveryConfig::default()
     });

@@ -27,7 +27,6 @@ fn quarantine_transition_dumps_ring_ending_with_the_trigger() {
         worker_timeout: Duration::from_millis(20),
         require_all_workers: false,
         failure: FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 2,
             probe_interval: 1000,
         },

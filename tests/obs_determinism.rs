@@ -68,7 +68,6 @@ fn seeded_soak(rounds: usize, obs: Obs) -> String {
         worker_timeout: Duration::from_millis(800),
         require_all_workers: false,
         failure: FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 3,
             probe_interval: 2,
         },

@@ -50,7 +50,6 @@ fn master_config(clock: Arc<ManualClock>) -> MasterConfig {
         worker_timeout: Duration::from_millis(150),
         require_all_workers: false,
         failure: FailureDetectorConfig {
-            suspect_after: 1,
             quarantine_after: 2,
             probe_interval: 1_000,
         },

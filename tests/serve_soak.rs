@@ -91,7 +91,6 @@ fn serve_soak() -> (String, String, String) {
             worker_timeout: Duration::from_millis(300),
             require_all_workers: false,
             failure: FailureDetectorConfig {
-                suspect_after: 1,
                 quarantine_after: 2,
                 // No probe rounds inside this short soak: probing the
                 // blackholed worker would only add timeout waits.
