@@ -41,8 +41,10 @@
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
 #                         kernel — the matmul rows are the shapes traffic
 #                         runs, 10- and 4-column tails included, the conv
-#                         rows include an out-channel block tail and a
-#                         tile-column tail — plus the JSON artifact
+#                         rows include an out-channel block tail, a
+#                         tile-column tail, and the forward's one-phase
+#                         (1x1 stride 2) and multi-phase (3x3 stride 2,
+#                         5x5 stride 3 pad 2) lowerings — plus the JSON artifact
 #                         plumbing and one host-independent timing guard:
 #                         a lone 1x784x128 row may cost at most 2.5 rows
 #                         of 64x784x128; on x86_64 the artifact's

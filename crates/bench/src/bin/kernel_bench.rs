@@ -8,8 +8,9 @@
 //! shapes inference traffic runs: MLP-4's Dense layers at batch 1/32/64,
 //! the 10-column classifier, a 4-column gate head), conv2d
 //! forward + backward on Shake-Shake CIFAR shapes (two 8-image training
-//! batches, then SS-14's five distinct 3×3 convs at batch 1 — the traffic
-//! of one inference round), and the per-expert team-forward fan-out at
+//! batches, then every distinct conv of SS-14 at batch 1 — its six 3×3
+//! convs and two 1×1 stride-2 projections, the traffic of one inference
+//! round), and the per-expert team-forward fan-out at
 //! K=2/4 — at 1, 2 and 4 threads, and verifies
 //! on every configuration that the parallel result is **bit-identical**
 //! to the sequential one (the determinism contract of
@@ -81,6 +82,7 @@ struct ConvRow {
     input: Vec<usize>,
     weight: Vec<usize>,
     stride: usize,
+    padding: usize,
     threads: usize,
     iters: u32,
     timed: bool,
@@ -200,6 +202,18 @@ fn dims_key(dims: &[usize]) -> String {
         .join("x")
 }
 
+/// `input * weight s<stride> p<padding>`, as the console lines and the
+/// `default_entry` rows name a conv.
+fn conv_name(in_dims: &[usize], w_dims: &[usize], spec: Conv2dSpec) -> String {
+    format!(
+        "{} * {} s{} p{}",
+        dims_key(in_dims),
+        dims_key(w_dims),
+        spec.stride,
+        spec.padding
+    )
+}
+
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
@@ -272,9 +286,9 @@ fn bench_matmul(
     rows
 }
 
-/// One conv workload: input dims, weight dims, stride (3×3 kernels,
-/// padding 1 throughout — the Shake-Shake branch convs).
-type ConvShape = (Vec<usize>, Vec<usize>, usize);
+/// One conv workload: input dims, weight dims `[oc, ic, k, k]` (the
+/// kernel size is the last), stride, padding.
+type ConvShape = (Vec<usize>, Vec<usize>, usize, usize);
 
 fn bench_conv(
     shapes: &[ConvShape],
@@ -283,8 +297,9 @@ fn bench_conv(
     metrics: &MetricsRegistry,
 ) -> Vec<ConvRow> {
     let mut rows = Vec::new();
-    for (in_dims, w_dims, stride) in shapes {
-        let spec = Conv2dSpec::new(3, *stride, 1);
+    for (in_dims, w_dims, stride, padding) in shapes {
+        let spec = Conv2dSpec::new(w_dims[3], *stride, *padding);
+        let name = conv_name(in_dims, w_dims, spec);
         let mut rng = StdRng::seed_from_u64(in_dims.iter().sum::<usize>() as u64);
         let input = Tensor::randn(in_dims.clone(), 0.0, 1.0, &mut rng);
         let weight = Tensor::randn(w_dims.clone(), 0.0, 0.1, &mut rng);
@@ -304,12 +319,13 @@ fn bench_conv(
                 && bits(&bwd.2) == bits(&bwd_ref.2);
             if threads > time_cap {
                 println!(
-                    "conv2d {in_dims:?} * {w_dims:?} s{stride}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
+                    "conv2d {name}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
                 );
                 rows.push(ConvRow {
                     input: in_dims.clone(),
                     weight: w_dims.clone(),
                     stride: *stride,
+                    padding: *padding,
                     threads,
                     iters: 0,
                     timed: false,
@@ -322,7 +338,11 @@ fn bench_conv(
                 });
                 continue;
             }
-            let key = format!("{}.{}s{stride}", dims_key(in_dims), dims_key(w_dims));
+            let key = format!(
+                "{}.{}s{stride}p{padding}",
+                dims_key(in_dims),
+                dims_key(w_dims)
+            );
             let fwd_hist = metrics.histogram(&format!("bench.conv2d.fwd.{key}.t{threads}.ns"));
             let bwd_hist = metrics.histogram(&format!("bench.conv2d.bwd.{key}.t{threads}.ns"));
             let forward_ms = time_iters(iters, &fwd_hist, || {
@@ -333,12 +353,13 @@ fn bench_conv(
             });
             let forward_gflops = flops / (forward_ms * 1e6);
             println!(
-                "conv2d {in_dims:?} * {w_dims:?} s{stride}  threads={threads}  fwd {forward_ms:8.3} ms ({forward_gflops:6.2} GFLOP/s)  bwd {backward_ms:8.3} ms  bit-identical={identical}"
+                "conv2d {name}  threads={threads}  fwd {forward_ms:8.3} ms ({forward_gflops:6.2} GFLOP/s)  bwd {backward_ms:8.3} ms  bit-identical={identical}"
             );
             rows.push(ConvRow {
                 input: in_dims.clone(),
                 weight: w_dims.clone(),
                 stride: *stride,
+                padding: *padding,
                 threads,
                 iters,
                 timed: true,
@@ -399,18 +420,14 @@ fn bench_default_entries(
             || drop(a.matmul(&b)),
         ));
     }
-    for (in_dims, w_dims, stride) in conv_shapes {
-        let spec = Conv2dSpec::new(3, *stride, 1);
+    for (in_dims, w_dims, stride, padding) in conv_shapes {
+        let spec = Conv2dSpec::new(w_dims[3], *stride, *padding);
         let input = Tensor::ones(in_dims.clone());
         let weight = Tensor::ones(w_dims.clone());
         let bias = Tensor::ones([w_dims[0]]);
         let out_len = conv2d(&input, &weight, &bias, spec).len();
         default_entry.push(bench_default_entry(
-            format!(
-                "conv2d {} * {} s{stride}",
-                dims_key(in_dims),
-                dims_key(w_dims)
-            ),
+            format!("conv2d {}", conv_name(in_dims, w_dims, spec)),
             iters_for(2.0 * (out_len * w_dims[1..].iter().product::<usize>()) as f64),
             || drop(conv2d(&input, &weight, &bias, spec)),
         ));
@@ -515,13 +532,16 @@ fn main() {
 
     // Shake-Shake residual-branch shapes on CIFAR 32x32. Two 8-image
     // batches (the 16-channel full-resolution stage and the 32-channel
-    // half-resolution stage), then the five distinct 3×3 convs of SS-14 at
-    // batch 1: what one image of an inference round runs through. The
-    // smoke shapes keep one row-block tail (`oc` odd) and one column tail
-    // in the bit-identity check: 7 × 7 = 49 output columns are a whole
-    // tile and then a tail at either width (`tile_nr` 16 or 32).
-    let conv = |input: [usize; 4], weight: [usize; 4], stride| -> ConvShape {
-        (input.to_vec(), weight.to_vec(), stride)
+    // half-resolution stage), then every distinct conv of SS-14 at batch
+    // 1 — six 3×3 pad-1 convs and the two 1×1 stride-2 projections — what
+    // one image of an inference round runs through. The smoke shapes keep
+    // one row-block tail (`oc` odd) and one column tail in the
+    // bit-identity check: 7 × 7 = 49 output columns are a whole tile and
+    // then a tail at either width (`tile_nr` 16 or 32). They also reach
+    // both kinds of lowering a stride above 1 makes: one row phase (1×1
+    // stride 2) and several (5×5 stride 3 pad 2).
+    let conv = |input: [usize; 4], weight: [usize; 4], stride, padding| -> ConvShape {
+        (input.to_vec(), weight.to_vec(), stride, padding)
     };
     // The shapes inference traffic runs: MLP-4's three Dense layers at the
     // batch sizes the serve layer produces (1, 32, 64), whose 10-column
@@ -543,8 +563,10 @@ fn main() {
     let (conv_shapes, team_batch, team_iters): (Vec<_>, usize, u32) = if smoke {
         (
             vec![
-                conv([2, 8, 8, 8], [8, 8, 3, 3], 1),
-                conv([1, 3, 13, 13], [5, 3, 3, 3], 2),
+                conv([2, 8, 8, 8], [8, 8, 3, 3], 1, 1),
+                conv([1, 3, 13, 13], [5, 3, 3, 3], 2, 1),
+                conv([1, 8, 14, 14], [6, 8, 1, 1], 2, 0),
+                conv([1, 3, 20, 20], [5, 3, 5, 5], 3, 2),
             ],
             4,
             2,
@@ -552,13 +574,16 @@ fn main() {
     } else {
         (
             vec![
-                conv([8, 16, 32, 32], [16, 16, 3, 3], 1),
-                conv([8, 32, 16, 16], [32, 32, 3, 3], 1),
-                conv([1, 3, 32, 32], [16, 3, 3, 3], 1),
-                conv([1, 16, 32, 32], [16, 16, 3, 3], 1),
-                conv([1, 16, 32, 32], [32, 16, 3, 3], 2),
-                conv([1, 32, 16, 16], [32, 32, 3, 3], 1),
-                conv([1, 64, 8, 8], [64, 64, 3, 3], 1),
+                conv([8, 16, 32, 32], [16, 16, 3, 3], 1, 1),
+                conv([8, 32, 16, 16], [32, 32, 3, 3], 1, 1),
+                conv([1, 3, 32, 32], [16, 3, 3, 3], 1, 1),
+                conv([1, 16, 32, 32], [16, 16, 3, 3], 1, 1),
+                conv([1, 16, 32, 32], [32, 16, 3, 3], 2, 1),
+                conv([1, 16, 32, 32], [32, 16, 1, 1], 2, 0),
+                conv([1, 32, 16, 16], [32, 32, 3, 3], 1, 1),
+                conv([1, 32, 16, 16], [64, 32, 3, 3], 2, 1),
+                conv([1, 32, 16, 16], [64, 32, 1, 1], 2, 0),
+                conv([1, 64, 8, 8], [64, 64, 3, 3], 1, 1),
             ],
             64,
             10,

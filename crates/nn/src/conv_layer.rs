@@ -129,16 +129,14 @@ impl Layer for Conv2d {
     }
 
     fn workspace_bytes(&self, in_dims: &[usize]) -> u64 {
-        // One sample's im2col matrix `[ic·k², oh·ow]`: the sequential
-        // kernel in `teamnet_tensor::conv` unfolds at most one sample at a
-        // time, and the sample loop reuses the slot.
-        let oh = self.spec.out_size(in_dims[2]);
-        let ow = self.spec.out_size(in_dims[3]);
-        crate::cost::tensor_bytes(&[
-            self.in_channels * self.spec.kernel * self.spec.kernel,
-            oh,
-            ow,
-        ])
+        // One sample's lowering, `k·min(s, k)` shifted copies of the
+        // image (`k·min(s,k)·ic·(oh + ⌊(k−1)/s⌋)·ow` floats): the
+        // sequential kernel in `teamnet_tensor::conv` lowers at most one
+        // sample at a time, and the sample loop reuses the slot.
+        let floats = self
+            .spec
+            .lowered_len(self.in_channels, in_dims[2], in_dims[3]);
+        crate::cost::tensor_bytes(&[floats])
     }
 
     fn param_count(&self) -> usize {

@@ -93,7 +93,7 @@ pub trait Layer: Send {
 
     /// Peak bytes of *scratch* tensors an eval-mode forward allocates
     /// beyond its input and output (e.g. the matmul product a broadcast
-    /// then copies, an im2col patch matrix). The default covers layers
+    /// then copies, a conv's lowered image). The default covers layers
     /// that write the output directly.
     fn workspace_bytes(&self, in_dims: &[usize]) -> u64 {
         let _ = in_dims;

@@ -1,18 +1,23 @@
 //! 2-D convolution and pooling kernels (NCHW layout), with exact backward
-//! passes, implemented via im2col/col2im.
+//! passes.
 //!
 //! These are free functions rather than `Tensor` methods because they take
 //! several configuration parameters; the [`Conv2dSpec`] struct groups them.
 //!
-//! The convolution forward pass unfolds one sample at a time into an
-//! im2col matrix `[ic·k², oh·ow]` (row-span copies, see `unfold_into`)
-//! and multiplies the weight matrix into it through the register-tiled
-//! micro-kernel of the `gemm` module, one `MR`-row block of out-channels
-//! at a time; (sample × out-channel block) units are what it hands out
-//! to scoped threads. The backward pass computes per-sample partial
-//! gradients in parallel then merges them on the calling thread in
-//! sample order. Both follow the determinism contract of [`crate::pool`]:
-//! results are bit-identical at every thread count.
+//! The convolution forward lowers one sample at a time into
+//! `k·min(s, k)` copies of the image, each shifted by one kernel column
+//! `kx` and one row phase `φ < s`, in which every row of the im2col matrix
+//! `[ic·k², oh·ow]` is a contiguous `oh·ow` span (see `unfold_into`). It
+//! never builds that matrix: it multiplies the weight matrix into the
+//! spans through the register-tiled micro-kernel of the `gemm` module,
+//! which finds row `(ch, ky, kx)` of its right operand in a per-conv table
+//! of span starts, one `MR`-row block of out-channels at a time;
+//! (sample × out-channel block) units are what it hands out to scoped
+//! threads. The backward pass unfolds the same way with one phase per
+//! kernel row, which is the im2col matrix itself, computes per-sample
+//! partial gradients in parallel, then merges them on the calling thread
+//! in sample order. Both follow the determinism contract of
+//! [`crate::pool`]: results are bit-identical at every thread count.
 
 use crate::gemm::{rows_times_matrix, MR};
 use crate::pool::{self, ParallelConfig, PAR_MIN_WORK};
@@ -61,6 +66,29 @@ impl Conv2dSpec {
         );
         (padded - self.kernel) / self.stride + 1
     }
+
+    /// Floats in the forward's lowering of one `[channels, h, w]` image
+    /// (`unfold_into`): `k·min(s, k)` shifted copies of `channels` planes,
+    /// each `oh + ⌊(k−1)/s⌋` rows of `ow` — the workspace a conv forward
+    /// allocates per worker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit in the padded input.
+    pub fn lowered_len(&self, channels: usize, h: usize, w: usize) -> usize {
+        self.kernel * self.phases() * channels * self.plane_rows(h) * self.out_size(w)
+    }
+
+    /// Row phases `φ = ky mod s` some kernel row reads: `min(s, k)`.
+    fn phases(&self) -> usize {
+        self.stride.min(self.kernel)
+    }
+
+    /// Rows of one plane of the lowering: the `oh` output rows plus the
+    /// `⌊(k−1)/s⌋` a kernel row `ky` shifts its span down by.
+    fn plane_rows(&self, h: usize) -> usize {
+        self.out_size(h) + (self.kernel - 1) / self.stride
+    }
 }
 
 /// The output positions `lo..hi` along one axis whose input coordinate
@@ -80,37 +108,56 @@ fn in_bounds_span(
     lo.min(hi)..hi
 }
 
-/// Unfolds one `[c, h, w]` image into `cols`, an im2col matrix
-/// `[c*k*k, oh*ow]`, so convolution becomes a matmul.
+/// Lowers one `[c, h, w]` image into `low`, laid out
+/// `[c][φ][kx][r][ox]` with `phases` row phases of `rows` plane rows each:
+/// copy `(kx, φ)` of channel `ch` holds `img[ch][r·s + φ − p][ox·s + kx − p]`
+/// at row `r`, column `ox`, or zero where that falls in the padding.
 ///
-/// Each (matrix row, output row) pair is one contiguous span of an input
-/// row: a `copy_from_slice` at stride 1, a strided gather otherwise, with
-/// no per-element bounds test. Only in-bounds positions are written, and
-/// which positions those are depends on the geometry alone — so `cols`
+/// The forward builds the `min(s, k)` phases some kernel row reads, with
+/// `oh + ⌊(k−1)/s⌋` rows ([`Conv2dSpec::lowered_len`] floats). Row
+/// `(ch, ky, kx)` of the im2col matrix is then the contiguous `oh·ow`
+/// span of copy `(kx, ky mod s)` from plane row `⌊ky/s⌋` on
+/// ([`row_starts`]), so the `[c·k², oh·ow]` matrix is never built: at
+/// stride 1 the lowering is `k` copies of the padded image where the
+/// matrix is `k²`. With `k` phases of `oh` rows, copy `(kx, ky)` is row
+/// `(ch, ky, kx)` itself and `low` is the im2col matrix ([`im2col`]).
+///
+/// Each (copy, plane row) pair is one contiguous span of an input row: a
+/// `copy_from_slice` at stride 1, a strided gather otherwise, with no
+/// per-element bounds test. Only in-bounds positions are written, and
+/// which positions those are depends on the geometry alone — so `low`
 /// must come in with zeros at the padding positions, and a buffer that
 /// started as all zeros can be refilled for the next sample as is.
-fn unfold_into(cols: &mut [f32], img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) {
-    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
-    let k = spec.kernel;
-    debug_assert_eq!(cols.len(), c * k * k * oh * ow);
+fn unfold_into(
+    low: &mut [f32],
+    img: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: Conv2dSpec,
+    (phases, rows): (usize, usize),
+) {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let ow = spec.out_size(w);
+    debug_assert_eq!(low.len(), c * phases * k * rows * ow);
     for ch in 0..c {
-        for ky in 0..k {
-            let ys = in_bounds_span(oh, h, ky, spec);
+        for phase in 0..phases {
+            let ys = in_bounds_span(rows, h, phase, spec);
             for kx in 0..k {
                 let xs = in_bounds_span(ow, w, kx, spec);
                 if xs.is_empty() {
                     continue;
                 }
-                let row = (ch * k + ky) * k + kx;
-                let ix0 = xs.start * spec.stride + kx - spec.padding;
-                for oy in ys.clone() {
-                    let iy = oy * spec.stride + ky - spec.padding;
+                let plane = ((ch * phases + phase) * k + kx) * rows;
+                let ix0 = xs.start * s + kx - p;
+                for r in ys.clone() {
+                    let iy = r * s + phase - p;
                     let src = &img[(ch * h + iy) * w + ix0..(ch * h + iy + 1) * w];
-                    let dst = &mut cols[(row * oh + oy) * ow..][xs.clone()];
-                    if spec.stride == 1 {
+                    let dst = &mut low[(plane + r) * ow..][xs.clone()];
+                    if s == 1 {
                         dst.copy_from_slice(&src[..dst.len()]);
                     } else {
-                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(spec.stride)) {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
                             *d = v;
                         }
                     }
@@ -120,11 +167,37 @@ fn unfold_into(cols: &mut [f32], img: &[f32], c: usize, h: usize, w: usize, spec
     }
 }
 
-/// [`unfold_into`] a fresh `[c*k*k, oh*ow]` tensor.
+/// The forward's lowering: [`unfold_into`] with the `min(s, k)` phases
+/// some kernel row reads, `oh + ⌊(k−1)/s⌋` rows each.
+fn lower_into(low: &mut [f32], img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) {
+    unfold_into(low, img, c, h, w, spec, (spec.phases(), spec.plane_rows(h)));
+}
+
+/// Where each row `(ch, ky, kx)` of the im2col matrix of a `[c, h, w]`
+/// image starts in its lowering ([`lower_into`]), in row order: the
+/// right-operand row table of the forward's tile.
+fn row_starts(c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Vec<usize> {
+    let (k, s) = (spec.kernel, spec.stride);
+    let (phases, rows, ow) = (spec.phases(), spec.plane_rows(h), spec.out_size(w));
+    let mut starts = Vec::with_capacity(c * k * k);
+    for ch in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let plane = ((ch * phases + ky % s) * k + kx) * rows;
+                starts.push((plane + ky / s) * ow);
+            }
+        }
+    }
+    starts
+}
+
+/// The im2col matrix `[c·k², oh·ow]` of one `[c, h, w]` image (the
+/// backward's operand): [`unfold_into`] with one phase per kernel row.
 fn im2col(img: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Tensor {
     let k = spec.kernel;
-    let mut cols = Tensor::zeros([c * k * k, spec.out_size(h) * spec.out_size(w)]);
-    unfold_into(cols.data_mut(), img, c, h, w, spec);
+    let oh = spec.out_size(h);
+    let mut cols = Tensor::zeros([c * k * k, oh * spec.out_size(w)]);
+    unfold_into(cols.data_mut(), img, c, h, w, spec, (k, oh));
     cols
 }
 
@@ -218,12 +291,13 @@ pub fn conv2d_with(
     let b_data = bias.data();
     let in_data = input.data();
     let img_len = ic * h * w;
+    let starts = row_starts(ic, h, w, spec);
 
     // A unit is one sample's block of up to MR consecutive out-channels: a
     // contiguous `rows·oh·ow` stretch of the output, short when it is the
     // `oc % MR` tail. Block boundaries never depend on the thread count,
     // so an output element is always computed by the same tile or edge
-    // path. A worker allocates one im2col workspace — which is what the
+    // path. A worker allocates one lowering workspace — which is what the
     // static cost model certifies — and refills it whenever its units move
     // on to the next sample.
     let blocks = oc.div_ceil(MR);
@@ -241,20 +315,21 @@ pub fn conv2d_with(
             if range.is_empty() {
                 return;
             }
-            let mut cols = Tensor::zeros([ckk, tile]);
+            let mut low = Tensor::zeros([spec.lowered_len(ic, h, w)]);
             let mut unfolded = None;
             for u in range {
                 let (s, rows) = (u / blocks, block_rows(u));
                 if unfolded != Some(s) {
                     let img = &in_data[s * img_len..(s + 1) * img_len];
-                    unfold_into(cols.data_mut(), img, ic, h, w, spec);
+                    lower_into(low.data_mut(), img, ic, h, w, spec);
                     unfolded = Some(s);
                 }
                 let (unit_out, rest) = std::mem::take(&mut block).split_at_mut(rows.len() * tile);
                 block = rest;
                 rows_times_matrix(
                     &w_data[rows.start * ckk..rows.end * ckk],
-                    cols.data(),
+                    low.data(),
+                    &starts[..],
                     ckk,
                     tile,
                     &b_data[rows],
@@ -657,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn span_unfold_equals_the_per_element_unfold() {
+    fn lowered_spans_equal_the_per_element_unfold() {
         for kernel in [1, 2, 3, 5] {
             for stride in 1..=3 {
                 for padding in 0..=2 {
@@ -665,25 +740,49 @@ mod tests {
                     let fit = kernel.saturating_sub(2 * padding).max(1);
                     for (c, h, w) in [(1, fit, fit), (2, fit + 1, fit + 4), (3, 7, 5), (1, 9, 9)] {
                         let (h, w) = (h.max(fit), w.max(fit));
+                        let at = format!("k{kernel} s{stride} p{padding} {c}x{h}x{w}");
+                        let tile = spec.out_size(h) * spec.out_size(w);
+                        let starts = row_starts(c, h, w, spec);
+                        assert_eq!(starts.len(), c * kernel * kernel, "{at}");
+                        // Every im2col row, read through the table the tile
+                        // reads it through.
+                        let check = |low: &[f32], img: &[f32]| {
+                            let want = im2col_per_element(img, c, h, w, spec);
+                            for (row, &start) in starts.iter().enumerate() {
+                                assert_eq!(
+                                    &low[start..start + tile],
+                                    &want[row * tile..(row + 1) * tile],
+                                    "{at} row {row}"
+                                );
+                            }
+                            assert_eq!(im2col(img, c, h, w, spec).data(), &want[..], "{at}");
+                        };
                         // No zero in the image: a padding position that got
                         // written, or an in-bounds one that did not, shows.
                         let img: Vec<f32> = (0..c * h * w).map(|i| 1.0 + i as f32).collect();
-                        let got = im2col(&img, c, h, w, spec);
-                        let want = im2col_per_element(&img, c, h, w, spec);
-                        assert_eq!(
-                            got.data(),
-                            &want[..],
-                            "k{kernel} s{stride} p{padding} {c}x{h}x{w}"
-                        );
+                        let mut low = vec![0.0f32; spec.lowered_len(c, h, w)];
+                        lower_into(&mut low, &img, c, h, w, spec);
+                        check(&low, &img);
                         // Refilling a used workspace leaves no stale cell.
-                        let mut again = got.clone();
                         let next: Vec<f32> = img.iter().map(|v| -v).collect();
-                        unfold_into(again.data_mut(), &next, c, h, w, spec);
-                        assert_eq!(again.data(), &im2col_per_element(&next, c, h, w, spec)[..]);
+                        lower_into(&mut low, &next, c, h, w, spec);
+                        check(&low, &next);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_lowering_is_k_min_s_k_shifted_planes() {
+        // SS-14's shapes: 3×3 pad 1 at stride 1 is three copies of the
+        // image plus two rows each, not nine; the stride-2 convs build
+        // both phases, the 1×1 stride-2 projections one.
+        let lowered = |ic, hw, k, s, p| Conv2dSpec::new(k, s, p).lowered_len(ic, hw, hw);
+        assert_eq!(lowered(16, 32, 3, 1, 1), 3 * 16 * 34 * 32);
+        assert_eq!(lowered(16, 32, 3, 2, 1), 3 * 2 * 16 * 17 * 16);
+        assert_eq!(lowered(16, 32, 1, 2, 0), 16 * 16 * 16);
+        assert_eq!(lowered(2, 9, 5, 3, 2), 5 * 3 * 2 * 4 * 3);
     }
 
     #[test]

@@ -3,7 +3,12 @@
 //! (DESIGN.md §11, "The tile kernel").
 //!
 //! [`rows_times_matrix`] computes `out = a × b + bias` for a block of at
-//! most [`MR`] rows of `a`. The work is cut into `M × N` output tiles
+//! most [`MR`] rows of `a`. Where row `kk` of `b` starts is the one thing
+//! the two callers differ in, so the kernel is generic over it
+//! ([`RowStarts`]): `kk·n` for the row-major `[k, n]` operand of
+//! `Tensor::matmul` ([`Dense`]), a per-conv table of offsets into the
+//! lowered image for the convolution forward (`conv.rs`). The work is cut
+//! into `M × N` output tiles
 //! whose accumulators live in a fixed-size `[[f32; N]; M]`: with the
 //! trip counts known at compile time LLVM keeps all of them in vector
 //! registers (eight registers of [`LANES`] floats for the 2 × `NR` tile,
@@ -47,12 +52,42 @@ pub(crate) const NR1: usize = MR * NR;
 /// Columns per tile in the column tail: one vector register.
 const NV: usize = LANES;
 
+/// Where each of the `k` rows of the right operand starts in its buffer;
+/// row `kk` is the `n` floats from `start(kk)` on. Resolved at compile
+/// time: each implementation gets its own copy of the tile.
+pub(crate) trait RowStarts: Copy {
+    /// Offset of row `kk`'s first element.
+    fn start(self, kk: usize) -> usize;
+}
+
+/// A row-major `[k, n]` operand: row `kk` starts at `kk·n`.
+#[derive(Clone, Copy)]
+pub(crate) struct Dense(pub(crate) usize);
+
+impl RowStarts for Dense {
+    #[inline(always)]
+    fn start(self, kk: usize) -> usize {
+        kk * self.0
+    }
+}
+
+/// An explicit table, one offset per row: rows may overlap and come in
+/// any order (the conv forward's spans of its lowered image).
+impl RowStarts for &[usize] {
+    #[inline(always)]
+    fn start(self, kk: usize) -> usize {
+        self[kk]
+    }
+}
+
 /// `out[r, j] = Σₖ a[r, k]·b[k, j] + bias[r]` for the `bias.len() ≤ MR`
-/// rows of `a: [rows, k]`, with `b: [k, n]` and `out: [rows, n]`, all
-/// row-major. `out` is overwritten, not accumulated into.
-pub(crate) fn rows_times_matrix(
+/// rows of `a: [rows, k]`, with row `kk` of `b` the `n` floats at
+/// `b_rows.start(kk)` and `out: [rows, n]`, all row-major. `out` is
+/// overwritten, not accumulated into.
+pub(crate) fn rows_times_matrix<R: RowStarts>(
     a: &[f32],
     b: &[f32],
+    b_rows: R,
     k: usize,
     n: usize,
     bias: &[f32],
@@ -61,16 +96,17 @@ pub(crate) fn rows_times_matrix(
     let rows = bias.len();
     debug_assert!(rows <= MR, "at most MR rows per block");
     debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
+    debug_assert!((0..k).all(|kk| b_rows.start(kk) + n <= b.len()));
     debug_assert_eq!(out.len(), rows * n);
     if rows == MR {
-        block::<MR, NR>(a, b, k, n, bias, out);
+        block::<MR, NR, R>(a, b, b_rows, k, n, bias, out);
     } else {
         // The `rows % MR` tail: one row at a time through 1-row tiles.
         for r in 0..rows {
-            block::<1, NR1>(
+            block::<1, NR1, R>(
                 &a[r * k..(r + 1) * k],
                 b,
+                b_rows,
                 k,
                 n,
                 &bias[r..=r],
@@ -85,26 +121,29 @@ pub(crate) fn rows_times_matrix(
 /// vector-width, 4-column and last single-column steps. The 4-column rung
 /// is the vector width of a 4-lane build and keeps narrow heads (a gate's
 /// `n` = K) off single-column panels on an 8-lane one.
-fn block<const M: usize, const W: usize>(
+fn block<const M: usize, const W: usize, R: RowStarts>(
     a: &[f32],
     b: &[f32],
+    b_rows: R,
     k: usize,
     n: usize,
     bias: &[f32],
     out: &mut [f32],
 ) {
-    let j = panels::<M, W>(a, b, k, n, 0, bias, out);
-    let j = panels::<M, NR>(a, b, k, n, j, bias, out);
-    let j = panels::<M, NV>(a, b, k, n, j, bias, out);
-    let j = panels::<M, 4>(a, b, k, n, j, bias, out);
-    panels::<M, 1>(a, b, k, n, j, bias, out);
+    let j = panels::<M, W, R>(a, b, b_rows, k, n, 0, bias, out);
+    let j = panels::<M, NR, R>(a, b, b_rows, k, n, j, bias, out);
+    let j = panels::<M, NV, R>(a, b, b_rows, k, n, j, bias, out);
+    let j = panels::<M, 4, R>(a, b, b_rows, k, n, j, bias, out);
+    panels::<M, 1, R>(a, b, b_rows, k, n, j, bias, out);
 }
 
 /// Every whole `N`-column panel from column `j0` on; returns the first
 /// column left over.
-fn panels<const M: usize, const N: usize>(
+#[allow(clippy::too_many_arguments)]
+fn panels<const M: usize, const N: usize, R: RowStarts>(
     a: &[f32],
     b: &[f32],
+    b_rows: R,
     k: usize,
     n: usize,
     j0: usize,
@@ -113,18 +152,20 @@ fn panels<const M: usize, const N: usize>(
 ) -> usize {
     let end = n - (n - j0) % N;
     for j in (j0..end).step_by(N) {
-        tile::<M, N>(a, b, k, n, j, bias, out);
+        tile::<M, N, R>(a, b, b_rows, k, n, j, bias, out);
     }
     end
 }
 
-/// The `M × N` output tile at columns `j0..j0 + N` of `b` and `out`
-/// (both of row length `n`). Never inlined, so the code LLVM generates
-/// for it does not depend on the call site.
+/// The `M × N` output tile at columns `j0..j0 + N` of `b`'s rows and of
+/// `out` (row length `n`). Never inlined, so the code LLVM generates for
+/// it does not depend on the call site.
 #[inline(never)]
-fn tile<const M: usize, const N: usize>(
+#[allow(clippy::too_many_arguments)]
+fn tile<const M: usize, const N: usize, R: RowStarts>(
     a: &[f32],
     b: &[f32],
+    b_rows: R,
     k: usize,
     n: usize,
     j0: usize,
@@ -134,7 +175,7 @@ fn tile<const M: usize, const N: usize>(
     let a_rows: [&[f32]; M] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
     let mut acc = [[0.0f32; N]; M];
     for kk in 0..k {
-        let b_row = &b[kk * n + j0..][..N];
+        let b_row = &b[b_rows.start(kk) + j0..][..N];
         for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
             let x = a_row[kk];
             for (s, &bv) in acc_row.iter_mut().zip(b_row) {
@@ -277,10 +318,17 @@ mod tests {
                     let b = ramp(k * n, 5);
                     let bias = ramp(rows, 9);
                     let mut out = vec![f32::NAN; rows * n];
-                    rows_times_matrix(&a, &b, k, n, &bias, &mut out);
+                    rows_times_matrix(&a, &b, Dense(n), k, n, &bias, &mut out);
                     let want = reference(&a, &b, k, n, &bias);
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&out), bits(&want), "rows={rows} k={k} n={n}");
+                    // The same rows stored last to first, found through a
+                    // table of starts.
+                    let reversed: Vec<f32> = b.chunks(n.max(1)).rev().flatten().copied().collect();
+                    let starts: Vec<usize> = (0..k).map(|kk| (k - 1 - kk) * n).collect();
+                    let mut out = vec![f32::NAN; rows * n];
+                    rows_times_matrix(&a, &reversed, &starts[..], k, n, &bias, &mut out);
+                    assert_eq!(bits(&out), bits(&want), "table: rows={rows} k={k} n={n}");
                 }
             }
         }
@@ -294,7 +342,7 @@ mod tests {
         b[0] = f32::INFINITY;
         b[1] = f32::NAN;
         let mut out = vec![0.0f32; 2 * NR];
-        rows_times_matrix(&a, &b, 2, NR, &[0.0, 0.0], &mut out);
+        rows_times_matrix(&a, &b, Dense(NR), 2, NR, &[0.0, 0.0], &mut out);
         assert!(out[0].is_nan() && out[1].is_nan());
         assert!(out[NR].is_nan() && out[NR + 1].is_nan());
         assert_eq!(out[2], 1.0);

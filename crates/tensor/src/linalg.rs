@@ -17,7 +17,7 @@
 //! mismatch is a programming error.
 
 use crate::error::TensorError;
-use crate::gemm::{rows_times_matrix, MR};
+use crate::gemm::{rows_times_matrix, Dense, MR};
 use crate::pool::{self, ParallelConfig, PAR_MIN_WORK};
 use crate::tensor::Tensor;
 
@@ -98,6 +98,7 @@ impl Tensor {
                 rows_times_matrix(
                     &a[r0 * k..r1 * k],
                     b,
+                    Dense(n),
                     k,
                     n,
                     &[0.0; MR][..r1 - r0],
