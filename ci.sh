@@ -30,14 +30,18 @@
 #                         TEAMNET_THREADS=4 forces the parallel paths —
 #                         the pool determinism contract says both runs
 #                         must see bit-identical numerics
-#   6b. baseline ISA     (x86_64 hosts only: the tensor crate's tests, the
-#                         cross-ISA pin test `isa_bit_identity` and
-#                         `parallel_determinism` again, built for baseline
-#                         x86-64 in a target dir of its own. The default
-#                         build targets x86-64-v3 (.cargo/config.toml), so
-#                         the tile kernel runs 8 lanes wide there and 4
-#                         wide here; the pin test's digests are equal on
-#                         both or this stage or stage 6 fails)
+#   6b. baseline ISA     (x86_64 hosts only: the tensor and net crates'
+#                         tests, the cross-ISA pin test `isa_bit_identity`
+#                         and `parallel_determinism` again, built for
+#                         baseline x86-64 in a target dir of its own. The
+#                         default build targets x86-64-v3
+#                         (.cargo/config.toml), so the tile kernel runs 8
+#                         lanes wide there and 4 wide here; the pin test's
+#                         digests are equal on both or this stage or stage
+#                         6 fails. The net crate's CRC-32 lanes and
+#                         vectorised f32 encode also compile differently
+#                         per ISA, and their tests check every byte
+#                         against the scalar oracles on both)
 #   7. kernel-bench smoke (parallel-vs-sequential bit-identity on every
 #                         kernel — the matmul rows are the shapes traffic
 #                         runs, 10- and 4-column tails included, the conv
@@ -146,7 +150,7 @@ TEAMNET_THREADS=4 cargo test -q --workspace
 if [ "$(uname -m)" = x86_64 ]; then
     # A RUSTFLAGS in the environment replaces the config's rustflags.
     RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/baseline-isa \
-        cargo test -q --release -p teamnet-tensor
+        cargo test -q --release -p teamnet-tensor -p teamnet-net
     RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/baseline-isa \
         cargo test -q --release --test isa_bit_identity --test parallel_determinism
 fi

@@ -28,6 +28,11 @@
 //! scheduler-overhead studies; the per-row `timed` flag says which
 //! regime produced the numbers.
 //!
+//! Each conv row is the fastest of fifteen windows of at least 20 ms, as
+//! a mean per call within the window (the row's histograms still see
+//! every call): a batch-1 conv takes microseconds, and a single window of
+//! a few calls reads the host's jitter, not the kernel.
+//!
 //! `default_entry` times `Tensor::matmul` and `conv2d` — the entry points
 //! that go parallel only past `PAR_MIN_WORK` — as this process runs them
 //! against the same call pinned sequential: the rows the threshold is set
@@ -43,7 +48,7 @@
 //! row kernel read 3.2–4.6 ×, the tile 0.6–1.3 × — and not on a slow
 //! machine.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,11 +89,16 @@ struct ConvRow {
     stride: usize,
     padding: usize,
     threads: usize,
-    iters: u32,
+    /// Windows each of `forward_ms` and `backward_ms` is the fastest of.
+    windows: u32,
+    /// Least length of a window: calls repeat until it has passed.
+    window_ms: f64,
     timed: bool,
+    /// Mean ms per call in the fastest window.
     forward_ms: Option<f64>,
     /// Forward multiply–adds × 2 over `forward_ms`.
     forward_gflops: Option<f64>,
+    /// As `forward_ms`.
     backward_ms: Option<f64>,
     bit_identical_to_seq: bool,
     forward_ns: Option<HistogramSnapshot>,
@@ -164,6 +174,32 @@ fn time_iters(iters: u32, hist: &Histogram, mut f: impl FnMut()) -> f64 {
         last = now;
     }
     last.duration_since(start).as_secs_f64() * 1e3 / f64::from(iters)
+}
+
+/// Times `f` over `windows` windows, each repeating calls until at least
+/// `window` has passed, feeding every call's nanoseconds into `hist`.
+/// Returns the fastest window's mean ms per call: a window holds many
+/// calls of a microsecond-sized conv, so one call's jitter does not set
+/// the row, and the fastest window is the one the rest of the host
+/// disturbed least.
+fn fastest_window_ms(windows: u32, window: Duration, hist: &Histogram, mut f: impl FnMut()) -> f64 {
+    let mut fastest = f64::MAX;
+    for _ in 0..windows {
+        let start = Instant::now();
+        let mut last = start;
+        let mut calls = 0u32;
+        while calls == 0 || last.duration_since(start) < window {
+            f();
+            let now = Instant::now();
+            let ns = now.duration_since(last).as_nanos();
+            hist.observe(u64::try_from(ns).unwrap_or(u64::MAX));
+            last = now;
+            calls += 1;
+        }
+        let ms = last.duration_since(start).as_secs_f64() * 1e3 / f64::from(calls);
+        fastest = fastest.min(ms);
+    }
+    fastest
 }
 
 /// Measures the per-call cost of a span against a disabled tracer: one
@@ -292,7 +328,7 @@ type ConvShape = (Vec<usize>, Vec<usize>, usize, usize);
 
 fn bench_conv(
     shapes: &[ConvShape],
-    iters: u32,
+    (windows, window): (u32, Duration),
     time_cap: usize,
     metrics: &MetricsRegistry,
 ) -> Vec<ConvRow> {
@@ -327,7 +363,8 @@ fn bench_conv(
                     stride: *stride,
                     padding: *padding,
                     threads,
-                    iters: 0,
+                    windows: 0,
+                    window_ms: 0.0,
                     timed: false,
                     forward_ms: None,
                     forward_gflops: None,
@@ -345,10 +382,10 @@ fn bench_conv(
             );
             let fwd_hist = metrics.histogram(&format!("bench.conv2d.fwd.{key}.t{threads}.ns"));
             let bwd_hist = metrics.histogram(&format!("bench.conv2d.bwd.{key}.t{threads}.ns"));
-            let forward_ms = time_iters(iters, &fwd_hist, || {
+            let forward_ms = fastest_window_ms(windows, window, &fwd_hist, || {
                 let _ = conv2d_with(&input, &weight, &bias, spec, cfg);
             });
-            let backward_ms = time_iters(iters, &bwd_hist, || {
+            let backward_ms = fastest_window_ms(windows, window, &bwd_hist, || {
                 let _ = conv2d_backward_with(&input, &weight, &grad_out, spec, cfg);
             });
             let forward_gflops = flops / (forward_ms * 1e6);
@@ -361,7 +398,8 @@ fn bench_conv(
                 stride: *stride,
                 padding: *padding,
                 threads,
-                iters,
+                windows,
+                window_ms: window.as_secs_f64() * 1e3,
                 timed: true,
                 forward_ms: Some(forward_ms),
                 forward_gflops: Some(forward_gflops),
@@ -589,7 +627,13 @@ fn main() {
             10,
         )
     };
-    let conv_iters = if smoke { 2 } else { 20 };
+    // Fifteen windows of at least 20 ms per conv row; the smoke run keeps
+    // two one-call windows.
+    let conv_windows = if smoke {
+        (2, Duration::ZERO)
+    } else {
+        (15, Duration::from_millis(20))
+    };
 
     let null_span_ns_per_call = measure_null_span_overhead();
     println!("disabled span() overhead: {null_span_ns_per_call:.2} ns/call\n");
@@ -597,7 +641,7 @@ fn main() {
     let metrics = MetricsRegistry::new();
     let matmul = bench_matmul(&matmul_shapes, smoke, time_cap, &metrics);
     println!();
-    let conv2d = bench_conv(&conv_shapes, conv_iters, time_cap, &metrics);
+    let conv2d = bench_conv(&conv_shapes, conv_windows, time_cap, &metrics);
     println!();
     let default_entry = bench_default_entries(&matmul_shapes, &conv_shapes, smoke);
     println!();
@@ -634,7 +678,8 @@ fn main() {
                  bit_identical_to_seq flags are hardware-independent and checked at every \
                  thread count regardless. Per-row *_ns fields are teamnet-obs log2-bucket \
                  histogram snapshots (quantiles are bucket upper bounds, honest to within \
-                 2x). default_entry rows time Tensor::matmul / conv2d as the process \
+                 2x). conv2d forward_ms / backward_ms are the fastest of `windows` windows of at \
+                 least window_ms, each a mean per call. default_entry rows time Tensor::matmul / conv2d as the process \
                  runs them (default_ms) against the same call pinned sequential \
                  (sequential_ms), fastest of five alternating repetitions; \
                  single_row_cost_ratio is the fastest 1x784x128 iteration over a row of \
