@@ -31,7 +31,10 @@
 //! Each conv row is the fastest of fifteen windows of at least 20 ms, as
 //! a mean per call within the window (the row's histograms still see
 //! every call): a batch-1 conv takes microseconds, and a single window of
-//! a few calls reads the host's jitter, not the kernel.
+//! a few calls reads the host's jitter, not the kernel. The rows take
+//! their windows in turn, round-robin, so each row's fifteen spread over
+//! the whole conv pass instead of one 0.3 s stretch of it: the host's
+//! fast and slow modes last seconds, and one stretch can sit in either.
 //!
 //! `default_entry` times `Tensor::matmul` and `conv2d` — the entry points
 //! that go parallel only past `PAR_MIN_WORK` — as this process runs them
@@ -48,6 +51,7 @@
 //! row kernel read 3.2–4.6 ×, the tile 0.6–1.3 × — and not on a slow
 //! machine.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -176,30 +180,23 @@ fn time_iters(iters: u32, hist: &Histogram, mut f: impl FnMut()) -> f64 {
     last.duration_since(start).as_secs_f64() * 1e3 / f64::from(iters)
 }
 
-/// Times `f` over `windows` windows, each repeating calls until at least
-/// `window` has passed, feeding every call's nanoseconds into `hist`.
-/// Returns the fastest window's mean ms per call: a window holds many
-/// calls of a microsecond-sized conv, so one call's jitter does not set
-/// the row, and the fastest window is the one the rest of the host
-/// disturbed least.
-fn fastest_window_ms(windows: u32, window: Duration, hist: &Histogram, mut f: impl FnMut()) -> f64 {
-    let mut fastest = f64::MAX;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut last = start;
-        let mut calls = 0u32;
-        while calls == 0 || last.duration_since(start) < window {
-            f();
-            let now = Instant::now();
-            let ns = now.duration_since(last).as_nanos();
-            hist.observe(u64::try_from(ns).unwrap_or(u64::MAX));
-            last = now;
-            calls += 1;
-        }
-        let ms = last.duration_since(start).as_secs_f64() * 1e3 / f64::from(calls);
-        fastest = fastest.min(ms);
+/// Times one window of `f`: calls repeat until at least `window` has
+/// passed, every call's nanoseconds go into `hist`, and the window's mean
+/// ms per call comes back. A window holds many calls of a
+/// microsecond-sized conv, so one call's jitter does not set it.
+fn window_ms(window: Duration, hist: &Histogram, f: &dyn Fn()) -> f64 {
+    let start = Instant::now();
+    let mut last = start;
+    let mut calls = 0u32;
+    while calls == 0 || last.duration_since(start) < window {
+        f();
+        let now = Instant::now();
+        let ns = now.duration_since(last).as_nanos();
+        hist.observe(u64::try_from(ns).unwrap_or(u64::MAX));
+        last = now;
+        calls += 1;
     }
-    fastest
+    last.duration_since(start).as_secs_f64() * 1e3 / f64::from(calls)
 }
 
 /// Measures the per-call cost of a span against a disabled tracer: one
@@ -326,88 +323,166 @@ fn bench_matmul(
 /// kernel size is the last), stride, padding.
 type ConvShape = (Vec<usize>, Vec<usize>, usize, usize);
 
+/// One conv workload's tensors, shared by its rows at every thread count.
+struct ConvCase {
+    in_dims: Vec<usize>,
+    w_dims: Vec<usize>,
+    stride: usize,
+    padding: usize,
+    spec: Conv2dSpec,
+    input: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    grad_out: Tensor,
+    flops: f64,
+}
+
+/// A timed conv row's two kernels and their fastest windows so far.
+struct ConvTimer<'a> {
+    row: usize,
+    flops: f64,
+    forward: Box<dyn Fn() + 'a>,
+    backward: Box<dyn Fn() + 'a>,
+    forward_hist: Arc<Histogram>,
+    backward_hist: Arc<Histogram>,
+    forward_ms: f64,
+    backward_ms: f64,
+}
+
 fn bench_conv(
     shapes: &[ConvShape],
     (windows, window): (u32, Duration),
     time_cap: usize,
     metrics: &MetricsRegistry,
 ) -> Vec<ConvRow> {
+    let seq = ParallelConfig::sequential();
+    let cases: Vec<ConvCase> = shapes
+        .iter()
+        .map(|(in_dims, w_dims, stride, padding)| {
+            let spec = Conv2dSpec::new(w_dims[3], *stride, *padding);
+            let mut rng = StdRng::seed_from_u64(in_dims.iter().sum::<usize>() as u64);
+            let input = Tensor::randn(in_dims.clone(), 0.0, 1.0, &mut rng);
+            let weight = Tensor::randn(w_dims.clone(), 0.0, 0.1, &mut rng);
+            let bias = Tensor::randn([w_dims[0]], 0.0, 0.1, &mut rng);
+            let out = conv2d_with(&input, &weight, &bias, spec, seq);
+            let flops = 2.0 * (out.len() * w_dims[1..].iter().product::<usize>()) as f64;
+            let grad_out = Tensor::randn(out.dims().to_vec(), 0.0, 1.0, &mut rng);
+            ConvCase {
+                in_dims: in_dims.clone(),
+                w_dims: w_dims.clone(),
+                stride: *stride,
+                padding: *padding,
+                spec,
+                input,
+                weight,
+                bias,
+                grad_out,
+                flops,
+            }
+        })
+        .collect();
+
     let mut rows = Vec::new();
-    for (in_dims, w_dims, stride, padding) in shapes {
-        let spec = Conv2dSpec::new(w_dims[3], *stride, *padding);
-        let name = conv_name(in_dims, w_dims, spec);
-        let mut rng = StdRng::seed_from_u64(in_dims.iter().sum::<usize>() as u64);
-        let input = Tensor::randn(in_dims.clone(), 0.0, 1.0, &mut rng);
-        let weight = Tensor::randn(w_dims.clone(), 0.0, 0.1, &mut rng);
-        let bias = Tensor::randn([w_dims[0]], 0.0, 0.1, &mut rng);
-        let seq = ParallelConfig::sequential();
-        let fwd_ref = conv2d_with(&input, &weight, &bias, spec, seq);
-        let flops = 2.0 * (fwd_ref.len() * w_dims[1..].iter().product::<usize>()) as f64;
-        let grad_out = Tensor::randn(fwd_ref.dims().to_vec(), 0.0, 1.0, &mut rng);
-        let bwd_ref = conv2d_backward_with(&input, &weight, &grad_out, spec, seq);
+    let mut timers = Vec::new();
+    for case in &cases {
+        let ConvCase {
+            input,
+            weight,
+            bias,
+            grad_out,
+            spec,
+            ..
+        } = case;
+        let fwd_ref = conv2d_with(input, weight, bias, *spec, seq);
+        let bwd_ref = conv2d_backward_with(input, weight, grad_out, *spec, seq);
         for threads in THREAD_COUNTS {
             let cfg = ParallelConfig::with_threads(threads);
-            let fwd = conv2d_with(&input, &weight, &bias, spec, cfg);
-            let bwd = conv2d_backward_with(&input, &weight, &grad_out, spec, cfg);
+            let fwd = conv2d_with(input, weight, bias, *spec, cfg);
+            let bwd = conv2d_backward_with(input, weight, grad_out, *spec, cfg);
             let identical = bits(&fwd) == bits(&fwd_ref)
                 && bits(&bwd.0) == bits(&bwd_ref.0)
                 && bits(&bwd.1) == bits(&bwd_ref.1)
                 && bits(&bwd.2) == bits(&bwd_ref.2);
-            if threads > time_cap {
-                println!(
-                    "conv2d {name}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
+            let timed = threads <= time_cap;
+            if timed {
+                let key = format!(
+                    "{}.{}s{}p{}",
+                    dims_key(&case.in_dims),
+                    dims_key(&case.w_dims),
+                    case.stride,
+                    case.padding
                 );
-                rows.push(ConvRow {
-                    input: in_dims.clone(),
-                    weight: w_dims.clone(),
-                    stride: *stride,
-                    padding: *padding,
-                    threads,
-                    windows: 0,
-                    window_ms: 0.0,
-                    timed: false,
-                    forward_ms: None,
-                    forward_gflops: None,
-                    backward_ms: None,
-                    bit_identical_to_seq: identical,
-                    forward_ns: None,
-                    backward_ns: None,
+                timers.push(ConvTimer {
+                    row: rows.len(),
+                    flops: case.flops,
+                    forward: Box::new(move || {
+                        let _ = conv2d_with(input, weight, bias, *spec, cfg);
+                    }),
+                    backward: Box::new(move || {
+                        let _ = conv2d_backward_with(input, weight, grad_out, *spec, cfg);
+                    }),
+                    forward_hist: metrics
+                        .histogram(&format!("bench.conv2d.fwd.{key}.t{threads}.ns")),
+                    backward_hist: metrics
+                        .histogram(&format!("bench.conv2d.bwd.{key}.t{threads}.ns")),
+                    forward_ms: f64::MAX,
+                    backward_ms: f64::MAX,
                 });
-                continue;
             }
-            let key = format!(
-                "{}.{}s{stride}p{padding}",
-                dims_key(in_dims),
-                dims_key(w_dims)
-            );
-            let fwd_hist = metrics.histogram(&format!("bench.conv2d.fwd.{key}.t{threads}.ns"));
-            let bwd_hist = metrics.histogram(&format!("bench.conv2d.bwd.{key}.t{threads}.ns"));
-            let forward_ms = fastest_window_ms(windows, window, &fwd_hist, || {
-                let _ = conv2d_with(&input, &weight, &bias, spec, cfg);
-            });
-            let backward_ms = fastest_window_ms(windows, window, &bwd_hist, || {
-                let _ = conv2d_backward_with(&input, &weight, &grad_out, spec, cfg);
-            });
-            let forward_gflops = flops / (forward_ms * 1e6);
-            println!(
-                "conv2d {name}  threads={threads}  fwd {forward_ms:8.3} ms ({forward_gflops:6.2} GFLOP/s)  bwd {backward_ms:8.3} ms  bit-identical={identical}"
-            );
             rows.push(ConvRow {
-                input: in_dims.clone(),
-                weight: w_dims.clone(),
-                stride: *stride,
-                padding: *padding,
+                input: case.in_dims.clone(),
+                weight: case.w_dims.clone(),
+                stride: case.stride,
+                padding: case.padding,
                 threads,
-                windows,
-                window_ms: window.as_secs_f64() * 1e3,
-                timed: true,
-                forward_ms: Some(forward_ms),
-                forward_gflops: Some(forward_gflops),
-                backward_ms: Some(backward_ms),
+                windows: if timed { windows } else { 0 },
+                window_ms: if timed {
+                    window.as_secs_f64() * 1e3
+                } else {
+                    0.0
+                },
+                timed,
+                forward_ms: None,
+                forward_gflops: None,
+                backward_ms: None,
                 bit_identical_to_seq: identical,
-                forward_ns: Some(fwd_hist.snapshot()),
-                backward_ns: Some(bwd_hist.snapshot()),
+                forward_ns: None,
+                backward_ns: None,
             });
+        }
+    }
+
+    // Round-robin: every row takes one window of each kernel in turn, so
+    // a row's fastest window is the fastest across the whole pass.
+    for _ in 0..windows {
+        for t in &mut timers {
+            t.forward_ms = t
+                .forward_ms
+                .min(window_ms(window, &t.forward_hist, &t.forward));
+            t.backward_ms = t
+                .backward_ms
+                .min(window_ms(window, &t.backward_hist, &t.backward));
+        }
+    }
+    for t in timers {
+        let row = &mut rows[t.row];
+        row.forward_ms = Some(t.forward_ms);
+        row.forward_gflops = Some(t.flops / (t.forward_ms * 1e6));
+        row.backward_ms = Some(t.backward_ms);
+        row.forward_ns = Some(t.forward_hist.snapshot());
+        row.backward_ns = Some(t.backward_hist.snapshot());
+    }
+    for row in &rows {
+        let spec = Conv2dSpec::new(row.weight[3], row.stride, row.padding);
+        let name = conv_name(&row.input, &row.weight, spec);
+        let (threads, identical) = (row.threads, row.bit_identical_to_seq);
+        match (row.forward_ms, row.forward_gflops, row.backward_ms) {
+            (Some(fwd), Some(gflops), Some(bwd)) => println!(
+                "conv2d {name}  threads={threads}  fwd {fwd:8.3} ms ({gflops:6.2} GFLOP/s)  bwd {bwd:8.3} ms  bit-identical={identical}"
+            ),
+            _ => println!(
+                "conv2d {name}  threads={threads}  (timing refused: host has {time_cap} thread(s))  bit-identical={identical}"
+            ),
         }
     }
     rows
@@ -679,7 +754,8 @@ fn main() {
                  thread count regardless. Per-row *_ns fields are teamnet-obs log2-bucket \
                  histogram snapshots (quantiles are bucket upper bounds, honest to within \
                  2x). conv2d forward_ms / backward_ms are the fastest of `windows` windows of at \
-                 least window_ms, each a mean per call. default_entry rows time Tensor::matmul / conv2d as the process \
+                 least window_ms, each a mean per call, the rows taking their windows in turn across \
+                 the conv pass. default_entry rows time Tensor::matmul / conv2d as the process \
                  runs them (default_ms) against the same call pinned sequential \
                  (sequential_ms), fastest of five alternating repetitions; \
                  single_row_cost_ratio is the fastest 1x784x128 iteration over a row of \

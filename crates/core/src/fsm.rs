@@ -24,10 +24,7 @@
 //! [`InferenceSession::round`]: crate::runtime::InferenceSession::round
 //! [`RecoveryManager`]: crate::recover::RecoveryManager
 
-use crate::recover::{
-    AckStatus, ChunkOutcome, HostBudget, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, PartialLoad,
-    TransferManifest,
-};
+use crate::recover::{AckStatus, HostBudget, LoadAckMsg, LoadExpertMsg, TransferManifest};
 use crate::runtime::{decode_result_set, WorkerStats};
 use crate::team::TeamPrediction;
 use std::collections::BTreeMap;
@@ -66,9 +63,9 @@ impl OutboundMsg {
 /// checker substitutes canned results so exploration stays cheap and
 /// deterministic.
 ///
-/// Everything *protocol-visible* — budget admission, reassembly cursors,
-/// CRC verification, ack selection — happens inside the FSM, so a mocked
-/// hook cannot change protocol behavior.
+/// Everything *protocol-visible* — budget admission, tombstones, budget
+/// charges, ack selection — happens inside the FSM, so a mocked hook
+/// cannot change protocol behavior beyond choosing `Done` or `Failed`.
 ///
 /// [`Sequential`]: teamnet_nn::Sequential
 pub trait WorkerHooks {
@@ -81,14 +78,14 @@ pub trait WorkerHooks {
     /// a tensor; the FSM counts it as malformed and sends no reply.
     fn forward(&mut self, input_payload: &[u8]) -> Result<Vec<u8>, NetError>;
 
-    /// Builds and retains the hosted expert from its verified serialized
-    /// state. Called only after the FSM has verified length and CRC
-    /// against the manifest.
+    /// Builds and retains the hosted expert from its serialized state (the
+    /// envelope CRC has already covered those bytes). Called only for an
+    /// offer the FSM has admitted.
     ///
     /// # Errors
     ///
-    /// Any error makes the FSM answer [`AckStatus::Failed`]; the partial
-    /// state has already been freed either way.
+    /// Any error makes the FSM answer [`AckStatus::Failed`], with nothing
+    /// charged.
     fn install(
         &mut self,
         expert: u32,
@@ -105,18 +102,9 @@ pub trait WorkerHooks {
 pub struct HostedExpert {
     /// Certified bytes charged against the [`HostBudget`] while resident.
     pub resident_bytes: u64,
-    /// Round stamp of the transfer frame that (most recently) confirmed
+    /// Round stamp of the offer that (most recently) confirmed
     /// residency; a round-matching [`LoadExpertMsg::Abort`] evicts.
     pub round: u64,
-}
-
-/// An in-flight transfer reassembly, tagged with the round of the
-/// transfer driving it so a stale abort from an older attempt cannot
-/// clear a newer transfer's progress.
-#[derive(Debug, Clone)]
-struct PendingTransfer {
-    load: PartialLoad,
-    round: u64,
 }
 
 /// Deliberate protocol defects, kept compiled-in as the model checker's
@@ -129,19 +117,17 @@ pub enum FsmMutation {
     /// The production transition function.
     #[default]
     None,
-    /// Arms a handler defect: a chunk or offer for an
-    /// already-resident expert answers [`AckStatus::Failed`] / restarts
-    /// the transfer instead of re-acking [`AckStatus::Done`], and aborts
-    /// ignore round stamps and never evict residents. Under a dropped
-    /// final Done ack the master resends, reads `Failed`, backtracks
-    /// without an effective abort — and the receiver's memory is
-    /// stranded (hosted and budget-charged with no placement pointing at
-    /// it).
+    /// Arms a handler defect: an offer for an already-resident expert
+    /// answers [`AckStatus::Failed`] instead of re-acking
+    /// [`AckStatus::Done`], and aborts never evict residents. Under a
+    /// dropped Done ack the master resends the offer, reads `Failed` and
+    /// backtracks — and the receiver's memory is stranded (hosted and
+    /// budget-charged with no placement pointing at it).
     StrandOnLostFinalAck,
 }
 
 /// The worker side of the protocol as one pure state machine: answers
-/// probes and input broadcasts, admits / reassembles / releases migrated
+/// probes and input broadcasts, admits / installs / releases migrated
 /// experts, and re-acknowledges duplicates idempotently. Driven by
 /// [`serve_worker_with_config`], and exhaustively by `cargo xtask mc`.
 ///
@@ -151,14 +137,13 @@ pub struct WorkerFsm {
     master: usize,
     budget: HostBudget,
     hosted: BTreeMap<u32, HostedExpert>,
-    partial: Option<PendingTransfer>,
     /// Abort tombstones: per expert, the highest round an abort has been
-    /// processed for. An `Offer` or chunk stamped at or below the
-    /// tombstone belongs to an attempt the master already gave up on and
-    /// is answered `Failed` without touching state — otherwise an abort
-    /// that overtakes its own delayed offer (both are in flight when a
-    /// master deadline expires) would let the late offer open a partial
-    /// that nothing ever closes. Found by `cargo xtask mc` during
+    /// processed for. An `Offer` stamped at or below the tombstone
+    /// belongs to an attempt the master already gave up on and is
+    /// answered `Failed` without touching state — otherwise an abort that
+    /// overtakes its own delayed offer (both are in flight when the
+    /// master's ack waits run out) would let the late offer install an
+    /// expert nothing ever evicts. Found by `cargo xtask mc` during
     /// bring-up; see DESIGN.md §15.
     aborted: BTreeMap<u32, u64>,
     stats: WorkerStats,
@@ -179,7 +164,6 @@ impl WorkerFsm {
             master,
             budget,
             hosted: BTreeMap::new(),
-            partial: None,
             aborted: BTreeMap::new(),
             stats: WorkerStats::default(),
             mutation,
@@ -201,14 +185,6 @@ impl WorkerFsm {
         &self.hosted
     }
 
-    /// The in-flight reassembly, if any: `(expert, next_expected_chunk,
-    /// transfer_round)`.
-    pub fn partial(&self) -> Option<(u32, u32, u64)> {
-        self.partial
-            .as_ref()
-            .map(|p| (p.load.expert(), p.load.next_expected(), p.round))
-    }
-
     /// Canonical byte encoding of the *protocol* state — everything that
     /// determines future transitions, deliberately excluding the
     /// [`WorkerStats`] counters (duplicates bump counters; a model
@@ -226,15 +202,6 @@ impl WorkerFsm {
             out.extend_from_slice(&h.resident_bytes.to_le_bytes());
             out.extend_from_slice(&h.round.to_le_bytes());
         }
-        match &self.partial {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.load.expert().to_le_bytes());
-                out.extend_from_slice(&p.load.next_expected().to_le_bytes());
-                out.extend_from_slice(&p.round.to_le_bytes());
-            }
-        }
         out.extend_from_slice(&(self.aborted.len() as u64).to_le_bytes());
         for (id, round) in &self.aborted {
             out.extend_from_slice(&id.to_le_bytes());
@@ -249,47 +216,67 @@ impl WorkerFsm {
         self.aborted.get(&expert).is_some_and(|&r| round <= r)
     }
 
-    fn ack(&self, round: u64, ack: LoadAckMsg) -> OutboundMsg {
+    fn ack(&self, round: u64, expert: u32, status: AckStatus, arg: u64) -> OutboundMsg {
+        let ack = LoadAckMsg {
+            expert,
+            status,
+            arg,
+        };
         OutboundMsg {
             to: self.master,
             env: Envelope::new(round, PayloadKind::LoadAck, ack.encode()),
         }
     }
 
-    fn install_verified(
+    /// Answers one offer: `Failed` for an aborted attempt, `Done` again
+    /// for a resident expert, `Refuse` past the budget, and otherwise
+    /// `Done` or `Failed` as the install goes.
+    fn offer(
         &mut self,
-        expert: u32,
         round: u64,
-        load: PartialLoad,
+        expert: u32,
+        manifest: &TransferManifest,
+        state: &[u8],
         hooks: &mut dyn WorkerHooks,
-    ) -> LoadAckMsg {
-        match load.verify().and_then(|(manifest, state)| {
-            match hooks.install(expert, &manifest, &state) {
-                Ok(()) => Ok(manifest.required_resident_bytes),
-                Err(e) => Err(e),
-            }
-        }) {
-            Ok(resident) => {
-                self.budget.charge(resident);
-                self.hosted.insert(
-                    expert,
-                    HostedExpert {
-                        resident_bytes: resident,
-                        round,
-                    },
-                );
-                LoadAckMsg {
-                    expert,
-                    status: AckStatus::Done,
-                    arg: 0,
-                }
-            }
-            Err(_) => LoadAckMsg {
-                expert,
-                status: AckStatus::Failed,
-                arg: 0,
-            },
+    ) -> (AckStatus, u64) {
+        if self.attempt_is_dead(expert, round) {
+            // The abort for this attempt overtook the offer (the master's
+            // ack waits ran out and reordering did the rest): installing
+            // now would strand receiver memory forever. Typed rejection,
+            // no state touched.
+            self.stats.loads_refused += 1;
+            return (AckStatus::Failed, 0);
         }
+        if let Some(h) = self.hosted.get_mut(&expert) {
+            if self.mutation == FsmMutation::StrandOnLostFinalAck {
+                // The armed defect: a re-offer of a resident fails.
+                return (AckStatus::Failed, 0);
+            }
+            // Idempotent re-offer: the expert is already resident (our
+            // earlier Done ack was lost). Refresh the residency round so
+            // a round-matching abort of *this* attempt can still evict,
+            // and re-ack Done instead of charging twice.
+            h.round = round;
+            return (AckStatus::Done, 0);
+        }
+        let resident = manifest.required_resident_bytes;
+        if !self.budget.admit(resident) {
+            self.stats.loads_refused += 1;
+            return (AckStatus::Refuse, self.budget.spare());
+        }
+        self.stats.loads_accepted += 1;
+        if hooks.install(expert, manifest, state).is_err() {
+            return (AckStatus::Failed, 0);
+        }
+        self.budget.charge(resident);
+        self.hosted.insert(
+            expert,
+            HostedExpert {
+                resident_bytes: resident,
+                round,
+            },
+        );
+        (AckStatus::Done, 0)
     }
 
     /// Feeds one received frame (as raw bytes off the input tag) through
@@ -301,8 +288,7 @@ impl WorkerFsm {
     /// (a flipped kind bit: the CRC does not cover the header).
     ///
     /// Duplicate deliveries are idempotent on protocol state: a re-offer
-    /// or re-chunk for an already-resident expert re-acks
-    /// [`AckStatus::Done`]; duplicate chunks re-report the cursor;
+    /// for an already-resident expert re-acks [`AckStatus::Done`];
     /// duplicate releases and aborts are no-ops.
     ///
     /// # Errors
@@ -357,211 +343,39 @@ impl WorkerFsm {
                 Ok(LoadExpertMsg::Offer {
                     expert: id,
                     manifest,
+                    state,
                 }) => {
-                    if self.attempt_is_dead(id, env.round) {
-                        // The abort for this attempt overtook the offer
-                        // (deadline expiry reorders them): the attempt is
-                        // dead, so opening a partial here would strand
-                        // receiver memory forever. Typed rejection, no
-                        // state touched.
-                        self.stats.loads_refused += 1;
-                        Some(self.ack(
-                            env.round,
-                            LoadAckMsg {
-                                expert: id,
-                                status: AckStatus::Failed,
-                                arg: 0,
-                            },
-                        ))
-                    } else if self.hosted.contains_key(&id) && self.mutation == FsmMutation::None {
-                        // Idempotent re-offer: the expert is already
-                        // resident (our earlier Done ack was lost).
-                        // Refresh the residency round so a round-matching
-                        // abort of *this* attempt can still evict, and
-                        // re-ack Done instead of double-charging a
-                        // restarted transfer.
-                        if let Some(h) = self.hosted.get_mut(&id) {
-                            h.round = env.round;
-                        }
-                        Some(self.ack(
-                            env.round,
-                            LoadAckMsg {
-                                expert: id,
-                                status: AckStatus::Done,
-                                arg: 0,
-                            },
-                        ))
-                    } else if !self.budget.admit(manifest.required_resident_bytes) {
-                        self.stats.loads_refused += 1;
-                        let spare = self.budget.spare();
-                        Some(self.ack(
-                            env.round,
-                            LoadAckMsg {
-                                expert: id,
-                                status: AckStatus::Refuse,
-                                arg: spare,
-                            },
-                        ))
-                    } else if manifest.num_chunks == 0 {
-                        // Degenerate empty-state transfer: complete at
-                        // the offer.
-                        self.stats.loads_accepted += 1;
-                        let ack = self.install_verified(
-                            id,
-                            env.round,
-                            PartialLoad::begin(id, manifest),
-                            hooks,
-                        );
-                        Some(self.ack(env.round, ack))
-                    } else {
-                        // Resume a matching interrupted transfer instead
-                        // of restarting from chunk zero.
-                        let next = match &mut self.partial {
-                            Some(p) if p.load.matches(id, &manifest) => {
-                                p.round = env.round;
-                                p.load.next_expected()
-                            }
-                            None | Some(_) => {
-                                self.partial = Some(PendingTransfer {
-                                    load: PartialLoad::begin(id, manifest),
-                                    round: env.round,
-                                });
-                                0
-                            }
-                        };
-                        self.stats.loads_accepted += 1;
-                        Some(self.ack(
-                            env.round,
-                            LoadAckMsg {
-                                expert: id,
-                                status: AckStatus::Accept,
-                                arg: u64::from(next),
-                            },
-                        ))
-                    }
+                    let (status, arg) = self.offer(env.round, id, &manifest, &state, hooks);
+                    Some(self.ack(env.round, id, status, arg))
                 }
                 Ok(LoadExpertMsg::Release { expert: id }) => {
                     if let Some(h) = self.hosted.remove(&id) {
                         self.budget.release(h.resident_bytes);
                         hooks.evict(id);
                     }
-                    Some(self.ack(
-                        env.round,
-                        LoadAckMsg {
-                            expert: id,
-                            status: AckStatus::Done,
-                            arg: 0,
-                        },
-                    ))
+                    Some(self.ack(env.round, id, AckStatus::Done, 0))
                 }
                 Ok(LoadExpertMsg::Abort { expert: id }) => {
-                    // Free the partial state; no reply — the master is
-                    // not waiting on an abort. Aborts are round-scoped:
-                    // only the transfer attempt they were issued for is
-                    // undone, so a stale abort from an older attempt
-                    // cannot clear a newer transfer's progress — and an
-                    // abort that *does* match a completed install evicts
-                    // the resident, keeping worker memory consistent with
-                    // a master that gave this attempt up. The tombstone
-                    // additionally kills the attempt's *future* frames, in
-                    // case the abort overtook them in flight.
+                    // No reply — the master is not waiting on an abort.
+                    // Aborts are round-scoped: only the transfer attempt
+                    // they were issued for is undone, so a stale abort
+                    // from an older attempt cannot evict a newer
+                    // attempt's resident — and an abort that *does*
+                    // match an install evicts it, keeping worker memory
+                    // consistent with a master that gave this attempt up.
+                    // The tombstone additionally kills the attempt's
+                    // offer, in case the abort overtook it in flight.
                     let dead = self.aborted.entry(id).or_insert(0);
                     *dead = (*dead).max(env.round);
-                    match self.mutation {
-                        FsmMutation::None => {
-                            if self
-                                .partial
-                                .as_ref()
-                                .is_some_and(|p| p.load.expert() == id && p.round == env.round)
-                            {
-                                self.partial = None;
-                            }
-                            if self.hosted.get(&id).is_some_and(|h| h.round == env.round) {
-                                if let Some(h) = self.hosted.remove(&id) {
-                                    self.budget.release(h.resident_bytes);
-                                    hooks.evict(id);
-                                }
-                            }
-                        }
-                        FsmMutation::StrandOnLostFinalAck => {
-                            // The defect: clear any matching partial
-                            // regardless of round, never evict residents.
-                            if self.partial.as_ref().is_some_and(|p| p.load.expert() == id) {
-                                self.partial = None;
-                            }
+                    if self.mutation == FsmMutation::None
+                        && self.hosted.get(&id).is_some_and(|h| h.round == env.round)
+                    {
+                        if let Some(h) = self.hosted.remove(&id) {
+                            self.budget.release(h.resident_bytes);
+                            hooks.evict(id);
                         }
                     }
                     None
-                }
-                Err(_) => {
-                    self.stats.malformed_skipped += 1;
-                    None
-                }
-            },
-            PayloadKind::LoadChunk => match LoadChunkMsg::decode(env.payload) {
-                Ok(msg) => {
-                    self.stats.chunks_received += 1;
-                    let ack = if self.attempt_is_dead(msg.expert, env.round) {
-                        // Stale chunk from an aborted attempt: rejecting it
-                        // without touching state also keeps a live
-                        // resident's round stamp from being refreshed
-                        // *backwards* into tombstoned territory (where a
-                        // duplicate abort could wrongly evict it).
-                        LoadAckMsg {
-                            expert: msg.expert,
-                            status: AckStatus::Failed,
-                            arg: 0,
-                        }
-                    } else if self.hosted.contains_key(&msg.expert)
-                        && self.mutation == FsmMutation::None
-                    {
-                        // Idempotent re-chunk after a lost Done ack: the
-                        // transfer already completed here. Re-ack Done
-                        // (refreshing the residency round) instead of
-                        // failing the master into a backtrack that
-                        // strands this resident.
-                        if let Some(h) = self.hosted.get_mut(&msg.expert) {
-                            h.round = env.round;
-                        }
-                        LoadAckMsg {
-                            expert: msg.expert,
-                            status: AckStatus::Done,
-                            arg: 0,
-                        }
-                    } else {
-                        match self.partial.take() {
-                            Some(mut p) if p.load.expert() == msg.expert => {
-                                match p.load.accept_chunk(&msg) {
-                                    ChunkOutcome::Progress(next) => {
-                                        p.round = env.round;
-                                        self.partial = Some(p); // still in flight
-                                        LoadAckMsg {
-                                            expert: msg.expert,
-                                            status: AckStatus::ChunkOk,
-                                            arg: u64::from(next),
-                                        }
-                                    }
-                                    ChunkOutcome::Complete => {
-                                        self.install_verified(msg.expert, env.round, p.load, hooks)
-                                    }
-                                }
-                            }
-                            // A chunk with no transfer open (worker
-                            // restarted, or the transfer was aborted), or
-                            // for a different expert than the parked
-                            // transfer: fail fast so the master re-offers
-                            // or backtracks.
-                            other => {
-                                self.partial = other;
-                                LoadAckMsg {
-                                    expert: msg.expert,
-                                    status: AckStatus::Failed,
-                                    arg: 0,
-                                }
-                            }
-                        }
-                    };
-                    Some(self.ack(env.round, ack))
                 }
                 Err(_) => {
                     self.stats.malformed_skipped += 1;
@@ -688,15 +502,14 @@ impl GatherFsm {
             }
             PayloadKind::ProbeAck => GatherVerdict::Discarded(GatherDiscard::Malformed),
             // Stray transfer-protocol traffic (a duplicate LoadAck from a
-            // recovery exchange, or a reflected LoadExpert/LoadChunk) is
-            // never part of a gather; discard it and keep waiting. Acks
-            // to live transfers carry their own round stamps, so they are
-            // caught by the staleness check above before reaching here.
-            // Input, Probe and Shutdown flowing worker → master are
-            // equally impossible; all six are explicit typed rejections.
+            // recovery exchange, or a reflected LoadExpert) is never part
+            // of a gather; discard it and keep waiting. Acks to live
+            // transfers carry their own round stamps, so they are caught
+            // by the staleness check above before reaching here. Input,
+            // Probe and Shutdown flowing worker → master are equally
+            // impossible; all five are explicit typed rejections.
             PayloadKind::LoadAck => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::LoadExpert => GatherVerdict::Discarded(GatherDiscard::Malformed),
-            PayloadKind::LoadChunk => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Input => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Probe => GatherVerdict::Discarded(GatherDiscard::Malformed),
             PayloadKind::Shutdown => GatherVerdict::Discarded(GatherDiscard::Malformed),
@@ -789,7 +602,8 @@ fn weight_of(calibration: &Option<Vec<f32>>, node: usize) -> f32 {
         .unwrap_or(1.0)
 }
 
-/// Why a [`TransferFsm`] concluded in failure.
+/// Why a [`TransferFsm`] concluded in failure. Neither owes an abort:
+/// the worker installed nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferFault {
     /// The worker's own budget refused the offer; contains its actual
@@ -798,67 +612,43 @@ pub enum TransferFault {
         /// Spare bytes the worker reported.
         spare: u64,
     },
-    /// The worker refused mid-transfer (a refuse ack after streaming
-    /// began).
-    RefusedMidTransfer,
-    /// The worker reported [`AckStatus::Failed`]: its partial state is
-    /// already freed, no abort needed.
+    /// The worker reported [`AckStatus::Failed`]: the state did not build,
+    /// or the offer belonged to an aborted attempt.
     WorkerFailed,
-    /// The offer was answered with an ack that makes no protocol sense;
-    /// abort so the worker frees anything it holds.
-    BadOfferAck(AckStatus),
-}
-
-impl TransferFault {
-    /// Whether the master must send an abort so the worker frees partial
-    /// state ([`AckStatus::Failed`] and refusals imply the worker holds
-    /// nothing).
-    pub fn needs_abort(&self) -> bool {
-        matches!(self, TransferFault::BadOfferAck(_))
-    }
 }
 
 /// Phase of a master-side transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferPhase {
-    /// Offer sent, awaiting the admission verdict.
+    /// Offer sent, awaiting the worker's verdict.
     Offering,
-    /// Streaming chunks under the stop-and-wait ARQ.
-    Streaming,
     /// Worker confirmed the expert resident.
     Complete,
-    /// Transfer concluded in failure; see the fault for whether an abort
-    /// is owed.
+    /// Transfer concluded in failure.
     Failed(TransferFault),
 }
 
-/// The master side of one expert transfer as a pure state machine: which
-/// frame to send next, which acks belong to this transfer, and how each
-/// ack advances (or concludes) it. Every ack it accepts moves the transfer
-/// forward or ends it, so a frame is resent only when its ack wait times
-/// out. The IO shell — [`RecoveryManager`](crate::recover::RecoveryManager)
-/// — owns those resends, the deadline and the abort/backtrack
-/// bookkeeping; `cargo xtask mc` owns them in the simulated cluster.
+/// The master side of one expert transfer as a pure state machine: the
+/// offer carries the weights, and the first ack of the transfer (see
+/// [`match_load_ack`]) concludes it. The IO shell —
+/// [`RecoveryManager`](crate::recover::RecoveryManager) — owns the offer's
+/// resends on ack timeouts, the abort and the backtrack; `cargo xtask mc`
+/// owns them in the simulated cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferFsm {
     expert: u32,
     target: usize,
     round: u64,
-    num_chunks: u32,
-    next: u32,
     phase: TransferPhase,
 }
 
 impl TransferFsm {
-    /// Starts a transfer of `expert` to `target`, stamped `round`, with
-    /// the state split into `num_chunks` chunks.
-    pub fn new(expert: u32, target: usize, round: u64, num_chunks: u32) -> Self {
+    /// Starts a transfer of `expert` to `target`, stamped `round`.
+    pub fn new(expert: u32, target: usize, round: u64) -> Self {
         TransferFsm {
             expert,
             target,
             round,
-            num_chunks,
-            next: 0,
             phase: TransferPhase::Offering,
         }
     }
@@ -878,102 +668,26 @@ impl TransferFsm {
         self.target
     }
 
-    /// The chunk cursor: the next chunk the worker is known to expect.
-    pub fn next_chunk(&self) -> u32 {
-        self.next
-    }
-
-    /// The frame the master should (re)send right now: the offer while
-    /// offering, the cursor's chunk while streaming, nothing once
-    /// concluded.
-    pub fn current_frame(
-        &self,
-        manifest: &TransferManifest,
-        state: &[u8],
-        chunk_bytes: usize,
-    ) -> Option<OutboundMsg> {
-        match self.phase {
-            TransferPhase::Offering => Some(offer_frame(
-                self.target,
-                self.round,
-                self.expert,
-                manifest.clone(),
-            )),
-            TransferPhase::Streaming => {
-                let chunk_bytes = chunk_bytes.max(1);
-                let index = self.next.min(self.num_chunks.saturating_sub(1));
-                let lo = index as usize * chunk_bytes;
-                let hi = (lo + chunk_bytes).min(state.len());
-                let payload = LoadChunkMsg {
-                    expert: self.expert,
-                    index,
-                    data: state.get(lo..hi).unwrap_or_default().to_vec(),
-                };
-                Some(OutboundMsg {
-                    to: self.target,
-                    env: Envelope::new(self.round, PayloadKind::LoadChunk, payload.encode()),
-                })
-            }
-            TransferPhase::Complete | TransferPhase::Failed(_) => None,
-        }
-    }
-
-    /// Filters a received envelope down to this transfer's ack, if it is
-    /// one (right kind, right round, right expert) and it moves the
-    /// transfer. While streaming, a `ChunkOk` or `Accept` whose cursor
-    /// does not pass [`next_chunk`](Self::next_chunk) is a duplicate or a
-    /// stale ack: the wait goes on. Resending on one would send every later
-    /// chunk twice after a single duplicated ack — TFTP's Sorcerer's
-    /// Apprentice bug (RFC 1123 §4.2.3.1).
-    pub fn accept(&self, env: &Envelope) -> Option<LoadAckMsg> {
-        let ack = match_load_ack(env, self.round, self.expert)?;
-        let stale = self.phase == TransferPhase::Streaming
-            && matches!(ack.status, AckStatus::ChunkOk | AckStatus::Accept)
-            && ack.arg <= u64::from(self.next);
-        (!stale).then_some(ack)
-    }
-
-    /// Advances the transfer on one of its own acks (as returned by
-    /// [`TransferFsm::accept`]).
+    /// Concludes the offer on one of its own acks; a concluded transfer
+    /// ignores further (duplicate) acks.
     pub fn on_ack(&mut self, ack: LoadAckMsg) {
-        self.phase = match (self.phase, ack.status) {
-            (TransferPhase::Offering, AckStatus::Accept) => {
-                self.next = ack.arg.min(u64::from(self.num_chunks)) as u32;
-                TransferPhase::Streaming
-            }
-            // An empty-state transfer completes at the offer; a Done at
-            // any point means the expert is resident.
-            (TransferPhase::Offering | TransferPhase::Streaming, AckStatus::Done) => {
-                TransferPhase::Complete
-            }
-            (TransferPhase::Offering, AckStatus::Refuse) => {
+        if self.phase != TransferPhase::Offering {
+            return;
+        }
+        self.phase = match ack.status {
+            AckStatus::Done => TransferPhase::Complete,
+            AckStatus::Refuse => {
                 TransferPhase::Failed(TransferFault::RefusedOffer { spare: ack.arg })
             }
-            (TransferPhase::Offering, status @ (AckStatus::ChunkOk | AckStatus::Failed)) => {
-                TransferPhase::Failed(TransferFault::BadOfferAck(status))
-            }
-            // A late Accept that passes the cursor reports it too.
-            (TransferPhase::Streaming, AckStatus::ChunkOk | AckStatus::Accept) => {
-                self.next = ack.arg.min(u64::from(self.num_chunks)) as u32;
-                TransferPhase::Streaming
-            }
-            (TransferPhase::Streaming, AckStatus::Failed) => {
-                // The worker already freed its partial state.
-                TransferPhase::Failed(TransferFault::WorkerFailed)
-            }
-            (TransferPhase::Streaming, AckStatus::Refuse) => {
-                TransferPhase::Failed(TransferFault::RefusedMidTransfer)
-            }
-            // Concluded transfers ignore further (duplicate) acks.
-            (done @ (TransferPhase::Complete | TransferPhase::Failed(_)), _) => done,
+            AckStatus::Failed => TransferPhase::Failed(TransferFault::WorkerFailed),
         };
     }
 }
 
 /// Filters a raw envelope down to the [`LoadAckMsg`] for transfer
 /// `round` / `expert`, discarding stale gather leftovers, wrong-kind and
-/// wrong-expert traffic. [`TransferFsm::accept`] builds on it, and the
-/// hand-back's release wait uses it as is.
+/// wrong-expert traffic. The transfer's and the hand-back's ack waits
+/// both use it.
 pub fn match_load_ack(env: &Envelope, round: u64, expert: u32) -> Option<LoadAckMsg> {
     if env.round != round || env.kind != PayloadKind::LoadAck {
         return None;
@@ -985,26 +699,28 @@ pub fn match_load_ack(env: &Envelope, round: u64, expert: u32) -> Option<LoadAck
     Some(ack)
 }
 
-/// Builds the offer frame opening a transfer.
+/// Builds the offer frame of a transfer, weights included.
 pub fn offer_frame(
     target: usize,
     round: u64,
     expert: u32,
     manifest: TransferManifest,
+    state: Vec<u8>,
 ) -> OutboundMsg {
+    let offer = LoadExpertMsg::Offer {
+        expert,
+        manifest,
+        state,
+    };
     OutboundMsg {
         to: target,
-        env: Envelope::new(
-            round,
-            PayloadKind::LoadExpert,
-            LoadExpertMsg::Offer { expert, manifest }.encode(),
-        ),
+        env: Envelope::new(round, PayloadKind::LoadExpert, offer.encode()),
     }
 }
 
 /// Builds the abort frame for a failed transfer attempt. Stamped with the
-/// *transfer's* round so the worker only undoes that attempt (partial or
-/// freshly installed resident) and never a newer one.
+/// *transfer's* round so the worker only undoes that attempt (a freshly
+/// installed resident) and never a newer one.
 pub fn abort_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
     OutboundMsg {
         to: target,
@@ -1031,13 +747,13 @@ pub fn release_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teamnet_net::crc32;
     use teamnet_nn::ModelSpec;
 
     /// Hooks that never touch real models: forward returns a canned
-    /// payload, install always succeeds.
+    /// payload, install succeeds unless `refuse_install` is set.
     struct MockHooks {
         forward_payload: Result<Vec<u8>, ()>,
+        refuse_install: bool,
         installed: Vec<u32>,
         evicted: Vec<u32>,
     }
@@ -1046,6 +762,7 @@ mod tests {
         fn default() -> Self {
             MockHooks {
                 forward_payload: Ok(vec![1, 2, 3]),
+                refuse_install: false,
                 installed: Vec::new(),
                 evicted: Vec::new(),
             }
@@ -1065,6 +782,9 @@ mod tests {
             _manifest: &TransferManifest,
             _state: &[u8],
         ) -> Result<(), NetError> {
+            if self.refuse_install {
+                return Err(NetError::Malformed("mock install".into()));
+            }
             self.installed.push(expert);
             Ok(())
         }
@@ -1074,14 +794,14 @@ mod tests {
         }
     }
 
-    fn manifest_for(state: &[u8], chunk_bytes: usize, required: u64) -> TransferManifest {
-        TransferManifest {
+    /// An offer of expert 7 to node 1 at `round`, needing `required`
+    /// resident bytes.
+    fn offer(round: u64, required: u64) -> OutboundMsg {
+        let manifest = TransferManifest {
             spec: ModelSpec::mlp(2, 4),
-            num_chunks: state.len().div_ceil(chunk_bytes.max(1)) as u32,
-            total_bytes: state.len() as u64,
-            state_crc: crc32(state),
             required_resident_bytes: required,
-        }
+        };
+        offer_frame(1, round, 7, manifest, vec![9, 8, 7, 6, 5])
     }
 
     fn deliver(fsm: &mut WorkerFsm, hooks: &mut MockHooks, msg: &OutboundMsg) -> Vec<OutboundMsg> {
@@ -1094,66 +814,44 @@ mod tests {
         LoadAckMsg::decode(&env.payload).expect("ack decode")
     }
 
-    /// Runs a full clean transfer and returns worker + hooks.
-    fn completed_transfer(round: u64) -> (WorkerFsm, MockHooks, Vec<u8>, TransferManifest) {
-        let state = vec![9u8, 8, 7, 6, 5];
-        let manifest = manifest_for(&state, 2, 300);
+    /// Runs a clean transfer of expert 7 at `round` and returns the worker
+    /// and its hooks.
+    fn completed_transfer(round: u64) -> (WorkerFsm, MockHooks) {
         let mut w = WorkerFsm::new(0, HostBudget::new(1000, 100));
         let mut hooks = MockHooks::default();
-        let mut master = TransferFsm::new(7, 1, round, manifest.num_chunks);
-        let mut guard = 0;
-        while master.phase() != TransferPhase::Complete {
-            let frame = master
-                .current_frame(&manifest, &state, 2)
-                .expect("frame while active");
-            let replies = deliver(&mut w, &mut hooks, &frame);
-            let ack = master
-                .accept(&replies.first().expect("reply").env)
-                .expect("own ack");
-            master.on_ack(ack);
-            guard += 1;
-            assert!(guard < 20, "transfer did not converge");
-        }
-        (w, hooks, state, manifest)
+        let mut master = TransferFsm::new(7, 1, round);
+        let replies = deliver(&mut w, &mut hooks, &offer(round, 300));
+        let reply = &replies.first().expect("reply").env;
+        master.on_ack(match_load_ack(reply, round, 7).expect("own ack"));
+        assert_eq!(master.phase(), TransferPhase::Complete);
+        (w, hooks)
     }
 
     #[test]
     fn clean_transfer_installs_and_charges() {
-        let (w, hooks, _state, manifest) = completed_transfer(50);
+        let (w, hooks) = completed_transfer(50);
         assert_eq!(hooks.installed, vec![7]);
         assert_eq!(w.hosted().get(&7).map(|h| h.resident_bytes), Some(300));
-        assert_eq!(w.budget().hosted_bytes(), manifest.required_resident_bytes);
-        assert_eq!(w.partial(), None);
+        assert_eq!(w.budget().hosted_bytes(), 300);
         assert_eq!(w.stats().loads_accepted, 1);
-        assert_eq!(w.stats().chunks_received, 3);
     }
 
     #[test]
-    fn duplicate_final_chunk_re_acks_done_idempotently() {
-        let (mut w, mut hooks, state, manifest) = completed_transfer(51);
+    fn a_resent_offer_re_acks_done_idempotently() {
+        let (mut w, mut hooks) = completed_transfer(51);
         let before = w.canonical_protocol_bytes();
-        // Master lost the Done ack and resends the final chunk.
-        let mut master = TransferFsm::new(7, 1, 51, manifest.num_chunks);
-        master.on_ack(LoadAckMsg {
-            expert: 7,
-            status: AckStatus::Accept,
-            arg: u64::from(manifest.num_chunks) - 1,
-        });
-        let frame = master.current_frame(&manifest, &state, 2).expect("chunk");
-        let replies = deliver(&mut w, &mut hooks, &frame);
+        // The master lost the Done ack and resends the offer.
+        let replies = deliver(&mut w, &mut hooks, &offer(51, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Done);
         assert_eq!(w.canonical_protocol_bytes(), before);
-        // The master completes off the re-ack instead of backtracking.
-        master.on_ack(ack_of(&replies));
-        assert_eq!(master.phase(), TransferPhase::Complete);
+        assert_eq!(hooks.installed, vec![7], "built once");
     }
 
     #[test]
     fn re_offer_for_resident_re_acks_done_without_double_charge() {
-        let (mut w, mut hooks, _state, manifest) = completed_transfer(52);
+        let (mut w, mut hooks) = completed_transfer(52);
         let charged = w.budget().hosted_bytes();
-        let frame = offer_frame(1, 60, 7, manifest);
-        let replies = deliver(&mut w, &mut hooks, &frame);
+        let replies = deliver(&mut w, &mut hooks, &offer(60, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Done);
         assert_eq!(w.budget().hosted_bytes(), charged);
         assert_eq!(w.stats().loads_accepted, 1, "no second admission");
@@ -1161,7 +859,7 @@ mod tests {
 
     #[test]
     fn round_matching_abort_evicts_resident() {
-        let (mut w, mut hooks, _state, _manifest) = completed_transfer(53);
+        let (mut w, mut hooks) = completed_transfer(53);
         // The master never saw Done: it aborts attempt 53 and backtracks.
         let replies = deliver(&mut w, &mut hooks, &abort_frame(1, 53, 7));
         assert!(replies.is_empty(), "aborts are not acknowledged");
@@ -1172,82 +870,66 @@ mod tests {
 
     #[test]
     fn stale_abort_does_not_touch_newer_transfer() {
-        let state = vec![1u8, 2, 3, 4, 5];
-        let manifest = manifest_for(&state, 2, 300);
-        let mut w = WorkerFsm::new(0, HostBudget::new(1000, 100));
-        let mut hooks = MockHooks::default();
-        // New transfer (round 71) opens a partial.
-        deliver(&mut w, &mut hooks, &offer_frame(1, 71, 7, manifest));
-        assert!(w.partial().is_some());
+        let (mut w, mut hooks) = completed_transfer(71);
         // A stale abort from a dead earlier attempt (round 70) arrives.
         deliver(&mut w, &mut hooks, &abort_frame(1, 70, 7));
-        assert_eq!(w.partial(), Some((7, 0, 71)), "partial survives");
-        // The matching abort clears it.
+        assert!(w.hosted().contains_key(&7), "resident survives");
+        // The matching abort evicts it.
         deliver(&mut w, &mut hooks, &abort_frame(1, 71, 7));
-        assert_eq!(w.partial(), None);
+        assert!(w.hosted().is_empty());
+    }
+
+    #[test]
+    fn an_offer_overtaken_by_its_abort_installs_nothing() {
+        let mut w = WorkerFsm::new(0, HostBudget::new(1000, 100));
+        let mut hooks = MockHooks::default();
+        deliver(&mut w, &mut hooks, &abort_frame(1, 40, 7));
+        let replies = deliver(&mut w, &mut hooks, &offer(40, 300));
+        assert_eq!(ack_of(&replies).status, AckStatus::Failed);
+        assert!(hooks.installed.is_empty() && w.hosted().is_empty());
+        // A later attempt is not tombstoned.
+        let replies = deliver(&mut w, &mut hooks, &offer(41, 300));
+        assert_eq!(ack_of(&replies).status, AckStatus::Done);
     }
 
     #[test]
     fn refusal_reports_actual_spare() {
-        let state = vec![1u8; 6];
-        let manifest = manifest_for(&state, 2, 500);
         let mut w = WorkerFsm::new(0, HostBudget::new(400, 100));
         let mut hooks = MockHooks::default();
-        let replies = deliver(&mut w, &mut hooks, &offer_frame(1, 80, 3, manifest));
+        let replies = deliver(&mut w, &mut hooks, &offer(80, 500));
         let ack = ack_of(&replies);
         assert_eq!(ack.status, AckStatus::Refuse);
         assert_eq!(ack.arg, 300);
         assert_eq!(w.stats().loads_refused, 1);
+        assert!(hooks.installed.is_empty());
     }
 
     #[test]
-    fn an_offer_reserves_nothing_on_its_claimed_size() {
-        // A ~100-byte offer claiming a 1 TiB state: admission checks the
-        // resident footprint, not the transfer size, so an unlimited
-        // budget accepts it — and the reassembly buffer must not be sized
-        // on the manifest's word.
-        let mut manifest = manifest_for(&[1, 2, 3], 2, 300);
-        manifest.total_bytes = 1 << 40;
-        let mut w = WorkerFsm::new(0, HostBudget::unlimited());
-        let replies = deliver(
-            &mut w,
-            &mut MockHooks::default(),
-            &offer_frame(1, 5, 2, manifest),
-        );
-        assert_eq!(ack_of(&replies).status, AckStatus::Accept);
-        assert_eq!(w.partial(), Some((2, 0, 5)));
+    fn a_state_that_does_not_build_fails_and_charges_nothing() {
+        let mut w = WorkerFsm::new(0, HostBudget::new(1000, 100));
+        let mut hooks = MockHooks {
+            refuse_install: true,
+            ..MockHooks::default()
+        };
+        let replies = deliver(&mut w, &mut hooks, &offer(90, 300));
+        assert_eq!(ack_of(&replies).status, AckStatus::Failed);
+        assert!(w.hosted().is_empty());
+        assert_eq!(w.budget().hosted_bytes(), 0);
     }
 
     #[test]
-    fn mutant_fails_resident_re_chunk_and_ignores_abort_rounds() {
-        let state = vec![9u8, 8, 7, 6, 5];
-        let manifest = manifest_for(&state, 2, 300);
+    fn mutant_fails_resident_re_offer_and_never_evicts() {
         let mut w = WorkerFsm::with_mutation(
             0,
             HostBudget::new(1000, 100),
             FsmMutation::StrandOnLostFinalAck,
         );
         let mut hooks = MockHooks::default();
-        let mut master = TransferFsm::new(7, 1, 90, manifest.num_chunks);
-        while master.phase() != TransferPhase::Complete {
-            let frame = master.current_frame(&manifest, &state, 2).expect("frame");
-            let replies = deliver(&mut w, &mut hooks, &frame);
-            master.on_ack(
-                master
-                    .accept(&replies.first().expect("reply").env)
-                    .expect("ack"),
-            );
-        }
-        // Done ack lost; the master resends the final chunk: the mutant
-        // answers Failed (the armed defect) …
-        let mut retry = TransferFsm::new(7, 1, 90, manifest.num_chunks);
-        retry.on_ack(LoadAckMsg {
-            expert: 7,
-            status: AckStatus::Accept,
-            arg: u64::from(manifest.num_chunks) - 1,
-        });
-        let frame = retry.current_frame(&manifest, &state, 2).expect("chunk");
-        let replies = deliver(&mut w, &mut hooks, &frame);
+        let replies = deliver(&mut w, &mut hooks, &offer(90, 300));
+        assert_eq!(ack_of(&replies).status, AckStatus::Done);
+        // Done ack lost; the master resends the offer: the mutant answers
+        // Failed (the armed defect) …
+        let replies = deliver(&mut w, &mut hooks, &offer(90, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Failed);
         // … and its abort never evicts, stranding the resident.
         deliver(&mut w, &mut hooks, &abort_frame(1, 90, 7));
@@ -1411,63 +1093,30 @@ mod tests {
     }
 
     #[test]
-    fn transfer_fsm_refusal_and_bad_ack_classification() {
-        let mut t = TransferFsm::new(3, 2, 10, 4);
-        t.on_ack(LoadAckMsg {
+    fn transfer_fsm_concludes_on_its_first_ack() {
+        let ack = |status, arg| LoadAckMsg {
             expert: 3,
-            status: AckStatus::Refuse,
-            arg: 123,
-        });
-        assert_eq!(
-            t.phase(),
-            TransferPhase::Failed(TransferFault::RefusedOffer { spare: 123 })
-        );
-        assert!(!TransferFault::RefusedOffer { spare: 123 }.needs_abort());
-        assert!(TransferFault::BadOfferAck(AckStatus::ChunkOk).needs_abort());
-
-        let mut t = TransferFsm::new(3, 2, 10, 4);
-        t.on_ack(LoadAckMsg {
-            expert: 3,
-            status: AckStatus::ChunkOk,
-            arg: 0,
-        });
-        assert!(matches!(
-            t.phase(),
-            TransferPhase::Failed(TransferFault::BadOfferAck(AckStatus::ChunkOk))
-        ));
-    }
-
-    #[test]
-    fn streaming_accepts_only_acks_that_pass_the_cursor() {
-        let frame = |status, arg| {
-            let ack = LoadAckMsg {
-                expert: 3,
-                status,
-                arg,
-            };
-            Envelope::new(10, PayloadKind::LoadAck, ack.encode())
+            status,
+            arg,
         };
-        let mut t = TransferFsm::new(3, 2, 10, 4);
-        assert!(
-            t.accept(&frame(AckStatus::Accept, 0)).is_some(),
-            "the offer's verdict"
-        );
-        t.on_ack(t.accept(&frame(AckStatus::Accept, 1)).unwrap());
-        assert_eq!((t.phase(), t.next_chunk()), (TransferPhase::Streaming, 1));
-        // A duplicate of the offer's Accept, or of any earlier ChunkOk,
-        // leaves the cursor where it is: the wait goes on.
-        for (status, arg) in [
-            (AckStatus::Accept, 1),
-            (AckStatus::ChunkOk, 1),
-            (AckStatus::ChunkOk, 0),
+        for (status, phase) in [
+            (AckStatus::Done, TransferPhase::Complete),
+            (
+                AckStatus::Refuse,
+                TransferPhase::Failed(TransferFault::RefusedOffer { spare: 123 }),
+            ),
+            (
+                AckStatus::Failed,
+                TransferPhase::Failed(TransferFault::WorkerFailed),
+            ),
         ] {
-            assert_eq!(t.accept(&frame(status, arg)), None, "{status:?} {arg}");
-        }
-        t.on_ack(t.accept(&frame(AckStatus::ChunkOk, 2)).unwrap());
-        assert_eq!(t.next_chunk(), 2);
-        // Verdicts that end the transfer always get through.
-        for status in [AckStatus::Done, AckStatus::Failed, AckStatus::Refuse] {
-            assert!(t.accept(&frame(status, 0)).is_some(), "{status:?}");
+            let mut t = TransferFsm::new(3, 2, 10);
+            t.on_ack(ack(status, 123));
+            assert_eq!(t.phase(), phase, "{status:?}");
+            // A duplicate or contradicting ack changes nothing.
+            t.on_ack(ack(AckStatus::Done, 0));
+            t.on_ack(ack(AckStatus::Failed, 0));
+            assert_eq!(t.phase(), phase, "{status:?}");
         }
     }
 
@@ -1475,7 +1124,7 @@ mod tests {
     fn match_load_ack_filters_round_kind_and_expert() {
         let ack = LoadAckMsg {
             expert: 5,
-            status: AckStatus::ChunkOk,
+            status: AckStatus::Done,
             arg: 2,
         };
         let good = Envelope::new(9, PayloadKind::LoadAck, ack.encode());

@@ -78,8 +78,8 @@ pub use health::{
 };
 pub use persist::{load_expert, load_team, save_team, PersistError};
 pub use recover::{
-    AckStatus, ChunkOutcome, HostBudget, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, PartialLoad,
-    RecoveryConfig, RecoveryManager, TransferManifest,
+    AckStatus, HostBudget, LoadAckMsg, LoadExpertMsg, RecoveryConfig, RecoveryManager,
+    TransferManifest,
 };
 pub use team::{TeamEvaluation, TeamNet, TeamPrediction};
 pub use train::{IterationRecord, TrainConfig, Trainer, TrainingHistory};

@@ -12,37 +12,37 @@
 //! 1. **ranks** surviving workers by certified spare memory (largest
 //!    spare first, node id as the deterministic tie-break), dropping any
 //!    candidate whose certificate cannot admit the expert;
-//! 2. **offers** the expert to the best candidate over a new
-//!    [`PayloadKind::LoadExpert`] envelope — the worker re-checks the
-//!    admission against its *own* [`HostBudget`] and may refuse;
-//! 3. **ships** the weights as chunked, CRC-checked, resumable
-//!    [`PayloadKind::LoadChunk`] envelopes under a stop-and-wait ARQ
-//!    (each [`PayloadKind::LoadAck`] carries the next-expected chunk
-//!    cursor, so a re-offer after an interrupted transfer resumes instead
-//!    of restarting);
-//! 4. **backtracks** to the next-ranked candidate when an offer is
-//!    refused or a transfer fails mid-flight (the target frees the
-//!    partial state on abort, so a failed attempt never strands memory);
-//! 5. **hands the expert back** once the home node is readmitted by the
+//! 2. **offers** the expert to the best candidate in one
+//!    [`PayloadKind::LoadExpert`] frame that carries the weights — the
+//!    worker re-checks the admission against its *own* [`HostBudget`],
+//!    builds the expert, and answers one [`PayloadKind::LoadAck`]:
+//!    `Done`, `Refuse` or `Failed`;
+//! 3. **backtracks** to the next-ranked candidate when an offer is
+//!    refused, fails, or goes unanswered (an unanswered attempt is
+//!    aborted, so a late install never strands memory);
+//! 4. **hands the expert back** once the home node is readmitted by the
 //!    failure detector — the home node kept its own weights, so hand-back
 //!    is a lightweight release, not a reverse transfer.
+//!
+//! Experts are small by construction (the largest certified one is a few
+//! MB against a 256 MiB frame cap), and every transport delivers whole
+//! frames, so an expert moves in one frame: more frames would only be
+//! more chances of loss.
 //!
 //! The master itself never hosts a migrated expert: it already fronts the
 //! session, and concentrating more state on it would turn the one
 //! unrecoverable node into an even larger single point of failure.
 //!
 //! Every frame leaves and every ack arrives through the IO shell the
-//! inference round uses (`shell.rs`): each transfer attempt and each
-//! hand-back opens its own live round, so a sibling gather leaves the
-//! transfer's acks queued for it, and the ack wait leaves a sibling's
-//! result queued for its round.
+//! inference round uses (`shell.rs`): each transfer and each hand-back
+//! opens its own live round, so a sibling gather leaves the transfer's
+//! acks queued for it, and the ack wait leaves a sibling's result queued
+//! for its round.
 //!
-//! A frame is resent only when its ack wait times out, at most
-//! [`SENDS_PER_FRAME`] times and with no sleep between sends; every ack the
-//! transfer accepts moves it forward or ends it, so a transfer sends at
-//! most `SENDS_PER_FRAME × (chunks + 1)` frames, and its deadline on an
-//! injected [`Clock`] bounds the whole. The quarantine → re-place →
-//! hand-back flow is therefore deterministic under a
+//! The offer is resent only when its ack wait times out, at most
+//! [`SENDS_PER_FRAME`] times and with no sleep between sends, so a
+//! transfer takes at most `SENDS_PER_FRAME × ack_timeout`. The
+//! quarantine → re-place → hand-back flow is deterministic under a
 //! [`teamnet_net::ManualClock`] and seeded chaos (`tests/recovery_soak.rs`
 //! asserts byte-identical transcripts across identical seeds).
 
@@ -53,17 +53,17 @@ use crate::runtime::TAG_INPUT;
 use crate::shell::{self, RoundRegistration};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use teamnet_net::codec::{encode_f32s_into, Reader};
 #[cfg(doc)]
 use teamnet_net::PayloadKind;
-use teamnet_net::{crc32, deadline_after, Clock, Envelope, NetError, SystemClock, Transport};
+use teamnet_net::{deadline_after, Clock, Envelope, NetError, SystemClock, Transport};
 use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
 
-/// Sends of one transfer frame (the offer or a chunk): the first, plus a
-/// resend after each of the first two ack waits that time out.
+/// Sends of one offer (or release): the first, plus a resend after each
+/// of the first two ack waits that time out.
 pub const SENDS_PER_FRAME: u32 = 3;
 
 /// Wire op codes for [`LoadExpertMsg`].
@@ -71,28 +71,18 @@ const OP_OFFER: u8 = 0;
 const OP_RELEASE: u8 = 1;
 const OP_ABORT: u8 = 2;
 
-/// Wire status codes for [`LoadAckMsg`].
-const ST_ACCEPT: u8 = 0;
+/// Wire status codes for [`LoadAckMsg`] (0 and 2 are retired).
 const ST_REFUSE: u8 = 1;
-const ST_CHUNK_OK: u8 = 2;
 const ST_DONE: u8 = 3;
 const ST_FAILED: u8 = 4;
 
-/// Everything a worker needs to admit and reassemble a migrated expert:
-/// the architecture to rebuild, the transfer geometry, an end-to-end
-/// CRC-32 over the full serialized state (each chunk is *also* CRC-checked
-/// by its envelope; this one catches reassembly bugs), and the certified
-/// memory the expert will occupy once resident.
+/// What a worker needs to admit and rebuild a migrated expert besides its
+/// weights: the architecture, and the certified memory the expert will
+/// occupy once resident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferManifest {
     /// Architecture of the migrating expert.
     pub spec: ModelSpec,
-    /// Number of [`LoadChunkMsg`] chunks the state is split into.
-    pub num_chunks: u32,
-    /// Total serialized state length in bytes.
-    pub total_bytes: u64,
-    /// CRC-32 over the full serialized state.
-    pub state_crc: u32,
     /// Certified resident footprint (params + peak activations) the host
     /// must be able to admit — DESIGN.md §13.
     pub required_resident_bytes: u64,
@@ -102,19 +92,24 @@ pub struct TransferManifest {
 /// (master → worker).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadExpertMsg {
-    /// Offer to host expert `expert`; the worker answers accept or refuse.
+    /// Offer to host expert `expert`, weights included; the worker
+    /// answers done, refuse or failed.
     Offer {
         /// Id of the expert being migrated.
         expert: u32,
-        /// Architecture + transfer geometry + admission requirement.
+        /// Architecture + admission requirement.
         manifest: TransferManifest,
+        /// The serialized parameter state (a tensor count, then each
+        /// tensor as `encode_f32s` lays it down).
+        state: Vec<u8>,
     },
     /// Release a hosted expert on hand-back (the home node is live again).
     Release {
         /// Id of the expert to stop hosting.
         expert: u32,
     },
-    /// Abort an in-flight transfer; the worker frees the partial state.
+    /// Abort a transfer attempt; the worker evicts the expert if that
+    /// attempt installed it.
     Abort {
         /// Id of the expert whose transfer is abandoned.
         expert: u32,
@@ -127,18 +122,17 @@ impl LoadExpertMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            LoadExpertMsg::Offer { expert, manifest } => {
+            LoadExpertMsg::Offer {
+                expert,
+                manifest,
+                state,
+            } => {
                 out.push(OP_OFFER);
                 out.extend_from_slice(&expert.to_le_bytes());
                 let spec = serde_json::to_vec(&manifest.spec).unwrap_or_default();
-                assert!(spec.len() <= u32::MAX as usize, "spec json length");
-                // In range by the assert above. lint: allow(cast-truncate)
-                out.extend_from_slice(&(spec.len() as u32).to_le_bytes());
-                out.extend_from_slice(&spec);
-                out.extend_from_slice(&manifest.num_chunks.to_le_bytes());
-                out.extend_from_slice(&manifest.total_bytes.to_le_bytes());
-                out.extend_from_slice(&manifest.state_crc.to_le_bytes());
+                put_len_prefixed(&mut out, &spec);
                 out.extend_from_slice(&manifest.required_resident_bytes.to_le_bytes());
+                put_len_prefixed(&mut out, state);
             }
             LoadExpertMsg::Release { expert } => {
                 out.push(OP_RELEASE);
@@ -153,8 +147,8 @@ impl LoadExpertMsg {
     }
 
     /// Parses a message: `op: u8 | expert: u32`, and for an offer
-    /// additionally `spec_len: u32 | spec json | num_chunks: u32 |
-    /// total_bytes: u64 | state_crc: u32 | required_resident_bytes: u64`.
+    /// additionally `spec_len: u32 | spec json | required_resident_bytes:
+    /// u64 | state_len: u32 | state`.
     ///
     /// # Errors
     ///
@@ -169,15 +163,15 @@ impl LoadExpertMsg {
                 let spec_len = r.u32()? as usize;
                 let spec: ModelSpec = serde_json::from_slice(r.take(spec_len)?)
                     .map_err(|e| NetError::Malformed(format!("load-expert spec: {e}")))?;
+                let required_resident_bytes = r.u64()?;
+                let state_len = r.u32()? as usize;
                 LoadExpertMsg::Offer {
                     expert,
                     manifest: TransferManifest {
                         spec,
-                        num_chunks: r.u32()?,
-                        total_bytes: r.u64()?,
-                        state_crc: r.u32()?,
-                        required_resident_bytes: r.u64()?,
+                        required_resident_bytes,
                     },
+                    state: r.take(state_len)?.to_vec(),
                 }
             }
             OP_RELEASE => LoadExpertMsg::Release { expert },
@@ -193,61 +187,29 @@ impl LoadExpertMsg {
     }
 }
 
-/// One chunk of a migrating expert's serialized state, carried by a
-/// [`PayloadKind::LoadChunk`] envelope (master → worker).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoadChunkMsg {
-    /// Id of the expert being transferred.
-    pub expert: u32,
-    /// Zero-based chunk index within the transfer.
-    pub index: u32,
-    /// The chunk's slice of the serialized state.
-    pub data: Vec<u8>,
-}
-
-impl LoadChunkMsg {
-    /// Serializes the chunk: `expert: u32 | index: u32 | data`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.data.len());
-        out.extend_from_slice(&self.expert.to_le_bytes());
-        out.extend_from_slice(&self.index.to_le_bytes());
-        out.extend_from_slice(&self.data);
-        out
-    }
-
-    /// Parses a chunk message.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Malformed`] when shorter than its 8-byte header.
-    pub fn decode(bytes: &[u8]) -> Result<Self, NetError> {
-        let mut r = Reader::new(bytes);
-        Ok(LoadChunkMsg {
-            expert: r.u32()?,
-            index: r.u32()?,
-            data: r.rest().to_vec(),
-        })
-    }
+/// Appends `len: u32 | bytes`.
+///
+/// # Panics
+///
+/// On more than `u32::MAX` bytes.
+fn put_len_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    assert!(u32::try_from(bytes.len()).is_ok(), "length-prefixed field");
+    // In range by the assert above. lint: allow(cast-truncate)
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// Worker verdicts in the transfer protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckStatus {
-    /// Offer admitted; `arg` is the next-expected chunk index (non-zero
-    /// when a matching interrupted transfer is being resumed).
-    Accept,
     /// Offer refused by the worker's own [`HostBudget`]; `arg` is the
-    /// spare bytes it actually has, for diagnostics.
+    /// spare bytes it actually has.
     Refuse,
-    /// Chunk consumed (or duplicate re-acknowledged); `arg` is the
-    /// next-expected chunk index.
-    ChunkOk,
-    /// Transfer complete: full-state CRC verified, model rebuilt and
-    /// resident. Also acknowledges a [`LoadExpertMsg::Release`].
+    /// The expert is resident: shape-checked, built and charged. Also
+    /// acknowledges a [`LoadExpertMsg::Release`].
     Done,
-    /// The transfer failed on the worker (CRC mismatch, undecodable
-    /// state, spec/state mismatch, or a chunk with no transfer open);
-    /// partial state has been freed.
+    /// The state does not build against the offered spec (or the offer
+    /// belongs to an aborted attempt); nothing was installed.
     Failed,
 }
 
@@ -269,9 +231,7 @@ impl LoadAckMsg {
         let mut out = Vec::with_capacity(13);
         out.extend_from_slice(&self.expert.to_le_bytes());
         out.push(match self.status {
-            AckStatus::Accept => ST_ACCEPT,
             AckStatus::Refuse => ST_REFUSE,
-            AckStatus::ChunkOk => ST_CHUNK_OK,
             AckStatus::Done => ST_DONE,
             AckStatus::Failed => ST_FAILED,
         });
@@ -288,9 +248,7 @@ impl LoadAckMsg {
         let mut r = Reader::new(bytes);
         let expert = r.u32()?;
         let status = match r.u8()? {
-            ST_ACCEPT => AckStatus::Accept,
             ST_REFUSE => AckStatus::Refuse,
-            ST_CHUNK_OK => AckStatus::ChunkOk,
             ST_DONE => AckStatus::Done,
             ST_FAILED => AckStatus::Failed,
             other => {
@@ -387,110 +345,6 @@ impl Default for HostBudget {
     }
 }
 
-/// Outcome of feeding one chunk to a [`PartialLoad`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkOutcome {
-    /// More chunks expected; the contained value is the next-expected
-    /// index (unchanged for a duplicate or out-of-order chunk).
-    Progress(u32),
-    /// All chunks received; call [`PartialLoad::verify`].
-    Complete,
-}
-
-/// Worker-side reassembly buffer for one in-flight expert transfer.
-///
-/// Survives across serve-loop iterations so an interrupted transfer can
-/// resume: a fresh offer carrying the same manifest is answered with the
-/// current next-expected cursor instead of restarting from chunk zero.
-#[derive(Debug, Clone)]
-pub struct PartialLoad {
-    expert: u32,
-    manifest: TransferManifest,
-    buf: Vec<u8>,
-    next: u32,
-}
-
-impl PartialLoad {
-    /// Opens a reassembly buffer for `expert` described by `manifest`.
-    /// Nothing is reserved on the manifest's word: its `total_bytes` came
-    /// off the wire, so the buffer grows only as checked chunks land.
-    pub fn begin(expert: u32, manifest: TransferManifest) -> Self {
-        PartialLoad {
-            expert,
-            manifest,
-            buf: Vec::new(),
-            next: 0,
-        }
-    }
-
-    /// The expert this transfer is for.
-    pub fn expert(&self) -> u32 {
-        self.expert
-    }
-
-    /// Next-expected chunk index (the resume cursor).
-    pub fn next_expected(&self) -> u32 {
-        self.next
-    }
-
-    /// Whether a re-offer matches this in-flight transfer (same expert,
-    /// same geometry, same full-state CRC) and can therefore resume.
-    pub fn matches(&self, expert: u32, manifest: &TransferManifest) -> bool {
-        self.expert == expert
-            && self.manifest.num_chunks == manifest.num_chunks
-            && self.manifest.total_bytes == manifest.total_bytes
-            && self.manifest.state_crc == manifest.state_crc
-    }
-
-    /// Consumes one chunk. In-order chunks append and advance the cursor;
-    /// duplicates and gaps leave the buffer untouched and re-report the
-    /// cursor so the master's stop-and-wait ARQ can resend.
-    pub fn accept_chunk(&mut self, msg: &LoadChunkMsg) -> ChunkOutcome {
-        if msg.index != self.next
-            || (self.buf.len() + msg.data.len()) as u64 > self.manifest.total_bytes
-        {
-            return ChunkOutcome::Progress(self.next);
-        }
-        self.buf.extend_from_slice(&msg.data);
-        self.next += 1;
-        if self.next >= self.manifest.num_chunks {
-            ChunkOutcome::Complete
-        } else {
-            ChunkOutcome::Progress(self.next)
-        }
-    }
-
-    /// Verifies the reassembled bytes against the manifest — length and
-    /// CRC-32, the *protocol-visible* checks — and surrenders the
-    /// manifest plus the verified state bytes. This half is pure (no
-    /// model construction), so the FSM layer can run it under the model
-    /// checker; the serve shell's install hook follows it with
-    /// [`build_from_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Corrupt`] on a CRC mismatch, [`NetError::Malformed`]
-    /// on a length mismatch. Either way the partial state is consumed
-    /// and freed — a failed transfer never strands memory.
-    pub fn verify(self) -> Result<(TransferManifest, Vec<u8>), NetError> {
-        if self.buf.len() as u64 != self.manifest.total_bytes {
-            return Err(NetError::Malformed(format!(
-                "reassembled {} bytes, manifest promised {}",
-                self.buf.len(),
-                self.manifest.total_bytes
-            )));
-        }
-        let got = crc32(&self.buf);
-        if got != self.manifest.state_crc {
-            return Err(NetError::Corrupt {
-                expected: self.manifest.state_crc,
-                got,
-            });
-        }
-        Ok((self.manifest, self.buf))
-    }
-}
-
 /// Serializes parameter tensors captured by [`state_vec`] for migration:
 /// `count: u32`, then each tensor as [`encode_f32s_into`] lays it down.
 ///
@@ -528,9 +382,9 @@ fn state_from_bytes(bytes: &[u8]) -> Result<Vec<Tensor>, NetError> {
     Ok(state)
 }
 
-/// Decodes verified state bytes, rebuilds the expert from its manifest
+/// Decodes offered state bytes, rebuilds the expert from its manifest
 /// spec, checks tensor shapes and loads the weights — the IO/model half
-/// of a completed transfer, called by the serve shell's install hook.
+/// of an admitted offer, called by the serve shell's install hook.
 ///
 /// # Errors
 ///
@@ -556,17 +410,13 @@ pub(crate) fn build_from_state(
 /// Policy knobs for the re-placement transfer protocol.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Bytes of serialized state per [`LoadChunkMsg`].
-    pub chunk_bytes: usize,
     /// How long one send waits for its ack; when the wait times out the
-    /// frame is resent, up to [`SENDS_PER_FRAME`] sends in all.
+    /// frame is resent, up to [`SENDS_PER_FRAME`] sends in all, so a
+    /// transfer to a silent candidate ends after `SENDS_PER_FRAME ×
+    /// ack_timeout`.
     pub ack_timeout: Duration,
-    /// Budget for one whole transfer attempt to one candidate, on
-    /// `clock`; on expiry the transfer aborts and the master backtracks.
-    pub transfer_timeout: Duration,
-    /// Clock the deadlines are read on. Tests inject a
-    /// [`teamnet_net::ManualClock`] so a transfer's deadline never expires
-    /// under them and only the resend bound ends a silent transfer.
+    /// Clock the ack waits are read on. Tests inject a
+    /// [`teamnet_net::ManualClock`] so recovery runs off no wall clock.
     pub clock: Arc<dyn Clock>,
     /// Observability handle for recovery spans and counters.
     pub obs: Obs,
@@ -575,9 +425,7 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            chunk_bytes: 64 * 1024,
             ack_timeout: Duration::from_secs(2),
-            transfer_timeout: Duration::from_secs(10),
             clock: Arc::new(SystemClock),
             obs: Obs::disabled(),
         }
@@ -596,8 +444,8 @@ struct ExpertRecord {
 }
 
 /// Master-side re-placement engine: tracks where every expert currently
-/// lives, ranks surviving hosts by certified spare memory, runs the
-/// chunked transfer with backtracking, and hands experts back to
+/// lives, ranks surviving hosts by certified spare memory, offers the
+/// expert down the ranking until one hosts it, and hands experts back to
 /// readmitted homes. Owned by an
 /// [`InferenceSession`](crate::runtime::InferenceSession) via
 /// [`set_recovery`](crate::runtime::InferenceSession::set_recovery) and
@@ -713,7 +561,7 @@ impl RecoveryManager {
     /// One recovery pass, run after a round's failure evidence is folded:
     /// hands experts back to homes the detector has readmitted, then
     /// re-places every expert whose current host is quarantined. Failures
-    /// inside the pass (refusals, dead candidates, exhausted deadlines)
+    /// inside the pass (refusals, failed installs, silent candidates)
     /// are backtracked or deferred to the next round — a recovery pass
     /// never fails the inference round that triggered it.
     ///
@@ -846,11 +694,7 @@ impl RecoveryManager {
         let msg = fsm::release_frame(surrogate, round, expert as u32);
         let frame = msg.encode(shell::stamp(&obs, self.trace));
         if shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame).is_ok() {
-            let deadline = deadline_after(self.config.clock.now(), self.config.ack_timeout);
-            let expert = expert as u32;
-            let _ = self.await_ack(transport, surrogate, round, deadline, |env| {
-                fsm::match_load_ack(env, round, expert)
-            });
+            let _ = self.await_ack(transport, surrogate, round, expert as u32);
         }
         self.placement.remove(&expert);
         if let Some(record) = self.experts.get(&expert) {
@@ -862,15 +706,15 @@ impl RecoveryManager {
         self.c_handbacks.inc();
     }
 
-    /// Runs one chunked, resumable, stop-and-wait transfer of `expert` to
-    /// `target` under the configured deadline. Returns the bytes shipped.
+    /// Offers `expert`, weights included, to `target` in one frame and
+    /// returns the bytes shipped once the target answers `Done`.
     ///
     /// # Errors
     ///
     /// [`NetError::Remote`] when the worker refuses or reports a failure,
-    /// [`NetError::Timeout`] when a frame's sends or the deadline run out,
-    /// and transport errors otherwise. On any error a best-effort abort is
-    /// sent so the target frees its partial state.
+    /// [`NetError::Timeout`] when [`SENDS_PER_FRAME`] ack waits time out,
+    /// and transport errors otherwise. On a timeout or transport error a
+    /// best-effort abort is sent, so an offer that did land is undone.
     fn transfer(
         &self,
         transport: &dyn Transport,
@@ -881,90 +725,75 @@ impl RecoveryManager {
             .experts
             .get(&expert)
             .ok_or_else(|| NetError::Malformed(format!("expert {expert} not registered")))?;
-        let chunk_bytes = self.config.chunk_bytes.max(1);
-        let num_chunks = record.state.len().div_ceil(chunk_bytes) as u32;
-        let manifest = TransferManifest {
-            spec: record.spec.clone(),
-            num_chunks,
-            total_bytes: record.state.len() as u64,
-            state_crc: crc32(&record.state),
-            required_resident_bytes: record.required_resident_bytes,
-        };
-        // Live for the whole transfer, so a sibling wait leaves its acks
-        // queued for it instead of discarding them.
+        let id = expert as u32;
+        // Live for the whole transfer, so a sibling wait leaves its ack
+        // queued for it instead of discarding it.
         let registration = RoundRegistration::open();
         let round = registration.round;
-        let deadline = deadline_after(self.config.clock.now(), self.config.transfer_timeout);
-        let _span = self.config.obs.span(
+        let bytes = record.state.len() as u64;
+        let obs = &self.config.obs;
+        let _span = obs.span(
             "recovery.transfer",
             &[
                 ("expert", expert as u64),
                 ("target", target as u64),
-                ("chunks", u64::from(num_chunks)),
+                ("bytes", bytes),
             ],
         );
+        let manifest = TransferManifest {
+            spec: record.spec.clone(),
+            required_resident_bytes: record.required_resident_bytes,
+        };
+        let offer = fsm::offer_frame(target, round, id, manifest, record.state.clone());
+        let frame = offer.encode(shell::stamp(obs, self.trace));
 
-        // The protocol decisions all live in the pure state machine; this
-        // shell owns the transport, the resends, the deadline and aborts.
-        let mut machine = fsm::TransferFsm::new(expert as u32, target, round, num_chunks);
-        loop {
-            match machine.phase() {
-                fsm::TransferPhase::Complete => return Ok(record.state.len() as u64),
-                fsm::TransferPhase::Failed(fault) => {
-                    if fault.needs_abort() {
-                        self.abort(transport, round, expert as u32, target);
-                    }
-                    return Err(fault_error(fault, expert, target));
-                }
-                fsm::TransferPhase::Offering | fsm::TransferPhase::Streaming => {}
-            }
-            let Some(frame) = machine.current_frame(&manifest, &record.state, chunk_bytes) else {
-                // Unreachable: concluded phases returned above.
-                return Err(NetError::Malformed(format!(
-                    "transfer of expert {expert} concluded without a frame"
-                )));
-            };
-            let ack = match self.exchange(transport, &machine, &frame, deadline) {
-                Ok(ack) => ack,
-                Err(e) => {
-                    // An exchange that dies may still have delivered its
-                    // frame: abort so the worker frees any partial state
-                    // (this covers the offer too — a lost Accept ack
-                    // must not strand the worker's reassembly buffer).
-                    self.abort(transport, round, expert as u32, target);
-                    return Err(e);
-                }
-            };
-            machine.on_ack(ack);
+        // What an ack means is decided by the pure state machine; this
+        // shell owns the transport, the resends and the abort.
+        let mut machine = fsm::TransferFsm::new(id, target, round);
+        let ack = self
+            .exchange(transport, target, round, id, &frame)
+            .inspect_err(|_| {
+                // The offer may have landed and only its ack been lost:
+                // abort, so the worker evicts what this attempt installed.
+                let msg = fsm::abort_frame(target, round, id);
+                let abort = msg.encode(shell::stamp(obs, self.trace));
+                let _ = shell::send(transport, obs, "input", target, TAG_INPUT, &abort);
+            })?;
+        machine.on_ack(ack);
+        match machine.phase() {
+            fsm::TransferPhase::Complete => Ok(bytes),
+            fsm::TransferPhase::Failed(fault) => Err(fault_error(fault, expert, target)),
+            // Unreachable: every ack of the transfer concludes it.
+            fsm::TransferPhase::Offering => Err(NetError::Malformed(format!(
+                "node {target} left the offer of expert {expert} open"
+            ))),
         }
     }
 
-    /// Sends `msg` to its target and waits for an ack `machine` accepts,
+    /// Sends `frame` to `target` and waits for the transfer's ack,
     /// resending the same stamped frame each time a wait times out, up to
-    /// [`SENDS_PER_FRAME`] sends and never past `deadline`. A failed send
-    /// ends the exchange: no transport in the tree recovers a writer that
-    /// failed once.
+    /// [`SENDS_PER_FRAME`] sends. A failed send ends the exchange: no
+    /// transport in the tree recovers a writer that failed once.
     fn exchange(
         &self,
         transport: &dyn Transport,
-        machine: &fsm::TransferFsm,
-        msg: &fsm::OutboundMsg,
-        deadline: Instant,
+        target: usize,
+        round: u64,
+        expert: u32,
+        frame: &[u8],
     ) -> Result<LoadAckMsg, NetError> {
-        let obs = &self.config.obs;
-        let target = msg.to;
-        let frame = msg.encode(shell::stamp(obs, self.trace));
         for _ in 0..SENDS_PER_FRAME {
-            if self.config.clock.now() >= deadline {
-                break;
-            }
-            shell::send(transport, obs, "input", target, TAG_INPUT, &frame)?;
-            match self.await_ack(transport, target, machine.round(), deadline, |env| {
-                machine.accept(env)
-            }) {
-                Ok(ack) => return Ok(ack),
+            shell::send(
+                transport,
+                &self.config.obs,
+                "input",
+                target,
+                TAG_INPUT,
+                frame,
+            )?;
+            match self.await_ack(transport, target, round, expert) {
                 Err(NetError::Timeout { .. }) => {}
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
         Err(NetError::Timeout {
@@ -972,40 +801,29 @@ impl RecoveryManager {
         })
     }
 
-    /// Waits up to `ack_timeout` (clamped by `deadline`) for a
-    /// [`PayloadKind::LoadAck`] stamped with `round` that `accept` takes.
-    /// The wait is the same one a gather uses: a frame that belongs to a
-    /// sibling's live round stays queued for it; stale gather leftovers,
-    /// acks `accept` refuses and undecodable traffic on the result tag are
-    /// discarded, not failed on.
+    /// Waits up to `ack_timeout` for the [`PayloadKind::LoadAck`] of
+    /// `expert` stamped with `round`. The wait is the same one a gather
+    /// uses: a frame that belongs to a sibling's live round stays queued
+    /// for it; stale gather leftovers, other acks and undecodable traffic
+    /// on the result tag are discarded, not failed on.
     fn await_ack(
         &self,
         transport: &dyn Transport,
         target: usize,
         round: u64,
-        deadline: Instant,
-        accept: impl Fn(&Envelope) -> Option<LoadAckMsg>,
+        expert: u32,
     ) -> Result<LoadAckMsg, NetError> {
         let (obs, clock) = (&self.config.obs, &*self.config.clock);
-        let until = deadline_after(clock.now(), self.config.ack_timeout).min(deadline);
+        let until = deadline_after(clock.now(), self.config.ack_timeout);
         while let Some(bytes) = shell::recv_result(transport, obs, clock, round, target, until)? {
-            if let Some(ack) = Envelope::decode(&bytes).ok().as_ref().and_then(&accept) {
+            let env = Envelope::decode(&bytes).ok();
+            if let Some(ack) = env.and_then(|env| fsm::match_load_ack(&env, round, expert)) {
                 return Ok(ack);
             }
         }
         Err(NetError::Timeout {
             waiting_for: format!("load ack from node {target}"),
         })
-    }
-
-    /// Best-effort abort so the target frees its partial state. Stamped
-    /// with the *transfer's* round so only that attempt is undone — a
-    /// stale abort can never clear a newer transfer's progress.
-    fn abort(&self, transport: &dyn Transport, round: u64, expert: u32, target: usize) {
-        let obs = &self.config.obs;
-        let msg = fsm::abort_frame(target, round, expert);
-        let frame = msg.encode(shell::stamp(obs, self.trace));
-        let _ = shell::send(transport, obs, "input", msg.to, TAG_INPUT, &frame);
     }
 }
 
@@ -1015,16 +833,9 @@ fn fault_error(fault: fsm::TransferFault, expert: usize, target: usize) -> NetEr
         fsm::TransferFault::RefusedOffer { spare } => NetError::Remote(format!(
             "node {target} refused expert {expert}: {spare} spare bytes"
         )),
-        fsm::TransferFault::RefusedMidTransfer => NetError::Remote(format!(
-            "node {target} refused expert {expert} mid-transfer"
-        )),
-        // The worker already freed its partial state.
         fsm::TransferFault::WorkerFailed => {
             NetError::Remote(format!("node {target} failed transfer of expert {expert}"))
         }
-        fsm::TransferFault::BadOfferAck(status) => NetError::Malformed(format!(
-            "unexpected offer ack {status:?} from node {target}"
-        )),
     }
 }
 
@@ -1035,9 +846,6 @@ mod tests {
     fn manifest() -> TransferManifest {
         TransferManifest {
             spec: ModelSpec::mlp(2, 8),
-            num_chunks: 3,
-            total_bytes: 100,
-            state_crc: 0xDEAD_BEEF,
             required_resident_bytes: 4096,
         }
     }
@@ -1048,6 +856,12 @@ mod tests {
             LoadExpertMsg::Offer {
                 expert: 7,
                 manifest: manifest(),
+                state: vec![1, 2, 3, 4, 5],
+            },
+            LoadExpertMsg::Offer {
+                expert: 0,
+                manifest: manifest(),
+                state: Vec::new(),
             },
             LoadExpertMsg::Release { expert: 2 },
             LoadExpertMsg::Abort { expert: 9 },
@@ -1057,20 +871,8 @@ mod tests {
     }
 
     #[test]
-    fn load_chunk_and_ack_roundtrip() {
-        let chunk = LoadChunkMsg {
-            expert: 3,
-            index: 17,
-            data: vec![1, 2, 3, 4, 5],
-        };
-        assert_eq!(LoadChunkMsg::decode(&chunk.encode()).unwrap(), chunk);
-        for status in [
-            AckStatus::Accept,
-            AckStatus::Refuse,
-            AckStatus::ChunkOk,
-            AckStatus::Done,
-            AckStatus::Failed,
-        ] {
+    fn load_ack_roundtrips() {
+        for status in [AckStatus::Refuse, AckStatus::Done, AckStatus::Failed] {
             let ack = LoadAckMsg {
                 expert: 11,
                 status,
@@ -1087,17 +889,19 @@ mod tests {
         let mut trailing = LoadExpertMsg::Release { expert: 1 }.encode();
         trailing.push(0);
         assert!(LoadExpertMsg::decode(&trailing).is_err());
-        assert!(LoadChunkMsg::decode(&[0, 0, 0]).is_err());
-        assert!(LoadAckMsg::decode(&[0; 13]).is_ok());
-        assert!(LoadAckMsg::decode(&[0; 12]).is_err());
-        let mut bad_status = LoadAckMsg {
+        let done = LoadAckMsg {
             expert: 0,
             status: AckStatus::Done,
             arg: 0,
         }
         .encode();
-        bad_status[4] = 200;
-        assert!(LoadAckMsg::decode(&bad_status).is_err());
+        assert!(LoadAckMsg::decode(&done[..12]).is_err());
+        // The retired accept (0) and chunk-ok (2) codes are unknown now.
+        for code in [0, 2, 200] {
+            let mut bad_status = done.clone();
+            bad_status[4] = code;
+            assert!(LoadAckMsg::decode(&bad_status).is_err(), "{code}");
+        }
     }
 
     #[test]
@@ -1114,42 +918,15 @@ mod tests {
     }
 
     #[test]
-    fn partial_load_handles_duplicates_and_gaps() {
+    fn offered_state_builds_the_expert_only_against_its_own_spec() {
         let spec = ModelSpec::mlp(2, 8);
         let mut model = build_expert(&spec, 5);
-        let state = state_vec(&mut model);
-        let bytes = state_to_bytes(&state);
-        let chunk = 64usize;
-        let num_chunks = bytes.len().div_ceil(chunk) as u32;
-        let m = TransferManifest {
+        let bytes = state_to_bytes(&state_vec(&mut model));
+        let manifest = TransferManifest {
             spec,
-            num_chunks,
-            total_bytes: bytes.len() as u64,
-            state_crc: crc32(&bytes),
             required_resident_bytes: 1,
         };
-        let mut p = PartialLoad::begin(4, m.clone());
-        assert!(p.matches(4, &m));
-        assert!(!p.matches(5, &m));
-        let piece = |i: u32| LoadChunkMsg {
-            expert: 4,
-            index: i,
-            data: bytes[i as usize * chunk..((i as usize + 1) * chunk).min(bytes.len())].to_vec(),
-        };
-        assert_eq!(p.accept_chunk(&piece(0)), ChunkOutcome::Progress(1));
-        // Duplicate: cursor unchanged.
-        assert_eq!(p.accept_chunk(&piece(0)), ChunkOutcome::Progress(1));
-        // Gap: cursor unchanged, chunk not consumed.
-        assert_eq!(p.accept_chunk(&piece(2)), ChunkOutcome::Progress(1));
-        for i in 1..num_chunks - 1 {
-            assert_eq!(p.accept_chunk(&piece(i)), ChunkOutcome::Progress(i + 1));
-        }
-        assert_eq!(
-            p.accept_chunk(&piece(num_chunks - 1)),
-            ChunkOutcome::Complete
-        );
-        let (manifest, verified) = p.verify().unwrap();
-        let (mut rebuilt, resident) = build_from_state(&manifest, &verified).unwrap();
+        let (mut rebuilt, resident) = build_from_state(&manifest, &bytes).unwrap();
         assert_eq!(resident, 1);
         use teamnet_nn::{Layer, Mode};
         let x = Tensor::ones([1, 784]);
@@ -1157,30 +934,14 @@ mod tests {
             rebuilt.forward(&x, Mode::Eval),
             model.forward(&x, Mode::Eval)
         );
-    }
-
-    #[test]
-    fn partial_load_rejects_corrupt_state() {
-        let spec = ModelSpec::mlp(2, 8);
-        let mut model = build_expert(&spec, 5);
-        let bytes = state_to_bytes(&state_vec(&mut model));
-        let m = TransferManifest {
-            spec,
-            num_chunks: 1,
-            total_bytes: bytes.len() as u64,
-            state_crc: crc32(&bytes) ^ 1, // wrong on purpose
+        let wider = TransferManifest {
+            spec: ModelSpec::mlp(2, 16),
             required_resident_bytes: 1,
         };
-        let mut p = PartialLoad::begin(0, m);
-        assert_eq!(
-            p.accept_chunk(&LoadChunkMsg {
-                expert: 0,
-                index: 0,
-                data: bytes,
-            }),
-            ChunkOutcome::Complete
-        );
-        assert!(matches!(p.verify(), Err(NetError::Corrupt { .. })));
+        assert!(matches!(
+            build_from_state(&wider, &bytes),
+            Err(NetError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -1265,22 +1026,33 @@ mod tests {
         assert_eq!(mgr.ranked_candidates(5, 0, 1, &sick, 50), vec![3]);
     }
 
-    /// The master's endpoint, keeping a copy of every frame it sends.
+    /// The master's endpoint, keeping a copy of every frame it sends
+    /// (`true`) and takes (`false`), in order.
     struct Recorded<'a> {
         inner: &'a dyn Transport,
-        sent: std::sync::Mutex<Vec<Envelope>>,
+        frames: std::sync::Mutex<Vec<(bool, Envelope)>>,
     }
 
     impl<'a> Recorded<'a> {
         fn new(inner: &'a dyn Transport) -> Self {
             Recorded {
                 inner,
-                sent: std::sync::Mutex::new(Vec::new()),
+                frames: std::sync::Mutex::new(Vec::new()),
             }
         }
 
+        fn frames(&self) -> Vec<(bool, Envelope)> {
+            self.frames.lock().unwrap().clone()
+        }
+
         fn sent(&self) -> Vec<Envelope> {
-            self.sent.lock().unwrap().clone()
+            let frames = self.frames().into_iter();
+            frames.filter(|(out, _)| *out).map(|(_, env)| env).collect()
+        }
+
+        fn record(&self, out: bool, frame: &[u8]) {
+            let env = Envelope::decode(frame).unwrap();
+            self.frames.lock().unwrap().push((out, env));
         }
     }
 
@@ -1292,10 +1064,7 @@ mod tests {
             self.inner.num_nodes()
         }
         fn send(&self, to: usize, tag: teamnet_net::Tag, payload: &[u8]) -> Result<(), NetError> {
-            self.sent
-                .lock()
-                .unwrap()
-                .push(Envelope::decode(payload).unwrap());
+            self.record(true, payload);
             self.inner.send(to, tag, payload)
         }
         fn recv_where(
@@ -1305,7 +1074,9 @@ mod tests {
             timeout: Duration,
             accept: &dyn Fn(&[u8]) -> bool,
         ) -> Result<Vec<u8>, NetError> {
-            self.inner.recv_where(from, tag, timeout, accept)
+            let frame = self.inner.recv_where(from, tag, timeout, accept)?;
+            self.record(false, &frame);
+            Ok(frame)
         }
         fn stats(&self) -> teamnet_net::TransportStats {
             self.inner.stats()
@@ -1318,61 +1089,68 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_acks_do_not_double_the_chunk_stream() {
-        // Every frame the worker sends arrives twice. A duplicate ack
-        // leaves the cursor where it was; resending on it would send every
-        // later chunk twice (RFC 1123 §4.2.3.1) and hit the resend bound.
-        use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport};
+    fn a_move_and_its_hand_back_are_one_frame_and_one_ack_each() {
+        // Expert 1's home (node 1) is quarantined, node 2 hosts it, and
+        // node 1 comes back: the move is one offer carrying the weights
+        // and one ack, the hand-back one release and one ack.
+        use teamnet_net::{ChannelTransport, PayloadKind};
         let spec = ModelSpec::mlp(2, 16);
         let state = state_vec(&mut build_expert(&spec, 1));
-        let mut mesh = ChannelTransport::mesh(2);
-        let worker = ChaosTransport::with_config(
-            mesh.pop().unwrap(),
-            ChaosConfig {
-                seed: 4,
-                duplicate_prob: 1.0,
-                ..ChaosConfig::default()
-            },
-        );
-        let master = mesh.pop().unwrap();
-        let recorded = Recorded::new(&master);
-        let mut mgr = RecoveryManager::new(RecoveryConfig {
-            chunk_bytes: 2048,
-            ack_timeout: Duration::from_secs(5),
-            ..RecoveryConfig::default()
-        });
-        mgr.register_expert(0, 0, spec.clone(), &state, 50_000);
-        let chunks = state_to_bytes(&state).len().div_ceil(2048) as u64;
-        assert!(chunks >= 20, "{chunks} chunks");
-        let shipped = std::thread::scope(|scope| {
+        let nodes = ChannelTransport::mesh(3);
+        let recorded = Recorded::new(&nodes[0]);
+        let mut mgr = RecoveryManager::new(RecoveryConfig::default());
+        mgr.register_expert(1, 1, spec.clone(), &state, 50_000);
+        std::thread::scope(|scope| {
             let served = scope.spawn(|| {
                 let mut own = build_expert(&spec, 2);
                 crate::runtime::serve_worker_with_config(
-                    &worker,
+                    &nodes[2],
                     0,
                     &mut own,
                     crate::runtime::WorkerConfig::default(),
                 )
             });
-            let shipped = mgr.transfer(&recorded, 0, 1);
-            crate::runtime::shutdown_workers(&master).unwrap();
+            let live = PeerHealth::Live;
+            mgr.tick(&recorded, 0, &[live, PeerHealth::Quarantined, live], None);
+            assert_eq!(mgr.host_of(1), Some(2));
+            mgr.tick(&recorded, 0, &[live; 3], None);
+            assert_eq!(mgr.host_of(1), Some(1));
+            crate::runtime::shutdown_workers(&nodes[0]).unwrap();
             let stats = served.join().unwrap().unwrap();
-            assert_eq!(stats.chunks_received, chunks);
-            shipped
+            assert_eq!((stats.loads_accepted, stats.loads_refused), (1, 0));
         });
-        assert_eq!(shipped.unwrap(), state_to_bytes(&state).len() as u64);
-        let sent = recorded.sent();
-        assert_eq!(sent.len() as u64, 1 + chunks, "one offer, each chunk once");
-        assert!(matches!(
-            load_expert_op(&sent[0]),
-            Some(LoadExpertMsg::Offer { .. })
-        ));
+        let frames = recorded.frames();
+        let kinds: Vec<_> = frames.iter().map(|(out, env)| (*out, env.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (true, PayloadKind::LoadExpert),
+                (false, PayloadKind::LoadAck),
+                (true, PayloadKind::LoadExpert),
+                (false, PayloadKind::LoadAck),
+            ]
+        );
+        let Some(LoadExpertMsg::Offer { state: shipped, .. }) = load_expert_op(&frames[0].1) else {
+            panic!("{:?}", frames[0]);
+        };
+        assert_eq!(shipped, state_to_bytes(&state));
+        assert_eq!(
+            load_expert_op(&frames[2].1),
+            Some(LoadExpertMsg::Release { expert: 1 })
+        );
+        for (_, ack) in [&frames[1], &frames[3]] {
+            let ack = LoadAckMsg::decode(&ack.payload).unwrap();
+            assert_eq!((ack.expert, ack.status), (1, AckStatus::Done));
+        }
+        assert_eq!((mgr.migrations(), mgr.handbacks()), (1, 1));
     }
 
     #[test]
     fn a_silent_candidate_gets_three_offers_then_one_abort_without_a_cap() {
-        // The clock never moves, so the deadline never expires: only the
-        // per-frame send bound ends the transfer, and nothing sleeps.
+        // Nobody serves node 1: each of the three ack waits times out,
+        // the offer is resent after the first two, and the third ends the
+        // transfer with an abort. The clock never moves, and nothing
+        // sleeps.
         let clock = Arc::new(teamnet_net::ManualClock::new());
         let nodes = teamnet_net::ChannelTransport::mesh(2);
         let recorded = Recorded::new(&nodes[0]);

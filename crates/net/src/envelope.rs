@@ -29,7 +29,7 @@
 //! [`PayloadKind::Shutdown`] — and the protocol state machines discard
 //! any of them that arrives with one as malformed: a flipped kind bit
 //! cannot turn a result into a probe ack, an input into a probe, or a
-//! transfer chunk into a shutdown.
+//! load ack into a shutdown.
 
 use crate::crc::crc32;
 use crate::error::NetError;
@@ -142,15 +142,13 @@ pub enum PayloadKind {
     /// Acknowledgement of a [`PayloadKind::Probe`] (worker → master).
     ProbeAck,
     /// Recovery control message (master → worker): offer to host a
-    /// migrated expert (architecture spec + transfer manifest), release a
-    /// hosted expert on hand-back, or abort an in-flight transfer.
+    /// migrated expert (architecture spec, admission requirement and the
+    /// serialized weights, in one frame), release a hosted expert on
+    /// hand-back, or abort a transfer attempt.
     LoadExpert,
-    /// One chunk of a migrated expert's serialized parameter state
-    /// (master → worker), part of a chunked, resumable transfer.
-    LoadChunk,
     /// Worker's acknowledgement in the expert-transfer protocol
-    /// (worker → master): accept/refuse an offer, per-chunk progress
-    /// cursor, completion, or a mid-transfer error.
+    /// (worker → master): the expert is resident, the offer is refused,
+    /// or its state failed to build.
     LoadAck,
     /// Asks a worker to leave its serve loop once the frames queued ahead
     /// of this one are handled (master → worker). Carries no payload and
@@ -166,7 +164,7 @@ impl PayloadKind {
             PayloadKind::Probe => 2,
             PayloadKind::ProbeAck => 3,
             PayloadKind::LoadExpert => 4,
-            PayloadKind::LoadChunk => 5,
+            // 5 is retired: it decodes as an unknown kind.
             PayloadKind::LoadAck => 6,
             PayloadKind::Shutdown => 7,
         }
@@ -179,7 +177,6 @@ impl PayloadKind {
             2 => Ok(PayloadKind::Probe),
             3 => Ok(PayloadKind::ProbeAck),
             4 => Ok(PayloadKind::LoadExpert),
-            5 => Ok(PayloadKind::LoadChunk),
             6 => Ok(PayloadKind::LoadAck),
             7 => Ok(PayloadKind::Shutdown),
             other => Err(NetError::Malformed(format!(
@@ -421,11 +418,13 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         let mut bytes = Envelope::new(1, PayloadKind::Input, Vec::new()).encode();
-        bytes[2] = 200;
-        assert!(matches!(
-            Envelope::decode(&bytes),
-            Err(NetError::Malformed(_))
-        ));
+        for kind in [5, 8, 200] {
+            bytes[2] = kind;
+            assert!(
+                matches!(Envelope::decode(&bytes), Err(NetError::Malformed(_))),
+                "{kind}"
+            );
+        }
     }
 
     #[test]
@@ -439,11 +438,7 @@ mod tests {
 
     #[test]
     fn recovery_kinds_roundtrip() {
-        for kind in [
-            PayloadKind::LoadExpert,
-            PayloadKind::LoadChunk,
-            PayloadKind::LoadAck,
-        ] {
+        for kind in [PayloadKind::LoadExpert, PayloadKind::LoadAck] {
             let env = Envelope::new(17, kind, vec![0xAB; 5]);
             let back = Envelope::decode(&env.encode()).unwrap();
             assert_eq!(back.kind, kind);

@@ -99,7 +99,7 @@ pub struct SpanNode {
 /// One matched cross-node message: a `send` paired with its `recv`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireEdge {
-    /// Frame kind name (`input`, `result`, `load_chunk`, …).
+    /// Frame label (`input`, `result`, …).
     pub name: String,
     /// Sending node and the span the send was stamped with.
     pub from: (u64, u64),

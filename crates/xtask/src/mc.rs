@@ -6,11 +6,11 @@
 //! not a parallel spec — through an exhaustive breadth-first search over
 //! message interleavings on a small-model cluster (1 master, 2 workers,
 //! 1 expert), with a budgeted fault adversary that may drop, duplicate and
-//! reorder frames, crash (blackhole) a worker, and fire a spurious master
-//! deadline. BFS guarantees the first counterexample found is of minimal
-//! depth; states are deduplicated by an FNV-1a 64 hash of a canonical
-//! byte encoding, so explored-state and transition counts are byte-stable
-//! run-to-run.
+//! reorder frames, crash (blackhole) a worker, and expire the master's
+//! ack wait spuriously. BFS guarantees the first counterexample found is
+//! of minimal depth; states are deduplicated by an FNV-1a 64 hash of a
+//! canonical byte encoding, so explored-state and transition counts are
+//! byte-stable run-to-run.
 //!
 //! Invariants checked on every reachable state:
 //!
@@ -22,10 +22,10 @@
 //!   gather fold never changes protocol state (duplicates / stale frames
 //!   must be absorbed);
 //! * **no stranded receiver memory** (at quiescence) — a non-crashed
-//!   worker holding a resident or partial transfer the master has not
-//!   placed is a violation unless a frame *addressed to that worker* was
-//!   dropped (the directional excuse rule: a dropped worker→master ack is
-//!   NOT an excuse — the ARQ must survive ack loss);
+//!   worker holding a resident expert the master has not placed is a
+//!   violation unless a frame *addressed to that worker* was dropped (the
+//!   directional excuse rule: a dropped worker→master ack is NOT an
+//!   excuse — the offer's resend must survive ack loss);
 //! * **placement consistency** (at quiescence) — no expert double-hosted,
 //!   and a recorded placement points at a worker that actually hosts it;
 //! * **fault-free progress** — with no adversary budget spent, the
@@ -48,12 +48,12 @@ use crate::netmodel;
 use crate::Diagnostic;
 use std::collections::{HashMap, HashSet, VecDeque};
 use teamnet_core::fsm::{
-    abort_frame, FsmMutation, GatherFsm, GatherVerdict, TeamFold, TransferFsm, TransferPhase,
-    WorkerFsm, WorkerHooks,
+    abort_frame, match_load_ack, offer_frame, FsmMutation, GatherFsm, GatherVerdict, TeamFold,
+    TransferFsm, TransferPhase, WorkerFsm, WorkerHooks,
 };
 use teamnet_core::runtime::encode_results;
-use teamnet_core::{HostBudget, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, TransferManifest};
-use teamnet_net::{crc32, Envelope, NetError, PayloadKind};
+use teamnet_core::{HostBudget, LoadAckMsg, LoadExpertMsg, TransferManifest};
+use teamnet_net::{Envelope, NetError, PayloadKind};
 use teamnet_nn::ModelSpec;
 
 /// Depth budget: longest interleaving explored before truncation.
@@ -63,7 +63,6 @@ const MAX_STATES: usize = 400_000;
 
 const MASTER: usize = 0;
 const EXPERT: u32 = 7;
-const CHUNK_BYTES: usize = 2;
 const BASE_ROUND: u64 = 9000;
 /// Transfer candidates tried in order by the modeled master.
 const CANDIDATES: [usize; 2] = [1, 2];
@@ -74,10 +73,10 @@ const DROPS: u8 = 1;
 const DUPS: u8 = 1;
 const CRASHES: u8 = 1;
 const SPURIOUS_TIMEOUTS: u8 = 1;
-/// ARQ resends the modeled master may issue per exploration path. One is
-/// enough to prove the ack-loss story (drop the final Done ack, resend
-/// the chunk, survive via the idempotent re-ack); two swells the state
-/// space ~4x without enabling any new protocol branch.
+/// Offer resends the modeled master may issue per exploration path. One
+/// is enough to prove the ack-loss story (drop the Done ack, resend the
+/// offer, survive via the idempotent re-ack); a second enables no new
+/// protocol branch.
 const RESENDS: u8 = 1;
 
 // ---------------------------------------------------------------------------
@@ -290,10 +289,6 @@ fn frame_label(frame: &Frame) -> String {
             Ok(LoadExpertMsg::Abort { expert }) => format!("Abort e{expert}"),
             Err(_) => "LoadExpert?".to_string(),
         },
-        PayloadKind::LoadChunk => match LoadChunkMsg::decode(&env.payload) {
-            Ok(m) => format!("Chunk#{} e{}", m.index, m.expert),
-            Err(_) => "LoadChunk?".to_string(),
-        },
         PayloadKind::LoadAck => match LoadAckMsg::decode(&env.payload) {
             Ok(m) => format!("{:?}({}) e{}", m.status, m.arg, m.expert),
             Err(_) => "LoadAck?".to_string(),
@@ -372,12 +367,12 @@ fn deliver_to_worker(
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 1: recovery transfer (offer / chunk ARQ / abort / backtrack)
+// Scenario 1: recovery transfer (offer / resend / abort / backtrack)
 // ---------------------------------------------------------------------------
 
 /// The modeled master: drives [`TransferFsm`] over the candidate list with
-/// bounded ARQ resends, exactly like `RecoveryManager::transfer` minus the
-/// wall clock.
+/// bounded offer resends, exactly like `RecoveryManager::transfer` minus
+/// the wall clock.
 #[derive(Clone)]
 struct RecMaster {
     attempt: usize,
@@ -412,36 +407,38 @@ struct Recovery {
 
 impl Recovery {
     fn new(mutation: FsmMutation) -> Self {
-        let state_bytes = vec![9u8, 8, 7, 6, 5];
         let manifest = TransferManifest {
             spec: ModelSpec::mlp(2, 4),
-            num_chunks: state_bytes.len().div_ceil(CHUNK_BYTES) as u32,
-            total_bytes: state_bytes.len() as u64,
-            state_crc: crc32(&state_bytes),
             required_resident_bytes: 300,
         };
         Recovery {
             mutation,
             manifest,
-            state_bytes,
+            state_bytes: vec![9u8, 8, 7, 6, 5],
+        }
+    }
+
+    /// The offer frame of `fsm`'s transfer, weights included.
+    fn offer(&self, fsm: &TransferFsm) -> Frame {
+        let manifest = self.manifest.clone();
+        let offer = offer_frame(
+            fsm.target(),
+            fsm.round(),
+            EXPERT,
+            manifest,
+            self.state_bytes.clone(),
+        );
+        Frame {
+            to: offer.to,
+            from: MASTER,
+            bytes: offer.encode(None),
         }
     }
 
     fn start_attempt(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
         let target = CANDIDATES[master.attempt];
-        let fsm = TransferFsm::new(
-            EXPERT,
-            target,
-            BASE_ROUND + master.attempt as u64,
-            self.manifest.num_chunks,
-        );
-        if let Some(frame) = fsm.current_frame(&self.manifest, &self.state_bytes, CHUNK_BYTES) {
-            net.push(Frame {
-                to: frame.to,
-                from: MASTER,
-                bytes: frame.encode(None),
-            });
-        }
+        let fsm = TransferFsm::new(EXPERT, target, BASE_ROUND + master.attempt as u64);
+        net.push(self.offer(&fsm));
         master.fsm = Some(fsm);
     }
 
@@ -464,43 +461,22 @@ impl Recovery {
         let Some(mut fsm) = master.fsm.take() else {
             return; // concluded; stale ack ignored
         };
-        let Some(ack) = fsm.accept(&env) else {
+        let Some(ack) = match_load_ack(&env, fsm.round(), EXPERT) else {
             master.fsm = Some(fsm); // not this transfer's ack
             return;
         };
         fsm.on_ack(ack);
         match fsm.phase() {
-            TransferPhase::Offering | TransferPhase::Streaming => {
-                if let Some(frame) =
-                    fsm.current_frame(&self.manifest, &self.state_bytes, CHUNK_BYTES)
-                {
-                    net.push(Frame {
-                        to: frame.to,
-                        from: MASTER,
-                        bytes: frame.encode(None),
-                    });
-                }
-                master.fsm = Some(fsm);
-            }
-            TransferPhase::Complete => {
-                master.placed = Some(fsm.target());
-            }
-            TransferPhase::Failed(fault) => {
-                if fault.needs_abort() {
-                    let abort = abort_frame(fsm.target(), fsm.round(), EXPERT);
-                    net.push(Frame {
-                        to: abort.to,
-                        from: MASTER,
-                        bytes: abort.encode(None),
-                    });
-                }
-                self.backtrack(master, net);
-            }
+            TransferPhase::Offering => master.fsm = Some(fsm),
+            TransferPhase::Complete => master.placed = Some(fsm.target()),
+            // The worker installed nothing: no abort is owed.
+            TransferPhase::Failed(_) => self.backtrack(master, net),
         }
     }
 
-    /// Deadline expiry on the current attempt: abort it (round-scoped)
-    /// and backtrack — mirrors `RecoveryManager::transfer`'s timeout arm.
+    /// The current attempt's ack waits have run out: abort it
+    /// (round-scoped) and backtrack — mirrors `RecoveryManager::transfer`'s
+    /// timeout arm.
     fn master_timeout(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
         if let Some(fsm) = master.fsm.take() {
             let abort = abort_frame(fsm.target(), fsm.round(), EXPERT);
@@ -579,12 +555,6 @@ impl Scenario for Recovery {
                 out.push(1);
                 out.push(f.target() as u8);
                 out.extend_from_slice(&f.round().to_le_bytes());
-                out.extend_from_slice(&f.next_chunk().to_le_bytes());
-                out.push(match f.phase() {
-                    TransferPhase::Offering => 0,
-                    TransferPhase::Streaming => 1,
-                    TransferPhase::Complete | TransferPhase::Failed(_) => 2,
-                });
             }
         }
         for w in &s.workers {
@@ -699,33 +669,25 @@ impl Scenario for Recovery {
             }
         }
 
-        // Master ARQ resend of the in-flight frame.
+        // The master resends the open offer (its ack wait timed out).
         if s.master.resends_left > 0 {
             if let Some(fsm) = &s.master.fsm {
-                if let Some(frame) =
-                    fsm.current_frame(&self.manifest, &self.state_bytes, CHUNK_BYTES)
-                {
-                    let mut t = s.clone();
-                    t.master.resends_left -= 1;
-                    let net_frame = Frame {
-                        to: frame.to,
-                        from: MASTER,
-                        bytes: frame.encode(None),
-                    };
-                    let label = format!("RESEND {}", frame_label(&net_frame));
-                    let row = msc_message(n, MASTER, net_frame.to, &label, b'>');
-                    t.net.push(net_frame);
-                    t.net.sort();
-                    out.push(Outcome {
-                        row,
-                        state: t,
-                        violation: None,
-                    });
-                }
+                let mut t = s.clone();
+                t.master.resends_left -= 1;
+                let frame = self.offer(fsm);
+                let label = format!("RESEND {}", frame_label(&frame));
+                let row = msc_message(n, MASTER, frame.to, &label, b'>');
+                t.net.push(frame);
+                t.net.sort();
+                out.push(Outcome {
+                    row,
+                    state: t,
+                    violation: None,
+                });
             }
         }
 
-        // Master deadline expiry. While a signal can still reach the
+        // The master's last ack wait expires. While a signal can still reach the
         // master — an ack in flight toward it, a frame in flight toward
         // the live current target (whose delivery generates an ack), or a
         // resend available — an expiry is *spurious* and consumes
@@ -746,7 +708,7 @@ impl Scenario for Recovery {
                     t.spurious_left -= 1;
                 }
                 let label = format!(
-                    "deadline expired @r{} — abort attempt, backtrack",
+                    "ack wait expired @r{} — abort attempt, backtrack",
                     fsm.round()
                 );
                 self.master_timeout(&mut t.master, &mut t.net);
@@ -822,14 +784,11 @@ impl Scenario for Recovery {
             if s.crashed[w] || s.lost_to[w] {
                 continue; // crash or an inbound drop excuses leftovers
             }
-            let hosts_unplaced =
-                worker.hosted().contains_key(&EXPERT) && s.master.placed != Some(node);
-            let partial_open = worker.partial().is_some();
-            if hosts_unplaced || partial_open {
+            if worker.hosted().contains_key(&EXPERT) && s.master.placed != Some(node) {
                 return Some(format!(
-                    "stranded receiver memory on worker {node}: hosted-unplaced={hosts_unplaced} \
-                     partial={partial_open}, with no inbound drop or crash to excuse it \
-                     (a lost worker→master ack is not an excuse)"
+                    "stranded receiver memory on worker {node}: expert {EXPERT} hosted but not \
+                     placed, with no inbound drop or crash to excuse it (a lost worker→master \
+                     ack is not an excuse)"
                 ));
             }
         }

@@ -345,13 +345,14 @@ mod tests {
         );
     }
 
-    // The recovery protocol's wire enums, as fixtures: the three
+    // The recovery protocol's wire enums, as fixtures: the two
     // re-placement variants must satisfy both protocol rules.
-    const RECOVERY_ENUMS: &str = "pub enum PayloadKind {\n    Input,\n    Result,\n    LoadExpert,\n    LoadChunk,\n    LoadAck,\n}\n";
+    const RECOVERY_ENUMS: &str =
+        "pub enum PayloadKind {\n    Input,\n    Result,\n    LoadExpert,\n    LoadAck,\n}\n";
 
     #[test]
     fn recovery_variants_constructed_and_handled_pass() {
-        // Mirrors the real topology: recover.rs constructs all three
+        // Mirrors the real topology: recover.rs constructs both
         // recovery kinds (master side), fsm.rs handles them in the
         // worker/master state machines.
         let model = Model::build(&[
@@ -360,12 +361,12 @@ mod tests {
             (
                 "core",
                 "crates/core/src/recover.rs",
-                "fn transfer() {\n    send(PayloadKind::LoadExpert);\n    send(PayloadKind::LoadChunk);\n    expect(PayloadKind::LoadAck);\n    NetError::Timeout;\n    NetError::Closed;\n}\n",
+                "fn transfer() {\n    send(PayloadKind::LoadExpert);\n    expect(PayloadKind::LoadAck);\n    NetError::Timeout;\n    NetError::Closed;\n}\n",
             ),
             (
                 "core",
                 "crates/core/src/fsm.rs",
-                "fn dispatch() {\n    handle(PayloadKind::Input);\n    handle(PayloadKind::Result);\n    handle(PayloadKind::LoadExpert);\n    handle(PayloadKind::LoadChunk);\n    handle(PayloadKind::LoadAck);\n}\n",
+                "fn dispatch() {\n    handle(PayloadKind::Input);\n    handle(PayloadKind::Result);\n    handle(PayloadKind::LoadExpert);\n    handle(PayloadKind::LoadAck);\n}\n",
             ),
             (
                 "net",
@@ -379,8 +380,8 @@ mod tests {
     }
 
     #[test]
-    fn unhandled_load_chunk_is_caught() {
-        // Deliberately-bad fixture: LoadChunk is constructed by the
+    fn unhandled_load_expert_is_caught() {
+        // Deliberately-bad fixture: LoadExpert is constructed by the
         // migration sender but missing from the dispatch — exactly the
         // silent-drop regression this rule exists to catch.
         let model = Model::build(&[
@@ -389,12 +390,12 @@ mod tests {
             (
                 "core",
                 "crates/core/src/recover.rs",
-                "fn transfer() {\n    send(PayloadKind::LoadExpert);\n    send(PayloadKind::LoadChunk);\n    expect(PayloadKind::LoadAck);\n    NetError::Timeout;\n    NetError::Closed;\n}\n",
+                "fn transfer() {\n    send(PayloadKind::LoadExpert);\n    expect(PayloadKind::LoadAck);\n    NetError::Timeout;\n    NetError::Closed;\n}\n",
             ),
             (
                 "core",
                 "crates/core/src/fsm.rs",
-                "fn dispatch() {\n    handle(PayloadKind::Input);\n    handle(PayloadKind::Result);\n    handle(PayloadKind::LoadExpert);\n    handle(PayloadKind::LoadAck);\n}\n",
+                "fn dispatch() {\n    handle(PayloadKind::Input);\n    handle(PayloadKind::Result);\n    handle(PayloadKind::LoadAck);\n}\n",
             ),
             (
                 "net",
@@ -407,7 +408,7 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, "protocol-handled");
         assert!(
-            diags[0].message.contains("PayloadKind::LoadChunk"),
+            diags[0].message.contains("PayloadKind::LoadExpert"),
             "{}",
             diags[0].message
         );

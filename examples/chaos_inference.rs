@@ -12,8 +12,8 @@
 //! black-holed entirely; the failure detector quarantines it (so its
 //! timeout stops taxing every round), and the recovery subsystem ships
 //! expert 2's weights to worker 1 — which has certified spare memory —
-//! over chunked, CRC-checked `LoadExpert`/`LoadChunk` envelopes, so the
-//! full team keeps answering while the node is gone. Once the link heals,
+//! in one CRC-checked `LoadExpert` offer, so the full team keeps
+//! answering while the node is gone. Once the link heals,
 //! a probe readmits worker 2 and the expert is handed back to it.
 //!
 //! Set `TEAMNET_TRACE=/path/to/trace.jsonl` to record the master's span
@@ -129,7 +129,6 @@ fn main() {
         // certified resident footprint) and each node's memory budget, so
         // a quarantined node's expert can be re-placed on a survivor.
         let mut recovery = RecoveryManager::new(RecoveryConfig {
-            chunk_bytes: 32 * 1024,
             ack_timeout: Duration::from_millis(300),
             obs: obs.clone(),
             ..RecoveryConfig::default()

@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use teamnet_core::runtime::{decode_result_set, decode_results, encode_result_set, encode_results};
-use teamnet_core::{AckStatus, LoadAckMsg, LoadChunkMsg, LoadExpertMsg, TeamPrediction};
+use teamnet_core::{AckStatus, LoadAckMsg, LoadExpertMsg, TeamPrediction};
 use teamnet_net::codec::{decode_f32s, encode_f32s};
 use teamnet_net::{Envelope, EnvelopeRef, PayloadKind, TraceContext};
 use teamnet_serve::wire::{
@@ -91,14 +91,13 @@ fn result_set() {
 fn load_expert_offer() {
     let manifest = teamnet_core::TransferManifest {
         spec: teamnet_nn::ModelSpec::mlp(2, 8),
-        num_chunks: 4,
-        total_bytes: 1000,
-        state_crc: 0xDEAD_BEEF,
         required_resident_bytes: 4096,
     };
+    // The state is length-prefixed, so no prefix of the offer decodes.
     let bytes = LoadExpertMsg::Offer {
         expert: 3,
         manifest,
+        state: encode_f32s(&[2, 2], &[0.5, -1.0, 2.0, 0.0]),
     }
     .encode();
     sweep("LoadExpertMsg::decode", &bytes, bytes.len(), |b| {
@@ -107,26 +106,11 @@ fn load_expert_offer() {
 }
 
 #[test]
-fn load_chunk() {
-    let bytes = LoadChunkMsg {
-        expert: 2,
-        index: 5,
-        data: vec![9, 8, 7, 6, 5, 4],
-    }
-    .encode();
-    // The chunk's data is the rest of the input: every prefix that keeps
-    // the 8-byte header decodes, to a shorter chunk.
-    sweep("LoadChunkMsg::decode", &bytes, 8, |b| {
-        LoadChunkMsg::decode(b).map(|m| m.encode())
-    });
-}
-
-#[test]
 fn load_ack() {
     let bytes = LoadAckMsg {
         expert: 11,
-        status: AckStatus::ChunkOk,
-        arg: 42,
+        status: AckStatus::Refuse,
+        arg: 0x0102_0304_0506,
     }
     .encode();
     sweep("LoadAckMsg::decode", &bytes, bytes.len(), |b| {

@@ -97,7 +97,6 @@ fn spec() -> ModelSpec {
 fn recovery_manager(obs: &Obs) -> RecoveryManager {
     let mut mgr = RecoveryManager::new(RecoveryConfig {
         ack_timeout: Duration::from_millis(60),
-        transfer_timeout: Duration::from_millis(400),
         obs: obs.clone(),
         ..RecoveryConfig::default()
     });
@@ -169,7 +168,7 @@ fn a_gather_parks_a_live_transfers_ack_instead_of_counting_it_stale() {
     let mut stale_seen_by_gather = None;
 
     // The step runs when the transfer (round R2) first blocks waiting for
-    // node 2's verdict on its offer: node 2 accepts, and before the
+    // node 2's verdict on its offer: node 2 answers `Done`, and before the
     // transfer gets to read the ack a sibling session runs a whole round
     // whose gather polls `(2, TAG_RESULT)` and finds the ack.
     let master = Interleaved::new(&nodes[0], 2, || {
@@ -178,12 +177,12 @@ fn a_gather_parks_a_live_transfers_ack_instead_of_counting_it_stale() {
         else {
             panic!("expected an offer");
         };
-        let accept = LoadAckMsg {
+        let done = LoadAckMsg {
             expert,
-            status: AckStatus::Accept,
+            status: AckStatus::Done,
             arg: 0,
         };
-        let ack = Envelope::new(offer.round, PayloadKind::LoadAck, accept.encode());
+        let ack = Envelope::new(offer.round, PayloadKind::LoadAck, done.encode());
         nodes[2].send(0, TAG_RESULT, &ack.encode()).unwrap();
 
         let mut master_expert = build_expert(&spec(), 0);
@@ -198,11 +197,14 @@ fn a_gather_parks_a_live_transfers_ack_instead_of_counting_it_stale() {
 
     assert_eq!(stale_seen_by_gather, Some(0), "the ack is not stale");
     assert_eq!(obs.metrics.counter("round.stale_discarded").get(), 0);
-    // The accept reached the transfer: it went on to stream the first
-    // chunk (behind the sibling round's input in node 2's mailbox).
+    // The Done reached the transfer: the migration completed on its one
+    // offer, with no resend behind the sibling round's input in node 2's
+    // mailbox.
+    assert_eq!((mgr.migrations(), mgr.backtracks()), (1, 0));
+    assert_eq!(mgr.host_of(1), Some(2));
     let mut kinds = Vec::new();
     while let Ok(frame) = nodes[2].recv(0, TAG_INPUT, Duration::ZERO) {
         kinds.push(Envelope::decode(&frame).unwrap().kind);
     }
-    assert!(kinds.contains(&PayloadKind::LoadChunk), "{kinds:?}");
+    assert!(!kinds.contains(&PayloadKind::LoadExpert), "{kinds:?}");
 }

@@ -1,6 +1,6 @@
 //! Recovery soak: a 4-node cluster under seeded chaos where one worker is
-//! *permanently* black-holed mid-session (it walks out of WiFi range and
-//! never returns). The failure detector must quarantine it, the recovery
+//! *permanently* lost mid-session (it walks out of WiFi range and never
+//! returns). The failure detector must quarantine it, the recovery
 //! subsystem must re-place its expert onto a surviving node with certified
 //! spare memory, and every later round must answer with the *full* team —
 //! the surviving host serves both its own expert and the orphan, so
@@ -15,16 +15,19 @@ use std::time::Duration;
 use teamnet_core::health::InferenceReport;
 use teamnet_core::runtime::{
     serve_worker_with_config, shutdown_workers, InferenceSession, MasterConfig, WorkerConfig,
+    TAG_INPUT,
 };
 use teamnet_core::{
     build_expert, FailureDetectorConfig, HostBudget, RecoveryConfig, RecoveryManager,
 };
-use teamnet_net::{ChannelTransport, ChaosConfig, ChaosTransport, ManualClock};
+use teamnet_net::{
+    ChannelTransport, ChaosConfig, ChaosTransport, Envelope, ManualClock, PayloadKind, Transport,
+};
 use teamnet_nn::{state_vec, ModelSpec, Sequential};
 use teamnet_tensor::Tensor;
 
 const ROUNDS: usize = 14;
-/// Worker 1 goes dark for good before this round's broadcast.
+/// Worker 1 is lost for good before this round's broadcast.
 const BLACKHOLE_AT: usize = 5;
 /// `quarantine_after = 2` misses → quarantined (and re-placed by the same
 /// round's recovery pass) at the end of round `BLACKHOLE_AT + 1`; from
@@ -64,9 +67,7 @@ fn chaos(node_seed: u64) -> ChaosConfig {
 
 fn recovery_manager() -> RecoveryManager {
     let mut mgr = RecoveryManager::new(RecoveryConfig {
-        chunk_bytes: 16 * 1024,
         ack_timeout: Duration::from_millis(400),
-        transfer_timeout: Duration::from_secs(30),
         clock: Arc::new(ManualClock::new()),
         ..RecoveryConfig::default()
     });
@@ -102,10 +103,10 @@ fn run_soak() -> (Vec<InferenceReport>, String) {
     let mut reports = Vec::new();
     let mut transcript = String::new();
     crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| {
+        let mut lost = Some(scope.spawn(|_| {
             let mut e = expert(1);
             serve_worker_with_config(&worker1, 0, &mut e, WorkerConfig::default()).unwrap();
-        });
+        }));
         for (node, seed) in [(&worker2, 2u64), (&worker3, 3u64)] {
             scope.spawn(move |_| {
                 let mut e = expert(seed);
@@ -127,9 +128,18 @@ fn run_soak() -> (Vec<InferenceReport>, String) {
         let mut master_expert = expert(0);
         for round in 0..ROUNDS {
             if round == BLACKHOLE_AT {
-                // Out of range in both directions, permanently.
+                // Out of range, permanently. The worker first answers what
+                // it has already been sent (a duplicated frame may still
+                // be queued) and stops, over the fault-free path: cutting
+                // its link from this thread while it may still be
+                // replying would let thread timing decide whether a late
+                // reply gets out, and the transcript with it.
+                let stop = Envelope::new(0, PayloadKind::Shutdown, Vec::new()).encode();
+                master.inner().send(1, TAG_INPUT, &stop).unwrap();
+                if let Some(worker) = lost.take() {
+                    worker.join().unwrap();
+                }
                 master.blackhole(1);
-                worker1.blackhole(0);
             }
             let images = Tensor::full([2, 1, 28, 28], (round % 7) as f32 * 0.1);
             let report = session
@@ -204,7 +214,7 @@ fn blackholed_workers_expert_is_replaced_and_coverage_restored() {
 }
 
 /// The replayability claim for recovery: two soaks from the same session
-/// seed — including quarantine, candidate ranking, the chunked transfer
+/// seed — including quarantine, candidate ranking, the one-frame transfer
 /// with its resends, and the re-homed gather — must report byte-identical
 /// transcripts.
 #[test]
@@ -216,7 +226,7 @@ fn identical_seeds_replay_the_migration_byte_for_byte() {
     assert_eq!(first, second, "seeded recovery soak diverged between runs");
     assert_eq!(
         fnv1a64(&first),
-        0xBDB2_AB14_7726_B46F,
+        0xAC31_FD7C_2583_030C,
         "recovery transcript moved"
     );
 }
