@@ -5,10 +5,14 @@
 //! outbound messages)`, with clocks, RNG and IO injected by the caller.
 //! The production shells — [`serve_worker_with_config`], the gather leg
 //! of [`InferenceSession::round`], and
-//! [`RecoveryManager`]'s transfer driver — own the transports, deadlines
-//! and resends, and reach the wire through one shared IO shell
+//! [`RecoveryManager`]'s transfer driver — own the transports and
+//! deadlines, and reach the wire through one shared IO shell
 //! (`shell.rs`); the *decisions* (what a frame means, what state changes,
-//! what goes back on the wire) are all made by the types in this module.
+//! what goes back on the wire) are made by the types in this module. The
+//! master's side of a transfer is one offer, one ack wait and a match on
+//! the ack's [`AckStatus`] (an expired wait aborts), so it needs no state
+//! machine of its own: [`match_load_ack`] picks the ack and the frame
+//! builders lay down what goes out.
 //!
 //! That split is what makes the protocol model-checkable: `cargo xtask mc`
 //! drives these exact transition functions — not a parallel spec that can
@@ -31,7 +35,7 @@ use std::collections::BTreeMap;
 use teamnet_net::{Envelope, EnvelopeRef, NetError, PayloadKind, TraceContext};
 
 /// A message a transition function wants sent. The shell owns the actual
-/// transport (and any resend), and the direction names the tag:
+/// transport, and the direction names the tag:
 /// a worker's replies travel on the result tag, a master's frames on the
 /// input tag. A model checker just moves the frame into its simulated
 /// network.
@@ -120,9 +124,9 @@ pub enum FsmMutation {
     /// Arms a handler defect: an offer for an already-resident expert
     /// answers [`AckStatus::Failed`] instead of re-acking
     /// [`AckStatus::Done`], and aborts never evict residents. Under a
-    /// dropped Done ack the master resends the offer, reads `Failed` and
-    /// backtracks — and the receiver's memory is stranded (hosted and
-    /// budget-charged with no placement pointing at it).
+    /// dropped Done ack the master's wait expires and it aborts, and the
+    /// abort evicts nothing — the receiver's memory is stranded (hosted
+    /// and budget-charged with no placement pointing at it).
     StrandOnLostFinalAck,
 }
 
@@ -142,7 +146,7 @@ pub struct WorkerFsm {
     /// belongs to an attempt the master already gave up on and is
     /// answered `Failed` without touching state — otherwise an abort that
     /// overtakes its own delayed offer (both are in flight when the
-    /// master's ack waits run out) would let the late offer install an
+    /// master's ack wait runs out) would let the late offer install an
     /// expert nothing ever evicts. Found by `cargo xtask mc` during
     /// bring-up; see DESIGN.md §15.
     aborted: BTreeMap<u32, u64>,
@@ -216,18 +220,6 @@ impl WorkerFsm {
         self.aborted.get(&expert).is_some_and(|&r| round <= r)
     }
 
-    fn ack(&self, round: u64, expert: u32, status: AckStatus, arg: u64) -> OutboundMsg {
-        let ack = LoadAckMsg {
-            expert,
-            status,
-            arg,
-        };
-        OutboundMsg {
-            to: self.master,
-            env: Envelope::new(round, PayloadKind::LoadAck, ack.encode()),
-        }
-    }
-
     /// Answers one offer: `Failed` for an aborted attempt, `Done` again
     /// for a resident expert, `Refuse` past the budget, and otherwise
     /// `Done` or `Failed` as the install goes.
@@ -241,7 +233,7 @@ impl WorkerFsm {
     ) -> (AckStatus, u64) {
         if self.attempt_is_dead(expert, round) {
             // The abort for this attempt overtook the offer (the master's
-            // ack waits ran out and reordering did the rest): installing
+            // ack wait ran out and reordering did the rest): installing
             // now would strand receiver memory forever. Typed rejection,
             // no state touched.
             self.stats.loads_refused += 1;
@@ -289,7 +281,8 @@ impl WorkerFsm {
     ///
     /// Duplicate deliveries are idempotent on protocol state: a re-offer
     /// for an already-resident expert re-acks [`AckStatus::Done`];
-    /// duplicate releases and aborts are no-ops.
+    /// duplicate releases and aborts are no-ops. Releases and aborts are
+    /// never answered.
     ///
     /// # Errors
     ///
@@ -346,14 +339,24 @@ impl WorkerFsm {
                     state,
                 }) => {
                     let (status, arg) = self.offer(env.round, id, &manifest, &state, hooks);
-                    Some(self.ack(env.round, id, status, arg))
+                    let ack = LoadAckMsg {
+                        expert: id,
+                        status,
+                        arg,
+                    };
+                    Some(OutboundMsg {
+                        to: self.master,
+                        env: Envelope::new(env.round, PayloadKind::LoadAck, ack.encode()),
+                    })
                 }
                 Ok(LoadExpertMsg::Release { expert: id }) => {
+                    // No reply: the master flips the placement home
+                    // without waiting on the surrogate.
                     if let Some(h) = self.hosted.remove(&id) {
                         self.budget.release(h.resident_bytes);
                         hooks.evict(id);
                     }
-                    Some(self.ack(env.round, id, AckStatus::Done, 0))
+                    None
                 }
                 Ok(LoadExpertMsg::Abort { expert: id }) => {
                     // No reply — the master is not waiting on an abort.
@@ -502,7 +505,7 @@ impl GatherFsm {
             }
             PayloadKind::ProbeAck => GatherVerdict::Discarded(GatherDiscard::Malformed),
             // Stray transfer-protocol traffic (a duplicate LoadAck from a
-            // recovery exchange, or a reflected LoadExpert) is never part
+            // recovery transfer, or a reflected LoadExpert) is never part
             // of a gather; discard it and keep waiting. Acks to live
             // transfers carry their own round stamps, so they are caught
             // by the staleness check above before reaching here. Input,
@@ -602,92 +605,9 @@ fn weight_of(calibration: &Option<Vec<f32>>, node: usize) -> f32 {
         .unwrap_or(1.0)
 }
 
-/// Why a [`TransferFsm`] concluded in failure. Neither owes an abort:
-/// the worker installed nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferFault {
-    /// The worker's own budget refused the offer; contains its actual
-    /// spare bytes.
-    RefusedOffer {
-        /// Spare bytes the worker reported.
-        spare: u64,
-    },
-    /// The worker reported [`AckStatus::Failed`]: the state did not build,
-    /// or the offer belonged to an aborted attempt.
-    WorkerFailed,
-}
-
-/// Phase of a master-side transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferPhase {
-    /// Offer sent, awaiting the worker's verdict.
-    Offering,
-    /// Worker confirmed the expert resident.
-    Complete,
-    /// Transfer concluded in failure.
-    Failed(TransferFault),
-}
-
-/// The master side of one expert transfer as a pure state machine: the
-/// offer carries the weights, and the first ack of the transfer (see
-/// [`match_load_ack`]) concludes it. The IO shell —
-/// [`RecoveryManager`](crate::recover::RecoveryManager) — owns the offer's
-/// resends on ack timeouts, the abort and the backtrack; `cargo xtask mc`
-/// owns them in the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferFsm {
-    expert: u32,
-    target: usize,
-    round: u64,
-    phase: TransferPhase,
-}
-
-impl TransferFsm {
-    /// Starts a transfer of `expert` to `target`, stamped `round`.
-    pub fn new(expert: u32, target: usize, round: u64) -> Self {
-        TransferFsm {
-            expert,
-            target,
-            round,
-            phase: TransferPhase::Offering,
-        }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> TransferPhase {
-        self.phase
-    }
-
-    /// The round every frame of this transfer is stamped with.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The worker this transfer targets.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Concludes the offer on one of its own acks; a concluded transfer
-    /// ignores further (duplicate) acks.
-    pub fn on_ack(&mut self, ack: LoadAckMsg) {
-        if self.phase != TransferPhase::Offering {
-            return;
-        }
-        self.phase = match ack.status {
-            AckStatus::Done => TransferPhase::Complete,
-            AckStatus::Refuse => {
-                TransferPhase::Failed(TransferFault::RefusedOffer { spare: ack.arg })
-            }
-            AckStatus::Failed => TransferPhase::Failed(TransferFault::WorkerFailed),
-        };
-    }
-}
-
 /// Filters a raw envelope down to the [`LoadAckMsg`] for transfer
 /// `round` / `expert`, discarding stale gather leftovers, wrong-kind and
-/// wrong-expert traffic. The transfer's and the hand-back's ack waits
-/// both use it.
+/// wrong-expert traffic. The transfer's ack wait uses it.
 pub fn match_load_ack(env: &Envelope, round: u64, expert: u32) -> Option<LoadAckMsg> {
     if env.round != round || env.kind != PayloadKind::LoadAck {
         return None;
@@ -732,7 +652,8 @@ pub fn abort_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
     }
 }
 
-/// Builds the release frame handing a hosted expert back.
+/// Builds the release frame handing a hosted expert back; the worker
+/// evicts the expert and sends no reply.
 pub fn release_frame(target: usize, round: u64, expert: u32) -> OutboundMsg {
     OutboundMsg {
         to: target,
@@ -819,11 +740,10 @@ mod tests {
     fn completed_transfer(round: u64) -> (WorkerFsm, MockHooks) {
         let mut w = WorkerFsm::new(0, HostBudget::new(1000, 100));
         let mut hooks = MockHooks::default();
-        let mut master = TransferFsm::new(7, 1, round);
         let replies = deliver(&mut w, &mut hooks, &offer(round, 300));
         let reply = &replies.first().expect("reply").env;
-        master.on_ack(match_load_ack(reply, round, 7).expect("own ack"));
-        assert_eq!(master.phase(), TransferPhase::Complete);
+        let ack = match_load_ack(reply, round, 7).expect("own ack");
+        assert_eq!(ack.status, AckStatus::Done);
         (w, hooks)
     }
 
@@ -837,10 +757,10 @@ mod tests {
     }
 
     #[test]
-    fn a_resent_offer_re_acks_done_idempotently() {
+    fn a_duplicated_offer_re_acks_done_idempotently() {
         let (mut w, mut hooks) = completed_transfer(51);
         let before = w.canonical_protocol_bytes();
-        // The master lost the Done ack and resends the offer.
+        // A second copy of the offer arrives (a duplicating link).
         let replies = deliver(&mut w, &mut hooks, &offer(51, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Done);
         assert_eq!(w.canonical_protocol_bytes(), before);
@@ -855,6 +775,22 @@ mod tests {
         assert_eq!(ack_of(&replies).status, AckStatus::Done);
         assert_eq!(w.budget().hosted_bytes(), charged);
         assert_eq!(w.stats().loads_accepted, 1, "no second admission");
+    }
+
+    #[test]
+    fn a_release_evicts_frees_the_charge_and_sends_no_reply() {
+        let (mut w, mut hooks) = completed_transfer(54);
+        let release = release_frame(1, 99, 7);
+        let replies = deliver(&mut w, &mut hooks, &release);
+        assert!(replies.is_empty(), "releases are not acknowledged");
+        assert!(w.hosted().is_empty());
+        assert_eq!(w.budget().hosted_bytes(), 0);
+        assert_eq!(hooks.evicted, vec![7]);
+        // A duplicate release is a no-op, and unanswered too.
+        let before = w.canonical_protocol_bytes();
+        assert!(deliver(&mut w, &mut hooks, &release).is_empty());
+        assert_eq!(w.canonical_protocol_bytes(), before);
+        assert_eq!(hooks.evicted, vec![7], "evicted once");
     }
 
     #[test]
@@ -927,11 +863,12 @@ mod tests {
         let mut hooks = MockHooks::default();
         let replies = deliver(&mut w, &mut hooks, &offer(90, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Done);
-        // Done ack lost; the master resends the offer: the mutant answers
-        // Failed (the armed defect) …
+        // A duplicated offer: the mutant answers Failed (the armed
+        // defect) …
         let replies = deliver(&mut w, &mut hooks, &offer(90, 300));
         assert_eq!(ack_of(&replies).status, AckStatus::Failed);
-        // … and its abort never evicts, stranding the resident.
+        // … and, the Done ack lost, the master's abort never evicts,
+        // stranding the resident.
         deliver(&mut w, &mut hooks, &abort_frame(1, 90, 7));
         assert!(w.hosted().contains_key(&7), "mutant strands the resident");
     }
@@ -1090,34 +1027,6 @@ mod tests {
         g.step(&result_frame(7, &[(3, 0.3)]), |p| fold.fold(1, p));
         let preds = fold.into_predictions();
         assert_eq!(preds.first().map(|p| p.expert), Some(0));
-    }
-
-    #[test]
-    fn transfer_fsm_concludes_on_its_first_ack() {
-        let ack = |status, arg| LoadAckMsg {
-            expert: 3,
-            status,
-            arg,
-        };
-        for (status, phase) in [
-            (AckStatus::Done, TransferPhase::Complete),
-            (
-                AckStatus::Refuse,
-                TransferPhase::Failed(TransferFault::RefusedOffer { spare: 123 }),
-            ),
-            (
-                AckStatus::Failed,
-                TransferPhase::Failed(TransferFault::WorkerFailed),
-            ),
-        ] {
-            let mut t = TransferFsm::new(3, 2, 10);
-            t.on_ack(ack(status, 123));
-            assert_eq!(t.phase(), phase, "{status:?}");
-            // A duplicate or contradicting ack changes nothing.
-            t.on_ack(ack(AckStatus::Done, 0));
-            t.on_ack(ack(AckStatus::Failed, 0));
-            assert_eq!(t.phase(), phase, "{status:?}");
-        }
     }
 
     #[test]

@@ -43,6 +43,15 @@ pub enum PeerHealth {
     Probing,
 }
 
+impl PeerHealth {
+    /// Whether the detector still sends this peer every round (`Live` or
+    /// `Suspect`). A peer that does not is out of the team: the serve
+    /// window shrinks for it and recovery re-places its experts.
+    pub fn receives_rounds(self) -> bool {
+        matches!(self, PeerHealth::Live | PeerHealth::Suspect)
+    }
+}
+
 /// Failure-detector policy knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureDetectorConfig {
@@ -151,7 +160,7 @@ impl FailureDetector {
         };
         let before = state.health;
         let plan = match state.health {
-            PeerHealth::Live | PeerHealth::Suspect => ContactPlan::Full,
+            health if health.receives_rounds() => ContactPlan::Full,
             PeerHealth::Quarantined => {
                 state.rounds_since_probe += 1;
                 if state.rounds_since_probe >= self.config.probe_interval {
@@ -161,9 +170,9 @@ impl FailureDetector {
                     ContactPlan::Skip
                 }
             }
-            // Only reachable if the caller forgot to record the previous
-            // probe's outcome; probe again rather than wedging.
-            PeerHealth::Probing => ContactPlan::Probe,
+            // Probing: only reachable if the caller forgot to record the
+            // previous probe's outcome; probe again rather than wedging.
+            _ => ContactPlan::Probe,
         };
         let after = state.health;
         self.note_transition(before, after);

@@ -22,7 +22,8 @@
 //!    aborted, so a late install never strands memory);
 //! 4. **hands the expert back** once the home node is readmitted by the
 //!    failure detector — the home node kept its own weights, so hand-back
-//!    is a lightweight release, not a reverse transfer.
+//!    is one release frame, not a reverse transfer, and nothing answers
+//!    it.
 //!
 //! Experts are small by construction (the largest certified one is a few
 //! MB against a 256 MiB frame cap), and every transport delivers whole
@@ -39,9 +40,11 @@
 //! acks queued for it, and the ack wait leaves a sibling's result queued
 //! for its round.
 //!
-//! The offer is resent only when its ack wait times out, at most
-//! [`SENDS_PER_FRAME`] times and with no sleep between sends, so a
-//! transfer takes at most `SENDS_PER_FRAME × ack_timeout`. The
+//! An unanswered offer is a miss: it is sent once and waited for once,
+//! and when the wait times out the attempt is aborted and the next tick
+//! tries again, so a transfer takes at most one `ack_timeout`. A resend
+//! would buy nothing: while a link lives, TCP and channels lose no frame,
+//! so a second copy to a live peer delivers nothing the first did not. The
 //! quarantine → re-place → hand-back flow is deterministic under a
 //! [`teamnet_net::ManualClock`] and seeded chaos (`tests/recovery_soak.rs`
 //! asserts byte-identical transcripts across identical seeds).
@@ -61,10 +64,6 @@ use teamnet_net::{deadline_after, Clock, Envelope, NetError, SystemClock, Transp
 use teamnet_nn::{load_state, state_vec, ModelSpec, Sequential};
 use teamnet_obs::{Counter, Histogram, Obs};
 use teamnet_tensor::Tensor;
-
-/// Sends of one offer (or release): the first, plus a resend after each
-/// of the first two ack waits that time out.
-pub const SENDS_PER_FRAME: u32 = 3;
 
 /// Wire op codes for [`LoadExpertMsg`].
 const OP_OFFER: u8 = 0;
@@ -103,7 +102,8 @@ pub enum LoadExpertMsg {
         /// tensor as `encode_f32s` lays it down).
         state: Vec<u8>,
     },
-    /// Release a hosted expert on hand-back (the home node is live again).
+    /// Release a hosted expert on hand-back (the home node is live
+    /// again); the worker sends no reply.
     Release {
         /// Id of the expert to stop hosting.
         expert: u32,
@@ -205,8 +205,7 @@ pub enum AckStatus {
     /// Offer refused by the worker's own [`HostBudget`]; `arg` is the
     /// spare bytes it actually has.
     Refuse,
-    /// The expert is resident: shape-checked, built and charged. Also
-    /// acknowledges a [`LoadExpertMsg::Release`].
+    /// The expert is resident: shape-checked, built and charged.
     Done,
     /// The state does not build against the offered spec (or the offer
     /// belongs to an aborted attempt); nothing was installed.
@@ -410,10 +409,9 @@ pub(crate) fn build_from_state(
 /// Policy knobs for the re-placement transfer protocol.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// How long one send waits for its ack; when the wait times out the
-    /// frame is resent, up to [`SENDS_PER_FRAME`] sends in all, so a
-    /// transfer to a silent candidate ends after `SENDS_PER_FRAME ×
-    /// ack_timeout`.
+    /// How long an offer waits for its ack; when the wait times out the
+    /// attempt is aborted, so a transfer to a silent candidate ends after
+    /// one `ack_timeout`.
     pub ack_timeout: Duration,
     /// Clock the ack waits are read on. Tests inject a
     /// [`teamnet_net::ManualClock`] so recovery runs off no wall clock.
@@ -560,7 +558,8 @@ impl RecoveryManager {
 
     /// One recovery pass, run after a round's failure evidence is folded:
     /// hands experts back to homes the detector has readmitted, then
-    /// re-places every expert whose current host is quarantined. Failures
+    /// re-places every expert whose current host no longer receives
+    /// rounds (quarantined or probing; a suspect keeps its experts). Failures
     /// inside the pass (refusals, failed installs, silent candidates)
     /// are backtracked or deferred to the next round — a recovery pass
     /// never fails the inference round that triggered it.
@@ -578,9 +577,10 @@ impl RecoveryManager {
     ) {
         self.trace = trace;
         let live = |n: usize| health.get(n).copied() == Some(PeerHealth::Live);
+        let lost = |n: usize| !health.get(n).is_some_and(|h| h.receives_rounds());
 
         // Hand-backs first: a readmitted home kept its own weights, so
-        // restoring steady state costs one release message.
+        // restoring steady state costs one release frame.
         let ready: Vec<(usize, usize)> = self
             .placement
             .iter()
@@ -591,14 +591,15 @@ impl RecoveryManager {
             self.hand_back(transport, expert, surrogate);
         }
 
-        // Orphans: experts whose current host (home or surrogate) is no
-        // longer live. Retried every round until a candidate admits them.
+        // Orphans: experts whose current host (home or surrogate) the
+        // detector no longer sends rounds to. Retried every round until a
+        // candidate admits them.
         let orphans: Vec<usize> = self
             .experts
             .iter()
             .filter(|&(&e, record)| {
                 let host = self.placement.get(&e).copied().unwrap_or(record.home);
-                host != me && !live(host)
+                host != me && lost(host)
             })
             .map(|(&e, _)| e)
             .collect();
@@ -680,22 +681,21 @@ impl RecoveryManager {
         // orphaned and the next tick tries again.
     }
 
-    /// Returns `expert` to its readmitted home by releasing the surrogate
-    /// (best-effort: the home node kept its weights, so the placement
-    /// flips back even if the release ack is lost).
+    /// Returns `expert` to its readmitted home by sending the surrogate
+    /// one release and waiting for nothing: the home node kept its
+    /// weights, so the placement flips back whether or not the release
+    /// lands, and the worker sends no reply.
     fn hand_back(&mut self, transport: &dyn Transport, expert: usize, surrogate: usize) {
         let obs = self.config.obs.clone();
         let _span = obs.span(
             "recovery.handback",
             &[("expert", expert as u64), ("from", surrogate as u64)],
         );
-        let registration = RoundRegistration::open();
-        let round = registration.round;
+        // A stamp of its own, never registered: no reply is awaited.
+        let round = RoundRegistration::open().round;
         let msg = fsm::release_frame(surrogate, round, expert as u32);
         let frame = msg.encode(shell::stamp(&obs, self.trace));
-        if shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame).is_ok() {
-            let _ = self.await_ack(transport, surrogate, round, expert as u32);
-        }
+        let _ = shell::send(transport, &obs, "input", msg.to, TAG_INPUT, &frame);
         self.placement.remove(&expert);
         if let Some(record) = self.experts.get(&expert) {
             if let Some(b) = self.budgets.get_mut(&surrogate) {
@@ -706,15 +706,16 @@ impl RecoveryManager {
         self.c_handbacks.inc();
     }
 
-    /// Offers `expert`, weights included, to `target` in one frame and
-    /// returns the bytes shipped once the target answers `Done`.
+    /// Offers `expert`, weights included, to `target` in one frame, waits
+    /// one `ack_timeout` for the verdict, and returns the bytes shipped
+    /// once the target answers `Done`.
     ///
     /// # Errors
     ///
     /// [`NetError::Remote`] when the worker refuses or reports a failure,
-    /// [`NetError::Timeout`] when [`SENDS_PER_FRAME`] ack waits time out,
-    /// and transport errors otherwise. On a timeout or transport error a
-    /// best-effort abort is sent, so an offer that did land is undone.
+    /// [`NetError::Timeout`] when the ack wait times out, and transport
+    /// errors otherwise. On a timeout or transport error an abort is
+    /// sent, so an offer that did land is undone.
     fn transfer(
         &self,
         transport: &dyn Transport,
@@ -746,12 +747,8 @@ impl RecoveryManager {
         };
         let offer = fsm::offer_frame(target, round, id, manifest, record.state.clone());
         let frame = offer.encode(shell::stamp(obs, self.trace));
-
-        // What an ack means is decided by the pure state machine; this
-        // shell owns the transport, the resends and the abort.
-        let mut machine = fsm::TransferFsm::new(id, target, round);
-        let ack = self
-            .exchange(transport, target, round, id, &frame)
+        let ack = shell::send(transport, obs, "input", target, TAG_INPUT, &frame)
+            .and_then(|()| self.await_ack(transport, target, round, id))
             .inspect_err(|_| {
                 // The offer may have landed and only its ack been lost:
                 // abort, so the worker evicts what this attempt installed.
@@ -759,46 +756,17 @@ impl RecoveryManager {
                 let abort = msg.encode(shell::stamp(obs, self.trace));
                 let _ = shell::send(transport, obs, "input", target, TAG_INPUT, &abort);
             })?;
-        machine.on_ack(ack);
-        match machine.phase() {
-            fsm::TransferPhase::Complete => Ok(bytes),
-            fsm::TransferPhase::Failed(fault) => Err(fault_error(fault, expert, target)),
-            // Unreachable: every ack of the transfer concludes it.
-            fsm::TransferPhase::Offering => Err(NetError::Malformed(format!(
-                "node {target} left the offer of expert {expert} open"
+        // Refuse and Failed installed nothing, so neither owes an abort.
+        match ack.status {
+            AckStatus::Done => Ok(bytes),
+            AckStatus::Refuse => Err(NetError::Remote(format!(
+                "node {target} refused expert {expert}: {} spare bytes",
+                ack.arg
+            ))),
+            AckStatus::Failed => Err(NetError::Remote(format!(
+                "node {target} failed transfer of expert {expert}"
             ))),
         }
-    }
-
-    /// Sends `frame` to `target` and waits for the transfer's ack,
-    /// resending the same stamped frame each time a wait times out, up to
-    /// [`SENDS_PER_FRAME`] sends. A failed send ends the exchange: no
-    /// transport in the tree recovers a writer that failed once.
-    fn exchange(
-        &self,
-        transport: &dyn Transport,
-        target: usize,
-        round: u64,
-        expert: u32,
-        frame: &[u8],
-    ) -> Result<LoadAckMsg, NetError> {
-        for _ in 0..SENDS_PER_FRAME {
-            shell::send(
-                transport,
-                &self.config.obs,
-                "input",
-                target,
-                TAG_INPUT,
-                frame,
-            )?;
-            match self.await_ack(transport, target, round, expert) {
-                Err(NetError::Timeout { .. }) => {}
-                done => return done,
-            }
-        }
-        Err(NetError::Timeout {
-            waiting_for: format!("load ack from node {target}"),
-        })
     }
 
     /// Waits up to `ack_timeout` for the [`PayloadKind::LoadAck`] of
@@ -824,18 +792,6 @@ impl RecoveryManager {
         Err(NetError::Timeout {
             waiting_for: format!("load ack from node {target}"),
         })
-    }
-}
-
-/// Maps a concluded [`fsm::TransferFault`] to the transfer's error.
-fn fault_error(fault: fsm::TransferFault, expert: usize, target: usize) -> NetError {
-    match fault {
-        fsm::TransferFault::RefusedOffer { spare } => NetError::Remote(format!(
-            "node {target} refused expert {expert}: {spare} spare bytes"
-        )),
-        fsm::TransferFault::WorkerFailed => {
-            NetError::Remote(format!("node {target} failed transfer of expert {expert}"))
-        }
     }
 }
 
@@ -1026,33 +982,37 @@ mod tests {
         assert_eq!(mgr.ranked_candidates(5, 0, 1, &sick, 50), vec![3]);
     }
 
-    /// The master's endpoint, keeping a copy of every frame it sends
-    /// (`true`) and takes (`false`), in order.
+    /// One thing the master's endpoint did.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Io {
+        /// A frame it sent.
+        Sent(Envelope),
+        /// A receive call and the frame it took (`None`: the wait ended
+        /// empty).
+        Recv(Option<Envelope>),
+    }
+
+    /// The master's endpoint, logging every send and every receive call,
+    /// in order.
     struct Recorded<'a> {
         inner: &'a dyn Transport,
-        frames: std::sync::Mutex<Vec<(bool, Envelope)>>,
+        log: std::sync::Mutex<Vec<Io>>,
     }
 
     impl<'a> Recorded<'a> {
         fn new(inner: &'a dyn Transport) -> Self {
             Recorded {
                 inner,
-                frames: std::sync::Mutex::new(Vec::new()),
+                log: std::sync::Mutex::new(Vec::new()),
             }
         }
 
-        fn frames(&self) -> Vec<(bool, Envelope)> {
-            self.frames.lock().unwrap().clone()
+        fn log(&self) -> Vec<Io> {
+            self.log.lock().unwrap().clone()
         }
 
-        fn sent(&self) -> Vec<Envelope> {
-            let frames = self.frames().into_iter();
-            frames.filter(|(out, _)| *out).map(|(_, env)| env).collect()
-        }
-
-        fn record(&self, out: bool, frame: &[u8]) {
-            let env = Envelope::decode(frame).unwrap();
-            self.frames.lock().unwrap().push((out, env));
+        fn push(&self, io: Io) {
+            self.log.lock().unwrap().push(io);
         }
     }
 
@@ -1064,7 +1024,7 @@ mod tests {
             self.inner.num_nodes()
         }
         fn send(&self, to: usize, tag: teamnet_net::Tag, payload: &[u8]) -> Result<(), NetError> {
-            self.record(true, payload);
+            self.push(Io::Sent(Envelope::decode(payload).unwrap()));
             self.inner.send(to, tag, payload)
         }
         fn recv_where(
@@ -1074,9 +1034,10 @@ mod tests {
             timeout: Duration,
             accept: &dyn Fn(&[u8]) -> bool,
         ) -> Result<Vec<u8>, NetError> {
-            let frame = self.inner.recv_where(from, tag, timeout, accept)?;
-            self.record(false, &frame);
-            Ok(frame)
+            let frame = self.inner.recv_where(from, tag, timeout, accept);
+            let taken = frame.as_ref().ok().map(|f| Envelope::decode(f).unwrap());
+            self.push(Io::Recv(taken));
+            frame
         }
         fn stats(&self) -> teamnet_net::TransportStats {
             self.inner.stats()
@@ -1088,11 +1049,48 @@ mod tests {
             .then(|| LoadExpertMsg::decode(&env.payload).unwrap())
     }
 
+    /// A sent frame's load-expert message, or the kind of a taken frame
+    /// (`None` for a receive that took nothing).
+    fn summary(io: &Io) -> (Option<LoadExpertMsg>, Option<teamnet_net::PayloadKind>) {
+        match io {
+            Io::Sent(env) => (load_expert_op(env), None),
+            Io::Recv(env) => (None, env.as_ref().map(|env| env.kind)),
+        }
+    }
+
+    /// A manager whose ack waits run `ack_timeout` on a clock that never
+    /// moves, with expert `expert` (home: `home`) registered.
+    fn manager_on(
+        clock: &Arc<teamnet_net::ManualClock>,
+        expert: usize,
+        home: usize,
+    ) -> RecoveryManager {
+        let mut mgr = RecoveryManager::new(RecoveryConfig {
+            ack_timeout: Duration::from_millis(20),
+            clock: Arc::clone(clock) as Arc<dyn Clock>,
+            ..RecoveryConfig::default()
+        });
+        let spec = ModelSpec::mlp(2, 8);
+        let state = state_vec(&mut build_expert(&spec, 1));
+        mgr.register_expert(expert, home, spec, &state, 1);
+        mgr
+    }
+
+    /// Serves node `node` of `nodes` as a worker until shut down.
+    fn serve_node(
+        nodes: &[teamnet_net::ChannelTransport],
+        node: usize,
+    ) -> crate::runtime::WorkerStats {
+        let mut own = build_expert(&ModelSpec::mlp(2, 16), node as u64);
+        let config = crate::runtime::WorkerConfig::default();
+        crate::runtime::serve_worker_with_config(&nodes[node], 0, &mut own, config).unwrap()
+    }
+
     #[test]
-    fn a_move_and_its_hand_back_are_one_frame_and_one_ack_each() {
+    fn a_move_is_one_offer_and_one_ack_and_its_hand_back_one_release() {
         // Expert 1's home (node 1) is quarantined, node 2 hosts it, and
         // node 1 comes back: the move is one offer carrying the weights
-        // and one ack, the hand-back one release and one ack.
+        // and one ack, the hand-back one release that nothing answers.
         use teamnet_net::{ChannelTransport, PayloadKind};
         let spec = ModelSpec::mlp(2, 16);
         let state = state_vec(&mut build_expert(&spec, 1));
@@ -1100,83 +1098,159 @@ mod tests {
         let recorded = Recorded::new(&nodes[0]);
         let mut mgr = RecoveryManager::new(RecoveryConfig::default());
         mgr.register_expert(1, 1, spec.clone(), &state, 50_000);
-        std::thread::scope(|scope| {
-            let served = scope.spawn(|| {
-                let mut own = build_expert(&spec, 2);
-                crate::runtime::serve_worker_with_config(
-                    &nodes[2],
-                    0,
-                    &mut own,
-                    crate::runtime::WorkerConfig::default(),
-                )
-            });
+        // Assertions wait until the worker has shut down, so a failing
+        // one fails the test instead of hanging it.
+        let (moved, back, stats) = std::thread::scope(|scope| {
+            let served = scope.spawn(|| serve_node(&nodes, 2));
             let live = PeerHealth::Live;
             mgr.tick(&recorded, 0, &[live, PeerHealth::Quarantined, live], None);
-            assert_eq!(mgr.host_of(1), Some(2));
+            let moved = mgr.host_of(1);
             mgr.tick(&recorded, 0, &[live; 3], None);
-            assert_eq!(mgr.host_of(1), Some(1));
+            let back = mgr.host_of(1);
             crate::runtime::shutdown_workers(&nodes[0]).unwrap();
-            let stats = served.join().unwrap().unwrap();
-            assert_eq!((stats.loads_accepted, stats.loads_refused), (1, 0));
+            (moved, back, served.join().unwrap())
         });
-        let frames = recorded.frames();
-        let kinds: Vec<_> = frames.iter().map(|(out, env)| (*out, env.kind)).collect();
-        assert_eq!(
-            kinds,
-            [
-                (true, PayloadKind::LoadExpert),
-                (false, PayloadKind::LoadAck),
-                (true, PayloadKind::LoadExpert),
-                (false, PayloadKind::LoadAck),
-            ]
-        );
-        let Some(LoadExpertMsg::Offer { state: shipped, .. }) = load_expert_op(&frames[0].1) else {
-            panic!("{:?}", frames[0]);
+        assert_eq!((moved, back), (Some(2), Some(1)));
+        assert_eq!((stats.loads_accepted, stats.loads_refused), (1, 0));
+        let log = recorded.log();
+        assert_eq!(log.len(), 3, "{log:?}");
+        let Io::Sent(offer) = &log[0] else {
+            panic!("{log:?}");
+        };
+        let Some(LoadExpertMsg::Offer { state: shipped, .. }) = load_expert_op(offer) else {
+            panic!("{offer:?}");
         };
         assert_eq!(shipped, state_to_bytes(&state));
+        let Io::Recv(Some(ack)) = &log[1] else {
+            panic!("{log:?}");
+        };
+        assert_eq!(ack.kind, PayloadKind::LoadAck);
+        let ack = LoadAckMsg::decode(&ack.payload).unwrap();
+        assert_eq!((ack.expert, ack.status), (1, AckStatus::Done));
         assert_eq!(
-            load_expert_op(&frames[2].1),
-            Some(LoadExpertMsg::Release { expert: 1 })
+            summary(&log[2]),
+            (Some(LoadExpertMsg::Release { expert: 1 }), None)
         );
-        for (_, ack) in [&frames[1], &frames[3]] {
-            let ack = LoadAckMsg::decode(&ack.payload).unwrap();
-            assert_eq!((ack.expert, ack.status), (1, AckStatus::Done));
-        }
         assert_eq!((mgr.migrations(), mgr.handbacks()), (1, 1));
     }
 
     #[test]
-    fn a_silent_candidate_gets_three_offers_then_one_abort_without_a_cap() {
-        // Nobody serves node 1: each of the three ack waits times out,
-        // the offer is resent after the first two, and the third ends the
-        // transfer with an abort. The clock never moves, and nothing
+    fn a_silent_candidate_gets_one_offer_one_wait_and_one_abort() {
+        // Nobody serves node 1: the offer's one ack wait times out and
+        // the abort follows at once. The clock never moves, and nothing
         // sleeps.
         let clock = Arc::new(teamnet_net::ManualClock::new());
         let nodes = teamnet_net::ChannelTransport::mesh(2);
         let recorded = Recorded::new(&nodes[0]);
-        let mut mgr = RecoveryManager::new(RecoveryConfig {
-            ack_timeout: Duration::from_millis(20),
-            clock: Arc::clone(&clock) as Arc<dyn Clock>,
-            ..RecoveryConfig::default()
-        });
-        let spec = ModelSpec::mlp(2, 8);
-        mgr.register_expert(
-            0,
-            0,
-            spec.clone(),
-            &state_vec(&mut build_expert(&spec, 1)),
-            1,
-        );
+        let mgr = manager_on(&clock, 0, 0);
         let res = mgr.transfer(&recorded, 0, 1);
         assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
-        let ops: Vec<_> = recorded.sent().iter().map(load_expert_op).collect();
-        assert_eq!(ops.len(), SENDS_PER_FRAME as usize + 1, "{ops:?}");
-        let (abort, offers) = ops.split_last().unwrap();
-        assert!(offers
-            .iter()
-            .all(|op| matches!(op, Some(LoadExpertMsg::Offer { .. }))));
-        assert_eq!(abort, &Some(LoadExpertMsg::Abort { expert: 0 }));
+        let log: Vec<_> = recorded.log().iter().map(summary).collect();
+        assert_eq!(log.len(), 3, "{log:?}");
+        assert!(matches!(log[0], (Some(LoadExpertMsg::Offer { .. }), None)));
+        assert_eq!(log[1], (None, None), "one receive call, which took nothing");
+        assert_eq!(log[2], (Some(LoadExpertMsg::Abort { expert: 0 }), None));
         assert_eq!(clock.elapsed(), Duration::ZERO);
+    }
+
+    #[test]
+    fn a_hand_back_to_a_silent_surrogate_makes_no_receive() {
+        // Expert 1 sits on node 2, which nobody serves, and its home is
+        // live again: the hand-back is one release, and nothing waits.
+        let clock = Arc::new(teamnet_net::ManualClock::new());
+        let nodes = teamnet_net::ChannelTransport::mesh(3);
+        let recorded = Recorded::new(&nodes[0]);
+        let mut mgr = manager_on(&clock, 1, 1);
+        mgr.placement.insert(1, 2);
+        mgr.tick(&recorded, 0, &[PeerHealth::Live; 3], None);
+        let log: Vec<_> = recorded.log().iter().map(summary).collect();
+        assert_eq!(log, [(Some(LoadExpertMsg::Release { expert: 1 }), None)]);
+        assert_eq!((mgr.host_of(1), mgr.handbacks()), (Some(1), 1));
+    }
+
+    #[test]
+    fn a_suspect_host_keeps_its_expert_until_quarantined() {
+        // At `quarantine_after = 2`, node 1's first miss leaves it
+        // suspect, still sent every round: its expert stays and nothing
+        // goes on the wire. The second miss quarantines it, and the same
+        // tick moves the expert to node 2.
+        use crate::health::{FailureDetector, FailureDetectorConfig};
+        let clock = Arc::new(teamnet_net::ManualClock::new());
+        let nodes = teamnet_net::ChannelTransport::mesh(3);
+        let recorded = Recorded::new(&nodes[0]);
+        let mut mgr = manager_on(&clock, 1, 1);
+        let mut detector = FailureDetector::new(
+            3,
+            FailureDetectorConfig {
+                quarantine_after: 2,
+                ..FailureDetectorConfig::default()
+            },
+        );
+        let health = |d: &FailureDetector| (0..3).map(|n| d.health(n)).collect::<Vec<_>>();
+        let (kept, moved, stats) = std::thread::scope(|scope| {
+            let served = scope.spawn(|| serve_node(&nodes, 2));
+            detector.record_miss(1);
+            mgr.tick(&recorded, 0, &health(&detector), None);
+            let sent = recorded.log().len();
+            let kept = (detector.health(1), mgr.host_of(1), mgr.migrations(), sent);
+            detector.record_miss(1);
+            mgr.tick(&recorded, 0, &health(&detector), None);
+            let moved = (detector.health(1), mgr.host_of(1), mgr.migrations());
+            crate::runtime::shutdown_workers(&nodes[0]).unwrap();
+            (kept, moved, served.join().unwrap())
+        });
+        assert_eq!(kept, (PeerHealth::Suspect, Some(1), 0, 0));
+        assert_eq!(moved, (PeerHealth::Quarantined, Some(2), 1));
+        assert_eq!(stats.loads_accepted, 1);
+    }
+
+    #[test]
+    fn a_transfer_concludes_on_its_first_ack() {
+        // Node 1 answers the offer, then contradicts itself: the first
+        // ack decides, and a verdict (unlike a timeout) owes no abort.
+        use crate::runtime::{TAG_INPUT, TAG_RESULT};
+        use teamnet_net::PayloadKind;
+        let clock = Arc::new(teamnet_net::ManualClock::new());
+        for (status, arg) in [
+            (AckStatus::Done, 0),
+            (AckStatus::Refuse, 123),
+            (AckStatus::Failed, 0),
+        ] {
+            let nodes = teamnet_net::ChannelTransport::mesh(2);
+            let mut mgr = manager_on(&clock, 0, 0);
+            mgr.config.ack_timeout = Duration::from_secs(5);
+            let res = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let offer = nodes[1].recv(0, TAG_INPUT, Duration::from_secs(5)).unwrap();
+                    let round = Envelope::decode(&offer).unwrap().round;
+                    let other = if status == AckStatus::Done {
+                        AckStatus::Failed
+                    } else {
+                        AckStatus::Done
+                    };
+                    for (status, arg) in [(status, arg), (other, 0)] {
+                        let ack = LoadAckMsg {
+                            expert: 0,
+                            status,
+                            arg,
+                        };
+                        let env = Envelope::new(round, PayloadKind::LoadAck, ack.encode());
+                        nodes[1].send(0, TAG_RESULT, &env.encode()).unwrap();
+                    }
+                });
+                mgr.transfer(&nodes[0], 0, 1)
+            });
+            match status {
+                AckStatus::Done => assert!(res.is_ok(), "{res:?}"),
+                AckStatus::Refuse => assert!(
+                    matches!(&res, Err(NetError::Remote(m)) if m.contains("123 spare bytes")),
+                    "{res:?}"
+                ),
+                AckStatus::Failed => assert!(matches!(res, Err(NetError::Remote(_))), "{res:?}"),
+            }
+            let abort = nodes[1].recv(0, TAG_INPUT, Duration::ZERO);
+            assert!(abort.is_err(), "{status:?}: {abort:?}");
+        }
     }
 
     #[test]

@@ -1166,8 +1166,8 @@ mod tests {
     fn a_failed_transfer_send_is_backtracked_past_without_sleeping() {
         // Expert 1's home is quarantined and node 2, the one candidate,
         // cannot be written to: the offer's send error ends the transfer
-        // (one attempt, plus the best-effort abort) under the default
-        // resend budget.
+        // at once (one attempt, plus the best-effort abort), with no ack
+        // wait.
         let clock = Arc::new(ManualClock::new());
         let dead = DeadSends::new(3, 2);
         let mut mgr = RecoveryManager::new(crate::recover::RecoveryConfig {

@@ -28,7 +28,6 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use teamnet_core::health::PeerHealth;
 use teamnet_core::runtime::{InferenceSession, MasterConfig};
 use teamnet_core::TeamPrediction;
 use teamnet_net::{deadline_after, Clock, Transport};
@@ -445,13 +444,13 @@ impl ServeEngine {
                         .observe(done_ns.saturating_sub(p.enqueued_ns));
                     req.ticket.fill(preds);
                 }
-                // Backpressure: narrow the admission window to the live
-                // fraction of the team the detector reports.
+                // Backpressure: narrow the admission window to the
+                // fraction of the team the detector still sends rounds to.
                 let total = report.peers.len().max(1);
                 let live = report
                     .peers
                     .values()
-                    .filter(|pr| pr.health == PeerHealth::Live)
+                    .filter(|pr| pr.health.receives_rounds())
                     .count();
                 let mut st = self.front.state.lock();
                 st.batcher.set_health(live, total);
@@ -502,7 +501,8 @@ impl Drop for ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{expert, request, with_worker};
+    use crate::test_support::{expert, request, with_silent_peers, with_worker};
+    use teamnet_core::health::PeerHealth;
     use teamnet_net::{ChannelTransport, ManualClock, NetError, NodeId, Tag, TransportStats};
 
     /// A 4-row batch cap under a 16-row admission window, on a clock no
@@ -637,6 +637,25 @@ mod tests {
             assert_eq!(engine.pump_now(&master), 0);
             let rows = &handle.obs().metrics.snapshot().histograms["serve.batch.rows"];
             assert_eq!((rows.count, rows.sum, rows.max), (3, 6, 4));
+        });
+    }
+
+    #[test]
+    fn a_suspect_peer_leaves_the_admission_window_at_its_cap() {
+        // K = 3 and node 2 never answers: one missed reply leaves it
+        // suspect, still sent every round, so the window stays whole.
+        with_silent_peers(1, |master| {
+            let mut config = config();
+            config.master.require_all_workers = false;
+            config.master.failure.quarantine_after = 3;
+            let mut engine = ServeEngine::new(master, expert(0), config);
+            let handle = engine.handle();
+            let ticket = handle.submit(&request(1, 0.2)).unwrap();
+            assert_eq!(engine.pump_now(master), 1);
+            assert!(ticket.try_take().unwrap().is_ok());
+            let detector = engine.session().detector();
+            assert_eq!(detector.health(2), PeerHealth::Suspect);
+            assert_eq!(handle.admission_window(), 16);
         });
     }
 

@@ -21,7 +21,12 @@ pub(crate) fn request(rows: usize, fill: f32) -> Tensor {
 /// Runs `body` on the master endpoint of a 2-node mesh whose worker
 /// serves expert 1 until `body` returns or unwinds.
 pub(crate) fn with_worker(body: impl FnOnce(&ChannelTransport)) {
-    let nodes = ChannelTransport::mesh(2);
+    with_silent_peers(0, body);
+}
+
+/// [`with_worker`] on a mesh with `silent` more nodes that nobody serves.
+pub(crate) fn with_silent_peers(silent: usize, body: impl FnOnce(&ChannelTransport)) {
+    let nodes = ChannelTransport::mesh(2 + silent);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let mut e = expert(1);

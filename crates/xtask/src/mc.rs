@@ -2,8 +2,8 @@
 //! protocol state machines in `crates/core/src/fsm.rs` (DESIGN.md §15).
 //!
 //! The checker drives the **production transition functions** — the same
-//! [`WorkerFsm`] / [`TransferFsm`] / [`GatherFsm`] the runtime shells use,
-//! not a parallel spec — through an exhaustive breadth-first search over
+//! [`WorkerFsm`] / [`GatherFsm`] and frame builders the runtime shells
+//! use, not a parallel spec — through an exhaustive breadth-first search over
 //! message interleavings on a small-model cluster (1 master, 2 workers,
 //! 1 expert), with a budgeted fault adversary that may drop, duplicate and
 //! reorder frames, crash (blackhole) a worker, and expire the master's
@@ -25,7 +25,7 @@
 //!   worker holding a resident expert the master has not placed is a
 //!   violation unless a frame *addressed to that worker* was dropped (the
 //!   directional excuse rule: a dropped worker→master ack is NOT an
-//!   excuse — the offer's resend must survive ack loss);
+//!   excuse — the abort after the expired ack wait must evict);
 //! * **placement consistency** (at quiescence) — no expert double-hosted,
 //!   and a recorded placement points at a worker that actually hosts it;
 //! * **fault-free progress** — with no adversary budget spent, the
@@ -49,10 +49,10 @@ use crate::Diagnostic;
 use std::collections::{HashMap, HashSet, VecDeque};
 use teamnet_core::fsm::{
     abort_frame, match_load_ack, offer_frame, FsmMutation, GatherFsm, GatherVerdict, TeamFold,
-    TransferFsm, TransferPhase, WorkerFsm, WorkerHooks,
+    WorkerFsm, WorkerHooks,
 };
 use teamnet_core::runtime::encode_results;
-use teamnet_core::{HostBudget, LoadAckMsg, LoadExpertMsg, TransferManifest};
+use teamnet_core::{AckStatus, HostBudget, LoadAckMsg, LoadExpertMsg, TransferManifest};
 use teamnet_net::{Envelope, NetError, PayloadKind};
 use teamnet_nn::ModelSpec;
 
@@ -73,11 +73,8 @@ const DROPS: u8 = 1;
 const DUPS: u8 = 1;
 const CRASHES: u8 = 1;
 const SPURIOUS_TIMEOUTS: u8 = 1;
-/// Offer resends the modeled master may issue per exploration path. One
-/// is enough to prove the ack-loss story (drop the Done ack, resend the
-/// offer, survive via the idempotent re-ack); a second enables no new
-/// protocol branch.
-const RESENDS: u8 = 1;
+/// Seeds of the fault-model cross-check against `ChaosTransport`.
+const FAULT_MODEL_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -367,18 +364,18 @@ fn deliver_to_worker(
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 1: recovery transfer (offer / resend / abort / backtrack)
+// Scenario 1: recovery transfer (offer / ack or expiry / abort / backtrack)
 // ---------------------------------------------------------------------------
 
-/// The modeled master: drives [`TransferFsm`] over the candidate list with
-/// bounded offer resends, exactly like `RecoveryManager::transfer` minus
-/// the wall clock.
+/// The modeled master: offers the expert down the candidate list once
+/// each and concludes each attempt on its first ack or one expired wait,
+/// exactly like `RecoveryManager::transfer` minus the wall clock.
 #[derive(Clone)]
 struct RecMaster {
     attempt: usize,
-    fsm: Option<TransferFsm>,
+    /// The open attempt's target and round stamp, while its ack is awaited.
+    open: Option<(usize, u64)>,
     placed: Option<usize>,
-    resends_left: u8,
     gave_up: bool,
 }
 
@@ -418,34 +415,24 @@ impl Recovery {
         }
     }
 
-    /// The offer frame of `fsm`'s transfer, weights included.
-    fn offer(&self, fsm: &TransferFsm) -> Frame {
+    /// Offers the expert, weights included, to the next candidate.
+    fn start_attempt(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
+        let target = CANDIDATES[master.attempt];
+        let round = BASE_ROUND + master.attempt as u64;
         let manifest = self.manifest.clone();
-        let offer = offer_frame(
-            fsm.target(),
-            fsm.round(),
-            EXPERT,
-            manifest,
-            self.state_bytes.clone(),
-        );
-        Frame {
+        let offer = offer_frame(target, round, EXPERT, manifest, self.state_bytes.clone());
+        net.push(Frame {
             to: offer.to,
             from: MASTER,
             bytes: offer.encode(None),
-        }
-    }
-
-    fn start_attempt(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
-        let target = CANDIDATES[master.attempt];
-        let fsm = TransferFsm::new(EXPERT, target, BASE_ROUND + master.attempt as u64);
-        net.push(self.offer(&fsm));
-        master.fsm = Some(fsm);
+        });
+        master.open = Some((target, round));
     }
 
     /// Current attempt concluded without placement: try the next
     /// candidate or give up.
     fn backtrack(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
-        master.fsm = None;
+        master.open = None;
         master.attempt += 1;
         if master.attempt < CANDIDATES.len() {
             self.start_attempt(master, net);
@@ -455,31 +442,28 @@ impl Recovery {
     }
 
     fn master_on_frame(&self, master: &mut RecMaster, net: &mut Vec<Frame>, bytes: &[u8]) {
-        let Ok(env) = Envelope::decode(bytes) else {
-            return;
-        };
-        let Some(mut fsm) = master.fsm.take() else {
+        let Some((target, round)) = master.open else {
             return; // concluded; stale ack ignored
         };
-        let Some(ack) = match_load_ack(&env, fsm.round(), EXPERT) else {
-            master.fsm = Some(fsm); // not this transfer's ack
-            return;
+        let env = Envelope::decode(bytes).ok();
+        let Some(ack) = env.and_then(|env| match_load_ack(&env, round, EXPERT)) else {
+            return; // not this attempt's ack
         };
-        fsm.on_ack(ack);
-        match fsm.phase() {
-            TransferPhase::Offering => master.fsm = Some(fsm),
-            TransferPhase::Complete => master.placed = Some(fsm.target()),
+        match ack.status {
+            AckStatus::Done => {
+                master.open = None;
+                master.placed = Some(target);
+            }
             // The worker installed nothing: no abort is owed.
-            TransferPhase::Failed(_) => self.backtrack(master, net),
+            AckStatus::Refuse | AckStatus::Failed => self.backtrack(master, net),
         }
     }
 
-    /// The current attempt's ack waits have run out: abort it
-    /// (round-scoped) and backtrack — mirrors `RecoveryManager::transfer`'s
-    /// timeout arm.
+    /// The current attempt's ack wait has run out: abort it (round-scoped)
+    /// and backtrack — mirrors `RecoveryManager::transfer`'s timeout arm.
     fn master_timeout(&self, master: &mut RecMaster, net: &mut Vec<Frame>) {
-        if let Some(fsm) = master.fsm.take() {
-            let abort = abort_frame(fsm.target(), fsm.round(), EXPERT);
+        if let Some((target, round)) = master.open {
+            let abort = abort_frame(target, round, EXPERT);
             net.push(Frame {
                 to: abort.to,
                 from: MASTER,
@@ -490,7 +474,7 @@ impl Recovery {
     }
 
     fn quiescent(&self, s: &RecState) -> bool {
-        s.net.is_empty() && s.master.fsm.is_none()
+        s.net.is_empty() && s.master.open.is_none()
     }
 }
 
@@ -516,9 +500,8 @@ impl Scenario for Recovery {
     fn initial(&self) -> RecState {
         let mut master = RecMaster {
             attempt: 0,
-            fsm: None,
+            open: None,
             placed: None,
-            resends_left: RESENDS,
             gave_up: false,
         };
         let mut net = Vec::new();
@@ -548,13 +531,12 @@ impl Scenario for Recovery {
         out.push(s.master.attempt as u8);
         out.push(u8::from(s.master.gave_up));
         out.push(s.master.placed.map_or(0, |w| w as u8 + 1));
-        out.push(s.master.resends_left);
-        match &s.master.fsm {
+        match s.master.open {
             None => out.push(0),
-            Some(f) => {
+            Some((target, round)) => {
                 out.push(1);
-                out.push(f.target() as u8);
-                out.extend_from_slice(&f.round().to_le_bytes());
+                out.push(target as u8);
+                out.extend_from_slice(&round.to_le_bytes());
             }
         }
         for w in &s.workers {
@@ -669,48 +651,25 @@ impl Scenario for Recovery {
             }
         }
 
-        // The master resends the open offer (its ack wait timed out).
-        if s.master.resends_left > 0 {
-            if let Some(fsm) = &s.master.fsm {
-                let mut t = s.clone();
-                t.master.resends_left -= 1;
-                let frame = self.offer(fsm);
-                let label = format!("RESEND {}", frame_label(&frame));
-                let row = msc_message(n, MASTER, frame.to, &label, b'>');
-                t.net.push(frame);
-                t.net.sort();
-                out.push(Outcome {
-                    row,
-                    state: t,
-                    violation: None,
-                });
-            }
-        }
-
-        // The master's last ack wait expires. While a signal can still reach the
-        // master — an ack in flight toward it, a frame in flight toward
-        // the live current target (whose delivery generates an ack), or a
-        // resend available — an expiry is *spurious* and consumes
-        // adversary budget. Once the master is genuinely stuck (nothing
-        // inbound, nothing deliverable to a live target, no resends) the
-        // deadline MUST fire, free — which is what guarantees every
-        // exploration path terminates AND makes "fault-free ⇒ placed on
-        // worker 1" a theorem rather than a timing accident.
-        if let Some(fsm) = &s.master.fsm {
-            let target = fsm.target();
+        // The master's one ack wait expires. While a signal can still
+        // reach the master — an ack in flight toward it, or a frame in
+        // flight toward the live current target (whose delivery generates
+        // an ack) — an expiry is *spurious* and consumes adversary budget.
+        // Once the master is genuinely stuck (nothing inbound, nothing
+        // deliverable to a live target) the deadline MUST fire, free —
+        // which is what guarantees every exploration path terminates AND
+        // makes "fault-free ⇒ placed on worker 1" a theorem rather than a
+        // timing accident.
+        if let Some((target, round)) = s.master.open {
             let may_still_hear = s.net.iter().any(|f| f.to == MASTER)
-                || (!s.crashed[target - 1] && s.net.iter().any(|f| f.to == target))
-                || s.master.resends_left > 0;
+                || (!s.crashed[target - 1] && s.net.iter().any(|f| f.to == target));
             let free = !may_still_hear;
             if free || s.spurious_left > 0 {
                 let mut t = s.clone();
                 if !free {
                     t.spurious_left -= 1;
                 }
-                let label = format!(
-                    "ack wait expired @r{} — abort attempt, backtrack",
-                    fsm.round()
-                );
+                let label = format!("ack wait expired @r{round} — abort attempt, backtrack");
                 self.master_timeout(&mut t.master, &mut t.net);
                 t.net.sort();
                 out.push(Outcome {
@@ -1139,7 +1098,7 @@ pub fn check(allow_truncation: bool, diags: &mut Vec<Diagnostic>) -> Vec<String>
 
     // 4. Fault-model cross-check: the adversary's drop/dup/reorder
     //    semantics must match the live ChaosTransport on seeded schedules.
-    match netmodel::verify_seeds(&[1, 2, 3, 4, 5, 6, 7, 8]) {
+    match netmodel::verify_seeds(&FAULT_MODEL_SEEDS) {
         Ok(frames) => lines.push(format!(
             "xtask mc: fault model — {frames} frames replayed against ChaosTransport, 0 divergences"
         )),
@@ -1211,12 +1170,19 @@ mod tests {
         );
     }
 
+    /// The counts DESIGN.md §15.2–15.3 quote. A change to a modeled
+    /// protocol, the adversary or the fault model moves them, and the
+    /// document moves with them.
     #[test]
-    fn exploration_counts_are_deterministic() {
-        let a = explore(&Recovery::new(FsmMutation::None));
-        let b = explore(&Recovery::new(FsmMutation::None));
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.transitions, b.transitions);
+    fn exploration_counts_are_pinned() {
+        let recovery = explore(&Recovery::new(FsmMutation::None));
+        assert_eq!((recovery.states, recovery.transitions), (3_304, 10_854));
+        let mutant = explore(&Recovery::new(FsmMutation::StrandOnLostFinalAck));
+        let events = mutant.violation.map(|(trace, _)| trace.len());
+        assert_eq!((mutant.states, events), (1_003, Some(6)));
+        let session = explore(&Session);
+        assert_eq!((session.states, session.transitions), (511, 2_034));
+        assert_eq!(netmodel::verify_seeds(&FAULT_MODEL_SEEDS), Ok(217));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! | `det-rng`   | `thread_rng()` / `from_entropy()` / `rand::random()`  |
 //! |             | (OS-seeded randomness; use a seeded StdRng)           |
 //! | `det-sleep` | `thread::sleep(` (a sleep on a protocol path is time  |
-//! |             | no injected `Clock` can fake; resend on a timed-out   |
-//! |             | wait instead)                                         |
+//! |             | no injected `Clock` can fake; treat a timed-out wait  |
+//! |             | as a miss instead)                                    |
 //!
 //! Escape with a statement-scoped `// lint: allow(<rule>)` comment at the
 //! site — e.g. the single sanctioned `Instant::now()` inside

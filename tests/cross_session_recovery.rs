@@ -6,10 +6,10 @@
 //! key, so the two kinds of wait can pull each other's frames as well:
 //! the transfer's ack wait used to consume and discard a sibling round's
 //! `Result` (the sibling starved to its deadline), and a gather used to
-//! count a live transfer's `LoadAck` as stale (the transfer recovered
-//! only by resending after `ack_timeout`). Both waits now go through one
-//! receive that leaves a frame stamped for a sibling's live round queued
-//! for its owner.
+//! count a live transfer's `LoadAck` as stale (the transfer's one ack
+//! wait would then run out, and a placed expert be aborted). Both waits
+//! now go through one receive that leaves a frame stamped for a sibling's
+//! live round queued for its owner.
 //!
 //! The tests are single-threaded and deterministic: "the sibling is in
 //! the middle of its wait right now" is staged by a transport wrapper that
@@ -198,7 +198,7 @@ fn a_gather_parks_a_live_transfers_ack_instead_of_counting_it_stale() {
     assert_eq!(stale_seen_by_gather, Some(0), "the ack is not stale");
     assert_eq!(obs.metrics.counter("round.stale_discarded").get(), 0);
     // The Done reached the transfer: the migration completed on its one
-    // offer, with no resend behind the sibling round's input in node 2's
+    // offer, with no abort behind the sibling round's input in node 2's
     // mailbox.
     assert_eq!((mgr.migrations(), mgr.backtracks()), (1, 0));
     assert_eq!(mgr.host_of(1), Some(2));

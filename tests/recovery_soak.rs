@@ -50,11 +50,11 @@ fn fnv1a64(text: &str) -> u64 {
 }
 
 fn chaos(node_seed: u64) -> ChaosConfig {
-    // No reorder-delays: with drops, corruption and duplicates the resend
-    // and staleness paths are all exercised (a duplicated ack is stale to
-    // the transfer, which resends only when an ack wait times out) while
-    // outcomes stay purely message-driven (a live in-process reply always
-    // beats the generous deadlines, so timing never decides anything).
+    // No reorder-delays: with drops, corruption and duplicates the
+    // staleness paths are all exercised (a duplicated ack is stale to the
+    // transfer, which concludes on its first ack) while outcomes stay
+    // purely message-driven (a live in-process reply always beats the
+    // generous deadlines, so timing never decides anything).
     ChaosConfig {
         seed: SESSION_SEED ^ node_seed,
         drop_prob: 0.05,
@@ -215,8 +215,7 @@ fn blackholed_workers_expert_is_replaced_and_coverage_restored() {
 
 /// The replayability claim for recovery: two soaks from the same session
 /// seed — including quarantine, candidate ranking, the one-frame transfer
-/// with its resends, and the re-homed gather — must report byte-identical
-/// transcripts.
+/// and the re-homed gather — must report byte-identical transcripts.
 #[test]
 fn identical_seeds_replay_the_migration_byte_for_byte() {
     let (_, first) = run_soak();
@@ -226,7 +225,7 @@ fn identical_seeds_replay_the_migration_byte_for_byte() {
     assert_eq!(first, second, "seeded recovery soak diverged between runs");
     assert_eq!(
         fnv1a64(&first),
-        0xAC31_FD7C_2583_030C,
+        0x2260_BB87_6613_300E,
         "recovery transcript moved"
     );
 }
