@@ -44,8 +44,8 @@ pub trait Exchange {
     ///
     /// # Errors
     ///
-    /// A payload this exchange cannot decode; the session then treats the
-    /// reply as undecodable (fatal if strict, discarded otherwise).
+    /// A payload this exchange cannot decode; the session then discards
+    /// the reply as undecodable and keeps waiting for the peer.
     fn fold(&mut self, peer: usize, reply: &[u8]) -> Result<(), NetError>;
 
     /// Reduces what was folded to the round's output; `report` is the

@@ -423,7 +423,9 @@ pub enum GatherDiscard {
     Malformed,
 }
 
-/// Outcome of feeding one gather frame to a [`GatherFsm`].
+/// Outcome of feeding one gather frame to a [`GatherFsm`]. No verdict
+/// ends the round: a peer that never sends a usable reply is settled as
+/// a miss when the gather's deadline passes.
 #[derive(Debug)]
 pub enum GatherVerdict {
     /// The peer's reply was consumed and proves liveness; `folded` is
@@ -434,9 +436,6 @@ pub enum GatherVerdict {
     },
     /// The frame was discarded; keep waiting for this peer.
     Discarded(GatherDiscard),
-    /// Strict mode (`require_all_workers`): the round must fail with this
-    /// error.
-    Fatal(NetError),
 }
 
 /// The master's gather-leg state machine: classifies each frame received
@@ -449,21 +448,18 @@ pub enum GatherVerdict {
 #[derive(Debug, Clone, Copy)]
 pub struct GatherFsm {
     round: u64,
-    strict: bool,
 }
 
 impl GatherFsm {
-    /// Opens the gather for `round`; `strict` (`require_all_workers`)
-    /// fails the round on an undecodable reply instead of discarding it.
-    pub fn new(round: u64, strict: bool) -> Self {
-        GatherFsm { round, strict }
+    /// Opens the gather for `round`.
+    pub fn new(round: u64) -> Self {
+        GatherFsm { round }
     }
 
-    /// An undecodable reply: fatal in strict mode, discarded otherwise.
-    fn reject(&self, e: NetError) -> GatherVerdict {
-        if self.strict {
-            return GatherVerdict::Fatal(e);
-        }
+    /// An undecodable reply is discarded: the peer may still answer
+    /// before the deadline, and if it does not, the round settles it as
+    /// a miss.
+    fn reject(e: NetError) -> GatherVerdict {
         GatherVerdict::Discarded(match e {
             NetError::Corrupt { .. } => GatherDiscard::Corrupt,
             _ => GatherDiscard::Malformed,
@@ -480,21 +476,20 @@ impl GatherFsm {
     ) -> GatherVerdict {
         let env = match EnvelopeRef::decode(bytes) {
             Ok(env) => env,
-            Err(e) => return self.reject(e),
+            Err(e) => return Self::reject(e),
         };
         if env.round != self.round {
             // A reply stamped for some other round (late, duplicated, or
             // owned by a concurrent session on the same transport): never
-            // score it against this batch. Stale traffic is discarded
-            // even in strict mode — consuming it would silently corrupt
-            // the answer — but the verdict carries the stamp so the
+            // score it against this batch: consuming it would silently
+            // corrupt the answer. The verdict carries the stamp so the
             // shell can hand the frame to the session that owns it.
             return GatherVerdict::Discarded(GatherDiscard::Stale { seen: env.round });
         }
         match env.kind {
             PayloadKind::Result => match fold(env.payload) {
                 Ok(()) => GatherVerdict::Accepted { folded: true },
-                Err(e) => self.reject(e),
+                Err(e) => Self::reject(e),
             },
             // A probe ack proves liveness; it carries no rows. One that
             // carries bytes is a result whose kind bit flipped in flight
@@ -919,7 +914,7 @@ mod tests {
 
     #[test]
     fn a_result_flipped_into_a_probe_ack_is_discarded_not_counted() {
-        let (g, mut fold) = gather(100, true, None);
+        let (g, mut fold) = gather(100, None);
         let frame = flip_kind_bit(result_frame(100, &[(2, 0.2)]));
         assert!(matches!(
             g.step(&frame, |p| fold.fold(1, p)),
@@ -928,10 +923,10 @@ mod tests {
     }
 
     /// A gather over a 1-row batch the master answered `(4, 0.9)`.
-    fn gather(round: u64, strict: bool, calibration: Option<Vec<f32>>) -> (GatherFsm, TeamFold) {
+    fn gather(round: u64, calibration: Option<Vec<f32>>) -> (GatherFsm, TeamFold) {
         let mut fold = TeamFold::new(calibration);
         fold.seed(0, vec![(4, 0.9)]);
-        (GatherFsm::new(round, strict), fold)
+        (GatherFsm::new(round), fold)
     }
 
     fn result_frame(round: u64, results: &[(usize, f32)]) -> Vec<u8> {
@@ -941,7 +936,7 @@ mod tests {
 
     #[test]
     fn gather_folds_argmin_and_discards_stale() {
-        let (g, mut fold) = gather(100, false, None);
+        let (g, mut fold) = gather(100, None);
         // Stale frame from an earlier round.
         assert!(matches!(
             g.step(&result_frame(99, &[(1, 0.1)]), |p| fold.fold(1, p)),
@@ -963,19 +958,14 @@ mod tests {
     }
 
     #[test]
-    fn gather_strict_mode_fails_on_corrupt() {
+    fn a_corrupt_reply_is_discarded() {
         let mut frame = result_frame(100, &[(2, 0.2)]);
         if let Some(b) = frame.last_mut() {
             *b ^= 0x40;
         }
-        let (strictg, mut fold) = gather(100, true, None);
+        let (g, mut fold) = gather(100, None);
         assert!(matches!(
-            strictg.step(&frame, |p| fold.fold(1, p)),
-            GatherVerdict::Fatal(_)
-        ));
-        let (lax, mut fold) = gather(100, false, None);
-        assert!(matches!(
-            lax.step(&frame, |p| fold.fold(1, p)),
+            g.step(&frame, |p| fold.fold(1, p)),
             GatherVerdict::Discarded(GatherDiscard::Corrupt)
         ));
     }
@@ -996,23 +986,18 @@ mod tests {
         ] {
             let payload = teamnet_net::codec::encode_f32s(&[1, 2], &[label, h]);
             let frame = Envelope::new(100, PayloadKind::Result, payload).encode();
-            let (lax, mut fold) = gather(100, false, None);
+            let (g, mut fold) = gather(100, None);
             assert!(matches!(
-                lax.step(&frame, |p| fold.fold(1, p)),
+                g.step(&frame, |p| fold.fold(1, p)),
                 GatherVerdict::Discarded(GatherDiscard::Malformed)
             ));
             let preds = fold.into_predictions();
             assert_eq!(preds.first().map(|p| (p.label, p.expert)), Some((4, 0)));
-            let (strict, mut fold) = gather(100, true, None);
-            assert!(matches!(
-                strict.step(&frame, |p| fold.fold(1, p)),
-                GatherVerdict::Fatal(NetError::Malformed(_))
-            ));
         }
         // +∞ is an honest "this row is invalid": folded, never a winner.
-        let (lax, mut fold) = gather(100, false, None);
+        let (g, mut fold) = gather(100, None);
         assert!(matches!(
-            lax.step(&result_frame(100, &[(2, f32::INFINITY)]), |p| fold
+            g.step(&result_frame(100, &[(2, f32::INFINITY)]), |p| fold
                 .fold(1, p)),
             GatherVerdict::Accepted { folded: true }
         ));
@@ -1023,7 +1008,7 @@ mod tests {
     fn gather_respects_calibration_weights() {
         // Raw entropies favor peer 1 (0.3 < 0.9·1.0), but peer 1's δ*
         // weight of 4.0 flips the comparison.
-        let (g, mut fold) = gather(7, false, Some(vec![1.0, 4.0]));
+        let (g, mut fold) = gather(7, Some(vec![1.0, 4.0]));
         g.step(&result_frame(7, &[(3, 0.3)]), |p| fold.fold(1, p));
         let preds = fold.into_predictions();
         assert_eq!(preds.first().map(|p| p.expert), Some(0));

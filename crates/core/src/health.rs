@@ -228,10 +228,6 @@ pub struct PeerReport {
     pub responded: bool,
     /// Consecutive misses on record after this round.
     pub consecutive_misses: u32,
-    /// Experts this peer is hosting on behalf of quarantined homes via
-    /// the recovery protocol (DESIGN.md §14); empty outside recovery.
-    #[serde(default)]
-    pub hosted_experts: Vec<usize>,
 }
 
 /// The outcome of one fault-tolerant inference round: predictions plus
@@ -409,7 +405,6 @@ mod tests {
             probed: false,
             responded,
             consecutive_misses: 0,
-            hosted_experts: Vec::new(),
         }
     }
 
@@ -455,9 +450,6 @@ mod tests {
         let mut r = report();
         r.expert_hosts = [(1, 2), (5, 0)].into_iter().collect();
         r.migrations = 3;
-        if let Some(p) = r.peers.get_mut(&2) {
-            p.hosted_experts = vec![1];
-        }
         let expected = "\
 pred 0: label=3 expert=1 entropy=3e800000
 peer 0: health=Live contacted=true probed=false responded=true misses=0

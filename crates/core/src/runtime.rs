@@ -59,16 +59,19 @@ pub const TAG_INPUT: Tag = Tag(0x7EA0_0001);
 pub const TAG_RESULT: Tag = Tag(0x7EA0_0002);
 
 /// Master-side inference policy.
+///
+/// A peer that does not answer — its send fails, its reply misses the
+/// deadline, or every reply it sends is undecodable — never fails the
+/// round: it is settled as a miss for the failure detector, and the
+/// round's answer comes from the experts that did reply (degraded
+/// collaborative inference). A strategy that needs every peer's reply
+/// says so once the round returns.
 #[derive(Debug, Clone)]
 pub struct MasterConfig {
     /// Wall-clock budget for one round's gather leg: all workers' replies
     /// (and all discard-and-rewait cycles for stale or corrupt traffic)
     /// share this one deadline.
     pub worker_timeout: Duration,
-    /// If `false`, a worker timing out merely removes it from the
-    /// candidate set (degraded collaborative inference); if `true`, the
-    /// inference fails.
-    pub require_all_workers: bool,
     /// Optional per-node entropy weights δ* (Eq. 1 with converged control
     /// variables; see [`crate::TeamNet::set_calibration`]), indexed by
     /// node id. `None` means the plain arg-min of the paper's Figure 4.
@@ -96,7 +99,6 @@ impl Default for MasterConfig {
     fn default() -> Self {
         MasterConfig {
             worker_timeout: Duration::from_secs(10),
-            require_all_workers: true,
             calibration: None,
             failure: FailureDetectorConfig::default(),
             clock: Arc::new(SystemClock),
@@ -585,11 +587,10 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// With `require_all_workers` set: [`NetError::Timeout`] when a
-    /// contacted worker misses the deadline, [`NetError::Malformed`] /
-    /// [`NetError::Corrupt`] when a reply is undecodable, and send
-    /// failures. In degraded mode those all demote the peer instead, and
-    /// the round fails only if [`Exchange::finish`] does.
+    /// A transport receive failure other than a timeout, or whatever
+    /// [`Exchange::finish`] returns. A peer whose send fails, whose reply
+    /// misses the deadline or is undecodable is a miss, never the
+    /// round's error.
     pub fn round<E: Exchange>(
         &mut self,
         transport: &dyn Transport,
@@ -645,7 +646,7 @@ impl InferenceSession {
                 ("trace", trace_id),
             ],
         );
-        let mut peers = self.broadcast(transport, &mut round, &exchange)?;
+        let mut peers = self.broadcast(transport, &mut round, &exchange);
         self.forward(&mut round, &mut exchange);
         self.gather(transport, &mut round, &mut exchange, &mut peers)?;
         drop(registration);
@@ -660,7 +661,7 @@ impl InferenceSession {
         transport: &dyn Transport,
         round: &mut Round,
         exchange: &E,
-    ) -> Result<Vec<PeerRound>, NetError> {
+    ) -> Vec<PeerRound> {
         let obs = &self.config.obs;
         // One frame per kind, shared by every peer: a shared request goes
         // from `f32`s to a sendable frame in one pass (no intermediate
@@ -704,13 +705,8 @@ impl InferenceSession {
                         obs.span("round.send", &[("peer", peer as u64), ("bytes", wire_len)]);
                     let ctx = shell::stamp(obs, round.trace);
                     let frame = shell::stamped(unstamped, round.stamp, kind, ctx);
-                    // One attempt: a send that fails is a miss, or the
-                    // round's error in strict mode.
-                    sent = match shell::send(transport, obs, label, peer, TAG_INPUT, &frame) {
-                        Ok(()) => true,
-                        Err(e) if self.config.require_all_workers => return Err(e),
-                        Err(_) => false,
-                    };
+                    // One attempt: a send that fails is a miss.
+                    sent = shell::send(transport, obs, label, peer, TAG_INPUT, &frame).is_ok();
                 }
                 peers.push(PeerRound {
                     peer,
@@ -721,7 +717,7 @@ impl InferenceSession {
             }
         }
         round.broadcast_ns = obs.tracer.now_ns().saturating_sub(t_broadcast);
-        Ok(peers)
+        peers
     }
 
     /// Phase 2: the master's own share runs while the workers compute.
@@ -745,7 +741,8 @@ impl InferenceSession {
     /// re-waits after discarding stale, corrupt or malformed traffic.
     /// Frame classification lives in the pure gather state machine
     /// (DESIGN.md §15) and the reduction in the exchange's fold; this
-    /// shell owns the waits, the deadline and the counters.
+    /// shell owns the waits, the deadline and the counters. A peer still
+    /// unanswered at the deadline is left for `settle` to count as a miss.
     fn gather<E: Exchange>(
         &self,
         transport: &dyn Transport,
@@ -754,7 +751,7 @@ impl InferenceSession {
         peers: &mut [PeerRound],
     ) -> Result<(), NetError> {
         let obs = &self.config.obs;
-        let classify = fsm::GatherFsm::new(round.stamp, self.config.require_all_workers);
+        let classify = fsm::GatherFsm::new(round.stamp);
         let clock = &*self.config.clock;
         let deadline = deadline_after(clock.now(), self.config.worker_timeout);
         let _gather_span = obs.span("round.gather", &[]);
@@ -767,7 +764,6 @@ impl InferenceSession {
                 shell::recv_result(transport, obs, clock, round.stamp, peer, deadline)?
             {
                 match classify.step(&bytes, |reply| exchange.fold(peer, reply)) {
-                    fsm::GatherVerdict::Fatal(e) => return Err(e),
                     fsm::GatherVerdict::Discarded(why) => self.books.discard(round, why),
                     fsm::GatherVerdict::Accepted { folded } => {
                         if folded {
@@ -780,11 +776,6 @@ impl InferenceSession {
                         break;
                     }
                 }
-            }
-            if !record.answered && self.config.require_all_workers {
-                return Err(NetError::Timeout {
-                    waiting_for: format!("results from worker {peer} (round {})", round.stamp),
-                });
             }
         }
         Ok(())
@@ -860,11 +851,6 @@ impl InferenceSession {
                     probed: record.plan == ContactPlan::Probe,
                     responded: record.answered,
                     consecutive_misses: self.detector.misses(peer),
-                    hosted_experts: expert_hosts
-                        .iter()
-                        .filter(|&(&e, &h)| h == peer && e != peer)
-                        .map(|(&e, _)| e)
-                        .collect(),
                 },
             );
         }
@@ -1029,15 +1015,17 @@ mod tests {
         }
     }
 
+    /// Lets the workers go even when the round panics.
+    struct Shutdown<'a>(&'a ChannelTransport);
+
+    impl Drop for Shutdown<'_> {
+        fn drop(&mut self) {
+            let _ = shutdown_workers(self.0);
+        }
+    }
+
     #[test]
     fn a_round_with_no_representable_deadline_completes() {
-        /// Lets the worker go even when the round panics.
-        struct Shutdown<'a>(&'a ChannelTransport);
-        impl Drop for Shutdown<'_> {
-            fn drop(&mut self) {
-                let _ = shutdown_workers(self.0);
-            }
-        }
         let nodes = ChannelTransport::mesh(2);
         let images = Tensor::full([2, 1, 28, 28], 0.3);
         thread::scope(|scope| {
@@ -1054,33 +1042,57 @@ mod tests {
     }
 
     #[test]
-    fn missing_worker_times_out_when_required() {
-        let nodes = ChannelTransport::mesh(2);
-        let mut master_expert = expert(0);
-        let images = Tensor::zeros([1, 1, 28, 28]);
-        let config = MasterConfig {
-            worker_timeout: Duration::from_millis(50),
-            require_all_workers: true,
-            ..MasterConfig::default()
-        };
-        let res = one_round(&nodes[0], &mut master_expert, &images, &config);
-        assert!(matches!(res, Err(NetError::Timeout { .. })), "{res:?}");
-    }
-
-    #[test]
-    fn missing_worker_degrades_gracefully_when_optional() {
+    fn missing_worker_degrades_gracefully() {
         let nodes = ChannelTransport::mesh(2);
         let mut master_expert = expert(0);
         let images = Tensor::zeros([2, 1, 28, 28]);
         let config = MasterConfig {
             worker_timeout: Duration::from_millis(50),
-            require_all_workers: false,
             ..MasterConfig::default()
         };
         let preds = one_round(&nodes[0], &mut master_expert, &images, &config).unwrap();
         assert_eq!(preds.len(), 2);
         // All predictions fall back to the master's own expert.
         assert!(preds.iter().all(|p| p.expert == 0));
+    }
+
+    /// Under the default config a silent peer fails no round: each round
+    /// settles it as a miss, so it is quarantined and no longer waited
+    /// for.
+    #[test]
+    fn a_silent_peer_is_a_miss_under_the_default_config() {
+        let nodes = ChannelTransport::mesh(3);
+        let images = Tensor::full([1, 1, 28, 28], 0.4);
+        let timeout = Duration::from_millis(400);
+        let config = MasterConfig {
+            worker_timeout: timeout,
+            ..MasterConfig::default()
+        };
+        let quarantine_after = config.failure.quarantine_after;
+        thread::scope(|scope| {
+            scope.spawn(|_| serve(&nodes[1], &mut expert(1)));
+            let _shutdown = Shutdown(&nodes[0]);
+            let mut session = InferenceSession::new(&nodes[0], config);
+            let mut master_expert = expert(0);
+            for round in 1..=quarantine_after {
+                let report = session
+                    .infer(&nodes[0], &mut master_expert, &images)
+                    .unwrap();
+                assert!(report.peers[&1].responded, "round {round}");
+                assert!(!report.peers[&2].responded, "round {round}");
+                assert_eq!(report.peers[&2].consecutive_misses, round);
+            }
+            assert_eq!(session.detector().health(2), PeerHealth::Quarantined);
+            // A quarantined peer is not waited for.
+            let started = Instant::now();
+            let report = session
+                .infer(&nodes[0], &mut master_expert, &images)
+                .unwrap();
+            assert!(started.elapsed() < timeout / 2, "{:?}", started.elapsed());
+            assert!(!report.peers[&2].contacted);
+            assert_eq!(report.responsive_peers(), vec![0, 1]);
+        })
+        .unwrap();
     }
 
     /// Node 0 of a `num_nodes` mesh whose sends to `dead` always fail,
@@ -1139,27 +1151,22 @@ mod tests {
     #[test]
     fn a_failed_send_is_one_attempt_and_no_sleep() {
         let images = Tensor::full([1, 1, 28, 28], 0.2);
-        for strict in [false, true] {
-            let clock = Arc::new(ManualClock::new());
-            let dead = DeadSends::new(2, 1);
-            let config = MasterConfig {
-                require_all_workers: strict,
-                clock: Arc::clone(&clock) as Arc<dyn Clock>,
-                ..MasterConfig::default()
-            };
-            let res = InferenceSession::new(&dead, config).infer(&dead, &mut expert(0), &images);
-            if strict {
-                assert!(matches!(res, Err(NetError::Io(_))), "{res:?}");
-            } else {
-                // Degraded: the peer was contacted, never waited for, and
-                // the round's answer is the master's own.
-                let report = res.unwrap();
-                assert!(report.peers[&1].contacted);
-                assert!(!report.peers[&1].responded);
-                assert!(report.predictions.iter().all(|p| p.expert == 0));
-            }
-            assert_eq!(dead.attempts(), 1, "strict={strict}");
-        }
+        let clock = Arc::new(ManualClock::new());
+        let dead = DeadSends::new(2, 1);
+        let config = MasterConfig {
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..MasterConfig::default()
+        };
+        let report = InferenceSession::new(&dead, config)
+            .infer(&dead, &mut expert(0), &images)
+            .unwrap();
+        // The peer was contacted, never waited for, and the round's
+        // answer is the master's own.
+        assert!(report.peers[&1].contacted);
+        assert!(!report.peers[&1].responded);
+        assert_eq!(report.peers[&1].consecutive_misses, 1);
+        assert!(report.predictions.iter().all(|p| p.expert == 0));
+        assert_eq!(dead.attempts(), 1);
     }
 
     #[test]
@@ -1279,11 +1286,7 @@ mod tests {
                 let mut worker_expert = expert(1);
                 serve(&nodes[1], &mut worker_expert);
             });
-            let config = MasterConfig {
-                require_all_workers: false,
-                ..MasterConfig::default()
-            };
-            let mut session = InferenceSession::new(&nodes[0], config);
+            let mut session = InferenceSession::new(&nodes[0], MasterConfig::default());
             let mut master_expert = expert(0);
             let report = session
                 .infer(&nodes[0], &mut master_expert, &images)
@@ -1338,7 +1341,6 @@ mod tests {
     fn recovery_master_config() -> MasterConfig {
         MasterConfig {
             worker_timeout: Duration::from_millis(300),
-            require_all_workers: false,
             failure: FailureDetectorConfig {
                 quarantine_after: 1,
                 probe_interval: 1,
@@ -1406,7 +1408,6 @@ mod tests {
             assert_eq!(r2.peers[&1].health, PeerHealth::Quarantined);
             assert_eq!(r2.migrations, 1);
             assert_eq!(r2.expert_hosts, [(1, 2)].into_iter().collect());
-            assert_eq!(r2.peers[&2].hosted_experts, vec![1]);
 
             // Round 3: full team coverage is restored — the distributed
             // answer matches the 3-expert local team exactly even though

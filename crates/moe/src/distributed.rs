@@ -104,7 +104,7 @@ impl Exchange for MoeRound<'_> {
 ///
 /// # Errors
 ///
-/// As [`InferenceSession::round`]: a silent expert is a [`NetError::Timeout`].
+/// As [`InferenceSession::round`], and a silent expert is a [`NetError::Timeout`].
 pub fn infer_distributed(
     session: &mut InferenceSession,
     transport: &dyn Transport,

@@ -28,7 +28,7 @@ impl Shard for ShakeShakeBlock {
 ///
 /// # Errors
 ///
-/// As [`InferenceSession::round`]: a silent worker is a [`NetError::Timeout`].
+/// As [`InferenceSession::round`], and a silent worker is a [`NetError::Timeout`].
 pub fn branch_parallel_forward(
     session: &mut InferenceSession,
     transport: &dyn Transport,

@@ -69,7 +69,7 @@ impl Shard for ConvShard {
 ///
 /// # Errors
 ///
-/// As [`InferenceSession::round`]: a silent peer is a [`NetError::Timeout`].
+/// As [`InferenceSession::round`], and a silent peer is a [`NetError::Timeout`].
 pub fn kernel_parallel_conv2d(
     session: &mut InferenceSession,
     transport: &dyn Transport,

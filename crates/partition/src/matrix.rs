@@ -94,7 +94,7 @@ pub fn shard_mlp(spec: &ModelSpec, state: &[Tensor], node: usize, nodes: usize) 
 ///
 /// # Errors
 ///
-/// As [`InferenceSession::round`]: a silent peer is a [`NetError::Timeout`].
+/// As [`InferenceSession::round`], and a silent peer is a [`NetError::Timeout`].
 ///
 /// # Panics
 ///

@@ -371,6 +371,10 @@ impl ServeEngine {
     /// `max_batch_rows` — and returns the number of requests completed.
     /// This is the deterministic driver: tests submit and call this — no
     /// engine thread, no clock motion, no real sleeping.
+    ///
+    /// A silent peer is a miss that the round answers around, narrowing
+    /// the admission window once quarantined; only a transport failure
+    /// fails the batch's tickets (`serve.rounds_failed`).
     pub fn pump_now(&mut self, transport: &dyn Transport) -> usize {
         let flush: Vec<(PendingRequest, QueuedRequest)> = {
             let mut st = self.front.state.lock();
@@ -446,18 +450,13 @@ impl ServeEngine {
                 }
                 // Backpressure: narrow the admission window to the
                 // fraction of the team the detector still sends rounds to.
-                let total = report.peers.len().max(1);
-                let live = report
-                    .peers
-                    .values()
-                    .filter(|pr| pr.health.receives_rounds())
-                    .count();
-                let mut st = self.front.state.lock();
-                st.batcher.set_health(live, total);
+                let peers = report.peers.values();
+                let live = peers.filter(|pr| pr.health.receives_rounds()).count();
+                let total = report.peers.len();
+                self.front.state.lock().batcher.set_health(live, total);
             }
             Err(e) => {
-                // The failed round itself already dumped the flight
-                // recorder (if armed) inside `InferenceSession::infer`.
+                // `infer` has already dumped the flight recorder (if armed).
                 self.c_rounds_failed.inc();
                 let err = ServeError::Net(e.to_string());
                 for (_, req) in &flush {
@@ -646,7 +645,6 @@ mod tests {
         // suspect, still sent every round, so the window stays whole.
         with_silent_peers(1, |master| {
             let mut config = config();
-            config.master.require_all_workers = false;
             config.master.failure.quarantine_after = 3;
             let mut engine = ServeEngine::new(master, expert(0), config);
             let handle = engine.handle();
@@ -656,6 +654,29 @@ mod tests {
             let detector = engine.session().detector();
             assert_eq!(detector.health(2), PeerHealth::Suspect);
             assert_eq!(handle.admission_window(), 16);
+        });
+    }
+
+    /// Under the default master policy a silent worker fails no batch:
+    /// its tickets are answered by the others, and its quarantine
+    /// narrows the window.
+    #[test]
+    fn a_silent_worker_is_served_around_and_narrows_the_window() {
+        with_silent_peers(1, |master| {
+            let mut engine = ServeEngine::new(master, expert(0), config());
+            let handle = engine.handle();
+            let quarantine_after = MasterConfig::default().failure.quarantine_after;
+            for _ in 0..quarantine_after {
+                assert_eq!(handle.admission_window(), 16);
+                let ticket = handle.submit(&request(1, 0.2)).unwrap();
+                assert_eq!(engine.pump_now(master), 1);
+                assert_eq!(ticket.try_take().unwrap().unwrap().len(), 1);
+            }
+            let detector = engine.session().detector();
+            assert_eq!(detector.health(2), PeerHealth::Quarantined);
+            assert_eq!(handle.admission_window(), 16 * 2 / 3);
+            let failed = handle.obs().metrics.counter("serve.rounds_failed");
+            assert_eq!(failed.get(), 0);
         });
     }
 

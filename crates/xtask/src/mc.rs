@@ -848,7 +848,7 @@ impl Scenario for Session {
         ];
         net.sort();
         SessState {
-            gather: GatherFsm::new(SESSION_ROUND, false),
+            gather: GatherFsm::new(SESSION_ROUND),
             fold,
             responded: 0,
             workers: vec![
@@ -905,21 +905,16 @@ impl Scenario for Session {
                         }
                     }
                     GatherVerdict::Discarded(_) => {}
-                    GatherVerdict::Fatal(e) => {
-                        violation = Some(format!("lax-mode gather returned fatal: {e}"));
-                    }
                 }
-                if violation.is_none() {
-                    // Idempotence: re-folding the identical frame must not
-                    // change the predictions (min-fold absorbs duplicates).
-                    let before = t.fold.clone().into_predictions();
-                    let mut again = t.fold.clone();
-                    let _ = t.gather.step(&frame.bytes, |p| again.fold(from, p));
-                    if again.into_predictions() != before {
-                        violation = Some(format!(
-                            "idempotence violated: duplicate gather frame [{label}] moved the arg-min"
-                        ));
-                    }
+                // Idempotence: re-folding the identical frame must not
+                // change the predictions (min-fold absorbs duplicates).
+                let before = t.fold.clone().into_predictions();
+                let mut again = t.fold.clone();
+                let _ = t.gather.step(&frame.bytes, |p| again.fold(from, p));
+                if again.into_predictions() != before {
+                    violation = Some(format!(
+                        "idempotence violated: duplicate gather frame [{label}] moved the arg-min"
+                    ));
                 }
             } else {
                 let canned = encode_results(&[WORKER_RESULTS[frame.to - 1]]);

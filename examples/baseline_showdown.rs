@@ -141,6 +141,9 @@ fn main() -> ExitCode {
             let mut master = expert(0);
             bench.row("TeamNet x2 (broadcast+gather)", 1, &want, || {
                 let report = session.infer(root, &mut master, &image).unwrap();
+                // A silent worker is a miss, not an error: both nodes
+                // must have answered for the row to count.
+                assert_eq!(report.responsive_peers(), [0, 1], "a silent worker");
                 report.predictions.iter().map(key).collect()
             });
         });

@@ -90,7 +90,6 @@ fn main() {
 
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(150),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 2,
             probe_interval: 3,

@@ -53,7 +53,6 @@ fn main() {
             input_dims: vec![1, 28, 28],
             master: MasterConfig {
                 worker_timeout: Duration::from_millis(500),
-                require_all_workers: false,
                 ..MasterConfig::default()
             },
         };

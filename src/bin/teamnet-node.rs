@@ -128,6 +128,9 @@ fn main() {
         };
         let mut session = InferenceSession::new(&transport, config);
         let mut correct = 0usize;
+        // A silent worker is a miss, not a failed inference: the round is
+        // answered by the experts that replied, and counted here.
+        let mut degraded = 0usize;
         let start = std::time::Instant::now();
         for i in 0..demo_data.len() {
             let image = demo_data.images().select_rows(&[i]);
@@ -135,6 +138,9 @@ fn main() {
                 Ok(report) => {
                     if report.predictions[0].label == demo_data.labels()[i] {
                         correct += 1;
+                    }
+                    if report.responsive_peers().len() < args.peers.len() {
+                        degraded += 1;
                     }
                 }
                 Err(e) => {
@@ -145,9 +151,11 @@ fn main() {
         }
         let per = start.elapsed() / demo_data.len() as u32;
         println!(
-            "master: {}/{} correct, {per:?} per collaborative inference",
+            "master: {}/{} correct, {per:?} per collaborative inference, \
+             {degraded} answered by fewer than all {} experts",
             correct,
-            demo_data.len()
+            demo_data.len(),
+            args.peers.len()
         );
         if let Err(e) = shutdown_workers(&transport) {
             eprintln!("shutdown broadcast failed: {e}");

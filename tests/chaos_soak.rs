@@ -51,7 +51,6 @@ fn fifty_rounds_under_chaos_complete_with_live_predictions() {
 
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(150),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 3,
             probe_interval: 2,

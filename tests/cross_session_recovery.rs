@@ -108,7 +108,6 @@ fn recovery_manager(obs: &Obs) -> RecoveryManager {
 fn degraded(timeout_ms: u64, obs: &Obs) -> MasterConfig {
     MasterConfig {
         worker_timeout: Duration::from_millis(timeout_ms),
-        require_all_workers: false,
         obs: obs.clone(),
         ..MasterConfig::default()
     }

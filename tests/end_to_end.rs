@@ -58,6 +58,9 @@ fn train_deploy_infer_over_tcp_matches_local() {
             .infer(&nodes[0], &mut master, sample.images())
             .unwrap();
         shutdown_workers(&nodes[0]).unwrap();
+        // A silent worker would only degrade the round: every expert must
+        // have answered for the comparison below to mean anything.
+        assert_eq!(report.responsive_peers(), vec![0, 1], "{report:?}");
         report.predictions
     })
     .unwrap();
@@ -79,7 +82,7 @@ fn inference_survives_a_blackholed_worker() {
     let state0 = state_vec(team.expert_mut(0));
 
     // A 2-node in-process cluster where the master's traffic to the worker
-    // is black-holed mid-service: degraded mode must still answer.
+    // is black-holed mid-service: the master must still answer.
     let mut mesh = teamnet_net::ChannelTransport::mesh(2);
     let _worker_side = mesh.pop().unwrap(); // worker never runs: dead node
     let lossy = ChaosTransport::new(mesh.pop().unwrap());
@@ -89,7 +92,6 @@ fn inference_survives_a_blackholed_worker() {
     load_state(&mut master, &state0);
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(100),
-        require_all_workers: false,
         ..MasterConfig::default()
     };
     let sample = test.subset(&[0, 1, 2]);
@@ -99,26 +101,4 @@ fn inference_survives_a_blackholed_worker() {
         .predictions;
     assert_eq!(preds.len(), 3);
     assert!(preds.iter().all(|p| p.expert == lossy.node_id()));
-}
-
-#[test]
-fn strict_mode_reports_timeout_for_dead_worker() {
-    let (mut team, test) = quick_train(2);
-    let spec = team.spec().clone();
-    let state0 = state_vec(team.expert_mut(0));
-    let nodes = teamnet_net::ChannelTransport::mesh(2);
-    let mut master = build_expert(&spec, 0);
-    load_state(&mut master, &state0);
-    let config = MasterConfig {
-        worker_timeout: Duration::from_millis(50),
-        require_all_workers: true,
-        ..MasterConfig::default()
-    };
-    let sample = test.subset(&[0]);
-    let res =
-        InferenceSession::new(&nodes[0], config).infer(&nodes[0], &mut master, sample.images());
-    assert!(
-        matches!(res, Err(teamnet_net::NetError::Timeout { .. })),
-        "{res:?}"
-    );
 }

@@ -60,13 +60,12 @@ fn stale_reply_from_previous_round_is_never_consumed() {
 
         let config = MasterConfig {
             worker_timeout: Duration::from_millis(200),
-            require_all_workers: false,
             ..MasterConfig::default()
         };
         let mut session = InferenceSession::new(&nodes[0], config);
         let mut master_expert = expert(0);
 
-        // Round 1: the worker stays silent, degraded mode answers locally.
+        // Round 1: the worker stays silent, the master answers locally.
         let r1 = session
             .infer(&nodes[0], &mut master_expert, &images)
             .unwrap();
@@ -94,7 +93,6 @@ fn stale_reply_from_previous_round_is_never_consumed() {
 fn quarantine_config() -> MasterConfig {
     MasterConfig {
         worker_timeout: Duration::from_millis(100),
-        require_all_workers: false,
         // The worker's entropy is scaled way down, the master's way up:
         // whenever the worker answers, it wins every row.
         calibration: Some(vec![1e3, 1e-3]),
@@ -212,7 +210,6 @@ fn quarantined_rounds_skip_the_gather_wait() {
     let nodes = ChannelTransport::mesh(2);
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(80),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 1,
             probe_interval: 100,

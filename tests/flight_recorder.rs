@@ -25,7 +25,6 @@ fn quarantine_transition_dumps_ring_ending_with_the_trigger() {
     let obs = Obs::with_flight_recorder(Arc::new(SystemClock), Arc::new(NullSink), 64, dir);
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(20),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 2,
             probe_interval: 1000,

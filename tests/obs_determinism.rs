@@ -66,7 +66,6 @@ fn seeded_soak(rounds: usize, obs: Obs) -> String {
 
     let config = MasterConfig {
         worker_timeout: Duration::from_millis(800),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 3,
             probe_interval: 2,

@@ -48,7 +48,6 @@ fn master_config(clock: Arc<ManualClock>) -> MasterConfig {
         // blocks for this long in *real* time (the ManualClock never
         // moves while the master awaits the silent peer).
         worker_timeout: Duration::from_millis(150),
-        require_all_workers: false,
         failure: FailureDetectorConfig {
             quarantine_after: 2,
             probe_interval: 1_000,

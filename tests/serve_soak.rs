@@ -89,7 +89,6 @@ fn serve_soak() -> (String, String, String) {
         input_dims: vec![1, 28, 28],
         master: MasterConfig {
             worker_timeout: Duration::from_millis(300),
-            require_all_workers: false,
             failure: FailureDetectorConfig {
                 quarantine_after: 2,
                 // No probe rounds inside this short soak: probing the

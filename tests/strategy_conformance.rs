@@ -4,7 +4,8 @@
 //! them all and they inherit the same guarantees — the distributed output
 //! is the local reference bit for bit, a duplicated or late reply is
 //! discarded by its round stamp instead of merged into the next call, and
-//! a silent peer is a `Timeout` inside `worker_timeout`.
+//! a silent peer is given up on at `worker_timeout`: a miss that TeamNet
+//! answers around, a `Timeout` for a strategy that needs every share.
 //!
 //! Deterministic: faults are `ChaosTransport` probabilities of 1.0 or
 //! explicit blackholes, and orderings are enforced by blocking receives.
@@ -362,26 +363,34 @@ fn a_timed_out_calls_late_reply_is_not_consumed_by_the_next_call() {
 }
 
 /// A peer that never answers — black-holed on the way out, every reply
-/// dropped on the way back, or simply not there — is `NetError::Timeout`
-/// inside `worker_timeout` for every strategy: no hang, no panic, no
-/// partial answer.
+/// dropped on the way back, or simply not there — is given up on inside
+/// `worker_timeout` by every strategy: no hang, no panic, no partial
+/// answer. TeamNet answers with the experts that replied and records the
+/// peer as unanswered; MPI-Matrix/-Kernel/-Branch and SG-MoE cannot do
+/// without its share and return `NetError::Timeout`.
 #[test]
 fn a_silent_peer_times_every_strategy_out_inside_the_deadline() {
     let worker_timeout = Duration::from_millis(60);
-    let strict = || MasterConfig {
+    let config = || MasterConfig {
         worker_timeout,
         ..MasterConfig::default()
     };
-    let timed_out = |what: &str, began: Instant, res: Result<(), NetError>| {
-        assert!(
-            matches!(res, Err(NetError::Timeout { .. })),
-            "{what}: {res:?}"
-        );
+    let gave_up = |what: &str, degrades: bool, began: Instant, res: Result<(), NetError>| {
+        if degrades {
+            assert!(res.is_ok(), "{what}: {res:?}");
+        } else {
+            assert!(
+                matches!(res, Err(NetError::Timeout { .. })),
+                "{what}: {res:?}"
+            );
+        }
         let took = began.elapsed();
         assert!(took >= worker_timeout, "{what}: gave up after {took:?}");
         assert!(took < Duration::from_secs(5), "{what}: took {took:?}");
     };
-    // Each strategy's call against node 1, as `Result<(), _>`.
+    // Each strategy's call against node 1, as `Result<(), _>`, and
+    // whether it answers without node 1; TeamNet's call also checks that
+    // node 1 is on record as contacted and unanswered.
     type Call<'a> =
         Box<dyn FnMut(&mut InferenceSession, &dyn Transport) -> Result<(), NetError> + 'a>;
     let spec = ModelSpec::mlp(2, 16);
@@ -395,30 +404,41 @@ fn a_silent_peer_times_every_strategy_out_inside_the_deadline() {
     let volume = Tensor::zeros([1, 3, 8, 8]);
     let (mut moe, _) = moe_fixture(2, 2);
     let mut expert = build_expert(&spec, 0);
-    let mut calls: Vec<(&str, Call<'_>)> = vec![
+    let mut calls: Vec<(&str, bool, Call<'_>)> = vec![
         (
             "TeamNet",
-            Box::new(|s, t| s.infer(t, &mut expert, &images).map(drop)),
+            true,
+            Box::new(|s, t| {
+                let report = s.infer(t, &mut expert, &images)?;
+                let peer = &report.peers[&1];
+                assert!(peer.contacted && !peer.responded, "{report:?}");
+                assert_eq!(report.responsive_peers(), vec![0]);
+                Ok(())
+            }),
         ),
         (
             "MPI-Matrix",
+            false,
             Box::new(|s, t| mpi_matrix_forward(s, t, &mut shards[0], &input).map(drop)),
         ),
         (
             "MPI-Kernel",
+            false,
             Box::new(|s, t| kernel_parallel_conv2d(s, t, 0, &mut conv, &volume).map(drop)),
         ),
         (
             "MPI-Branch",
+            false,
             Box::new(|s, t| branch_parallel_forward(s, t, 1, 0, &mut block, &volume).map(drop)),
         ),
         (
             "SG-MoE",
+            false,
             Box::new(|s, t| infer_distributed(s, t, &mut moe, &images).map(drop)),
         ),
     ];
 
-    for (what, call) in &mut calls {
+    for (what, degrades, call) in &mut calls {
         // Nobody serves node 1, and the root's sends to it vanish.
         let nodes: Vec<_> = ChannelTransport::mesh(2)
             .into_iter()
@@ -426,8 +446,8 @@ fn a_silent_peer_times_every_strategy_out_inside_the_deadline() {
             .collect();
         nodes[0].blackhole(1);
         let began = Instant::now();
-        let res = call(&mut InferenceSession::new(&nodes[0], strict()), &nodes[0]);
-        timed_out(&format!("{what}, black-holed"), began, res);
+        let res = call(&mut InferenceSession::new(&nodes[0], config()), &nodes[0]);
+        gave_up(&format!("{what}, black-holed"), *degrades, began, res);
     }
 
     // A live TeamNet worker whose every reply is dropped: the request is
@@ -438,13 +458,10 @@ fn a_silent_peer_times_every_strategy_out_inside_the_deadline() {
     };
     let nodes = chaotic_peers(2, dropped);
     let peers = vec![build_expert(&spec, 1)];
-    with_peers(&nodes, peers, strict(), |session, root| {
-        let (what, call) = &mut calls[0];
+    with_peers(&nodes, peers, config(), |session, root| {
+        let (what, degrades, call) = &mut calls[0];
         let began = Instant::now();
-        timed_out(
-            &format!("{what}, replies dropped"),
-            began,
-            call(session, root),
-        );
+        let res = call(session, root);
+        gave_up(&format!("{what}, replies dropped"), *degrades, began, res);
     });
 }
